@@ -9,7 +9,12 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import NotCommutingError, NotInvolutionError, NotIsometryError
+from .errors import (
+    NotCommutingError,
+    NotInvolutionError,
+    NotIsometryError,
+    ZeroSublatticeError,
+)
 from .lattice import restrict
 
 
@@ -199,7 +204,7 @@ def isotypic_sublattice(action, chi):
             rows.append(tuple(M[i][j] - (c if i == j else 0) for j in range(n)))
     ker = linalg.int_kernel(linalg.freeze(rows))
     if not ker:
-        raise ValueError("isotypic sublattice is zero; nothing to restrict to")
+        raise ZeroSublatticeError("isotypic sublattice is zero; nothing to restrict to")
     return restrict(action.lattice, ker)
 
 

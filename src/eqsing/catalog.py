@@ -263,7 +263,7 @@ def quasihomogeneous_weights(symbol, k=None, m=None, n=None):
 
 
 def weyl_order(symbol, k=None):
-    """Closed-form Weyl group orders (independent of the BFS enumeration)."""
+    """Closed-form Weyl group orders (independent of the closure engine)."""
     symbol = symbol.upper()
     if symbol == "A":
         return factorial(k + 1)

@@ -266,6 +266,10 @@ def cmd_mu(args):
     return EXIT_SIMPLE
 
 
+_CAP_HELP = ("bound on orbit points (definite path) and listed elements "
+             "(indefinite path); the verdict is Unknown beyond it")
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="eqsing",
@@ -277,8 +281,7 @@ def build_parser():
 
     pa = sub.add_parser("analyze", help="run the full pipeline on a diagram+action file")
     pa.add_argument("file")
-    pa.add_argument("--cap", type=int, default=10**6,
-                    help="element cap for the indefinite search path")
+    pa.add_argument("--cap", type=int, default=10**6, help=_CAP_HELP)
     pa.add_argument("--format", choices=("text", "machine"), default="text")
     pa.set_defaults(func=cmd_analyze)
 
@@ -303,10 +306,7 @@ def build_parser():
     pv = csub.add_parser("verdict", help="run the simplicity criterion on a fixture")
     pv.add_argument("symbol")
     pv.add_argument("--k", type=int)
-    pv.add_argument("--m", type=int)
-    pv.add_argument("--n", type=int)
-    pv.add_argument("--modulus")
-    pv.add_argument("--cap", type=int, default=10**6)
+    pv.add_argument("--cap", type=int, default=10**6, help=_CAP_HELP)
     pv.add_argument("--format", choices=("text", "machine"), default="text")
     pv.set_defaults(func=cmd_catalog_verdict)
 

@@ -57,6 +57,10 @@ class NotIsometryError(ActionError):
     pass
 
 
+class ZeroSublatticeError(EqsingError):
+    """The character's isotypic sublattice is zero: nothing to restrict to."""
+
+
 # --- monodromy engine ---
 
 class IsotropicCycleError(EqsingError):

@@ -1,23 +1,27 @@
 """Picard-Lefschetz operators, equivariant reflection generators, and the
 finiteness decision procedure with machine-checkable certificates.
 
-Group closure is a breadth-first product enumeration with exact matrix
-deduplication.  The decision procedure is keyed to the inertia of the
-restricted form:
+The decision procedure is keyed to the inertia of the restricted form:
 
-  (a) negative definite      -> BFS closure is provably finite.
+  (a) negative definite      -> the orbit of the basis vectors is finite
+      and the group acts on it faithfully; the exact order comes from a
+      deterministic Schreier-Sims on that permutation action.  Unknown
+      when the orbit exceeds the cap.
   (b) negative semidefinite  -> every element fixes the kernel pointwise
       and induces an isometry of the definite quotient; two elements
       sharing a quotient action differ by a nontrivial unipotent, which
       certifies infinite order.  Always terminates: the quotient group is
       finite, so either the closure completes or a collision occurs.
-  (c) anything else          -> BFS with an exact element-order test
-      (cyclotomic factorization of the characteristic polynomial plus a
-      direct power check); may return Unknown at the element cap.
+  (c) anything else          -> element enumeration with an exact
+      element-order test (cyclotomic factorization of the characteristic
+      polynomial plus a direct power check); may return Unknown at the
+      element cap.
 
-The int64 fast path is guarded: products are only computed in machine
-integers when the dimension and current entry bounds prove no overflow;
-otherwise the same BFS runs on arbitrary-precision objects.
+Paths (b) and (c) list group elements by breadth-first products with
+exact matrix deduplication.  Their int64 fast path is guarded: products
+are only computed in machine integers when the dimension and current
+entry bounds prove no overflow; otherwise the same search runs on
+arbitrary-precision objects.
 """
 import itertools
 from dataclasses import dataclass
@@ -432,9 +436,9 @@ def generate_group(generators, cap=10**6):
     """Decide finiteness of the group generated by `generators`.
 
     Returns Finite(order), Infinite(certificate...), or Unknown(cap); the
-    Infinite certificate is re-validated before being returned.  Cases (a)
-    and (b) of the decision procedure ignore the cap (they provably
-    terminate); only the indefinite case (c) can return Unknown.
+    Infinite certificate is re-validated before being returned.  The cap
+    bounds the orbit points in case (a) and the listed elements in case
+    (c); case (b) ignores it (it provably terminates).
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -443,7 +447,7 @@ def generate_group(generators, cap=10**6):
         raise ValueError("generators preserve different forms")
     sig = inertia(IntLattice(gram))
     if sig.negative_definite:
-        return _generate_definite(generators)
+        return _generate_definite(generators, cap)
     if sig.negative_semidefinite:
         ker = linalg.int_kernel(gram)
         fixes = all(
@@ -456,18 +460,120 @@ def generate_group(generators, cap=10**6):
     return _generate_general(generators, cap)
 
 
-def _generate_definite(generators):
+def _generate_definite(generators, cap):
+    """Case (a): the order of the group from its action on a finite orbit.
+
+    On a definite form the orbit of the basis vectors is finite (its
+    vectors have the norms of the basis vectors), and the group acts on it
+    faithfully because it contains a basis.  Each generator becomes a
+    permutation of the orbit; the order comes from Schreier-Sims with the
+    basis vectors as base.  More than `cap` orbit points gives Unknown.
+    """
     n = generators[0].rank
+    mats = [g.matrix for g in generators]
+    points = list(linalg.identity(n))
+    index = {p: i for i, p in enumerate(points)}
+    images = [[] for _ in mats]
+    i = 0
+    while i < len(points):
+        if len(points) > cap:
+            return Unknown(cap=cap)
+        for img, M in zip(images, mats):
+            q = linalg.mat_vec(M, points[i])
+            j = index.get(q)
+            if j is None:
+                j = index[q] = len(points)
+                points.append(q)
+            img.append(j)
+        i += 1
+    perms = [tuple(img) for img in images]
+    return Finite(order=permutation_group_order(perms, base=range(n)))
 
-    def run(force_object):
-        arrays, dtype = _np_matrices([g.matrix for g in generators], force_object)
-        return _bfs(arrays, n, dtype, lambda arr, word: None)
 
-    try:
-        order = run(False)
-    except _OverflowRisk:
-        order = run(True)
-    return Finite(order=order)
+def permutation_group_order(perms, base):
+    """Order of the group generated by permutations of range(N).
+
+    A permutation p is a tuple sending point x to p[x]; products act left
+    to right, (a*b)[x] = b[a[x]].  Only the identity may fix every point of
+    `base`.  Deterministic Schreier-Sims (Sims 1970; Seress, Permutation
+    Group Algorithms, 2003, ch. 4): the order is the product of the basic
+    orbit lengths.  Coset representatives are stored explicitly and never
+    replaced, so a (point, generator) pair whose Schreier generator has
+    been sifted once stays tested.  A Schreier generator is sifted as a
+    word, by following the base points alone; it is multiplied out only
+    when it leaves a nontrivial residue.
+    """
+    if not perms:
+        return 1
+    ident = tuple(range(len(perms[0])))
+    base = list(base)
+    strong = [[p for p in perms if p != ident]] + [[] for _ in base[1:]]
+    # per level: point -> (u, u^-1) with u[base[l]] = point, in discovery order
+    orbits = [{b: (ident, ident)} for b in base]
+    tested = [set() for _ in base]
+
+    def extend(l):
+        orbit = orbits[l]
+        points = list(orbit)
+        for beta in points:
+            u = orbit[beta][0]
+            for x in strong[l]:
+                gamma = x[beta]
+                if gamma not in orbit:
+                    v = tuple(map(x.__getitem__, u))
+                    v_inv = [0] * len(v)
+                    for a, c in enumerate(v):
+                        v_inv[c] = a
+                    orbit[gamma] = (v, tuple(v_inv))
+                    points.append(gamma)
+
+    def sift(word, start):
+        """(residue, level it stops at) for the product of `word`, or None."""
+        for l in range(start, len(base)):
+            beta = base[l]
+            for p in word:
+                beta = p[beta]
+            entry = orbits[l].get(beta)
+            if entry is None:
+                y = word[0]
+                for p in word[1:]:
+                    y = tuple(map(p.__getitem__, y))
+                return y, l
+            if beta != base[l]:
+                word.append(entry[1])
+        return None
+
+    def untested_residue(level):
+        """Residue of the first untested Schreier generator that does not
+        sift through the levels below, or None when all of them do."""
+        orbit, done = orbits[level], tested[level]
+        for beta, (u, _) in orbit.items():
+            for xi, x in enumerate(strong[level]):
+                if (beta, xi) not in done:
+                    done.add((beta, xi))
+                    # u_beta * x * u_{beta x}^-1 fixes base[level]
+                    residue = sift([u, x, orbit[x[beta]][1]], level + 1)
+                    if residue is not None:
+                        return residue
+        return None
+
+    for l in range(len(base)):
+        extend(l)
+    level = len(base) - 1
+    while level >= 0:
+        residue = untested_residue(level)
+        if residue is None:
+            level -= 1
+            continue
+        y, j = residue
+        for l in range(level + 1, j + 1):
+            strong[l].append(y)
+            extend(l)
+        level = j
+    order = 1
+    for orbit in orbits:
+        order *= len(orbit)
+    return order
 
 
 def _generate_semidefinite(generators):
@@ -619,25 +725,3 @@ def _index2_witness(matrix):
         if not linalg.is_zero_vec(img):
             return tuple(cand), img
     raise AssertionError("no index-2 witness: element is not a nontrivial unipotent")
-
-
-def closure_naive(generators, limit=100000):
-    """Order by repeated pairwise products until stable (test oracle).
-
-    Deliberately a different traversal than the BFS so the two orders can
-    be cross-checked on small groups.
-    """
-    mats = {linalg.identity(generators[0].rank)}
-    mats.update(g.matrix for g in generators)
-    while True:
-        new = set()
-        for a in mats:
-            for b in mats:
-                p = linalg.mat_mul(a, b)
-                if p not in mats:
-                    new.add(p)
-        if not new:
-            return len(mats)
-        mats |= new
-        if len(mats) > limit:
-            raise RuntimeError("naive closure limit exceeded")

@@ -65,6 +65,16 @@ def test_analyze_missing_file():
     assert code == 2
 
 
+def test_analyze_zero_isotypic_sublattice_exit_two(tmp_path):
+    # sigma fixes the only cycle, so the sigma = -1 part is zero
+    f = tmp_path / "zero.diagram"
+    f.write_text("vertex 1 self=-2\ngenerator sigma 1:+1\ncharacter sigma=-1\n")
+    code, out, err = run_cli("analyze", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "isotypic sublattice is zero" in err
+
+
 def test_analyze_unknown_exit_three(tmp_path):
     # positive definite input with a tiny cap: the general path gives Unknown
     f = tmp_path / "pos.diagram"
@@ -120,6 +130,13 @@ def test_catalog_verdict_exit_codes():
     assert code == 1
     code, _, err = run_cli("catalog", "verdict", "P8")
     assert code == 2  # no fixture
+
+
+def test_catalog_verdict_rejects_emit_flags():
+    # --m/--n/--modulus belong to `catalog emit`; verdict does not accept them
+    with pytest.raises(SystemExit) as exc:
+        run_cli("catalog", "verdict", "E6", "--m", "1")
+    assert exc.value.code == 2
 
 
 def test_mu_command(tmp_path):

@@ -1,0 +1,113 @@
+"""Definite path: the orbit of the basis vectors and its Schreier-Sims order."""
+import random
+import time
+
+import pytest
+
+from eqsing.catalog import action_from_file, fixture_file, run_analysis, weyl_order
+from eqsing.lattice import IntLattice
+from eqsing.monodromy import (
+    Finite,
+    MonodromyElement,
+    Unknown,
+    equivariant_generators,
+    generate_group,
+    permutation_group_order,
+    pl_reflection,
+)
+from oracles import closure_naive
+
+A2 = ((-2, 1), (1, -2))
+G2 = ((-2, 3), (3, -6))
+A1_CUBED = ((-2, 0, 0), (0, -2, 0), (0, 0, -2))
+
+
+def _reflections(gram):
+    lat = IntLattice(gram)
+    return [pl_reflection(lat, lat.basis_vector(i), name=f"h{i + 1}")
+            for i in range(lat.rank)]
+
+
+def _fixture_generators(symbol, k=None):
+    action, chi = action_from_file(fixture_file(symbol, k))
+    return equivariant_generators(action, chi)[1]
+
+
+def _small_groups():
+    """Generators and order of definite groups of order at most 200."""
+    h1, h2 = _reflections(A2)
+    rotation = h1 @ h2
+    minus = MonodromyElement(matrix=((-1, 0), (0, -1)), gram=A2, word=("-I",))
+    # e1 -> e2 -> e3 -> -e1
+    signed = MonodromyElement(matrix=((0, 0, -1), (1, 0, 0), (0, 1, 0)),
+                              gram=A1_CUBED, word=("p",))
+    return [
+        pytest.param([rotation], 3, id="A2 rotation"),
+        pytest.param([minus], 2, id="-I on A2"),
+        pytest.param([rotation, minus], 6, id="A2 rotation and -I"),
+        pytest.param([signed], 6, id="signed 3-cycle on A1+A1+A1"),
+        pytest.param([signed, _reflections(A1_CUBED)[0]], 24,
+                     id="signed 3-cycle and a reflection"),
+        pytest.param(_reflections(A1_CUBED), 8, id="A1+A1+A1"),
+        pytest.param(_reflections(G2), 12, id="G2"),
+        pytest.param(_fixture_generators("A", 3), 24, id="A3"),
+        pytest.param(_fixture_generators("B", 3), 48, id="B3"),
+        pytest.param(_fixture_generators("C", 3), 48, id="C3"),
+        pytest.param(_fixture_generators("D", 4), 192, id="D4"),
+    ]
+
+
+@pytest.mark.parametrize("gens, order", _small_groups())
+def test_definite_order_matches_naive_closure(gens, order):
+    assert closure_naive(gens) == order
+    assert generate_group(gens) == Finite(order=order)
+
+
+@pytest.mark.parametrize("symbol", ["E7", "E8"])
+def test_e7_e8_simple_with_weyl_order(symbol):
+    t0 = time.monotonic()
+    out = run_analysis(fixture_file(symbol))
+    elapsed = time.monotonic() - t0
+    assert out.verdict == Finite(order=weyl_order(symbol))
+    assert out.simple and out.criteria_agree
+    assert elapsed < 5.0, f"{symbol} took {elapsed:.2f} s"
+
+
+def test_definite_cap_bounds_the_orbit():
+    # the E8 reflections move the 8 basis vectors through all 240 roots
+    gens = _fixture_generators("E8")
+    assert generate_group(gens, cap=100) == Unknown(cap=100)
+    assert generate_group(gens, cap=239) == Unknown(cap=239)
+    assert generate_group(gens, cap=240) == Finite(order=weyl_order("E8"))
+    assert generate_group(gens) == Finite(order=weyl_order("E8"))
+
+
+def _random_permutation(rng, degree):
+    p = list(range(degree))
+    if rng.random() < 0.4:
+        rng.shuffle(p)
+    else:
+        # a few transpositions: small, intransitive or imprimitive groups
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.randrange(degree), rng.randrange(degree)
+            p[i], p[j] = p[j], p[i]
+    return tuple(p)
+
+
+def test_permutation_order_matches_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(1907)
+    for _ in range(300):
+        degree = rng.randint(1, 10)
+        gens = [_random_permutation(rng, degree) for _ in range(rng.randint(1, 4))]
+        group = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(p)) for p in gens])
+        assert permutation_group_order(gens, range(degree)) == group.order(), gens
+
+
+def test_permutation_order_edge_cases():
+    assert permutation_group_order([], []) == 1
+    assert permutation_group_order([(0, 1, 2)], range(3)) == 1
+    assert permutation_group_order([(1, 2, 0)], range(3)) == 3
+    # a base whose pointwise stabiliser is trivial suffices
+    assert permutation_group_order([(1, 0, 3, 2), (2, 3, 0, 1)], base=[0]) == 4

@@ -19,7 +19,6 @@ from eqsing.monodromy import (
     Infinite,
     MonodromyElement,
     Unknown,
-    closure_naive,
     equivariant_generators,
     generate_group,
     orbit_generator,
@@ -27,6 +26,7 @@ from eqsing.monodromy import (
     power_law_check,
     restrict_operator,
 )
+from oracles import closure_naive
 
 
 A2 = IntLattice(((-2, 1), (1, -2)))
