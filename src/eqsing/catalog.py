@@ -404,7 +404,12 @@ class AnalysisOutcome:
 
 def run_analysis(dfile, cap=10**6):
     """Full pipeline: action validation, isotypic restriction, inertia and
-    kernel, orbit reflections, finiteness with certificate."""
+    kernel, orbit reflections, finiteness with certificate.
+
+    `simple` is the paper's criterion, negative definiteness of the
+    restricted form; the monodromy verdict cross-checks it through
+    `criteria_agree`, and may be Unknown at the cap.
+    """
     action, chi = action_from_file(dfile)
     sub, gens = equivariant_generators(action, chi)
     sig = inertia(sub.lattice())
@@ -423,7 +428,7 @@ def run_analysis(dfile, cap=10**6):
         kernel=ker,
         kernel_ambient=ker_amb,
         verdict=verdict,
-        simple=definite and finite,
+        simple=definite,
         criteria_agree=agree,
     )
 

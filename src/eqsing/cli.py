@@ -155,7 +155,7 @@ def _text_report(source, dfile, outcome, elapsed):
         if v.residual_charpoly is not None:
             out.append(f"  non-cyclotomic charpoly residue: {list(v.residual_charpoly)}")
     else:
-        out.append(f"verdict: Unknown (cap {v.cap} reached)")
+        out.append(f"verdict: Unknown (monodromy undecided at cap {v.cap})")
     if not outcome.criteria_agree:
         out.append("WARNING: definiteness and finiteness disagree on this input")
     out.append(f"simple: {'YES' if outcome.simple else 'NO'}")
@@ -266,8 +266,9 @@ def cmd_mu(args):
     return EXIT_SIMPLE
 
 
-_CAP_HELP = ("bound on orbit points (definite path) and listed elements "
-             "(indefinite path); the verdict is Unknown beyond it")
+_CAP_HELP = ("bound on orbit points (definite path), roots (semidefinite "
+             "path) and listed elements (general path); the verdict is "
+             "Unknown beyond it")
 
 
 def build_parser():

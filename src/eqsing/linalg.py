@@ -8,7 +8,9 @@ and saturations, fraction Gaussian elimination for solving, and
 Faddeev-LeVerrier for characteristic polynomials.
 """
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 
 def freeze(rows):
@@ -37,10 +39,6 @@ def mat_mul(A, B):
 
 def mat_vec(M, v):
     return tuple(sum(a * b for a, b in zip(row, v)) for row in M)
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_add(u, v):
@@ -246,55 +244,41 @@ def inverse_unimodular(U):
 def charpoly(M):
     """Characteristic polynomial det(xI - M) of an integer matrix.
 
-    Faddeev-LeVerrier with exact rationals; coefficients are returned as
-    ints, highest degree first (monic).
+    Faddeev-LeVerrier over the integers: A_1 = M, c_k = -tr(A_k)/k and
+    A_{k+1} = M (A_k + c_k I).  Every c_k is a coefficient of the monic
+    integer characteristic polynomial, so every A_k is integral and the
+    division by k is exact.  Coefficients highest degree first.
     """
     n = len(M)
-    coeffs = [Fraction(1)]
-    Mk = None
-    F = [[Fraction(x) for x in row] for row in M]
-    A = None
+    coeffs = [1]
+    A = M
     for k in range(1, n + 1):
-        if A is None:
-            A = [row[:] for row in F]
-        else:
-            # A <- M (A + c I)
+        if k > 1:
             c = coeffs[-1]
-            B = [[A[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-            A = [[sum(F[i][t] * B[t][j] for t in range(n)) for j in range(n)]
-                 for i in range(n)]
+            A = mat_mul(M, tuple(
+                tuple(x + c if i == j else x for j, x in enumerate(row))
+                for i, row in enumerate(A)
+            ))
         tr = sum(A[i][i] for i in range(n))
-        coeffs.append(-tr / k)
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1
-        out.append(int(c))
-    return tuple(out)
+        assert tr % k == 0, "Faddeev-LeVerrier trace is not divisible by k"
+        coeffs.append(-tr // k)
+    return tuple(coeffs)
 
 
-def poly_divmod(num, den):
-    """Divide integer polynomials (coefficient tuples, highest degree first).
+def _divmod_monic(num, den):
+    """(quotient, remainder) of integer polynomials with `den` monic.
 
-    Returns (quotient, remainder) over Q with exact Fraction arithmetic;
-    both are returned as tuples of Fractions.
+    Coefficient tuples, highest degree first; integer arithmetic only.
     """
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    while den and den[0] == 0:
-        den = den[1:]
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = []
-    while len(num) >= len(den) and any(c != 0 for c in num):
-        f = num[0] / den[0]
-        q.append(f)
-        for i in range(len(den)):
-            num[i] -= f * den[i]
-        assert num[0] == 0
-        num = num[1:]
-    while num and num[0] == 0 and len(num) > 1:
-        num = num[1:]
-    return tuple(q) if q else (Fraction(0),), tuple(num) if num else (Fraction(0),)
+    rem = list(num)
+    quot = []
+    for i in range(len(num) - len(den) + 1):
+        c = rem[i]
+        quot.append(c)
+        if c:
+            for j in range(1, len(den)):
+                rem[i + j] -= c * den[j]
+    return tuple(quot), tuple(rem[len(quot):])
 
 
 def euler_phi(d):
@@ -312,11 +296,13 @@ def euler_phi(d):
     return out
 
 
+@lru_cache(maxsize=None)
 def cyclotomic_polys(max_degree):
     """All cyclotomic polynomials Phi_d with phi(d) <= max_degree.
 
-    Returns {d: coefficient tuple}.  Computed by the recursive exact
-    division Phi_d = (x^d - 1) / prod_{e | d, e < d} Phi_e.
+    Returns a read-only {d: coefficient tuple} in increasing d, computed
+    once per degree bound by the exact division
+    Phi_d = (x^d - 1) / prod_{e | d, e < d} Phi_e.
     """
     # phi(d) >= sqrt(d/2), so phi(d) <= D forces d <= 2 D^2 + 1
     bound = 2 * max_degree * max_degree + 1
@@ -324,15 +310,13 @@ def cyclotomic_polys(max_degree):
     for d in range(1, bound + 1):
         if euler_phi(d) > max_degree:
             continue
-        num = (1,) + (0,) * (d - 1) + (-1,)  # x^d - 1
-        poly = tuple(Fraction(c) for c in num)
+        poly = (1,) + (0,) * (d - 1) + (-1,)  # x^d - 1
         for e, pe in phis.items():
-            if d % e == 0 and e < d:
-                poly, rem = poly_divmod(poly, pe)
-                assert all(c == 0 for c in rem)
-        assert all(c.denominator == 1 for c in poly)
-        phis[d] = tuple(int(c) for c in poly)
-    return phis
+            if d % e == 0:
+                poly, rem = _divmod_monic(poly, pe)
+                assert not any(rem)
+        phis[d] = poly
+    return MappingProxyType(phis)
 
 
 def strip_cyclotomic_factors(poly, max_degree):
@@ -344,20 +328,13 @@ def strip_cyclotomic_factors(poly, max_degree):
     unity).  A nonconstant residual certifies an eigenvalue off the
     roots of unity, hence an infinite-order matrix.
     """
-    phis = cyclotomic_polys(max_degree)
-    cur = tuple(Fraction(c) for c in poly)
+    cur = tuple(poly)
     orders = []
-    changed = True
-    while changed:
-        changed = False
-        for d in sorted(phis):
-            pe = phis[d]
-            if len(cur) < len(pe):
-                continue
-            q, rem = poly_divmod(cur, pe)
-            if all(c == 0 for c in rem):
-                cur = q
-                orders.append(d)
-                changed = True
-    residual = tuple(int(c) if c.denominator == 1 else c for c in cur)
-    return tuple(orders), residual
+    for d, pe in cyclotomic_polys(max_degree).items():
+        while len(cur) >= len(pe):
+            q, rem = _divmod_monic(cur, pe)
+            if any(rem):
+                break
+            cur = q
+            orders.append(d)
+    return tuple(orders), cur

@@ -7,28 +7,25 @@ The decision procedure is keyed to the inertia of the restricted form:
       and the group acts on it faithfully; the exact order comes from a
       deterministic Schreier-Sims on that permutation action.  Unknown
       when the orbit exceeds the cap.
-  (b) negative semidefinite  -> every element fixes the kernel pointwise
-      and induces an isometry of the definite quotient; two elements
-      sharing a quotient action differ by a nontrivial unipotent, which
-      certifies infinite order.  Always terminates: the quotient group is
-      finite, so either the closure completes or a collision occurs.
+  (b) negative semidefinite, every generator a reflection
+                             -> a search of the orbit of the generator
+      roots.  Two roots whose images in the definite quotient are positive
+      multiples of each other give a nontrivial unipotent s_rho s_rho',
+      which certifies infinite order (the translation of an affine Weyl
+      group).  A closure with no such collision gives the exact order from
+      the permutation action on the signed roots.  Unknown when the roots
+      exceed the cap.
   (c) anything else          -> element enumeration with an exact
       element-order test (cyclotomic factorization of the characteristic
       polynomial plus a direct power check); may return Unknown at the
       element cap.
 
-Paths (b) and (c) list group elements by breadth-first products with
-exact matrix deduplication.  Their int64 fast path is guarded: products
-are only computed in machine integers when the dimension and current
-entry bounds prove no overflow; otherwise the same search runs on
-arbitrary-precision objects.
+Everything runs on tuples of Python ints, so no entry can overflow.
 """
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional
-
-import numpy as np
 
 from . import linalg
 from .action import character_projection, orbit_decomposition, isotypic_sublattice
@@ -38,10 +35,7 @@ from .errors import (
     OrbitNotOrthogonalError,
     ProjectsToZeroError,
 )
-from .lattice import IntLattice, Sublattice, inertia, kernel_basis
-
-
-_INT64_SAFE = 2**62
+from .lattice import IntLattice, Sublattice, inertia
 
 
 def _gram_of(lattice_or_sub):
@@ -77,10 +71,6 @@ class MonodromyElement:
     @property
     def is_identity(self):
         return self.matrix == linalg.identity(self.rank)
-
-    @property
-    def is_involution(self):
-        return linalg.mat_mul(self.matrix, self.matrix) == linalg.identity(self.rank)
 
     def __matmul__(self, other):
         if self.gram != other.gram:
@@ -326,119 +316,16 @@ def power_law_check(g, v, w, s_max):
 
 
 # --------------------------------------------------------------------------
-# BFS closure machinery
-
-
-def _np_matrices(mats, force_object=False):
-    """Pick int64 when provably overflow-safe for one BFS step, else objects."""
-    n = len(mats[0])
-    maxabs = max(abs(int(x)) for M in mats for row in M for x in row)
-    if not force_object and n * (maxabs + 1) ** 2 < _INT64_SAFE:
-        dtype = np.int64
-    else:
-        dtype = object
-    return [np.array(M, dtype=dtype) for M in mats], dtype
-
-
-def _key(arr):
-    if arr.dtype == object:
-        return tuple(arr.flat)
-    return arr.tobytes()
-
-
-class _OverflowRisk(Exception):
-    pass
-
-
-def _bfs(gen_arrays, n, dtype, on_new, cap=None):
-    """Breadth-first closure under right multiplication by the generators.
-
-    Deterministic: elements are visited in word-length order, with
-    generator index as the tie-break.  `on_new(arr, word)` may raise
-    _StopSearch to end early.  Overflow safety is re-checked per level in
-    int64 mode.
-    """
-    I = np.eye(n, dtype=dtype)
-    visited = {_key(I)}
-    on_new(I, ())
-    frontier = [(I, ())]
-    count = 1
-    gen_max = max(int(abs(x)) for g in gen_arrays for x in g.flat)
-    while frontier:
-        if dtype == np.int64:
-            cur_max = max(int(abs(x)) for m, _ in frontier for x in m.flat)
-            if n * cur_max * gen_max >= _INT64_SAFE:
-                raise _OverflowRisk()
-        new = []
-        for m, word in frontier:
-            for gi, g in enumerate(gen_arrays):
-                p = m.dot(g)  # .dot supports object dtype; @ does not
-                k = _key(p)
-                if k in visited:
-                    continue
-                visited.add(k)
-                count += 1
-                if cap is not None and count > cap:
-                    return None
-                w = word + (gi,)
-                on_new(p, w)
-                new.append((p, w))
-        frontier = new
-    return count
-
-
-class _StopSearch(Exception):
-    def __init__(self, payload):
-        self.payload = payload
-
-
-def _tuple_matrix(arr):
-    return linalg.freeze(tuple(int(x) for x in row) for row in arr)
-
-
-def _quotient_setup(gram):
-    """Unimodular P whose first k columns span the form kernel.
-
-    Elements fixing the kernel pointwise satisfy P^-1 M P = [[I, B], [0, Q]];
-    Q is the induced action on the definite quotient.
-    """
-    ker_rows = linalg.int_kernel(gram)
-    k = len(ker_rows)
-    n = len(gram)
-    A = linalg.transpose(ker_rows)  # n x k, columns span the kernel
-    H, U = linalg.hnf_with_transform(A)
-    top = [row for row in H[:k]]
-    det = 1
-    for i in range(k):
-        det *= top[i][i]
-    assert abs(det) == 1, "kernel basis is not saturated"
-    assert all(linalg.is_zero_vec(r) for r in H[k:])
-    P = linalg.inverse_unimodular(U)
-    Pinv = U
-    return k, P, Pinv
-
-
-def _quotient_action(Pinv, P, M, k):
-    n = len(P)
-    T = linalg.mat_mul(linalg.mat_mul(Pinv, M), P)
-    for i in range(k):
-        for j in range(k):
-            if T[i][j] != (1 if i == j else 0):
-                raise ValueError("element does not fix the kernel pointwise")
-    for i in range(k, n):
-        for j in range(k):
-            if T[i][j] != 0:
-                raise ValueError("element does not preserve the kernel splitting")
-    return linalg.freeze(row[k:] for row in T[k:])
+# closure and finiteness
 
 
 def generate_group(generators, cap=10**6):
     """Decide finiteness of the group generated by `generators`.
 
-    Returns Finite(order), Infinite(certificate...), or Unknown(cap); the
-    Infinite certificate is re-validated before being returned.  The cap
-    bounds the orbit points in case (a) and the listed elements in case
-    (c); case (b) ignores it (it provably terminates).
+    Returns Finite(order), Infinite(certificate...), or Unknown(cap); an
+    Infinite certificate is re-validated before it is returned.  The cap
+    bounds the orbit points on path (a), the roots on path (b) and the
+    listed elements on path (c).
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -449,14 +336,9 @@ def generate_group(generators, cap=10**6):
     if sig.negative_definite:
         return _generate_definite(generators, cap)
     if sig.negative_semidefinite:
-        ker = linalg.int_kernel(gram)
-        fixes = all(
-            linalg.mat_vec(g.matrix, kv) == tuple(kv)
-            for g in generators
-            for kv in ker
-        )
-        if fixes:
-            return _generate_semidefinite(generators)
+        roots = [_reflection_root(g) for g in generators]
+        if None not in roots:
+            return _generate_semidefinite(generators, roots, cap)
     return _generate_general(generators, cap)
 
 
@@ -576,58 +458,119 @@ def permutation_group_order(perms, base):
     return order
 
 
-def _generate_semidefinite(generators):
+def _reflection_root(g):
+    """Primitive root delta with g = s_delta, or None when g is no reflection.
+
+    g is the reflection in delta when every column of g - I is
+    -2 (e_j, delta)/(delta, delta) * delta with (delta, delta) != 0.
+    """
+    n = g.rank
+    cols = [tuple(g.matrix[i][j] - (1 if i == j else 0) for i in range(n))
+            for j in range(n)]
+    moved = [c for c in cols if not linalg.is_zero_vec(c)]
+    if not moved:
+        return None
+    delta = linalg.primitive(moved[0])
+    Gd = linalg.mat_vec(g.gram, delta)
+    dd = sum(a * b for a, b in zip(delta, Gd))
+    if dd == 0:
+        return None
+    for j, col in enumerate(cols):
+        if any(c * dd != -2 * Gd[j] * d for c, d in zip(col, delta)):
+            return None
+    return delta
+
+
+def _root_class(gram, root):
+    """gram * root divided by the gcd of its entries, sign kept.
+
+    Two roots share a class exactly when their images in the definite
+    quotient (the lattice modulo the form kernel) are positive multiples
+    of each other.
+    """
+    v = linalg.mat_vec(gram, root)
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    return tuple(x // g for x in v)
+
+
+def _generate_semidefinite(generators, roots, cap):
+    """Case (b): search the orbit of the generator roots for a collision.
+
+    The roots are signed vectors, each with a word for its reflection.  Level
+    k + 1 is h_a applied to level k, for each generator h_a in turn, so a
+    root u delta_i is first reached by the shortlex-least word u h_i.  The
+    first new root rho whose class (`_root_class`) already holds a root rho'
+    gives the certificate g = s_rho s_rho'.  Roots are primitive and the
+    group is integral, so rho' is never a multiple of rho: g is a nontrivial
+    unipotent.  More than `cap` roots gives Unknown.  A closure with no
+    collision gives |G| from the permutation action on the signed roots: a
+    finite root orbit spans a subspace that meets the form kernel only in 0,
+    so an element fixing the roots is the identity (notes/decisions.md).
+    """
     gram = generators[0].gram
-    n = generators[0].rank
-    k, P, Pinv = _quotient_setup(gram)
-    all_involutions = all(g.is_involution for g in generators)
+    mats = [g.matrix for g in generators]
+    points, words, index, classes = [], [], {}, {}
+    images = [[] for _ in mats]
 
-    def run(force_object):
-        arrays, dtype = _np_matrices([g.matrix for g in generators], force_object)
-        quots = {}
+    def add(root, word):
+        """Record a new root; the verdict when it ends the search."""
+        if len(points) >= cap:
+            return Unknown(cap=cap)
+        key = _root_class(gram, root)
+        old = classes.get(key)
+        if old is not None:
+            return _collision_certificate(generators, gram, root, word,
+                                          points[old], words[old])
+        classes[key] = index[root] = len(points)
+        points.append(root)
+        words.append(word)
+        return None
 
-        def on_new(arr, word):
-            M = _tuple_matrix(arr)
-            q = _quotient_action(Pinv, P, M, k)
-            prev = quots.get(q)
-            if prev is not None:
-                raise _StopSearch((M, word, prev[0], prev[1]))
-            quots[q] = (M, word)
+    for i, root in enumerate(roots):
+        if root not in index:
+            verdict = add(root, (i,))
+            if verdict is not None:
+                return verdict
+    lo, hi = 0, len(points)
+    generator_roots = range(hi)
+    while lo < hi:
+        for a, M in enumerate(mats):
+            for p in range(lo, hi):
+                q = linalg.mat_vec(M, points[p])
+                if q not in index:
+                    # s_{-r} = s_r, so -r keeps the word of r
+                    negated = all(x == -y for x, y in zip(q, points[p]))
+                    verdict = add(q, words[p] if negated else (a,) + words[p] + (a,))
+                    if verdict is not None:
+                        return verdict
+                images[a].append(index[q])
+        lo, hi = hi, len(points)
+    # a reflection moves a vector by a multiple of its root, so the
+    # generator roots span every root
+    base = []
+    for p in generator_roots:
+        if linalg.rank_of([points[b] for b in base] + [points[p]]) > len(base):
+            base.append(p)
+    return Finite(order=permutation_group_order([tuple(img) for img in images], base))
 
-        try:
-            order = _bfs(arrays, n, dtype, on_new)
-            return Finite(order=order)
-        except _StopSearch as stop:
-            return _unipotent_certificate(generators, gram, *stop.payload,
-                                          all_involutions=all_involutions)
 
-    try:
-        return run(False)
-    except _OverflowRisk:
-        return run(True)
+def _collision_certificate(generators, gram, rho, word, rho_p, word_p):
+    """Validated Infinite with certificate g = s_rho s_rho'."""
+    matrix = linalg.mat_mul(pl_reflection(gram, rho).matrix,
+                            pl_reflection(gram, rho_p).matrix)
+    element = MonodromyElement(matrix=matrix, gram=gram,
+                               word=_word_names(generators, word + word_p))
+    v, w = _unipotent_witness(matrix)
+    verdict = Infinite(certificate=element, witness=v, increment=w)
+    verdict.validate()
+    return verdict
 
 
 def _word_names(generators, word):
     return tuple(generators[i].word[0] if len(generators[i].word) == 1
                  else f"g{i + 1}" for i in word)
-
-
-def _unipotent_certificate(generators, gram, m_new, w_new, m_prev, w_prev,
-                           all_involutions):
-    """Certificate g = m_new * m_prev^-1 from a quotient-action collision."""
-    prev = MonodromyElement(matrix=m_prev, gram=gram)
-    inv = prev.inverse()
-    cert_matrix = linalg.mat_mul(m_new, inv.matrix)
-    if all_involutions:
-        inv_names = tuple(reversed(_word_names(generators, w_prev)))
-    else:
-        inv_names = tuple(f"{x}^-1" for x in reversed(_word_names(generators, w_prev)))
-    word = _word_names(generators, w_new) + inv_names
-    element = MonodromyElement(matrix=cert_matrix, gram=gram, word=word)
-    v, w = _unipotent_witness(cert_matrix)
-    verdict = Infinite(certificate=element, witness=v, increment=w)
-    verdict.validate()
-    return verdict
 
 
 def _unipotent_witness(matrix):
@@ -669,47 +612,54 @@ def _finite_order(matrix):
 
 
 def _generate_general(generators, cap):
+    """Case (c): list the elements, testing the order of each new one.
+
+    Breadth-first under right multiplication by the generators, so elements
+    come in word-length order with the generator index as the tie-break,
+    deduplicated as exact matrices.  The first element of infinite order
+    gives the certificate; more than `cap` elements gives Unknown.
+    """
     gram = generators[0].gram
-    n = generators[0].rank
+    mats = [g.matrix for g in generators]
+    I = linalg.identity(generators[0].rank)
+    seen = {I}
+    frontier = [(I, ())]
+    while frontier:
+        level = []
+        for m, word in frontier:
+            for gi, g in enumerate(mats):
+                p = linalg.mat_mul(m, g)
+                if p in seen:
+                    continue
+                seen.add(p)
+                if len(seen) > cap:
+                    return Unknown(cap=cap)
+                w = word + (gi,)
+                verdict = _infinite_order_certificate(generators, gram, p, w)
+                if verdict is not None:
+                    verdict.validate()
+                    return verdict
+                level.append((p, w))
+        frontier = level
+    return Finite(order=len(seen))
 
-    def run(force_object):
-        arrays, dtype = _np_matrices([g.matrix for g in generators], force_object)
 
-        def on_new(arr, word):
-            M = _tuple_matrix(arr)
-            finite, residual, N = _finite_order(M)
-            if finite:
-                return
-            element = MonodromyElement(
-                matrix=M, gram=gram, word=_word_names(generators, word)
-            )
-            if residual is not None:
-                raise _StopSearch(
-                    Infinite(certificate=element, residual_charpoly=residual)
-                )
-            # all eigenvalues are roots of unity but M^N != I: M^N is a
-            # nontrivial unipotent with an explicit power-law witness
-            h = element
-            power = MonodromyElement.identity_on(gram)
-            for _ in range(N):
-                power = power @ h
-            v, w = _index2_witness(power.matrix)
-            raise _StopSearch(Infinite(certificate=power, witness=v, increment=w))
-
-        try:
-            order = _bfs(arrays, n, dtype, on_new, cap=cap)
-        except _StopSearch as stop:
-            verdict = stop.payload
-            verdict.validate()
-            return verdict
-        if order is None:
-            return Unknown(cap=cap)
-        return Finite(order=order)
-
-    try:
-        return run(False)
-    except _OverflowRisk:
-        return run(True)
+def _infinite_order_certificate(generators, gram, matrix, word):
+    """Infinite when `matrix` has infinite order, else None."""
+    finite, residual, N = _finite_order(matrix)
+    if finite:
+        return None
+    element = MonodromyElement(matrix=matrix, gram=gram,
+                               word=_word_names(generators, word))
+    if residual is not None:
+        return Infinite(certificate=element, residual_charpoly=residual)
+    # all eigenvalues are roots of unity but M^N != I: M^N is a nontrivial
+    # unipotent with an explicit power-law witness
+    power = MonodromyElement.identity_on(gram)
+    for _ in range(N):
+        power = power @ element
+    v, w = _index2_witness(power.matrix)
+    return Infinite(certificate=power, witness=v, increment=w)
 
 
 def _index2_witness(matrix):

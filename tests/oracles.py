@@ -24,3 +24,20 @@ def closure_naive(generators, limit=100000):
         mats |= new
         if len(mats) > limit:
             raise RuntimeError("naive closure limit exceeded")
+
+
+def evaluate_word(generators, word):
+    """The product of a certificate word, multiplied out left to right.
+
+    `word` names generators by their labels ("h3") and inverses as
+    "h3^-1"; the result is the matrix the word denotes, independent of how
+    the search that produced it computed its certificate matrix.
+    """
+    by_name = {g.word[0]: g for g in generators if len(g.word) == 1}
+    product = linalg.identity(generators[0].rank)
+    for letter in word:
+        name, inverse, _ = letter.partition("^-1")
+        g = by_name[name]
+        factor = g.inverse().matrix if inverse else g.matrix
+        product = linalg.mat_mul(product, factor)
+    return product

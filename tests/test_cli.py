@@ -1,13 +1,17 @@
 """CLI: exit codes, machine-format golden output, file errors."""
 import io
 import contextlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from eqsing.cli import main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "eqsing" / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "src" / "eqsing" / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -132,6 +136,23 @@ def test_catalog_verdict_exit_codes():
     assert code == 2  # no fixture
 
 
+def test_catalog_verdict_undecided_definite_is_simple():
+    # E8 is negative definite, so simple by the criterion, while its
+    # monodromy (240 roots) is undecided at cap 100: exit 3 says so
+    code, out, _ = run_cli("catalog", "verdict", "E8", "--cap", "100")
+    assert code == 3
+    assert "monodromy undecided at cap 100" in out
+    assert "simple: YES" in out
+    code, out, _ = run_cli("catalog", "verdict", "E8", "--cap", "100",
+                           "--format", "machine")
+    assert code == 3
+    lines = dict(l.split("=", 1) for l in out.splitlines())
+    assert lines["monodromy.verdict"] == "unknown"
+    assert lines["monodromy.cap"] == "100"
+    assert lines["criteria.agree"] == "true"
+    assert lines["simple"] == "true"
+
+
 def test_catalog_verdict_rejects_emit_flags():
     # --m/--n/--modulus belong to `catalog emit`; verdict does not accept them
     with pytest.raises(SystemExit) as exc:
@@ -184,3 +205,18 @@ def test_mu_A4_trivial(tmp_path):
     code, out, _ = run_cli("mu", str(f))
     assert code == 0
     assert "mu=4" in out
+
+
+def test_cli_import_does_not_load_numpy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import eqsing.cli, sys; assert 'numpy' not in sys.modules"],
+        env=env, check=True,
+    )
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + [
+        r for extra in project["optional-dependencies"].values() for r in extra
+    ]
+    assert not [r for r in requirements if r.startswith("numpy")]

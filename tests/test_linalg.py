@@ -156,3 +156,66 @@ def test_strip_cyclotomic_factors():
     # x^2 - 6x + 1 (Pell) is not a product of cyclotomics
     orders, residual = linalg.strip_cyclotomic_factors((1, -6, 1), 2)
     assert len(residual) > 1
+
+
+def _pmul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return tuple(out)
+
+
+def test_charpoly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1907)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        A = rand_matrix(rng, n, n, bound=rng.choice((1, 3, 9)))
+        expect = tuple(int(c) for c in sympy.Matrix(A).charpoly().all_coeffs())
+        assert linalg.charpoly(A) == expect, A
+
+
+def test_strip_cyclotomic_factors_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    phis = linalg.cyclotomic_polys(10)
+    rng = random.Random(2019)
+    for trial in range(150):
+        if trial % 3 == 0:
+            # the charpoly of a random matrix, as the finiteness test sees it
+            n = rng.randint(1, 10)
+            poly = linalg.charpoly(rand_matrix(rng, n, n, bound=2))
+        else:
+            poly = (1,)
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.6:
+                    factor = phis[rng.choice(sorted(phis))]
+                else:
+                    factor = (1,) + tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 3)))
+                if len(poly) + len(factor) - 2 <= 10:
+                    poly = _pmul(poly, factor)
+        degree = len(poly) - 1
+        orders, residual = linalg.strip_cyclotomic_factors(poly, degree)
+        expect_orders, expect_residual = [], sympy.Integer(1)
+        _content, factors = sympy.factor_list(sympy.Poly(poly, x))
+        for f, mult in factors:
+            d = next((d for d, pe in phis.items()
+                      if f.all_coeffs() == list(pe)), None) if f.is_cyclotomic else None
+            if d is None:
+                expect_residual *= f.as_expr() ** mult
+            else:
+                expect_orders += [d] * mult
+        assert sorted(orders) == sorted(expect_orders), poly
+        assert sympy.Poly(expect_residual, x).all_coeffs() == list(residual), poly
+
+
+def test_cyclotomic_polys_cached_and_read_only():
+    phis = linalg.cyclotomic_polys(6)
+    assert linalg.cyclotomic_polys(6) is phis
+    with pytest.raises(TypeError):
+        phis[1] = (1, 1)
+    with pytest.raises(AttributeError):
+        phis.pop(1)
+    assert all(isinstance(p, tuple) for p in phis.values())
+    assert phis[1] == (1, -1)

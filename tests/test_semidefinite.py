@@ -1,0 +1,168 @@
+"""Semidefinite path (b): root-class collisions, the cap, and oracles for
+every certificate word."""
+import random
+import time
+
+import pytest
+
+from eqsing import linalg, monodromy
+from eqsing.catalog import action_from_file, fixture_file, run_analysis
+from eqsing.diagram import DiagramFile, DynkinDiagram
+from eqsing.errors import EqsingError
+from eqsing.lattice import IntLattice, inertia
+from eqsing.monodromy import (
+    Finite,
+    Infinite,
+    MonodromyElement,
+    Unknown,
+    equivariant_generators,
+    generate_group,
+    pl_reflection,
+)
+from oracles import closure_naive, evaluate_word
+
+
+def _star(*arms, isolated=0):
+    """Vertex 1 with chains of the given lengths, plus isolated vertices."""
+    vertices, edges = [(1, -2)], []
+    for length in arms:
+        prev = 1
+        for _ in range(length):
+            v = len(vertices) + 1
+            vertices.append((v, -2))
+            edges.append((prev, v, 1))
+            prev = v
+    for _ in range(isolated):
+        vertices.append((len(vertices) + 1, -2))
+    return DiagramFile(diagram=DynkinDiagram(vertices=tuple(vertices), edges=tuple(edges)))
+
+
+AFFINE_E6 = _star(2, 2, 2)
+AFFINE_E8_A1 = _star(1, 2, 5, isolated=1)
+TRIANGLE_W2 = DiagramFile(diagram=DynkinDiagram(
+    vertices=((1, -2), (2, -2), (3, -2)), edges=((1, 2, 2), (1, 3, 2), (2, 3, 2))))
+
+
+def _reflections(gram, count=None):
+    lat = IntLattice(gram)
+    return [pl_reflection(lat, lat.basis_vector(i), name=f"h{i + 1}")
+            for i in range(count or lat.rank)]
+
+
+@pytest.fixture
+def no_general_path(monkeypatch):
+    """Fail the test if generate_group falls back to path (c)."""
+    def refuse(generators, cap):
+        raise AssertionError("the semidefinite input fell back to path (c)")
+    monkeypatch.setattr(monodromy, "_generate_general", refuse)
+
+
+@pytest.mark.parametrize("dfile", [
+    pytest.param(fixture_file("M4"), id="M4"),
+    pytest.param(fixture_file("M5"), id="M5"),
+    pytest.param(fixture_file("X9"), id="X9"),
+    pytest.param(AFFINE_E6, id="affine E6"),
+    pytest.param(AFFINE_E8_A1, id="affine E8 + A1"),
+    pytest.param(TRIANGLE_W2, id="triangle with weight 2"),
+])
+def test_certificate_word_multiplies_out_to_its_matrix(dfile):
+    out = run_analysis(dfile, cap=1000)
+    assert isinstance(out.verdict, Infinite)
+    out.verdict.validate()
+    cert = out.verdict.certificate
+    assert evaluate_word(out.generators, cert.word) == cert.matrix
+
+
+def test_affine_e8_plus_a1_decided_within_the_cap(no_general_path):
+    action, chi = action_from_file(AFFINE_E8_A1)
+    sub, gens = equivariant_generators(action, chi)
+    assert inertia(sub.lattice()).as_tuple() == (0, 1, 9)
+    assert len(gens) == 10
+    t0 = time.monotonic()
+    verdict = generate_group(gens, cap=1000)
+    elapsed = time.monotonic() - t0
+    assert isinstance(verdict, Infinite)
+    verdict.validate()
+    assert evaluate_word(gens, verdict.certificate.word) == verdict.certificate.matrix
+    assert elapsed < 5.0, f"affine E8 + A1 took {elapsed:.2f} s"
+    # ten distinct roots fit under the cap, the eleventh does not
+    assert generate_group(gens, cap=10) == Unknown(cap=10)
+
+
+A2_PLUS_ZERO = ((-2, 1, 0), (1, -2, 0), (0, 0, 0))
+
+
+@pytest.mark.parametrize("gens, order", [
+    pytest.param([pl_reflection(IntLattice(((-2, 0), (0, 0))), (1, 0), name="h")], 2,
+                 id="diag(-2, 0), one reflection"),
+    pytest.param(_reflections(A2_PLUS_ZERO, 2), 6, id="A2 + <0>"),
+    pytest.param([pl_reflection(IntLattice(((-2, 0, 0), (0, -2, 0), (0, 0, 0))), r, name=n)
+                  for r, n in (((1, 0, 1), "h1"), ((0, 1, 0), "h2"))], 4,
+                 id="A1 + A1 + <0>, one root off the kernel complement"),
+])
+def test_semidefinite_finite_matches_naive_closure(gens, order, no_general_path):
+    assert closure_naive(gens) == order
+    assert generate_group(gens) == Finite(order=order)
+
+
+@pytest.mark.parametrize("gram", [
+    pytest.param(((-2, 2), (2, -2)), id="affine A1"),
+    pytest.param(((-2, 1, 1), (1, -2, 1), (1, 1, -2)), id="affine A2"),
+])
+def test_affine_groups_are_infinite(gram, no_general_path):
+    gens = _reflections(gram)
+    with pytest.raises(RuntimeError):
+        closure_naive(gens, limit=200)
+    verdict = generate_group(gens)
+    assert isinstance(verdict, Infinite)
+    verdict.validate()
+    assert evaluate_word(gens, verdict.certificate.word) == verdict.certificate.matrix
+
+
+def test_affine_a1_certificate_is_the_translation():
+    # d1 + d2 spans the kernel, so the root -d1 = h1 d1 has the class of d2
+    h1, h2 = _reflections(((-2, 2), (2, -2)))
+    verdict = generate_group([h1, h2])
+    assert verdict.certificate.word == ("h1", "h2")
+    assert verdict.certificate.matrix == (h1 @ h2).matrix
+
+
+def test_non_reflection_generator_takes_the_general_path():
+    # diag(1, -1) on diag(-2, 0) is an involution with rank(g - I) = 1 whose
+    # root spans the kernel: it is no reflection and does not fix the kernel
+    gram = ((-2, 0), (0, 0))
+    flip = MonodromyElement(matrix=((1, 0), (0, -1)), gram=gram, word=("f",))
+    h = pl_reflection(IntLattice(gram), (1, 0), name="h")
+    assert generate_group([h, flip]) == Finite(order=4)
+
+
+def test_random_semidefinite_reflection_groups(no_general_path):
+    # gram = -A^T A with fewer rows than columns is negative semidefinite
+    # and degenerate; reflections in random integral roots on it
+    rng = random.Random(1978)
+    seen = {"finite": 0, "infinite": 0}
+    while min(seen.values()) < 60:
+        n = rng.randint(2, 4)
+        k = rng.randint(1, n - 1)
+        A = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(k)]
+        gram = linalg.freeze([[-sum(row[i] * row[j] for row in A) for j in range(n)]
+                              for i in range(n)])
+        if inertia(IntLattice(gram)).negative_definite:
+            continue
+        gens = []
+        for name in ("h1", "h2", "h3", "h4")[:rng.randint(2, 4)]:
+            try:
+                gens.append(pl_reflection(gram, [rng.randint(-2, 2) for _ in range(n)],
+                                          name=name))
+            except EqsingError:
+                pass
+        if not gens:
+            continue
+        verdict = generate_group(gens)
+        seen[verdict.kind] += 1
+        if verdict.kind == "finite":
+            assert closure_naive(gens) == verdict.order, (gram, gens)
+        else:
+            verdict.validate()
+            cert = verdict.certificate
+            assert evaluate_word(gens, cert.word) == cert.matrix
