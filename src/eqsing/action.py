@@ -208,32 +208,14 @@ def isotypic_sublattice(action, chi):
     return restrict(action.lattice, ker)
 
 
-def isotypic_rank_rational(action, chi):
-    """Rank of the chi-isotypic subspace over Q (projector route).
-
-    Used for the rank-additivity cross-check; does not saturate.
-    """
-    n = action.lattice.rank
-    proj_cols = []
-    for j in range(n):
-        e = tuple(1 if t == j else 0 for t in range(n))
-        acc = (0,) * n
-        for subset, M in action.elements():
-            c = 1
-            for name in subset:
-                c *= chi.of(name)
-            acc = linalg.vec_add(acc, linalg.vec_scale(c, linalg.mat_vec(M, e)))
-        proj_cols.append(acc)
-    return linalg.rank_of(linalg.freeze(proj_cols))
-
-
 def orbit_decomposition(action):
     """Orbits of basis indices under the unsigned permutation group.
 
     Each orbit is sorted ascending; orbits are ordered by least element.
-    Indices are 0-based basis positions.
+    Indices are 0-based basis positions.  Reads only the unsigned
+    permutations and does not validate the action: `equivariant_generators`
+    validates it first, in `isotypic_sublattice`.
     """
-    validate_action(action)
     n = action.lattice.rank
     parent = list(range(n))
 

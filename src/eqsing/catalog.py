@@ -1,10 +1,16 @@
-"""The classification as data: normal forms, confining families, bundled
-diagram/action fixtures, and the simplicity-verdict wiring.
+"""The classification as data: one row per family in `FAMILIES`, the
+bundled diagram/action fixtures, and the simplicity-verdict wiring.
 
 Simple families: A_k, D_k, E6, E7, E8, B_k, C_k, F4 (identical lists in
-the single-Z2 and corner settings, up to renumbering of generators).
-Confining families: P8, X9, J10, F10, K42, L6, and M5 (single Z2) or M4
-(corner), each with its excluded modulus locus.
+the single-Z2 and corner settings, up to renumbering of generators);
+B_k, C_k and F4 are boundary singularities (Arnold 1978).  Confining
+families: P8, X9, J10, F10, K42, L6, and M5 (single Z2) or M4 (corner),
+each with its excluded modulus locus.
+
+A row's weights are hand-written, not solved from its terms, so the
+quasihomogeneous mu formula stays an independent check of each normal
+form; the minimum numbers of x and y variables are the weight-block
+lengths.  `weyl_order` is a separate closed-form oracle.
 
 Folded fixtures realize B_k inside A_{2k-1}, C_k inside D_{k+1} and F4
 inside E6 by a sign-lifted diagram automorphism; the chosen lifts are the
@@ -15,31 +21,92 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from math import factorial
-from typing import Optional
+from typing import Callable, Optional
 
-from . import linalg
 from .action import Character, GroupAction, signed_permutation_from_file
-from .diagram import DiagramFile, DynkinDiagram, parse_file, serialize, to_lattice
+from .diagram import DiagramFile, DynkinDiagram, parse_file, to_lattice
 from .errors import BadParameterError, CriterionMismatchError, NoFixtureError
 from .lattice import Inertia, inertia, kernel_basis
-from .localalg import germ
+from .localalg import parse_germ
 from .monodromy import equivariant_generators, generate_group
 
 
-SIMPLE_SYMBOLS = ("A", "D", "E6", "E7", "E8", "B", "C", "F4")
-CONFINING_Z2 = ("P8", "X9", "J10", "F10", "K42", "L6", "M5")
-CONFINING_CORNER = ("P8", "X9", "J10", "F10", "K42", "L6", "M4")
+# --------------------------------------------------------------------------
+# fixture builders
+
+
+def _diagram(n, edges):
+    """n cycles of self-intersection -2 joined by the unit-weight `edges`."""
+    vertices = tuple((i, -2) for i in range(1, n + 1))
+    return DynkinDiagram(vertices=vertices, edges=tuple((i, j, 1) for i, j in edges))
+
+
+def _chain(n):
+    return _diagram(n, [(i, i + 1) for i in range(1, n)])
+
+
+def _d_diagram(n):
+    # chain 1..n-1 with vertex n forked off vertex n-2
+    return _diagram(n, [(i, i + 1) for i in range(1, n - 1)] + [(n - 2, n)])
+
+
+def _e_diagram(n):
+    # Bourbaki: chain 1-3-4-...-n with vertex 2 attached to 4
+    return _diagram(n, [(1, 3), (2, 4)] + [(i, i + 1) for i in range(3, n)])
+
+
+def _folded(diagram, images):
+    """The diagram with the sign-lifted automorphism sigma and chi(sigma) = -1."""
+    return DiagramFile(diagram, (("sigma", images),), (("sigma", -1),))
+
+
+def _b_fixture(k):
+    # A_{2k-1} chain with -(chain reversal)
+    nn = 2 * k - 1
+    return _folded(_chain(nn), tuple((i, nn + 1 - i, -1) for i in range(1, nn + 1)))
+
+
+def _c_fixture(k):
+    # D_{k+1} with -(fork swap)
+    nn = k + 1
+    fixed = tuple((i, i, -1) for i in range(1, nn - 1))
+    return _folded(_d_diagram(nn), fixed + ((nn - 1, nn, -1), (nn, nn - 1, -1)))
+
+
+def _f4_fixture(k):
+    # E6 with -(arm swap): 1<->6, 3<->5, fixing 2 and 4
+    images = ((1, 6, -1), (6, 1, -1), (3, 5, -1), (5, 3, -1), (2, 2, -1), (4, 4, -1))
+    return _folded(_e_diagram(6), images)
+
+
+def _shipped(name):
+    """The fixture shipped as `fixtures/<name>.diagram`."""
+    return parse_file((resources.files("eqsing") / "fixtures" / f"{name}.diagram").read_text())
+
+
+# --------------------------------------------------------------------------
+# the family table
 
 
 @dataclass(frozen=True)
 class FamilyEntry:
+    """One family.  `terms(k, a)` gives the core terms as polynomial-file
+    lines; `weights(k)` the hand-written weights of the core x- and
+    y-variables as two space-separated strings; `excluded(a)` is true on
+    the locus `modulus_rule` excludes; `fixture(k)` builds the bundled
+    DiagramFile, for k in the closed range `fixture_k` if indexed."""
+
     symbol: str
     kind: str  # "simple" | "confining"
     setting: str  # "z2" | "corner" | "both"
+    template: str
+    terms: Callable
+    weights: Callable
     k_min: Optional[int] = None
-    k_max: Optional[int] = None  # None = unbounded
     modulus_rule: Optional[str] = None  # human-readable exclusion
-    template: str = ""
+    excluded: Optional[Callable] = None
+    fixture: Optional[Callable] = None
+    fixture_k: Optional[tuple] = None
 
     def describe(self):
         out = self.symbol
@@ -49,63 +116,111 @@ class FamilyEntry:
             out += f" [{self.modulus_rule}]"
         return out
 
+    def block_weights(self, k):
+        """(x-block, y-block) weights of the core variables, as Fractions."""
+        return tuple(tuple(Fraction(w) for w in block.split()) for block in self.weights(k))
 
-FAMILIES = {
-    "A": FamilyEntry("A", "simple", "both", k_min=1, template="x1^2+...+xm^2+y1^(k+1)"),
-    "D": FamilyEntry("D", "simple", "both", k_min=4, template="x1^2+...+xm^2+y1^2*y2+y2^(k-1)"),
-    "E6": FamilyEntry("E6", "simple", "both", template="x1^2+...+xm^2+y1^3+y2^4"),
-    "E7": FamilyEntry("E7", "simple", "both", template="x1^2+...+xm^2+y1^3+y1*y2^3"),
-    "E8": FamilyEntry("E8", "simple", "both", template="x1^2+...+xm^2+y1^3+y2^5"),
-    "B": FamilyEntry("B", "simple", "both", k_min=2, template="x1^(2k)+x2^2+...+xm^2"),
-    "C": FamilyEntry("C", "simple", "both", k_min=2, template="x1^2*y1+x2^2+...+xm^2+y1^k"),
-    "F4": FamilyEntry("F4", "simple", "both", template="x1^4+x2^2+...+xm^2+y1^3"),
-    "P8": FamilyEntry("P8", "confining", "both", modulus_rule="a^3+27 != 0",
-                      template="y1^3+y2^3+y3^3+a*y1*y2*y3"),
-    "X9": FamilyEntry("X9", "confining", "both", modulus_rule="a^2 != 4",
-                      template="y1^4+y2^4+a*y1^2*y2^2"),
-    "J10": FamilyEntry("J10", "confining", "both", modulus_rule="4a^3+27 != 0",
-                       template="y1^3+y2^6+a*y1^2*y2^2"),
-    "F10": FamilyEntry("F10", "confining", "both", modulus_rule="4a^3+27 != 0",
-                       template="x1^6+y1^3+a*x1^2*y1^2"),
-    "K42": FamilyEntry("K42", "confining", "both", modulus_rule="a^2 != 4",
-                       template="x1^4+y1^4+a*x1^2*y1^2"),
-    "L6": FamilyEntry("L6", "confining", "both", modulus_rule="a^3 != 1",
-                      template="x1^2*y1+a*x1^2*y2+y1^3+y2^3"),
-    "M5": FamilyEntry("M5", "confining", "z2", modulus_rule="a^2 != 4",
-                      template="x1^4+x2^4+a*x1^2*x2^2"),
-    "M4": FamilyEntry("M4", "confining", "corner", modulus_rule="a^2 != 4",
-                      template="x1^4+x2^4+a*x1^2*x2^2"),
-}
+    @property
+    def min_vars(self):
+        """The fewest (m, n) the core terms need."""
+        return tuple(len(block) for block in self.block_weights(self.k_min))
 
-# minimal (m, n) each template needs
-_MIN_VARS = {
-    "A": (0, 1), "D": (0, 2), "E6": (0, 2), "E7": (0, 2), "E8": (0, 2),
-    "B": (1, 0), "C": (1, 1), "F4": (1, 1),
-    "P8": (0, 3), "X9": (0, 2), "J10": (0, 2), "F10": (1, 1),
-    "K42": (1, 1), "L6": (1, 2), "M5": (2, 0), "M4": (2, 0),
-}
+
+FAMILIES = {e.symbol: e for e in (
+    FamilyEntry("A", "simple", "both", "x1^2+...+xm^2+y1^(k+1)", k_min=1,
+                terms=lambda k, a: (f"1 y1^{k + 1}",), weights=lambda k: ("", f"1/{k + 1}"),
+                fixture=lambda k: DiagramFile(_chain(k)), fixture_k=(1, 8)),
+    FamilyEntry("D", "simple", "both", "x1^2+...+xm^2+y1^2*y2+y2^(k-1)", k_min=4,
+                terms=lambda k, a: ("1 y1^2*y2", f"1 y2^{k - 1}"),
+                weights=lambda k: ("", f"{k - 2}/{2 * (k - 1)} 1/{k - 1}"),
+                fixture=lambda k: DiagramFile(_d_diagram(k)), fixture_k=(4, 6)),
+    FamilyEntry("E6", "simple", "both", "x1^2+...+xm^2+y1^3+y2^4",
+                terms=lambda k, a: ("1 y1^3", "1 y2^4"), weights=lambda k: ("", "1/3 1/4"),
+                fixture=lambda k: DiagramFile(_e_diagram(6))),
+    FamilyEntry("E7", "simple", "both", "x1^2+...+xm^2+y1^3+y1*y2^3",
+                terms=lambda k, a: ("1 y1^3", "1 y1*y2^3"), weights=lambda k: ("", "1/3 2/9"),
+                fixture=lambda k: DiagramFile(_e_diagram(7))),
+    FamilyEntry("E8", "simple", "both", "x1^2+...+xm^2+y1^3+y2^5",
+                terms=lambda k, a: ("1 y1^3", "1 y2^5"), weights=lambda k: ("", "1/3 1/5"),
+                fixture=lambda k: DiagramFile(_e_diagram(8))),
+    FamilyEntry("B", "simple", "both", "x1^(2k)+x2^2+...+xm^2", k_min=2,
+                terms=lambda k, a: (f"1 x1^{2 * k}",), weights=lambda k: (f"1/{2 * k}", ""),
+                fixture=_b_fixture, fixture_k=(2, 4)),
+    FamilyEntry("C", "simple", "both", "x1^2*y1+x2^2+...+xm^2+y1^k", k_min=2,
+                terms=lambda k, a: ("1 x1^2*y1", f"1 y1^{k}"),
+                weights=lambda k: (f"{k - 1}/{2 * k}", f"1/{k}"),
+                fixture=_c_fixture, fixture_k=(2, 4)),
+    FamilyEntry("F4", "simple", "both", "x1^4+x2^2+...+xm^2+y1^3",
+                terms=lambda k, a: ("1 x1^4", "1 y1^3"), weights=lambda k: ("1/4", "1/3"),
+                fixture=_f4_fixture),
+    FamilyEntry("P8", "confining", "both", "y1^3+y2^3+y3^3+a*y1*y2*y3",
+                terms=lambda k, a: ("1 y1^3", "1 y2^3", "1 y3^3", f"{a} y1*y2*y3"),
+                weights=lambda k: ("", "1/3 1/3 1/3"),
+                modulus_rule="a^3+27 != 0", excluded=lambda a: a**3 + 27 == 0),
+    FamilyEntry("X9", "confining", "both", "y1^4+y2^4+a*y1^2*y2^2",
+                terms=lambda k, a: ("1 y1^4", "1 y2^4", f"{a} y1^2*y2^2"),
+                weights=lambda k: ("", "1/4 1/4"), fixture=lambda k: _shipped("x9"),
+                modulus_rule="a^2 != 4", excluded=lambda a: a * a == 4),
+    FamilyEntry("J10", "confining", "both", "y1^3+y2^6+a*y1^2*y2^2",
+                terms=lambda k, a: ("1 y1^3", "1 y2^6", f"{a} y1^2*y2^2"),
+                weights=lambda k: ("", "1/3 1/6"),
+                modulus_rule="4a^3+27 != 0", excluded=lambda a: 4 * a**3 + 27 == 0),
+    FamilyEntry("F10", "confining", "both", "x1^6+y1^3+a*x1^2*y1^2",
+                terms=lambda k, a: ("1 x1^6", "1 y1^3", f"{a} x1^2*y1^2"),
+                weights=lambda k: ("1/6", "1/3"),
+                modulus_rule="4a^3+27 != 0", excluded=lambda a: 4 * a**3 + 27 == 0),
+    FamilyEntry("K42", "confining", "both", "x1^4+y1^4+a*x1^2*y1^2",
+                terms=lambda k, a: ("1 x1^4", "1 y1^4", f"{a} x1^2*y1^2"),
+                weights=lambda k: ("1/4", "1/4"),
+                modulus_rule="a^2 != 4", excluded=lambda a: a * a == 4),
+    FamilyEntry("L6", "confining", "both", "x1^2*y1+a*x1^2*y2+y1^3+y2^3",
+                terms=lambda k, a: ("1 x1^2*y1", f"{a} x1^2*y2", "1 y1^3", "1 y2^3"),
+                weights=lambda k: ("1/3", "1/3 1/3"),
+                modulus_rule="a^3 != 1", excluded=lambda a: a**3 == 1),
+    FamilyEntry("M5", "confining", "z2", "x1^4+x2^4+a*x1^2*x2^2",
+                terms=lambda k, a: ("1 x1^4", "1 x2^4", f"{a} x1^2*x2^2"),
+                weights=lambda k: ("1/4 1/4", ""), fixture=lambda k: _shipped("m5"),
+                modulus_rule="a^2 != 4", excluded=lambda a: a * a == 4),
+    FamilyEntry("M4", "confining", "corner", "x1^4+x2^4+a*x1^2*x2^2",
+                terms=lambda k, a: ("1 x1^4", "1 x2^4", f"{a} x1^2*x2^2"),
+                weights=lambda k: ("1/4 1/4", ""), fixture=lambda k: _shipped("m4"),
+                modulus_rule="a^2 != 4", excluded=lambda a: a * a == 4),
+)}
+
+SIMPLE_SYMBOLS = tuple(s for s, e in FAMILIES.items() if e.kind == "simple")
 
 
 def confining_list(setting):
     """Confining families for the requested setting, M5/M4 last."""
-    if setting == "z2":
-        return tuple(FAMILIES[s] for s in CONFINING_Z2)
-    if setting == "corner":
-        return tuple(FAMILIES[s] for s in CONFINING_CORNER)
-    raise BadParameterError(f"unknown setting {setting!r} (use z2 or corner)")
+    if setting not in ("z2", "corner"):
+        raise BadParameterError(f"unknown setting {setting!r} (use z2 or corner)")
+    return tuple(
+        e for e in FAMILIES.values()
+        if e.kind == "confining" and e.setting in (setting, "both")
+    )
 
 
-def _check_modulus(symbol, a):
-    a = Fraction(a)
-    if symbol in ("X9", "K42", "M5", "M4") and a * a == 4:
-        raise BadParameterError(f"{symbol}: modulus excluded by a^2 != 4 (a={a})")
-    if symbol == "P8" and a**3 + 27 == 0:
-        raise BadParameterError(f"P8: modulus excluded by a^3+27 != 0 (a={a})")
-    if symbol in ("J10", "F10") and 4 * a**3 + 27 == 0:
-        raise BadParameterError(f"{symbol}: modulus excluded by 4a^3+27 != 0 (a={a})")
-    if symbol == "L6" and a**3 == 1:
-        raise BadParameterError(f"L6: modulus excluded by a^3 != 1 (a={a})")
-    return a
+def _family(symbol, k, m, n):
+    """(row, m, n) for checked arguments; m and n default to the minimum."""
+    symbol = symbol.upper()
+    entry = FAMILIES.get(symbol)
+    if entry is None:
+        raise BadParameterError(f"unknown family symbol {symbol!r}")
+    if entry.k_min is not None:
+        if k is None:
+            raise BadParameterError(f"{symbol} requires the index k")
+        if not isinstance(k, int):
+            raise BadParameterError(f"{symbol}: k must be an integer, got {k!r}")
+        if k < entry.k_min:
+            raise BadParameterError(f"{symbol}: k must be >= {entry.k_min}, got {k}")
+    elif k is not None:
+        raise BadParameterError(f"{symbol} takes no index k")
+    mmin, nmin = entry.min_vars
+    m = mmin if m is None else m
+    n = nmin if n is None else n
+    if m < mmin or n < nmin:
+        raise BadParameterError(f"{symbol} needs at least m={mmin}, n={nmin} variables")
+    return entry, m, n
 
 
 def normal_form(symbol, k=None, m=None, n=None, modulus=None):
@@ -116,103 +231,22 @@ def normal_form(symbol, k=None, m=None, n=None, modulus=None):
     M4 is built with the corner (Z2^m) block structure, everything else
     with the single-Z2 action negating all x's.
     """
-    symbol = symbol.upper()
-    if symbol not in FAMILIES:
-        raise BadParameterError(f"unknown family symbol {symbol!r}")
-    entry = FAMILIES[symbol]
-    if entry.k_min is not None:
-        if k is None:
-            raise BadParameterError(f"{symbol} requires the index k")
-        if k < entry.k_min:
-            raise BadParameterError(f"{symbol}: k must be >= {entry.k_min}, got {k}")
-    elif k is not None:
-        raise BadParameterError(f"{symbol} takes no index k")
-    mmin, nmin = _MIN_VARS[symbol]
-    m = mmin if m is None else m
-    n = nmin if n is None else n
-    if m < mmin or n < nmin:
-        raise BadParameterError(
-            f"{symbol} needs at least m={mmin}, n={nmin} variables"
-        )
+    entry, m, n = _family(symbol, k, m, n)
+    a = None
     if entry.kind == "confining":
         if modulus is None:
-            raise BadParameterError(f"{symbol} requires the modulus a")
-        a = _check_modulus(symbol, modulus)
+            raise BadParameterError(f"{entry.symbol} requires the modulus a")
+        a = Fraction(modulus)
+        if entry.excluded(a):
+            raise BadParameterError(f"{entry.symbol}: modulus excluded by "
+                                    f"{entry.modulus_rule} (a={a})")
     elif modulus is not None:
-        raise BadParameterError(f"{symbol} takes no modulus")
-
-    def mono(**powers):
-        exps = [0] * (m + n)
-        for var, p in powers.items():
-            kind, idx = var[0], int(var[1:])
-            exps[idx - 1 if kind == "x" else m + idx - 1] = p
-        return tuple(exps)
-
-    terms = {}
-
-    def add(coef, **powers):
-        key = mono(**powers)
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(coef)
-
-    used_x, used_y = 0, 0
-    if symbol == "A":
-        add(1, y1=k + 1)
-        used_y = 1
-    elif symbol == "D":
-        add(1, y1=2, y2=1)
-        add(1, y2=k - 1)
-        used_y = 2
-    elif symbol == "E6":
-        add(1, y1=3)
-        add(1, y2=4)
-        used_y = 2
-    elif symbol == "E7":
-        add(1, y1=3)
-        add(1, y1=1, y2=3)
-        used_y = 2
-    elif symbol == "E8":
-        add(1, y1=3)
-        add(1, y2=5)
-        used_y = 2
-    elif symbol == "B":
-        add(1, x1=2 * k)
-        used_x = 1
-    elif symbol == "C":
-        add(1, x1=2, y1=1)
-        add(1, y1=k)
-        used_x, used_y = 1, 1
-    elif symbol == "F4":
-        add(1, x1=4)
-        add(1, y1=3)
-        used_x, used_y = 1, 1
-    elif symbol == "P8":
-        add(1, y1=3), add(1, y2=3), add(1, y3=3)
-        add(a, y1=1, y2=1, y3=1)
-        used_y = 3
-    elif symbol == "X9":
-        add(1, y1=4), add(1, y2=4), add(a, y1=2, y2=2)
-        used_y = 2
-    elif symbol == "J10":
-        add(1, y1=3), add(1, y2=6), add(a, y1=2, y2=2)
-        used_y = 2
-    elif symbol == "F10":
-        add(1, x1=6), add(1, y1=3), add(a, x1=2, y1=2)
-        used_x, used_y = 1, 1
-    elif symbol == "K42":
-        add(1, x1=4), add(1, y1=4), add(a, x1=2, y1=2)
-        used_x, used_y = 1, 1
-    elif symbol == "L6":
-        add(1, x1=2, y1=1), add(a, x1=2, y2=1), add(1, y1=3), add(1, y2=3)
-        used_x, used_y = 1, 2
-    elif symbol in ("M5", "M4"):
-        add(1, x1=4), add(1, x2=4), add(a, x1=2, x2=2)
-        used_x = 2
-    # stabilization tails
-    for i in range(used_x + 1, m + 1):
-        add(1, **{f"x{i}": 2})
-    for j in range(used_y + 1, n + 1):
-        add(1, **{f"y{j}": 2})
-    return germ(terms, m, n, corner=(symbol == "M4"))
+        raise BadParameterError(f"{entry.symbol} takes no modulus")
+    mmin, nmin = entry.min_vars
+    lines = [f"vars x:{m} y:{n}", *entry.terms(k, a)]
+    lines += [f"1 x{i}^2" for i in range(mmin + 1, m + 1)]
+    lines += [f"1 y{j}^2" for j in range(nmin + 1, n + 1)]
+    return parse_germ("\n".join(lines), corner=entry.setting == "corner")
 
 
 def quasihomogeneous_weights(symbol, k=None, m=None, n=None):
@@ -222,44 +256,10 @@ def quasihomogeneous_weights(symbol, k=None, m=None, n=None):
     stabilization squares weigh 1/2.  This is the independent oracle for
     milnor_number on the catalog.
     """
-    symbol = symbol.upper()
-    mmin, nmin = _MIN_VARS[symbol]
-    m = mmin if m is None else m
-    n = nmin if n is None else n
-    half = Fraction(1, 2)
-    if symbol == "A":
-        core_x, core_y = (), (Fraction(1, k + 1),)
-    elif symbol == "D":
-        core_x, core_y = (), (Fraction(k - 2, 2 * (k - 1)), Fraction(1, k - 1))
-    elif symbol == "E6":
-        core_x, core_y = (), (Fraction(1, 3), Fraction(1, 4))
-    elif symbol == "E7":
-        core_x, core_y = (), (Fraction(1, 3), Fraction(2, 9))
-    elif symbol == "E8":
-        core_x, core_y = (), (Fraction(1, 3), Fraction(1, 5))
-    elif symbol == "B":
-        core_x, core_y = (Fraction(1, 2 * k),), ()
-    elif symbol == "C":
-        core_x, core_y = (Fraction(k - 1, 2 * k),), (Fraction(1, k),)
-    elif symbol == "F4":
-        core_x, core_y = (Fraction(1, 4),), (Fraction(1, 3),)
-    elif symbol == "P8":
-        core_x, core_y = (), (Fraction(1, 3),) * 3
-    elif symbol == "X9":
-        core_x, core_y = (), (Fraction(1, 4),) * 2
-    elif symbol == "J10":
-        core_x, core_y = (), (Fraction(1, 3), Fraction(1, 6))
-    elif symbol == "F10":
-        core_x, core_y = (Fraction(1, 6),), (Fraction(1, 3),)
-    elif symbol == "K42":
-        core_x, core_y = (Fraction(1, 4),), (Fraction(1, 4),)
-    elif symbol == "L6":
-        core_x, core_y = (Fraction(1, 3),), (Fraction(1, 3),) * 2
-    elif symbol in ("M5", "M4"):
-        core_x, core_y = (Fraction(1, 4),) * 2, ()
-    else:
-        raise BadParameterError(f"unknown family symbol {symbol!r}")
-    return core_x + (half,) * (m - len(core_x)) + core_y + (half,) * (n - len(core_y))
+    entry, m, n = _family(symbol, k, m, n)
+    core_x, core_y = entry.block_weights(k)
+    half = (Fraction(1, 2),)
+    return core_x + half * (m - len(core_x)) + core_y + half * (n - len(core_y))
 
 
 def weyl_order(symbol, k=None):
@@ -274,91 +274,21 @@ def weyl_order(symbol, k=None):
     return {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152}[symbol]
 
 
-# --------------------------------------------------------------------------
-# fixtures
-
-
-def _chain(n):
-    vertices = tuple((i, -2) for i in range(1, n + 1))
-    edges = tuple((i, i + 1, 1) for i in range(1, n))
-    return DynkinDiagram(vertices=vertices, edges=edges)
-
-
-def _d_diagram(n):
-    # chain 1..n-1 with vertex n forked off vertex n-2
-    vertices = tuple((i, -2) for i in range(1, n + 1))
-    edges = tuple((i, i + 1, 1) for i in range(1, n - 1)) + ((n - 2, n, 1),)
-    return DynkinDiagram(vertices=vertices, edges=edges)
-
-
-def _e_diagram(n):
-    # Bourbaki: chain 1-3-4-...-n with vertex 2 attached to 4
-    vertices = tuple((i, -2) for i in range(1, n + 1))
-    edges = [(1, 3, 1), (2, 4, 1)]
-    for i in range(3, n):
-        edges.append((i, i + 1, 1))
-    return DynkinDiagram(vertices=vertices, edges=tuple(edges))
-
-
-_FIXTURE_RANGES = {"A": (1, 8), "D": (4, 6), "B": (2, 4), "C": (2, 4)}
-
-
 def fixture_file(symbol, k=None):
     """The diagram/action fixture as a DiagramFile (serializable)."""
     symbol = symbol.upper()
-    if symbol in ("M5", "M4", "X9"):
-        if k is not None:
-            raise BadParameterError(f"{symbol} takes no index k")
-        name = symbol.lower()
-        text = (resources.files("eqsing") / "fixtures" / f"{name}.diagram").read_text()
-        return parse_file(text)
-    if symbol in _FIXTURE_RANGES:
-        lo, hi = _FIXTURE_RANGES[symbol]
+    entry = FAMILIES.get(symbol)
+    if entry is None or entry.fixture is None:
+        raise NoFixtureError(f"no bundled fixture for family {symbol}")
+    if entry.fixture_k is not None:
+        lo, hi = entry.fixture_k
         if k is None or not lo <= k <= hi:
             raise NoFixtureError(
                 f"{symbol} fixtures are bundled for {lo} <= k <= {hi} (got k={k})"
             )
-    elif symbol in ("E6", "E7", "E8", "F4"):
-        if k is not None:
-            raise BadParameterError(f"{symbol} takes no index k")
-    else:
-        raise NoFixtureError(f"no bundled fixture for family {symbol}")
-    if symbol == "A":
-        return DiagramFile(diagram=_chain(k))
-    if symbol == "D":
-        return DiagramFile(diagram=_d_diagram(k))
-    if symbol in ("E6", "E7", "E8"):
-        return DiagramFile(diagram=_e_diagram(int(symbol[1])))
-    if symbol == "B":
-        # A_{2k-1} chain with -(chain reversal)
-        nn = 2 * k - 1
-        images = tuple((i, nn + 1 - i, -1) for i in range(1, nn + 1))
-        return DiagramFile(
-            diagram=_chain(nn),
-            generators=(("sigma", images),),
-            character=(("sigma", -1),),
-        )
-    if symbol == "C":
-        # D_{k+1} with -(fork swap)
-        nn = k + 1
-        images = tuple((i, i, -1) for i in range(1, nn - 1)) + (
-            (nn - 1, nn, -1),
-            (nn, nn - 1, -1),
-        )
-        return DiagramFile(
-            diagram=_d_diagram(nn),
-            generators=(("sigma", images),),
-            character=(("sigma", -1),),
-        )
-    if symbol == "F4":
-        # E6 with -(arm swap): 1<->6, 3<->5, fixing 2 and 4
-        images = ((1, 6, -1), (6, 1, -1), (3, 5, -1), (5, 3, -1), (2, 2, -1), (4, 4, -1))
-        return DiagramFile(
-            diagram=_e_diagram(6),
-            generators=(("sigma", images),),
-            character=(("sigma", -1),),
-        )
-    raise AssertionError("unreachable")
+    elif k is not None:
+        raise BadParameterError(f"{symbol} takes no index k")
+    return entry.fixture(k)
 
 
 def action_from_file(dfile):
@@ -418,8 +348,6 @@ def run_analysis(dfile, cap=10**6):
     verdict = generate_group(gens, cap=cap)
     definite = sig.negative_definite
     finite = verdict.kind == "finite"
-    if verdict.kind == "infinite":
-        verdict.validate()
     agree = (definite == finite) or verdict.kind == "unknown"
     return AnalysisOutcome(
         sublattice=sub,

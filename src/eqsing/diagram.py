@@ -120,6 +120,8 @@ def parse_file(text):
             w = _parse_int(toks[3][2:], lineno, "edge weight")
             if i == j:
                 raise DiagramSyntaxError(f"edge {i} {j}: loops are not allowed", line=lineno)
+            if w == 0:
+                raise DiagramSyntaxError(f"edge {i} {j}: weight must be nonzero", line=lineno)
             key = (min(i, j), max(i, j))
             if key in edge_lines:
                 raise DuplicateEdgeError(

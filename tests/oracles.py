@@ -41,3 +41,24 @@ def evaluate_word(generators, word):
         factor = g.inverse().matrix if inverse else g.matrix
         product = linalg.mat_mul(product, factor)
     return product
+
+
+def isotypic_rank_rational(action, chi):
+    """Rank of the chi-isotypic subspace over Q (projector route).
+
+    Sums chi(g) g over every group element instead of solving the integer
+    kernel `isotypic_sublattice` uses; does not saturate.  Used for the
+    rank-additivity cross-check.
+    """
+    n = action.lattice.rank
+    proj_cols = []
+    for j in range(n):
+        e = tuple(1 if t == j else 0 for t in range(n))
+        acc = (0,) * n
+        for subset, M in action.elements():
+            c = 1
+            for name in subset:
+                c *= chi.of(name)
+            acc = linalg.vec_add(acc, linalg.vec_scale(c, linalg.mat_vec(M, e)))
+        proj_cols.append(acc)
+    return linalg.rank_of(linalg.freeze(proj_cols))

@@ -11,7 +11,6 @@ from eqsing.action import (
     SignedPermutation,
     character_projection,
     corner_rule,
-    isotypic_rank_rational,
     isotypic_sublattice,
     orbit_decomposition,
     validate_action,
@@ -21,6 +20,7 @@ from eqsing.catalog import action_from_file, fixture_file
 from eqsing.diagram import to_lattice
 from eqsing.errors import NotCommutingError, NotInvolutionError, NotIsometryError
 from eqsing.lattice import IntLattice
+from oracles import isotypic_rank_rational
 
 
 A2 = IntLattice(((-2, 1), (1, -2)))

@@ -1,5 +1,8 @@
 """Catalog: normal forms, fixtures, Weyl orders, criterion coherence."""
+import contextlib
+import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -270,3 +273,140 @@ def test_x9_regression_values():
     assert out.inertia.as_tuple() == (0, 2, 7)
     assert len(out.kernel) == 2
     assert isinstance(out.verdict, Infinite)
+
+
+def _family_instances():
+    """(symbol, k, modulus) for several k of every family."""
+    for sym, entry in catalog.FAMILIES.items():
+        a = Fraction(1, 3) if entry.kind == "confining" else None
+        ks = [None] if entry.k_min is None else [entry.k_min + d for d in (0, 1, 4)]
+        for k in ks:
+            yield sym, k, a
+
+
+@pytest.mark.parametrize("extra", [(0, 0), (2, 1)], ids=["minimal", "stabilised"])
+def test_normal_form_terms_have_weighted_degree_one(extra):
+    checked = set()
+    for sym, k, a in _family_instances():
+        base = normal_form(sym, k=k, modulus=a)
+        m0 = sum(1 for v in base.variables if v.startswith("x"))
+        m, n = m0 + extra[0], base.nvars - m0 + extra[1]
+        f = normal_form(sym, k=k, m=m, n=n, modulus=a)
+        w = quasihomogeneous_weights(sym, k=k, m=m, n=n)
+        assert len(w) == f.nvars
+        for exps, _ in f.terms:
+            assert sum(wi * e for wi, e in zip(w, exps)) == 1, (sym, k, m, n, exps)
+            checked.add(sym)
+    assert checked == set(catalog.FAMILIES)
+
+
+@pytest.mark.parametrize("fn", [normal_form, quasihomogeneous_weights])
+@pytest.mark.parametrize("args", [
+    ("Z99",),  # unknown symbol
+    ("A",),  # A needs k
+    ("A", 1, 0, 0),  # A needs one y variable
+    ("D", 3),  # below k_min
+    ("A", 2.5),  # k must be an integer
+    ("E6", 2),  # takes no k
+    ("M5", None, 1),  # M5 needs two x variables
+    ("B", 2, 0),  # B needs one x variable
+], ids=repr)
+def test_bad_family_arguments_rejected(fn, args):
+    with pytest.raises(BadParameterError):
+        fn(*args)
+
+
+@pytest.mark.parametrize("symbol", ["M5", "M4", "X9"])
+def test_certificate_validated_once_per_run(monkeypatch, symbol):
+    calls = []
+    original = Infinite.validate
+
+    def counted(verdict):
+        calls.append(verdict)
+        return original(verdict)
+
+    monkeypatch.setattr(Infinite, "validate", counted)
+    out = run_analysis(fixture_file(symbol))
+    assert isinstance(out.verdict, Infinite)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("symbol, k", [("M5", None), ("M4", None), ("B", 3)])
+def test_action_validated_once_per_run(monkeypatch, symbol, k):
+    from eqsing import action as action_module
+
+    calls = []
+    original = action_module.validate_action
+
+    def counted(act):
+        calls.append(act)
+        return original(act)
+
+    monkeypatch.setattr(action_module, "validate_action", counted)
+    run_analysis(fixture_file(symbol, k))
+    assert len(calls) == 1
+
+
+# --------------------------------------------------------------------------
+# the catalog pinned byte for byte
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "catalog.txt"
+
+BUNDLED_FIXTURES = (
+    [("A", k) for k in range(1, 9)] + [("D", k) for k in range(4, 7)]
+    + [("B", k) for k in range(2, 5)] + [("C", k) for k in range(2, 5)]
+    + [(s, None) for s in ("E6", "E7", "E8", "F4", "M5", "M4", "X9")]
+)
+
+# one instance per family at its minimum variables, one stabilised
+GOLDEN_FORMS = [
+    ("A", 3, None, None, None), ("A", 5, 2, 3, None),
+    ("D", 5, None, None, None), ("D", 7, 1, 3, None),
+    ("E6", None, None, None, None), ("E6", None, 2, 3, None),
+    ("E7", None, None, None, None), ("E7", None, 1, 4, None),
+    ("E8", None, None, None, None), ("E8", None, 2, 2, None),
+    ("B", 3, None, None, None), ("B", 4, 3, 2, None),
+    ("C", 3, None, None, None), ("C", 5, 2, 2, None),
+    ("F4", None, None, None, None), ("F4", None, 3, 2, None),
+    ("P8", None, None, None, 0), ("P8", None, 1, 4, Fraction(1, 3)),
+    ("X9", None, None, None, 1), ("X9", None, 2, 3, Fraction(-5, 3)),
+    ("J10", None, None, None, 1), ("J10", None, 1, 3, Fraction(-3, 2)),
+    ("F10", None, None, None, 1), ("F10", None, 2, 2, Fraction(1, 3)),
+    ("K42", None, None, None, 1), ("K42", None, 3, 1, Fraction(7, 2)),
+    ("L6", None, None, None, 0), ("L6", None, 2, 3, Fraction(1, 3)),
+    ("M5", None, None, None, 1), ("M5", None, 3, 1, Fraction(-1, 3)),
+    ("M4", None, None, None, 1), ("M4", None, 4, 2, Fraction(5)),
+]
+
+
+def render_catalog():
+    """`catalog list` for both settings, every bundled fixture and one
+    normal form per family and shape, as one text.
+
+    Regenerate with
+    `PYTHONPATH=src:tests python -c "import test_catalog as t; t.GOLDEN.write_text(t.render_catalog())"`
+    only when the catalog is meant to change.
+    """
+    from eqsing.cli import main
+    from eqsing.diagram import serialize
+    from eqsing.localalg import serialize_germ
+
+    parts = []
+    for setting in ("z2", "corner"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["catalog", "list", "--setting", setting])
+        parts.append(f"## catalog list --setting {setting}\n{out.getvalue()}")
+    for sym, k in BUNDLED_FIXTURES:
+        parts.append(f"## fixture {sym} k={k}\n{serialize(fixture_file(sym, k))}")
+    for sym, k, m, n, a in GOLDEN_FORMS:
+        f = normal_form(sym, k=k, m=m, n=n, modulus=a)
+        parts.append(
+            f"## normal_form {sym} k={k} m={m} n={n} a={a} "
+            f"generators={','.join(f.generator_names)}\n{serialize_germ(f)}"
+        )
+    return "".join(parts)
+
+
+def test_catalog_golden():
+    assert render_catalog() == GOLDEN.read_text()

@@ -61,8 +61,9 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_zero_weight_rejected():
-    with pytest.raises(DiagramSyntaxError):
+    with pytest.raises(DiagramSyntaxError) as err:
         parse_diagram("vertex 1 self=-2\nvertex 2 self=-2\nedge 1 2 w=0\n")
+    assert err.value.line == 3
 
 
 def test_action_block_parses():
