@@ -123,12 +123,6 @@ class GroupAction:
     def names(self):
         return tuple(n for n, _ in self.generators)
 
-    def matrix_of(self, name):
-        for n, g in self.generators:
-            if n == name:
-                return g.matrix
-        raise KeyError(name)
-
     def elements(self):
         """All 2^m group elements as (chi-evaluation order) matrices.
 

@@ -266,8 +266,9 @@ def cmd_mu(args):
     return EXIT_SIMPLE
 
 
-_CAP_HELP = ("bound on orbit points (definite path), roots (semidefinite "
-             "path) and listed elements (general path); the verdict is "
+_CAP_HELP = ("bound on orbit points (definite path), roots (root search "
+             "of every other reflection group) and listed elements (general "
+             "path, generators that are no reflections); the verdict is "
              "Unknown beyond it")
 
 

@@ -20,6 +20,7 @@ from typing import Optional
 
 from .errors import (
     DanglingEdgeError,
+    DiagramError,
     DiagramSyntaxError,
     DuplicateEdgeError,
     DuplicateVertexError,
@@ -36,26 +37,28 @@ class DynkinDiagram:
 
     def __post_init__(self):
         vertices = tuple((int(i), int(s)) for i, s in self.vertices)
+        ids = set()
+        for k, (i, _) in enumerate(vertices):
+            if i in ids:
+                raise DuplicateVertexError(f"vertex {i} already declared",
+                                           entry=("vertices", k))
+            ids.add(i)
         object.__setattr__(self, "vertices", tuple(sorted(vertices)))
-        ids = [i for i, _ in self.vertices]
-        if len(set(ids)) != len(ids):
-            raise DuplicateVertexError("duplicate vertex id")
-        idset = set(ids)
-        norm = []
-        seen = set()
-        for i, j, w in self.edges:
+        norm = {}
+        for k, (i, j, w) in enumerate(self.edges):
+            at = ("edges", k)
             if i == j:
-                raise DiagramSyntaxError(f"edge {i} {j}: loops are not allowed")
-            if i not in idset or j not in idset:
-                raise DanglingEdgeError(f"edge {i} {j} references unknown vertex")
+                raise DiagramSyntaxError(f"edge {i} {j}: loops are not allowed", entry=at)
             if w == 0:
-                raise DiagramSyntaxError(f"edge {i} {j}: weight must be nonzero")
-            a, b = (i, j) if i < j else (j, i)
-            if (a, b) in seen:
-                raise DuplicateEdgeError(f"more than one edge between {a} and {b}")
-            seen.add((a, b))
-            norm.append((a, b, int(w)))
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+                raise DiagramSyntaxError(f"edge {i} {j}: weight must be nonzero", entry=at)
+            key = (i, j) if i < j else (j, i)
+            if key in norm:
+                raise DuplicateEdgeError(
+                    f"more than one edge between {key[0]} and {key[1]}", entry=at)
+            if i not in ids or j not in ids:
+                raise DanglingEdgeError(f"edge {i} {j} references unknown vertex", entry=at)
+            norm[key] = int(w)
+        object.__setattr__(self, "edges", tuple(sorted(k + (w,) for k, w in norm.items())))
 
     @property
     def rank(self):
@@ -93,8 +96,8 @@ def parse_file(text):
     edges = []
     generators = []
     character = None
-    vertex_lines = {}
-    edge_lines = {}
+    # the line of each vertex and edge, in declaration order
+    lines = {"vertices": [], "edges": []}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -108,9 +111,7 @@ def parse_file(text):
                 )
             vid = _parse_int(toks[1], lineno, "vertex id")
             s = _parse_int(toks[2][5:], lineno, "self-intersection")
-            if vid in vertex_lines:
-                raise DuplicateVertexError(f"vertex {vid} already declared", line=lineno)
-            vertex_lines[vid] = lineno
+            lines["vertices"].append(lineno)
             vertices.append((vid, s))
         elif kind == "edge":
             if len(toks) != 4 or not toks[3].startswith("w="):
@@ -118,16 +119,7 @@ def parse_file(text):
             i = _parse_int(toks[1], lineno, "vertex id")
             j = _parse_int(toks[2], lineno, "vertex id")
             w = _parse_int(toks[3][2:], lineno, "edge weight")
-            if i == j:
-                raise DiagramSyntaxError(f"edge {i} {j}: loops are not allowed", line=lineno)
-            if w == 0:
-                raise DiagramSyntaxError(f"edge {i} {j}: weight must be nonzero", line=lineno)
-            key = (min(i, j), max(i, j))
-            if key in edge_lines:
-                raise DuplicateEdgeError(
-                    f"more than one edge between {key[0]} and {key[1]}", line=lineno
-                )
-            edge_lines[key] = lineno
+            lines["edges"].append(lineno)
             edges.append((i, j, w))
         elif kind == "generator":
             if len(toks) < 3:
@@ -170,20 +162,17 @@ def parse_file(text):
             raise DiagramSyntaxError(f"unknown directive {kind!r}", line=lineno)
     if not vertices:
         raise DiagramSyntaxError("file declares no vertices", line=1)
-    # validate edge endpoints with line-precise diagnostics
-    idset = {v for v, _ in vertices}
-    for (i, j, _w) in edges:
-        if i not in idset or j not in idset:
-            raise DanglingEdgeError(
-                f"edge {i} {j} references unknown vertex",
-                line=edge_lines[(min(i, j), max(i, j))],
-            )
-    diagram = DynkinDiagram(vertices=tuple(vertices), edges=tuple(edges))
+    try:
+        diagram = DynkinDiagram(vertices=tuple(vertices), edges=tuple(edges))
+    except DiagramError as err:
+        kind, k = err.entry
+        raise type(err)(err.detail, line=lines[kind][k]) from None
+    ids = list(diagram.vertex_ids())
     # generator image maps must cover the vertex set exactly
     for name, images in generators:
         srcs = [i for i, _, _ in images]
         tgts = [j for _, j, _ in images]
-        if sorted(srcs) != sorted(idset) or sorted(tgts) != sorted(idset):
+        if sorted(srcs) != ids or sorted(tgts) != ids:
             raise DiagramSyntaxError(
                 f"generator {name} must map the vertex set bijectively onto itself"
             )

@@ -8,10 +8,17 @@ class EqsingError(Exception):
 # --- diagram file parsing ---
 
 class DiagramError(EqsingError):
-    """Structural or syntactic problem in a diagram file."""
+    """Structural or syntactic problem in a diagram file.
 
-    def __init__(self, message, line=None):
+    `line` is the file line at fault, when known.  `entry` is ("vertices"
+    or "edges", position) when a check of a DynkinDiagram's input fails, so
+    that a parser can name the line the entry came from.
+    """
+
+    def __init__(self, message, line=None, entry=None):
         self.line = line
+        self.entry = entry
+        self.detail = message
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

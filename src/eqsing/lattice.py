@@ -48,10 +48,6 @@ class IntLattice:
             for j in range(self.rank)
         )
 
-    def gram_vec(self, v):
-        """The covector G v (pairings of v with every basis vector)."""
-        return linalg.mat_vec(self.gram, v)
-
     def basis_vector(self, i):
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
@@ -169,25 +165,30 @@ class Sublattice:
 
     def __post_init__(self):
         basis = linalg.freeze(self.basis)
-        object.__setattr__(self, "basis", basis)
         if len(set(len(b) for b in basis)) > 1 or (
             basis and len(basis[0]) != self.ambient.rank
         ):
             raise ValueError("basis vectors must have ambient rank length")
-        if linalg.rank_of(basis) != len(basis):
+        canonical = linalg.hnf(basis)
+        if len(canonical) != len(basis):
             raise DependentBasisError("basis vectors are rationally dependent")
-        sat = linalg.saturation(basis)
-        if linalg.hnf(basis) != sat:
+        if canonical != linalg.saturation(basis):
             raise ValueError("basis does not span a saturated sublattice")
-        gram = linalg.freeze(
-            [[self.ambient.product(a, b) for b in basis] for a in basis]
-        )
-        if self.restricted_gram is None:
-            object.__setattr__(self, "restricted_gram", gram)
-        elif linalg.freeze(self.restricted_gram) != gram:
+        gram = _gram_on(self.ambient, basis)
+        if self.restricted_gram is not None and linalg.freeze(self.restricted_gram) != gram:
             raise ValueError("restricted_gram inconsistent with ambient products")
-        else:
-            object.__setattr__(self, "restricted_gram", gram)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "restricted_gram", gram)
+
+    @classmethod
+    def _canonical(cls, ambient, basis):
+        """The sublattice of a basis that is already saturated and in
+        Hermite normal form, without re-running the checks."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "ambient", ambient)
+        object.__setattr__(sub, "basis", basis)
+        object.__setattr__(sub, "restricted_gram", _gram_on(ambient, basis))
+        return sub
 
     @property
     def rank(self):
@@ -221,5 +222,8 @@ def restrict(lattice, vectors):
     vectors = linalg.freeze(vectors)
     if linalg.rank_of(vectors) != len(vectors):
         raise DependentBasisError("input vectors are rationally dependent")
-    sat = linalg.saturation(vectors)
-    return Sublattice(ambient=lattice, basis=sat)
+    return Sublattice._canonical(lattice, linalg.saturation(vectors))
+
+
+def _gram_on(lattice, basis):
+    return linalg.freeze([[lattice.product(a, b) for b in basis] for a in basis])

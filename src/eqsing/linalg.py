@@ -22,10 +22,6 @@ def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(n, m):
-    return tuple((0,) * m for _ in range(n))
-
-
 def transpose(M):
     return tuple(zip(*M)) if M else ()
 
@@ -204,41 +200,6 @@ def solve_integer(A, b):
     if x is None or any(v.denominator != 1 for v in x):
         return None
     return tuple(int(v) for v in x)
-
-
-def inverse_rational(A):
-    """Exact inverse of a square rational/integer matrix, as Fractions."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(A)]
-    for c in range(n):
-        p = None
-        for i in range(c, n):
-            if M[i][c] != 0:
-                p = i
-                break
-        if p is None:
-            raise ValueError("matrix is singular")
-        M[c], M[p] = M[p], M[c]
-        f = M[c][c]
-        M[c] = [x / f for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c] != 0:
-                g = M[i][c]
-                M[i] = [a - g * b for a, b in zip(M[i], M[c])]
-    return freeze(row[n:] for row in M)
-
-
-def inverse_unimodular(U):
-    """Integer inverse of a unimodular matrix (raises if non-integral)."""
-    inv = inverse_rational(U)
-    out = []
-    for row in inv:
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
 
 
 def charpoly(M):

@@ -1,21 +1,27 @@
 """Picard-Lefschetz operators, equivariant reflection generators, and the
 finiteness decision procedure with machine-checkable certificates.
 
-The decision procedure is keyed to the inertia of the restricted form:
+The decision procedure is keyed to the inertia of the restricted form and
+to the shape of the generators:
 
   (a) negative definite      -> the orbit of the basis vectors is finite
       and the group acts on it faithfully; the exact order comes from a
       deterministic Schreier-Sims on that permutation action.  Unknown
       when the orbit exceeds the cap.
-  (b) negative semidefinite, every generator a reflection
+  (b) any other form, every generator a reflection
                              -> a search of the orbit of the generator
-      roots.  Two roots whose images in the definite quotient are positive
-      multiples of each other give a nontrivial unipotent s_rho s_rho',
-      which certifies infinite order (the translation of an affine Weyl
-      group).  A closure with no such collision gives the exact order from
-      the permutation action on the signed roots.  Unknown when the roots
-      exceed the cap.
-  (c) anything else          -> element enumeration with an exact
+      roots for two roots rho, rho' with b = (rho, rho') != 0 and
+      b^2 >= (rho, rho)(rho', rho'); then s_rho s_rho' has infinite order.
+      On a negative semidefinite form the search is breadth-first over the
+      generators and the pair is a collision of root classes, a unipotent
+      translation as in an affine Weyl group.  On any other form the search
+      walks the Coxeter orbits c^k delta_i first.  b^2 = ac gives a
+      unipotent with a power-law witness, b^2 > ac an element with a real
+      eigenvalue off the unit circle.  A closure with no such pair gives
+      the exact order from the permutation action on the signed roots.
+      Unknown when the roots exceed the cap.
+  (c) a generator that is no reflection (reachable from the library API
+      only)                  -> element enumeration with an exact
       element-order test (cyclotomic factorization of the characteristic
       polynomial plus a direct power check); may return Unknown at the
       element cap.
@@ -83,16 +89,6 @@ class MonodromyElement:
 
     def apply(self, v):
         return linalg.mat_vec(self.matrix, v)
-
-    def inverse(self):
-        inv = linalg.inverse_rational(self.matrix)
-        mat = []
-        for row in inv:
-            if any(x.denominator != 1 for x in row):
-                raise ValueError("element is not invertible over the integers")
-            mat.append(tuple(int(x) for x in row))
-        word = tuple(f"{w}^-1" for w in reversed(self.word))
-        return MonodromyElement(matrix=tuple(mat), gram=self.gram, word=word)
 
     @classmethod
     def identity_on(cls, gram):
@@ -228,12 +224,14 @@ class Finite:
 class Infinite:
     """Self-validating witness of infinite order.
 
-    certificate: group element g with g != I and (g - I)^2 = 0 (unipotent
-    case; always produced on the semidefinite path).  witness v and
-    increment w satisfy w = (g - I)v != 0 and (g - I)w = 0, which forces
-    g^s v = v + s w for every s >= 1.  `residual_charpoly` is set instead
-    of a power law only on the indefinite path when an eigenvalue off the
-    roots of unity is detected.
+    certificate: a group element g != I of infinite order.  Either a
+    witness v and increment w satisfy w = (g - I)v != 0 and (g - I)w = 0,
+    which forces g^s v = v + s w for every s >= 1 (a pair s_rho s_rho'
+    with b^2 = ac, always the case on a negative semidefinite form, where
+    also (g - I)^2 = 0).  Or `residual_charpoly` holds what is left of the
+    characteristic polynomial after dividing out every cyclotomic factor,
+    nonconstant only when g has an eigenvalue off the roots of unity (a
+    pair with b^2 > ac).  Path (c) gives either kind.
     """
 
     certificate: MonodromyElement
@@ -325,7 +323,8 @@ def generate_group(generators, cap=10**6):
     Returns Finite(order), Infinite(certificate...), or Unknown(cap); an
     Infinite certificate is re-validated before it is returned.  The cap
     bounds the orbit points on path (a), the roots on path (b) and the
-    listed elements on path (c).
+    listed elements on path (c), which only generators that are no
+    reflections reach.
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -335,11 +334,10 @@ def generate_group(generators, cap=10**6):
     sig = inertia(IntLattice(gram))
     if sig.negative_definite:
         return _generate_definite(generators, cap)
-    if sig.negative_semidefinite:
-        roots = [_reflection_root(g) for g in generators]
-        if None not in roots:
-            return _generate_semidefinite(generators, roots, cap)
-    return _generate_general(generators, cap)
+    roots = [_reflection_root(g) for g in generators]
+    if None in roots:
+        return _generate_general(generators, cap)
+    return _generate_reflections(generators, roots, cap, sig.negative_semidefinite)
 
 
 def _generate_definite(generators, cap):
@@ -495,46 +493,53 @@ def _root_class(gram, root):
     return tuple(x // g for x in v)
 
 
-def _generate_semidefinite(generators, roots, cap):
-    """Case (b): search the orbit of the generator roots for a collision.
+def _generate_reflections(generators, roots, cap, semidefinite):
+    """Case (b): search the orbit of the generator roots for an infinite pair.
 
-    The roots are signed vectors, each with a word for its reflection.  Level
-    k + 1 is h_a applied to level k, for each generator h_a in turn, so a
-    root u delta_i is first reached by the shortlex-least word u h_i.  The
-    first new root rho whose class (`_root_class`) already holds a root rho'
-    gives the certificate g = s_rho s_rho'.  Roots are primitive and the
-    group is integral, so rho' is never a multiple of rho: g is a nontrivial
-    unipotent.  More than `cap` roots gives Unknown.  A closure with no
-    collision gives |G| from the permutation action on the signed roots: a
-    finite root orbit spans a subspace that meets the form kernel only in 0,
-    so an element fixing the roots is the identity (notes/decisions.md).
+    The roots are signed vectors, each with a word for its reflection.  The
+    generator roots come first.  On any form but a negative semidefinite one
+    the Coxeter orbits follow (`_coxeter_orbits`).  A breadth-first search
+    over the generators then takes every root seen so far as its first
+    level: level k + 1 is h_a applied to level k, for each generator h_a in
+    turn, so on a semidefinite form a root u delta_i is first reached by the
+    shortlex-least word u h_i.
+
+    Each new root rho is tested against the roots already seen: on a
+    semidefinite form by its class (`_root_class`), elsewhere by the pair
+    test of `_pair_partner`.  The first partner rho' gives the certificate
+    g = s_rho s_rho' (`_pair_certificate`).  More than `cap` roots gives
+    Unknown.  A closure with no partner gives |G| from the permutation
+    action on the signed roots: a finite root orbit spans a subspace on
+    which the form is nondegenerate, so an element fixing the roots is the
+    identity (notes/decisions.md).
     """
     gram = generators[0].gram
     mats = [g.matrix for g in generators]
-    points, words, index, classes = [], [], {}, {}
+    points, words, index = [], [], {}
     images = [[] for _ in mats]
+    partner = _class_partner(gram) if semidefinite else _pair_partner(gram)
 
     def add(root, word):
         """Record a new root; the verdict when it ends the search."""
         if len(points) >= cap:
             return Unknown(cap=cap)
-        key = _root_class(gram, root)
-        old = classes.get(key)
+        old = partner(root)
         if old is not None:
-            return _collision_certificate(generators, gram, root, word,
-                                          points[old], words[old])
-        classes[key] = index[root] = len(points)
+            return _pair_certificate(generators, gram, root, word,
+                                     points[old], words[old])
+        index[root] = len(points)
         points.append(root)
         words.append(word)
         return None
 
-    for i, root in enumerate(roots):
+    seeds = [(root, (i,)) for i, root in enumerate(roots)]
+    orbits = () if semidefinite else _coxeter_orbits(mats, roots)
+    for root, word in itertools.chain(seeds, orbits):
         if root not in index:
-            verdict = add(root, (i,))
+            verdict = add(root, word)
             if verdict is not None:
                 return verdict
     lo, hi = 0, len(points)
-    generator_roots = range(hi)
     while lo < hi:
         for a, M in enumerate(mats):
             for p in range(lo, hi):
@@ -548,22 +553,104 @@ def _generate_semidefinite(generators, roots, cap):
                 images[a].append(index[q])
         lo, hi = hi, len(points)
     # a reflection moves a vector by a multiple of its root, so the
-    # generator roots span every root
+    # generator roots, recorded first, span every root
     base = []
-    for p in generator_roots:
+    for p in range(len(set(roots))):
         if linalg.rank_of([points[b] for b in base] + [points[p]]) > len(base):
             base.append(p)
     return Finite(order=permutation_group_order([tuple(img) for img in images], base))
 
 
-def _collision_certificate(generators, gram, rho, word, rho_p, word_p):
-    """Validated Infinite with certificate g = s_rho s_rho'."""
+def _coxeter_orbits(mats, roots):
+    """(c^k delta_i, its reflection word) for k = 1, 2, ... and each i, with
+    c = h_1 h_2 ... h_n, until every orbit has returned to its delta_i.
+
+    The reflection in c^k delta_i is c^k h_i c^-k, whose word is
+    (h_1...h_n)^k h_i (h_n...h_1)^k because every h_j is an involution.
+    """
+    forward = tuple(range(len(mats)))
+    backward = forward[::-1]
+    current = dict(enumerate(roots))
+    k = 0
+    while current:
+        k += 1
+        for i, root in list(current.items()):
+            for M in reversed(mats):
+                root = linalg.mat_vec(M, root)
+            if root == roots[i]:
+                del current[i]
+            else:
+                current[i] = root
+                yield root, forward * k + (i,) + backward * k
+
+
+def _class_partner(gram):
+    """Partner test of a semidefinite form: an earlier root of the same class.
+
+    The returned function gives the index of the earlier root, or records
+    the new root's class and gives None.
+    """
+    classes = {}
+
+    def partner(root):
+        key = _root_class(gram, root)
+        old = classes.get(key)
+        if old is None:
+            classes[key] = len(classes)
+        return old
+
+    return partner
+
+
+def _pair_partner(gram):
+    """Partner test of any other form: an earlier root rho' != -rho with
+    b = (rho, rho') != 0 and b^2 >= (rho, rho)(rho', rho').
+
+    The returned function gives the index of the first such root, or
+    records the new root and gives None.
+    """
+    seen = []  # (root, its norm)
+
+    def partner(root):
+        g_root = linalg.mat_vec(gram, root)
+        a = _dot(root, g_root)
+        negative = tuple(-x for x in root)
+        for j, (other, c) in enumerate(seen):
+            b = _dot(other, g_root)
+            if b and b * b >= a * c and other != negative:
+                return j
+        seen.append((root, a))
+        return None
+
+    return partner
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _pair_certificate(generators, gram, rho, word, rho_p, word_p):
+    """Validated Infinite with certificate g = s_rho s_rho'.
+
+    On the plane of the pair, g has trace 4b^2/(ac) - 2 with a = (rho, rho),
+    b = (rho, rho') and c = (rho', rho').  b^2 = ac makes g a nontrivial
+    unipotent, certified by a power-law witness; otherwise |trace| > 2 and g
+    has a real eigenvalue off the unit circle, certified by the part of its
+    characteristic polynomial that no cyclotomic polynomial divides.
+    """
     matrix = linalg.mat_mul(pl_reflection(gram, rho).matrix,
                             pl_reflection(gram, rho_p).matrix)
     element = MonodromyElement(matrix=matrix, gram=gram,
                                word=_word_names(generators, word + word_p))
-    v, w = _unipotent_witness(matrix)
-    verdict = Infinite(certificate=element, witness=v, increment=w)
+    g_rho = linalg.mat_vec(gram, rho)
+    a, b, c = _dot(rho, g_rho), _dot(rho_p, g_rho), _dot(rho_p, linalg.mat_vec(gram, rho_p))
+    if b * b == a * c:
+        v, w = _index2_witness(matrix)
+        verdict = Infinite(certificate=element, witness=v, increment=w)
+    else:
+        _orders, residual = linalg.strip_cyclotomic_factors(
+            linalg.charpoly(matrix), len(matrix))
+        verdict = Infinite(certificate=element, residual_charpoly=residual)
     verdict.validate()
     return verdict
 
@@ -571,17 +658,6 @@ def _collision_certificate(generators, gram, rho, word, rho_p, word_p):
 def _word_names(generators, word):
     return tuple(generators[i].word[0] if len(generators[i].word) == 1
                  else f"g{i + 1}" for i in word)
-
-
-def _unipotent_witness(matrix):
-    """First basis vector moved by g, with its kernel increment."""
-    n = len(matrix)
-    for j in range(n):
-        col = tuple(matrix[i][j] - (1 if i == j else 0) for i in range(n))
-        if not linalg.is_zero_vec(col):
-            v = tuple(1 if t == j else 0 for t in range(n))
-            return v, col
-    raise AssertionError("certificate element is the identity")
 
 
 def _finite_order(matrix):

@@ -1,5 +1,7 @@
 """Test-only oracles: slow, independent ways to compute what the package
 computes, for cross-checks on small inputs."""
+from fractions import Fraction
+
 from eqsing import linalg
 
 
@@ -29,17 +31,14 @@ def closure_naive(generators, limit=100000):
 def evaluate_word(generators, word):
     """The product of a certificate word, multiplied out left to right.
 
-    `word` names generators by their labels ("h3") and inverses as
-    "h3^-1"; the result is the matrix the word denotes, independent of how
-    the search that produced it computed its certificate matrix.
+    `word` names generators by their labels ("h3"); the result is the
+    matrix the word denotes, independent of how the search that produced
+    it computed its certificate matrix.
     """
     by_name = {g.word[0]: g for g in generators if len(g.word) == 1}
     product = linalg.identity(generators[0].rank)
     for letter in word:
-        name, inverse, _ = letter.partition("^-1")
-        g = by_name[name]
-        factor = g.inverse().matrix if inverse else g.matrix
-        product = linalg.mat_mul(product, factor)
+        product = linalg.mat_mul(product, by_name[letter].matrix)
     return product
 
 
@@ -62,3 +61,26 @@ def isotypic_rank_rational(action, chi):
             acc = linalg.vec_add(acc, linalg.vec_scale(c, linalg.mat_vec(M, e)))
         proj_cols.append(acc)
     return linalg.rank_of(linalg.freeze(proj_cols))
+
+
+def inverse_unimodular(U):
+    """Integer inverse of a unimodular matrix, by Gauss-Jordan elimination
+    over the rationals; ValueError when U is singular or its inverse is
+    not integral."""
+    n = len(U)
+    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(U)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if M[i][c] != 0), None)
+        if p is None:
+            raise ValueError("matrix is singular")
+        M[c], M[p] = M[p], M[c]
+        pivot = M[c][c]
+        M[c] = [x / pivot for x in M[c]]
+        for i in range(n):
+            f = M[i][c]
+            if i != c and f != 0:
+                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
+    if any(x.denominator != 1 for row in M for x in row[n:]):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(int(x) for x in row[n:]) for row in M)

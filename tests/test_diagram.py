@@ -66,6 +66,26 @@ def test_zero_weight_rejected():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("vertices, edges, error", [
+    pytest.param((1, 2), ((1, 1, 1),), DiagramSyntaxError, id="loop"),
+    pytest.param((1, 2), ((1, 2, 0),), DiagramSyntaxError, id="zero weight"),
+    pytest.param((1, 2), ((1, 7, 1),), DanglingEdgeError, id="dangling end"),
+    pytest.param((1, 2), ((1, 2, 1), (2, 1, -1)), DuplicateEdgeError, id="duplicate edge"),
+    pytest.param((1, 2, 1), (), DuplicateVertexError, id="duplicate vertex"),
+])
+def test_diagram_checks_carry_the_line_when_parsed(vertices, edges, error):
+    # the same check serves both routes; only the parser knows the line
+    with pytest.raises(error) as direct:
+        DynkinDiagram(vertices=tuple((v, -2) for v in vertices), edges=edges)
+    assert direct.value.line is None
+    text = "".join(f"vertex {v} self=-2\n" for v in vertices)
+    text += "".join(f"edge {i} {j} w={w}\n" for i, j, w in edges)
+    with pytest.raises(error) as parsed:
+        parse_diagram(text)
+    assert parsed.value.line == len(text.splitlines())
+    assert str(parsed.value) == f"line {parsed.value.line}: {direct.value}"
+
+
 def test_action_block_parses():
     df = parse_file(A2_TEXT + "generator sigma 1:-2 2:-1\ncharacter sigma=-1\n")
     assert df.generators == (("sigma", ((1, 2, -1), (2, 1, -1))),)

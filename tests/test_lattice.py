@@ -6,7 +6,7 @@ import pytest
 
 from eqsing import linalg
 from eqsing.errors import DependentBasisError
-from eqsing.lattice import IntLattice, inertia, kernel_basis, restrict
+from eqsing.lattice import IntLattice, Sublattice, inertia, kernel_basis, restrict
 
 
 A2 = IntLattice(((-2, 1), (1, -2)))
@@ -133,7 +133,7 @@ def test_kernel_properties_random():
         ker = kernel_basis(lat)
         assert len(ker) == inertia(lat).n_zero
         for v in ker:
-            assert linalg.is_zero_vec(lat.gram_vec(v))
+            assert linalg.is_zero_vec(linalg.mat_vec(lat.gram, v))
         # canonical: recomputation and HNF idempotence
         assert linalg.hnf(ker) == ker if ker else ker == ()
 
@@ -170,6 +170,35 @@ def test_restrict_idempotent_on_saturated():
         again = restrict(lat, sub.basis)
         assert again.basis == sub.basis
         assert again.restricted_gram == sub.restricted_gram
+
+
+def test_restriction_runs_rank_and_saturation_once(monkeypatch):
+    from eqsing.catalog import fixture_file, run_analysis
+
+    calls = {"rank_of": 0, "saturation": 0}
+    for name in calls:
+        original = getattr(linalg, name)
+
+        def counted(rows, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(rows)
+
+        monkeypatch.setattr(linalg, name, counted)
+    run_analysis(fixture_file("M5"))
+    assert calls == {"rank_of": 1, "saturation": 1}
+
+
+def test_direct_sublattice_construction_is_checked():
+    sub = Sublattice(ambient=A2, basis=((1, 0),), restricted_gram=((-2,),))
+    assert sub == restrict(A2, ((2, 0),))
+    with pytest.raises(DependentBasisError):
+        Sublattice(ambient=A2, basis=((1, 0), (2, 0)))
+    with pytest.raises(ValueError, match="saturated"):
+        Sublattice(ambient=A2, basis=((2, 0),))
+    with pytest.raises(ValueError, match="inconsistent"):
+        Sublattice(ambient=A2, basis=((1, 0),), restricted_gram=((2,),))
+    with pytest.raises(ValueError, match="ambient rank"):
+        Sublattice(ambient=A2, basis=((1, 0, 0),))
 
 
 def test_restrict_m5_and_m4_self_intersections():

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from eqsing import linalg, monodromy
+from eqsing import linalg
 from eqsing.catalog import action_from_file, fixture_file, run_analysis
 from eqsing.diagram import DiagramFile, DynkinDiagram
 from eqsing.errors import EqsingError
@@ -47,14 +47,6 @@ def _reflections(gram, count=None):
     lat = IntLattice(gram)
     return [pl_reflection(lat, lat.basis_vector(i), name=f"h{i + 1}")
             for i in range(count or lat.rank)]
-
-
-@pytest.fixture
-def no_general_path(monkeypatch):
-    """Fail the test if generate_group falls back to path (c)."""
-    def refuse(generators, cap):
-        raise AssertionError("the semidefinite input fell back to path (c)")
-    monkeypatch.setattr(monodromy, "_generate_general", refuse)
 
 
 @pytest.mark.parametrize("dfile", [
