@@ -153,7 +153,7 @@ def _text_report(source, dfile, outcome, elapsed):
             )
             out.append(f"  w in ambient coordinates: {_combo(sub.embed(v.increment), amb.labels)}")
         if v.residual_charpoly is not None:
-            out.append(f"  non-cyclotomic charpoly residue: {list(v.residual_charpoly)}")
+            out.append(f"  charpoly factor x^2 - t x + 1, |t| > 2: {list(v.residual_charpoly)}")
     else:
         out.append(f"verdict: Unknown (monodromy undecided at cap {v.cap})")
     if not outcome.criteria_agree:
@@ -266,10 +266,8 @@ def cmd_mu(args):
     return EXIT_SIMPLE
 
 
-_CAP_HELP = ("bound on orbit points (definite path), roots (root search "
-             "of every other reflection group) and listed elements (general "
-             "path, generators that are no reflections); the verdict is "
-             "Unknown beyond it")
+_CAP_HELP = ("bound on orbit points (definite path) and roots (root search "
+             "on every other form); the verdict is Unknown beyond it")
 
 
 def build_parser():

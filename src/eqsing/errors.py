@@ -86,6 +86,12 @@ class ProjectsToZeroError(EqsingError):
     """The character projection of the orbit cycle vanishes."""
 
 
+class GeneratorError(EqsingError):
+    """Generators the finiteness decision cannot take: none at all, on
+    different forms, or one that is no reflection on a form that is not
+    negative definite."""
+
+
 # --- local algebra ---
 
 class NotCertifiedError(EqsingError):

@@ -4,13 +4,10 @@ Matrices are tuples of tuples of Python ints (or Fractions where noted),
 row-major.  Everything here is exact; no floating point.  Sizes in this
 toolkit stay small (rank <= ~12), so the classical algorithms below are
 the right tool: Hermite normal form with transform for integer kernels
-and saturations, fraction Gaussian elimination for solving, and
-Faddeev-LeVerrier for characteristic polynomials.
+and saturations, and fraction Gaussian elimination for solving.
 """
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
-from types import MappingProxyType
 
 
 def freeze(rows):
@@ -200,102 +197,3 @@ def solve_integer(A, b):
     if x is None or any(v.denominator != 1 for v in x):
         return None
     return tuple(int(v) for v in x)
-
-
-def charpoly(M):
-    """Characteristic polynomial det(xI - M) of an integer matrix.
-
-    Faddeev-LeVerrier over the integers: A_1 = M, c_k = -tr(A_k)/k and
-    A_{k+1} = M (A_k + c_k I).  Every c_k is a coefficient of the monic
-    integer characteristic polynomial, so every A_k is integral and the
-    division by k is exact.  Coefficients highest degree first.
-    """
-    n = len(M)
-    coeffs = [1]
-    A = M
-    for k in range(1, n + 1):
-        if k > 1:
-            c = coeffs[-1]
-            A = mat_mul(M, tuple(
-                tuple(x + c if i == j else x for j, x in enumerate(row))
-                for i, row in enumerate(A)
-            ))
-        tr = sum(A[i][i] for i in range(n))
-        assert tr % k == 0, "Faddeev-LeVerrier trace is not divisible by k"
-        coeffs.append(-tr // k)
-    return tuple(coeffs)
-
-
-def _divmod_monic(num, den):
-    """(quotient, remainder) of integer polynomials with `den` monic.
-
-    Coefficient tuples, highest degree first; integer arithmetic only.
-    """
-    rem = list(num)
-    quot = []
-    for i in range(len(num) - len(den) + 1):
-        c = rem[i]
-        quot.append(c)
-        if c:
-            for j in range(1, len(den)):
-                rem[i + j] -= c * den[j]
-    return tuple(quot), tuple(rem[len(quot):])
-
-
-def euler_phi(d):
-    out = d
-    p = 2
-    dd = d
-    while p * p <= dd:
-        if dd % p == 0:
-            while dd % p == 0:
-                dd //= p
-            out -= out // p
-        p += 1
-    if dd > 1:
-        out -= out // dd
-    return out
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polys(max_degree):
-    """All cyclotomic polynomials Phi_d with phi(d) <= max_degree.
-
-    Returns a read-only {d: coefficient tuple} in increasing d, computed
-    once per degree bound by the exact division
-    Phi_d = (x^d - 1) / prod_{e | d, e < d} Phi_e.
-    """
-    # phi(d) >= sqrt(d/2), so phi(d) <= D forces d <= 2 D^2 + 1
-    bound = 2 * max_degree * max_degree + 1
-    phis = {}
-    for d in range(1, bound + 1):
-        if euler_phi(d) > max_degree:
-            continue
-        poly = (1,) + (0,) * (d - 1) + (-1,)  # x^d - 1
-        for e, pe in phis.items():
-            if d % e == 0:
-                poly, rem = _divmod_monic(poly, pe)
-                assert not any(rem)
-        phis[d] = poly
-    return MappingProxyType(phis)
-
-
-def strip_cyclotomic_factors(poly, max_degree):
-    """Divide out every cyclotomic factor (with multiplicity).
-
-    Returns (orders, residual): `orders` is the multiset of d's whose
-    Phi_d divided the polynomial, `residual` the leftover integer-
-    coefficient polynomial (constants mean all eigenvalues are roots of
-    unity).  A nonconstant residual certifies an eigenvalue off the
-    roots of unity, hence an infinite-order matrix.
-    """
-    cur = tuple(poly)
-    orders = []
-    for d, pe in cyclotomic_polys(max_degree).items():
-        while len(cur) >= len(pe):
-            q, rem = _divmod_monic(cur, pe)
-            if any(rem):
-                break
-            cur = q
-            orders.append(d)
-    return tuple(orders), cur

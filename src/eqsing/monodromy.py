@@ -17,25 +17,25 @@ to the shape of the generators:
       translation as in an affine Weyl group.  On any other form the search
       walks the Coxeter orbits c^k delta_i first.  b^2 = ac gives a
       unipotent with a power-law witness, b^2 > ac an element with a real
-      eigenvalue off the unit circle.  A closure with no such pair gives
-      the exact order from the permutation action on the signed roots.
-      Unknown when the roots exceed the cap.
-  (c) a generator that is no reflection (reachable from the library API
-      only)                  -> element enumeration with an exact
-      element-order test (cyclotomic factorization of the characteristic
-      polynomial plus a direct power check); may return Unknown at the
-      element cap.
+      eigenvalue off the unit circle, a root of x^2 - t x + 1 with
+      t = 4b^2/(ac) - 2.  A closure with no such pair gives the exact order
+      from the permutation action on the signed roots.  Unknown when the
+      roots exceed the cap.
+
+A generator that is no reflection on a form that is not negative definite
+is refused with GeneratorError; the pipeline only builds reflections.
 
 Everything runs on tuples of Python ints, so no entry can overflow.
 """
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from . import linalg
 from .action import character_projection, orbit_decomposition, isotypic_sublattice
 from .errors import (
+    GeneratorError,
     IsotropicCycleError,
     NonIntegralReflectionError,
     OrbitNotOrthogonalError,
@@ -90,10 +90,6 @@ class MonodromyElement:
     def apply(self, v):
         return linalg.mat_vec(self.matrix, v)
 
-    @classmethod
-    def identity_on(cls, gram):
-        return cls(matrix=linalg.identity(len(gram)), gram=linalg.freeze(gram))
-
 
 def pl_reflection(lattice_or_sub, delta, name=None):
     """The Picard-Lefschetz reflection in the cycle `delta`.
@@ -126,23 +122,6 @@ def pl_reflection(lattice_or_sub, delta, name=None):
     return MonodromyElement(matrix=tuple(rows), gram=G, word=word)
 
 
-def restrict_operator(sub, ambient_matrix):
-    """Express an ambient operator in sublattice coordinates.
-
-    The operator must map the sublattice into itself with integer
-    coordinates; otherwise ValueError.
-    """
-    cols = linalg.transpose(sub.basis)
-    out_cols = []
-    for b in sub.basis:
-        img = linalg.mat_vec(ambient_matrix, b)
-        coord = linalg.solve_integer(cols, img)
-        if coord is None:
-            raise ValueError("operator does not preserve the sublattice")
-        out_cols.append(coord)
-    return linalg.transpose(linalg.freeze(out_cols))
-
-
 def orbit_cycle(action, chi, orbit):
     """Primitive chi-projection of the orbit's least cycle, ambient coords."""
     n = action.lattice.rank
@@ -162,10 +141,12 @@ def orbit_cycle(action, chi, orbit):
 def orbit_generator(action, chi, orbit, sub=None, name=None):
     """Equivariant monodromy generator attached to one orbit of cycles.
 
-    Product of the ambient Picard-Lefschetz reflections over the orbit
-    (pairwise-orthogonal cycles, so the order is immaterial), restricted
-    to the chi-isotypic sublattice.  Asserts the result coincides with the
-    reflection in the primitive character projection of the orbit cycle.
+    The reflection in the primitive character projection of the orbit
+    cycle, on the chi-isotypic sublattice.  Asserts that it is the
+    restriction of the product of the ambient Picard-Lefschetz reflections
+    over the orbit (pairwise-orthogonal cycles, so the order is
+    immaterial): with B^T the sublattice basis as columns, the ambient
+    product times B^T equals B^T times the reflection.
     """
     G = action.lattice.gram
     orbit = tuple(sorted(orbit))
@@ -181,7 +162,6 @@ def orbit_generator(action, chi, orbit, sub=None, name=None):
     for i in orbit:
         H = pl_reflection(action.lattice, action.lattice.basis_vector(i)).matrix
         amb = linalg.mat_mul(H, amb)
-    restricted = restrict_operator(sub, amb)
     delta_amb = orbit_cycle(action, chi, orbit)
     delta_sub = sub.coordinates(delta_amb)
     if delta_sub is None:
@@ -189,12 +169,13 @@ def orbit_generator(action, chi, orbit, sub=None, name=None):
             "orbit cycle projection does not lie in the isotypic sublattice"
         )
     refl = pl_reflection(sub, delta_sub, name=name)
-    if refl.matrix != restricted:
+    cols = linalg.transpose(sub.basis)
+    if linalg.mat_mul(amb, cols) != linalg.mat_mul(cols, refl.matrix):
         raise AssertionError(
             "restricted orbit product disagrees with the reflection in the "
             "projected cycle; action data is inconsistent"
         )
-    return MonodromyElement(matrix=restricted, gram=sub.restricted_gram, word=refl.word)
+    return refl
 
 
 def equivariant_generators(action, chi):
@@ -228,10 +209,9 @@ class Infinite:
     witness v and increment w satisfy w = (g - I)v != 0 and (g - I)w = 0,
     which forces g^s v = v + s w for every s >= 1 (a pair s_rho s_rho'
     with b^2 = ac, always the case on a negative semidefinite form, where
-    also (g - I)^2 = 0).  Or `residual_charpoly` holds what is left of the
-    characteristic polynomial after dividing out every cyclotomic factor,
-    nonconstant only when g has an eigenvalue off the roots of unity (a
-    pair with b^2 > ac).  Path (c) gives either kind.
+    also (g - I)^2 = 0).  Or `residual_charpoly` is (1, -t, 1) with
+    |t| > 2, the factor x^2 - t x + 1 of the characteristic polynomial of
+    a pair with b^2 > ac, whose roots are real and off the unit circle.
     """
 
     certificate: MonodromyElement
@@ -249,16 +229,24 @@ class Infinite:
         semidefinite form the stronger unipotent shape (g-I)^2 = 0 and the
         kernel membership of w are also required; that is what the
         semidefinite search path always produces.
+
+        A residual (1, -t, 1) with |t| > 2 holds when g^2 - t g + I has a
+        nonzero kernel: then a root of x^2 - t x + 1, real and off the unit
+        circle, is an eigenvalue of g.
         """
         g = self.certificate
         if g.is_identity:
             raise AssertionError("certificate element is the identity")
         if self.residual_charpoly is not None:
-            _orders, residual = linalg.strip_cyclotomic_factors(
-                linalg.charpoly(g.matrix), g.rank
-            )
-            if len(residual) <= 1:
-                raise AssertionError("residual charpoly certificate does not hold")
+            r = tuple(self.residual_charpoly)
+            if len(r) != 3 or r[0] != 1 or r[2] != 1 or abs(r[1]) <= 2:
+                raise AssertionError("residual charpoly is not x^2 - t x + 1 with |t| > 2")
+            M, t, n = g.matrix, -r[1], g.rank
+            M2 = linalg.mat_mul(M, M)
+            Q = tuple(tuple(M2[i][j] - t * M[i][j] + int(i == j) for j in range(n))
+                      for i in range(n))
+            if not linalg.int_kernel(Q):
+                raise AssertionError("no root of the residual charpoly is an eigenvalue")
             return True
         I = linalg.identity(g.rank)
         U = linalg.freeze(
@@ -322,21 +310,25 @@ def generate_group(generators, cap=10**6):
 
     Returns Finite(order), Infinite(certificate...), or Unknown(cap); an
     Infinite certificate is re-validated before it is returned.  The cap
-    bounds the orbit points on path (a), the roots on path (b) and the
-    listed elements on path (c), which only generators that are no
-    reflections reach.
+    bounds the orbit points on path (a) and the roots on path (b).  Raises
+    GeneratorError for no generators, generators on different forms, and
+    a generator that is no reflection on a form that is not negative
+    definite.
     """
     if not generators:
-        raise ValueError("at least one generator is required")
+        raise GeneratorError("at least one generator is required")
     gram = generators[0].gram
     if any(g.gram != gram for g in generators):
-        raise ValueError("generators preserve different forms")
+        raise GeneratorError("generators preserve different forms")
     sig = inertia(IntLattice(gram))
     if sig.negative_definite:
         return _generate_definite(generators, cap)
     roots = [_reflection_root(g) for g in generators]
     if None in roots:
-        return _generate_general(generators, cap)
+        name = _word_names(generators, (roots.index(None),))[0]
+        raise GeneratorError(
+            f"generator {name} is no reflection and the form is not negative definite"
+        )
     return _generate_reflections(generators, roots, cap, sig.negative_semidefinite)
 
 
@@ -634,9 +626,9 @@ def _pair_certificate(generators, gram, rho, word, rho_p, word_p):
 
     On the plane of the pair, g has trace 4b^2/(ac) - 2 with a = (rho, rho),
     b = (rho, rho') and c = (rho', rho').  b^2 = ac makes g a nontrivial
-    unipotent, certified by a power-law witness; otherwise |trace| > 2 and g
-    has a real eigenvalue off the unit circle, certified by the part of its
-    characteristic polynomial that no cyclotomic polynomial divides.
+    unipotent, certified by a power-law witness; otherwise |t| > 2 for the
+    trace t, and g has a real eigenvalue off the unit circle, a root of the
+    factor x^2 - t x + 1 of its characteristic polynomial.
     """
     matrix = linalg.mat_mul(pl_reflection(gram, rho).matrix,
                             pl_reflection(gram, rho_p).matrix)
@@ -648,9 +640,12 @@ def _pair_certificate(generators, gram, rho, word, rho_p, word_p):
         v, w = _index2_witness(matrix)
         verdict = Infinite(certificate=element, witness=v, increment=w)
     else:
-        _orders, residual = linalg.strip_cyclotomic_factors(
-            linalg.charpoly(matrix), len(matrix))
-        verdict = Infinite(certificate=element, residual_charpoly=residual)
+        # g has integer trace (n - 2) + t, so the division is exact
+        q, rem = divmod(4 * b * b, a * c)
+        if rem:
+            raise AssertionError("trace 4b^2/(ac) - 2 of a root pair is not an integer")
+        t = q - 2
+        verdict = Infinite(certificate=element, residual_charpoly=(1, -t, 1))
     verdict.validate()
     return verdict
 
@@ -658,84 +653,6 @@ def _pair_certificate(generators, gram, rho, word, rho_p, word_p):
 def _word_names(generators, word):
     return tuple(generators[i].word[0] if len(generators[i].word) == 1
                  else f"g{i + 1}" for i in word)
-
-
-def _finite_order(matrix):
-    """Exact finite-order test for an integer matrix.
-
-    Factor the characteristic polynomial into cyclotomics; a nonconstant
-    residual certifies infinite order outright.  Otherwise the candidate
-    order N = lcm of the cyclotomic orders is checked by direct powering:
-    M has finite order iff M^N = I.
-    """
-    n = len(matrix)
-    poly = linalg.charpoly(matrix)
-    orders, residual = linalg.strip_cyclotomic_factors(poly, n)
-    if len(residual) > 1:
-        return False, residual, None
-    N = lcm(*orders) if orders else 1
-    # square-and-multiply
-    result = linalg.identity(n)
-    base = matrix
-    e = N
-    while e:
-        if e & 1:
-            result = linalg.mat_mul(result, base)
-        e >>= 1
-        if e:
-            base = linalg.mat_mul(base, base)
-    return result == linalg.identity(n), None, N
-
-
-def _generate_general(generators, cap):
-    """Case (c): list the elements, testing the order of each new one.
-
-    Breadth-first under right multiplication by the generators, so elements
-    come in word-length order with the generator index as the tie-break,
-    deduplicated as exact matrices.  The first element of infinite order
-    gives the certificate; more than `cap` elements gives Unknown.
-    """
-    gram = generators[0].gram
-    mats = [g.matrix for g in generators]
-    I = linalg.identity(generators[0].rank)
-    seen = {I}
-    frontier = [(I, ())]
-    while frontier:
-        level = []
-        for m, word in frontier:
-            for gi, g in enumerate(mats):
-                p = linalg.mat_mul(m, g)
-                if p in seen:
-                    continue
-                seen.add(p)
-                if len(seen) > cap:
-                    return Unknown(cap=cap)
-                w = word + (gi,)
-                verdict = _infinite_order_certificate(generators, gram, p, w)
-                if verdict is not None:
-                    verdict.validate()
-                    return verdict
-                level.append((p, w))
-        frontier = level
-    return Finite(order=len(seen))
-
-
-def _infinite_order_certificate(generators, gram, matrix, word):
-    """Infinite when `matrix` has infinite order, else None."""
-    finite, residual, N = _finite_order(matrix)
-    if finite:
-        return None
-    element = MonodromyElement(matrix=matrix, gram=gram,
-                               word=_word_names(generators, word))
-    if residual is not None:
-        return Infinite(certificate=element, residual_charpoly=residual)
-    # all eigenvalues are roots of unity but M^N != I: M^N is a nontrivial
-    # unipotent with an explicit power-law witness
-    power = MonodromyElement.identity_on(gram)
-    for _ in range(N):
-        power = power @ element
-    v, w = _index2_witness(power.matrix)
-    return Infinite(certificate=power, witness=v, increment=w)
 
 
 def _index2_witness(matrix):

@@ -2,6 +2,8 @@
 computes, for cross-checks on small inputs."""
 from fractions import Fraction
 
+import pytest
+
 from eqsing import linalg
 
 
@@ -84,3 +86,10 @@ def inverse_unimodular(U):
     if any(x.denominator != 1 for row in M for x in row[n:]):
         raise ValueError("matrix is not unimodular")
     return tuple(tuple(int(x) for x in row[n:]) for row in M)
+
+
+def charpoly_sympy(M):
+    """Characteristic polynomial det(xI - M) by sympy, as integer
+    coefficients, highest degree first; skips the test without sympy."""
+    sympy = pytest.importorskip("sympy")
+    return tuple(int(c) for c in sympy.Matrix(M).charpoly().all_coeffs())

@@ -16,7 +16,7 @@ from eqsing.monodromy import (
     generate_group,
     pl_reflection,
 )
-from oracles import closure_naive, evaluate_word
+from oracles import charpoly_sympy, closure_naive, evaluate_word
 from test_semidefinite import TRIANGLE_W2, _reflections, _star
 
 
@@ -32,6 +32,24 @@ def _check_certificate(gens, verdict):
     verdict.validate()
     cert = verdict.certificate
     assert evaluate_word(gens, cert.word) == cert.matrix
+    if verdict.residual_charpoly is not None:
+        _check_residual(verdict)
+
+
+def _check_residual(verdict):
+    """sympy's charpoly of a hyperbolic certificate is (x - 1)^(n - 2) times
+    x^2 - t x + 1, with t its trace less n - 2, and the residual is that
+    quadratic factor."""
+    M = verdict.certificate.matrix
+    n = len(M)
+    t = sum(M[i][i] for i in range(n)) - (n - 2)
+    expect = (1, -t, 1)
+    for _ in range(n - 2):
+        # times x - 1
+        expect = tuple(a - b for a, b in zip(expect + (0,), (0,) + expect))
+    assert abs(t) > 2
+    assert charpoly_sympy(M) == expect
+    assert verdict.residual_charpoly == (1, -t, 1)
 
 
 # T(p, q, r): a star with arms p - 1, q - 1, r - 1 and 1/p + 1/q + 1/r < 1.
@@ -44,7 +62,7 @@ def _check_certificate(gens, verdict):
     pytest.param(_star(1, 2, 7), 27, id="T(2,3,8)"),
     pytest.param(TRIANGLE_W2, 1, id="triangle with weight 2"),
 ])
-def test_hyperbolic_diagrams_are_infinite_within_cap_100(dfile, seen, no_general_path):
+def test_hyperbolic_diagrams_are_infinite_within_cap_100(dfile, seen):
     gens = _pipeline_generators(dfile)
     _check_certificate(gens, generate_group(gens, cap=100))
     _check_certificate(gens, generate_group(gens, cap=seen + 1))
@@ -57,7 +75,7 @@ def test_hyperbolic_diagrams_are_infinite_within_cap_100(dfile, seen, no_general
     # roots of opposite norms, b != 0: trace 4 / -4 - 2 = -3
     pytest.param(((-2, 1), (1, 2)), (1, 3, 1), id="ac < 0"),
 ])
-def test_hyperbolic_pair_has_a_residual_charpoly(gram, residual, no_general_path):
+def test_hyperbolic_pair_has_a_residual_charpoly(gram, residual):
     gens = _reflections(gram)
     verdict = generate_group(gens)
     _check_certificate(gens, verdict)
@@ -78,13 +96,13 @@ A1_PLUS_U = ((-2, 0, 0), (0, 0, 1), (0, 1, 0))
                   for r, n in (((0, 1, -1), "h1"), ((1, 1, 0), "h2"))], 6,
                  id="A1 + U, -2 roots with product -1"),
 ])
-def test_finite_closure_matches_naive_closure(gens, order, no_general_path):
+def test_finite_closure_matches_naive_closure(gens, order):
     assert not inertia(IntLattice(gens[0].gram)).negative_semidefinite
     assert closure_naive(gens) == order
     assert generate_group(gens) == Finite(order=order)
 
 
-def test_random_indefinite_reflection_groups(no_general_path):
+def test_random_indefinite_reflection_groups():
     # -2 or 2 on the diagonal, small products off it; reflections in random
     # roots with entries in {-1, 0, 1}
     rng = random.Random(1907)

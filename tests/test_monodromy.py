@@ -8,6 +8,7 @@ from eqsing.action import isotypic_sublattice, orbit_decomposition
 from eqsing.catalog import action_from_file, fixture_file
 from eqsing.diagram import to_lattice
 from eqsing.errors import (
+    GeneratorError,
     IsotropicCycleError,
     NonIntegralReflectionError,
     OrbitNotOrthogonalError,
@@ -24,7 +25,6 @@ from eqsing.monodromy import (
     orbit_generator,
     pl_reflection,
     power_law_check,
-    restrict_operator,
 )
 from oracles import closure_naive
 
@@ -133,16 +133,28 @@ def test_orbit_generator_singleton():
 
 def test_orbit_generator_pair_equals_ambient_product():
     # H4 H2 restricted to the invariant part equals the reflection in
-    # delta2 = Delta2 + Delta4
+    # delta2 = Delta2 + Delta4: H4 H2 maps each basis vector b_j to the
+    # embedding of column j of h2
     action, chi = action_from_file(fixture_file("M5"))
     sub = isotypic_sublattice(action, chi)
     lat = action.lattice
     H2 = pl_reflection(lat, lat.basis_vector(1)).matrix
     H4 = pl_reflection(lat, lat.basis_vector(3)).matrix
-    prod = restrict_operator(sub, linalg.mat_mul(H4, H2))
+    prod = linalg.mat_mul(H4, H2)
     h2 = orbit_generator(action, chi, (1, 3), sub=sub)
-    assert h2.matrix == prod
+    for b, col in zip(sub.basis, linalg.transpose(h2.matrix)):
+        assert linalg.mat_vec(prod, b) == sub.embed(col)
     assert h2.matrix == pl_reflection(sub, (0, 1, 0, 0, 0)).matrix
+
+
+def test_orbit_generator_checks_the_ambient_product():
+    # on span(Delta2, Delta4) H4 H2 is -I, while the reflection in
+    # Delta2 + Delta4 swaps Delta2 and -Delta4: the identity check refuses
+    action, chi = action_from_file(fixture_file("M5"))
+    lat = action.lattice
+    pair = restrict(lat, (lat.basis_vector(1), lat.basis_vector(3)))
+    with pytest.raises(AssertionError, match="disagrees"):
+        orbit_generator(action, chi, (1, 3), sub=pair)
 
 
 def test_orbit_generator_m4_four_cycle_orbit():
@@ -262,7 +274,8 @@ def test_semidefinite_finite_group():
 
 
 def test_general_case_positive_definite_closes():
-    # sign-flipped A2 is positive definite: handled by the general path
+    # sign-flipped A2 is positive definite: the root search of path (b)
+    # closes without a pair
     lat = IntLattice(((2, -1), (-1, 2)))
     gens = [pl_reflection(lat, lat.basis_vector(i), name=f"h{i}") for i in range(2)]
     verdict = generate_group(gens)
@@ -270,24 +283,41 @@ def test_general_case_positive_definite_closes():
 
 
 def test_general_case_unipotent_infinite():
-    # positive semidefinite form with a unipotent isometry: the general
-    # path must produce a power-law certificate
+    # positive semidefinite form with a unipotent isometry: no reflection,
+    # so generate_group refuses it; the power-law certificate still holds
     gram = ((0, 0), (0, 2))
     g = MonodromyElement(matrix=((1, 1), (0, 1)), gram=gram, word=("u",))
-    verdict = generate_group([g])
-    assert isinstance(verdict, Infinite)
-    verdict.validate()
-    assert verdict.witness is not None
+    with pytest.raises(GeneratorError, match="u is no reflection"):
+        generate_group([g])
+    assert Infinite(certificate=g, witness=(0, 1), increment=(1, 0)).validate()
 
 
 def test_general_case_spectral_infinite():
-    # Pell isometry of diag(1, -2): eigenvalues off the unit circle
+    # Pell isometry of diag(1, -2): eigenvalues 3 +- 2 sqrt 2, the roots of
+    # x^2 - 6x + 1, off the unit circle
     gram = ((1, 0), (0, -2))
     g = MonodromyElement(matrix=((3, 4), (2, 3)), gram=gram, word=("p",))
-    verdict = generate_group([g])
-    assert isinstance(verdict, Infinite)
-    assert verdict.residual_charpoly is not None
-    verdict.validate()
+    assert Infinite(certificate=g, residual_charpoly=(1, -6, 1)).validate()
+    # a factor with no root among the eigenvalues, a trace of absolute
+    # value 2 or less, or a leading coefficient other than 1 is refused
+    for residual in ((1, -7, 1), (1, 6, 1), (1, -2, 1), (2, -6, 1)):
+        with pytest.raises(AssertionError):
+            Infinite(certificate=g, residual_charpoly=residual).validate()
+    # a reflection has order 2, yet g^2 -+ 2g + I = (g -+ I)^2 is singular:
+    # only |t| > 2 keeps it out
+    h = pl_reflection(IntLattice(gram), (1, 0), name="h")
+    for residual in ((1, -2, 1), (1, 2, 1)):
+        with pytest.raises(AssertionError, match=r"\|t\| > 2"):
+            Infinite(certificate=h, residual_charpoly=residual).validate()
+
+
+def test_generate_group_refuses_bad_generator_lists():
+    h = pl_reflection(A2, (1, 0), name="h")
+    with pytest.raises(GeneratorError, match="at least one"):
+        generate_group([])
+    other = pl_reflection(IntLattice(((-2, 0), (0, -2))), (1, 0), name="k")
+    with pytest.raises(GeneratorError, match="different forms"):
+        generate_group([h, other])
 
 
 def test_general_case_unknown_at_cap():
@@ -313,7 +343,7 @@ def test_group_elements_preserve_form():
 
 def test_power_law_identity():
     sub, gens = m5_gens()
-    I = MonodromyElement.identity_on(sub.restricted_gram)
+    I = MonodromyElement(matrix=linalg.identity(5), gram=sub.restricted_gram)
     assert power_law_check(I, (1, 2, 3, 4, 5), (0,) * 5, 5) is None
 
 

@@ -8,7 +8,7 @@ import pytest
 from eqsing import linalg
 from eqsing.catalog import action_from_file, fixture_file, run_analysis
 from eqsing.diagram import DiagramFile, DynkinDiagram
-from eqsing.errors import EqsingError
+from eqsing.errors import EqsingError, GeneratorError
 from eqsing.lattice import IntLattice, inertia
 from eqsing.monodromy import (
     Finite,
@@ -65,7 +65,7 @@ def test_certificate_word_multiplies_out_to_its_matrix(dfile):
     assert evaluate_word(out.generators, cert.word) == cert.matrix
 
 
-def test_affine_e8_plus_a1_decided_within_the_cap(no_general_path):
+def test_affine_e8_plus_a1_decided_within_the_cap():
     action, chi = action_from_file(AFFINE_E8_A1)
     sub, gens = equivariant_generators(action, chi)
     assert inertia(sub.lattice()).as_tuple() == (0, 1, 9)
@@ -92,7 +92,7 @@ A2_PLUS_ZERO = ((-2, 1, 0), (1, -2, 0), (0, 0, 0))
                   for r, n in (((1, 0, 1), "h1"), ((0, 1, 0), "h2"))], 4,
                  id="A1 + A1 + <0>, one root off the kernel complement"),
 ])
-def test_semidefinite_finite_matches_naive_closure(gens, order, no_general_path):
+def test_semidefinite_finite_matches_naive_closure(gens, order):
     assert closure_naive(gens) == order
     assert generate_group(gens) == Finite(order=order)
 
@@ -101,7 +101,7 @@ def test_semidefinite_finite_matches_naive_closure(gens, order, no_general_path)
     pytest.param(((-2, 2), (2, -2)), id="affine A1"),
     pytest.param(((-2, 1, 1), (1, -2, 1), (1, 1, -2)), id="affine A2"),
 ])
-def test_affine_groups_are_infinite(gram, no_general_path):
+def test_affine_groups_are_infinite(gram):
     gens = _reflections(gram)
     with pytest.raises(RuntimeError):
         closure_naive(gens, limit=200)
@@ -121,14 +121,17 @@ def test_affine_a1_certificate_is_the_translation():
 
 def test_non_reflection_generator_takes_the_general_path():
     # diag(1, -1) on diag(-2, 0) is an involution with rank(g - I) = 1 whose
-    # root spans the kernel: it is no reflection and does not fix the kernel
+    # root spans the kernel: it is no reflection and does not fix the
+    # kernel, and on a form that is not negative definite it is refused
     gram = ((-2, 0), (0, 0))
     flip = MonodromyElement(matrix=((1, 0), (0, -1)), gram=gram, word=("f",))
     h = pl_reflection(IntLattice(gram), (1, 0), name="h")
-    assert generate_group([h, flip]) == Finite(order=4)
+    with pytest.raises(GeneratorError, match="f is no reflection"):
+        generate_group([h, flip])
+    assert closure_naive([h, flip]) == 4
 
 
-def test_random_semidefinite_reflection_groups(no_general_path):
+def test_random_semidefinite_reflection_groups():
     # gram = -A^T A with fewer rows than columns is negative semidefinite
     # and degenerate; reflections in random integral roots on it
     rng = random.Random(1978)
