@@ -15,7 +15,7 @@ from .errors import (
     NotIsometryError,
     ZeroSublatticeError,
 )
-from .lattice import restrict
+from .lattice import Sublattice
 
 
 @dataclass(frozen=True)
@@ -182,14 +182,14 @@ def isotypic_sublattice(action, chi):
     """Saturated sublattice {a : sigma_i a = chi(sigma_i) a for all i}.
 
     Solved as the integer kernel of the stacked matrices sigma_i - chi_i I,
-    which is automatically primitive; the basis comes out in canonical
-    echelon form.  Equals the saturated image of the character projector
-    sum_g chi(g) g (cross-checked in the test suite).
+    which is saturated and in Hermite normal form already, so it becomes
+    the sublattice basis as it is.  Equals the saturated image of the
+    character projector sum_g chi(g) g (cross-checked in the test suite).
     """
     validate_action(action)
     n = action.lattice.rank
     if not action.generators:
-        return restrict(action.lattice, linalg.identity(n))
+        return Sublattice._canonical(action.lattice, linalg.identity(n))
     rows = []
     for name, g in action.generators:
         c = chi.of(name)
@@ -199,7 +199,7 @@ def isotypic_sublattice(action, chi):
     ker = linalg.int_kernel(linalg.freeze(rows))
     if not ker:
         raise ZeroSublatticeError("isotypic sublattice is zero; nothing to restrict to")
-    return restrict(action.lattice, ker)
+    return Sublattice._canonical(action.lattice, ker)
 
 
 def orbit_decomposition(action):

@@ -266,8 +266,8 @@ def cmd_mu(args):
     return EXIT_SIMPLE
 
 
-_CAP_HELP = ("bound on orbit points (definite path) and roots (root search "
-             "on every other form); the verdict is Unknown beyond it")
+_CAP_HELP = ("bound on the roots the finiteness search records, on every "
+             "form; the verdict is Unknown beyond it")
 
 
 def build_parser():

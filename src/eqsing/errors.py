@@ -88,8 +88,7 @@ class ProjectsToZeroError(EqsingError):
 
 class GeneratorError(EqsingError):
     """Generators the finiteness decision cannot take: none at all, on
-    different forms, or one that is no reflection on a form that is not
-    negative definite."""
+    different forms, or one that is no reflection."""
 
 
 # --- local algebra ---

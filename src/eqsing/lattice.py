@@ -207,9 +207,18 @@ class Sublattice:
         return out
 
     def coordinates(self, ambient_vec):
-        """Ambient vector -> sublattice coordinates; None if outside."""
-        cols = linalg.transpose(self.basis)
-        return linalg.solve_integer(cols, ambient_vec)
+        """Ambient vector -> sublattice coordinates; None if outside.
+
+        The basis is independent, so the integer kernel of the columns
+        [basis | v] is zero (v off the rational span) or spanned by one
+        primitive (x, c).  v lies in the lattice exactly when c = +-1, and
+        then its coordinates are -c x.
+        """
+        ker = linalg.int_kernel(linalg.transpose(self.basis + (tuple(ambient_vec),)))
+        if not ker or ker[0][-1] not in (1, -1):
+            return None
+        *x, c = ker[0]
+        return tuple(-c * xi for xi in x)
 
 
 def restrict(lattice, vectors):

@@ -1,12 +1,10 @@
-"""Exact integer and rational matrix routines.
+"""Exact integer matrix routines.
 
-Matrices are tuples of tuples of Python ints (or Fractions where noted),
-row-major.  Everything here is exact; no floating point.  Sizes in this
-toolkit stay small (rank <= ~12), so the classical algorithms below are
-the right tool: Hermite normal form with transform for integer kernels
-and saturations, and fraction Gaussian elimination for solving.
+Matrices are tuples of tuples of Python ints, row-major.  Everything here
+is exact; no floating point.  Sizes in this toolkit stay small (rank <=
+~12), so the classical algorithm below is the right tool: Hermite normal
+form with transform for integer kernels and saturations.
 """
-from fractions import Fraction
 from math import gcd
 
 
@@ -154,46 +152,3 @@ def saturation(rows):
 def rank_of(rows):
     """Rank over the rationals."""
     return len(hnf(rows))
-
-
-def solve_rational(A, b):
-    """Solve A x = b over Q. Returns a tuple of Fractions, or None if
-    inconsistent.  When the solution is underdetermined, free variables
-    are set to zero (callers here only use it on full-column-rank A)."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(A, b)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        p = None
-        for i in range(r, m):
-            if M[i][c] != 0:
-                p = i
-                break
-        if p is None:
-            continue
-        M[r], M[p] = M[p], M[r]
-        f = M[r][c]
-        M[r] = [x / f for x in M[r]]
-        for i in range(m):
-            if i != r and M[i][c] != 0:
-                g = M[i][c]
-                M[i] = [a - g * bb for a, bb in zip(M[i], M[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, m):
-        if M[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for ri, c in enumerate(piv_cols):
-        x[c] = M[ri][n]
-    return tuple(x)
-
-
-def solve_integer(A, b):
-    """Solve A x = b over Q and require an integer solution; None otherwise."""
-    x = solve_rational(A, b)
-    if x is None or any(v.denominator != 1 for v in x):
-        return None
-    return tuple(int(v) for v in x)

@@ -13,7 +13,9 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
+from . import linalg
 from .errors import (
     DiagramSyntaxError,
     NotCertifiedError,
@@ -338,22 +340,7 @@ def coranks(f):
         if not idx:
             return 0
         H = [[second(i, j) for j in idx] for i in idx]
-        # exact rank via fraction elimination
-        rank = 0
-        H = [row[:] for row in H]
-        ncols = len(idx)
-        r = 0
-        for c in range(ncols):
-            p = next((i for i in range(r, len(H)) if H[i][c] != 0), None)
-            if p is None:
-                continue
-            H[r], H[p] = H[p], H[r]
-            for i in range(len(H)):
-                if i != r and H[i][c] != 0:
-                    fct = H[i][c] / H[r][c]
-                    H[i] = [a - fct * b for a, b in zip(H[i], H[r])]
-            r += 1
-        rank = r
-        return len(idx) - rank
+        den = lcm(*(c.denominator for row in H for c in row))
+        return len(idx) - linalg.rank_of([[int(c * den) for c in row] for row in H])
 
     return corank(xvars), corank(yvars)

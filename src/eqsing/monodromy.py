@@ -1,29 +1,24 @@
 """Picard-Lefschetz operators, equivariant reflection generators, and the
 finiteness decision procedure with machine-checkable certificates.
 
-The decision procedure is keyed to the inertia of the restricted form and
-to the shape of the generators:
+The decision is one search, on every form: the orbit of the generator
+roots, for two roots rho, rho' with b = (rho, rho') != 0 and
+b^2 >= (rho, rho)(rho', rho'); then s_rho s_rho' has infinite order.  The
+form chooses only the partner test and whether the Coxeter orbits run:
 
-  (a) negative definite      -> the orbit of the basis vectors is finite
-      and the group acts on it faithfully; the exact order comes from a
-      deterministic Schreier-Sims on that permutation action.  Unknown
-      when the orbit exceeds the cap.
-  (b) any other form, every generator a reflection
-                             -> a search of the orbit of the generator
-      roots for two roots rho, rho' with b = (rho, rho') != 0 and
-      b^2 >= (rho, rho)(rho', rho'); then s_rho s_rho' has infinite order.
-      On a negative semidefinite form the search is breadth-first over the
-      generators and the pair is a collision of root classes, a unipotent
-      translation as in an affine Weyl group.  On any other form the search
-      walks the Coxeter orbits c^k delta_i first.  b^2 = ac gives a
-      unipotent with a power-law witness, b^2 > ac an element with a real
-      eigenvalue off the unit circle, a root of x^2 - t x + 1 with
-      t = 4b^2/(ac) - 2.  A closure with no such pair gives the exact order
-      from the permutation action on the signed roots.  Unknown when the
-      roots exceed the cap.
+  - negative semidefinite, definite included: breadth-first over the
+    generators, and the pair is a collision of root classes, a unipotent
+    translation as in an affine Weyl group.  On a definite form the kernel
+    is zero, no two roots share a class, and the search always closes.
+  - any other form: the Coxeter orbits c^k delta_i come first.  b^2 = ac
+    gives a unipotent with a power-law witness, b^2 > ac an element with a
+    real eigenvalue off the unit circle, a root of x^2 - t x + 1 with
+    t = 4b^2/(ac) - 2.
 
-A generator that is no reflection on a form that is not negative definite
-is refused with GeneratorError; the pipeline only builds reflections.
+A closure with no such pair gives the exact order from the permutation
+action on the signed roots.  The cap counts roots on every form: Unknown
+when the roots exceed it.  A generator that is no reflection is refused
+with GeneratorError; the pipeline only builds reflections.
 
 Everything runs on tuples of Python ints, so no entry can overflow.
 """
@@ -310,56 +305,21 @@ def generate_group(generators, cap=10**6):
 
     Returns Finite(order), Infinite(certificate...), or Unknown(cap); an
     Infinite certificate is re-validated before it is returned.  The cap
-    bounds the orbit points on path (a) and the roots on path (b).  Raises
+    bounds the roots the search records, on every form.  Raises
     GeneratorError for no generators, generators on different forms, and
-    a generator that is no reflection on a form that is not negative
-    definite.
+    a generator that is no reflection.
     """
     if not generators:
         raise GeneratorError("at least one generator is required")
     gram = generators[0].gram
     if any(g.gram != gram for g in generators):
         raise GeneratorError("generators preserve different forms")
-    sig = inertia(IntLattice(gram))
-    if sig.negative_definite:
-        return _generate_definite(generators, cap)
     roots = [_reflection_root(g) for g in generators]
     if None in roots:
         name = _word_names(generators, (roots.index(None),))[0]
-        raise GeneratorError(
-            f"generator {name} is no reflection and the form is not negative definite"
-        )
-    return _generate_reflections(generators, roots, cap, sig.negative_semidefinite)
-
-
-def _generate_definite(generators, cap):
-    """Case (a): the order of the group from its action on a finite orbit.
-
-    On a definite form the orbit of the basis vectors is finite (its
-    vectors have the norms of the basis vectors), and the group acts on it
-    faithfully because it contains a basis.  Each generator becomes a
-    permutation of the orbit; the order comes from Schreier-Sims with the
-    basis vectors as base.  More than `cap` orbit points gives Unknown.
-    """
-    n = generators[0].rank
-    mats = [g.matrix for g in generators]
-    points = list(linalg.identity(n))
-    index = {p: i for i, p in enumerate(points)}
-    images = [[] for _ in mats]
-    i = 0
-    while i < len(points):
-        if len(points) > cap:
-            return Unknown(cap=cap)
-        for img, M in zip(images, mats):
-            q = linalg.mat_vec(M, points[i])
-            j = index.get(q)
-            if j is None:
-                j = index[q] = len(points)
-                points.append(q)
-            img.append(j)
-        i += 1
-    perms = [tuple(img) for img in images]
-    return Finite(order=permutation_group_order(perms, base=range(n)))
+        raise GeneratorError(f"generator {name} is no reflection")
+    semidefinite = inertia(IntLattice(gram)).negative_semidefinite
+    return _generate_reflections(generators, roots, cap, semidefinite)
 
 
 def permutation_group_order(perms, base):
@@ -486,7 +446,7 @@ def _root_class(gram, root):
 
 
 def _generate_reflections(generators, roots, cap, semidefinite):
-    """Case (b): search the orbit of the generator roots for an infinite pair.
+    """Search the orbit of the generator roots for an infinite pair.
 
     The roots are signed vectors, each with a word for its reflection.  The
     generator roots come first.  On any form but a negative semidefinite one
@@ -494,21 +454,26 @@ def _generate_reflections(generators, roots, cap, semidefinite):
     over the generators then takes every root seen so far as its first
     level: level k + 1 is h_a applied to level k, for each generator h_a in
     turn, so on a semidefinite form a root u delta_i is first reached by the
-    shortlex-least word u h_i.
+    shortlex-least word u h_i.  Roots move by the reflection formula
+    (`_reflect`).
 
     Each new root rho is tested against the roots already seen: on a
     semidefinite form by its class (`_root_class`), elsewhere by the pair
-    test of `_pair_partner`.  The first partner rho' gives the certificate
-    g = s_rho s_rho' (`_pair_certificate`).  More than `cap` roots gives
-    Unknown.  A closure with no partner gives |G| from the permutation
-    action on the signed roots: a finite root orbit spans a subspace on
-    which the form is nondegenerate, so an element fixing the roots is the
-    identity (notes/decisions.md).
+    test of `_pair_partner`.  On a definite form no two roots share a class,
+    so the search always closes.  The first partner rho' gives the
+    certificate g = s_rho s_rho' (`_pair_certificate`).  More than `cap`
+    roots gives Unknown.  A closure with no partner gives |G| from the
+    permutation action on the signed roots: a finite root orbit spans a
+    subspace on which the form is nondegenerate, so an element fixing the
+    roots is the identity (notes/decisions.md).
     """
     gram = generators[0].gram
-    mats = [g.matrix for g in generators]
+    mirrors = []  # (delta, G delta, (delta, delta)) per generator, for `_reflect`
+    for root in roots:
+        g_root = linalg.mat_vec(gram, root)
+        mirrors.append((root, g_root, _dot(root, g_root)))
     points, words, index = [], [], {}
-    images = [[] for _ in mats]
+    images = [[] for _ in mirrors]
     partner = _class_partner(gram) if semidefinite else _pair_partner(gram)
 
     def add(root, word):
@@ -525,7 +490,7 @@ def _generate_reflections(generators, roots, cap, semidefinite):
         return None
 
     seeds = [(root, (i,)) for i, root in enumerate(roots)]
-    orbits = () if semidefinite else _coxeter_orbits(mats, roots)
+    orbits = () if semidefinite else _coxeter_orbits(mirrors)
     for root, word in itertools.chain(seeds, orbits):
         if root not in index:
             verdict = add(root, word)
@@ -533,12 +498,13 @@ def _generate_reflections(generators, roots, cap, semidefinite):
                 return verdict
     lo, hi = 0, len(points)
     while lo < hi:
-        for a, M in enumerate(mats):
+        for a, mirror in enumerate(mirrors):
             for p in range(lo, hi):
-                q = linalg.mat_vec(M, points[p])
+                r = points[p]
+                q = _reflect(r, mirror)
                 if q not in index:
                     # s_{-r} = s_r, so -r keeps the word of r
-                    negated = all(x == -y for x, y in zip(q, points[p]))
+                    negated = all(x == -y for x, y in zip(q, r))
                     verdict = add(q, words[p] if negated else (a,) + words[p] + (a,))
                     if verdict is not None:
                         return verdict
@@ -553,22 +519,38 @@ def _generate_reflections(generators, roots, cap, semidefinite):
     return Finite(order=permutation_group_order([tuple(img) for img in images], base))
 
 
-def _coxeter_orbits(mats, roots):
+def _reflect(root, mirror):
+    """s_delta(root) = root - k delta with k = 2(root, delta)/(delta, delta).
+
+    k is an integer: s_delta is integral, so k delta is an integer vector,
+    and delta is primitive.
+    """
+    delta, g_delta, dd = mirror
+    k, rem = divmod(2 * _dot(root, g_delta), dd)
+    if rem:
+        raise AssertionError("a reflection moves a root by a non-integral multiple")
+    if not k:
+        return root
+    return tuple(x - k * d for x, d in zip(root, delta))
+
+
+def _coxeter_orbits(mirrors):
     """(c^k delta_i, its reflection word) for k = 1, 2, ... and each i, with
     c = h_1 h_2 ... h_n, until every orbit has returned to its delta_i.
 
     The reflection in c^k delta_i is c^k h_i c^-k, whose word is
     (h_1...h_n)^k h_i (h_n...h_1)^k because every h_j is an involution.
     """
-    forward = tuple(range(len(mats)))
+    forward = tuple(range(len(mirrors)))
     backward = forward[::-1]
+    roots = [m[0] for m in mirrors]
     current = dict(enumerate(roots))
     k = 0
     while current:
         k += 1
         for i, root in list(current.items()):
-            for M in reversed(mats):
-                root = linalg.mat_vec(M, root)
+            for mirror in reversed(mirrors):
+                root = _reflect(root, mirror)
             if root == roots[i]:
                 del current[i]
             else:

@@ -11,7 +11,7 @@ def closure_naive(generators, limit=100000):
     """Order by repeated pairwise products until stable.
 
     Lists every element as a matrix, a different method from the
-    permutation-group order of the definite path, so the two can be
+    permutation-group order on the signed roots, so the two can be
     cross-checked on small groups.
     """
     mats = {linalg.identity(generators[0].rank)}

@@ -80,8 +80,8 @@ def test_analyze_zero_isotypic_sublattice_exit_two(tmp_path):
 
 
 def test_analyze_unknown_exit_three(tmp_path):
-    # positive definite input with a tiny cap: the root search of path (b)
-    # gives Unknown
+    # positive definite input with a tiny cap: the root search gives
+    # Unknown
     f = tmp_path / "pos.diagram"
     f.write_text("vertex 1 self=2\nvertex 2 self=2\nedge 1 2 w=-1\n")
     code, out, _ = run_cli("analyze", str(f), "--cap", "3")

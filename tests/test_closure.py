@@ -1,14 +1,15 @@
-"""Definite path: the orbit of the basis vectors and its Schreier-Sims order."""
+"""Negative definite forms: the root search closes, and Schreier-Sims on
+the signed roots gives the exact order."""
 import random
 import time
 
 import pytest
 
 from eqsing.catalog import action_from_file, fixture_file, run_analysis, weyl_order
-from eqsing.lattice import IntLattice
+from eqsing.errors import EqsingError
+from eqsing.lattice import IntLattice, inertia
 from eqsing.monodromy import (
     Finite,
-    MonodromyElement,
     Unknown,
     equivariant_generators,
     generate_group,
@@ -17,7 +18,6 @@ from eqsing.monodromy import (
 )
 from oracles import closure_naive
 
-A2 = ((-2, 1), (1, -2))
 G2 = ((-2, 3), (3, -6))
 A1_CUBED = ((-2, 0, 0), (0, -2, 0), (0, 0, -2))
 
@@ -34,20 +34,8 @@ def _fixture_generators(symbol, k=None):
 
 
 def _small_groups():
-    """Generators and order of definite groups of order at most 200."""
-    h1, h2 = _reflections(A2)
-    rotation = h1 @ h2
-    minus = MonodromyElement(matrix=((-1, 0), (0, -1)), gram=A2, word=("-I",))
-    # e1 -> e2 -> e3 -> -e1
-    signed = MonodromyElement(matrix=((0, 0, -1), (1, 0, 0), (0, 1, 0)),
-                              gram=A1_CUBED, word=("p",))
+    """Reflections and order of definite groups of order at most 200."""
     return [
-        pytest.param([rotation], 3, id="A2 rotation"),
-        pytest.param([minus], 2, id="-I on A2"),
-        pytest.param([rotation, minus], 6, id="A2 rotation and -I"),
-        pytest.param([signed], 6, id="signed 3-cycle on A1+A1+A1"),
-        pytest.param([signed, _reflections(A1_CUBED)[0]], 24,
-                     id="signed 3-cycle and a reflection"),
         pytest.param(_reflections(A1_CUBED), 8, id="A1+A1+A1"),
         pytest.param(_reflections(G2), 12, id="G2"),
         pytest.param(_fixture_generators("A", 3), 24, id="A3"),
@@ -74,12 +62,39 @@ def test_e7_e8_simple_with_weyl_order(symbol):
 
 
 def test_definite_cap_bounds_the_orbit():
-    # the E8 reflections move the 8 basis vectors through all 240 roots
+    # the orbit of the 8 generator roots of E8 is all 240 roots
     gens = _fixture_generators("E8")
     assert generate_group(gens, cap=100) == Unknown(cap=100)
     assert generate_group(gens, cap=239) == Unknown(cap=239)
     assert generate_group(gens, cap=240) == Finite(order=weyl_order("E8"))
     assert generate_group(gens) == Finite(order=weyl_order("E8"))
+
+
+def test_random_definite_reflection_groups():
+    # -2 on the diagonal, 0 or +-1 off it, kept when negative definite;
+    # reflections in random integral roots on it
+    rng = random.Random(1907)
+    checked = 0
+    while checked < 60:
+        n = rng.randint(2, 4)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                gram[i][j] = gram[j][i] = rng.choice((0, 1, -1))
+            gram[i][i] = -2
+        if not inertia(IntLattice(gram)).negative_definite:
+            continue
+        gens = []
+        for name in ("h1", "h2", "h3", "h4")[:rng.randint(2, 4)]:
+            try:
+                gens.append(pl_reflection(gram, [rng.randint(-1, 1) for _ in range(n)],
+                                          name=name))
+            except EqsingError:
+                pass
+        if len(gens) < 2:
+            continue
+        assert generate_group(gens) == Finite(order=closure_naive(gens)), (gram, gens)
+        checked += 1
 
 
 def _random_permutation(rng, degree):

@@ -172,7 +172,8 @@ def test_restrict_idempotent_on_saturated():
         assert again.restricted_gram == sub.restricted_gram
 
 
-def test_restriction_runs_rank_and_saturation_once(monkeypatch):
+def test_analysis_runs_no_rank_or_saturation(monkeypatch):
+    # the isotypic kernel is saturated and in Hermite normal form already
     from eqsing.catalog import fixture_file, run_analysis
 
     calls = {"rank_of": 0, "saturation": 0}
@@ -185,7 +186,7 @@ def test_restriction_runs_rank_and_saturation_once(monkeypatch):
 
         monkeypatch.setattr(linalg, name, counted)
     run_analysis(fixture_file("M5"))
-    assert calls == {"rank_of": 1, "saturation": 1}
+    assert calls == {"rank_of": 0, "saturation": 0}
 
 
 def test_direct_sublattice_construction_is_checked():
@@ -231,3 +232,27 @@ def test_sublattice_embed_and_coordinates():
     amb = sub.embed((1, 1))
     assert sub.coordinates(amb) == (1, 1)
     assert sub.coordinates((0, 0, 1, 0, 0, 0, 0, 0, 0)) is None
+
+
+def test_coordinates_round_trip_on_fixture_sublattices():
+    from eqsing.action import isotypic_sublattice
+    from eqsing.catalog import action_from_file, fixture_file
+
+    fixtures = (
+        [("A", k) for k in range(1, 9)] + [("D", k) for k in (4, 5, 6)]
+        + [("B", k) for k in (2, 3, 4)] + [("C", k) for k in (2, 3, 4)]
+        + [(s, None) for s in ("E6", "E7", "E8", "F4", "M5", "M4", "X9")]
+    )
+    rng = random.Random(1907)
+    off_span = 0
+    for sym, k in fixtures:
+        sub = isotypic_sublattice(*action_from_file(fixture_file(sym, k)))
+        n = sub.ambient.rank
+        for _ in range(10):
+            x = tuple(rng.randint(-5, 5) for _ in range(sub.rank))
+            assert sub.coordinates(sub.embed(x)) == x, (sym, k, x)
+            v = tuple(rng.randint(-5, 5) for _ in range(n))
+            if linalg.rank_of(sub.basis + (v,)) > sub.rank:
+                assert sub.coordinates(v) is None, (sym, k, v)
+                off_span += 1
+    assert off_span

@@ -1,6 +1,5 @@
-"""Exact linear algebra: HNF, integer kernels, saturation, solving."""
+"""Exact linear algebra: HNF, integer kernels, saturation."""
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -88,16 +87,6 @@ def test_saturation_contains_input_with_finite_index():
         assert len(S) == len(A)
         for row in A:
             assert row_span_membership(S, row)
-
-
-def test_solve_rational_and_integer():
-    A = ((1, 2), (3, 4))
-    x = linalg.solve_rational(A, (5, 6))
-    assert x == (Fraction(-4), Fraction(9, 2))
-    assert linalg.solve_integer(A, (5, 6)) is None
-    assert linalg.solve_integer(A, (3, 7)) == (1, 1)
-    # inconsistent system
-    assert linalg.solve_rational(((1, 1), (1, 1)), (0, 1)) is None
 
 
 def test_inverse_unimodular():

@@ -159,6 +159,10 @@ def test_coranks_cross_terms():
     f = germ({(1, 1): 1, (2, 0): 1, (0, 2): 1}, m=2, n=0)
     m1, n1 = coranks(f)
     assert (m1, n1) == (0, 0)
+    # (x1 + x2)^2 / 4: a rational Hessian of rank 1
+    f = germ({(2, 0): Fraction(1, 4), (1, 1): Fraction(1, 2), (0, 2): Fraction(1, 4)},
+             m=2, n=0)
+    assert coranks(f) == (1, 0)
 
 
 def test_parse_germ_format():

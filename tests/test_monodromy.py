@@ -274,8 +274,8 @@ def test_semidefinite_finite_group():
 
 
 def test_general_case_positive_definite_closes():
-    # sign-flipped A2 is positive definite: the root search of path (b)
-    # closes without a pair
+    # sign-flipped A2 is positive definite: the root search closes
+    # without a pair
     lat = IntLattice(((2, -1), (-1, 2)))
     gens = [pl_reflection(lat, lat.basis_vector(i), name=f"h{i}") for i in range(2)]
     verdict = generate_group(gens)
@@ -318,6 +318,10 @@ def test_generate_group_refuses_bad_generator_lists():
     other = pl_reflection(IntLattice(((-2, 0), (0, -2))), (1, 0), name="k")
     with pytest.raises(GeneratorError, match="different forms"):
         generate_group([h, other])
+    # a rotation of order 3 on the definite A2 form has no root to search from
+    h1, h2 = (pl_reflection(A2, A2.basis_vector(i), name=f"h{i + 1}") for i in range(2))
+    with pytest.raises(GeneratorError, match="g1 is no reflection"):
+        generate_group([h1 @ h2])
 
 
 def test_general_case_unknown_at_cap():

@@ -1,4 +1,4 @@
-"""Semidefinite path (b): root-class collisions, the cap, and oracles for
+"""Semidefinite forms: root-class collisions, the cap, and oracles for
 every certificate word."""
 import random
 import time
