@@ -5,6 +5,11 @@ class EqsingError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InternalError(EqsingError, AssertionError):
+    """An internal invariant failed: inconsistent data or a defect, never a
+    verdict.  It is also an AssertionError, which is what it replaces."""
+
+
 # --- diagram file parsing ---
 
 class DiagramError(EqsingError):

@@ -15,10 +15,12 @@ form chooses only the partner test and whether the Coxeter orbits run:
     real eigenvalue off the unit circle, a root of x^2 - t x + 1 with
     t = 4b^2/(ac) - 2.
 
-A closure with no such pair gives the exact order from the permutation
-action on the signed roots.  The cap counts roots on every form: Unknown
-when the roots exceed it.  A generator that is no reflection is refused
-with GeneratorError; the pipeline only builds reflections.
+A closure with no such pair gives the exact order by orbit-stabiliser on
+the roots: the orbit of one root, times the order of the group generated
+by the reflections in the roots orthogonal to it (Steinberg).  The cap
+counts roots on every form: Unknown when the roots exceed it.  A
+generator that is no reflection is refused with GeneratorError; the
+pipeline only builds reflections.
 
 Everything runs on tuples of Python ints, so no entry can overflow.
 """
@@ -31,8 +33,10 @@ from . import linalg
 from .action import character_projection, orbit_decomposition, isotypic_sublattice
 from .errors import (
     GeneratorError,
+    InternalError,
     IsotropicCycleError,
     NonIntegralReflectionError,
+    NotIsometryError,
     OrbitNotOrthogonalError,
     ProjectsToZeroError,
 )
@@ -63,7 +67,7 @@ class MonodromyElement:
         object.__setattr__(self, "word", tuple(self.word))
         MGM = linalg.mat_mul(linalg.mat_mul(linalg.transpose(M), G), M)
         if MGM != G:
-            raise ValueError("matrix does not preserve the bilinear form")
+            raise NotIsometryError("matrix does not preserve the bilinear form")
 
     @property
     def rank(self):
@@ -75,7 +79,7 @@ class MonodromyElement:
 
     def __matmul__(self, other):
         if self.gram != other.gram:
-            raise ValueError("elements live on different forms")
+            raise GeneratorError("elements live on different forms")
         return MonodromyElement(
             matrix=linalg.mat_mul(self.matrix, other.matrix),
             gram=self.gram,
@@ -166,7 +170,7 @@ def orbit_generator(action, chi, orbit, sub=None, name=None):
     refl = pl_reflection(sub, delta_sub, name=name)
     cols = linalg.transpose(sub.basis)
     if linalg.mat_mul(amb, cols) != linalg.mat_mul(cols, refl.matrix):
-        raise AssertionError(
+        raise InternalError(
             "restricted orbit product disagrees with the reflection in the "
             "projected cycle; action data is inconsistent"
         )
@@ -231,17 +235,17 @@ class Infinite:
         """
         g = self.certificate
         if g.is_identity:
-            raise AssertionError("certificate element is the identity")
+            raise InternalError("certificate element is the identity")
         if self.residual_charpoly is not None:
             r = tuple(self.residual_charpoly)
             if len(r) != 3 or r[0] != 1 or r[2] != 1 or abs(r[1]) <= 2:
-                raise AssertionError("residual charpoly is not x^2 - t x + 1 with |t| > 2")
+                raise InternalError("residual charpoly is not x^2 - t x + 1 with |t| > 2")
             M, t, n = g.matrix, -r[1], g.rank
             M2 = linalg.mat_mul(M, M)
             Q = tuple(tuple(M2[i][j] - t * M[i][j] + int(i == j) for j in range(n))
                       for i in range(n))
             if not linalg.int_kernel(Q):
-                raise AssertionError("no root of the residual charpoly is an eigenvalue")
+                raise InternalError("no root of the residual charpoly is an eigenvalue")
             return True
         I = linalg.identity(g.rank)
         U = linalg.freeze(
@@ -250,21 +254,21 @@ class Infinite:
         )
         v, w = self.witness, self.increment
         if v is None or w is None:
-            raise AssertionError("unipotent certificate lacks witness data")
+            raise InternalError("unipotent certificate lacks witness data")
         if linalg.mat_vec(U, v) != tuple(w):
-            raise AssertionError("increment is not (g - I) v")
+            raise InternalError("increment is not (g - I) v")
         if linalg.is_zero_vec(w):
-            raise AssertionError("increment vector is zero")
+            raise InternalError("increment vector is zero")
         if not linalg.is_zero_vec(linalg.mat_vec(U, w)):
-            raise AssertionError("increment is not fixed by g")
+            raise InternalError("increment is not fixed by g")
         if power_law_check(self.certificate, v, w, 5) is not None:
-            raise AssertionError("power law fails on the certificate")
+            raise InternalError("power law fails on the certificate")
         if inertia(IntLattice(g.gram)).negative_semidefinite:
             UU = linalg.mat_mul(U, U)
             if any(any(x != 0 for x in row) for row in UU):
-                raise AssertionError("(g - I)^2 != 0: certificate is not unipotent")
+                raise InternalError("(g - I)^2 != 0: certificate is not unipotent")
             if not linalg.is_zero_vec(linalg.mat_vec(g.gram, w)):
-                raise AssertionError("increment does not lie in the form kernel")
+                raise InternalError("increment does not lie in the form kernel")
         return True
 
     def __str__(self):
@@ -322,92 +326,6 @@ def generate_group(generators, cap=10**6):
     return _generate_reflections(generators, roots, cap, semidefinite)
 
 
-def permutation_group_order(perms, base):
-    """Order of the group generated by permutations of range(N).
-
-    A permutation p is a tuple sending point x to p[x]; products act left
-    to right, (a*b)[x] = b[a[x]].  Only the identity may fix every point of
-    `base`.  Deterministic Schreier-Sims (Sims 1970; Seress, Permutation
-    Group Algorithms, 2003, ch. 4): the order is the product of the basic
-    orbit lengths.  Coset representatives are stored explicitly and never
-    replaced, so a (point, generator) pair whose Schreier generator has
-    been sifted once stays tested.  A Schreier generator is sifted as a
-    word, by following the base points alone; it is multiplied out only
-    when it leaves a nontrivial residue.
-    """
-    if not perms:
-        return 1
-    ident = tuple(range(len(perms[0])))
-    base = list(base)
-    strong = [[p for p in perms if p != ident]] + [[] for _ in base[1:]]
-    # per level: point -> (u, u^-1) with u[base[l]] = point, in discovery order
-    orbits = [{b: (ident, ident)} for b in base]
-    tested = [set() for _ in base]
-
-    def extend(l):
-        orbit = orbits[l]
-        points = list(orbit)
-        for beta in points:
-            u = orbit[beta][0]
-            for x in strong[l]:
-                gamma = x[beta]
-                if gamma not in orbit:
-                    v = tuple(map(x.__getitem__, u))
-                    v_inv = [0] * len(v)
-                    for a, c in enumerate(v):
-                        v_inv[c] = a
-                    orbit[gamma] = (v, tuple(v_inv))
-                    points.append(gamma)
-
-    def sift(word, start):
-        """(residue, level it stops at) for the product of `word`, or None."""
-        for l in range(start, len(base)):
-            beta = base[l]
-            for p in word:
-                beta = p[beta]
-            entry = orbits[l].get(beta)
-            if entry is None:
-                y = word[0]
-                for p in word[1:]:
-                    y = tuple(map(p.__getitem__, y))
-                return y, l
-            if beta != base[l]:
-                word.append(entry[1])
-        return None
-
-    def untested_residue(level):
-        """Residue of the first untested Schreier generator that does not
-        sift through the levels below, or None when all of them do."""
-        orbit, done = orbits[level], tested[level]
-        for beta, (u, _) in orbit.items():
-            for xi, x in enumerate(strong[level]):
-                if (beta, xi) not in done:
-                    done.add((beta, xi))
-                    # u_beta * x * u_{beta x}^-1 fixes base[level]
-                    residue = sift([u, x, orbit[x[beta]][1]], level + 1)
-                    if residue is not None:
-                        return residue
-        return None
-
-    for l in range(len(base)):
-        extend(l)
-    level = len(base) - 1
-    while level >= 0:
-        residue = untested_residue(level)
-        if residue is None:
-            level -= 1
-            continue
-        y, j = residue
-        for l in range(level + 1, j + 1):
-            strong[l].append(y)
-            extend(l)
-        level = j
-    order = 1
-    for orbit in orbits:
-        order *= len(orbit)
-    return order
-
-
 def _reflection_root(g):
     """Primitive root delta with g = s_delta, or None when g is no reflection.
 
@@ -462,18 +380,13 @@ def _generate_reflections(generators, roots, cap, semidefinite):
     test of `_pair_partner`.  On a definite form no two roots share a class,
     so the search always closes.  The first partner rho' gives the
     certificate g = s_rho s_rho' (`_pair_certificate`).  More than `cap`
-    roots gives Unknown.  A closure with no partner gives |G| from the
-    permutation action on the signed roots: a finite root orbit spans a
-    subspace on which the form is nondegenerate, so an element fixing the
-    roots is the identity (notes/decisions.md).
+    roots gives Unknown.  A closure with no partner is a finite group, and
+    `_reflection_group_order` gives its order from the roots recorded
+    (notes/decisions.md).
     """
     gram = generators[0].gram
-    mirrors = []  # (delta, G delta, (delta, delta)) per generator, for `_reflect`
-    for root in roots:
-        g_root = linalg.mat_vec(gram, root)
-        mirrors.append((root, g_root, _dot(root, g_root)))
-    points, words, index = [], [], {}
-    images = [[] for _ in mirrors]
+    mirrors = [_mirror(gram, root) for root in roots]
+    points, words, seen = [], [], set()
     partner = _class_partner(gram) if semidefinite else _pair_partner(gram)
 
     def add(root, word):
@@ -484,7 +397,7 @@ def _generate_reflections(generators, roots, cap, semidefinite):
         if old is not None:
             return _pair_certificate(generators, gram, root, word,
                                      points[old], words[old])
-        index[root] = len(points)
+        seen.add(root)
         points.append(root)
         words.append(word)
         return None
@@ -492,7 +405,7 @@ def _generate_reflections(generators, roots, cap, semidefinite):
     seeds = [(root, (i,)) for i, root in enumerate(roots)]
     orbits = () if semidefinite else _coxeter_orbits(mirrors)
     for root, word in itertools.chain(seeds, orbits):
-        if root not in index:
+        if root not in seen:
             verdict = add(root, word)
             if verdict is not None:
                 return verdict
@@ -502,21 +415,52 @@ def _generate_reflections(generators, roots, cap, semidefinite):
             for p in range(lo, hi):
                 r = points[p]
                 q = _reflect(r, mirror)
-                if q not in index:
+                if q not in seen:
                     # s_{-r} = s_r, so -r keeps the word of r
                     negated = all(x == -y for x, y in zip(q, r))
                     verdict = add(q, words[p] if negated else (a,) + words[p] + (a,))
                     if verdict is not None:
                         return verdict
-                images[a].append(index[q])
         lo, hi = hi, len(points)
-    # a reflection moves a vector by a multiple of its root, so the
-    # generator roots, recorded first, span every root
-    base = []
-    for p in range(len(set(roots))):
-        if linalg.rank_of([points[b] for b in base] + [points[p]]) > len(base):
-            base.append(p)
-    return Finite(order=permutation_group_order([tuple(img) for img in images], base))
+    return Finite(order=_reflection_group_order(points, mirrors, gram))
+
+
+def _reflection_group_order(points, mirrors, gram):
+    """|W| for the finite group W generated by the reflections `mirrors`,
+    with `points` the signed roots, closed under W.
+
+    Orbit-stabiliser on a root rho: |W| = |W rho| |W_rho|, and by
+    Steinberg's theorem W_rho is generated by the reflections in the roots
+    orthogonal to rho, which are again closed under it (notes/decisions.md).
+    Each pass takes the orbit of the first root and keeps the roots
+    orthogonal to it; from the second pass on the mirrors are one per pair
+    +-r of the roots kept.  Reflections keep the norm, so the orbit is
+    complete once it holds every root of the norm of rho.
+    """
+    roots = [_mirror(gram, r) for r in points]
+    order = 1
+    while roots:
+        rho, g_rho, norm = roots[0]
+        size = sum(1 for m in roots if m[2] == norm)
+        orbit, members = [rho], {rho}
+        for r in orbit:
+            if len(orbit) == size:
+                break
+            for mirror in mirrors:
+                q = _reflect(r, mirror)
+                if q not in members:
+                    members.add(q)
+                    orbit.append(q)
+        order *= len(orbit)
+        roots = [m for m in roots if not _dot(m[0], g_rho)]
+        mirrors = [m for m in roots if m[0] > tuple(-x for x in m[0])]
+    return order
+
+
+def _mirror(gram, delta):
+    """(delta, G delta, (delta, delta)), what `_reflect` needs of a root."""
+    g_delta = linalg.mat_vec(gram, delta)
+    return delta, g_delta, _dot(delta, g_delta)
 
 
 def _reflect(root, mirror):
@@ -528,7 +472,7 @@ def _reflect(root, mirror):
     delta, g_delta, dd = mirror
     k, rem = divmod(2 * _dot(root, g_delta), dd)
     if rem:
-        raise AssertionError("a reflection moves a root by a non-integral multiple")
+        raise InternalError("a reflection moves a root by a non-integral multiple")
     if not k:
         return root
     return tuple(x - k * d for x, d in zip(root, delta))
@@ -625,7 +569,7 @@ def _pair_certificate(generators, gram, rho, word, rho_p, word_p):
         # g has integer trace (n - 2) + t, so the division is exact
         q, rem = divmod(4 * b * b, a * c)
         if rem:
-            raise AssertionError("trace 4b^2/(ac) - 2 of a root pair is not an integer")
+            raise InternalError("trace 4b^2/(ac) - 2 of a root pair is not an integer")
         t = q - 2
         verdict = Infinite(certificate=element, residual_charpoly=(1, -t, 1))
     verdict.validate()
@@ -649,4 +593,4 @@ def _index2_witness(matrix):
         img = linalg.mat_vec(U, cand)
         if not linalg.is_zero_vec(img):
             return tuple(cand), img
-    raise AssertionError("no index-2 witness: element is not a nontrivial unipotent")
+    raise InternalError("no index-2 witness: element is not a nontrivial unipotent")

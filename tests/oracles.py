@@ -11,8 +11,8 @@ def closure_naive(generators, limit=100000):
     """Order by repeated pairwise products until stable.
 
     Lists every element as a matrix, a different method from the
-    permutation-group order on the signed roots, so the two can be
-    cross-checked on small groups.
+    orbit-stabiliser order on the roots, so the two can be cross-checked
+    on small groups.
     """
     mats = {linalg.identity(generators[0].rank)}
     mats.update(g.matrix for g in generators)

@@ -1,12 +1,14 @@
 """Catalog: normal forms, fixtures, Weyl orders, criterion coherence."""
 import contextlib
 import io
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from eqsing import catalog, linalg
+from eqsing.action import Character, isotypic_sublattice
 from eqsing.catalog import (
     action_from_file,
     confining_list,
@@ -18,7 +20,7 @@ from eqsing.catalog import (
     simplicity_verdict,
     weyl_order,
 )
-from eqsing.errors import BadParameterError, NoFixtureError
+from eqsing.errors import BadParameterError, NoFixtureError, ZeroSublatticeError
 from eqsing.lattice import inertia
 from eqsing.localalg import coranks, milnor_number, quasihomogeneous_mu
 from eqsing.monodromy import Finite, Infinite
@@ -194,6 +196,39 @@ def test_remark1_consistency_folded_families():
     out = run_analysis(fixture_file("F4"))
     rep = milnor_number(normal_form("F4"))
     assert out.sublattice.rank == rep.dim_of((1,)) == 4
+
+
+def _every_fixture():
+    for entry in catalog.FAMILIES.values():
+        if entry.fixture is None:
+            continue
+        if entry.fixture_k is None:
+            yield pytest.param(entry.symbol, None, id=entry.symbol)
+        else:
+            lo, hi = entry.fixture_k
+            for k in range(lo, hi + 1):
+                yield pytest.param(entry.symbol, k, id=f"{entry.symbol}{k}")
+
+
+@pytest.mark.parametrize("symbol, k", _every_fixture())
+def test_wall_twist_every_fixture_and_character(symbol, k):
+    # Wall (1980): the chi-isotypic rank of the vanishing lattice equals the
+    # (chi det)-isotypic dimension of the Jacobian algebra, where det(g) is
+    # (-1) to the number of x-variables g negates
+    action, _ = action_from_file(fixture_file(symbol, k))
+    modulus = 1 if catalog.FAMILIES[symbol].kind == "confining" else None
+    f = normal_form(symbol, k=k, modulus=modulus)
+    assert set(action.names) == set(f.generator_names)
+    det = {name: (-1) ** len(ix) for name, ix in f.blocks}
+    rep = milnor_number(f)
+    for values in itertools.product((1, -1), repeat=len(action.names)):
+        chi = Character(values=tuple(zip(action.names, values)))
+        try:
+            rank = isotypic_sublattice(action, chi).rank
+        except ZeroSublatticeError:
+            rank = 0
+        twisted = tuple(chi.of(name) * det[name] for name in f.generator_names)
+        assert rank == rep.dim_of(twisted), (chi, rank, twisted)
 
 
 def test_quasihomogeneous_oracle_whole_catalog():

@@ -89,6 +89,22 @@ def test_analyze_unknown_exit_three(tmp_path):
     assert "Unknown" in out
 
 
+def test_analyze_internal_error_exit_two(monkeypatch):
+    # a witness that fails validation is an internal fault: exit 2 with an
+    # error line, never a verdict's exit code
+    from eqsing import monodromy
+
+    def wrong_witness(matrix):
+        v = (1,) + (0,) * (len(matrix) - 1)
+        return v, v
+
+    monkeypatch.setattr(monodromy, "_index2_witness", wrong_witness)
+    code, out, err = run_cli("analyze", str(FIXTURES / "m5.diagram"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_catalog_list_counts():
     code, out, _ = run_cli("catalog", "list", "--setting", "corner")
     assert code == 0

@@ -1,5 +1,5 @@
-"""Negative definite forms: the root search closes, and Schreier-Sims on
-the signed roots gives the exact order."""
+"""Negative definite forms: the root search closes, and orbit-stabiliser on
+the roots gives the exact order."""
 import random
 import time
 
@@ -13,13 +13,35 @@ from eqsing.monodromy import (
     Unknown,
     equivariant_generators,
     generate_group,
-    permutation_group_order,
     pl_reflection,
 )
 from oracles import closure_naive
 
 G2 = ((-2, 3), (3, -6))
+C2 = ((-2, 2), (2, -4))
 A1_CUBED = ((-2, 0, 0), (0, -2, 0), (0, 0, -2))
+
+
+def _direct_sum(*grams):
+    n = sum(len(g) for g in grams)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for g in grams:
+        for i, row in enumerate(g):
+            out[at + i][at:at + len(row)] = row
+        at += len(g)
+    return tuple(map(tuple, out))
+
+
+def _dynkin_gram(n, edges):
+    """-2 on the diagonal and 1 on each edge (i, j), 1-based."""
+    gram = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        gram[i - 1][j - 1] = gram[j - 1][i - 1] = 1
+    return gram
+
+
+A2 = _dynkin_gram(2, [(1, 2)])
 
 
 def _reflections(gram):
@@ -42,6 +64,10 @@ def _small_groups():
         pytest.param(_fixture_generators("B", 3), 48, id="B3"),
         pytest.param(_fixture_generators("C", 3), 48, id="C3"),
         pytest.param(_fixture_generators("D", 4), 192, id="D4"),
+        # reducible: roots of one norm fall into several orbits
+        pytest.param(_reflections(_direct_sum(A2, A2)), 36, id="A2+A2"),
+        pytest.param(_reflections(_direct_sum(((-2,),), A2)), 12, id="A1+A2"),
+        pytest.param(_reflections(_direct_sum(C2, G2)), 96, id="C2+G2"),
     ]
 
 
@@ -59,6 +85,15 @@ def test_e7_e8_simple_with_weyl_order(symbol):
     assert out.verdict == Finite(order=weyl_order(symbol))
     assert out.simple and out.criteria_agree
     assert elapsed < 5.0, f"{symbol} took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("symbol, n, edges", [
+    ("A", 12, [(i, i + 1) for i in range(1, 12)]),
+    ("D", 10, [(i, i + 1) for i in range(1, 9)] + [(8, 10)]),
+])
+def test_order_above_the_fixture_ranks(symbol, n, edges):
+    gens = _reflections(_dynkin_gram(n, edges))
+    assert generate_group(gens) == Finite(order=weyl_order(symbol, n))
 
 
 def test_definite_cap_bounds_the_orbit():
@@ -95,34 +130,3 @@ def test_random_definite_reflection_groups():
             continue
         assert generate_group(gens) == Finite(order=closure_naive(gens)), (gram, gens)
         checked += 1
-
-
-def _random_permutation(rng, degree):
-    p = list(range(degree))
-    if rng.random() < 0.4:
-        rng.shuffle(p)
-    else:
-        # a few transpositions: small, intransitive or imprimitive groups
-        for _ in range(rng.randint(0, 3)):
-            i, j = rng.randrange(degree), rng.randrange(degree)
-            p[i], p[j] = p[j], p[i]
-    return tuple(p)
-
-
-def test_permutation_order_matches_sympy():
-    combinatorics = pytest.importorskip("sympy.combinatorics")
-    rng = random.Random(1907)
-    for _ in range(300):
-        degree = rng.randint(1, 10)
-        gens = [_random_permutation(rng, degree) for _ in range(rng.randint(1, 4))]
-        group = combinatorics.PermutationGroup(
-            [combinatorics.Permutation(list(p)) for p in gens])
-        assert permutation_group_order(gens, range(degree)) == group.order(), gens
-
-
-def test_permutation_order_edge_cases():
-    assert permutation_group_order([], []) == 1
-    assert permutation_group_order([(0, 1, 2)], range(3)) == 1
-    assert permutation_group_order([(1, 2, 0)], range(3)) == 3
-    # a base whose pointwise stabiliser is trivial suffices
-    assert permutation_group_order([(1, 0, 3, 2), (2, 3, 0, 1)], base=[0]) == 4

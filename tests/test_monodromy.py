@@ -9,8 +9,10 @@ from eqsing.catalog import action_from_file, fixture_file
 from eqsing.diagram import to_lattice
 from eqsing.errors import (
     GeneratorError,
+    InternalError,
     IsotropicCycleError,
     NonIntegralReflectionError,
+    NotIsometryError,
     OrbitNotOrthogonalError,
     ProjectsToZeroError,
 )
@@ -322,6 +324,27 @@ def test_generate_group_refuses_bad_generator_lists():
     h1, h2 = (pl_reflection(A2, A2.basis_vector(i), name=f"h{i + 1}") for i in range(2))
     with pytest.raises(GeneratorError, match="g1 is no reflection"):
         generate_group([h1 @ h2])
+
+
+def test_element_not_preserving_the_form_is_refused():
+    with pytest.raises(NotIsometryError, match="does not preserve"):
+        MonodromyElement(matrix=((1, 1), (0, 1)), gram=A2.gram)
+
+
+def test_product_across_two_forms_is_refused():
+    h = pl_reflection(A2, (1, 0), name="h")
+    k = pl_reflection(IntLattice(((-2, 0), (0, -2))), (1, 0), name="k")
+    with pytest.raises(GeneratorError, match="different forms"):
+        h @ k
+
+
+def test_invariant_failures_are_typed():
+    # a certificate that fails its own check raises InternalError, which
+    # is an EqsingError and still an AssertionError
+    h = pl_reflection(A2, (1, 0), name="h")
+    with pytest.raises(InternalError, match="identity") as info:
+        Infinite(certificate=h @ h, witness=(1, 0), increment=(0, 0)).validate()
+    assert isinstance(info.value, AssertionError)
 
 
 def test_general_case_unknown_at_cap():
