@@ -236,7 +236,10 @@ def normal_form(symbol, k=None, m=None, n=None, modulus=None):
     if entry.kind == "confining":
         if modulus is None:
             raise BadParameterError(f"{entry.symbol} requires the modulus a")
-        a = Fraction(modulus)
+        try:
+            a = Fraction(modulus)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise BadParameterError(f"{entry.symbol}: bad modulus {modulus!r}")
         if entry.excluded(a):
             raise BadParameterError(f"{entry.symbol}: modulus excluded by "
                                     f"{entry.modulus_rule} (a={a})")

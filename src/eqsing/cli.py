@@ -163,7 +163,12 @@ def _text_report(source, dfile, outcome, elapsed):
     return "\n".join(out) + "\n"
 
 
-def _verdict_exit(outcome):
+def _write_verdict(args, source, dfile, outcome, elapsed):
+    """Write the report in the format asked for; the verdict's exit code."""
+    if args.format == "machine":
+        sys.stdout.write(_machine_report(source, dfile, outcome))
+    else:
+        sys.stdout.write(_text_report(source, dfile, outcome, elapsed))
     if outcome.verdict.kind == "unknown":
         return EXIT_UNKNOWN
     return EXIT_SIMPLE if outcome.simple else EXIT_NOT_SIMPLE
@@ -175,12 +180,7 @@ def cmd_analyze(args):
     dfile = parse_file(text)
     t0 = time.monotonic()
     outcome = catalog.run_analysis(dfile, cap=args.cap)
-    elapsed = time.monotonic() - t0
-    if args.format == "machine":
-        sys.stdout.write(_machine_report(args.file, dfile, outcome))
-    else:
-        sys.stdout.write(_text_report(args.file, dfile, outcome, elapsed))
-    return _verdict_exit(outcome)
+    return _write_verdict(args, args.file, dfile, outcome, time.monotonic() - t0)
 
 
 def cmd_catalog_list(args):
@@ -198,8 +198,7 @@ def cmd_catalog_list(args):
 def cmd_catalog_emit(args):
     if args.poly:
         f = catalog.normal_form(
-            args.symbol, k=args.k, m=args.m, n=args.n,
-            modulus=Fraction(args.modulus) if args.modulus is not None else None,
+            args.symbol, k=args.k, m=args.m, n=args.n, modulus=args.modulus
         )
         text = serialize_germ(f)
     else:
@@ -219,11 +218,7 @@ def cmd_catalog_verdict(args):
     elapsed = time.monotonic() - t0
     dfile = catalog.fixture_file(args.symbol, args.k)
     name = args.symbol.upper() + (str(args.k) if args.k else "")
-    if args.format == "machine":
-        sys.stdout.write(_machine_report(name, dfile, outcome))
-    else:
-        sys.stdout.write(_text_report(name, dfile, outcome, elapsed))
-    return _verdict_exit(outcome)
+    return _write_verdict(args, name, dfile, outcome, elapsed)
 
 
 def _parse_character(spec):
@@ -237,33 +232,43 @@ def _parse_character(spec):
 
 
 def cmd_mu(args):
+    try:
+        weights = [Fraction(w) for w in args.oracle.split(",")] if args.oracle else None
+    except (ValueError, ZeroDivisionError):
+        raise EqsingError(f"bad weight list {args.oracle!r} in --oracle")
+    oracle = quasihomogeneous_mu(weights) if weights else None
     with open(args.file) as fh:
         text = fh.read()
     f = parse_germ(text, corner=args.corner)
-    report = milnor_number(f, max_degree=args.max_degree)
     names = f.generator_names
+    character = [1] * len(names)
+    if args.character:
+        order = {n: i for i, n in enumerate(names)}
+        for n, v in _parse_character(args.character):
+            if n not in order:
+                raise EqsingError(f"unknown generator {n!r} (have {', '.join(names)})")
+            character[order[n]] = v
+    report = milnor_number(f, max_degree=args.max_degree)
     print(f"mu={report.mu}")
     print(f"truncation_degree={report.truncation_degree}")
     for chi, d in report.isotypic_dims:
         key = "".join("+" if c > 0 else "-" for c in chi) or "trivial"
         print(f"isotypic.{key}={d}")
     if args.character:
-        wanted = _parse_character(args.character)
-        order = {n: i for i, n in enumerate(names)}
-        chi = [1] * len(names)
-        for n, v in wanted:
-            if n not in order:
-                raise EqsingError(f"unknown generator {n!r} (have {', '.join(names)})")
-            chi[order[n]] = v
-        print(f"character.dim={report.dim_of(tuple(chi))}")
-    if args.oracle:
-        weights = [Fraction(w) for w in args.oracle.split(",")]
-        oracle = quasihomogeneous_mu(weights)
+        print(f"character.dim={report.dim_of(tuple(character))}")
+    if oracle is not None:
         print(f"oracle.mu={oracle}")
         print(f"oracle.agrees={'true' if oracle == report.mu else 'false'}")
         if oracle != report.mu:
             return EXIT_ERROR
     return EXIT_SIMPLE
+
+
+def _nonnegative(text):
+    """argparse type of --cap and --max-degree: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 _CAP_HELP = ("bound on the roots the finiteness search records, on every "
@@ -281,7 +286,7 @@ def build_parser():
 
     pa = sub.add_parser("analyze", help="run the full pipeline on a diagram+action file")
     pa.add_argument("file")
-    pa.add_argument("--cap", type=int, default=10**6, help=_CAP_HELP)
+    pa.add_argument("--cap", type=_nonnegative, default=10**6, help=_CAP_HELP)
     pa.add_argument("--format", choices=("text", "machine"), default="text")
     pa.set_defaults(func=cmd_analyze)
 
@@ -306,14 +311,14 @@ def build_parser():
     pv = csub.add_parser("verdict", help="run the simplicity criterion on a fixture")
     pv.add_argument("symbol")
     pv.add_argument("--k", type=int)
-    pv.add_argument("--cap", type=int, default=10**6, help=_CAP_HELP)
+    pv.add_argument("--cap", type=_nonnegative, default=10**6, help=_CAP_HELP)
     pv.add_argument("--format", choices=("text", "machine"), default="text")
     pv.set_defaults(func=cmd_catalog_verdict)
 
     pm = sub.add_parser("mu", help="Milnor number and isotypic dimensions")
     pm.add_argument("file")
     pm.add_argument("--character", help="e.g. sigma=+1 or s1=-1,s2=-1")
-    pm.add_argument("--max-degree", type=int, default=24)
+    pm.add_argument("--max-degree", type=_nonnegative, default=24)
     pm.add_argument("--oracle", help="quasihomogeneous weights w1,w2,...")
     pm.add_argument("--corner", action="store_true",
                     help="one generator per x-variable instead of a single sigma")
@@ -326,10 +331,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EqsingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (EqsingError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -112,6 +112,10 @@ class NotCertifiedError(EqsingError):
         )
 
 
+class GermError(EqsingError, ValueError):
+    """Malformed germ data, such as a constant term; also a ValueError."""
+
+
 class NotIntegerError(EqsingError):
     """Weight data does not yield an integer Milnor number."""
 

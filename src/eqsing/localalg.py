@@ -2,9 +2,10 @@
 
 The quotient dimension is computed by exact rational row reduction on
 monomials of bounded degree, with an explicit finiteness certificate:
-once every monomial of degree D lies in the truncated Jacobian row space,
-m^D is contained in the ideal (Nakayama), so the count of standard
-monomials below degree D is the exact Milnor number.  The Jacobian ideal
+once every degree-D column is a pivot of the row space truncated at D,
+every monomial of degree D lies in J + m^(D+1), so m^D is contained in
+the ideal (Nakayama), and the count of standard monomials (the non-pivot
+columns) below degree D is the exact Milnor number.  The Jacobian ideal
 of an invariant germ is group-stable, hence the quotient splits by
 character and the split is read off the parity classes of the standard
 monomials.
@@ -18,6 +19,7 @@ from math import lcm
 from . import linalg
 from .errors import (
     DiagramSyntaxError,
+    GermError,
     NotCertifiedError,
     NotIntegerError,
     NotInvariantError,
@@ -45,9 +47,9 @@ class PolyGerm:
                 continue
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(self.variables):
-                raise ValueError("exponent length does not match variable count")
+                raise GermError("exponent length does not match variable count")
             if sum(exps) == 0:
-                raise ValueError("germ must vanish at the origin (no constant term)")
+                raise GermError("germ must vanish at the origin (no constant term)")
             terms.append((exps, c))
         object.__setattr__(self, "terms", tuple(sorted(terms)))
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -56,7 +58,7 @@ class PolyGerm:
         for _, ix in blocks:
             for i in ix:
                 if not 0 <= i < len(self.variables):
-                    raise ValueError("block index out of range")
+                    raise GermError("block index out of range")
         # invariance: even degree inside each generator's block
         for exps, _ in self.terms:
             for name, ix in blocks:
@@ -124,8 +126,12 @@ def parse_germ(text, corner=False):
             try:
                 spec = dict(t.split(":", 1) for t in toks[1:])
                 m, n = int(spec["x"]), int(spec["y"])
+                if m < 0 or n < 0:
+                    raise ValueError
             except (KeyError, ValueError):
-                raise DiagramSyntaxError("expected `vars x:<m> y:<n>`", line=lineno)
+                raise DiagramSyntaxError(
+                    "expected `vars x:<m> y:<n>` with m, n >= 0", line=lineno
+                )
             continue
         if m is None:
             raise DiagramSyntaxError("term before vars header", line=lineno)
@@ -135,7 +141,7 @@ def parse_germ(text, corner=False):
             )
         try:
             coef = Fraction(toks[0])
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise DiagramSyntaxError(f"bad coefficient {toks[0]!r}", line=lineno)
         exps = [0] * (m + n)
         if toks[1] != "1":
@@ -193,104 +199,82 @@ class LocalAlgebraReport:
 
 
 def _partial(terms, v):
-    out = {}
-    for exps, c in terms.items():
+    """d/dv of the terms, as (exponents, degree, coefficient) triples."""
+    out = []
+    for exps, c in terms:
         if exps[v] > 0:
-            e = list(exps)
-            e[v] -= 1
-            out[tuple(e)] = c * exps[v]
+            e = exps[:v] + (exps[v] - 1,) + exps[v + 1:]
+            out.append((e, sum(e), c * exps[v]))
     return out
 
 
-def _monomials_upto(nvars, D):
-    if nvars == 0:
-        return [()]
-    out = []
-    for exps in itertools.product(range(D + 1), repeat=nvars):
-        if sum(exps) <= D:
-            out.append(exps)
-    return sorted(out, key=lambda e: (sum(e), e))
-
-
-class _EchelonSpace:
-    """Sparse exact row space with reduction, pivoting on the least column."""
-
-    def __init__(self):
-        self.pivots = {}
-
-    def reduce(self, row):
-        row = dict(row)
-        while row:
-            lead = min(row)
-            if lead not in self.pivots:
-                return row
-            prow = self.pivots[lead]
-            f = row[lead] / prow[lead]
-            for c, v in prow.items():
-                newv = row.get(c, Fraction(0)) - f * v
-                if newv == 0:
-                    row.pop(c, None)
-                else:
-                    row[c] = newv
-        return row
-
-    def insert(self, row):
-        rem = self.reduce(row)
-        if rem:
-            self.pivots[min(rem)] = rem
-            return True
-        return False
-
-    def contains(self, row):
-        return not self.reduce(row)
+def _reduce(pivots, row):
+    """Reduce `row` (column -> coefficient) in place by `pivots`, rows keyed
+    by their least column, until its least column is no pivot.  The result
+    is empty exactly when the row lies in the span of the pivot rows."""
+    while row:
+        lead = min(row)
+        prow = pivots.get(lead)
+        if prow is None:
+            break
+        f = row[lead] / prow[lead]
+        for c, v in prow.items():
+            v = row.get(c, 0) - f * v
+            if v:
+                row[c] = v
+            else:
+                del row[c]
+    return row
 
 
 def milnor_number(f, max_degree=24):
     """Milnor number and isotypic dimensions of the Jacobian quotient.
 
+    The columns are the monomials in (degree, lex) order.  At each D the
+    rows u * df/dv, truncated at degree D, are reduced to echelon form.  D
+    is certified when every degree-D column is a pivot of the row space
+    truncated at D; mu and the isotypic dimensions are then the non-pivot
+    columns, all of degree below D (notes/decisions.md).
+
     Raises NotCertifiedError when finiteness cannot be certified by
     `max_degree` (non-isolated critical point, or cap too small).
     """
-    terms = f.terms_dict()
-    gens = [_partial(terms, v) for v in range(f.nvars)]
-    gens = [g for g in gens if g]
+    gens = [g for g in (_partial(f.terms, v) for v in range(f.nvars)) if g]
     if not gens:
         raise NotCertifiedError(max_degree)
-    min_ord = [min(sum(e) for e in g) for g in gens]
+    table = [(0,) * f.nvars]  # the monomials, in (degree, lex) order
+    index = {table[0]: 0}
+    size = [1]  # size[d]: the monomials of degree <= d, a prefix of table
     for D in range(1, max_degree + 1):
-        monos = _monomials_upto(f.nvars, D)
-        index = {mm: i for i, mm in enumerate(monos)}
-        space = _EchelonSpace()
-        for g, og in zip(gens, min_ord):
-            for u in _monomials_upto(f.nvars, D - og):
-                row = {}
-                for exps, c in g.items():
-                    prod = tuple(a + b for a, b in zip(exps, u))
-                    if sum(prod) <= D:
-                        col = index[prod]
-                        row[col] = row.get(col, Fraction(0)) + c
+        for mono in sorted(
+            tuple(c.count(v) for v in range(f.nvars))
+            for c in itertools.combinations_with_replacement(range(f.nvars), D)
+        ):
+            index[mono] = len(table)
+            table.append(mono)
+        size.append(len(table))
+        pivots = {}
+        for g in gens:
+            top = D - min(d for _, d, _ in g)  # the multipliers' degree bound
+            if top < 0:
+                continue
+            for u in table[:size[top]]:
+                du = sum(u)
+                row = {index[tuple(a + b for a, b in zip(e, u))]: c
+                       for e, d, c in g if d + du <= D}
+                row = _reduce(pivots, row)
                 if row:
-                    space.insert(row)
-        certified = all(
-            space.contains({index[mm]: Fraction(1)})
-            for mm in monos
-            if sum(mm) == D
-        )
-        if not certified:
-            continue
-        standard = [mm for mm in monos if index[mm] not in space.pivots]
-        assert all(sum(mm) < D for mm in standard)
-        chars = list(itertools.product((1, -1), repeat=len(f.blocks)))
-        dims = {chi: 0 for chi in chars}
-        for mm in standard:
-            dims[f.character_of_monomial(mm)] += 1
-        report = LocalAlgebraReport(
-            mu=len(standard),
-            isotypic_dims=tuple((chi, dims[chi]) for chi in chars),
-            truncation_degree=D,
-        )
-        assert sum(d for _, d in report.isotypic_dims) == report.mu
-        return report
+                    pivots[min(row)] = row
+        if all(c in pivots for c in range(size[D - 1], size[D])):
+            dims = dict.fromkeys(itertools.product((1, -1), repeat=len(f.blocks)), 0)
+            for c in range(size[D - 1]):
+                if c not in pivots:
+                    dims[f.character_of_monomial(table[c])] += 1
+            return LocalAlgebraReport(
+                mu=sum(dims.values()),
+                isotypic_dims=tuple(dims.items()),
+                truncation_degree=D,
+            )
     raise NotCertifiedError(max_degree)
 
 

@@ -9,7 +9,7 @@ form chooses only the partner test and whether the Coxeter orbits run:
   - negative semidefinite, definite included: breadth-first over the
     generators, and the pair is a collision of root classes, a unipotent
     translation as in an affine Weyl group.  On a definite form the kernel
-    is zero, no two roots share a class, and the search always closes.
+    is zero, no two roots share a class, none is tested, and it closes.
   - any other form: the Coxeter orbits c^k delta_i come first.  b^2 = ac
     gives a unipotent with a power-law witness, b^2 > ac an element with a
     real eigenvalue off the unit circle, a root of x^2 - t x + 1 with
@@ -322,8 +322,7 @@ def generate_group(generators, cap=10**6):
     if None in roots:
         name = _word_names(generators, (roots.index(None),))[0]
         raise GeneratorError(f"generator {name} is no reflection")
-    semidefinite = inertia(IntLattice(gram)).negative_semidefinite
-    return _generate_reflections(generators, roots, cap, semidefinite)
+    return _generate_reflections(generators, roots, cap, inertia(IntLattice(gram)))
 
 
 def _reflection_root(g):
@@ -363,7 +362,7 @@ def _root_class(gram, root):
     return tuple(x // g for x in v)
 
 
-def _generate_reflections(generators, roots, cap, semidefinite):
+def _generate_reflections(generators, roots, cap, sig):
     """Search the orbit of the generator roots for an infinite pair.
 
     The roots are signed vectors, each with a word for its reflection.  The
@@ -378,16 +377,21 @@ def _generate_reflections(generators, roots, cap, semidefinite):
     Each new root rho is tested against the roots already seen: on a
     semidefinite form by its class (`_root_class`), elsewhere by the pair
     test of `_pair_partner`.  On a definite form no two roots share a class,
-    so the search always closes.  The first partner rho' gives the
-    certificate g = s_rho s_rho' (`_pair_certificate`).  More than `cap`
-    roots gives Unknown.  A closure with no partner is a finite group, and
-    `_reflection_group_order` gives its order from the roots recorded
-    (notes/decisions.md).
+    so none is tested, and the search always closes.  The first partner
+    rho' gives the certificate g = s_rho s_rho' (`_pair_certificate`).
+    More than `cap` roots gives Unknown.  A closure with no partner is a
+    finite group, and `_reflection_group_order` gives its order from the
+    roots recorded (notes/decisions.md).
     """
     gram = generators[0].gram
     mirrors = [_mirror(gram, root) for root in roots]
     points, words, seen = [], [], set()
-    partner = _class_partner(gram) if semidefinite else _pair_partner(gram)
+    if sig.negative_definite:  # the kernel is zero: no two roots share a class
+        partner = lambda root: None
+    elif sig.negative_semidefinite:
+        partner = _class_partner(gram)
+    else:
+        partner = _pair_partner(gram)
 
     def add(root, word):
         """Record a new root; the verdict when it ends the search."""
@@ -403,7 +407,7 @@ def _generate_reflections(generators, roots, cap, semidefinite):
         return None
 
     seeds = [(root, (i,)) for i, root in enumerate(roots)]
-    orbits = () if semidefinite else _coxeter_orbits(mirrors)
+    orbits = () if sig.negative_semidefinite else _coxeter_orbits(mirrors)
     for root, word in itertools.chain(seeds, orbits):
         if root not in seen:
             verdict = add(root, word)

@@ -224,6 +224,44 @@ def test_mu_A4_trivial(tmp_path):
     assert "mu=4" in out
 
 
+_A2_POLY = "vars x:0 y:1\n1 y1^3\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["mu", "{file}"], "vars x:0 y:1\n1 1\n1 y1^3\n"),
+    (["mu", "{file}"], "vars x:-1 y:2\n1 y1^3\n"),
+    (["mu", "{file}"], "vars x:0 y:1\n1/0 y1^3\n"),
+    (["mu", "{file}", "--oracle", "1/0"], _A2_POLY),
+    (["mu", "{file}", "--oracle", "abc"], _A2_POLY),
+    (["mu", "{file}", "--oracle", "2/3"], _A2_POLY),
+    (["mu", "{file}", "--character", "s9=-1"], _A2_POLY),
+    (["mu", "{file}"], b"\xff\xfe"),
+    (["analyze", "{file}"], b"\xff\xfe"),
+    (["mu", "{file}", "--max-degree", "-1"], _A2_POLY),
+    (["catalog", "emit", "X9", "--poly", "--modulus", "abc"], None),
+    (["catalog", "verdict", "E6", "--cap", "-5"], None),
+    (["analyze", str(FIXTURES / "m5.diagram"), "--cap", "-5"], None),
+], ids=["constant-term", "negative-count", "zero-denominator", "oracle-1/0",
+        "oracle-abc", "oracle-2/3", "unknown-generator", "mu-not-utf8",
+        "analyze-not-utf8", "negative-max-degree", "modulus-abc", "verdict-negative-cap",
+        "analyze-negative-cap"])
+def test_bad_input_exits_two(tmp_path, argv, text):
+    # a refused input is exit 2 with one error line: never a traceback, and
+    # never an exit code that reads as a verdict
+    path = tmp_path / "probe.poly"
+    if text is not None:
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([a.format(file=path) for a in argv])
+        except SystemExit as exc:  # argparse's exit on a usage error
+            code = exc.code
+    assert code == 2
+    assert out.getvalue() == ""
+    assert len([l for l in err.getvalue().splitlines() if "error:" in l]) == 1
+
+
 def test_cli_import_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run(

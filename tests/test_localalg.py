@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from eqsing.catalog import normal_form
 from eqsing.errors import (
     DiagramSyntaxError,
     NotCertifiedError,
@@ -186,6 +187,79 @@ def test_parse_germ_errors():
         parse_germ("vars q:1\n")
 
 
+def test_parse_germ_names_the_line():
+    cases = [
+        ("vars x:-1 y:2\n1 y1^3\n", 1),  # negative count
+        ("vars x:0\n", 1),  # missing count
+        ("# A2\nvars x:0 y:1\n1/0 y1^3\n", 3),  # zero denominator
+        ("vars x:0 y:1\nabc y1^3\n", 2),
+    ]
+    for text, line in cases:
+        with pytest.raises(DiagramSyntaxError) as exc:
+            parse_germ(text)
+        assert exc.value.line == line
+
+
 def test_truncation_degree_is_reported():
     rep = milnor_number(x9_member())
     assert rep.truncation_degree == 5
+
+
+# (symbol, k, m, n, modulus) -> (mu, isotypic dims in binary character
+# order, truncation degree): every family's normal form at its minimal
+# (m, n), moduli as in acceptance criterion 5, then the stabilised forms
+# of the benchmark's `mu` workload
+PINNED = {
+    ("A", 1, None, None, None): (1, (1,), 1),
+    ("A", 8, None, None, None): (8, (8,), 8),
+    ("D", 4, None, None, None): (4, (4,), 3),
+    ("D", 6, None, None, None): (6, (6,), 5),
+    ("E6", None, None, None, None): (6, (6,), 4),
+    ("E7", None, None, None, None): (7, (7,), 5),
+    ("E8", None, None, None, None): (8, (8,), 5),
+    ("B", 2, None, None, None): (3, (2, 1), 3),
+    ("B", 4, None, None, None): (7, (4, 3), 7),
+    ("C", 2, None, None, None): (3, (2, 1), 3),
+    ("C", 4, None, None, None): (5, (4, 1), 4),
+    ("F4", None, None, None, None): (6, (4, 2), 4),
+    ("P8", None, None, None, "0"): (8, (8,), 4),
+    ("X9", None, None, None, "1"): (9, (9,), 5),
+    ("J10", None, None, None, "1"): (10, (10,), 7),
+    ("F10", None, None, None, "1"): (10, (6, 4), 7),
+    ("K42", None, None, None, "1"): (9, (6, 3), 5),
+    ("L6", None, None, None, "0"): (8, (6, 2), 4),
+    ("M5", None, None, None, "1"): (9, (5, 4), 5),
+    ("M4", None, None, None, "1"): (9, (4, 2, 2, 1), 5),
+    ("A", 16, 1, 3, None): (16, (16, 0), 16),
+    ("A", 20, 0, 4, None): (20, (20,), 20),
+    ("D", 16, 1, 3, None): (16, (16, 0), 15),
+    ("B", 8, 2, 2, None): (15, (8, 7), 15),
+    ("J10", None, 2, 3, "1"): (10, (10, 0), 7),
+    ("F10", None, 2, 3, "1"): (10, (6, 4), 7),
+}
+
+def _form_id(form):
+    symbol, k, m, n, _ = form
+    return f"{symbol}{k or ''}" + (f"(m={m},n={n})" if m is not None else "")
+
+
+def _normal_form(form):
+    symbol, k, m, n, modulus = form
+    return normal_form(symbol, k=k, m=m, n=n, modulus=modulus)
+
+
+@pytest.mark.parametrize("form", list(PINNED), ids=_form_id)
+def test_pinned_reports(form):
+    rep = milnor_number(_normal_form(form))
+    dims = tuple(d for _, d in rep.isotypic_dims)
+    assert (rep.mu, dims, rep.truncation_degree) == PINNED[form]
+
+
+# A20 (m=0, n=4), the largest, is left out: its check alone takes about 1 s
+@pytest.mark.parametrize("form", [f for f in PINNED if f != ("A", 20, 0, 4, None)],
+                         ids=_form_id)
+def test_truncation_degree_is_minimal(form):
+    # no lower degree certifies: the report's D is the first that does
+    degree = PINNED[form][2]
+    with pytest.raises(NotCertifiedError):
+        milnor_number(_normal_form(form), max_degree=degree - 1)

@@ -1,7 +1,14 @@
-"""Property test: reflections in random integral roots on random integral
-forms end in a checked verdict or a typed error, never a traceback."""
+"""Property tests: reflections in random integral roots on random integral
+forms, and random small polynomial files through `eqsing mu`, end in a
+checked answer or a typed error, never a traceback."""
+import contextlib
+import io
+import os
+import tempfile
+
 from hypothesis import given, settings, strategies as st
 
+from eqsing.cli import main
 from eqsing.errors import EqsingError, InternalError
 from eqsing.monodromy import generate_group, pl_reflection
 from oracles import closure_naive
@@ -37,3 +44,45 @@ def test_random_reflection_groups_end_in_a_checked_verdict(case):
         assert verdict.validate()
     elif verdict.kind == "finite" and verdict.order <= 200:
         assert verdict.order == closure_naive(gens)
+
+
+@st.composite
+def polynomial_files(draw):
+    """The text of a small polynomial file: a `vars` header with counts in
+    -1..2, a power of each variable, then up to three terms.  A coefficient
+    may be 0 or 1/0, a variable out of range, a term odd in an x-block."""
+    count = st.sampled_from((1, 2, 0, 1, 2, 1, 2, 0, 1, 2, 1, -1))
+    m, n = draw(count), draw(count)
+    names = [f"x{i}" for i in range(1, m + 1)] + [f"y{j}" for j in range(1, n + 1)]
+    coef = st.sampled_from(("1", "-2", "1/3", "2", "-1", "1/2", "3", "5", "-3", "2/3",
+                            "1", "7", "0", "1/0"))
+    lines = [f"vars x:{m} y:{n}"]
+    for name in names:
+        power = draw(st.sampled_from((2, 4, 3) if name[0] == "x" else (2, 3, 5)))
+        lines.append(f"{draw(coef)} {name}^{power}")
+    factor = st.tuples(st.sampled_from(names * 4 + ["x3", "y3"]), st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 3))):
+        factors = draw(st.lists(factor, min_size=1, max_size=2))
+        mono = "*".join(f"{v}^{e}" for v, e in factors)
+        lines.append(f"{draw(coef)} {mono}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(polynomial_files(), st.booleans())
+def test_random_polynomial_files_end_in_mu_or_a_typed_error(text, corner):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "germ.poly")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["mu", path, "--max-degree", "8"] + (["--corner"] if corner else [])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        return
+    lines = dict(line.split("=", 1) for line in out.getvalue().splitlines())
+    dims = [int(v) for k, v in lines.items() if k.startswith("isotypic.")]
+    assert sum(dims) == int(lines["mu"])
