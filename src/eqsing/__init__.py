@@ -15,7 +15,7 @@ from .action import (
     SignedPermutation,
     corner_rule,
     isotypic_sublattice,
-    orbit_decomposition,
+    signed_orbits,
     validate_action,
     z2_rule,
 )
@@ -25,7 +25,6 @@ from .monodromy import (
     MonodromyElement,
     Unknown,
     generate_group,
-    orbit_generator,
     pl_reflection,
     power_law_check,
 )
@@ -47,9 +46,9 @@ __all__ = [
     "DynkinDiagram", "DiagramFile", "parse_diagram", "parse_file", "serialize",
     "to_lattice",
     "Character", "GroupAction", "SignedPermutation", "corner_rule",
-    "isotypic_sublattice", "orbit_decomposition", "validate_action", "z2_rule",
+    "isotypic_sublattice", "signed_orbits", "validate_action", "z2_rule",
     "Finite", "Infinite", "MonodromyElement", "Unknown", "generate_group",
-    "orbit_generator", "pl_reflection", "power_law_check",
+    "pl_reflection", "power_law_check",
     "LocalAlgebraReport", "PolyGerm", "coranks", "germ", "milnor_number",
     "parse_germ", "quasihomogeneous_mu",
     "catalog",

@@ -4,13 +4,22 @@ Generators are signed permutations of the basis cycles.  The action must
 consist of commuting involutive isometries of the intersection form; the
 (-1)^bullet-isotypic part for a character chi is the saturated sublattice
 {a : sigma_i a = chi(sigma_i) a for every generator}.
+
+A signed permutation keeps the span of each orbit of basis cycles, so the
+sublattice is a sum over the orbits.  On one orbit a chi-vector c satisfies
+c(j) = chi(sigma) s c(i) whenever sigma(e_i) = s e_j: one walk over the
+generators' image tables either fixes c up to sign or finds two paths that
+give c(j) opposite signs, and then the orbit carries none
+(`signed_orbits`; notes/decisions.md).
 """
 import itertools
 from dataclasses import dataclass
 
 from . import linalg
 from .errors import (
+    ActionDataError,
     NotCommutingError,
+    NotFoundError,
     NotInvolutionError,
     NotIsometryError,
     ZeroSublatticeError,
@@ -29,9 +38,9 @@ class SignedPermutation:
         object.__setattr__(self, "images", images)
         targets = [j for j, _ in images]
         if sorted(targets) != list(range(len(images))):
-            raise ValueError("underlying index map is not a bijection")
+            raise ActionDataError("underlying index map is not a bijection")
         if any(s not in (1, -1) for _, s in images):
-            raise ValueError("signs must be +1 or -1")
+            raise ActionDataError("signs must be +1 or -1")
 
     @property
     def size(self):
@@ -51,10 +60,6 @@ class SignedPermutation:
             out[j] += s * v[i]
         return tuple(out)
 
-    def unsigned(self):
-        """The underlying permutation i -> j, signs dropped."""
-        return tuple(j for j, _ in self.images)
-
 
 def signed_permutation_from_file(images_1based, vertex_ids):
     """Build a SignedPermutation from file-format image triples (i, j, sign)."""
@@ -63,7 +68,7 @@ def signed_permutation_from_file(images_1based, vertex_ids):
     for i, j, s in images_1based:
         images[index[i]] = (index[j], s)
     if any(im is None for im in images):
-        raise ValueError("generator does not cover every vertex")
+        raise ActionDataError("generator does not cover every vertex")
     return SignedPermutation(images=tuple(images))
 
 
@@ -76,14 +81,14 @@ class Character:
     def __post_init__(self):
         values = tuple((str(n), int(v)) for n, v in self.values)
         if any(v not in (1, -1) for _, v in values):
-            raise ValueError("character values must be +1 or -1")
+            raise ActionDataError("character values must be +1 or -1")
         object.__setattr__(self, "values", values)
 
     def of(self, name):
         for n, v in self.values:
             if n == name:
                 return v
-        raise KeyError(name)
+        raise NotFoundError(name)
 
     def names(self):
         return tuple(n for n, _ in self.values)
@@ -114,29 +119,14 @@ class GroupAction:
         object.__setattr__(self, "generators", gens)
         names = [n for n, _ in gens]
         if len(set(names)) != len(names):
-            raise ValueError("generator names must be unique")
+            raise ActionDataError("generator names must be unique")
         for _, g in gens:
             if g.size != self.lattice.rank:
-                raise ValueError("generator size does not match lattice rank")
+                raise ActionDataError("generator size does not match lattice rank")
 
     @property
     def names(self):
         return tuple(n for n, _ in self.generators)
-
-    def elements(self):
-        """All 2^m group elements as (chi-evaluation order) matrices.
-
-        Yields (subset, matrix) where subset is the tuple of generator
-        names multiplied together; the empty subset is the identity.
-        """
-        n = self.lattice.rank
-        mats = [(name, g.matrix) for name, g in self.generators]
-        for r in range(len(mats) + 1):
-            for combo in itertools.combinations(mats, r):
-                M = linalg.identity(n)
-                for _, gm in combo:
-                    M = linalg.mat_mul(gm, M)
-                yield tuple(name for name, _ in combo), M
 
 
 def validate_action(action):
@@ -178,74 +168,53 @@ def validate_action(action):
     return None
 
 
+def signed_orbits(action, chi):
+    """((orbit, cycle), ...): each orbit of basis indices with its chi-vector.
+
+    Orbits are sorted ascending and ordered by least index i0.  The walk
+    sets c(i0) = +1 and c(j) = chi(sigma) s c(i) for each generator sigma
+    with sigma(e_i) = s e_j; `cycle` is sum c(j) e_j in ambient coordinates,
+    or None when two paths give some c(j) opposite signs.  O(n m) for n
+    cycles and m generators; reads only the image tables and does not
+    validate the action.
+    """
+    moves = [(chi.of(name), g.images) for name, g in action.generators]
+    n = action.lattice.rank
+    sign = [0] * n
+    out = []
+    for start in range(n):
+        if sign[start]:
+            continue
+        sign[start] = 1
+        orbit, consistent = [start], True
+        for i in orbit:
+            for c, images in moves:
+                j, s = images[i]
+                value = c * s * sign[i]
+                if not sign[j]:
+                    sign[j] = value
+                    orbit.append(j)
+                elif sign[j] != value:
+                    consistent = False
+        orbit.sort()
+        cycle = [0] * n
+        for j in orbit:
+            cycle[j] = sign[j]
+        out.append((tuple(orbit), tuple(cycle) if consistent else None))
+    return tuple(out)
+
+
 def isotypic_sublattice(action, chi):
     """Saturated sublattice {a : sigma_i a = chi(sigma_i) a for all i}.
 
-    Solved as the integer kernel of the stacked matrices sigma_i - chi_i I,
-    which is saturated and in Hermite normal form already, so it becomes
-    the sublattice basis as it is.  Equals the saturated image of the
-    character projector sum_g chi(g) g (cross-checked in the test suite).
+    Its basis is the cycles of the orbits that carry a chi-vector
+    (`signed_orbits`), by least index.  They have disjoint supports, entries
+    +-1 and leading entry +1, so they span a saturated sublattice and are
+    its Hermite normal form already.  Raises ZeroSublatticeError when no
+    orbit carries one.
     """
     validate_action(action)
-    n = action.lattice.rank
-    if not action.generators:
-        return Sublattice._canonical(action.lattice, linalg.identity(n))
-    rows = []
-    for name, g in action.generators:
-        c = chi.of(name)
-        M = g.matrix
-        for i in range(n):
-            rows.append(tuple(M[i][j] - (c if i == j else 0) for j in range(n)))
-    ker = linalg.int_kernel(linalg.freeze(rows))
-    if not ker:
+    basis = tuple(cycle for _, cycle in signed_orbits(action, chi) if cycle is not None)
+    if not basis:
         raise ZeroSublatticeError("isotypic sublattice is zero; nothing to restrict to")
-    return Sublattice._canonical(action.lattice, ker)
-
-
-def orbit_decomposition(action):
-    """Orbits of basis indices under the unsigned permutation group.
-
-    Each orbit is sorted ascending; orbits are ordered by least element.
-    Indices are 0-based basis positions.  Reads only the unsigned
-    permutations and does not validate the action: `equivariant_generators`
-    validates it first, in `isotypic_sublattice`.
-    """
-    n = action.lattice.rank
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for _, g in action.generators:
-        for i, j in enumerate(g.unsigned()):
-            ra, rb = find(i), find(j)
-            if ra != rb:
-                parent[rb] = ra
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(v)) for _, v in sorted(groups.items()))
-
-
-def character_projection(action, chi, v):
-    """Apply the chi-projector (1/|G|) sum_g chi(g) g to v; exact rationals.
-
-    Returns a tuple of Fractions (callers primitivize integer multiples).
-    """
-    from fractions import Fraction
-
-    n = action.lattice.rank
-    acc = [Fraction(0)] * n
-    count = 0
-    for subset, M in action.elements():
-        c = 1
-        for name in subset:
-            c *= chi.of(name)
-        img = linalg.mat_vec(M, v)
-        for i in range(n):
-            acc[i] += c * img[i]
-        count += 1
-    return tuple(x / count for x in acc)
+    return Sublattice._canonical(action.lattice, basis)

@@ -10,6 +10,11 @@ class InternalError(EqsingError, AssertionError):
     verdict.  It is also an AssertionError, which is what it replaces."""
 
 
+class NotFoundError(EqsingError, KeyError):
+    """A lookup by name found nothing: a generator a character has no value
+    for, or a character a report does not list.  Also a KeyError."""
+
+
 # --- diagram file parsing ---
 
 class DiagramError(EqsingError):
@@ -47,11 +52,21 @@ class DuplicateEdgeError(DiagramError):
 
 # --- lattices and sublattices ---
 
+class LatticeDataError(EqsingError, ValueError):
+    """A Gram matrix or sublattice basis that is not well formed; also a
+    ValueError."""
+
+
 class DependentBasisError(EqsingError):
     """Input vectors are linearly dependent over the rationals."""
 
 
 # --- group actions ---
+
+class ActionDataError(EqsingError, ValueError):
+    """A signed permutation, character or generator list that is not well
+    formed; also a ValueError."""
+
 
 class ActionError(EqsingError):
     """A group-action invariant is violated; carries witness data."""
@@ -88,7 +103,9 @@ class OrbitNotOrthogonalError(EqsingError):
 
 
 class ProjectsToZeroError(EqsingError):
-    """The character projection of the orbit cycle vanishes."""
+    """The orbit carries no chi-vector: two paths through the orbit give one
+    cycle opposite signs, so the character projection of its cycles is
+    zero."""
 
 
 class GeneratorError(EqsingError):

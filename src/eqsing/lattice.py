@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .errors import DependentBasisError
+from .errors import DependentBasisError, LatticeDataError
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,14 @@ class IntLattice:
         n = len(gram)
         for i, row in enumerate(gram):
             if len(row) != n:
-                raise ValueError("gram matrix must be square")
+                raise LatticeDataError("gram matrix must be square")
             for j in range(n):
                 if gram[i][j] != gram[j][i]:
-                    raise ValueError(f"gram matrix not symmetric at ({i},{j})")
+                    raise LatticeDataError(f"gram matrix not symmetric at ({i},{j})")
         if self.labels is not None:
             labels = tuple(self.labels)
             if len(labels) != n:
-                raise ValueError("labels length must equal rank")
+                raise LatticeDataError("labels length must equal rank")
             object.__setattr__(self, "labels", labels)
 
     @property
@@ -168,15 +168,15 @@ class Sublattice:
         if len(set(len(b) for b in basis)) > 1 or (
             basis and len(basis[0]) != self.ambient.rank
         ):
-            raise ValueError("basis vectors must have ambient rank length")
+            raise LatticeDataError("basis vectors must have ambient rank length")
         canonical = linalg.hnf(basis)
         if len(canonical) != len(basis):
             raise DependentBasisError("basis vectors are rationally dependent")
         if canonical != linalg.saturation(basis):
-            raise ValueError("basis does not span a saturated sublattice")
+            raise LatticeDataError("basis does not span a saturated sublattice")
         gram = _gram_on(self.ambient, basis)
         if self.restricted_gram is not None and linalg.freeze(self.restricted_gram) != gram:
-            raise ValueError("restricted_gram inconsistent with ambient products")
+            raise LatticeDataError("restricted_gram inconsistent with ambient products")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "restricted_gram", gram)
 
@@ -205,20 +205,6 @@ class Sublattice:
         for c, b in zip(v, self.basis):
             out = linalg.vec_add(out, linalg.vec_scale(c, b))
         return out
-
-    def coordinates(self, ambient_vec):
-        """Ambient vector -> sublattice coordinates; None if outside.
-
-        The basis is independent, so the integer kernel of the columns
-        [basis | v] is zero (v off the rational span) or spanned by one
-        primitive (x, c).  v lies in the lattice exactly when c = +-1, and
-        then its coordinates are -c x.
-        """
-        ker = linalg.int_kernel(linalg.transpose(self.basis + (tuple(ambient_vec),)))
-        if not ker or ker[0][-1] not in (1, -1):
-            return None
-        *x, c = ker[0]
-        return tuple(-c * xi for xi in x)
 
 
 def restrict(lattice, vectors):

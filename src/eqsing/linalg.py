@@ -7,6 +7,8 @@ form with transform for integer kernels and saturations.
 """
 from math import gcd
 
+from .errors import InternalError
+
 
 def freeze(rows):
     """Normalize a matrix-like into a tuple of tuples."""
@@ -56,7 +58,7 @@ def primitive(v):
     for x in w:
         if x != 0:
             return w if x > 0 else tuple(-y for y in w)
-    raise AssertionError("unreachable")
+    raise InternalError("unreachable: a nonzero vector has a nonzero entry")
 
 
 def hnf(rows):

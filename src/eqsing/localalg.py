@@ -21,6 +21,7 @@ from .errors import (
     DiagramSyntaxError,
     GermError,
     NotCertifiedError,
+    NotFoundError,
     NotIntegerError,
     NotInvariantError,
 )
@@ -195,7 +196,7 @@ class LocalAlgebraReport:
         for chi, d in self.isotypic_dims:
             if chi == tuple(character):
                 return d
-        raise KeyError(character)
+        raise NotFoundError(character)
 
 
 def _partial(terms, v):

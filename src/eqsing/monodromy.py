@@ -30,7 +30,7 @@ from math import gcd
 from typing import Optional
 
 from . import linalg
-from .action import character_projection, orbit_decomposition, isotypic_sublattice
+from .action import isotypic_sublattice, signed_orbits
 from .errors import (
     GeneratorError,
     InternalError,
@@ -102,88 +102,81 @@ def pl_reflection(lattice_or_sub, delta, name=None):
     n = len(G)
     delta = tuple(delta)
     Gd = linalg.mat_vec(G, delta)
-    dd = sum(a * b for a, b in zip(delta, Gd))
+    dd = _dot(delta, Gd)
+    _check_integral(delta, Gd, dd)
+    rows = tuple(
+        tuple((1 if i == j else 0) - 2 * Gd[j] * delta[i] // dd for j in range(n))
+        for i in range(n)
+    )
+    word = (name,) if name is not None else ()
+    return MonodromyElement(matrix=rows, gram=G, word=word)
+
+
+def _check_integral(delta, Gd, dd):
+    """Raise unless the reflection in delta, with Gd = G delta and
+    dd = (delta, delta), is an integer matrix: dd != 0 and dd divides
+    every 2 (e_j, delta) delta_i."""
     if dd == 0:
         raise IsotropicCycleError(f"cycle {delta} has self-intersection zero")
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            num = -2 * Gd[j] * delta[i]
-            if num % dd != 0:
+    for d in filter(None, delta):
+        for j, x in enumerate(Gd):
+            if 2 * x * d % dd:
                 raise NonIntegralReflectionError(
                     f"reflection in {delta} is not integral: "
                     f"2(e_{j + 1}, delta) delta is not divisible by ({dd})"
                 )
-            row.append((1 if i == j else 0) + num // dd)
-        rows.append(tuple(row))
-    word = (name,) if name is not None else ()
-    return MonodromyElement(matrix=tuple(rows), gram=G, word=word)
-
-
-def orbit_cycle(action, chi, orbit):
-    """Primitive chi-projection of the orbit's least cycle, ambient coords."""
-    n = action.lattice.rank
-    rep = tuple(1 if i == min(orbit) else 0 for i in range(n))
-    proj = character_projection(action, chi, rep)
-    if all(x == 0 for x in proj):
-        raise ProjectsToZeroError(
-            f"orbit {tuple(i + 1 for i in orbit)} projects to zero under the character"
-        )
-    den = 1
-    for x in proj:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = tuple(int(x * den) for x in proj)
-    return linalg.primitive(ints)
-
-
-def orbit_generator(action, chi, orbit, sub=None, name=None):
-    """Equivariant monodromy generator attached to one orbit of cycles.
-
-    The reflection in the primitive character projection of the orbit
-    cycle, on the chi-isotypic sublattice.  Asserts that it is the
-    restriction of the product of the ambient Picard-Lefschetz reflections
-    over the orbit (pairwise-orthogonal cycles, so the order is
-    immaterial): with B^T the sublattice basis as columns, the ambient
-    product times B^T equals B^T times the reflection.
-    """
-    G = action.lattice.gram
-    orbit = tuple(sorted(orbit))
-    for i, j in itertools.combinations(orbit, 2):
-        if G[i][j] != 0:
-            raise OrbitNotOrthogonalError(
-                f"cycles {i + 1} and {j + 1} in one orbit have product {G[i][j]} != 0"
-            )
-    if sub is None:
-        sub = isotypic_sublattice(action, chi)
-    n = action.lattice.rank
-    amb = linalg.identity(n)
-    for i in orbit:
-        H = pl_reflection(action.lattice, action.lattice.basis_vector(i)).matrix
-        amb = linalg.mat_mul(H, amb)
-    delta_amb = orbit_cycle(action, chi, orbit)
-    delta_sub = sub.coordinates(delta_amb)
-    if delta_sub is None:
-        raise ProjectsToZeroError(
-            "orbit cycle projection does not lie in the isotypic sublattice"
-        )
-    refl = pl_reflection(sub, delta_sub, name=name)
-    cols = linalg.transpose(sub.basis)
-    if linalg.mat_mul(amb, cols) != linalg.mat_mul(cols, refl.matrix):
-        raise InternalError(
-            "restricted orbit product disagrees with the reflection in the "
-            "projected cycle; action data is inconsistent"
-        )
-    return refl
 
 
 def equivariant_generators(action, chi):
-    """(sublattice, [h_1, ..., h_r]) for the pipeline: one reflection per orbit."""
+    """(sublattice, [h_1, ..., h_r]) for the pipeline: one reflection per orbit.
+
+    Orbit k's cycle is basis vector k of the isotypic sublattice, so h_k is
+    the reflection in it.  Each orbit is checked in turn: its cycles are
+    pairwise orthogonal (OrbitNotOrthogonalError), the ambient reflection
+    in each is integral, and it carries a chi-vector (ProjectsToZeroError).
+    h_k is then checked against the product of the ambient reflections
+    over the orbit (`_check_orbit_product`).
+    """
     sub = isotypic_sublattice(action, chi)
+    G = action.lattice.gram
     gens = []
-    for k, orbit in enumerate(orbit_decomposition(action), start=1):
-        gens.append(orbit_generator(action, chi, orbit, sub=sub, name=f"h{k}"))
+    for k, (orbit, cycle) in enumerate(signed_orbits(action, chi)):
+        for i, j in itertools.combinations(orbit, 2):
+            if G[i][j] != 0:
+                raise OrbitNotOrthogonalError(
+                    f"cycles {i + 1} and {j + 1} in one orbit have product {G[i][j]} != 0"
+                )
+        for i in orbit:
+            _check_integral(action.lattice.basis_vector(i), G[i], G[i][i])
+        if cycle is None:
+            raise ProjectsToZeroError(
+                f"orbit {tuple(i + 1 for i in orbit)} projects to zero under the character"
+            )
+        # every earlier orbit carries a chi-vector, so this one is basis vector k
+        e_k = tuple(int(t == k) for t in range(sub.rank))
+        h = pl_reflection(sub, e_k, name=f"h{k + 1}")
+        _check_orbit_product(G, orbit, sub, h)
+        gens.append(h)
     return sub, gens
+
+
+def _check_orbit_product(gram, orbit, sub, h):
+    """Raise InternalError unless h is the restriction to `sub` of the
+    product of the ambient reflections in the orbit's cycles.
+
+    The cycles are pairwise orthogonal, so the product is
+    b |-> b - sum_i 2(b, e_i)/(e_i, e_i) e_i, in any order; it must map
+    each basis vector b of `sub` to the embedding of h's column.
+    """
+    for b, col in zip(sub.basis, zip(*h.matrix)):
+        image = list(b)
+        for i in orbit:
+            image[i] -= 2 * _dot(b, gram[i]) // gram[i][i]
+        if tuple(image) != sub.embed(col):
+            raise InternalError(
+                "restricted orbit product disagrees with the reflection in the "
+                "projected cycle; action data is inconsistent"
+            )
 
 
 # --------------------------------------------------------------------------

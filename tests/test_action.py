@@ -1,4 +1,4 @@
-"""Group actions: validation, isotypic sublattices, orbit decompositions."""
+"""Group actions: validation, isotypic sublattices, signed orbits."""
 import itertools
 from math import gcd
 
@@ -9,18 +9,24 @@ from eqsing.action import (
     Character,
     GroupAction,
     SignedPermutation,
-    character_projection,
     corner_rule,
     isotypic_sublattice,
-    orbit_decomposition,
+    signed_orbits,
+    signed_permutation_from_file,
     validate_action,
     z2_rule,
 )
 from eqsing.catalog import action_from_file, fixture_file
 from eqsing.diagram import to_lattice
-from eqsing.errors import NotCommutingError, NotInvolutionError, NotIsometryError
-from eqsing.lattice import IntLattice
-from oracles import isotypic_rank_rational
+from eqsing.errors import (
+    EqsingError,
+    NotCommutingError,
+    NotInvolutionError,
+    NotIsometryError,
+)
+from eqsing.lattice import IntLattice, Sublattice
+from eqsing.localalg import LocalAlgebraReport
+from oracles import character_projection, group_elements, isotypic_rank_rational
 
 
 A2 = IntLattice(((-2, 1), (1, -2)))
@@ -44,6 +50,34 @@ def test_signed_permutation_validation():
     sp = SignedPermutation(images=((1, 1), (0, -1)))
     assert sp.matrix == ((0, -1), (1, 0))
     assert sp.apply((1, 0)) == (0, 1)
+
+
+@pytest.mark.parametrize("build, base", [
+    pytest.param(lambda: SignedPermutation(images=((0, 1), (0, 1))), ValueError,
+                 id="not-a-bijection"),
+    pytest.param(lambda: SignedPermutation(images=((0, 2),)), ValueError, id="bad-sign"),
+    pytest.param(lambda: signed_permutation_from_file(((1, 1, 1),), (1, 2)), ValueError,
+                 id="uncovered-vertex"),
+    pytest.param(lambda: Character(values=(("s", 0),)), ValueError, id="character-value"),
+    pytest.param(lambda: Character(values=(("s", 1),)).of("t"), KeyError,
+                 id="character-of"),
+    pytest.param(lambda: GroupAction(generators=(("s", SignedPermutation(((0, 1),))),) * 2,
+                                     lattice=IntLattice(((-2,),))), ValueError,
+                 id="duplicate-name"),
+    pytest.param(lambda: GroupAction(generators=(("s", SignedPermutation(((0, 1),))),),
+                                     lattice=A2), ValueError, id="size-mismatch"),
+    pytest.param(lambda: IntLattice(((-2, 1), (0, -2))), ValueError, id="not-symmetric"),
+    pytest.param(lambda: IntLattice(((-2, 1),)), ValueError, id="not-square"),
+    pytest.param(lambda: IntLattice(((-2,),), labels=("a", "b")), ValueError,
+                 id="labels"),
+    pytest.param(lambda: Sublattice(A2, ((2, 0),)), ValueError, id="not-saturated"),
+    pytest.param(lambda: LocalAlgebraReport(1, (((1,), 1),), 2).dim_of((-1,)), KeyError,
+                 id="dim-of"),
+])
+def test_library_boundary_errors_are_typed(build, base):
+    with pytest.raises(EqsingError) as info:
+        build()
+    assert isinstance(info.value, base)
 
 
 def test_validate_identity_ok():
@@ -148,7 +182,7 @@ def test_restricted_gram_preserved_by_commuting_operators():
     # restricted gram of the isotypic piece
     action, chi = m5_setup()
     sub = isotypic_sublattice(action, chi)
-    for _, M in action.elements():
+    for _, M in group_elements(action):
         img = [linalg.mat_vec(M, b) for b in sub.basis]
         gram = [
             [action.lattice.product(a, b) for b in img] for a in img
@@ -157,16 +191,27 @@ def test_restricted_gram_preserved_by_commuting_operators():
 
 
 def test_orbit_decomposition_examples():
-    action, _ = m5_setup()
-    assert orbit_decomposition(action) == ((0,), (1, 3), (2, 4), (5, 7), (6, 8))
-    action4, _ = m4_setup()
-    assert orbit_decomposition(action4) == ((0,), (1, 3), (2, 4), (5, 6, 7, 8))
-    trivial = GroupAction(generators=(), lattice=IntLattice(((-2, 0, 0), (0, -2, 0), (0, 0, -2))))
-    assert orbit_decomposition(trivial) == ((0,), (1,), (2,))
+    action, chi = m5_setup()
+    orbits = signed_orbits(action, chi)
+    assert tuple(o for o, _ in orbits) == ((0,), (1, 3), (2, 4), (5, 7), (6, 8))
+    assert orbits[1][1] == (0, 1, 0, 1, 0, 0, 0, 0, 0)
+    action4, chi4 = m4_setup()
+    orbits4 = signed_orbits(action4, chi4)
+    assert tuple(o for o, _ in orbits4) == ((0,), (1, 3), (2, 4), (5, 6, 7, 8))
+    assert orbits4[3][1] == (0, 0, 0, 0, 0, 1, 1, 1, 1)
+    lat = IntLattice(((-2, 0, 0), (0, -2, 0), (0, 0, -2)))
+    trivial = GroupAction(generators=(), lattice=lat)
+    assert signed_orbits(trivial, Character(values=())) == (
+        ((0,), (1, 0, 0)), ((1,), (0, 1, 0)), ((2,), (0, 0, 1)))
+    # chi = -1 on the M5 swap: the fixed Delta1 carries no chi-vector, and
+    # the pair (2, 4) carries Delta2 - Delta4
+    anti = signed_orbits(action, Character(values=(("sigma", -1),)))
+    assert anti[0] == ((0,), None)
+    assert anti[1] == ((1, 3), (0, 1, 0, -1, 0, 0, 0, 0, 0))
 
 
 def test_character_projection_projector_identity():
-    # saturated kernel-route sublattice equals the saturated projector image
+    # the signed orbit sums span the saturated projector image
     action, chi = m5_setup()
     sub = isotypic_sublattice(action, chi)
     n = action.lattice.rank

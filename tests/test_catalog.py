@@ -23,7 +23,8 @@ from eqsing.catalog import (
 from eqsing.errors import BadParameterError, NoFixtureError, ZeroSublatticeError
 from eqsing.lattice import inertia
 from eqsing.localalg import coranks, milnor_number, quasihomogeneous_mu
-from eqsing.monodromy import Finite, Infinite
+from eqsing.monodromy import Finite, Infinite, equivariant_generators
+from oracles import equivariant_generators_by_projector, generator_outcome
 
 
 def test_normal_form_examples():
@@ -229,6 +230,16 @@ def test_wall_twist_every_fixture_and_character(symbol, k):
             rank = 0
         twisted = tuple(chi.of(name) * det[name] for name in f.generator_names)
         assert rank == rep.dim_of(twisted), (chi, rank, twisted)
+
+
+@pytest.mark.parametrize("symbol, k", _every_fixture())
+def test_equivariant_generators_match_the_projector_every_character(symbol, k):
+    action, _ = action_from_file(fixture_file(symbol, k))
+    for values in itertools.product((1, -1), repeat=len(action.names)):
+        chi = Character(values=tuple(zip(action.names, values)))
+        new = generator_outcome(equivariant_generators, action, chi)
+        old = generator_outcome(equivariant_generators_by_projector, action, chi)
+        assert new == old, chi
 
 
 def test_quasihomogeneous_oracle_whole_catalog():

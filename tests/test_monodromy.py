@@ -4,7 +4,7 @@ import random
 import pytest
 
 from eqsing import linalg
-from eqsing.action import isotypic_sublattice, orbit_decomposition
+from eqsing.action import Character, GroupAction, SignedPermutation
 from eqsing.catalog import action_from_file, fixture_file
 from eqsing.diagram import to_lattice
 from eqsing.errors import (
@@ -22,13 +22,18 @@ from eqsing.monodromy import (
     Infinite,
     MonodromyElement,
     Unknown,
+    _check_orbit_product,
     equivariant_generators,
     generate_group,
-    orbit_generator,
     pl_reflection,
     power_law_check,
 )
-from oracles import closure_naive
+from oracles import (
+    closure_naive,
+    equivariant_generators_by_projector,
+    generator_outcome,
+    random_action_file,
+)
 
 
 A2 = IntLattice(((-2, 1), (1, -2)))
@@ -127,23 +132,22 @@ def test_kernel_fixed_pointwise():
 
 
 def test_orbit_generator_singleton():
-    action, chi = action_from_file(fixture_file("M5"))
-    sub = isotypic_sublattice(action, chi)
-    h1 = orbit_generator(action, chi, (0,), sub=sub)
-    assert h1.matrix == pl_reflection(sub, (1, 0, 0, 0, 0)).matrix
+    sub, gens = m5_gens()
+    assert gens[0].matrix == pl_reflection(sub, (1, 0, 0, 0, 0)).matrix
+    assert gens[0].word == ("h1",)
 
 
 def test_orbit_generator_pair_equals_ambient_product():
     # H4 H2 restricted to the invariant part equals the reflection in
     # delta2 = Delta2 + Delta4: H4 H2 maps each basis vector b_j to the
     # embedding of column j of h2
-    action, chi = action_from_file(fixture_file("M5"))
-    sub = isotypic_sublattice(action, chi)
+    action, _ = action_from_file(fixture_file("M5"))
+    sub, gens = m5_gens()
     lat = action.lattice
     H2 = pl_reflection(lat, lat.basis_vector(1)).matrix
     H4 = pl_reflection(lat, lat.basis_vector(3)).matrix
     prod = linalg.mat_mul(H4, H2)
-    h2 = orbit_generator(action, chi, (1, 3), sub=sub)
+    h2 = gens[1]
     for b, col in zip(sub.basis, linalg.transpose(h2.matrix)):
         assert linalg.mat_vec(prod, b) == sub.embed(col)
     assert h2.matrix == pl_reflection(sub, (0, 1, 0, 0, 0)).matrix
@@ -152,48 +156,71 @@ def test_orbit_generator_pair_equals_ambient_product():
 def test_orbit_generator_checks_the_ambient_product():
     # on span(Delta2, Delta4) H4 H2 is -I, while the reflection in
     # Delta2 + Delta4 swaps Delta2 and -Delta4: the identity check refuses
-    action, chi = action_from_file(fixture_file("M5"))
+    action, _ = action_from_file(fixture_file("M5"))
     lat = action.lattice
     pair = restrict(lat, (lat.basis_vector(1), lat.basis_vector(3)))
+    h = pl_reflection(pair, (1, 1), name="h2")
     with pytest.raises(AssertionError, match="disagrees"):
-        orbit_generator(action, chi, (1, 3), sub=pair)
+        _check_orbit_product(lat.gram, (1, 3), pair, h)
 
 
 def test_orbit_generator_m4_four_cycle_orbit():
-    action, chi = action_from_file(fixture_file("M4"))
-    sub = isotypic_sublattice(action, chi)
-    h4 = orbit_generator(action, chi, (5, 6, 7, 8), sub=sub)
-    assert h4.matrix == pl_reflection(sub, (0, 0, 0, 1)).matrix
+    sub, gens = m4_gens()
+    assert sub.basis[3] == (0, 0, 0, 0, 0, 1, 1, 1, 1)
+    assert gens[3].matrix == pl_reflection(sub, (0, 0, 0, 1)).matrix
 
 
 def test_orbit_generator_rejects_non_orthogonal_orbit():
-    action, chi = action_from_file(fixture_file("M5"))
-    with pytest.raises(OrbitNotOrthogonalError):
-        orbit_generator(action, chi, (0, 1))  # Delta1, Delta2 are adjacent
+    # sigma swaps the adjacent Delta1 and Delta2
+    lat = IntLattice(((-2, 1), (1, -2)))
+    swap = SignedPermutation(images=((1, 1), (0, 1)))
+    action = GroupAction(generators=(("sigma", swap),), lattice=lat)
+    with pytest.raises(OrbitNotOrthogonalError, match="cycles 1 and 2"):
+        equivariant_generators(action, Character(values=(("sigma", 1),)))
 
 
 def test_orbit_generator_projects_to_zero():
     # anti-invariant character on the M5 action: Delta1 projects to zero
-    from eqsing.action import Character
-
     action, _ = action_from_file(fixture_file("M5"))
     anti = Character(values=(("sigma", -1),))
-    with pytest.raises(ProjectsToZeroError):
-        orbit_generator(action, anti, (0,))
+    with pytest.raises(ProjectsToZeroError, match=r"orbit \(1,\)"):
+        equivariant_generators(action, anti)
 
 
 def test_orbit_generator_anti_swap_orbit():
-    # chi = -1 on a positive swap: projection of the orbit sum vanishes
-    # but the single-cycle projection Delta_i - Delta_j does not, and the
-    # restricted product is the reflection in it
-    from eqsing.action import Character
-
+    # chi = -1 on a positive swap: the orbit cycle is Delta_i - Delta_j, and
+    # the restricted product is the reflection in it
     action, _ = action_from_file(fixture_file("M5"))
+    lat = IntLattice(tuple(row[1:] for row in action.lattice.gram[1:]))
+    sigma = SignedPermutation(images=tuple((j - 1, 1) for j, _ in
+                                           action.generators[0][1].images[1:]))
     anti = Character(values=(("sigma", -1),))
-    sub = isotypic_sublattice(action, anti)
+    sub, gens = equivariant_generators(
+        GroupAction(generators=(("sigma", sigma),), lattice=lat), anti)
     assert sub.rank == 4
-    h = orbit_generator(action, anti, (1, 3), sub=sub)
+    assert sub.basis[0] == (1, 0, -1, 0, 0, 0, 0, 0)
+    h = gens[0]
+    assert h.matrix == pl_reflection(sub, (1, 0, 0, 0)).matrix
     assert linalg.mat_mul(h.matrix, h.matrix) == linalg.identity(4)
+
+
+def test_equivariant_generators_match_the_projector_on_random_actions():
+    # every error class of the construction occurs among these 400: the
+    # three action checks, a zero sublattice, a non-orthogonal orbit, an
+    # isotropic or non-integral cycle and an orbit that projects to zero
+    kinds = set()
+    for seed in range(400):
+        dfile = random_action_file(random.Random(seed))
+        action, chi = action_from_file(dfile)
+        new = generator_outcome(equivariant_generators, action, chi)
+        old = generator_outcome(equivariant_generators_by_projector, action, chi)
+        assert new == old, dfile
+        kinds.add(new[0].__name__ if isinstance(new[0], type) else "generators")
+    assert kinds == {
+        "NotIsometryError", "NotInvolutionError", "NotCommutingError",
+        "ZeroSublatticeError", "OrbitNotOrthogonalError", "IsotropicCycleError",
+        "NonIntegralReflectionError", "ProjectsToZeroError", "generators",
+    }
 
 
 # --------------------------------------------------------------------------

@@ -1,17 +1,21 @@
 """Property tests: reflections in random integral roots on random integral
-forms, and random small polynomial files through `eqsing mu`, end in a
-checked answer or a typed error, never a traceback."""
+forms, random small polynomial files through `eqsing mu`, and random
+diagram+action files through `eqsing analyze` end in a checked answer or a
+typed error, never a traceback."""
 import contextlib
 import io
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqsing.catalog import run_analysis
 from eqsing.cli import main
+from eqsing.diagram import parse_file, serialize
 from eqsing.errors import EqsingError, InternalError
-from eqsing.monodromy import generate_group, pl_reflection
-from oracles import closure_naive
+from eqsing.monodromy import Infinite, MonodromyElement, generate_group, pl_reflection
+from oracles import closure_naive, random_action_file
 
 
 @st.composite
@@ -46,6 +50,54 @@ def test_random_reflection_groups_end_in_a_checked_verdict(case):
         assert verdict.order == closure_naive(gens)
 
 
+def _run_cli(argv_head, name, text, argv_tail):
+    """(exit code, stdout, stderr) of `eqsing` on `text` written to a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv_head + [path] + argv_tail)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _ints(text):
+    return tuple(int(x) for x in text.split(","))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.randoms(use_true_random=True))
+def test_random_diagram_action_files_end_in_a_verdict_or_a_typed_error(rng):
+    text = serialize(random_action_file(rng))
+    code, out, err = _run_cli(["analyze"], "case.diagram", text,
+                              ["--cap", "400", "--format", "machine"])
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        with pytest.raises(EqsingError) as info:
+            run_analysis(parse_file(text), cap=400)
+        assert not isinstance(info.value, InternalError), info.value
+        return
+    report = dict(line.split("=", 1) for line in out.splitlines())
+    assert (code == 3) == (report["monodromy.verdict"] == "unknown")
+    if report["monodromy.verdict"] != "infinite":
+        return
+    # rebuild the certificate from the printed lines alone and re-validate it
+    rank = int(report["isotypic.rank"])
+    rows = lambda key: tuple(_ints(report[f"{key}.{i}"]) for i in range(1, rank + 1))
+    certificate = MonodromyElement(
+        matrix=rows("monodromy.certificate.matrix"), gram=rows("gram"),
+        word=tuple(report["monodromy.certificate.word"].split("*")))
+    residual = report.get("monodromy.certificate.residual_charpoly")
+    if residual is not None:
+        verdict = Infinite(certificate, residual_charpoly=_ints(residual))
+    else:
+        verdict = Infinite(certificate, witness=_ints(report["monodromy.certificate.v"]),
+                           increment=_ints(report["monodromy.certificate.w"]))
+    assert verdict.validate()
+
+
 @st.composite
 def polynomial_files(draw):
     """The text of a small polynomial file: a `vars` header with counts in
@@ -71,18 +123,12 @@ def polynomial_files(draw):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(polynomial_files(), st.booleans())
 def test_random_polynomial_files_end_in_mu_or_a_typed_error(text, corner):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "germ.poly")
-        with open(path, "w") as fh:
-            fh.write(text)
-        out, err = io.StringIO(), io.StringIO()
-        argv = ["mu", path, "--max-degree", "8"] + (["--corner"] if corner else [])
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+    code, out, err = _run_cli(["mu"], "germ.poly", text,
+                              ["--max-degree", "8"] + (["--corner"] if corner else []))
     assert code in (0, 2)
     if code == 2:
-        assert err.getvalue().startswith("error: ")
+        assert err.startswith("error: ")
         return
-    lines = dict(line.split("=", 1) for line in out.getvalue().splitlines())
+    lines = dict(line.split("=", 1) for line in out.splitlines())
     dims = [int(v) for k, v in lines.items() if k.startswith("isotypic.")]
     assert sum(dims) == int(lines["mu"])
