@@ -66,6 +66,8 @@ def signed_permutation_from_file(images_1based, vertex_ids):
     index = {v: k for k, v in enumerate(vertex_ids)}
     images = [None] * len(vertex_ids)
     for i, j, s in images_1based:
+        if i not in index or j not in index:
+            raise ActionDataError(f"image {i} -> {j} names a vertex the diagram lacks")
         images[index[i]] = (index[j], s)
     if any(im is None for im in images):
         raise ActionDataError("generator does not cover every vertex")

@@ -23,9 +23,10 @@ from importlib import resources
 from math import factorial
 from typing import Callable, Optional
 
+from . import linalg
 from .action import Character, GroupAction, signed_permutation_from_file
 from .diagram import DiagramFile, DynkinDiagram, parse_file, to_lattice
-from .errors import BadParameterError, CriterionMismatchError, NoFixtureError
+from .errors import BadParameterError, CriterionMismatchError, DiagramError, NoFixtureError
 from .lattice import Inertia, inertia, kernel_basis
 from .localalg import parse_germ
 from .monodromy import equivariant_generators, generate_group
@@ -323,7 +324,11 @@ def fixture(symbol, k=None):
 
 @dataclass(frozen=True)
 class AnalysisOutcome:
-    """Everything the criterion produces for one diagram+action input."""
+    """Everything the criterion produces for one diagram+action input.
+
+    `criteria_agree` is always true: `run_analysis` raises
+    CriterionMismatchError instead of returning a disagreement.
+    """
 
     sublattice: object
     generators: tuple
@@ -339,19 +344,31 @@ def run_analysis(dfile, cap=10**6):
     """Full pipeline: action validation, isotypic restriction, inertia and
     kernel, orbit reflections, finiteness with certificate.
 
+    The diagram must have self-intersection -2 on every vertex, the
+    paper's convention, or DiagramError names the first vertex without.
     `simple` is the paper's criterion, negative definiteness of the
-    restricted form; the monodromy verdict cross-checks it through
-    `criteria_agree`, and may be Unknown at the cap.
+    restricted form.  The monodromy verdict, which may be Unknown at the
+    cap, cross-checks it: on such a diagram a decided verdict is finite
+    exactly when the form is negative definite (notes/decisions.md), and
+    CriterionMismatchError reports a disagreement as a defect.
     """
+    diagram = dfile.diagram
+    if not diagram.all_self_minus_two():
+        i, s = next(v for v in diagram.vertices if v[1] != -2)
+        raise DiagramError(f"vertex {i} has self-intersection {s}; "
+                           "the criterion takes -2 on every vertex")
     action, chi = action_from_file(dfile)
     sub, gens = equivariant_generators(action, chi)
     sig = inertia(sub.lattice())
     ker = kernel_basis(sub.lattice())
     ker_amb = tuple(sub.embed(v) for v in ker)
-    verdict = generate_group(gens, cap=cap)
-    definite = sig.negative_definite
-    finite = verdict.kind == "finite"
-    agree = (definite == finite) or verdict.kind == "unknown"
+    # h_k is the reflection in basis vector k of the sublattice
+    verdict = generate_group(sub.restricted_gram, linalg.identity(sub.rank), cap=cap)
+    if verdict.kind != "unknown" and sig.negative_definite != (verdict.kind == "finite"):
+        raise CriterionMismatchError(
+            f"negative definiteness and finiteness disagree "
+            f"(inertia {sig.as_tuple()}, verdict {verdict})"
+        )
     return AnalysisOutcome(
         sublattice=sub,
         generators=tuple(gens),
@@ -359,23 +376,6 @@ def run_analysis(dfile, cap=10**6):
         kernel=ker,
         kernel_ambient=ker_amb,
         verdict=verdict,
-        simple=definite,
-        criteria_agree=agree,
+        simple=sig.negative_definite,
+        criteria_agree=True,
     )
-
-
-def simplicity_verdict(symbol, k=None, cap=10**6):
-    """Run the criterion on a catalog fixture.
-
-    Negative definiteness and monodromy finiteness must coincide on every
-    catalog entry; a disagreement raises CriterionMismatchError (internal
-    error, never a verdict).
-    """
-    dfile = fixture_file(symbol, k)
-    outcome = run_analysis(dfile, cap=cap)
-    if not outcome.criteria_agree:
-        raise CriterionMismatchError(
-            f"fixture {symbol}{k or ''}: negative definiteness and finiteness "
-            f"disagree (inertia {outcome.inertia.as_tuple()}, verdict {outcome.verdict})"
-        )
-    return outcome

@@ -156,8 +156,6 @@ def _text_report(source, dfile, outcome, elapsed):
             out.append(f"  charpoly factor x^2 - t x + 1, |t| > 2: {list(v.residual_charpoly)}")
     else:
         out.append(f"verdict: Unknown (monodromy undecided at cap {v.cap})")
-    if not outcome.criteria_agree:
-        out.append("WARNING: definiteness and finiteness disagree on this input")
     out.append(f"simple: {'YES' if outcome.simple else 'NO'}")
     out.append(f"elapsed: {elapsed:.3f}s")
     return "\n".join(out) + "\n"
@@ -213,10 +211,10 @@ def cmd_catalog_emit(args):
 
 
 def cmd_catalog_verdict(args):
-    t0 = time.monotonic()
-    outcome = catalog.simplicity_verdict(args.symbol, k=args.k, cap=args.cap)
-    elapsed = time.monotonic() - t0
     dfile = catalog.fixture_file(args.symbol, args.k)
+    t0 = time.monotonic()
+    outcome = catalog.run_analysis(dfile, cap=args.cap)
+    elapsed = time.monotonic() - t0
     name = args.symbol.upper() + (str(args.k) if args.k else "")
     return _write_verdict(args, name, dfile, outcome, elapsed)
 

@@ -18,7 +18,8 @@ class NotFoundError(EqsingError, KeyError):
 # --- diagram file parsing ---
 
 class DiagramError(EqsingError):
-    """Structural or syntactic problem in a diagram file.
+    """Structural or syntactic problem in a diagram file, or a diagram the
+    criterion does not take: a self-intersection other than -2.
 
     `line` is the file line at fault, when known.  `entry` is ("vertices"
     or "edges", position) when a check of a DynkinDiagram's input fails, so
@@ -109,8 +110,9 @@ class ProjectsToZeroError(EqsingError):
 
 
 class GeneratorError(EqsingError):
-    """Generators the finiteness decision cannot take: none at all, on
-    different forms, or one that is no reflection."""
+    """Generator roots the finiteness decision cannot take: none at all, or
+    one that is no integer vector of the form's rank; also a product of
+    elements on different forms."""
 
 
 # --- local algebra ---
@@ -151,9 +153,9 @@ class NoFixtureError(EqsingError):
     """No bundled diagram/action fixture for the requested family."""
 
 
-class CriterionMismatchError(EqsingError):
-    """Negative definiteness and monodromy finiteness disagree on a fixture.
+class CriterionMismatchError(InternalError):
+    """Negative definiteness and monodromy finiteness disagree.
 
-    The two criteria must coincide on every catalog entry; a mismatch means
-    corrupted fixture data, never valid output.
+    On a diagram with -2 on every vertex the two decided criteria coincide
+    (notes/decisions.md), so a mismatch is a defect, never a verdict.
     """

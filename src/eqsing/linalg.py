@@ -7,7 +7,7 @@ form with transform for integer kernels and saturations.
 """
 from math import gcd
 
-from .errors import InternalError
+from .errors import InternalError, LatticeDataError
 
 
 def freeze(rows):
@@ -53,7 +53,7 @@ def primitive(v):
     for x in v:
         g = gcd(g, abs(x))
     if g == 0:
-        raise ValueError("zero vector has no primitive representative")
+        raise LatticeDataError("zero vector has no primitive representative")
     w = tuple(x // g for x in v)
     for x in w:
         if x != 0:

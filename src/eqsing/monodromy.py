@@ -18,9 +18,10 @@ form chooses only the partner test and whether the Coxeter orbits run:
 A closure with no such pair gives the exact order by orbit-stabiliser on
 the roots: the orbit of one root, times the order of the group generated
 by the reflections in the roots orthogonal to it (Steinberg).  The cap
-counts roots on every form: Unknown when the roots exceed it.  A
-generator that is no reflection is refused with GeneratorError; the
-pipeline only builds reflections.
+counts roots on every form: Unknown when the roots exceed it.  The
+decision takes the form and the generator roots, not matrices: the
+pipeline's h_k is the reflection in basis vector k of the isotypic
+sublattice by construction.
 
 Everything runs on tuples of Python ints, so no entry can overflow.
 """
@@ -297,48 +298,31 @@ def power_law_check(g, v, w, s_max):
 # closure and finiteness
 
 
-def generate_group(generators, cap=10**6):
-    """Decide finiteness of the group generated by `generators`.
+def generate_group(gram, roots, cap=10**6):
+    """Decide finiteness of the group generated by the reflections in
+    `roots` on the form `gram`.
 
     Returns Finite(order), Infinite(certificate...), or Unknown(cap); an
-    Infinite certificate is re-validated before it is returned.  The cap
-    bounds the roots the search records, on every form.  Raises
-    GeneratorError for no generators, generators on different forms, and
-    a generator that is no reflection.
+    Infinite certificate is re-validated before it is returned, and its
+    word names the reflection in root i h{i+1}.  A root stands for its
+    reflection, so it counts only up to sign and scale.  The cap bounds
+    the roots the search records, on every form.  A bad form or root is
+    a LatticeDataError, GeneratorError, IsotropicCycleError or
+    NonIntegralReflectionError (notes/decisions.md).
     """
-    if not generators:
-        raise GeneratorError("at least one generator is required")
-    gram = generators[0].gram
-    if any(g.gram != gram for g in generators):
-        raise GeneratorError("generators preserve different forms")
-    roots = [_reflection_root(g) for g in generators]
-    if None in roots:
-        name = _word_names(generators, (roots.index(None),))[0]
-        raise GeneratorError(f"generator {name} is no reflection")
-    return _generate_reflections(generators, roots, cap, inertia(IntLattice(gram)))
-
-
-def _reflection_root(g):
-    """Primitive root delta with g = s_delta, or None when g is no reflection.
-
-    g is the reflection in delta when every column of g - I is
-    -2 (e_j, delta)/(delta, delta) * delta with (delta, delta) != 0.
-    """
-    n = g.rank
-    cols = [tuple(g.matrix[i][j] - (1 if i == j else 0) for i in range(n))
-            for j in range(n)]
-    moved = [c for c in cols if not linalg.is_zero_vec(c)]
-    if not moved:
-        return None
-    delta = linalg.primitive(moved[0])
-    Gd = linalg.mat_vec(g.gram, delta)
-    dd = sum(a * b for a, b in zip(delta, Gd))
-    if dd == 0:
-        return None
-    for j, col in enumerate(cols):
-        if any(c * dd != -2 * Gd[j] * d for c, d in zip(col, delta)):
-            return None
-    return delta
+    lattice = IntLattice(gram)
+    gram = lattice.gram
+    if not roots:
+        raise GeneratorError("at least one root is required")
+    mirrors = []
+    for i, root in enumerate(roots):
+        if len(root) != lattice.rank or not all(isinstance(x, int) for x in root):
+            raise GeneratorError(
+                f"root h{i + 1} is no integer vector of length {lattice.rank}: {root!r}")
+        mirror = _mirror(gram, linalg.primitive(root))
+        _check_integral(*mirror)
+        mirrors.append(mirror)
+    return _generate_reflections(gram, mirrors, cap, inertia(lattice))
 
 
 def _root_class(gram, root):
@@ -355,8 +339,9 @@ def _root_class(gram, root):
     return tuple(x // g for x in v)
 
 
-def _generate_reflections(generators, roots, cap, sig):
-    """Search the orbit of the generator roots for an infinite pair.
+def _generate_reflections(gram, mirrors, cap, sig):
+    """Search the orbit of the generator roots, given as `_mirror`s, for an
+    infinite pair.
 
     The roots are signed vectors, each with a word for its reflection.  The
     generator roots come first.  On any form but a negative semidefinite one
@@ -376,8 +361,6 @@ def _generate_reflections(generators, roots, cap, sig):
     finite group, and `_reflection_group_order` gives its order from the
     roots recorded (notes/decisions.md).
     """
-    gram = generators[0].gram
-    mirrors = [_mirror(gram, root) for root in roots]
     points, words, seen = [], [], set()
     if sig.negative_definite:  # the kernel is zero: no two roots share a class
         partner = lambda root: None
@@ -392,14 +375,13 @@ def _generate_reflections(generators, roots, cap, sig):
             return Unknown(cap=cap)
         old = partner(root)
         if old is not None:
-            return _pair_certificate(generators, gram, root, word,
-                                     points[old], words[old])
+            return _pair_certificate(gram, root, word, points[old], words[old])
         seen.add(root)
         points.append(root)
         words.append(word)
         return None
 
-    seeds = [(root, (i,)) for i, root in enumerate(roots)]
+    seeds = [(mirror[0], (i,)) for i, mirror in enumerate(mirrors)]
     orbits = () if sig.negative_semidefinite else _coxeter_orbits(mirrors)
     for root, word in itertools.chain(seeds, orbits):
         if root not in seen:
@@ -544,7 +526,7 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _pair_certificate(generators, gram, rho, word, rho_p, word_p):
+def _pair_certificate(gram, rho, word, rho_p, word_p):
     """Validated Infinite with certificate g = s_rho s_rho'.
 
     On the plane of the pair, g has trace 4b^2/(ac) - 2 with a = (rho, rho),
@@ -556,7 +538,7 @@ def _pair_certificate(generators, gram, rho, word, rho_p, word_p):
     matrix = linalg.mat_mul(pl_reflection(gram, rho).matrix,
                             pl_reflection(gram, rho_p).matrix)
     element = MonodromyElement(matrix=matrix, gram=gram,
-                               word=_word_names(generators, word + word_p))
+                               word=tuple(f"h{i + 1}" for i in word + word_p))
     g_rho = linalg.mat_vec(gram, rho)
     a, b, c = _dot(rho, g_rho), _dot(rho_p, g_rho), _dot(rho_p, linalg.mat_vec(gram, rho_p))
     if b * b == a * c:
@@ -571,11 +553,6 @@ def _pair_certificate(generators, gram, rho, word, rho_p, word_p):
         verdict = Infinite(certificate=element, residual_charpoly=(1, -t, 1))
     verdict.validate()
     return verdict
-
-
-def _word_names(generators, word):
-    return tuple(generators[i].word[0] if len(generators[i].word) == 1
-                 else f"g{i + 1}" for i in word)
 
 
 def _index2_witness(matrix):

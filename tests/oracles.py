@@ -21,15 +21,22 @@ from eqsing.lattice import Sublattice
 from eqsing.monodromy import pl_reflection
 
 
-def closure_naive(generators, limit=100000):
-    """Order by repeated pairwise products until stable.
+def reflections(gram, roots):
+    """The reflection matrices in `roots` on `gram`, root i named h{i+1}:
+    what the words of `generate_group`'s certificates denote."""
+    return [pl_reflection(gram, root, name=f"h{i + 1}") for i, root in enumerate(roots)]
+
+
+def closure_naive(gram, roots, limit=100000):
+    """Order of the group generated by the reflections in `roots`, by
+    repeated pairwise products of their matrices until stable.
 
     Lists every element as a matrix, a different method from the
     orbit-stabiliser order on the roots, so the two can be cross-checked
     on small groups.
     """
-    mats = {linalg.identity(generators[0].rank)}
-    mats.update(g.matrix for g in generators)
+    mats = {linalg.identity(len(gram))}
+    mats.update(g.matrix for g in reflections(gram, roots))
     while True:
         new = set()
         for a in mats:

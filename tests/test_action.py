@@ -58,6 +58,9 @@ def test_signed_permutation_validation():
     pytest.param(lambda: SignedPermutation(images=((0, 2),)), ValueError, id="bad-sign"),
     pytest.param(lambda: signed_permutation_from_file(((1, 1, 1),), (1, 2)), ValueError,
                  id="uncovered-vertex"),
+    pytest.param(lambda: signed_permutation_from_file(((1, 3, 1), (2, 2, 1)), (1, 2)),
+                 ValueError, id="unknown-vertex"),
+    pytest.param(lambda: linalg.primitive((0, 0)), ValueError, id="primitive-of-zero"),
     pytest.param(lambda: Character(values=(("s", 0),)), ValueError, id="character-value"),
     pytest.param(lambda: Character(values=(("s", 1),)).of("t"), KeyError,
                  id="character-of"),

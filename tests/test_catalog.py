@@ -17,10 +17,16 @@ from eqsing.catalog import (
     normal_form,
     quasihomogeneous_weights,
     run_analysis,
-    simplicity_verdict,
     weyl_order,
 )
-from eqsing.errors import BadParameterError, NoFixtureError, ZeroSublatticeError
+from eqsing.errors import (
+    BadParameterError,
+    CriterionMismatchError,
+    DiagramError,
+    InternalError,
+    NoFixtureError,
+    ZeroSublatticeError,
+)
 from eqsing.lattice import inertia
 from eqsing.localalg import coranks, milnor_number, quasihomogeneous_mu
 from eqsing.monodromy import Finite, Infinite, equivariant_generators
@@ -143,11 +149,11 @@ def test_fixture_e7_e8_diagrams_exist():
 
 
 def test_simplicity_verdicts():
-    out = simplicity_verdict("B", 3)
+    out = run_analysis(fixture_file("B", 3))
     assert out.simple and out.verdict.order == 48
-    out = simplicity_verdict("A", 1)
+    out = run_analysis(fixture_file("A", 1))
     assert out.simple and out.verdict.order == 2
-    out = simplicity_verdict("M5")
+    out = run_analysis(fixture_file("M5"))
     assert not out.simple
     assert isinstance(out.verdict, Infinite)
     assert len(out.kernel) == 2
@@ -158,7 +164,7 @@ def test_verdict_orders_match_weyl_closed_form():
     # test_acceptance
     cases = [("A", 3), ("B", 2), ("C", 2), ("D", 4), ("F4", None)]
     for sym, k in cases:
-        out = simplicity_verdict(sym, k)
+        out = run_analysis(fixture_file(sym, k))
         assert out.simple
         assert out.verdict.order == weyl_order(sym, k)
 
@@ -295,9 +301,9 @@ def test_emit_byte_identity():
         assert serialize(fixture_file(name.upper())) == bundled
 
 
-def test_criteria_agreement_flag_on_incoherent_input():
-    # a positive definite user lattice has a finite group but is not
-    # negative definite: not simple, and the two criteria disagree
+def test_criteria_agreement_flag_on_incoherent_input(monkeypatch):
+    # a positive definite lattice has a finite group but is not negative
+    # definite: the criterion takes -2 on every vertex and refuses it
     from eqsing.diagram import DiagramFile, DynkinDiagram
 
     flipped_a2 = DiagramFile(
@@ -305,11 +311,14 @@ def test_criteria_agreement_flag_on_incoherent_input():
             vertices=((1, 2), (2, 2)), edges=((1, 2, -1),)
         )
     )
-    out = run_analysis(flipped_a2)
-    assert out.verdict.kind == "finite"
-    assert not out.inertia.negative_definite
-    assert not out.simple
-    assert not out.criteria_agree
+    with pytest.raises(DiagramError, match="vertex 1 has self-intersection 2"):
+        run_analysis(flipped_a2)
+    # with -2 on every vertex the decided criteria agree, so a disagreement
+    # is a defect: here a finite verdict on M5's semidefinite form
+    monkeypatch.setattr(catalog, "generate_group", lambda gram, roots, cap: Finite(order=1))
+    with pytest.raises(CriterionMismatchError, match="disagree") as info:
+        run_analysis(fixture_file("M5"))
+    assert isinstance(info.value, InternalError)
 
 
 def test_x9_regression_values():

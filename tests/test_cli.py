@@ -80,13 +80,23 @@ def test_analyze_zero_isotypic_sublattice_exit_two(tmp_path):
 
 
 def test_analyze_unknown_exit_three(tmp_path):
-    # positive definite input with a tiny cap: the root search gives
-    # Unknown
-    f = tmp_path / "pos.diagram"
-    f.write_text("vertex 1 self=2\nvertex 2 self=2\nedge 1 2 w=-1\n")
+    # A2 has 6 roots: at cap 3 the root search gives Unknown
+    f = tmp_path / "a2.diagram"
+    f.write_text("vertex 1 self=-2\nvertex 2 self=-2\nedge 1 2 w=1\n")
     code, out, _ = run_cli("analyze", str(f), "--cap", "3")
     assert code == 3
     assert "Unknown" in out
+
+
+def test_analyze_other_self_intersection_exit_two(tmp_path):
+    # the positive definite A2 has a finite group but is no input of the
+    # criterion, which takes -2 on every vertex: an error, not "not simple"
+    f = tmp_path / "pos.diagram"
+    f.write_text("vertex 1 self=-2\nvertex 2 self=2\nedge 1 2 w=-1\n")
+    code, out, err = run_cli("analyze", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "vertex 2 has self-intersection 2" in err
 
 
 def test_analyze_internal_error_exit_two(monkeypatch):

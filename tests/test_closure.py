@@ -8,14 +8,9 @@ import pytest
 from eqsing.catalog import action_from_file, fixture_file, run_analysis, weyl_order
 from eqsing.errors import EqsingError
 from eqsing.lattice import IntLattice, inertia
-from eqsing.monodromy import (
-    Finite,
-    Unknown,
-    equivariant_generators,
-    generate_group,
-    pl_reflection,
-)
+from eqsing.monodromy import Finite, Unknown, equivariant_generators, generate_group, pl_reflection
 from oracles import closure_naive
+from test_semidefinite import _basis
 
 G2 = ((-2, 3), (3, -6))
 C2 = ((-2, 2), (2, -4))
@@ -44,37 +39,33 @@ def _dynkin_gram(n, edges):
 A2 = _dynkin_gram(2, [(1, 2)])
 
 
-def _reflections(gram):
-    lat = IntLattice(gram)
-    return [pl_reflection(lat, lat.basis_vector(i), name=f"h{i + 1}")
-            for i in range(lat.rank)]
-
-
-def _fixture_generators(symbol, k=None):
+def _fixture_form(symbol, k=None):
+    """(restricted Gram, basis) of a fixture, the form and roots the
+    pipeline decides."""
     action, chi = action_from_file(fixture_file(symbol, k))
-    return equivariant_generators(action, chi)[1]
+    return _basis(equivariant_generators(action, chi)[0].restricted_gram)
 
 
 def _small_groups():
-    """Reflections and order of definite groups of order at most 200."""
+    """Form, roots and order of definite groups of order at most 200."""
     return [
-        pytest.param(_reflections(A1_CUBED), 8, id="A1+A1+A1"),
-        pytest.param(_reflections(G2), 12, id="G2"),
-        pytest.param(_fixture_generators("A", 3), 24, id="A3"),
-        pytest.param(_fixture_generators("B", 3), 48, id="B3"),
-        pytest.param(_fixture_generators("C", 3), 48, id="C3"),
-        pytest.param(_fixture_generators("D", 4), 192, id="D4"),
+        pytest.param(*_basis(A1_CUBED), 8, id="A1+A1+A1"),
+        pytest.param(*_basis(G2), 12, id="G2"),
+        pytest.param(*_fixture_form("A", 3), 24, id="A3"),
+        pytest.param(*_fixture_form("B", 3), 48, id="B3"),
+        pytest.param(*_fixture_form("C", 3), 48, id="C3"),
+        pytest.param(*_fixture_form("D", 4), 192, id="D4"),
         # reducible: roots of one norm fall into several orbits
-        pytest.param(_reflections(_direct_sum(A2, A2)), 36, id="A2+A2"),
-        pytest.param(_reflections(_direct_sum(((-2,),), A2)), 12, id="A1+A2"),
-        pytest.param(_reflections(_direct_sum(C2, G2)), 96, id="C2+G2"),
+        pytest.param(*_basis(_direct_sum(A2, A2)), 36, id="A2+A2"),
+        pytest.param(*_basis(_direct_sum(((-2,),), A2)), 12, id="A1+A2"),
+        pytest.param(*_basis(_direct_sum(C2, G2)), 96, id="C2+G2"),
     ]
 
 
-@pytest.mark.parametrize("gens, order", _small_groups())
-def test_definite_order_matches_naive_closure(gens, order):
-    assert closure_naive(gens) == order
-    assert generate_group(gens) == Finite(order=order)
+@pytest.mark.parametrize("gram, roots, order", _small_groups())
+def test_definite_order_matches_naive_closure(gram, roots, order):
+    assert closure_naive(gram, roots) == order
+    assert generate_group(gram, roots) == Finite(order=order)
 
 
 @pytest.mark.parametrize("symbol", ["E7", "E8"])
@@ -92,17 +83,16 @@ def test_e7_e8_simple_with_weyl_order(symbol):
     ("D", 10, [(i, i + 1) for i in range(1, 9)] + [(8, 10)]),
 ])
 def test_order_above_the_fixture_ranks(symbol, n, edges):
-    gens = _reflections(_dynkin_gram(n, edges))
-    assert generate_group(gens) == Finite(order=weyl_order(symbol, n))
+    assert generate_group(*_basis(_dynkin_gram(n, edges))) == Finite(order=weyl_order(symbol, n))
 
 
 def test_definite_cap_bounds_the_orbit():
     # the orbit of the 8 generator roots of E8 is all 240 roots
-    gens = _fixture_generators("E8")
-    assert generate_group(gens, cap=100) == Unknown(cap=100)
-    assert generate_group(gens, cap=239) == Unknown(cap=239)
-    assert generate_group(gens, cap=240) == Finite(order=weyl_order("E8"))
-    assert generate_group(gens) == Finite(order=weyl_order("E8"))
+    gram, roots = _fixture_form("E8")
+    assert generate_group(gram, roots, cap=100) == Unknown(cap=100)
+    assert generate_group(gram, roots, cap=239) == Unknown(cap=239)
+    assert generate_group(gram, roots, cap=240) == Finite(order=weyl_order("E8"))
+    assert generate_group(gram, roots) == Finite(order=weyl_order("E8"))
 
 
 def test_random_definite_reflection_groups():
@@ -119,14 +109,16 @@ def test_random_definite_reflection_groups():
             gram[i][i] = -2
         if not inertia(IntLattice(gram)).negative_definite:
             continue
-        gens = []
-        for name in ("h1", "h2", "h3", "h4")[:rng.randint(2, 4)]:
+        roots = []
+        for _ in range(rng.randint(2, 4)):
+            root = [rng.randint(-1, 1) for _ in range(n)]
             try:
-                gens.append(pl_reflection(gram, [rng.randint(-1, 1) for _ in range(n)],
-                                          name=name))
+                pl_reflection(gram, root)
             except EqsingError:
-                pass
-        if len(gens) < 2:
+                continue
+            roots.append(root)
+        if len(roots) < 2:
             continue
-        assert generate_group(gens) == Finite(order=closure_naive(gens)), (gram, gens)
+        assert generate_group(gram, roots) == Finite(order=closure_naive(gram, roots)), \
+            (gram, roots)
         checked += 1

@@ -16,15 +16,16 @@ from eqsing.monodromy import (
     generate_group,
     pl_reflection,
 )
-from oracles import charpoly_sympy, closure_naive, evaluate_word
-from test_semidefinite import TRIANGLE_W2, _reflections, _star
+from oracles import charpoly_sympy, closure_naive, evaluate_word, reflections
+from test_semidefinite import TRIANGLE_W2, _basis, _star
 
 
 def _pipeline_generators(dfile):
+    """(h_k matrices, restricted Gram, basis roots) of a diagram file."""
     action, chi = action_from_file(dfile)
     sub, gens = equivariant_generators(action, chi)
     assert inertia(sub.lattice()).n_plus == 1
-    return gens
+    return gens, sub.restricted_gram, linalg.identity(sub.rank)
 
 
 def _check_certificate(gens, verdict):
@@ -63,10 +64,10 @@ def _check_residual(verdict):
     pytest.param(TRIANGLE_W2, 1, id="triangle with weight 2"),
 ])
 def test_hyperbolic_diagrams_are_infinite_within_cap_100(dfile, seen):
-    gens = _pipeline_generators(dfile)
-    _check_certificate(gens, generate_group(gens, cap=100))
-    _check_certificate(gens, generate_group(gens, cap=seen + 1))
-    assert generate_group(gens, cap=seen) == Unknown(cap=seen)
+    gens, gram, roots = _pipeline_generators(dfile)
+    _check_certificate(gens, generate_group(gram, roots, cap=100))
+    _check_certificate(gens, generate_group(gram, roots, cap=seen + 1))
+    assert generate_group(gram, roots, cap=seen) == Unknown(cap=seen)
 
 
 @pytest.mark.parametrize("gram, residual", [
@@ -76,9 +77,9 @@ def test_hyperbolic_diagrams_are_infinite_within_cap_100(dfile, seen):
     pytest.param(((-2, 1), (1, 2)), (1, 3, 1), id="ac < 0"),
 ])
 def test_hyperbolic_pair_has_a_residual_charpoly(gram, residual):
-    gens = _reflections(gram)
-    verdict = generate_group(gens)
-    _check_certificate(gens, verdict)
+    gram, roots = _basis(gram)
+    verdict = generate_group(gram, roots)
+    _check_certificate(reflections(gram, roots), verdict)
     assert verdict.witness is None
     assert verdict.residual_charpoly == residual
 
@@ -86,20 +87,17 @@ def test_hyperbolic_pair_has_a_residual_charpoly(gram, residual):
 A1_PLUS_U = ((-2, 0, 0), (0, 0, 1), (0, 1, 0))
 
 
-@pytest.mark.parametrize("gens, order", [
-    pytest.param(_reflections(((-2, 0), (0, 2)), 1), 2, id="diag(-2, 2), one reflection"),
-    pytest.param(_reflections(((2, -1), (-1, 2))), 6, id="sign-flipped A2"),
-    pytest.param([pl_reflection(A1_PLUS_U, r, name=n)
-                  for r, n in (((1, 0, 0), "h1"), ((0, 1, -1), "h2"))], 4,
-                 id="A1 + U, orthogonal -2 roots"),
-    pytest.param([pl_reflection(A1_PLUS_U, r, name=n)
-                  for r, n in (((0, 1, -1), "h1"), ((1, 1, 0), "h2"))], 6,
+@pytest.mark.parametrize("gram, roots, order", [
+    pytest.param(*_basis(((-2, 0), (0, 2)), 1), 2, id="diag(-2, 2), one reflection"),
+    pytest.param(*_basis(((2, -1), (-1, 2))), 6, id="sign-flipped A2"),
+    pytest.param(A1_PLUS_U, [(1, 0, 0), (0, 1, -1)], 4, id="A1 + U, orthogonal -2 roots"),
+    pytest.param(A1_PLUS_U, [(0, 1, -1), (1, 1, 0)], 6,
                  id="A1 + U, -2 roots with product -1"),
 ])
-def test_finite_closure_matches_naive_closure(gens, order):
-    assert not inertia(IntLattice(gens[0].gram)).negative_semidefinite
-    assert closure_naive(gens) == order
-    assert generate_group(gens) == Finite(order=order)
+def test_finite_closure_matches_naive_closure(gram, roots, order):
+    assert not inertia(IntLattice(gram)).negative_semidefinite
+    assert closure_naive(gram, roots) == order
+    assert generate_group(gram, roots) == Finite(order=order)
 
 
 def test_random_indefinite_reflection_groups():
@@ -117,21 +115,22 @@ def test_random_indefinite_reflection_groups():
         gram = linalg.freeze(gram)
         if inertia(IntLattice(gram)).negative_semidefinite:
             continue
-        gens = []
-        for name in ("h1", "h2", "h3", "h4")[:rng.randint(2, 4)]:
+        roots = []
+        for _ in range(rng.randint(2, 4)):
+            root = [rng.randint(-1, 1) for _ in range(n)]
             try:
-                gens.append(pl_reflection(gram, [rng.randint(-1, 1) for _ in range(n)],
-                                          name=name))
+                pl_reflection(gram, root)
             except EqsingError:
-                pass
-        if len(gens) < 2:
+                continue
+            roots.append(root)
+        if len(roots) < 2:
             continue
-        verdict = generate_group(gens, cap=200)
-        assert verdict.kind != "unknown", (gram, gens)
+        verdict = generate_group(gram, roots, cap=200)
+        assert verdict.kind != "unknown", (gram, roots)
         seen[verdict.kind] += 1
         if verdict.kind == "finite":
-            assert closure_naive(gens) == verdict.order, (gram, gens)
+            assert closure_naive(gram, roots) == verdict.order, (gram, roots)
         else:
-            _check_certificate(gens, verdict)
+            _check_certificate(reflections(gram, roots), verdict)
             seen["hyperbolic" if verdict.residual_charpoly else "unipotent"] += 1
     assert seen["unipotent"] and seen["hyperbolic"]

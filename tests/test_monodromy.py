@@ -8,9 +8,11 @@ from eqsing.action import Character, GroupAction, SignedPermutation
 from eqsing.catalog import action_from_file, fixture_file
 from eqsing.diagram import to_lattice
 from eqsing.errors import (
+    EqsingError,
     GeneratorError,
     InternalError,
     IsotropicCycleError,
+    LatticeDataError,
     NonIntegralReflectionError,
     NotIsometryError,
     OrbitNotOrthogonalError,
@@ -227,32 +229,33 @@ def test_equivariant_generators_match_the_projector_on_random_actions():
 # group generation
 
 
+def _decide(sub, cap=10**6):
+    """The decision on a sublattice's form and basis roots, as the
+    pipeline makes it."""
+    return generate_group(sub.restricted_gram, linalg.identity(sub.rank), cap=cap)
+
+
 def test_generate_a2_weyl_group():
-    h1 = pl_reflection(A2, (1, 0), name="h1")
-    h2 = pl_reflection(A2, (0, 1), name="h2")
-    verdict = generate_group([h1, h2])
+    verdict = generate_group(A2.gram, [(1, 0), (0, 1)])
     assert isinstance(verdict, Finite) and verdict.order == 6
 
 
 def test_generate_single_reflection():
-    h = pl_reflection(A2, (1, 0), name="h")
-    verdict = generate_group([h])
+    verdict = generate_group(A2.gram, [(1, 0)])
     assert isinstance(verdict, Finite) and verdict.order == 2
 
 
 def test_finite_order_matches_naive_closure():
     # same order from a different traversal (determinism of the order)
-    h1 = pl_reflection(A2, (1, 0), name="h1")
-    h2 = pl_reflection(A2, (0, 1), name="h2")
-    assert closure_naive([h1, h2]) == 6
-    lat = IntLattice(((-2, 1, 0), (1, -2, 1), (0, 1, -2)))
-    gens = [pl_reflection(lat, lat.basis_vector(i), name=f"h{i}") for i in range(3)]
-    assert generate_group(gens).order == closure_naive(gens) == 24
+    assert closure_naive(A2.gram, linalg.identity(2)) == 6
+    gram = ((-2, 1, 0), (1, -2, 1), (0, 1, -2))
+    roots = linalg.identity(3)
+    assert generate_group(gram, roots).order == closure_naive(gram, roots) == 24
 
 
 def test_generate_m5_infinite_with_nabla_certificate():
     sub, gens = m5_gens()
-    verdict = generate_group(gens)
+    verdict = _decide(sub)
     assert isinstance(verdict, Infinite)
     verdict.validate()
     # increment vector is proportional to nabla
@@ -264,7 +267,7 @@ def test_generate_m5_infinite_with_nabla_certificate():
 
 def test_generate_m4_infinite():
     sub, gens = m4_gens()
-    verdict = generate_group(gens)
+    verdict = _decide(sub)
     assert isinstance(verdict, Infinite)
     verdict.validate()
     # the collision certificate is the paper's own element h4*h1
@@ -275,14 +278,14 @@ def test_generate_x9_infinite():
     action, chi = action_from_file(fixture_file("X9"))
     sub, gens = equivariant_generators(action, chi)
     assert len(gens) == 9
-    verdict = generate_group(gens)
+    verdict = _decide(sub)
     assert isinstance(verdict, Infinite)
     verdict.validate()
 
 
 def test_infinite_certificate_is_self_validating():
     sub, gens = m5_gens()
-    verdict = generate_group(gens)
+    verdict = _decide(sub)
     g = verdict.certificate
     I = linalg.identity(g.rank)
     U = linalg.freeze(
@@ -296,28 +299,23 @@ def test_infinite_certificate_is_self_validating():
 
 def test_semidefinite_finite_group():
     # single reflection on a degenerate lattice: case (b) closes finitely
-    lat = IntLattice(((-2, 0), (0, 0)))
-    h = pl_reflection(lat, (1, 0), name="h")
-    verdict = generate_group([h])
+    verdict = generate_group(((-2, 0), (0, 0)), [(1, 0)])
     assert isinstance(verdict, Finite) and verdict.order == 2
 
 
 def test_general_case_positive_definite_closes():
     # sign-flipped A2 is positive definite: the root search closes
     # without a pair
-    lat = IntLattice(((2, -1), (-1, 2)))
-    gens = [pl_reflection(lat, lat.basis_vector(i), name=f"h{i}") for i in range(2)]
-    verdict = generate_group(gens)
+    verdict = generate_group(((2, -1), (-1, 2)), linalg.identity(2))
     assert isinstance(verdict, Finite) and verdict.order == 6
 
 
 def test_general_case_unipotent_infinite():
-    # positive semidefinite form with a unipotent isometry: no reflection,
-    # so generate_group refuses it; the power-law certificate still holds
+    # positive semidefinite form with a unipotent isometry that is no
+    # product of reflections the search would try: the power-law
+    # certificate holds on its own
     gram = ((0, 0), (0, 2))
     g = MonodromyElement(matrix=((1, 1), (0, 1)), gram=gram, word=("u",))
-    with pytest.raises(GeneratorError, match="u is no reflection"):
-        generate_group([g])
     assert Infinite(certificate=g, witness=(0, 1), increment=(1, 0)).validate()
 
 
@@ -341,16 +339,42 @@ def test_general_case_spectral_infinite():
 
 
 def test_generate_group_refuses_bad_generator_lists():
-    h = pl_reflection(A2, (1, 0), name="h")
-    with pytest.raises(GeneratorError, match="at least one"):
-        generate_group([])
-    other = pl_reflection(IntLattice(((-2, 0), (0, -2))), (1, 0), name="k")
-    with pytest.raises(GeneratorError, match="different forms"):
-        generate_group([h, other])
-    # a rotation of order 3 on the definite A2 form has no root to search from
-    h1, h2 = (pl_reflection(A2, A2.basis_vector(i), name=f"h{i + 1}") for i in range(2))
-    with pytest.raises(GeneratorError, match="g1 is no reflection"):
-        generate_group([h1 @ h2])
+    # each bad form or root list is a typed refusal, never a failed invariant
+    cases = [
+        (A2.gram, [], GeneratorError, "at least one"),
+        (A2.gram, [(1, 0, 0)], GeneratorError, "length 2"),
+        (A2.gram, [(1, 0), (1,)], GeneratorError, "h2"),
+        (A2.gram, [(0.5, 0)], GeneratorError, "integer vector"),
+        (A2.gram, [(0, 0)], LatticeDataError, "zero vector"),
+        (((0, 1), (1, 0)), [(1, 0)], IsotropicCycleError, "self-intersection zero"),
+        (((-4, 1), (1, -2)), [(0, 1), (1, 0)], NonIntegralReflectionError, "not integral"),
+        (((-2, 1),), [(1, 0)], LatticeDataError, "square"),
+        (((-2, 1), (0, -2)), [(1, 0)], LatticeDataError, "symmetric"),
+    ]
+    for gram, roots, error, match in cases:
+        with pytest.raises(error, match=match) as info:
+            generate_group(gram, roots)
+        assert isinstance(info.value, EqsingError)
+        assert not isinstance(info.value, InternalError), info.value
+
+
+@pytest.mark.parametrize("gram, roots", [
+    pytest.param(A2.gram, linalg.identity(2), id="A2, finite"),
+    pytest.param(((-2, 2), (2, -2)), linalg.identity(2), id="affine A1, unipotent"),
+    pytest.param(((-2, 3), (3, -2)), linalg.identity(2), id="b^2 > ac, hyperbolic"),
+    pytest.param(None, None, id="M5, unipotent"),
+])
+def test_scaled_and_negated_roots_decide_alike(gram, roots):
+    # a root stands for its reflection: 2 delta and -delta give the verdict,
+    # order, certificate and words that delta gives
+    if gram is None:
+        sub, _ = m5_gens()
+        gram, roots = sub.restricted_gram, linalg.identity(sub.rank)
+    expect = generate_group(gram, roots)
+    for k in range(len(roots)):
+        for c in (2, -1, -3):
+            moved = [tuple(c * x for x in r) if i == k else r for i, r in enumerate(roots)]
+            assert generate_group(gram, moved) == expect, (k, c)
 
 
 def test_element_not_preserving_the_form_is_refused():
@@ -375,9 +399,7 @@ def test_invariant_failures_are_typed():
 
 
 def test_general_case_unknown_at_cap():
-    lat = IntLattice(((2, -1), (-1, 2)))
-    gens = [pl_reflection(lat, lat.basis_vector(i), name=f"h{i}") for i in range(2)]
-    verdict = generate_group(gens, cap=3)
+    verdict = generate_group(((2, -1), (-1, 2)), linalg.identity(2), cap=3)
     assert isinstance(verdict, Unknown) and verdict.cap == 3
 
 

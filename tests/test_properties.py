@@ -14,7 +14,7 @@ from eqsing.catalog import run_analysis
 from eqsing.cli import main
 from eqsing.diagram import parse_file, serialize
 from eqsing.errors import EqsingError, InternalError
-from eqsing.monodromy import Infinite, MonodromyElement, generate_group, pl_reflection
+from eqsing.monodromy import Infinite, MonodromyElement, generate_group
 from oracles import closure_naive, random_action_file
 
 
@@ -38,8 +38,7 @@ def reflection_groups(draw):
 def test_random_reflection_groups_end_in_a_checked_verdict(case):
     gram, roots = case
     try:
-        gens = [pl_reflection(gram, r, name=f"h{i + 1}") for i, r in enumerate(roots)]
-        verdict = generate_group(gens, cap=400)
+        verdict = generate_group(gram, roots, cap=400)
     except EqsingError as exc:
         # a typed refusal of the input, not a failed invariant
         assert not isinstance(exc, InternalError), exc
@@ -47,7 +46,7 @@ def test_random_reflection_groups_end_in_a_checked_verdict(case):
     if verdict.kind == "infinite":
         assert verdict.validate()
     elif verdict.kind == "finite" and verdict.order <= 200:
-        assert verdict.order == closure_naive(gens)
+        assert verdict.order == closure_naive(gram, roots)
 
 
 def _run_cli(argv_head, name, text, argv_tail):
