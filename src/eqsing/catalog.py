@@ -26,7 +26,8 @@ from typing import Callable, Optional
 from . import linalg
 from .action import Character, GroupAction, signed_permutation_from_file
 from .diagram import DiagramFile, DynkinDiagram, parse_file, to_lattice
-from .errors import BadParameterError, CriterionMismatchError, DiagramError, NoFixtureError
+from .errors import (BadParameterError, CriterionMismatchError, DiagramError,
+                     InternalError, NoFixtureError)
 from .lattice import Inertia, inertia, kernel_basis
 from .localalg import parse_germ
 from .monodromy import equivariant_generators, generate_group
@@ -350,7 +351,8 @@ def run_analysis(dfile, cap=10**6):
     restricted form.  The monodromy verdict, which may be Unknown at the
     cap, cross-checks it: on such a diagram a decided verdict is finite
     exactly when the form is negative definite (notes/decisions.md), and
-    CriterionMismatchError reports a disagreement as a defect.
+    CriterionMismatchError reports a disagreement as a defect, and
+    InternalError one between the inertia's n_zero and the kernel rank.
     """
     diagram = dfile.diagram
     if not diagram.all_self_minus_two():
@@ -359,8 +361,12 @@ def run_analysis(dfile, cap=10**6):
                            "the criterion takes -2 on every vertex")
     action, chi = action_from_file(dfile)
     sub, gens = equivariant_generators(action, chi)
-    sig = inertia(sub.lattice())
-    ker = kernel_basis(sub.lattice())
+    lattice = sub.lattice()
+    sig = inertia(lattice)
+    ker = kernel_basis(lattice)
+    if sig.n_zero != len(ker):
+        raise InternalError(f"inertia has {sig.n_zero} zero squares but the kernel "
+                            f"has rank {len(ker)}")
     ker_amb = tuple(sub.embed(v) for v in ker)
     # h_k is the reflection in basis vector k of the sublattice
     verdict = generate_group(sub.restricted_gram, linalg.identity(sub.rank), cap=cap)

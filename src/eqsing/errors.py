@@ -131,6 +131,11 @@ class NotCertifiedError(EqsingError):
         )
 
 
+class TableTooLargeError(EqsingError):
+    """The monomial table of the Milnor number would outgrow its fixed
+    bound at the next degree, before finiteness is certified."""
+
+
 class GermError(EqsingError, ValueError):
     """Malformed germ data, such as a constant term; also a ValueError."""
 

@@ -2,8 +2,10 @@
 
 An IntLattice is a free abelian group of finite rank with an integer
 symmetric Gram matrix (the intersection form on a distinguished basis of
-vanishing cycles).  All computations are exact; inertia is obtained by
-symmetric congruence over the rationals, never by eigenvalues.
+vanishing cycles).  All computations are exact.  The inertia comes from
+Schur complements over the rationals and the kernel from Hermite normal
+forms over the integers: two independent eliminations, so the count of
+zero squares and the kernel rank check each other.
 """
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,68 +79,41 @@ class Inertia:
 
 
 def inertia(lattice):
-    """Exact signature of the form by symmetric congruence diagonalization.
+    """Exact inertia of the form, by Schur complements over the rationals.
 
-    Nonzero diagonal entries are used as pivots (after congruence swaps);
-    if the active block has an all-zero diagonal but a nonzero entry
-    (i, j), that 2x2 block is hyperbolic and contributes one positive and
-    one negative square.
+    Each step takes a basis vector v of the block still to be diagonalised
+    with d = (v, v) != 0, counts the sign of d, and replaces every other
+    v_j by v_j - (f_j/d) v, f_j = (v_j, v), which is orthogonal to v; a
+    row with f_j = 0 is left as it is.  When every norm in the block is
+    zero but some (v_j, v_k) is not, v_j + v_k has norm 2(v_j, v_k) and is
+    the pivot.  The all-zero block left at the end is the radical.  Every
+    step is a change of basis, so by Sylvester's law the counts are the
+    inertia (notes/decisions.md, "Inertia by Schur complements").
     """
-    n = lattice.rank
     M = [[Fraction(x) for x in row] for row in lattice.gram]
-
-    def add_multiple(dst, src, f):
-        # congruence: basis op v_dst += f*v_src, applied to rows then columns
-        for c in range(n):
-            M[dst][c] += f * M[src][c]
-        for r in range(n):
-            M[r][dst] += f * M[r][src]
-
-    def swap(a, b):
-        M[a], M[b] = M[b], M[a]
-        for r in range(n):
-            M[r][a], M[r][b] = M[r][b], M[r][a]
-
-    n_plus = n_zero = n_minus = 0
-    i = 0
-    while i < n:
-        p = next((j for j in range(i, n) if M[j][j] != 0), None)
-        if p is not None:
-            if p != i:
-                swap(i, p)
-            d = M[i][i]
-            if d > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-            for j in range(i + 1, n):
-                if M[j][i] != 0:
-                    add_multiple(j, i, -M[j][i] / d)
-            i += 1
-            continue
-        pair = next(
-            ((j, k) for j in range(i, n) for k in range(j + 1, n) if M[j][k] != 0),
-            None,
-        )
-        if pair is None:
-            n_zero += n - i
-            break
-        j, k = pair
-        if j != i:
-            swap(i, j)
-        if k != i + 1:
-            swap(i + 1, k)
-        b = M[i][i + 1]
-        # hyperbolic block [[0, b], [b, 0]]: one square of each sign
-        n_plus += 1
-        n_minus += 1
-        for l in range(i + 2, n):
-            if M[i + 1][l] != 0:
-                add_multiple(l, i, -M[i + 1][l] / b)
-            if M[i][l] != 0:
-                add_multiple(l, i + 1, -M[i][l] / b)
-        i += 2
-    return Inertia(n_plus, n_zero, n_minus)
+    counts = [0, 0, 0]  # n_plus, n_zero, n_minus
+    while M:
+        p = next((j for j, row in enumerate(M) if row[j]), None)
+        if p is None:
+            pair = next(((j, k) for j, row in enumerate(M)
+                         for k, x in enumerate(row) if x), None)
+            if pair is None:
+                break
+            j, k = pair  # v_j <- v_j + v_k: add row k to row j, column k to column j
+            M[j] = [a + b for a, b in zip(M[j], M[k])]
+            for row in M:
+                row[j] += row[k]
+            p = j
+        f = M.pop(p)
+        d = f.pop(p)
+        counts[0 if d > 0 else 2] += 1
+        for row in M:
+            fj = row.pop(p)
+            if fj:
+                s = fj / d
+                row[:] = [a - s * b for a, b in zip(row, f)]
+    counts[1] = len(M)
+    return Inertia(*counts)
 
 
 def kernel_basis(lattice):
@@ -194,10 +169,9 @@ class Sublattice:
     def rank(self):
         return len(self.basis)
 
-    def lattice(self, label_prefix="δ"):
-        """The restricted form as a standalone IntLattice (labels d1, d2, ...)."""
-        labels = tuple(f"{label_prefix}{i + 1}" for i in range(self.rank))
-        return IntLattice(self.restricted_gram, labels=labels)
+    def lattice(self):
+        """The restricted form as a standalone IntLattice."""
+        return IntLattice(self.restricted_gram)
 
     def embed(self, v):
         """Sublattice coordinates -> ambient coordinates."""

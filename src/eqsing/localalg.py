@@ -14,7 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from . import linalg
 from .errors import (
@@ -24,7 +24,13 @@ from .errors import (
     NotFoundError,
     NotIntegerError,
     NotInvariantError,
+    TableTooLargeError,
 )
+
+# The largest table of any test or `mu` benchmark case holds 10,626 monomials
+# (4 variables, degree 20); ten times that stops a germ in many variables
+# long before its table, bounded only by degree, reaches the millions.
+MAX_MONOMIALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -238,7 +244,9 @@ def milnor_number(f, max_degree=24):
     columns, all of degree below D (notes/decisions.md).
 
     Raises NotCertifiedError when finiteness cannot be certified by
-    `max_degree` (non-isolated critical point, or cap too small).
+    `max_degree` (non-isolated critical point, or cap too small), and
+    TableTooLargeError before a degree whose table of C(n + D, D)
+    monomials would hold more than MAX_MONOMIALS.
     """
     gens = [g for g in (_partial(f.terms, v) for v in range(f.nvars)) if g]
     if not gens:
@@ -247,6 +255,9 @@ def milnor_number(f, max_degree=24):
     index = {table[0]: 0}
     size = [1]  # size[d]: the monomials of degree <= d, a prefix of table
     for D in range(1, max_degree + 1):
+        if comb(f.nvars + D, D) > MAX_MONOMIALS:
+            raise TableTooLargeError(f"the monomial table at degree {D} would hold "
+                                     f"{comb(f.nvars + D, D)} monomials, over {MAX_MONOMIALS}")
         for mono in sorted(
             tuple(c.count(v) for v in range(f.nvars))
             for c in itertools.combinations_with_replacement(range(f.nvars), D)

@@ -17,7 +17,7 @@ from eqsing.errors import (
     ProjectsToZeroError,
     ZeroSublatticeError,
 )
-from eqsing.lattice import Sublattice
+from eqsing.lattice import Inertia, Sublattice
 from eqsing.monodromy import pl_reflection
 
 
@@ -241,14 +241,14 @@ def generator_outcome(construct, action, chi):
     return sub.basis, sub.restricted_gram, tuple((h.matrix, h.word) for h in gens)
 
 
-def random_action_file(rng):
+def random_action_file(rng, self_ints=(-4, -2, -2, -2, 0, 2)):
     """A random diagram+action file for the cross-checks, drawn from `rng`
     (a `random.Random`, or hypothesis's `st.randoms()`).
 
     m <= 3 generators act on 1 to 4 orbits of size 1, 2 or 4: orbit x in
     Z2^d moves to x + a_k under generator k, with a sign per generator and
     orbit and a random sign change of the basis on top.  Self-intersections
-    are constant on orbits and drawn from {-4, -2, 0, 2}; the other entries
+    are constant on orbits and drawn from `self_ints`; the other entries
     are spread over the group's orbits on pairs, so the form is invariant,
     unless one entry is then changed.  Now and then one generator is
     replaced by a random signed permutation or involution, and the form is
@@ -304,8 +304,7 @@ def random_action_file(rng):
     self_int = {}
     for (o, _), i in index.items():
         # one value for all, when a random generator should keep the form
-        gram[i][i] = self_int.setdefault(0 if junk else o,
-                                         rng.choice((-4, -2, -2, -2, 0, 2)))
+        gram[i][i] = self_int.setdefault(0 if junk else o, rng.choice(self_ints))
     orbit_of = {i: o for (o, _), i in index.items()}
     for i, j in itertools.combinations(range(n), 2):
         if gram[i][j] is not None:
@@ -327,7 +326,7 @@ def random_action_file(rng):
     if rng.random() < 0.25:
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
-            gram[i][i] = rng.choice((-4, -2, -2, -2, 0, 2))
+            gram[i][i] = rng.choice(self_ints)
         else:
             gram[i][j] = gram[j][i] = gram[i][j] + rng.choice((1, -1))
     vertices = tuple((i + 1, gram[i][i]) for i in range(n))
@@ -370,3 +369,43 @@ def charpoly_sympy(M):
     coefficients, highest degree first; skips the test without sympy."""
     sympy = pytest.importorskip("sympy")
     return tuple(int(c) for c in sympy.Matrix(M).charpoly().all_coeffs())
+
+
+def inertia_by_descartes(gram):
+    """The inertia of a symmetric integer matrix from its characteristic
+    polynomial p, by Descartes' rule of signs.
+
+    The eigenvalues of a real symmetric matrix are real, and for a
+    polynomial with only real roots the rule is exact: n_plus is the number
+    of sign changes of p(x), n_minus that of p(-x), and n_zero the
+    multiplicity of the root 0.
+    """
+    coeffs = charpoly_sympy(gram)
+    n = len(coeffs) - 1
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    n_zero = 0
+    while n_zero < n and coeffs[n - n_zero] == 0:
+        n_zero += 1
+    mirrored = [c if (n - k) % 2 == 0 else -c for k, c in enumerate(coeffs)]
+    return Inertia(sign_changes(coeffs), n_zero, sign_changes(mirrored))
+
+
+def box_signs(lattice, bound=5):
+    """(pos, neg, zero): whether (v, v) is positive, negative or zero for
+    some nonzero integer v with entries in [-bound, bound].  The scan stops
+    once all three have been seen, since a flag never turns off again."""
+    pos = neg = zero = False
+    for v in itertools.product(range(-bound, bound + 1), repeat=lattice.rank):
+        if not any(v):
+            continue
+        q = lattice.product(v, v)
+        pos |= q > 0
+        neg |= q < 0
+        zero |= q == 0
+        if pos and neg and zero:
+            break
+    return pos, neg, zero

@@ -31,6 +31,7 @@ from eqsing.errors import NonIntegralReflectionError
 from eqsing.lattice import IntLattice, inertia, kernel_basis, restrict
 from eqsing.localalg import germ, milnor_number, quasihomogeneous_mu
 from eqsing.monodromy import equivariant_generators, pl_reflection, power_law_check
+from oracles import box_signs
 
 
 M5_NABLA = (2, 1, 1, 0, 0)  # 2 d1 + d2 + d3
@@ -327,14 +328,7 @@ def test_criterion_7_property_suites():
                 M[i][j] = M[j][i] = rng.randint(-3, 3)
         lat = IntLattice(linalg.freeze(M))
         sig = inertia(lat)
-        pos = neg = zero = False
-        for v in itertools.product(range(-5, 6), repeat=n):
-            if all(x == 0 for x in v):
-                continue
-            q = lat.product(v, v)
-            pos |= q > 0
-            neg |= q < 0
-            zero |= q == 0
+        pos, neg, zero = box_signs(lat)
         boxes += 1
         if pos and sig.n_plus == 0 or neg and sig.n_minus == 0:
             failures.append(f"brute-force sign missing from inertia for {lat.gram}")

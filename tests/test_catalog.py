@@ -27,10 +27,14 @@ from eqsing.errors import (
     NoFixtureError,
     ZeroSublatticeError,
 )
-from eqsing.lattice import inertia
+from eqsing.lattice import IntLattice, inertia
 from eqsing.localalg import coranks, milnor_number, quasihomogeneous_mu
 from eqsing.monodromy import Finite, Infinite, equivariant_generators
-from oracles import equivariant_generators_by_projector, generator_outcome
+from oracles import (
+    equivariant_generators_by_projector,
+    generator_outcome,
+    inertia_by_descartes,
+)
 
 
 def test_normal_form_examples():
@@ -236,6 +240,18 @@ def test_wall_twist_every_fixture_and_character(symbol, k):
             rank = 0
         twisted = tuple(chi.of(name) * det[name] for name in f.generator_names)
         assert rank == rep.dim_of(twisted), (chi, rank, twisted)
+
+
+@pytest.mark.parametrize("symbol, k", _every_fixture())
+def test_inertia_matches_descartes_every_character(symbol, k):
+    action, _ = action_from_file(fixture_file(symbol, k))
+    for values in itertools.product((1, -1), repeat=len(action.names)):
+        chi = Character(values=tuple(zip(action.names, values)))
+        try:
+            gram = isotypic_sublattice(action, chi).restricted_gram
+        except ZeroSublatticeError:
+            continue
+        assert inertia(IntLattice(gram)) == inertia_by_descartes(gram), chi
 
 
 @pytest.mark.parametrize("symbol, k", _every_fixture())

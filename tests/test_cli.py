@@ -115,6 +115,19 @@ def test_analyze_internal_error_exit_two(monkeypatch):
     assert err.startswith("error: ")
 
 
+def test_analyze_nullity_mismatch_exit_two(monkeypatch):
+    # the zero squares of the inertia and the kernel rank come from two
+    # independent eliminations; a kernel short of a vector is a fault
+    from eqsing import catalog
+
+    kernel_basis = catalog.kernel_basis
+    monkeypatch.setattr(catalog, "kernel_basis", lambda lat: kernel_basis(lat)[1:])
+    code, out, err = run_cli("analyze", str(FIXTURES / "m5.diagram"))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_catalog_list_counts():
     code, out, _ = run_cli("catalog", "list", "--setting", "corner")
     assert code == 0
@@ -248,13 +261,14 @@ _A2_POLY = "vars x:0 y:1\n1 y1^3\n"
     (["mu", "{file}"], b"\xff\xfe"),
     (["analyze", "{file}"], b"\xff\xfe"),
     (["mu", "{file}", "--max-degree", "-1"], _A2_POLY),
+    (["mu", "{file}"], "vars x:0 y:30\n1 y1^2\n"),
     (["catalog", "emit", "X9", "--poly", "--modulus", "abc"], None),
     (["catalog", "verdict", "E6", "--cap", "-5"], None),
     (["analyze", str(FIXTURES / "m5.diagram"), "--cap", "-5"], None),
 ], ids=["constant-term", "negative-count", "zero-denominator", "oracle-1/0",
         "oracle-abc", "oracle-2/3", "unknown-generator", "mu-not-utf8",
-        "analyze-not-utf8", "negative-max-degree", "modulus-abc", "verdict-negative-cap",
-        "analyze-negative-cap"])
+        "analyze-not-utf8", "negative-max-degree", "mu-table-too-large", "modulus-abc",
+        "verdict-negative-cap", "analyze-negative-cap"])
 def test_bad_input_exits_two(tmp_path, argv, text):
     # a refused input is exit 2 with one error line: never a traceback, and
     # never an exit code that reads as a verdict

@@ -1,5 +1,4 @@
 """Bilinear lattices: inertia, kernels, restriction to primitive sublattices."""
-import itertools
 import random
 
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from eqsing import linalg
 from eqsing.errors import DependentBasisError
 from eqsing.lattice import IntLattice, Sublattice, inertia, kernel_basis, restrict
-from oracles import coordinates
+from oracles import box_signs, coordinates, inertia_by_descartes
 
 
 A2 = IntLattice(((-2, 1), (1, -2)))
@@ -40,7 +39,8 @@ def rand_lattice(rng, max_rank=4, bound=3):
 
 
 def brute_force_check(lat, sig):
-    """Exhaustive sign enumeration of v^T G v over the [-5, 5] box.
+    """The signs of v^T G v over the [-5, 5] box (`box_signs`) against the
+    inertia.
 
     Definite iff all values share one sign; semidefinite iff one sign
     plus a zero on a nonzero vector.  Soundness directions hold for any
@@ -50,14 +50,7 @@ def brute_force_check(lat, sig):
     kernel basis itself fits in the box.
     """
     n = lat.rank
-    pos = neg = zero = False
-    for v in itertools.product(range(-5, 6), repeat=n):
-        if all(x == 0 for x in v):
-            continue
-        q = lat.product(v, v)
-        pos |= q > 0
-        neg |= q < 0
-        zero |= q == 0
+    pos, neg, zero = box_signs(lat)
     # soundness: an observed sign forces the matching inertia count
     if pos:
         assert sig.n_plus >= 1
@@ -114,6 +107,25 @@ def test_inertia_brute_force_oracle():
         sig = inertia(lat)
         assert sig.rank == lat.rank
         brute_force_check(lat, sig)
+
+
+def test_inertia_equals_descartes_oracle():
+    # the counts themselves, not only sign classes, on >= 300 seeded random
+    # forms of rank <= 8, a third of them with a zero diagonal
+    rng = random.Random(1907)
+    zero_diagonal = 0
+    for t in range(300):
+        n = rng.randint(0, 8)
+        M = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if i == j and t % 3 == 0 or rng.random() < 0.4:
+                    continue
+                M[i][j] = M[j][i] = rng.randint(-3, 3)
+        zero_diagonal += t % 3 == 0
+        lat = IntLattice(linalg.freeze(M))
+        assert inertia(lat) == inertia_by_descartes(lat.gram), lat.gram
+    assert zero_diagonal >= 100
 
 
 def test_kernel_examples():

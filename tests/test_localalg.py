@@ -1,5 +1,6 @@
 """Local algebra: Milnor numbers, isotypic dimensions, coranks."""
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -9,6 +10,7 @@ from eqsing.errors import (
     NotCertifiedError,
     NotIntegerError,
     NotInvariantError,
+    TableTooLargeError,
 )
 from eqsing.localalg import (
     coranks,
@@ -67,6 +69,14 @@ def test_non_isolated_not_certified():
     f = germ({(2, 1): 1}, m=1, n=1)
     with pytest.raises(NotCertifiedError):
         milnor_number(f, max_degree=12)
+
+
+def test_monomial_table_is_bounded():
+    # y1^2 in 30 variables is not isolated; the table of degree 5 would
+    # hold C(35, 5) monomials, so the refusal comes before it is built
+    f = germ({(2,) + (0,) * 29: 1}, m=0, n=30)
+    with pytest.raises(TableTooLargeError, match=f"degree 5 would hold {comb(35, 5)} "):
+        milnor_number(f)
 
 
 def test_invariance_checked():

@@ -68,7 +68,10 @@ def _ints(text):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.randoms(use_true_random=True))
 def test_random_diagram_action_files_end_in_a_verdict_or_a_typed_error(rng):
-    text = serialize(random_action_file(rng))
+    # -2 on every vertex on most examples, so that most get past the
+    # refusal of other self-intersections and into the pipeline
+    dfile = random_action_file(rng, (-2,)) if rng.random() < 0.9 else random_action_file(rng)
+    text = serialize(dfile)
     code, out, err = _run_cli(["analyze"], "case.diagram", text,
                               ["--cap", "400", "--format", "machine"])
     assert code in (0, 1, 2, 3)
