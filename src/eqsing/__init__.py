@@ -7,7 +7,7 @@ intersection form, and decides finiteness of the equivariant monodromy
 group with verifiable certificates.
 """
 
-from .lattice import IntLattice, Inertia, Sublattice, inertia, kernel_basis, restrict
+from .lattice import IntLattice, Inertia, Sublattice, inertia, kernel_basis
 from .diagram import DynkinDiagram, DiagramFile, parse_diagram, parse_file, serialize, to_lattice
 from .action import (
     Character,
@@ -42,7 +42,7 @@ from . import catalog
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntLattice", "Inertia", "Sublattice", "inertia", "kernel_basis", "restrict",
+    "IntLattice", "Inertia", "Sublattice", "inertia", "kernel_basis",
     "DynkinDiagram", "DiagramFile", "parse_diagram", "parse_file", "serialize",
     "to_lattice",
     "Character", "GroupAction", "SignedPermutation", "corner_rule",

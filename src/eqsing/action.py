@@ -1,8 +1,9 @@
 """Z2^m actions on the distinguished basis and their isotypic sublattices.
 
-Generators are signed permutations of the basis cycles.  The action must
-consist of commuting involutive isometries of the intersection form; the
-(-1)^bullet-isotypic part for a character chi is the saturated sublattice
+Generators are signed permutations of the basis cycles, read only through
+their image tables sigma(e_i) = s_i e_pi(i).  The action must consist of
+commuting involutive isometries of the intersection form (`validate_action`);
+the (-1)^bullet-isotypic part for a character chi is the saturated sublattice
 {a : sigma_i a = chi(sigma_i) a for every generator}.
 
 A signed permutation keeps the span of each orbit of basis cycles, so the
@@ -15,7 +16,6 @@ give c(j) opposite signs, and then the orbit carries none
 import itertools
 from dataclasses import dataclass
 
-from . import linalg
 from .errors import (
     ActionDataError,
     NotCommutingError,
@@ -45,20 +45,6 @@ class SignedPermutation:
     @property
     def size(self):
         return len(self.images)
-
-    @property
-    def matrix(self):
-        n = self.size
-        M = [[0] * n for _ in range(n)]
-        for i, (j, s) in enumerate(self.images):
-            M[j][i] = s
-        return linalg.freeze(M)
-
-    def apply(self, v):
-        out = [0] * self.size
-        for i, (j, s) in enumerate(self.images):
-            out[j] += s * v[i]
-        return tuple(out)
 
 
 def signed_permutation_from_file(images_1based, vertex_ids):
@@ -132,42 +118,52 @@ class GroupAction:
 
 
 def validate_action(action):
-    """Check involution, commutation and isometry for every generator.
+    """Check isometry, involution and commutation for every generator, in
+    that order, on the image tables (notes/decisions.md, "Checking an
+    action on its image tables").
 
-    Raises the typed error for the first violated identity, with witness
-    indices in the message; returns None when everything holds.
+    Raises the typed error for the first violated identity, naming the
+    first entry at fault of its matrix form in row-major order; returns
+    None when everything holds.
     """
     G = action.lattice.gram
-    n = action.lattice.rank
-    I = linalg.identity(n)
-    mats = [(name, g.matrix) for name, g in action.generators]
-    for name, M in mats:
-        MGM = linalg.mat_mul(linalg.mat_mul(linalg.transpose(M), G), M)
-        if MGM != G:
-            bad = next(
-                (i, j) for i in range(n) for j in range(n) if MGM[i][j] != G[i][j]
-            )
-            raise NotIsometryError(
-                f"generator {name} does not preserve the form (entry {bad})"
-            )
-    for name, M in mats:
-        sq = linalg.mat_mul(M, M)
-        if sq != I:
-            bad = next(
-                (i, j) for i in range(n) for j in range(n) if sq[i][j] != I[i][j]
-            )
+    for name, g in action.generators:
+        for i, (pi, si) in enumerate(g.images):
+            for j, (pj, sj) in enumerate(g.images):
+                # entry (i, j) of sigma^T G sigma against G[i][j]
+                if si * sj * G[pi][pj] != G[i][j]:
+                    raise NotIsometryError(
+                        f"generator {name} does not preserve the form (entry {(i, j)})"
+                    )
+    identity = tuple((j, 1) for j in range(action.lattice.rank))
+    for name, g in action.generators:
+        bad = _first_difference(_compose(g.images, g.images), identity)
+        if bad is not None:
             raise NotInvolutionError(
                 f"generator {name} is not an involution (entry {bad} of sigma^2)"
             )
-    for (na, A), (nb, B) in itertools.combinations(mats, 2):
-        AB = linalg.mat_mul(A, B)
-        BA = linalg.mat_mul(B, A)
-        if AB != BA:
-            bad = next(
-                (i, j) for i in range(n) for j in range(n) if AB[i][j] != BA[i][j]
-            )
+    for (na, a), (nb, b) in itertools.combinations(action.generators, 2):
+        bad = _first_difference(_compose(a.images, b.images), _compose(b.images, a.images))
+        if bad is not None:
             raise NotCommutingError(f"generators {na}, {nb} do not commute (entry {bad})")
     return None
+
+
+def _compose(a, b):
+    """Image table of the product a b, which applies b first."""
+    return tuple((a[k][0], s * a[k][1]) for k, s in b)
+
+
+def _first_difference(p, q):
+    """The first entry in row-major order at which the signed permutation
+    matrices of the image tables p and q differ, or None.  Where column j
+    differs, it differs at both rows p[j][0] and q[j][0], and nowhere else.
+    """
+    bad = []
+    for j, (x, y) in enumerate(zip(p, q)):
+        if x != y:
+            bad += [(x[0], j), (y[0], j)]
+    return min(bad, default=None)
 
 
 def signed_orbits(action, chi):

@@ -104,8 +104,8 @@ def _machine_report(source, dfile, outcome):
 
 
 def _text_report(source, dfile, outcome, elapsed):
-    amb = catalog.to_lattice(dfile.diagram)
     sub = outcome.sublattice
+    amb = sub.ambient
     dl = [f"δ{i + 1}" for i in range(sub.rank)]
     out = [f"== analysis: {source}"]
     out.append(f"ambient lattice: rank {dfile.diagram.rank}")

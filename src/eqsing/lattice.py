@@ -181,18 +181,5 @@ class Sublattice:
         return out
 
 
-def restrict(lattice, vectors):
-    """Saturate the rational span of `vectors` and restrict the form to it.
-
-    Raises DependentBasisError when the input is rationally dependent; the
-    returned basis is the canonical one for the saturated sublattice, so
-    restrict is idempotent on saturated spans.
-    """
-    vectors = linalg.freeze(vectors)
-    if linalg.rank_of(vectors) != len(vectors):
-        raise DependentBasisError("input vectors are rationally dependent")
-    return Sublattice._canonical(lattice, linalg.saturation(vectors))
-
-
 def _gram_on(lattice, basis):
     return linalg.freeze([[lattice.product(a, b) for b in basis] for a in basis])

@@ -27,10 +27,10 @@ from .errors import (
     TableTooLargeError,
 )
 
-# The largest table of any test or `mu` benchmark case holds 10,626 monomials
-# (4 variables, degree 20); ten times that stops a germ in many variables
-# long before its table, bounded only by degree, reaches the millions.
-MAX_MONOMIALS = 100_000
+# The bound on the entries of the monomial table, C(n + D, D) monomials of n
+# exponents each.  The largest table of any test or `mu` benchmark case holds
+# 42,504 (A20: 10,626 monomials in 4 variables, degree 20).
+MAX_TABLE_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,8 @@ def parse_germ(text, corner=False):
 
     `vars x:<m> y:<n>` header, then one term per line:
     `<rational_coef> <monomial>` with monomials like `x1^4`, `x1^2*x2^2`.
+    A header whose table is over its bound at degree 1 already is a
+    TableTooLargeError, raised before any term is read.
     """
     m = n = None
     terms = {}
@@ -139,6 +141,7 @@ def parse_germ(text, corner=False):
                 raise DiagramSyntaxError(
                     "expected `vars x:<m> y:<n>` with m, n >= 0", line=lineno
                 )
+            _check_table(m + n, 1)
             continue
         if m is None:
             raise DiagramSyntaxError("term before vars header", line=lineno)
@@ -234,6 +237,16 @@ def _reduce(pivots, row):
     return row
 
 
+def _check_table(nvars, D):
+    """Refuse a monomial table to degree D over MAX_TABLE_ENTRIES entries."""
+    monomials = comb(nvars + D, D)
+    if monomials * nvars > MAX_TABLE_ENTRIES:
+        raise TableTooLargeError(
+            f"the monomial table at degree {D} would hold {monomials} monomials "
+            f"of {nvars} variables, {monomials * nvars} entries, over {MAX_TABLE_ENTRIES}"
+        )
+
+
 def milnor_number(f, max_degree=24):
     """Milnor number and isotypic dimensions of the Jacobian quotient.
 
@@ -245,8 +258,8 @@ def milnor_number(f, max_degree=24):
 
     Raises NotCertifiedError when finiteness cannot be certified by
     `max_degree` (non-isolated critical point, or cap too small), and
-    TableTooLargeError before a degree whose table of C(n + D, D)
-    monomials would hold more than MAX_MONOMIALS.
+    TableTooLargeError before a degree whose table would hold more than
+    MAX_TABLE_ENTRIES entries (`_check_table`).
     """
     gens = [g for g in (_partial(f.terms, v) for v in range(f.nvars)) if g]
     if not gens:
@@ -255,9 +268,7 @@ def milnor_number(f, max_degree=24):
     index = {table[0]: 0}
     size = [1]  # size[d]: the monomials of degree <= d, a prefix of table
     for D in range(1, max_degree + 1):
-        if comb(f.nvars + D, D) > MAX_MONOMIALS:
-            raise TableTooLargeError(f"the monomial table at degree {D} would hold "
-                                     f"{comb(f.nvars + D, D)} monomials, over {MAX_MONOMIALS}")
+        _check_table(f.nvars, D)
         for mono in sorted(
             tuple(c.count(v) for v in range(f.nvars))
             for c in itertools.combinations_with_replacement(range(f.nvars), D)

@@ -41,15 +41,7 @@ from .errors import (
     OrbitNotOrthogonalError,
     ProjectsToZeroError,
 )
-from .lattice import IntLattice, Sublattice, inertia
-
-
-def _gram_of(lattice_or_sub):
-    if isinstance(lattice_or_sub, Sublattice):
-        return lattice_or_sub.restricted_gram
-    if isinstance(lattice_or_sub, IntLattice):
-        return lattice_or_sub.gram
-    return linalg.freeze(lattice_or_sub)
+from .lattice import IntLattice, inertia
 
 
 @dataclass(frozen=True)
@@ -91,18 +83,18 @@ class MonodromyElement:
         return linalg.mat_vec(self.matrix, v)
 
 
-def pl_reflection(lattice_or_sub, delta, name=None):
-    """The Picard-Lefschetz reflection in the cycle `delta`.
+def pl_reflection(gram, delta, name=None):
+    """The Picard-Lefschetz reflection in the cycle `delta` on the form
+    with Gram matrix `gram`, as a MonodromyElement named `name`.
 
     a |-> a - 2 (a, delta)/(delta, delta) * delta.  For self-intersection
     -2 this is a |-> a + (a, delta) delta.  Raises IsotropicCycleError when
     (delta, delta) = 0 and NonIntegralReflectionError when the map does
     not preserve the integer lattice.
     """
-    G = _gram_of(lattice_or_sub)
-    n = len(G)
+    n = len(gram)
     delta = tuple(delta)
-    Gd = linalg.mat_vec(G, delta)
+    Gd = linalg.mat_vec(gram, delta)
     dd = _dot(delta, Gd)
     _check_integral(delta, Gd, dd)
     rows = tuple(
@@ -110,7 +102,7 @@ def pl_reflection(lattice_or_sub, delta, name=None):
         for i in range(n)
     )
     word = (name,) if name is not None else ()
-    return MonodromyElement(matrix=rows, gram=G, word=word)
+    return MonodromyElement(matrix=rows, gram=gram, word=word)
 
 
 def _check_integral(delta, Gd, dd):
@@ -155,7 +147,7 @@ def equivariant_generators(action, chi):
             )
         # every earlier orbit carries a chi-vector, so this one is basis vector k
         e_k = tuple(int(t == k) for t in range(sub.rank))
-        h = pl_reflection(sub, e_k, name=f"h{k + 1}")
+        h = pl_reflection(sub.restricted_gram, e_k, name=f"h{k + 1}")
         _check_orbit_product(G, orbit, sub, h)
         gens.append(h)
     return sub, gens
@@ -529,18 +521,21 @@ def _dot(u, v):
 def _pair_certificate(gram, rho, word, rho_p, word_p):
     """Validated Infinite with certificate g = s_rho s_rho'.
 
-    On the plane of the pair, g has trace 4b^2/(ac) - 2 with a = (rho, rho),
+    Column j of g is s_rho(s_rho'(e_j)) by `_reflect`: like every root of
+    the search, rho and rho' are primitive with integral reflections.  On
+    the plane of the pair, g has trace 4b^2/(ac) - 2 with a = (rho, rho),
     b = (rho, rho') and c = (rho', rho').  b^2 = ac makes g a nontrivial
     unipotent, certified by a power-law witness; otherwise |t| > 2 for the
     trace t, and g has a real eigenvalue off the unit circle, a root of the
     factor x^2 - t x + 1 of its characteristic polynomial.
     """
-    matrix = linalg.mat_mul(pl_reflection(gram, rho).matrix,
-                            pl_reflection(gram, rho_p).matrix)
+    mirror, mirror_p = _mirror(gram, rho), _mirror(gram, rho_p)
+    columns = [_reflect(_reflect(e_j, mirror_p), mirror)
+               for e_j in linalg.identity(len(gram))]
+    matrix = tuple(zip(*columns))
     element = MonodromyElement(matrix=matrix, gram=gram,
                                word=tuple(f"h{i + 1}" for i in word + word_p))
-    g_rho = linalg.mat_vec(gram, rho)
-    a, b, c = _dot(rho, g_rho), _dot(rho_p, g_rho), _dot(rho_p, linalg.mat_vec(gram, rho_p))
+    a, b, c = mirror[2], _dot(rho_p, mirror[1]), mirror_p[2]
     if b * b == a * c:
         v, w = _index2_witness(matrix)
         verdict = Infinite(certificate=element, witness=v, increment=w)

@@ -13,6 +13,9 @@ from eqsing.diagram import DiagramFile, DynkinDiagram
 from eqsing.errors import (
     EqsingError,
     InternalError,
+    NotCommutingError,
+    NotInvolutionError,
+    NotIsometryError,
     OrbitNotOrthogonalError,
     ProjectsToZeroError,
     ZeroSublatticeError,
@@ -87,8 +90,57 @@ def isotypic_rank_rational(action, chi):
 
 
 # --------------------------------------------------------------------------
-# the isotypic sublattice and the orbit reflections by projector and
-# ambient matrices
+# the action as matrices: validation, the isotypic sublattice and the orbit
+# reflections by projector and ambient matrices
+
+
+def permutation_matrix(sp):
+    """The n x n matrix of a SignedPermutation: column i has sign s at row
+    j when basis vector i maps to s times basis vector j."""
+    n = sp.size
+    M = [[0] * n for _ in range(n)]
+    for i, (j, s) in enumerate(sp.images):
+        M[j][i] = s
+    return linalg.freeze(M)
+
+
+def validate_action_by_matrices(action):
+    """Check isometry, involution and commutation for every generator by
+    multiplying n x n matrices: sigma^T G sigma = G, sigma^2 = I and
+    sigma tau = tau sigma, each with the first entry at fault in row-major
+    order as the witness.  The reference for `validate_action`, which
+    reads the image tables."""
+    G = action.lattice.gram
+    n = action.lattice.rank
+    I = linalg.identity(n)
+    mats = [(name, permutation_matrix(g)) for name, g in action.generators]
+    for name, M in mats:
+        MGM = linalg.mat_mul(linalg.mat_mul(linalg.transpose(M), G), M)
+        if MGM != G:
+            bad = next(
+                (i, j) for i in range(n) for j in range(n) if MGM[i][j] != G[i][j]
+            )
+            raise NotIsometryError(
+                f"generator {name} does not preserve the form (entry {bad})"
+            )
+    for name, M in mats:
+        sq = linalg.mat_mul(M, M)
+        if sq != I:
+            bad = next(
+                (i, j) for i in range(n) for j in range(n) if sq[i][j] != I[i][j]
+            )
+            raise NotInvolutionError(
+                f"generator {name} is not an involution (entry {bad} of sigma^2)"
+            )
+    for (na, A), (nb, B) in itertools.combinations(mats, 2):
+        AB = linalg.mat_mul(A, B)
+        BA = linalg.mat_mul(B, A)
+        if AB != BA:
+            bad = next(
+                (i, j) for i in range(n) for j in range(n) if AB[i][j] != BA[i][j]
+            )
+            raise NotCommutingError(f"generators {na}, {nb} do not commute (entry {bad})")
+    return None
 
 
 def group_elements(action):
@@ -98,7 +150,7 @@ def group_elements(action):
     multiplied together; the empty subset is the identity.
     """
     n = action.lattice.rank
-    mats = [(name, g.matrix) for name, g in action.generators]
+    mats = [(name, permutation_matrix(g)) for name, g in action.generators]
     for r in range(len(mats) + 1):
         for combo in itertools.combinations(mats, r):
             M = linalg.identity(n)
@@ -172,7 +224,7 @@ def isotypic_sublattice_by_kernel(action, chi):
     rows = []
     for name, g in action.generators:
         c = chi.of(name)
-        M = g.matrix
+        M = permutation_matrix(g)
         for i in range(n):
             rows.append(tuple(M[i][j] - (c if i == j else 0) for j in range(n)))
     ker = linalg.int_kernel(linalg.freeze(rows))
@@ -194,7 +246,7 @@ def orbit_generator_by_projector(action, chi, orbit, sub, name=None):
     n = action.lattice.rank
     amb = linalg.identity(n)
     for i in orbit:
-        H = pl_reflection(action.lattice, action.lattice.basis_vector(i)).matrix
+        H = pl_reflection(action.lattice.gram, action.lattice.basis_vector(i)).matrix
         amb = linalg.mat_mul(H, amb)
     rep = tuple(1 if i == min(orbit) else 0 for i in range(n))
     proj = character_projection(action, chi, rep)
@@ -210,7 +262,7 @@ def orbit_generator_by_projector(action, chi, orbit, sub, name=None):
         raise ProjectsToZeroError(
             "orbit cycle projection does not lie in the isotypic sublattice"
         )
-    refl = pl_reflection(sub, delta_sub, name=name)
+    refl = pl_reflection(sub.restricted_gram, delta_sub, name=name)
     cols = linalg.transpose(sub.basis)
     if linalg.mat_mul(amb, cols) != linalg.mat_mul(cols, refl.matrix):
         raise InternalError(

@@ -28,7 +28,7 @@ from eqsing.catalog import (
 )
 from eqsing.diagram import DiagramFile, DynkinDiagram, parse_file, serialize, to_lattice
 from eqsing.errors import NonIntegralReflectionError
-from eqsing.lattice import IntLattice, inertia, kernel_basis, restrict
+from eqsing.lattice import IntLattice, inertia, kernel_basis
 from eqsing.localalg import germ, milnor_number, quasihomogeneous_mu
 from eqsing.monodromy import equivariant_generators, pl_reflection, power_law_check
 from oracles import box_signs
@@ -296,7 +296,7 @@ def test_criterion_7_property_suites():
         if lat.product(delta, delta) == 0:
             continue
         try:
-            h = pl_reflection(lat, delta)
+            h = pl_reflection(lat.gram, delta)
         except NonIntegralReflectionError:
             continue
         checked += 1

@@ -1,5 +1,7 @@
 """Group actions: validation, isotypic sublattices, signed orbits."""
+import inspect
 import itertools
+import random
 from math import gcd
 
 import pytest
@@ -26,7 +28,15 @@ from eqsing.errors import (
 )
 from eqsing.lattice import IntLattice, Sublattice
 from eqsing.localalg import LocalAlgebraReport
-from oracles import character_projection, group_elements, isotypic_rank_rational
+from oracles import (
+    character_projection,
+    group_elements,
+    isotypic_rank_rational,
+    permutation_matrix,
+    random_action_file,
+    validate_action_by_matrices,
+)
+from test_catalog import BUNDLED_FIXTURES
 
 
 A2 = IntLattice(((-2, 1), (1, -2)))
@@ -48,8 +58,8 @@ def test_signed_permutation_validation():
     with pytest.raises(ValueError):
         SignedPermutation(images=((0, 2),))  # bad sign
     sp = SignedPermutation(images=((1, 1), (0, -1)))
-    assert sp.matrix == ((0, -1), (1, 0))
-    assert sp.apply((1, 0)) == (0, 1)
+    assert permutation_matrix(sp) == ((0, -1), (1, 0))
+    assert linalg.mat_vec(permutation_matrix(sp), (1, 0)) == (0, 1)
 
 
 @pytest.mark.parametrize("build, base", [
@@ -125,6 +135,58 @@ def test_validate_not_commuting():
         validate_action(act)
 
 
+def _random_signed_permutation(rng, n):
+    targets = list(range(n))
+    rng.shuffle(targets)
+    return SignedPermutation(images=tuple((j, rng.choice((1, -1))) for j in targets))
+
+
+def _validation_outcome(check, action):
+    try:
+        return check(action)
+    except EqsingError as exc:
+        return type(exc), str(exc)
+
+
+def test_validate_action_matches_the_matrix_products():
+    # the image tables give the error class and the witness entry of the
+    # matrix identities, on every fixture action and 6,000 seeded ones:
+    # random diagram+action files, random signed permutations on random
+    # forms, and on a diagonal form, which every signed permutation keeps,
+    # so that the involution and commutation checks are reached
+    rng = random.Random(14)
+    actions = [action_from_file(fixture_file(s, k))[0] for s, k in BUNDLED_FIXTURES]
+    actions += [action_from_file(random_action_file(rng))[0] for _ in range(2000)]
+    for diagonal in (False, True):
+        for _ in range(2000):
+            n = rng.randint(1, 4)
+            gram = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+            if not diagonal:
+                for i, j in itertools.combinations_with_replacement(range(n), 2):
+                    gram[i][j] = gram[j][i] = rng.choice((-2, -2, -1, 0, 0, 1, 2))
+            gens = tuple((f"g{k + 1}", _random_signed_permutation(rng, n))
+                         for k in range(rng.randint(1, 3)))
+            actions.append(GroupAction(generators=gens, lattice=IntLattice(gram)))
+    kinds = set()
+    for action in actions:
+        got = _validation_outcome(validate_action, action)
+        assert got == _validation_outcome(validate_action_by_matrices, action)
+        kinds.add(None if got is None else got[0])
+    assert kinds == {None, NotIsometryError, NotInvolutionError, NotCommutingError}
+
+
+def test_validate_action_calls_no_linalg(monkeypatch):
+    # the checks read the image tables: no matrix is built or multiplied
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate_action called a linalg routine")
+
+    actions = [action_from_file(fixture_file(s, k))[0] for s, k in BUNDLED_FIXTURES]
+    for name, _ in inspect.getmembers(linalg, inspect.isfunction):
+        monkeypatch.setattr(linalg, name, refuse)
+    for action in actions:
+        assert validate_action(action) is None
+
+
 def test_character_rules():
     assert z2_rule(1).values == (("sigma", -1),)
     assert z2_rule(2).values == (("sigma", 1),)
@@ -166,7 +228,7 @@ def test_isotypic_vectors_satisfy_eigenvalue_equation():
         for name, g in action.generators:
             c = chi.of(name)
             for b in sub.basis:
-                assert g.apply(b) == tuple(c * x for x in b)
+                assert linalg.mat_vec(permutation_matrix(g), b) == tuple(c * x for x in b)
 
 
 def test_rank_additivity_over_characters():

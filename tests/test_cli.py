@@ -4,6 +4,7 @@ import contextlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -284,6 +285,28 @@ def test_bad_input_exits_two(tmp_path, argv, text):
     assert code == 2
     assert out.getvalue() == ""
     assert len([l for l in err.getvalue().splitlines() if "error:" in l]) == 1
+
+
+@pytest.mark.parametrize("count", [99_999, 100_000_000])
+def test_mu_refuses_a_huge_vars_header_at_once(tmp_path, count):
+    # the degree-1 monomial table of the header alone is over the bound on
+    # its entries, so the file is refused before any term is read
+    path = tmp_path / "huge.poly"
+    path.write_text(f"vars x:0 y:{count}\n1 y1^2\n")
+    start = time.monotonic()
+    code, out, err = run_cli("mu", str(path))
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert len([l for l in err.splitlines() if "error:" in l]) == 1
+
+
+def test_package_exports_resolve():
+    # `from eqsing import *` raises on a name in __all__ that is gone
+    import eqsing
+
+    namespace = {}
+    exec("from eqsing import *", namespace)
+    assert set(eqsing.__all__) <= set(namespace)
 
 
 def test_cli_import_does_not_load_numpy():

@@ -5,7 +5,7 @@ import pytest
 
 from eqsing import linalg
 from eqsing.errors import DependentBasisError
-from eqsing.lattice import IntLattice, Sublattice, inertia, kernel_basis, restrict
+from eqsing.lattice import IntLattice, Sublattice, inertia, kernel_basis
 from oracles import box_signs, coordinates, inertia_by_descartes
 
 
@@ -151,40 +151,6 @@ def test_kernel_properties_random():
         assert linalg.hnf(ker) == ker if ker else ker == ()
 
 
-def test_restrict_identity():
-    sub = restrict(A2, linalg.identity(2))
-    assert sub.restricted_gram == A2.gram
-    assert sub.basis == linalg.identity(2)
-
-
-def test_restrict_saturates():
-    # span{(2,0)} inside A2 saturates to span{(1,0)}
-    sub = restrict(A2, ((2, 0),))
-    assert sub.basis == ((1, 0),)
-    assert sub.restricted_gram == ((-2,),)
-
-
-def test_restrict_dependent_basis_rejected():
-    with pytest.raises(DependentBasisError):
-        restrict(A2, ((1, 0), (2, 0)))
-
-
-def test_restrict_idempotent_on_saturated():
-    rng = random.Random(5)
-    for _ in range(100):
-        lat = rand_lattice(rng, max_rank=4)
-        k = rng.randint(1, lat.rank)
-        vecs = tuple(
-            tuple(rng.randint(-3, 3) for _ in range(lat.rank)) for _ in range(k)
-        )
-        if linalg.rank_of(vecs) != k:
-            continue
-        sub = restrict(lat, vecs)
-        again = restrict(lat, sub.basis)
-        assert again.basis == sub.basis
-        assert again.restricted_gram == sub.restricted_gram
-
-
 def test_analysis_runs_no_rank_or_saturation(monkeypatch):
     # the isotypic kernel is saturated and in Hermite normal form already
     from eqsing.catalog import fixture_file, run_analysis
@@ -204,7 +170,7 @@ def test_analysis_runs_no_rank_or_saturation(monkeypatch):
 
 def test_direct_sublattice_construction_is_checked():
     sub = Sublattice(ambient=A2, basis=((1, 0),), restricted_gram=((-2,),))
-    assert sub == restrict(A2, ((2, 0),))
+    assert sub == Sublattice._canonical(A2, ((1, 0),))
     with pytest.raises(DependentBasisError):
         Sublattice(ambient=A2, basis=((1, 0), (2, 0)))
     with pytest.raises(ValueError, match="saturated"):
@@ -227,11 +193,11 @@ def test_restrict_m5_and_m4_self_intersections():
         4: (0, 0, 0, 0, 0, 1, 0, 1, 0),
         5: (0, 0, 0, 0, 0, 0, 1, 0, 1),
     }
-    sub = restrict(lat, (d[1], d[2], d[3], d[4], d[5]))
+    sub = Sublattice(lat, (d[1], d[2], d[3], d[4], d[5]))
     assert sub.restricted_gram == M5_GRAM
     assert sub.restricted_gram[1][1] == -4  # (delta2, delta2) = -4
     m4_d4 = (0, 0, 0, 0, 0, 1, 1, 1, 1)
-    sub4 = restrict(lat, (d[1], d[2], d[3], m4_d4))
+    sub4 = Sublattice(lat, (d[1], d[2], d[3], m4_d4))
     assert sub4.restricted_gram == M4_GRAM
     assert sub4.restricted_gram[3][3] == -8  # (delta4, delta4) = -8
 
@@ -241,7 +207,7 @@ def test_sublattice_embed_and_coordinates():
     from eqsing.diagram import to_lattice
 
     lat = to_lattice(fixture_file("X9").diagram)
-    sub = restrict(lat, ((0, 1, 0, 1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0, 0)))
+    sub = Sublattice(lat, ((1, 0, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 1, 0, 0, 0, 0, 0)))
     amb = sub.embed((1, 1))
     assert coordinates(sub, amb) == (1, 1)
     assert coordinates(sub, (0, 0, 1, 0, 0, 0, 0, 0, 0)) is None
