@@ -25,7 +25,6 @@ from .monodromy import (
     MonodromyElement,
     Unknown,
     generate_group,
-    pl_reflection,
     power_law_check,
 )
 from .localalg import (
@@ -48,7 +47,7 @@ __all__ = [
     "Character", "GroupAction", "SignedPermutation", "corner_rule",
     "isotypic_sublattice", "signed_orbits", "validate_action", "z2_rule",
     "Finite", "Infinite", "MonodromyElement", "Unknown", "generate_group",
-    "pl_reflection", "power_law_check",
+    "power_law_check",
     "LocalAlgebraReport", "PolyGerm", "coranks", "germ", "milnor_number",
     "parse_germ", "quasihomogeneous_mu",
     "catalog",

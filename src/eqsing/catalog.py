@@ -23,7 +23,6 @@ from importlib import resources
 from math import factorial
 from typing import Callable, Optional
 
-from . import linalg
 from .action import Character, GroupAction, signed_permutation_from_file
 from .diagram import DiagramFile, DynkinDiagram, parse_file, to_lattice
 from .errors import (BadParameterError, CriterionMismatchError, DiagramError,
@@ -327,6 +326,8 @@ def fixture(symbol, k=None):
 class AnalysisOutcome:
     """Everything the criterion produces for one diagram+action input.
 
+    `generators` holds the roots e_1, ..., e_r of the orbit reflections
+    h_1, ..., h_r, in sublattice coordinates; no matrix is built for them.
     `criteria_agree` is always true: `run_analysis` raises
     CriterionMismatchError instead of returning a disagreement.
     """
@@ -360,7 +361,7 @@ def run_analysis(dfile, cap=10**6):
         raise DiagramError(f"vertex {i} has self-intersection {s}; "
                            "the criterion takes -2 on every vertex")
     action, chi = action_from_file(dfile)
-    sub, gens = equivariant_generators(action, chi)
+    sub, roots = equivariant_generators(action, chi)
     lattice = sub.lattice()
     sig = inertia(lattice)
     ker = kernel_basis(lattice)
@@ -368,8 +369,7 @@ def run_analysis(dfile, cap=10**6):
         raise InternalError(f"inertia has {sig.n_zero} zero squares but the kernel "
                             f"has rank {len(ker)}")
     ker_amb = tuple(sub.embed(v) for v in ker)
-    # h_k is the reflection in basis vector k of the sublattice
-    verdict = generate_group(sub.restricted_gram, linalg.identity(sub.rank), cap=cap)
+    verdict = generate_group(sub.restricted_gram, roots, cap=cap)
     if verdict.kind != "unknown" and sig.negative_definite != (verdict.kind == "finite"):
         raise CriterionMismatchError(
             f"negative definiteness and finiteness disagree "
@@ -377,7 +377,7 @@ def run_analysis(dfile, cap=10**6):
         )
     return AnalysisOutcome(
         sublattice=sub,
-        generators=tuple(gens),
+        generators=roots,
         inertia=sig,
         kernel=ker,
         kernel_ambient=ker_amb,

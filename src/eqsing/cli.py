@@ -53,6 +53,11 @@ def _combo(vec, labels):
     return " ".join(parts) if parts else "0"
 
 
+def _generator_names(outcome):
+    """h1, ..., hr: the names certificate words give the generator roots."""
+    return [f"h{k}" for k in range(1, len(outcome.generators) + 1)]
+
+
 def _machine_report(source, dfile, outcome):
     sub = outcome.sublattice
     lines = [f"input={source}", f"ambient.rank={dfile.diagram.rank}"]
@@ -76,7 +81,7 @@ def _machine_report(source, dfile, outcome):
         lines.append(f"kernel.delta.{i}={_csv(v)}")
         lines.append(f"kernel.ambient.{i}={_csv(va)}")
     lines.append(
-        "monodromy.generators=" + ",".join("".join(g.word) for g in outcome.generators)
+        "monodromy.generators=" + ",".join(_generator_names(outcome))
     )
     v = outcome.verdict
     lines.append(f"monodromy.verdict={v.kind}")
@@ -137,7 +142,7 @@ def _text_report(source, dfile, outcome, elapsed):
         out.append(f"  {_combo(v, dl)}  =  {_combo(va, amb.labels)}")
     out.append(
         "monodromy generators: "
-        + ", ".join("".join(g.word) for g in outcome.generators)
+        + ", ".join(_generator_names(outcome))
         + " (orbit reflections)"
     )
     v = outcome.verdict

@@ -111,8 +111,7 @@ class ProjectsToZeroError(EqsingError):
 
 class GeneratorError(EqsingError):
     """Generator roots the finiteness decision cannot take: none at all, or
-    one that is no integer vector of the form's rank; also a product of
-    elements on different forms."""
+    one that is no integer vector of the form's rank."""
 
 
 # --- local algebra ---

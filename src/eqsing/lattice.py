@@ -130,13 +130,15 @@ def kernel_basis(lattice):
 class Sublattice:
     """Primitive (saturated) sublattice with the restricted form.
 
-    `basis` rows are ambient coordinates in canonical echelon form;
-    `restricted_gram[i][j]` is the ambient product of basis[i], basis[j].
+    `basis` rows are ambient coordinates in canonical echelon form: the
+    basis given is stored as its Hermite normal form, so two bases of one
+    sublattice give equal Sublattices.  `restricted_gram[i][j]` is the
+    ambient product of basis[i], basis[j].
     """
 
     ambient: IntLattice
     basis: tuple
-    restricted_gram: tuple = field(default=None)
+    restricted_gram: tuple = field(init=False)
 
     def __post_init__(self):
         basis = linalg.freeze(self.basis)
@@ -149,11 +151,8 @@ class Sublattice:
             raise DependentBasisError("basis vectors are rationally dependent")
         if canonical != linalg.saturation(basis):
             raise LatticeDataError("basis does not span a saturated sublattice")
-        gram = _gram_on(self.ambient, basis)
-        if self.restricted_gram is not None and linalg.freeze(self.restricted_gram) != gram:
-            raise LatticeDataError("restricted_gram inconsistent with ambient products")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "restricted_gram", gram)
+        object.__setattr__(self, "basis", canonical)
+        object.__setattr__(self, "restricted_gram", _gram_on(self.ambient, canonical))
 
     @classmethod
     def _canonical(cls, ambient, basis):

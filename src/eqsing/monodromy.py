@@ -1,5 +1,5 @@
-"""Picard-Lefschetz operators, equivariant reflection generators, and the
-finiteness decision procedure with machine-checkable certificates.
+"""Equivariant generator roots and the finiteness decision procedure with
+machine-checkable certificates.
 
 The decision is one search, on every form: the orbit of the generator
 roots, for two roots rho, rho' with b = (rho, rho') != 0 and
@@ -18,10 +18,13 @@ form chooses only the partner test and whether the Coxeter orbits run:
 A closure with no such pair gives the exact order by orbit-stabiliser on
 the roots: the orbit of one root, times the order of the group generated
 by the reflections in the roots orthogonal to it (Steinberg).  The cap
-counts roots on every form: Unknown when the roots exceed it.  The
-decision takes the form and the generator roots, not matrices: the
-pipeline's h_k is the reflection in basis vector k of the isotypic
-sublattice by construction.
+counts roots on every form: Unknown when the roots exceed it.
+
+The generators are held as roots only.  The pipeline's h_k is the
+Picard-Lefschetz reflection in basis vector k of the isotypic sublattice
+by construction, so `equivariant_generators` gives the unit vectors, and
+every reflection is applied by its formula (`_reflect`).  The one matrix
+is the certificate of an infinite group, a MonodromyElement.
 
 Everything runs on tuples of Python ints, so no entry can overflow.
 """
@@ -46,7 +49,8 @@ from .lattice import IntLattice, inertia
 
 @dataclass(frozen=True)
 class MonodromyElement:
-    """Integer matrix preserving a fixed symmetric form, with its word label."""
+    """Integer matrix preserving a fixed symmetric form, with its word
+    label: the certificate of an Infinite verdict."""
 
     matrix: tuple
     gram: tuple
@@ -70,40 +74,6 @@ class MonodromyElement:
     def is_identity(self):
         return self.matrix == linalg.identity(self.rank)
 
-    def __matmul__(self, other):
-        if self.gram != other.gram:
-            raise GeneratorError("elements live on different forms")
-        return MonodromyElement(
-            matrix=linalg.mat_mul(self.matrix, other.matrix),
-            gram=self.gram,
-            word=self.word + other.word,
-        )
-
-    def apply(self, v):
-        return linalg.mat_vec(self.matrix, v)
-
-
-def pl_reflection(gram, delta, name=None):
-    """The Picard-Lefschetz reflection in the cycle `delta` on the form
-    with Gram matrix `gram`, as a MonodromyElement named `name`.
-
-    a |-> a - 2 (a, delta)/(delta, delta) * delta.  For self-intersection
-    -2 this is a |-> a + (a, delta) delta.  Raises IsotropicCycleError when
-    (delta, delta) = 0 and NonIntegralReflectionError when the map does
-    not preserve the integer lattice.
-    """
-    n = len(gram)
-    delta = tuple(delta)
-    Gd = linalg.mat_vec(gram, delta)
-    dd = _dot(delta, Gd)
-    _check_integral(delta, Gd, dd)
-    rows = tuple(
-        tuple((1 if i == j else 0) - 2 * Gd[j] * delta[i] // dd for j in range(n))
-        for i in range(n)
-    )
-    word = (name,) if name is not None else ()
-    return MonodromyElement(matrix=rows, gram=gram, word=word)
-
 
 def _check_integral(delta, Gd, dd):
     """Raise unless the reflection in delta, with Gd = G delta and
@@ -121,18 +91,20 @@ def _check_integral(delta, Gd, dd):
 
 
 def equivariant_generators(action, chi):
-    """(sublattice, [h_1, ..., h_r]) for the pipeline: one reflection per orbit.
+    """(sublattice, (e_1, ..., e_r)) for the pipeline: one root per orbit.
 
-    Orbit k's cycle is basis vector k of the isotypic sublattice, so h_k is
-    the reflection in it.  Each orbit is checked in turn: its cycles are
-    pairwise orthogonal (OrbitNotOrthogonalError), the ambient reflection
-    in each is integral, and it carries a chi-vector (ProjectsToZeroError).
-    h_k is then checked against the product of the ambient reflections
-    over the orbit (`_check_orbit_product`).
+    Orbit k's cycle is basis vector k of the isotypic sublattice, so its
+    reflection h_k is the reflection in the unit vector e_k, and e_k is
+    the root `generate_group` takes for it.  Each orbit is checked in turn:
+    its cycles are pairwise orthogonal (OrbitNotOrthogonalError), the
+    ambient reflection in each is integral, and it carries a chi-vector
+    (ProjectsToZeroError).  The reflection in e_k on the restricted form is
+    then checked to be integral and to agree with the product of the
+    ambient reflections over the orbit (`_check_orbit_product`).
     """
     sub = isotypic_sublattice(action, chi)
     G = action.lattice.gram
-    gens = []
+    roots = []
     for k, (orbit, cycle) in enumerate(signed_orbits(action, chi)):
         for i, j in itertools.combinations(orbit, 2):
             if G[i][j] != 0:
@@ -147,25 +119,27 @@ def equivariant_generators(action, chi):
             )
         # every earlier orbit carries a chi-vector, so this one is basis vector k
         e_k = tuple(int(t == k) for t in range(sub.rank))
-        h = pl_reflection(sub.restricted_gram, e_k, name=f"h{k + 1}")
-        _check_orbit_product(G, orbit, sub, h)
-        gens.append(h)
-    return sub, gens
+        mirror = _mirror(sub.restricted_gram, e_k)
+        _check_integral(*mirror)
+        _check_orbit_product(G, orbit, sub, mirror)
+        roots.append(e_k)
+    return sub, tuple(roots)
 
 
-def _check_orbit_product(gram, orbit, sub, h):
-    """Raise InternalError unless h is the restriction to `sub` of the
-    product of the ambient reflections in the orbit's cycles.
+def _check_orbit_product(gram, orbit, sub, mirror):
+    """Raise InternalError unless the reflection in `mirror`, a `_mirror`
+    on the restricted form, is the restriction to `sub` of the product of
+    the ambient reflections in the orbit's cycles.
 
     The cycles are pairwise orthogonal, so the product is
     b |-> b - sum_i 2(b, e_i)/(e_i, e_i) e_i, in any order; it must map
-    each basis vector b of `sub` to the embedding of h's column.
+    each basis vector b_j of `sub` to the embedding of s(e_j), by `_reflect`.
     """
-    for b, col in zip(sub.basis, zip(*h.matrix)):
+    for b, e_j in zip(sub.basis, linalg.identity(sub.rank)):
         image = list(b)
         for i in orbit:
             image[i] -= 2 * _dot(b, gram[i]) // gram[i][i]
-        if tuple(image) != sub.embed(col):
+        if tuple(image) != sub.embed(_reflect(e_j, mirror)):
             raise InternalError(
                 "restricted orbit product disagrees with the reflection in the "
                 "projected cycle; action data is inconsistent"
@@ -272,14 +246,14 @@ class Unknown:
 
 
 def power_law_check(g, v, w, s_max):
-    """Verify g^s v == v + s*w exactly for s = 1..s_max.
+    """Verify g^s v == v + s*w exactly for s = 1..s_max, for the
+    MonodromyElement g.
 
     Returns None when the law holds, else the first failing s.
     """
-    M = g.matrix if isinstance(g, MonodromyElement) else linalg.freeze(g)
     cur = tuple(v)
     for s in range(1, s_max + 1):
-        cur = linalg.mat_vec(M, cur)
+        cur = linalg.mat_vec(g.matrix, cur)
         expect = tuple(a + s * b for a, b in zip(v, w))
         if cur != expect:
             return s

@@ -13,6 +13,8 @@ from eqsing.diagram import DiagramFile, DynkinDiagram
 from eqsing.errors import (
     EqsingError,
     InternalError,
+    IsotropicCycleError,
+    NonIntegralReflectionError,
     NotCommutingError,
     NotInvolutionError,
     NotIsometryError,
@@ -21,7 +23,36 @@ from eqsing.errors import (
     ZeroSublatticeError,
 )
 from eqsing.lattice import Inertia, Sublattice
-from eqsing.monodromy import pl_reflection
+from eqsing.monodromy import MonodromyElement
+
+
+def pl_reflection(gram, delta, name=None):
+    """The Picard-Lefschetz reflection in the cycle `delta` on the form
+    with Gram matrix `gram`, as a MonodromyElement named `name`: the matrix
+    the tests multiply, where the package applies the reflection formula.
+
+    a |-> a - 2 (a, delta)/(delta, delta) * delta, entry by entry in
+    Fractions.  Raises IsotropicCycleError when (delta, delta) = 0 and
+    NonIntegralReflectionError at the first entry, in row-major order,
+    that is not an integer; the element checks that it keeps the form.
+    """
+    n = len(gram)
+    delta = tuple(delta)
+    Gd = linalg.mat_vec(gram, delta)
+    dd = sum(a * b for a, b in zip(delta, Gd))
+    if dd == 0:
+        raise IsotropicCycleError(f"cycle {delta} has self-intersection zero")
+    rows = [[int(i == j) - Fraction(2 * Gd[j] * delta[i], dd) for j in range(n)]
+            for i in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        if rows[i][j].denominator != 1:
+            raise NonIntegralReflectionError(
+                f"reflection in {delta} is not integral: "
+                f"2(e_{j + 1}, delta) delta is not divisible by ({dd})"
+            )
+    word = (name,) if name is not None else ()
+    return MonodromyElement(matrix=[[int(x) for x in row] for row in rows],
+                            gram=gram, word=word)
 
 
 def reflections(gram, roots):
@@ -66,6 +97,13 @@ def evaluate_word(generators, word):
     for letter in word:
         product = linalg.mat_mul(product, by_name[letter].matrix)
     return product
+
+
+def word_element(generators, word):
+    """The product of `word` in the reflections `generators`, as a
+    MonodromyElement, which checks that it keeps the form."""
+    return MonodromyElement(matrix=evaluate_word(generators, word),
+                            gram=generators[0].gram, word=word)
 
 
 def isotypic_rank_rational(action, chi):
@@ -233,10 +271,11 @@ def isotypic_sublattice_by_kernel(action, chi):
     return Sublattice._canonical(action.lattice, ker)
 
 
-def orbit_generator_by_projector(action, chi, orbit, sub, name=None):
-    """The reflection in the primitive chi-projection of the orbit's least
-    cycle, on `sub`, checked against the product of the n x n ambient
-    reflection matrices over the orbit."""
+def orbit_generator_by_projector(action, chi, orbit, sub):
+    """The primitive chi-projection of the orbit's least cycle, in the
+    coordinates of `sub`, once the reflection matrix in it is checked
+    against the product of the n x n ambient reflection matrices over the
+    orbit."""
     G = action.lattice.gram
     for i, j in itertools.combinations(orbit, 2):
         if G[i][j] != 0:
@@ -262,34 +301,34 @@ def orbit_generator_by_projector(action, chi, orbit, sub, name=None):
         raise ProjectsToZeroError(
             "orbit cycle projection does not lie in the isotypic sublattice"
         )
-    refl = pl_reflection(sub.restricted_gram, delta_sub, name=name)
+    refl = pl_reflection(sub.restricted_gram, delta_sub)
     cols = linalg.transpose(sub.basis)
     if linalg.mat_mul(amb, cols) != linalg.mat_mul(cols, refl.matrix):
         raise InternalError(
             "restricted orbit product disagrees with the reflection in the "
             "projected cycle; action data is inconsistent"
         )
-    return refl
+    return delta_sub
 
 
 def equivariant_generators_by_projector(action, chi):
-    """(sublattice, [h_1, ..., h_r]) by the stacked kernel, the union-find
-    orbits and `orbit_generator_by_projector`."""
+    """(sublattice, roots) by the stacked kernel, the union-find orbits and
+    `orbit_generator_by_projector`."""
     sub = isotypic_sublattice_by_kernel(action, chi)
-    gens = []
-    for k, orbit in enumerate(orbit_decomposition(action), start=1):
-        gens.append(orbit_generator_by_projector(action, chi, orbit, sub, name=f"h{k}"))
-    return sub, gens
+    return sub, [orbit_generator_by_projector(action, chi, orbit, sub)
+                 for orbit in orbit_decomposition(action)]
 
 
 def generator_outcome(construct, action, chi):
     """What `construct(action, chi)` gives, as plain data to compare: the
-    sublattice basis, its Gram matrix and the generators' matrices and
-    words, or the type and message of the EqsingError it raises."""
+    sublattice basis, its Gram matrix and the matrices and words of the
+    reflections in its roots, or the type and message of the EqsingError
+    it raises."""
     try:
-        sub, gens = construct(action, chi)
+        sub, roots = construct(action, chi)
     except EqsingError as exc:
         return type(exc), str(exc)
+    gens = reflections(sub.restricted_gram, roots)
     return sub.basis, sub.restricted_gram, tuple((h.matrix, h.word) for h in gens)
 
 

@@ -30,8 +30,8 @@ from eqsing.diagram import DiagramFile, DynkinDiagram, parse_file, serialize, to
 from eqsing.errors import NonIntegralReflectionError
 from eqsing.lattice import IntLattice, inertia, kernel_basis
 from eqsing.localalg import germ, milnor_number, quasihomogeneous_mu
-from eqsing.monodromy import equivariant_generators, pl_reflection, power_law_check
-from oracles import box_signs
+from eqsing.monodromy import equivariant_generators, power_law_check
+from oracles import box_signs, pl_reflection, reflections, word_element
 
 
 M5_NABLA = (2, 1, 1, 0, 0)  # 2 d1 + d2 + d3
@@ -84,10 +84,10 @@ def test_criterion_1_m5_pipeline():
     # the power law of the paper's element g = h5 h4 h1 on v = delta2 + delta3:
     # the increment w = 2*nabla - 2*nabla' is derived by hand from the
     # restricted Gram matrix (notes/decisions.md), not taken from g
-    g = out.generators[4] @ out.generators[3] @ out.generators[0]
+    g = word_element(reflections(sub.restricted_gram, out.generators), ("h5", "h4", "h1"))
     v = (0, 1, 1, 0, 0)
     w = tuple(2 * a - 2 * b for a, b in zip(M5_NABLA, M5_NABLA_P))
-    gv_minus_v = tuple(a - b for a, b in zip(g.apply(v), v))
+    gv_minus_v = tuple(a - b for a, b in zip(linalg.mat_vec(g.matrix, v), v))
     law_checks = (
         ("(g-I)v == w", gv_minus_v == w),
         ("w != 0", not linalg.is_zero_vec(w)),
@@ -125,9 +125,9 @@ def test_criterion_2_m4_pipeline():
         out.verdict.validate()
     # infiniteness via the (h4 h1)^s law: the element shifts v = d2+d3 by a
     # fixed nonzero kernel vector at every step, s = 1..5 exactly
-    g = out.generators[3] @ out.generators[0]
+    g = word_element(reflections(sub.restricted_gram, out.generators), ("h4", "h1"))
     v = (0, 1, 1, 0)
-    w = tuple(a - b for a, b in zip(g.apply(v), v))
+    w = tuple(a - b for a, b in zip(linalg.mat_vec(g.matrix, v), v))
     if linalg.is_zero_vec(w):
         failures.append("(h4 h1) does not move delta2+delta3")
     if not linalg.is_zero_vec(linalg.mat_vec(sub.restricted_gram, w)):
@@ -311,11 +311,11 @@ def test_criterion_7_property_suites():
     # kernel fixed pointwise on both equivariant fixtures
     for name in ("M5", "M4", "X9"):
         action, chi = action_from_file(fixture_file(name))
-        sub, gens = equivariant_generators(action, chi)
+        sub, roots = equivariant_generators(action, chi)
         ker = kernel_basis(sub.lattice())
-        for g in gens:
+        for g in reflections(sub.restricted_gram, roots):
             for v in ker:
-                if g.apply(v) != v:
+                if linalg.mat_vec(g.matrix, v) != v:
                     failures.append(f"{name}: kernel vector {v} moved by {g.word}")
 
     # inertia vs brute force on >= 500 random small lattices

@@ -264,6 +264,21 @@ def test_equivariant_generators_match_the_projector_every_character(symbol, k):
         assert new == old, chi
 
 
+def test_run_analysis_on_definite_fixtures_calls_no_mat_mul(monkeypatch):
+    # the generators are roots and a finite group's order comes from its
+    # roots: on a negative definite form no matrix is multiplied
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_analysis called linalg.mat_mul")
+
+    dfiles = [fixture_file(p.values[0], p.values[1]) for p in _every_fixture()
+              if catalog.FAMILIES[p.values[0]].kind == "simple"]
+    monkeypatch.setattr(linalg, "mat_mul", refuse)
+    for dfile in dfiles:
+        out = run_analysis(dfile)
+        assert out.inertia.negative_definite and out.verdict.kind == "finite"
+    assert len(dfiles) == 21
+
+
 def test_quasihomogeneous_oracle_whole_catalog():
     cases = [
         ("A", 2), ("A", 5), ("D", 4), ("D", 6), ("E6", None), ("E7", None),

@@ -33,6 +33,30 @@ def test_analyze_m5_machine_golden():
     assert out == (GOLDEN / "m5_analyze.machine").read_text()
 
 
+def _verdict_transcript(cap):
+    """`catalog verdict --format machine` on every bundled fixture at `cap`,
+    each output under a header line with its arguments and exit code."""
+    from eqsing.catalog import FAMILIES
+
+    parts = []
+    for entry in FAMILIES.values():
+        if entry.fixture is None:
+            continue
+        lo, hi = entry.fixture_k or (None, None)
+        for k in [None] if lo is None else range(lo, hi + 1):
+            argv = ["catalog", "verdict", entry.symbol, "--cap", str(cap),
+                    "--format", "machine"] + ([] if k is None else ["--k", str(k)])
+            code, out, _ = run_cli(*argv)
+            parts.append(f"# {' '.join(argv[2:])} exit={code}\n{out}")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("cap", [10**6, 10])
+def test_catalog_verdict_every_fixture_machine_golden(cap):
+    golden = GOLDEN / f"verdict_cap{cap}.machine"
+    assert _verdict_transcript(cap) == golden.read_text()
+
+
 def test_analyze_m4_report_values():
     code, out, _ = run_cli(
         "analyze", str(FIXTURES / "m4.diagram"), "--format", "machine"

@@ -8,8 +8,8 @@ import pytest
 from eqsing.catalog import action_from_file, fixture_file, run_analysis, weyl_order
 from eqsing.errors import EqsingError
 from eqsing.lattice import IntLattice, inertia
-from eqsing.monodromy import Finite, Unknown, equivariant_generators, generate_group, pl_reflection
-from oracles import closure_naive
+from eqsing.monodromy import Finite, Unknown, equivariant_generators, generate_group
+from oracles import closure_naive, pl_reflection
 from test_semidefinite import _basis
 
 G2 = ((-2, 3), (3, -6))

@@ -14,18 +14,17 @@ from eqsing.monodromy import (
     Unknown,
     equivariant_generators,
     generate_group,
-    pl_reflection,
 )
-from oracles import charpoly_sympy, closure_naive, evaluate_word, reflections
+from oracles import charpoly_sympy, closure_naive, evaluate_word, pl_reflection, reflections
 from test_semidefinite import TRIANGLE_W2, _basis, _star
 
 
 def _pipeline_generators(dfile):
     """(h_k matrices, restricted Gram, basis roots) of a diagram file."""
     action, chi = action_from_file(dfile)
-    sub, gens = equivariant_generators(action, chi)
+    sub, roots = equivariant_generators(action, chi)
     assert inertia(sub.lattice()).n_plus == 1
-    return gens, sub.restricted_gram, linalg.identity(sub.rank)
+    return reflections(sub.restricted_gram, roots), sub.restricted_gram, roots
 
 
 def _check_certificate(gens, verdict):

@@ -169,16 +169,26 @@ def test_analysis_runs_no_rank_or_saturation(monkeypatch):
 
 
 def test_direct_sublattice_construction_is_checked():
-    sub = Sublattice(ambient=A2, basis=((1, 0),), restricted_gram=((-2,),))
+    sub = Sublattice(ambient=A2, basis=((1, 0),))
     assert sub == Sublattice._canonical(A2, ((1, 0),))
+    assert sub.restricted_gram == ((-2,),)
     with pytest.raises(DependentBasisError):
         Sublattice(ambient=A2, basis=((1, 0), (2, 0)))
     with pytest.raises(ValueError, match="saturated"):
         Sublattice(ambient=A2, basis=((2, 0),))
-    with pytest.raises(ValueError, match="inconsistent"):
-        Sublattice(ambient=A2, basis=((1, 0),), restricted_gram=((2,),))
     with pytest.raises(ValueError, match="ambient rank"):
         Sublattice(ambient=A2, basis=((1, 0, 0),))
+
+
+def test_direct_sublattice_stores_the_canonical_basis():
+    # two bases of one sublattice give one Sublattice, with the Hermite
+    # normal form as its basis and the form on that basis
+    A3 = IntLattice(((-2, 1, 0), (1, -2, 1), (0, 1, -2)))
+    swapped = Sublattice(A3, ((0, 1, 0), (1, 0, 0)))
+    assert swapped == Sublattice(A3, ((1, 0, 0), (0, 1, 0)))
+    assert swapped.basis == linalg.hnf(((0, 1, 0), (1, 0, 0)))
+    assert swapped.restricted_gram == ((-2, 1), (1, -2))
+    assert Sublattice(A3, ((1, 1, 0), (0, -1, 0))) == swapped
 
 
 def test_restrict_m5_and_m4_self_intersections():
