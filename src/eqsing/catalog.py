@@ -28,7 +28,6 @@ from .diagram import DiagramFile, DynkinDiagram, parse_file, to_lattice
 from .errors import (BadParameterError, CriterionMismatchError, DiagramError,
                      InternalError, NoFixtureError)
 from .lattice import Inertia, inertia, kernel_basis
-from .localalg import parse_germ
 from .monodromy import equivariant_generators, generate_group
 
 
@@ -250,6 +249,7 @@ def normal_form(symbol, k=None, m=None, n=None, modulus=None):
     lines = [f"vars x:{m} y:{n}", *entry.terms(k, a)]
     lines += [f"1 x{i}^2" for i in range(mmin + 1, m + 1)]
     lines += [f"1 y{j}^2" for j in range(nmin + 1, n + 1)]
+    from .localalg import parse_germ  # only here: verdicts never load localalg
     return parse_germ("\n".join(lines), corner=entry.setting == "corner")
 
 

@@ -10,17 +10,15 @@ Subcommands:
 Exit codes: 0 simple (or plain success), 1 not-simple, 2 error, 3 unknown.
 The machine format is a stable line-oriented key=value schema; every
 field is reproducible from the input file alone, so timings appear only
-in the text format.
+in the text format.  Each subcommand imports the layers it runs, so a
+request loads no layer it does not need.
 """
 import argparse
 import sys
 import time
 from fractions import Fraction
 
-from . import catalog
-from .diagram import parse_file, serialize
 from .errors import EqsingError
-from .localalg import milnor_number, parse_germ, quasihomogeneous_mu, serialize_germ
 
 EXIT_SIMPLE = 0
 EXIT_NOT_SIMPLE = 1
@@ -178,6 +176,9 @@ def _write_verdict(args, source, dfile, outcome, elapsed):
 
 
 def cmd_analyze(args):
+    from . import catalog
+    from .diagram import parse_file
+
     with open(args.file) as fh:
         text = fh.read()
     dfile = parse_file(text)
@@ -187,6 +188,8 @@ def cmd_analyze(args):
 
 
 def cmd_catalog_list(args):
+    from . import catalog
+
     simple = [catalog.FAMILIES[s] for s in catalog.SIMPLE_SYMBOLS]
     confining = catalog.confining_list(args.setting)
     print(f"simple families (setting={args.setting}): {len(simple)}")
@@ -199,6 +202,10 @@ def cmd_catalog_list(args):
 
 
 def cmd_catalog_emit(args):
+    from . import catalog
+    from .diagram import serialize
+    from .localalg import serialize_germ
+
     if args.poly:
         f = catalog.normal_form(
             args.symbol, k=args.k, m=args.m, n=args.n, modulus=args.modulus
@@ -216,6 +223,8 @@ def cmd_catalog_emit(args):
 
 
 def cmd_catalog_verdict(args):
+    from . import catalog
+
     dfile = catalog.fixture_file(args.symbol, args.k)
     t0 = time.monotonic()
     outcome = catalog.run_analysis(dfile, cap=args.cap)
@@ -235,6 +244,8 @@ def _parse_character(spec):
 
 
 def cmd_mu(args):
+    from .localalg import milnor_number, parse_germ, quasihomogeneous_mu
+
     try:
         weights = [Fraction(w) for w in args.oracle.split(",")] if args.oracle else None
     except (ValueError, ZeroDivisionError):
@@ -243,6 +254,14 @@ def cmd_mu(args):
     with open(args.file) as fh:
         text = fh.read()
     f = parse_germ(text, corner=args.corner)
+    if weights:  # the weights must make f quasihomogeneous of degree 1
+        if len(weights) != f.nvars:
+            raise EqsingError(f"expected {f.nvars} weights in --oracle, got {len(weights)}")
+        for exps, _ in f.terms:
+            degree = sum(w * e for w, e in zip(weights, exps))
+            if degree != 1:
+                monomial = "*".join(f"{v}^{e}" for v, e in zip(f.variables, exps) if e)
+                raise EqsingError(f"--oracle weights give {monomial} degree {degree}, not 1")
     names = f.generator_names
     character = [1] * len(names)
     if args.character:

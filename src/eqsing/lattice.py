@@ -181,4 +181,6 @@ class Sublattice:
 
 
 def _gram_on(lattice, basis):
-    return linalg.freeze([[lattice.product(a, b) for b in basis] for a in basis])
+    """(a, b) for every pair of rows: G b once per row, then dot products."""
+    images = [linalg.mat_vec(lattice.gram, b) for b in basis]
+    return tuple(tuple(sum(x * y for x, y in zip(a, g)) for g in images) for a in basis)

@@ -273,6 +273,7 @@ def test_mu_A4_trivial(tmp_path):
 
 
 _A2_POLY = "vars x:0 y:1\n1 y1^3\n"
+_X9_POLY = "vars x:0 y:2\n1 y1^4\n1 y2^4\n1 y1^2*y2^2\n"
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -282,6 +283,9 @@ _A2_POLY = "vars x:0 y:1\n1 y1^3\n"
     (["mu", "{file}", "--oracle", "1/0"], _A2_POLY),
     (["mu", "{file}", "--oracle", "abc"], _A2_POLY),
     (["mu", "{file}", "--oracle", "2/3"], _A2_POLY),
+    (["mu", "{file}", "--oracle", "1/4,1/4,1/2"], _X9_POLY),
+    (["mu", "{file}", "--oracle", "1/4"], _X9_POLY),
+    (["mu", "{file}", "--oracle", "1/4,1/3"], _X9_POLY),
     (["mu", "{file}", "--character", "s9=-1"], _A2_POLY),
     (["mu", "{file}"], b"\xff\xfe"),
     (["analyze", "{file}"], b"\xff\xfe"),
@@ -291,9 +295,10 @@ _A2_POLY = "vars x:0 y:1\n1 y1^3\n"
     (["catalog", "verdict", "E6", "--cap", "-5"], None),
     (["analyze", str(FIXTURES / "m5.diagram"), "--cap", "-5"], None),
 ], ids=["constant-term", "negative-count", "zero-denominator", "oracle-1/0",
-        "oracle-abc", "oracle-2/3", "unknown-generator", "mu-not-utf8",
-        "analyze-not-utf8", "negative-max-degree", "mu-table-too-large", "modulus-abc",
-        "verdict-negative-cap", "analyze-negative-cap"])
+        "oracle-abc", "oracle-2/3", "oracle-too-many-weights", "oracle-too-few-weights",
+        "oracle-term-degree-not-1", "unknown-generator", "mu-not-utf8", "analyze-not-utf8",
+        "negative-max-degree", "mu-table-too-large", "modulus-abc", "verdict-negative-cap",
+        "analyze-negative-cap"])
 def test_bad_input_exits_two(tmp_path, argv, text):
     # a refused input is exit 2 with one error line: never a traceback, and
     # never an exit code that reads as a verdict
@@ -333,13 +338,28 @@ def test_package_exports_resolve():
     assert set(eqsing.__all__) <= set(namespace)
 
 
-def test_cli_import_does_not_load_numpy():
+def test_cli_import_does_not_load_numpy(tmp_path):
+    # a fresh process loads the layers its subcommand runs and no others
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    subprocess.run(
-        [sys.executable, "-c",
-         "import eqsing.cli, sys; assert 'numpy' not in sys.modules"],
-        env=env, check=True,
-    )
+    script = ("import sys, eqsing.cli\n"
+              "if sys.argv[1:]: eqsing.cli.main(sys.argv[1:])\n"
+              "print(*(m for m in sys.modules if m.split('.')[0] in ('eqsing', 'numpy')))\n")
+
+    def loaded(*argv):
+        run = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        return set(run.stdout.splitlines()[-1].split())
+
+    assert loaded() == {"eqsing", "eqsing.cli", "eqsing.errors"}
+    poly = tmp_path / "x9.poly"
+    poly.write_text(_X9_POLY)
+    lattice_layers = {f"eqsing.{m}" for m in ("catalog", "monodromy", "action", "diagram",
+                                               "lattice")}
+    mu = loaded("mu", str(poly), "--oracle", "1/4,1/4")
+    assert "eqsing.localalg" in mu and not mu & (lattice_layers | {"numpy"})
+    for argv in (["analyze", str(FIXTURES / "m5.diagram")], ["catalog", "verdict", "E6"]):
+        verdict = loaded(*argv)
+        assert lattice_layers <= verdict and not verdict & {"eqsing.localalg", "numpy"}
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     requirements = project["dependencies"] + [
