@@ -14,7 +14,6 @@ give c(j) opposite signs, and then the orbit carries none
 (`signed_orbits`; notes/decisions.md).
 """
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     ActionDataError,
@@ -25,13 +24,13 @@ from .errors import (
     ZeroSublatticeError,
 )
 from .lattice import Sublattice
+from .record import Record
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(Record):
     """images[i] = (j, sign): basis vector i maps to sign * basis vector j (0-based)."""
 
-    images: tuple
+    __slots__ = ("images",)
 
     def __post_init__(self):
         images = tuple((int(j), int(s)) for j, s in self.images)
@@ -60,11 +59,10 @@ def signed_permutation_from_file(images_1based, vertex_ids):
     return SignedPermutation(images=tuple(images))
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Record):
     """Value +-1 per generator, keyed by generator name, in generator order."""
 
-    values: tuple  # ((name, +1|-1), ...)
+    __slots__ = ("values",)  # ((name, +1|-1), ...)
 
     def __post_init__(self):
         values = tuple((str(n), int(v)) for n, v in self.values)
@@ -95,12 +93,11 @@ def corner_rule(m, prefix="s"):
     return Character(values=tuple((f"{prefix}{i + 1}", -1) for i in range(m)))
 
 
-@dataclass(frozen=True)
-class GroupAction:
-    """Named commuting involutive isometries of `lattice`'s form."""
+class GroupAction(Record):
+    """Named commuting involutive isometries of `lattice`'s form: `generators`
+    is ((name, SignedPermutation), ...)."""
 
-    generators: tuple  # ((name, SignedPermutation), ...)
-    lattice: object
+    __slots__ = ("generators", "lattice")
 
     def __post_init__(self):
         gens = tuple((str(n), g) for n, g in self.generators)

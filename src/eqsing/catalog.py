@@ -17,18 +17,17 @@ inside E6 by a sign-lifted diagram automorphism; the chosen lifts are the
 ones validated by the build-time oracle (isotypic rank, negative
 definiteness, and Weyl group order) in the test suite.
 """
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from math import factorial
-from typing import Callable, Optional
 
 from .action import Character, GroupAction, signed_permutation_from_file
 from .diagram import DiagramFile, DynkinDiagram, parse_file, to_lattice
 from .errors import (BadParameterError, CriterionMismatchError, DiagramError,
                      InternalError, NoFixtureError)
-from .lattice import Inertia, inertia, kernel_basis
+from .lattice import inertia, kernel_basis
 from .monodromy import equivariant_generators, generate_group
+from .record import Record
 
 
 # --------------------------------------------------------------------------
@@ -88,25 +87,19 @@ def _shipped(name):
 # the family table
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
+class FamilyEntry(Record):
     """One family.  `terms(k, a)` gives the core terms as polynomial-file
     lines; `weights(k)` the hand-written weights of the core x- and
     y-variables as two space-separated strings; `excluded(a)` is true on
     the locus `modulus_rule` excludes; `fixture(k)` builds the bundled
-    DiagramFile, for k in the closed range `fixture_k` if indexed."""
+    DiagramFile, for k in the closed range `fixture_k` if indexed.
+    `kind` is "simple" or "confining", `setting` "z2", "corner" or
+    "both", and `modulus_rule` the exclusion in words; the fields from
+    `k_min` on are None when not given."""
 
-    symbol: str
-    kind: str  # "simple" | "confining"
-    setting: str  # "z2" | "corner" | "both"
-    template: str
-    terms: Callable
-    weights: Callable
-    k_min: Optional[int] = None
-    modulus_rule: Optional[str] = None  # human-readable exclusion
-    excluded: Optional[Callable] = None
-    fixture: Optional[Callable] = None
-    fixture_k: Optional[tuple] = None
+    __slots__ = ("symbol", "kind", "setting", "template", "terms", "weights",
+                 "k_min", "modulus_rule", "excluded", "fixture", "fixture_k")
+    _defaults = dict.fromkeys(__slots__[6:])
 
     def describe(self):
         out = self.symbol
@@ -322,24 +315,18 @@ def fixture(symbol, k=None):
 # the simplicity criterion
 
 
-@dataclass(frozen=True)
-class AnalysisOutcome:
+class AnalysisOutcome(Record):
     """Everything the criterion produces for one diagram+action input.
 
     `generators` holds the roots e_1, ..., e_r of the orbit reflections
     h_1, ..., h_r, in sublattice coordinates; no matrix is built for them.
+    `kernel` is in sublattice coordinates, `kernel_ambient` in ambient ones.
     `criteria_agree` is always true: `run_analysis` raises
     CriterionMismatchError instead of returning a disagreement.
     """
 
-    sublattice: object
-    generators: tuple
-    inertia: Inertia
-    kernel: tuple  # sublattice coordinates
-    kernel_ambient: tuple
-    verdict: object
-    simple: bool
-    criteria_agree: bool
+    __slots__ = ("sublattice", "generators", "inertia", "kernel", "kernel_ambient",
+                 "verdict", "simple", "criteria_agree")
 
 
 def run_analysis(dfile, cap=10**6):

@@ -234,13 +234,18 @@ def cmd_catalog_verdict(args):
 
 
 def _parse_character(spec):
-    values = []
+    """((name, +1|-1), ...) from `name=+1,name=-1,...`; a generator named
+    twice is an error, as on a diagram file's character line."""
+    values = {}
     for tok in spec.split(","):
         name, _, val = tok.partition("=")
+        name = name.strip()
         if val not in ("+1", "-1", "1"):
             raise EqsingError(f"bad character value {val!r} in --character")
-        values.append((name.strip(), 1 if val in ("+1", "1") else -1))
-    return values
+        if name in values:
+            raise EqsingError(f"generator {name!r} named twice in --character")
+        values[name] = 1 if val in ("+1", "1") else -1
+    return tuple(values.items())
 
 
 def cmd_mu(args):
@@ -267,6 +272,8 @@ def cmd_mu(args):
     if args.character:
         order = {n: i for i, n in enumerate(names)}
         for n, v in _parse_character(args.character):
+            if not names:
+                raise EqsingError(f"unknown generator {n!r}: the germ has no generators")
             if n not in order:
                 raise EqsingError(f"unknown generator {n!r} (have {', '.join(names)})")
             character[order[n]] = v

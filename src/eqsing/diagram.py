@@ -15,9 +15,6 @@ file fully describes an analysis input:
 Serialization is byte-stable: vertices in ascending id order, edges in
 lexicographic order, generators in declaration order.
 """
-from dataclasses import dataclass
-from typing import Optional
-
 from .errors import (
     DanglingEdgeError,
     DiagramError,
@@ -26,14 +23,13 @@ from .errors import (
     DuplicateVertexError,
 )
 from .lattice import IntLattice
+from .record import Record
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(Record):
     """vertices: ((id, self_intersection), ...); edges: ((i, j, weight), ...)."""
 
-    vertices: tuple
-    edges: tuple
+    __slots__ = ("vertices", "edges")
 
     def __post_init__(self):
         vertices = tuple((int(i), int(s)) for i, s in self.vertices)
@@ -72,15 +68,16 @@ class DynkinDiagram:
         return all(s == -2 for _, s in self.vertices)
 
 
-@dataclass(frozen=True)
-class DiagramFile:
-    """Parsed file: diagram plus optional action block (raw, 1-based ids)."""
+class DiagramFile(Record):
+    """Parsed file: diagram plus optional action block (raw, 1-based ids).
 
-    diagram: DynkinDiagram
-    # ((name, ((i, j, sign), ...)), ...): generator `name` sends cycle i to sign*cycle j
-    generators: tuple = ()
-    # ((name, +1|-1), ...) or None when the file carries no character line
-    character: Optional[tuple] = None
+    generators: ((name, ((i, j, sign), ...)), ...): generator `name` sends
+    cycle i to sign*cycle j.  character: ((name, +1|-1), ...), or None when
+    the file carries no character line.
+    """
+
+    __slots__ = ("diagram", "generators", "character")
+    _defaults = {"generators": (), "character": None}
 
 
 def _parse_int(tok, line, what):

@@ -7,20 +7,19 @@ Schur complements over the rationals and the kernel from Hermite normal
 forms over the integers: two independent eliminations, so the count of
 zero squares and the kernel rank check each other.
 """
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from . import linalg
 from .errors import DependentBasisError, LatticeDataError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class IntLattice:
-    """Free Z-module of finite rank with a symmetric integer form."""
+class IntLattice(Record):
+    """Free Z-module of finite rank with a symmetric integer form; `labels`
+    names the basis vectors, or is None."""
 
-    gram: tuple
-    labels: Optional[tuple] = None
+    __slots__ = ("gram", "labels")
+    _defaults = {"labels": None}
 
     def __post_init__(self):
         gram = linalg.freeze(self.gram)
@@ -54,13 +53,10 @@ class IntLattice:
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(Record):
     """Counts of positive, zero and negative squares of a symmetric form."""
 
-    n_plus: int
-    n_zero: int
-    n_minus: int
+    __slots__ = ("n_plus", "n_zero", "n_minus")
 
     @property
     def rank(self):
@@ -126,24 +122,21 @@ def kernel_basis(lattice):
     return tuple(ker)
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(Record):
     """Primitive (saturated) sublattice with the restricted form.
 
     `basis` rows are ambient coordinates in canonical echelon form: the
     basis given is stored as its Hermite normal form, so two bases of one
     sublattice give equal Sublattices.  `restricted_gram[i][j]` is the
-    ambient product of basis[i], basis[j].
+    ambient product of basis[i], basis[j]; it is computed, never given.
     """
 
-    ambient: IntLattice
-    basis: tuple
-    restricted_gram: tuple = field(init=False)
+    __slots__ = ("ambient", "basis", "restricted_gram")
 
-    def __post_init__(self):
-        basis = linalg.freeze(self.basis)
+    def __init__(self, ambient, basis):
+        basis = linalg.freeze(basis)
         if len(set(len(b) for b in basis)) > 1 or (
-            basis and len(basis[0]) != self.ambient.rank
+            basis and len(basis[0]) != ambient.rank
         ):
             raise LatticeDataError("basis vectors must have ambient rank length")
         canonical = linalg.hnf(basis)
@@ -151,8 +144,9 @@ class Sublattice:
             raise DependentBasisError("basis vectors are rationally dependent")
         if canonical != linalg.saturation(basis):
             raise LatticeDataError("basis does not span a saturated sublattice")
+        object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", canonical)
-        object.__setattr__(self, "restricted_gram", _gram_on(self.ambient, canonical))
+        object.__setattr__(self, "restricted_gram", _gram_on(ambient, canonical))
 
     @classmethod
     def _canonical(cls, ambient, basis):

@@ -12,7 +12,6 @@ monomials.
 """
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
@@ -26,6 +25,7 @@ from .errors import (
     NotInvariantError,
     TableTooLargeError,
 )
+from .record import Record
 
 # The bound on the entries of the monomial table, C(n + D, D) monomials of n
 # exponents each.  The largest table of any test or `mu` benchmark case holds
@@ -33,18 +33,17 @@ from .errors import (
 MAX_TABLE_ENTRIES = 2_000_000
 
 
-@dataclass(frozen=True)
-class PolyGerm:
+class PolyGerm(Record):
     """Polynomial germ with variable parities and a Z2^m block assignment.
 
     variables: ordered names, x-block first ("x1".."xm"), then y-block.
     terms: exponent tuple -> exact rational coefficient (no constant term).
     blocks: ((generator name, (variable indices it negates)), ...).
+    The terms are stored as ((exponents, Fraction), ...), sorted, so that
+    the germ is hashable.
     """
 
-    variables: tuple
-    terms: tuple  # ((exponents, Fraction), ...) sorted for hashability
-    blocks: tuple
+    __slots__ = ("variables", "terms", "blocks")
 
     def __post_init__(self):
         terms = []
@@ -193,13 +192,11 @@ def serialize_germ(f):
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class LocalAlgebraReport:
-    """mu, per-character dimensions, and the certified truncation degree."""
+class LocalAlgebraReport(Record):
+    """mu, per-character dimensions as ((character tuple, dim), ...) in
+    binary order, and the certified truncation degree."""
 
-    mu: int
-    isotypic_dims: tuple  # ((character tuple, dim), ...) in binary order
-    truncation_degree: int
+    __slots__ = ("mu", "isotypic_dims", "truncation_degree")
 
     def dim_of(self, character):
         for chi, d in self.isotypic_dims:

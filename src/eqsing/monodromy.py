@@ -29,9 +29,7 @@ is the certificate of an infinite group, a MonodromyElement.
 Everything runs on tuples of Python ints, so no entry can overflow.
 """
 import itertools
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional
 
 from . import linalg
 from .action import isotypic_sublattice, signed_orbits
@@ -45,16 +43,15 @@ from .errors import (
     ProjectsToZeroError,
 )
 from .lattice import IntLattice, inertia
+from .record import Record
 
 
-@dataclass(frozen=True)
-class MonodromyElement:
+class MonodromyElement(Record):
     """Integer matrix preserving a fixed symmetric form, with its word
     label: the certificate of an Infinite verdict."""
 
-    matrix: tuple
-    gram: tuple
-    word: tuple = ()
+    __slots__ = ("matrix", "gram", "word")
+    _defaults = {"word": ()}
 
     def __post_init__(self):
         M = linalg.freeze(self.matrix)
@@ -150,9 +147,8 @@ def _check_orbit_product(gram, orbit, sub, mirror):
 # verdicts
 
 
-@dataclass(frozen=True)
-class Finite:
-    order: int
+class Finite(Record):
+    __slots__ = ("order",)
 
     kind = "finite"
 
@@ -160,11 +156,11 @@ class Finite:
         return f"Finite(order={self.order})"
 
 
-@dataclass(frozen=True)
-class Infinite:
+class Infinite(Record):
     """Self-validating witness of infinite order.
 
-    certificate: a group element g != I of infinite order.  Either a
+    certificate: a group element g != I of infinite order, a
+    MonodromyElement; the other fields are None unless given.  Either a
     witness v and increment w satisfy w = (g - I)v != 0 and (g - I)w = 0,
     which forces g^s v = v + s w for every s >= 1 (a pair s_rho s_rho'
     with b^2 = ac, always the case on a negative semidefinite form, where
@@ -173,10 +169,8 @@ class Infinite:
     a pair with b^2 > ac, whose roots are real and off the unit circle.
     """
 
-    certificate: MonodromyElement
-    witness: Optional[tuple] = None
-    increment: Optional[tuple] = None
-    residual_charpoly: Optional[tuple] = None
+    __slots__ = ("certificate", "witness", "increment", "residual_charpoly")
+    _defaults = dict.fromkeys(__slots__[1:])
 
     kind = "infinite"
 
@@ -235,9 +229,8 @@ class Infinite:
         return f"Infinite(word={'*'.join(self.certificate.word) or '?'})"
 
 
-@dataclass(frozen=True)
-class Unknown:
-    cap: int
+class Unknown(Record):
+    __slots__ = ("cap",)
 
     kind = "unknown"
 

@@ -274,6 +274,7 @@ def test_mu_A4_trivial(tmp_path):
 
 _A2_POLY = "vars x:0 y:1\n1 y1^3\n"
 _X9_POLY = "vars x:0 y:2\n1 y1^4\n1 y2^4\n1 y1^2*y2^2\n"
+_M5_POLY = "vars x:2 y:0\n1 x1^4\n1 x2^4\n1 x1^2*x2^2\n"
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -287,6 +288,8 @@ _X9_POLY = "vars x:0 y:2\n1 y1^4\n1 y2^4\n1 y1^2*y2^2\n"
     (["mu", "{file}", "--oracle", "1/4"], _X9_POLY),
     (["mu", "{file}", "--oracle", "1/4,1/3"], _X9_POLY),
     (["mu", "{file}", "--character", "s9=-1"], _A2_POLY),
+    (["mu", "{file}", "--character", "sigma=+1,sigma=-1"], _M5_POLY),
+    (["mu", "{file}", "--character", "sigma=+1"], _X9_POLY),
     (["mu", "{file}"], b"\xff\xfe"),
     (["analyze", "{file}"], b"\xff\xfe"),
     (["mu", "{file}", "--max-degree", "-1"], _A2_POLY),
@@ -296,7 +299,8 @@ _X9_POLY = "vars x:0 y:2\n1 y1^4\n1 y2^4\n1 y1^2*y2^2\n"
     (["analyze", str(FIXTURES / "m5.diagram"), "--cap", "-5"], None),
 ], ids=["constant-term", "negative-count", "zero-denominator", "oracle-1/0",
         "oracle-abc", "oracle-2/3", "oracle-too-many-weights", "oracle-too-few-weights",
-        "oracle-term-degree-not-1", "unknown-generator", "mu-not-utf8", "analyze-not-utf8",
+        "oracle-term-degree-not-1", "unknown-generator", "generator-named-twice",
+        "germ-without-generators", "mu-not-utf8", "analyze-not-utf8",
         "negative-max-degree", "mu-table-too-large", "modulus-abc", "verdict-negative-cap",
         "analyze-negative-cap"])
 def test_bad_input_exits_two(tmp_path, argv, text):
@@ -314,6 +318,21 @@ def test_bad_input_exits_two(tmp_path, argv, text):
     assert code == 2
     assert out.getvalue() == ""
     assert len([l for l in err.getvalue().splitlines() if "error:" in l]) == 1
+
+
+def test_mu_character_errors_name_the_fault(tmp_path):
+    # the last value of a generator named twice does not silently win, and
+    # a germ without generators says so instead of listing none
+    m5, x9 = tmp_path / "m5.poly", tmp_path / "x9.poly"
+    m5.write_text(_M5_POLY)
+    x9.write_text(_X9_POLY)
+    for spec in ("sigma=+1,sigma=-1", "sigma=-1,sigma=+1"):
+        code, out, err = run_cli("mu", str(m5), "--character", spec)
+        assert (code, out) == (2, "")
+        assert err == "error: generator 'sigma' named twice in --character\n"
+    code, out, err = run_cli("mu", str(x9), "--character", "sigma=+1")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown generator 'sigma': the germ has no generators\n"
 
 
 @pytest.mark.parametrize("count", [99_999, 100_000_000])
@@ -339,27 +358,35 @@ def test_package_exports_resolve():
 
 
 def test_cli_import_does_not_load_numpy(tmp_path):
-    # a fresh process loads the layers its subcommand runs and no others
+    # a fresh process loads the layers its subcommand runs and no others,
+    # and no `dataclasses`: the modules it adds to a bare interpreter's
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     script = ("import sys, eqsing.cli\n"
               "if sys.argv[1:]: eqsing.cli.main(sys.argv[1:])\n"
-              "print(*(m for m in sys.modules if m.split('.')[0] in ('eqsing', 'numpy')))\n")
+              "print(*sys.modules)\n")
 
-    def loaded(*argv):
-        run = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+    def modules(code, *argv):
+        run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                              capture_output=True, text=True, check=True)
         return set(run.stdout.splitlines()[-1].split())
 
-    assert loaded() == {"eqsing", "eqsing.cli", "eqsing.errors"}
+    bare = modules("import sys; print(*sys.modules)")
+
+    def loaded(*argv):
+        return modules(script, *argv) - bare
+
+    packages = {m for m in loaded() if m.split(".")[0] in ("eqsing", "numpy")}
+    assert packages == {"eqsing", "eqsing.cli", "eqsing.errors"}
     poly = tmp_path / "x9.poly"
     poly.write_text(_X9_POLY)
     lattice_layers = {f"eqsing.{m}" for m in ("catalog", "monodromy", "action", "diagram",
                                                "lattice")}
     mu = loaded("mu", str(poly), "--oracle", "1/4,1/4")
-    assert "eqsing.localalg" in mu and not mu & (lattice_layers | {"numpy"})
+    assert "eqsing.localalg" in mu and not mu & (lattice_layers | {"numpy", "dataclasses"})
     for argv in (["analyze", str(FIXTURES / "m5.diagram")], ["catalog", "verdict", "E6"]):
         verdict = loaded(*argv)
-        assert lattice_layers <= verdict and not verdict & {"eqsing.localalg", "numpy"}
+        assert lattice_layers <= verdict
+        assert not verdict & {"eqsing.localalg", "numpy", "dataclasses"}
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     requirements = project["dependencies"] + [
