@@ -76,22 +76,6 @@ class Character(Record):
                 return v
         raise NotFoundError(name)
 
-    def names(self):
-        return tuple(n for n, _ in self.values)
-
-    def as_tuple(self):
-        return tuple(v for _, v in self.values)
-
-
-def z2_rule(m, name="sigma"):
-    """The single-Z2 character (-1)^m selecting the invariant-cycle condition."""
-    return Character(values=((name, (-1) ** m),))
-
-
-def corner_rule(m, prefix="s"):
-    """The corner character: anti-invariant under each of the m generators."""
-    return Character(values=tuple((f"{prefix}{i + 1}", -1) for i in range(m)))
-
 
 class GroupAction(Record):
     """Named commuting involutive isometries of `lattice`'s form: `generators`

@@ -202,6 +202,9 @@ def cmd_catalog_list(args):
 
 
 def cmd_catalog_emit(args):
+    for option in ("m", "n", "modulus"):
+        if getattr(args, option) is not None and not args.poly:
+            raise EqsingError(f"--{option} applies only with --poly")
     from . import catalog
     from .diagram import serialize
     from .localalg import serialize_germ
@@ -329,9 +332,9 @@ def build_parser():
     pe = csub.add_parser("emit", help="write a fixture or normal-form file")
     pe.add_argument("symbol")
     pe.add_argument("--k", type=int)
-    pe.add_argument("--m", type=int)
-    pe.add_argument("--n", type=int)
-    pe.add_argument("--modulus")
+    pe.add_argument("--m", type=int, help="x-variables, with --poly")
+    pe.add_argument("--n", type=int, help="y-variables, with --poly")
+    pe.add_argument("--modulus", help="the confining modulus a, with --poly")
     pe.add_argument("--poly", action="store_true",
                     help="emit the normal-form polynomial instead of the diagram")
     pe.add_argument("--out")

@@ -182,11 +182,6 @@ def parse_file(text):
     return DiagramFile(diagram=diagram, generators=tuple(generators), character=character)
 
 
-def parse_diagram(text):
-    """Parse only the diagram part of a (possibly action-carrying) file."""
-    return parse_file(text).diagram
-
-
 def serialize(obj):
     """Byte-stable serialization of a DynkinDiagram or DiagramFile."""
     if isinstance(obj, DynkinDiagram):

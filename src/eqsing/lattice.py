@@ -168,10 +168,8 @@ class Sublattice(Record):
 
     def embed(self, v):
         """Sublattice coordinates -> ambient coordinates."""
-        out = (0,) * self.ambient.rank
-        for c, b in zip(v, self.basis):
-            out = linalg.vec_add(out, linalg.vec_scale(c, b))
-        return out
+        return tuple(sum(c * b[i] for c, b in zip(v, self.basis))
+                     for i in range(self.ambient.rank))
 
 
 def _gram_on(lattice, basis):

@@ -34,14 +34,6 @@ def mat_vec(M, v):
     return tuple(sum(a * b for a, b in zip(row, v)) for row in M)
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * x for x in v)
-
-
 def is_zero_vec(v):
     return all(x == 0 for x in v)
 
@@ -149,8 +141,3 @@ def saturation(rows):
     if not K:
         return hnf(identity(len(rows[0])))
     return int_kernel(K)
-
-
-def rank_of(rows):
-    """Rank over the rationals."""
-    return len(hnf(rows))

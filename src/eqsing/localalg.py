@@ -13,9 +13,8 @@ monomials.
 import itertools
 import re
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
-from . import linalg
 from .errors import (
     DiagramSyntaxError,
     GermError,
@@ -80,9 +79,6 @@ class PolyGerm(Record):
     @property
     def generator_names(self):
         return tuple(n for n, _ in self.blocks)
-
-    def terms_dict(self):
-        return dict(self.terms)
 
     def character_of_monomial(self, exps):
         """Eigenvalue tuple of the monomial under each generator."""
@@ -313,38 +309,3 @@ def quasihomogeneous_mu(weights):
     if total.denominator != 1 or total <= 0:
         raise NotIntegerError(f"product formula gives non-integer {total}")
     return int(total)
-
-
-def coranks(f):
-    """Coranks (m1, n1) of the Hessian at 0 on the x-block and y-block.
-
-    Invariance forces the mixed x-y second derivatives to vanish; this is
-    re-checked here rather than assumed.
-    """
-    terms = f.terms_dict()
-    xvars = sorted({i for _, ix in f.blocks for i in ix})
-    yvars = [i for i in range(f.nvars) if i not in set(xvars)]
-
-    def second(i, j):
-        e = [0] * f.nvars
-        e[i] += 1
-        e[j] += 1
-        c = terms.get(tuple(e), Fraction(0))
-        return c * (2 if i == j else 1)
-
-    for i in xvars:
-        for j in yvars:
-            if second(i, j) != 0:
-                raise NotInvariantError(
-                    f"mixed second derivative in {f.variables[i]}, {f.variables[j]} "
-                    "is nonzero; germ is not invariant"
-                )
-
-    def corank(idx):
-        if not idx:
-            return 0
-        H = [[second(i, j) for j in idx] for i in idx]
-        den = lcm(*(c.denominator for row in H for c in row))
-        return len(idx) - linalg.rank_of([[int(c * den) for c in row] for row in H])
-
-    return corank(xvars), corank(yvars)

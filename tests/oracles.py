@@ -122,9 +122,9 @@ def isotypic_rank_rational(action, chi):
             c = 1
             for name in subset:
                 c *= chi.of(name)
-            acc = linalg.vec_add(acc, linalg.vec_scale(c, linalg.mat_vec(M, e)))
+            acc = tuple(a + c * b for a, b in zip(acc, linalg.mat_vec(M, e)))
         proj_cols.append(acc)
-    return linalg.rank_of(linalg.freeze(proj_cols))
+    return len(linalg.hnf(proj_cols))
 
 
 # --------------------------------------------------------------------------

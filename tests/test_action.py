@@ -11,15 +11,12 @@ from eqsing.action import (
     Character,
     GroupAction,
     SignedPermutation,
-    corner_rule,
     isotypic_sublattice,
     signed_orbits,
     signed_permutation_from_file,
     validate_action,
-    z2_rule,
 )
 from eqsing.catalog import action_from_file, fixture_file
-from eqsing.diagram import to_lattice
 from eqsing.errors import (
     EqsingError,
     NotCommutingError,
@@ -185,12 +182,6 @@ def test_validate_action_calls_no_linalg(monkeypatch):
         monkeypatch.setattr(linalg, name, refuse)
     for action in actions:
         assert validate_action(action) is None
-
-
-def test_character_rules():
-    assert z2_rule(1).values == (("sigma", -1),)
-    assert z2_rule(2).values == (("sigma", 1),)
-    assert corner_rule(2).values == (("s1", -1), ("s2", -1))
 
 
 def test_isotypic_m5():

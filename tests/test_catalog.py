@@ -28,7 +28,7 @@ from eqsing.errors import (
     ZeroSublatticeError,
 )
 from eqsing.lattice import IntLattice, inertia
-from eqsing.localalg import coranks, milnor_number, quasihomogeneous_mu
+from eqsing.localalg import milnor_number, quasihomogeneous_mu
 from eqsing.monodromy import Finite, Infinite, equivariant_generators
 from oracles import (
     equivariant_generators_by_projector,
@@ -309,16 +309,6 @@ def test_confining_mu_values():
     for sym, mu in expect.items():
         a = 0 if sym in ("P8", "L6") else 1
         assert milnor_number(normal_form(sym, modulus=a)).mu == mu
-
-
-def test_coranks_match_family_data():
-    assert coranks(normal_form("M5", modulus=1)) == (2, 0)
-    assert coranks(normal_form("F4", m=2, n=1)) == (1, 1)
-    assert coranks(normal_form("B", k=3, m=2)) == (1, 0)
-    # C2 keeps the quadratic y1^2 term; higher k degenerates the y-Hessian
-    assert coranks(normal_form("C", k=2, m=2, n=1)) == (1, 0)
-    assert coranks(normal_form("C", k=3, m=1, n=1)) == (1, 1)
-    assert coranks(normal_form("A", k=4, m=1, n=1)) == (0, 1)
 
 
 def test_emit_byte_identity():

@@ -1,13 +1,11 @@
 """Diagram codec: parsing, serialization, the fig1 encoding gate."""
 import pytest
 
-from eqsing import linalg
 from eqsing.action import isotypic_sublattice
 from eqsing.catalog import action_from_file, fixture_file
 from eqsing.diagram import (
     DiagramFile,
     DynkinDiagram,
-    parse_diagram,
     parse_file,
     serialize,
     to_lattice,
@@ -30,39 +28,39 @@ NABLA_P_AMB = (0, 1, 1, 1, 1, 1, 1, 1, 1)
 
 
 def test_parse_a2():
-    d = parse_diagram(A2_TEXT)
+    d = parse_file(A2_TEXT).diagram
     assert d.vertices == ((1, -2), (2, -2))
     assert d.edges == ((1, 2, 1),)
     assert to_lattice(d).gram == ((-2, 1), (1, -2))
 
 
 def test_parse_comments_and_blank_lines():
-    d = parse_diagram("# heading\n\nvertex 1 self=-2  # trailing\n")
+    d = parse_file("# heading\n\nvertex 1 self=-2  # trailing\n").diagram
     assert d.rank == 1
 
 
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(DiagramSyntaxError) as err:
-        parse_diagram("vertex 1 self=-2\nvertx 2 self=-2\n")
+        parse_file("vertex 1 self=-2\nvertx 2 self=-2\n")
     assert err.value.line == 2
     with pytest.raises(DuplicateVertexError) as err:
-        parse_diagram("vertex 1 self=-2\nvertex 1 self=-2\n")
+        parse_file("vertex 1 self=-2\nvertex 1 self=-2\n")
     assert err.value.line == 2
     with pytest.raises(DanglingEdgeError) as err:
-        parse_diagram("vertex 1 self=-2\nedge 1 7 w=1\n")
+        parse_file("vertex 1 self=-2\nedge 1 7 w=1\n")
     assert err.value.line == 2
     with pytest.raises(DuplicateEdgeError) as err:
-        parse_diagram(A2_TEXT + "edge 2 1 w=-1\n")
+        parse_file(A2_TEXT + "edge 2 1 w=-1\n")
     assert err.value.line == 4
     with pytest.raises(DiagramSyntaxError):
-        parse_diagram("vertex 1 self=-2\nedge 1 1 w=1\n")
+        parse_file("vertex 1 self=-2\nedge 1 1 w=1\n")
     with pytest.raises(DiagramSyntaxError):
-        parse_diagram("")
+        parse_file("")
 
 
 def test_zero_weight_rejected():
     with pytest.raises(DiagramSyntaxError) as err:
-        parse_diagram("vertex 1 self=-2\nvertex 2 self=-2\nedge 1 2 w=0\n")
+        parse_file("vertex 1 self=-2\nvertex 2 self=-2\nedge 1 2 w=0\n")
     assert err.value.line == 3
 
 
@@ -81,7 +79,7 @@ def test_diagram_checks_carry_the_line_when_parsed(vertices, edges, error):
     text = "".join(f"vertex {v} self=-2\n" for v in vertices)
     text += "".join(f"edge {i} {j} w={w}\n" for i, j, w in edges)
     with pytest.raises(error) as parsed:
-        parse_diagram(text)
+        parse_file(text)
     assert parsed.value.line == len(text.splitlines())
     assert str(parsed.value) == f"line {parsed.value.line}: {direct.value}"
 
@@ -107,7 +105,7 @@ def test_roundtrip_parse_serialize():
         assert parse_file(serialize(df)) == df
     # nontrivial weights survive the round trip
     d = DynkinDiagram(vertices=((1, -2), (2, -4)), edges=((1, 2, 3),))
-    assert parse_diagram(serialize(d)) == d
+    assert parse_file(serialize(d)).diagram == d
 
 
 def test_serialization_is_byte_stable():

@@ -1,4 +1,4 @@
-"""Local algebra: Milnor numbers, isotypic dimensions, coranks."""
+"""Local algebra: Milnor numbers and isotypic dimensions."""
 from fractions import Fraction
 from math import comb
 
@@ -13,7 +13,6 @@ from eqsing.errors import (
     TableTooLargeError,
 )
 from eqsing.localalg import (
-    coranks,
     germ,
     milnor_number,
     parse_germ,
@@ -152,28 +151,6 @@ def test_quasihomogeneous_mu_rejects():
         quasihomogeneous_mu((Fraction(2, 3),))  # weight > 1/2
     with pytest.raises(NotIntegerError):
         quasihomogeneous_mu((Fraction(1, 2), Fraction(2, 7)))  # non-integer product
-
-
-def test_coranks_examples():
-    # F4 with m = 2: x1^4 + x2^2 + y1^3
-    f = germ({(4, 0, 0): 1, (0, 2, 0): 1, (0, 0, 3): 1}, m=2, n=1)
-    assert coranks(f) == (1, 1)
-    # C2-type member: x1^2 y1 + x2^2 + y1^2
-    f = germ({(2, 0, 1): 1, (0, 2, 0): 1, (0, 0, 2): 1}, m=2, n=1)
-    assert coranks(f) == (1, 0)
-    # M5 reduction: nondegenerate quartic in two x variables
-    assert coranks(x9_member()) == (2, 0)
-
-
-def test_coranks_cross_terms():
-    # x1 x2 is T-invariant and contributes to the x-Hessian off-diagonal
-    f = germ({(1, 1): 1, (2, 0): 1, (0, 2): 1}, m=2, n=0)
-    m1, n1 = coranks(f)
-    assert (m1, n1) == (0, 0)
-    # (x1 + x2)^2 / 4: a rational Hessian of rank 1
-    f = germ({(2, 0): Fraction(1, 4), (1, 1): Fraction(1, 2), (0, 2): Fraction(1, 4)},
-             m=2, n=0)
-    assert coranks(f) == (1, 0)
 
 
 def test_parse_germ_format():

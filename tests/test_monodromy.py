@@ -6,7 +6,6 @@ import pytest
 from eqsing import linalg
 from eqsing.action import Character, GroupAction, SignedPermutation
 from eqsing.catalog import action_from_file, fixture_file
-from eqsing.diagram import to_lattice
 from eqsing.errors import (
     EqsingError,
     GeneratorError,
@@ -269,7 +268,7 @@ def test_generate_m5_infinite_with_nabla_certificate():
     verdict.validate()
     # increment vector is proportional to nabla
     w = verdict.increment
-    assert linalg.rank_of((w, M5_NABLA)) == 1
+    assert len(linalg.hnf((w, M5_NABLA))) == 1
     # increment lies in the kernel
     assert linalg.is_zero_vec(linalg.mat_vec(sub.restricted_gram, w))
 
