@@ -112,7 +112,7 @@ _TERM_RE = re.compile(r"^([xy])(\d+)(?:\^(\d+))?$")
 def parse_germ(text, corner=False):
     """Parse the polynomial file format.
 
-    `vars x:<m> y:<n>` header, then one term per line:
+    `vars x:<m> y:<n>` header, naming x and y once each, then one term per line:
     `<rational_coef> <monomial>` with monomials like `x1^4`, `x1^2*x2^2`.
     A header whose table is over its bound at degree 1 already is a
     TableTooLargeError, raised before any term is read.
@@ -128,11 +128,14 @@ def parse_germ(text, corner=False):
             if m is not None:
                 raise DiagramSyntaxError("duplicate vars header", line=lineno)
             try:
-                spec = dict(t.split(":", 1) for t in toks[1:])
+                pairs = [t.split(":", 1) for t in toks[1:]]
+                if sorted(p[0] for p in pairs) != ["x", "y"]:
+                    raise ValueError
+                spec = dict(pairs)
                 m, n = int(spec["x"]), int(spec["y"])
                 if m < 0 or n < 0:
                     raise ValueError
-            except (KeyError, ValueError):
+            except ValueError:
                 raise DiagramSyntaxError(
                     "expected `vars x:<m> y:<n>` with m, n >= 0", line=lineno
                 )

@@ -95,13 +95,13 @@ def equivariant_generators(action, chi):
     the root `generate_group` takes for it.  Each orbit is checked in turn:
     its cycles are pairwise orthogonal (OrbitNotOrthogonalError), the
     ambient reflection in each is integral, and it carries a chi-vector
-    (ProjectsToZeroError).  The reflection in e_k on the restricted form is
-    then checked to be integral and to agree with the product of the
-    ambient reflections over the orbit (`_check_orbit_product`).
+    (ProjectsToZeroError).  Then the product of the ambient reflections
+    over the orbit must restrict to the reflection in e_k
+    (`_check_orbit_product`), which is integral because they are
+    (notes/decisions.md); `generate_group` checks that on its own form.
     """
     sub = isotypic_sublattice(action, chi)
     G = action.lattice.gram
-    roots = []
     for k, (orbit, cycle) in enumerate(signed_orbits(action, chi)):
         for i, j in itertools.combinations(orbit, 2):
             if G[i][j] != 0:
@@ -115,32 +115,26 @@ def equivariant_generators(action, chi):
                 f"orbit {tuple(i + 1 for i in orbit)} projects to zero under the character"
             )
         # every earlier orbit carries a chi-vector, so this one is basis vector k
-        e_k = tuple(int(t == k) for t in range(sub.rank))
-        mirror = _mirror(sub.restricted_gram, e_k)
-        _check_integral(*mirror)
-        _check_orbit_product(G, orbit, sub, mirror)
-        roots.append(e_k)
-    return sub, tuple(roots)
+        _check_orbit_product(G, orbit, cycle, sub, k)
+    return sub, linalg.identity(sub.rank)
 
 
-def _check_orbit_product(gram, orbit, sub, mirror):
-    """Raise InternalError unless the reflection in `mirror`, a `_mirror`
-    on the restricted form, is the restriction to `sub` of the product of
-    the ambient reflections in the orbit's cycles.
+def _check_orbit_product(gram, orbit, cycle, sub, k):
+    """Raise InternalError unless basis vector k of `sub` is the orbit's
+    cycle c and the product of the ambient reflections in the orbit's
+    cycles e_i restricts to the reflection in it on B = `restricted_gram`.
 
-    The cycles are pairwise orthogonal, so the product is
-    b |-> b - sum_i 2(b, e_i)/(e_i, e_i) e_i, in any order; it must map
-    each basis vector b_j of `sub` to the embedding of s(e_j), by `_reflect`.
+    The e_i are pairwise orthogonal, so on a basis vector b_j of `sub` the
+    product subtracts 2(b_j, e_i)/(e_i, e_i) e_i for each i, and the
+    reflection in b_k = c subtracts 2 B_jk/B_kk c(i) e_i: they agree when
+    (b_j, e_i) B_kk = B_jk c(i) (e_i, e_i), checked in integers.
     """
-    for b, e_j in zip(sub.basis, linalg.identity(sub.rank)):
-        image = list(b)
-        for i in orbit:
-            image[i] -= 2 * _dot(b, gram[i]) // gram[i][i]
-        if tuple(image) != sub.embed(_reflect(e_j, mirror)):
-            raise InternalError(
-                "restricted orbit product disagrees with the reflection in the "
-                "projected cycle; action data is inconsistent"
-            )
+    B = sub.restricted_gram
+    if sub.basis[k] != cycle or any(
+            _dot(b, gram[i]) * B[k][k] != B[j][k] * cycle[i] * gram[i][i]
+            for j, b in enumerate(sub.basis) for i in orbit):
+        raise InternalError("restricted orbit product disagrees with the reflection in the "
+                            "projected cycle; action data is inconsistent")
 
 
 # --------------------------------------------------------------------------

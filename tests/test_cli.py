@@ -57,6 +57,22 @@ def test_catalog_verdict_every_fixture_machine_golden(cap):
     assert _verdict_transcript(cap) == golden.read_text()
 
 
+@pytest.mark.parametrize("name, cap", [
+    ("affine_e6", None),  # star 2,2,2
+    ("affine_e8_a1", 1000),  # star 1,2,5 and an isolated vertex
+    ("t237", 100),  # star 1,2,6
+    ("triangle_w2", None),
+])
+def test_analyze_not_simple_diagrams_machine_golden(monkeypatch, name, cap):
+    # the hand-built diagrams of the benchmark's certify workload; a relative
+    # file name keeps the input= line stable
+    monkeypatch.chdir(GOLDEN)
+    argv = ["analyze", f"{name}.diagram", "--format", "machine"]
+    code, out, err = run_cli(*argv + ([] if cap is None else ["--cap", str(cap)]))
+    assert (code, err) == (1, "")
+    assert out == (GOLDEN / f"{name}_analyze.machine").read_text()
+
+
 def test_analyze_m4_report_values():
     code, out, _ = run_cli(
         "analyze", str(FIXTURES / "m4.diagram"), "--format", "machine"
@@ -273,7 +289,8 @@ def test_mu_A4_trivial(tmp_path):
 
 
 _A2_POLY = "vars x:0 y:1\n1 y1^3\n"
-_X9_POLY = "vars x:0 y:2\n1 y1^4\n1 y2^4\n1 y1^2*y2^2\n"
+_X9_TERMS = "1 y1^4\n1 y2^4\n1 y1^2*y2^2\n"
+_X9_POLY = "vars x:0 y:2\n" + _X9_TERMS
 _M5_POLY = "vars x:2 y:0\n1 x1^4\n1 x2^4\n1 x1^2*x2^2\n"
 
 
@@ -294,6 +311,8 @@ _M5_POLY = "vars x:2 y:0\n1 x1^4\n1 x2^4\n1 x1^2*x2^2\n"
     (["analyze", "{file}"], b"\xff\xfe"),
     (["mu", "{file}", "--max-degree", "-1"], _A2_POLY),
     (["mu", "{file}"], "vars x:0 y:30\n1 y1^2\n"),
+    (["mu", "{file}"], "vars x:0 y:2 z:7\n" + _X9_TERMS),
+    (["mu", "{file}"], "vars x:2 y:2 x:0\n" + _X9_TERMS),
     (["catalog", "emit", "X9", "--poly", "--modulus", "abc"], None),
     (["catalog", "emit", "A", "--k", "3", "--m", "5"], None),
     (["catalog", "emit", "A", "--k", "3", "--n", "2"], None),
@@ -304,7 +323,8 @@ _M5_POLY = "vars x:2 y:0\n1 x1^4\n1 x2^4\n1 x1^2*x2^2\n"
         "oracle-abc", "oracle-2/3", "oracle-too-many-weights", "oracle-too-few-weights",
         "oracle-term-degree-not-1", "unknown-generator", "generator-named-twice",
         "germ-without-generators", "mu-not-utf8", "analyze-not-utf8",
-        "negative-max-degree", "mu-table-too-large", "modulus-abc", "emit-m-without-poly",
+        "negative-max-degree", "mu-table-too-large", "vars-unknown-key",
+        "vars-key-twice", "modulus-abc", "emit-m-without-poly",
         "emit-n-without-poly", "emit-modulus-without-poly", "verdict-negative-cap",
         "analyze-negative-cap"])
 def test_bad_input_exits_two(tmp_path, argv, text):

@@ -1,9 +1,12 @@
-"""Every module-level import of the package and of the tests is read.
+"""Every module-level import of the package and of the tests is read, and
+so is every private module-level name of the package.
 
 An import that nothing reads is dead code that still costs its load on
 every request.  The check parses each module with `ast` and compares the
 names its module-level imports bind with the names the module reads; a
-name listed in `__all__` counts as read.
+name listed in `__all__` counts as read.  A private function, class or
+constant of the package that no module of the package reads is a helper
+left behind by a deletion; the tests alone do not keep it alive.
 """
 import ast
 from pathlib import Path
@@ -11,9 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "eqsing").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+PACKAGE = sorted((ROOT / "src" / "eqsing").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _module_imports(node):
@@ -57,3 +59,49 @@ def test_detector_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources):
+    """[(module, line, name), ...]: each private module-level function,
+    class or constant of the modules `sources` ({module: source}) that
+    none of them reads, as a name or as an attribute.  Dunder names are
+    exempt."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [(module, node.lineno, name) for name in names
+                       if name.startswith("_") and name not in read
+                       and not (name.startswith("__") and name.endswith("__"))]
+    return unread
+
+
+def test_detector_finds_an_unread_private_name():
+    sources = {
+        "a": ("_A = 1\n_B: int = 2\n__version__ = '1'\n"
+              "def _f():\n    return _A\n"
+              "def _g():\n    pass\n"
+              "class _C:\n    pass\n"),
+        "b": "from a import _f\nimport a\n_f()\na._C\n_g = 3\n",
+    }
+    assert unread_private_names(sources) == [("a", 2, "_B"), ("a", 6, "_g"), ("b", 5, "_g")]
+
+
+def test_no_unread_private_name_in_the_package():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unread_private_names(sources) == []

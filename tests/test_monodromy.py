@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from eqsing import linalg
+from eqsing import lattice, linalg
 from eqsing.action import Character, GroupAction, SignedPermutation
 from eqsing.catalog import action_from_file, fixture_file
 from eqsing.errors import (
@@ -24,7 +24,6 @@ from eqsing.monodromy import (
     MonodromyElement,
     Unknown,
     _check_orbit_product,
-    _mirror,
     equivariant_generators,
     generate_group,
     power_law_check,
@@ -166,9 +165,36 @@ def test_orbit_generator_checks_the_ambient_product():
     action, _ = action_from_file(fixture_file("M5"))
     lat = action.lattice
     pair = Sublattice(lat, (lat.basis_vector(1), lat.basis_vector(3)))
-    mirror = _mirror(pair.restricted_gram, (1, 1))
+    cycle = pair.embed((1, 1))
     with pytest.raises(AssertionError, match="disagrees"):
-        _check_orbit_product(lat.gram, (1, 3), pair, mirror)
+        _check_orbit_product(lat.gram, (1, 3), cycle, pair, 0)
+
+
+def test_orbit_generator_checks_the_cycle_is_basis_vector_k():
+    # b = Delta1 + Delta2 meets Delta1 as the cycle Delta1 would, so the
+    # coordinate equation holds; but H1 maps b to Delta2 - Delta1, not to -b
+    lat = IntLattice(((-2, 0), (0, -2)))
+    sub = Sublattice(lat, ((1, 1),))
+    with pytest.raises(InternalError, match="disagrees"):
+        _check_orbit_product(lat.gram, (0,), (1, 0), sub, 0)
+
+
+def test_orbit_generator_check_reads_the_restricted_form(monkeypatch):
+    # 4 more on one off-diagonal pair of the M5 restricted form, whose norms
+    # are -2 and -4, keeps every restricted reflection integral: only the
+    # comparison with the ambient product can refuse it
+    gram_on = lattice._gram_on
+
+    def skewed(ambient, basis):
+        B = [list(row) for row in gram_on(ambient, basis)]
+        B[0][1] += 4
+        B[1][0] += 4
+        return linalg.freeze(B)
+
+    monkeypatch.setattr(lattice, "_gram_on", skewed)
+    action, chi = action_from_file(fixture_file("M5"))
+    with pytest.raises(InternalError, match="disagrees"):
+        equivariant_generators(action, chi)
 
 
 def test_orbit_generator_m4_four_cycle_orbit():
