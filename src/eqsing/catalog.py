@@ -341,6 +341,7 @@ def run_analysis(dfile, cap=10**6):
     exactly when the form is negative definite (notes/decisions.md), and
     CriterionMismatchError reports a disagreement as a defect, and
     InternalError one between the inertia's n_zero and the kernel rank.
+    The inertia is computed once and handed to `generate_group`.
     """
     diagram = dfile.diagram
     if not diagram.all_self_minus_two():
@@ -356,7 +357,7 @@ def run_analysis(dfile, cap=10**6):
         raise InternalError(f"inertia has {sig.n_zero} zero squares but the kernel "
                             f"has rank {len(ker)}")
     ker_amb = tuple(sub.embed(v) for v in ker)
-    verdict = generate_group(sub.restricted_gram, roots, cap=cap)
+    verdict = generate_group(sub.restricted_gram, roots, cap=cap, sig=sig)
     if verdict.kind != "unknown" and sig.negative_definite != (verdict.kind == "finite"):
         raise CriterionMismatchError(
             f"negative definiteness and finiteness disagree "

@@ -41,14 +41,6 @@ class IntLattice(Record):
     def rank(self):
         return len(self.gram)
 
-    def product(self, u, v):
-        """Bilinear product (u, v) of two vectors in basis coordinates."""
-        return sum(
-            u[i] * self.gram[i][j] * v[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-
     def basis_vector(self, i):
         return tuple(1 if j == i else 0 for j in range(self.rank))
 

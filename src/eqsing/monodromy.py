@@ -22,9 +22,13 @@ counts roots on every form: Unknown when the roots exceed it.
 
 The generators are held as roots only.  The pipeline's h_k is the
 Picard-Lefschetz reflection in basis vector k of the isotypic sublattice
-by construction, so `equivariant_generators` gives the unit vectors, and
-every reflection is applied by its formula (`_reflect`).  The one matrix
-is the certificate of an infinite group, a MonodromyElement.
+by construction, so `equivariant_generators` gives the unit vectors.
+Every root r travels with its image G r, computed once per generator
+root and then moved along with r, so every reflection is applied by its
+formula (`_reflect`) with (r, delta) read off the image over the support
+of delta: one entry for a unit generator root, and no vector update
+when the reflection fixes r.  The one matrix is the certificate of an
+infinite group, a MonodromyElement.
 
 Everything runs on tuples of Python ints, so no entry can overflow.
 """
@@ -251,7 +255,7 @@ def power_law_check(g, v, w, s_max):
 # closure and finiteness
 
 
-def generate_group(gram, roots, cap=10**6):
+def generate_group(gram, roots, cap=10**6, sig=None):
     """Decide finiteness of the group generated by the reflections in
     `roots` on the form `gram`.
 
@@ -259,9 +263,10 @@ def generate_group(gram, roots, cap=10**6):
     Infinite certificate is re-validated before it is returned, and its
     word names the reflection in root i h{i+1}.  A root stands for its
     reflection, so it counts only up to sign and scale.  The cap bounds
-    the roots the search records, on every form.  A bad form or root is
-    a LatticeDataError, GeneratorError, IsotropicCycleError or
-    NonIntegralReflectionError (notes/decisions.md).
+    the roots the search records, on every form.  `sig` is the Inertia of
+    the form when the caller has it already, and is computed otherwise.
+    A bad form or root is a LatticeDataError, GeneratorError,
+    IsotropicCycleError or NonIntegralReflectionError (notes/decisions.md).
     """
     lattice = IntLattice(gram)
     gram = lattice.gram
@@ -272,55 +277,61 @@ def generate_group(gram, roots, cap=10**6):
         if len(root) != lattice.rank or not all(isinstance(x, int) for x in root):
             raise GeneratorError(
                 f"root h{i + 1} is no integer vector of length {lattice.rank}: {root!r}")
-        mirror = _mirror(gram, linalg.primitive(root))
-        _check_integral(*mirror)
+        delta = linalg.primitive(root)
+        mirror = _mirror((delta, linalg.mat_vec(gram, delta)))
+        _check_integral(*mirror[:3])
         mirrors.append(mirror)
-    return _generate_reflections(gram, mirrors, cap, inertia(lattice))
+    if sig is None:
+        sig = inertia(lattice)
+    return _generate_reflections(gram, mirrors, cap, sig)
 
 
-def _root_class(gram, root):
-    """gram * root divided by the gcd of its entries, sign kept.
+def _root_class(g_root):
+    """The image G root, given as `g_root`, divided by the gcd of its
+    entries, sign kept.
 
     Two roots share a class exactly when their images in the definite
     quotient (the lattice modulo the form kernel) are positive multiples
     of each other.
     """
-    v = linalg.mat_vec(gram, root)
     g = 0
-    for x in v:
+    for x in g_root:
         g = gcd(g, x)
-    return tuple(x // g for x in v)
+    return tuple(x // g for x in g_root)
 
 
 def _generate_reflections(gram, mirrors, cap, sig):
     """Search the orbit of the generator roots, given as `_mirror`s, for an
     infinite pair.
 
-    The roots are signed vectors, each with a word for its reflection.  The
-    generator roots come first.  On any form but a negative semidefinite one
-    the Coxeter orbits follow (`_coxeter_orbits`).  A breadth-first search
-    over the generators then takes every root seen so far as its first
-    level: level k + 1 is h_a applied to level k, for each generator h_a in
-    turn, so on a semidefinite form a root u delta_i is first reached by the
+    The roots are signed vectors r, each carried with its image G r and a
+    word for its reflection.  The generator roots come first.  On any form
+    but a negative semidefinite one the Coxeter orbits follow
+    (`_coxeter_orbits`).  A breadth-first search over the generators then
+    takes every root seen so far as its first level: level k + 1 is h_a
+    applied to level k, for each generator h_a in turn, so on a
+    semidefinite form a root u delta_i is first reached by the
     shortlex-least word u h_i.  Roots move by the reflection formula
-    (`_reflect`).
+    (`_reflect`), which reads (r, delta_a) off the image: one entry for a
+    unit generator root.  A reflection that fixes a root gives the root
+    itself, and is skipped before the lookup.
 
     Each new root rho is tested against the roots already seen: on a
     semidefinite form by its class (`_root_class`), elsewhere by the pair
-    test of `_pair_partner`.  On a definite form no two roots share a class,
-    so none is tested, and the search always closes.  The first partner
-    rho' gives the certificate g = s_rho s_rho' (`_pair_certificate`).
-    More than `cap` roots gives Unknown.  A closure with no partner is a
-    finite group, and `_reflection_group_order` gives its order from the
-    roots recorded (notes/decisions.md).
+    test of `_pair_partner`, both read off the image.  On a definite form
+    no two roots share a class, so none is tested, and the search always
+    closes.  The first partner rho' gives the certificate g = s_rho s_rho'
+    (`_pair_certificate`).  More than `cap` roots gives Unknown.  A closure
+    with no partner is a finite group, and `_reflection_group_order` gives
+    its order from the roots recorded (notes/decisions.md).
     """
     points, words, seen = [], [], set()
     if sig.negative_definite:  # the kernel is zero: no two roots share a class
         partner = lambda root: None
     elif sig.negative_semidefinite:
-        partner = _class_partner(gram)
+        partner = _class_partner()
     else:
-        partner = _pair_partner(gram)
+        partner = _pair_partner()
 
     def add(root, word):
         """Record a new root; the verdict when it ends the search."""
@@ -329,15 +340,15 @@ def _generate_reflections(gram, mirrors, cap, sig):
         old = partner(root)
         if old is not None:
             return _pair_certificate(gram, root, word, points[old], words[old])
-        seen.add(root)
+        seen.add(root[0])
         points.append(root)
         words.append(word)
         return None
 
-    seeds = [(mirror[0], (i,)) for i, mirror in enumerate(mirrors)]
+    seeds = [(mirror[:2], (i,)) for i, mirror in enumerate(mirrors)]
     orbits = () if sig.negative_semidefinite else _coxeter_orbits(mirrors)
     for root, word in itertools.chain(seeds, orbits):
-        if root not in seen:
+        if root[0] not in seen:
             verdict = add(root, word)
             if verdict is not None:
                 return verdict
@@ -345,21 +356,22 @@ def _generate_reflections(gram, mirrors, cap, sig):
     while lo < hi:
         for a, mirror in enumerate(mirrors):
             for p in range(lo, hi):
-                r = points[p]
-                q = _reflect(r, mirror)
-                if q not in seen:
-                    # s_{-r} = s_r, so -r keeps the word of r
-                    negated = all(x == -y for x, y in zip(q, r))
-                    verdict = add(q, words[p] if negated else (a,) + words[p] + (a,))
-                    if verdict is not None:
-                        return verdict
+                root = points[p]
+                q = _reflect(root, mirror)
+                if q is root or q[0] in seen:
+                    continue
+                # s_{-r} = s_r, so -r keeps the word of r
+                negated = all(x == -y for x, y in zip(q[0], root[0]))
+                verdict = add(q, words[p] if negated else (a,) + words[p] + (a,))
+                if verdict is not None:
+                    return verdict
         lo, hi = hi, len(points)
-    return Finite(order=_reflection_group_order(points, mirrors, gram))
+    return Finite(order=_reflection_group_order(points, mirrors))
 
 
-def _reflection_group_order(points, mirrors, gram):
+def _reflection_group_order(points, mirrors):
     """|W| for the finite group W generated by the reflections `mirrors`,
-    with `points` the signed roots, closed under W.
+    with `points` the signed roots and their images, closed under W.
 
     Orbit-stabiliser on a root rho: |W| = |W rho| |W_rho|, and by
     Steinberg's theorem W_rho is generated by the reflections in the roots
@@ -369,19 +381,19 @@ def _reflection_group_order(points, mirrors, gram):
     +-r of the roots kept.  Reflections keep the norm, so the orbit is
     complete once it holds every root of the norm of rho.
     """
-    roots = [_mirror(gram, r) for r in points]
+    roots = [_mirror(root) for root in points]
     order = 1
     while roots:
-        rho, g_rho, norm = roots[0]
+        rho, g_rho, norm, _ = roots[0]
         size = sum(1 for m in roots if m[2] == norm)
-        orbit, members = [rho], {rho}
-        for r in orbit:
+        orbit, members = [(rho, g_rho)], {rho}
+        for root in orbit:
             if len(orbit) == size:
                 break
             for mirror in mirrors:
-                q = _reflect(r, mirror)
-                if q not in members:
-                    members.add(q)
+                q = _reflect(root, mirror)
+                if q is not root and q[0] not in members:
+                    members.add(q[0])
                     orbit.append(q)
         order *= len(orbit)
         roots = [m for m in roots if not _dot(m[0], g_rho)]
@@ -389,61 +401,67 @@ def _reflection_group_order(points, mirrors, gram):
     return order
 
 
-def _mirror(gram, delta):
-    """(delta, G delta, (delta, delta)), what `_reflect` needs of a root."""
-    g_delta = linalg.mat_vec(gram, delta)
-    return delta, g_delta, _dot(delta, g_delta)
+def _mirror(root):
+    """(delta, G delta, (delta, delta), the support of delta as pairs
+    (i, delta_i)) for the root (delta, G delta): what `_reflect` needs."""
+    delta, g_delta = root
+    support = tuple((i, d) for i, d in enumerate(delta) if d)
+    return delta, g_delta, sum(d * g_delta[i] for i, d in support), support
 
 
 def _reflect(root, mirror):
-    """s_delta(root) = root - k delta with k = 2(root, delta)/(delta, delta).
+    """s_delta (r, G r) = (r - k delta, G r - k G delta), with
+    k = 2(r, delta)/(delta, delta); the root object itself when k = 0.
 
-    k is an integer: s_delta is integral, so k delta is an integer vector,
-    and delta is primitive.
+    G is symmetric, so (r, delta) is the sum of delta_i (G r)_i over the
+    support of delta.  k is an integer: s_delta is integral, so k delta is
+    an integer vector, and delta is primitive.
     """
-    delta, g_delta, dd = mirror
-    k, rem = divmod(2 * _dot(root, g_delta), dd)
+    r, g_r = root
+    delta, g_delta, dd, support = mirror
+    k, rem = divmod(2 * sum(d * g_r[i] for i, d in support), dd)
     if rem:
         raise InternalError("a reflection moves a root by a non-integral multiple")
     if not k:
         return root
-    return tuple(x - k * d for x, d in zip(root, delta))
+    return (tuple(x - k * d for x, d in zip(r, delta)),
+            tuple(x - k * y for x, y in zip(g_r, g_delta)))
 
 
 def _coxeter_orbits(mirrors):
-    """(c^k delta_i, its reflection word) for k = 1, 2, ... and each i, with
-    c = h_1 h_2 ... h_n, until every orbit has returned to its delta_i.
+    """(c^k delta_i with its image, its reflection word) for k = 1, 2, ...
+    and each i, with c = h_1 h_2 ... h_n, until every orbit has returned to
+    its delta_i.
 
     The reflection in c^k delta_i is c^k h_i c^-k, whose word is
     (h_1...h_n)^k h_i (h_n...h_1)^k because every h_j is an involution.
     """
     forward = tuple(range(len(mirrors)))
     backward = forward[::-1]
-    roots = [m[0] for m in mirrors]
-    current = dict(enumerate(roots))
+    current = {i: mirror[:2] for i, mirror in enumerate(mirrors)}
     k = 0
     while current:
         k += 1
         for i, root in list(current.items()):
             for mirror in reversed(mirrors):
                 root = _reflect(root, mirror)
-            if root == roots[i]:
+            if root[0] == mirrors[i][0]:
                 del current[i]
             else:
                 current[i] = root
                 yield root, forward * k + (i,) + backward * k
 
 
-def _class_partner(gram):
+def _class_partner():
     """Partner test of a semidefinite form: an earlier root of the same class.
 
-    The returned function gives the index of the earlier root, or records
-    the new root's class and gives None.
+    The returned function takes a root with its image and gives the index
+    of the earlier root, or records the new root's class and gives None.
     """
     classes = {}
 
     def partner(root):
-        key = _root_class(gram, root)
+        key = _root_class(root[1])
         old = classes.get(key)
         if old is None:
             classes[key] = len(classes)
@@ -452,24 +470,25 @@ def _class_partner(gram):
     return partner
 
 
-def _pair_partner(gram):
+def _pair_partner():
     """Partner test of any other form: an earlier root rho' != -rho with
     b = (rho, rho') != 0 and b^2 >= (rho, rho)(rho', rho').
 
-    The returned function gives the index of the first such root, or
-    records the new root and gives None.
+    The returned function takes a root with its image, reads a and every b
+    off the image, and gives the index of the first such root, or records
+    the new root and gives None.
     """
-    seen = []  # (root, its norm)
+    seen = []  # (r, its norm)
 
     def partner(root):
-        g_root = linalg.mat_vec(gram, root)
-        a = _dot(root, g_root)
-        negative = tuple(-x for x in root)
+        r, g_r = root
+        a = _dot(r, g_r)
+        negative = tuple(-x for x in r)
         for j, (other, c) in enumerate(seen):
-            b = _dot(other, g_root)
+            b = _dot(other, g_r)
             if b and b * b >= a * c and other != negative:
                 return j
-        seen.append((root, a))
+        seen.append((r, a))
         return None
 
     return partner
@@ -482,21 +501,23 @@ def _dot(u, v):
 def _pair_certificate(gram, rho, word, rho_p, word_p):
     """Validated Infinite with certificate g = s_rho s_rho'.
 
-    Column j of g is s_rho(s_rho'(e_j)) by `_reflect`: like every root of
-    the search, rho and rho' are primitive with integral reflections.  On
-    the plane of the pair, g has trace 4b^2/(ac) - 2 with a = (rho, rho),
-    b = (rho, rho') and c = (rho', rho').  b^2 = ac makes g a nontrivial
-    unipotent, certified by a power-law witness; otherwise |t| > 2 for the
-    trace t, and g has a real eigenvalue off the unit circle, a root of the
-    factor x^2 - t x + 1 of its characteristic polynomial.
+    rho and rho' come with their images.  Column j of g is
+    s_rho(s_rho'(e_j)) by `_reflect`, with G e_j row j of the symmetric G:
+    like every root of the search, rho and rho' are primitive with integral
+    reflections.  On the plane of the pair, g has trace 4b^2/(ac) - 2 with
+    a = (rho, rho), b = (rho, rho') and c = (rho', rho').  b^2 = ac makes g
+    a nontrivial unipotent, certified by a power-law witness; otherwise
+    |t| > 2 for the trace t, and g has a real eigenvalue off the unit
+    circle, a root of the factor x^2 - t x + 1 of its characteristic
+    polynomial.
     """
-    mirror, mirror_p = _mirror(gram, rho), _mirror(gram, rho_p)
-    columns = [_reflect(_reflect(e_j, mirror_p), mirror)
-               for e_j in linalg.identity(len(gram))]
+    mirror, mirror_p = _mirror(rho), _mirror(rho_p)
+    columns = [_reflect(_reflect(e_j, mirror_p), mirror)[0]
+               for e_j in zip(linalg.identity(len(gram)), gram)]
     matrix = tuple(zip(*columns))
     element = MonodromyElement(matrix=matrix, gram=gram,
                                word=tuple(f"h{i + 1}" for i in word + word_p))
-    a, b, c = mirror[2], _dot(rho_p, mirror[1]), mirror_p[2]
+    a, b, c = mirror[2], _dot(rho_p[0], rho[1]), mirror_p[2]
     if b * b == a * c:
         v, w = _index2_witness(matrix)
         verdict = Infinite(certificate=element, witness=v, increment=w)

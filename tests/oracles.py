@@ -26,6 +26,13 @@ from eqsing.lattice import Inertia, Sublattice
 from eqsing.monodromy import MonodromyElement
 
 
+def product(gram, u, v):
+    """The product (u, v) on the form with Gram matrix `gram`, as the
+    double sum of u_i G_ij v_j."""
+    n = len(gram)
+    return sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+
 def pl_reflection(gram, delta, name=None):
     """The Picard-Lefschetz reflection in the cycle `delta` on the form
     with Gram matrix `gram`, as a MonodromyElement named `name`: the matrix
@@ -493,7 +500,7 @@ def box_signs(lattice, bound=5):
     for v in itertools.product(range(-bound, bound + 1), repeat=lattice.rank):
         if not any(v):
             continue
-        q = lattice.product(v, v)
+        q = product(lattice.gram, v, v)
         pos |= q > 0
         neg |= q < 0
         zero |= q == 0

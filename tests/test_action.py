@@ -30,6 +30,7 @@ from oracles import (
     group_elements,
     isotypic_rank_rational,
     permutation_matrix,
+    product,
     random_action_file,
     validate_action_by_matrices,
 )
@@ -241,7 +242,7 @@ def test_restricted_gram_preserved_by_commuting_operators():
     for _, M in group_elements(action):
         img = [linalg.mat_vec(M, b) for b in sub.basis]
         gram = [
-            [action.lattice.product(a, b) for b in img] for a in img
+            [product(action.lattice.gram, a, b) for b in img] for a in img
         ]
         assert linalg.freeze(gram) == sub.restricted_gram
 

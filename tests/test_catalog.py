@@ -336,7 +336,7 @@ def test_criteria_agreement_flag_on_incoherent_input(monkeypatch):
         run_analysis(flipped_a2)
     # with -2 on every vertex the decided criteria agree, so a disagreement
     # is a defect: here a finite verdict on M5's semidefinite form
-    monkeypatch.setattr(catalog, "generate_group", lambda gram, roots, cap: Finite(order=1))
+    monkeypatch.setattr(catalog, "generate_group", lambda gram, roots, cap, sig: Finite(order=1))
     with pytest.raises(CriterionMismatchError, match="disagree") as info:
         run_analysis(fixture_file("M5"))
     assert isinstance(info.value, InternalError)

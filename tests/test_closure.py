@@ -5,12 +5,13 @@ import time
 
 import pytest
 
+from eqsing import linalg, monodromy
 from eqsing.catalog import action_from_file, fixture_file, run_analysis, weyl_order
 from eqsing.errors import EqsingError
 from eqsing.lattice import IntLattice, inertia
 from eqsing.monodromy import Finite, Unknown, equivariant_generators, generate_group
 from oracles import closure_naive, pl_reflection
-from test_semidefinite import _basis
+from test_semidefinite import AFFINE_E8_A1, _basis
 
 G2 = ((-2, 3), (3, -6))
 C2 = ((-2, 2), (2, -4))
@@ -93,6 +94,40 @@ def test_definite_cap_bounds_the_orbit():
     assert generate_group(gram, roots, cap=239) == Unknown(cap=239)
     assert generate_group(gram, roots, cap=240) == Finite(order=weyl_order("E8"))
     assert generate_group(gram, roots) == Finite(order=weyl_order("E8"))
+
+
+@pytest.mark.parametrize("symbol", ["E7", "E8", "affine E8 + A1"])
+def test_root_search_multiplies_by_the_form_once_per_generator(monkeypatch, symbol):
+    # every root carries its image G r, so the search computes G delta once
+    # per generator root and no image of any other root; only the
+    # certificate of an Infinite verdict multiplies on its own
+    if symbol == "affine E8 + A1":
+        action, chi = action_from_file(AFFINE_E8_A1)
+        gram, roots = _basis(equivariant_generators(action, chi)[0].restricted_gram)
+    else:
+        gram, roots = _fixture_form(symbol)
+    calls = {"search": 0, "certificate": 0}
+    inside = ["search"]
+
+    def counted(M, v, _original=linalg.mat_vec):
+        calls[inside[-1]] += 1
+        return _original(M, v)
+
+    def certificate(*args, _original=monodromy._pair_certificate):
+        inside.append("certificate")
+        try:
+            return _original(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(linalg, "mat_vec", counted)
+    monkeypatch.setattr(monodromy, "_pair_certificate", certificate)
+    verdict = generate_group(gram, roots, cap=1000)
+    assert calls["search"] == len(roots)
+    if symbol == "affine E8 + A1":
+        assert verdict.kind == "infinite" and calls["certificate"] > 0
+    else:
+        assert verdict == Finite(order=weyl_order(symbol)) and calls["certificate"] == 0
 
 
 def test_random_definite_reflection_groups():

@@ -167,6 +167,25 @@ def test_analysis_runs_no_rank_or_saturation(monkeypatch):
     assert calls == []
 
 
+def test_analysis_computes_the_inertia_once(monkeypatch):
+    # run_analysis hands its inertia to generate_group, which would
+    # otherwise compute it again; a finite verdict has no certificate to
+    # validate, so no other call reaches inertia
+    from eqsing import catalog, monodromy
+
+    calls = []
+
+    def counted(lat, _original=inertia):
+        calls.append(lat.gram)
+        return _original(lat)
+
+    monkeypatch.setattr(catalog, "inertia", counted)
+    monkeypatch.setattr(monodromy, "inertia", counted)
+    out = catalog.run_analysis(catalog.fixture_file("E6"))
+    assert out.verdict.kind == "finite"
+    assert calls == [out.sublattice.restricted_gram]
+
+
 def test_direct_sublattice_construction_is_checked():
     sub = Sublattice(ambient=A2, basis=((1, 0),))
     assert sub == Sublattice._canonical(A2, ((1, 0),))

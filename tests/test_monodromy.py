@@ -24,6 +24,8 @@ from eqsing.monodromy import (
     MonodromyElement,
     Unknown,
     _check_orbit_product,
+    _mirror,
+    _reflect,
     equivariant_generators,
     generate_group,
     power_law_check,
@@ -33,6 +35,7 @@ from oracles import (
     equivariant_generators_by_projector,
     generator_outcome,
     pl_reflection,
+    product,
     random_action_file,
     reflections,
     word_element,
@@ -111,7 +114,7 @@ def test_reflections_are_involutive_isometries():
                 M[i][j] = M[j][i] = rng.randint(-3, 3)
         lat = IntLattice(linalg.freeze(M))
         delta = tuple(rng.randint(-2, 2) for _ in range(n))
-        if lat.product(delta, delta) == 0:
+        if product(lat.gram, delta, delta) == 0:
             continue
         try:
             h = pl_reflection(lat.gram, delta)
@@ -423,6 +426,22 @@ def test_invariant_failures_are_typed():
     with pytest.raises(InternalError, match="identity") as info:
         Infinite(certificate=hh, witness=(1, 0), increment=(0, 0)).validate()
     assert isinstance(info.value, AssertionError)
+
+
+def test_reflect_refuses_a_non_integral_move():
+    # a root moves with its image G r, and k = 2(r, delta)/(delta, delta)
+    # is read off the image; the reflection in e_1 on this form is not
+    # integral, and moving e_2 by it would take k = 2/(-4)
+    gram = ((-4, 1), (1, -2))
+    e1, e2 = ((1, 0), gram[0]), ((0, 1), gram[1])
+    mirror = _mirror(e1)
+    assert _reflect(e1, mirror) == ((-1, 0), (4, -1))
+    with pytest.raises(InternalError, match="non-integral multiple") as info:
+        _reflect(e2, mirror)
+    assert isinstance(info.value, AssertionError)
+    # a reflection that fixes a root gives back the root object itself
+    fixed = ((0, 1), (0, -2))
+    assert _reflect(fixed, _mirror(((1, 0), (-2, 0)))) is fixed
 
 
 def test_general_case_unknown_at_cap():
