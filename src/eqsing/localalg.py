@@ -1,14 +1,15 @@
 """Milnor numbers and Z2^m-isotypic dimensions of Jacobian local algebras.
 
-The quotient dimension is computed by exact rational row reduction on
-monomials of bounded degree, with an explicit finiteness certificate:
-once every degree-D column is a pivot of the row space truncated at D,
-every monomial of degree D lies in J + m^(D+1), so m^D is contained in
-the ideal (Nakayama), and the count of standard monomials (the non-pivot
-columns) below degree D is the exact Milnor number.  The Jacobian ideal
-of an invariant germ is group-stable, hence the quotient splits by
-character and the split is read off the parity classes of the standard
-monomials.
+The quotient dimension is computed by exact rational row reduction of the
+products u * df/dv in one echelon, which step D = 1, 2, ... extends by the
+products of order D.  Its pivots of degree <= D are those of the row space
+truncated at D, which gives an explicit finiteness certificate: once every
+monomial of degree D is a pivot, every monomial of degree D lies in
+J + m^(D+1), so m^D is contained in the ideal (Nakayama), and the count of
+standard monomials (the non-pivots) below degree D is the exact Milnor
+number.  The Jacobian ideal of an invariant germ is group-stable, hence
+the quotient splits by character and the split is read off the parity
+classes of the standard monomials.
 """
 import itertools
 import re
@@ -26,9 +27,9 @@ from .errors import (
 )
 from .record import Record
 
-# The bound on the entries of the monomial table, C(n + D, D) monomials of n
-# exponents each.  The largest table of any test or `mu` benchmark case holds
-# 42,504 (A20: 10,626 monomials in 4 variables, degree 20).
+# The bound on the monomials listed up to degree D, counted as C(n + D, D)
+# monomials of n exponents each.  The largest listing of any test or `mu`
+# benchmark case counts 42,504 (A20: 10,626 monomials in 4 variables, degree 20).
 MAX_TABLE_ENTRIES = 2_000_000
 
 
@@ -234,7 +235,8 @@ def _reduce(pivots, row):
 
 
 def _check_table(nvars, D):
-    """Refuse a monomial table to degree D over MAX_TABLE_ENTRIES entries."""
+    """Refuse to list the monomials of degree D when the monomials up to
+    degree D, nvars exponents each, would be over MAX_TABLE_ENTRIES entries."""
     monomials = comb(nvars + D, D)
     if monomials * nvars > MAX_TABLE_ENTRIES:
         raise TableTooLargeError(
@@ -246,49 +248,61 @@ def _check_table(nvars, D):
 def milnor_number(f, max_degree=24):
     """Milnor number and isotypic dimensions of the Jacobian quotient.
 
-    The columns are the monomials in (degree, lex) order.  At each D the
-    rows u * df/dv, truncated at degree D, are reduced to echelon form.  D
-    is certified when every degree-D column is a pivot of the row space
-    truncated at D; mu and the isotypic dimensions are then the non-pivot
-    columns, all of degree below D (notes/decisions.md).
+    The columns are the monomials in (degree, lex) order, each keyed by the
+    integer deg * B^n + sum e_i B^(n-1-i), B = max_degree + 1, so that the
+    keys sort in that order and a product of monomials adds their keys.
+    Step D adds the rows u * df/dv with deg u = D - ord(df/dv), cut above
+    `max_degree` only, to one echelon.  D is certified when every degree-D
+    monomial is a pivot; mu and the isotypic dimensions are then the
+    non-pivot monomials, all of degree below D (notes/decisions.md).
 
     Raises NotCertifiedError when finiteness cannot be certified by
     `max_degree` (non-isolated critical point, or cap too small), and
-    TableTooLargeError before a degree whose table would hold more than
-    MAX_TABLE_ENTRIES entries (`_check_table`).
+    TableTooLargeError before listing a degree whose monomials up to it
+    would count more than MAX_TABLE_ENTRIES entries (`_check_table`).
     """
-    gens = [g for g in (_partial(f.terms, v) for v in range(f.nvars)) if g]
+    n = f.nvars
+    base = max_degree + 1
+
+    def key(exps):
+        k = sum(exps)
+        for e in exps:
+            k = k * base + e
+        return k
+
+    def monomials(d):
+        """The exponents of the degree-d monomials."""
+        return (tuple(c.count(v) for v in range(n))
+                for c in itertools.combinations_with_replacement(range(n), d))
+
+    gens = [g for g in (_partial(f.terms, v) for v in range(n)) if g]
     if not gens:
         raise NotCertifiedError(max_degree)
-    table = [(0,) * f.nvars]  # the monomials, in (degree, lex) order
-    index = {table[0]: 0}
-    size = [1]  # size[d]: the monomials of degree <= d, a prefix of table
-    for D in range(1, max_degree + 1):
-        _check_table(f.nvars, D)
-        for mono in sorted(
-            tuple(c.count(v) for v in range(f.nvars))
-            for c in itertools.combinations_with_replacement(range(f.nvars), D)
-        ):
-            index[mono] = len(table)
-            table.append(mono)
-        size.append(len(table))
-        pivots = {}
-        for g in gens:
-            top = D - min(d for _, d, _ in g)  # the multipliers' degree bound
-            if top < 0:
+    gens = [(min(d for _, d, _ in g), [(key(e), d, c) for e, d, c in g]) for g in gens]
+    layers = [[0]]  # layers[d]: the keys of the degree-d monomials, in order
+    pivots = {}
+    # D = 0 adds rows only when a partial has a constant term (f is not singular)
+    for D in range(max_degree + 1):
+        if D:
+            _check_table(n, D)
+            layers.append(sorted(map(key, monomials(D))))
+        for order, g in gens:
+            du = D - order
+            if du < 0:
                 continue
-            for u in table[:size[top]]:
-                du = sum(u)
-                row = {index[tuple(a + b for a, b in zip(e, u))]: c
-                       for e, d, c in g if d + du <= D}
+            for u in layers[du]:
+                # a term above max_degree takes no part in any certificate
+                # up to it, and keys are one-to-one only up to max_degree
+                row = {u + k: c for k, d, c in g if d + du <= max_degree}
                 row = _reduce(pivots, row)
                 if row:
                     pivots[min(row)] = row
-        if all(c in pivots for c in range(size[D - 1], size[D])):
+        if D and all(k in pivots for k in layers[D]):
             dims = dict.fromkeys(itertools.product((1, -1), repeat=len(f.blocks)), 0)
-            for c in range(size[D - 1]):
-                if c not in pivots:
-                    dims[f.character_of_monomial(table[c])] += 1
+            for d in range(D):
+                for e in monomials(d):
+                    if key(e) not in pivots:
+                        dims[f.character_of_monomial(e)] += 1
             return LocalAlgebraReport(
                 mu=sum(dims.values()),
                 isotypic_dims=tuple(dims.items()),

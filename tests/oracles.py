@@ -15,6 +15,7 @@ from eqsing.errors import (
     InternalError,
     IsotropicCycleError,
     NonIntegralReflectionError,
+    NotCertifiedError,
     NotCommutingError,
     NotInvolutionError,
     NotIsometryError,
@@ -23,6 +24,7 @@ from eqsing.errors import (
     ZeroSublatticeError,
 )
 from eqsing.lattice import Inertia, Sublattice
+from eqsing.localalg import LocalAlgebraReport, _check_table, _partial, _reduce
 from eqsing.monodromy import MonodromyElement
 
 
@@ -507,3 +509,52 @@ def box_signs(lattice, bound=5):
         if pos and neg and zero:
             break
     return pos, neg, zero
+
+
+def milnor_number_by_truncation(f, max_degree=24):
+    """`localalg.milnor_number` by a fresh elimination at every degree.
+
+    At each D the columns are the monomials of degree <= D in (degree, lex)
+    order, and the rows u * df/dv, truncated at degree D, are reduced from
+    scratch.  D is certified when every degree-D column is a pivot; mu and
+    the isotypic dimensions are the non-pivot columns below degree D.
+    Same report, errors and messages as the package.
+    """
+    gens = [g for g in (_partial(f.terms, v) for v in range(f.nvars)) if g]
+    if not gens:
+        raise NotCertifiedError(max_degree)
+    table = [(0,) * f.nvars]  # the monomials, in (degree, lex) order
+    index = {table[0]: 0}
+    size = [1]  # size[d]: the monomials of degree <= d, a prefix of table
+    for D in range(1, max_degree + 1):
+        _check_table(f.nvars, D)
+        for mono in sorted(
+            tuple(c.count(v) for v in range(f.nvars))
+            for c in itertools.combinations_with_replacement(range(f.nvars), D)
+        ):
+            index[mono] = len(table)
+            table.append(mono)
+        size.append(len(table))
+        pivots = {}
+        for g in gens:
+            top = D - min(d for _, d, _ in g)  # the multipliers' degree bound
+            if top < 0:
+                continue
+            for u in table[:size[top]]:
+                du = sum(u)
+                row = {index[tuple(a + b for a, b in zip(e, u))]: c
+                       for e, d, c in g if d + du <= D}
+                row = _reduce(pivots, row)
+                if row:
+                    pivots[min(row)] = row
+        if all(c in pivots for c in range(size[D - 1], size[D])):
+            dims = dict.fromkeys(itertools.product((1, -1), repeat=len(f.blocks)), 0)
+            for c in range(size[D - 1]):
+                if c not in pivots:
+                    dims[f.character_of_monomial(table[c])] += 1
+            return LocalAlgebraReport(
+                mu=sum(dims.values()),
+                isotypic_dims=tuple(dims.items()),
+                truncation_degree=D,
+            )
+    raise NotCertifiedError(max_degree)

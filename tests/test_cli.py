@@ -280,6 +280,18 @@ def test_mu_not_certified(tmp_path):
     assert "not certified" in err
 
 
+def test_mu_output_does_not_depend_on_a_large_max_degree(tmp_path):
+    # the monomial keys are digits in base max_degree + 1
+    target = tmp_path / "x9.poly"
+    code, _, _ = run_cli(
+        "catalog", "emit", "X9", "--poly", "--modulus", "1", "--out", str(target)
+    )
+    assert code == 0
+    default = run_cli("mu", str(target))
+    assert default[0] == 0
+    assert run_cli("mu", str(target), "--max-degree", "1000000") == default
+
+
 def test_mu_A4_trivial(tmp_path):
     f = tmp_path / "a4.poly"
     f.write_text("vars x:0 y:1\n1 y1^5\n")

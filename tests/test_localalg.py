@@ -3,10 +3,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqsing.catalog import normal_form
 from eqsing.errors import (
     DiagramSyntaxError,
+    EqsingError,
     NotCertifiedError,
     NotIntegerError,
     NotInvariantError,
@@ -18,6 +20,7 @@ from eqsing.localalg import (
     parse_germ,
     quasihomogeneous_mu,
 )
+from oracles import milnor_number_by_truncation
 
 
 def x9_member(a=1, corner=False):
@@ -237,16 +240,67 @@ def _normal_form(form):
 
 @pytest.mark.parametrize("form", list(PINNED), ids=_form_id)
 def test_pinned_reports(form):
-    rep = milnor_number(_normal_form(form))
+    f = _normal_form(form)
+    rep = milnor_number(f)
     dims = tuple(d for _, d in rep.isotypic_dims)
     assert (rep.mu, dims, rep.truncation_degree) == PINNED[form]
+    assert rep == milnor_number_by_truncation(f)
 
 
-# A20 (m=0, n=4), the largest, is left out: its check alone takes about 1 s
-@pytest.mark.parametrize("form", [f for f in PINNED if f != ("A", 20, 0, 4, None)],
-                         ids=_form_id)
+@pytest.mark.parametrize("form", list(PINNED), ids=_form_id)
 def test_truncation_degree_is_minimal(form):
     # no lower degree certifies: the report's D is the first that does
     degree = PINNED[form][2]
     with pytest.raises(NotCertifiedError):
         milnor_number(_normal_form(form), max_degree=degree - 1)
+
+
+def _outcome(mu, f, max_degree):
+    """The report, or the type and message of the error raised."""
+    try:
+        return mu(f, max_degree=max_degree)
+    except EqsingError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def random_germs(draw):
+    """(germ, max_degree): m <= 2 x- and n <= 3 y-variables, each with a
+    power or none, and up to three more terms with exponents up to 7, made
+    invariant by raising an odd x-exponent; max_degree in 0..10."""
+    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    corner = draw(st.booleans())
+    coef = st.sampled_from((1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)))
+    exponents = []
+    for v in range(m + n):
+        power = draw(st.sampled_from((None, 2, 4) if v < m else (None, 1, 2, 3, 5)))
+        if power:
+            exponents.append(tuple(power if w == v else 0 for w in range(m + n)))
+    exponents += draw(st.lists(st.tuples(*[st.integers(0, 7)] * (m + n)), max_size=3))
+    terms = {}
+    for e in exponents:
+        e = list(e)
+        for i in range(m):  # even in each x (corner) or in x1 + ... + xm
+            if e[i] % 2 and (corner or sum(e[:m]) % 2):
+                e[i] += 1
+        if any(e):
+            terms[tuple(e)] = draw(coef)
+    return germ(terms, m, n, corner=corner), draw(st.integers(0, 10))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(random_germs())
+def test_random_germs_match_the_truncation_oracle(case):
+    f, max_degree = case
+    assert (_outcome(milnor_number, f, max_degree)
+            == _outcome(milnor_number_by_truncation, f, max_degree))
+
+
+def test_terms_above_max_degree_are_cut():
+    # y1 y2^26 is above the default max_degree of 24, and so are the terms
+    # of degree 26 of its partials; D4 is 3-determined, so they change nothing
+    f = germ({(2, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (0, 1, 26): 1}, m=1, n=2)
+    rep = milnor_number(f)
+    assert (rep.mu, tuple(d for _, d in rep.isotypic_dims), rep.truncation_degree) == (
+        4, (4, 0), 3)
+    assert rep == milnor_number_by_truncation(f)
