@@ -325,8 +325,17 @@ class AnalysisOutcome(Record):
     CriterionMismatchError instead of returning a disagreement.
     """
 
-    __slots__ = ("sublattice", "generators", "inertia", "kernel", "kernel_ambient",
-                 "verdict", "simple", "criteria_agree")
+    __slots__ = ("sublattice", "generators", "inertia", "kernel", "verdict")
+
+    criteria_agree = True
+
+    @property
+    def simple(self):
+        return self.inertia.negative_definite
+
+    @property
+    def kernel_ambient(self):
+        return tuple(self.sublattice.embed(v) for v in self.kernel)
 
 
 def run_analysis(dfile, cap=10**6):
@@ -356,20 +365,11 @@ def run_analysis(dfile, cap=10**6):
     if sig.n_zero != len(ker):
         raise InternalError(f"inertia has {sig.n_zero} zero squares but the kernel "
                             f"has rank {len(ker)}")
-    ker_amb = tuple(sub.embed(v) for v in ker)
     verdict = generate_group(sub.restricted_gram, roots, cap=cap, sig=sig)
     if verdict.kind != "unknown" and sig.negative_definite != (verdict.kind == "finite"):
         raise CriterionMismatchError(
             f"negative definiteness and finiteness disagree "
             f"(inertia {sig.as_tuple()}, verdict {verdict})"
         )
-    return AnalysisOutcome(
-        sublattice=sub,
-        generators=roots,
-        inertia=sig,
-        kernel=ker,
-        kernel_ambient=ker_amb,
-        verdict=verdict,
-        simple=sig.negative_definite,
-        criteria_agree=True,
-    )
+    return AnalysisOutcome(sublattice=sub, generators=roots, inertia=sig, kernel=ker,
+                           verdict=verdict)

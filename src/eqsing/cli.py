@@ -164,27 +164,28 @@ def _text_report(source, dfile, outcome, elapsed):
     return "\n".join(out) + "\n"
 
 
-def _write_verdict(args, source, dfile, outcome, elapsed):
-    """Write the report in the format asked for; the verdict's exit code."""
+def _write_verdict(args, source, dfile):
+    """Run the criterion on `dfile` at `args.cap`, write the report in the
+    format asked for, and return the verdict's exit code."""
+    from . import catalog
+
+    t0 = time.monotonic()
+    outcome = catalog.run_analysis(dfile, cap=args.cap)
     if args.format == "machine":
         sys.stdout.write(_machine_report(source, dfile, outcome))
     else:
-        sys.stdout.write(_text_report(source, dfile, outcome, elapsed))
+        sys.stdout.write(_text_report(source, dfile, outcome, time.monotonic() - t0))
     if outcome.verdict.kind == "unknown":
         return EXIT_UNKNOWN
     return EXIT_SIMPLE if outcome.simple else EXIT_NOT_SIMPLE
 
 
 def cmd_analyze(args):
-    from . import catalog
     from .diagram import parse_file
 
     with open(args.file) as fh:
         text = fh.read()
-    dfile = parse_file(text)
-    t0 = time.monotonic()
-    outcome = catalog.run_analysis(dfile, cap=args.cap)
-    return _write_verdict(args, args.file, dfile, outcome, time.monotonic() - t0)
+    return _write_verdict(args, args.file, parse_file(text))
 
 
 def cmd_catalog_list(args):
@@ -229,11 +230,8 @@ def cmd_catalog_verdict(args):
     from . import catalog
 
     dfile = catalog.fixture_file(args.symbol, args.k)
-    t0 = time.monotonic()
-    outcome = catalog.run_analysis(dfile, cap=args.cap)
-    elapsed = time.monotonic() - t0
     name = args.symbol.upper() + (str(args.k) if args.k else "")
-    return _write_verdict(args, name, dfile, outcome, elapsed)
+    return _write_verdict(args, name, dfile)
 
 
 def _parse_character(spec):
@@ -350,7 +348,11 @@ def build_parser():
     pm = sub.add_parser("mu", help="Milnor number and isotypic dimensions")
     pm.add_argument("file")
     pm.add_argument("--character", help="e.g. sigma=+1 or s1=-1,s2=-1")
-    pm.add_argument("--max-degree", type=_nonnegative, default=24)
+    pm.add_argument("--max-degree", type=_nonnegative, default=24,
+                    help="highest degree of the truncation that certifies mu "
+                    "(default %(default)s); a germ whose critical point is not "
+                    "isolated works through every degree up to it, or until the "
+                    "monomial listing bound stops it")
     pm.add_argument("--oracle", help="quasihomogeneous weights w1,w2,...")
     pm.add_argument("--corner", action="store_true",
                     help="one generator per x-variable instead of a single sigma")

@@ -103,12 +103,6 @@ class OrbitNotOrthogonalError(EqsingError):
     """Orbit cycles are not pairwise orthogonal."""
 
 
-class ProjectsToZeroError(EqsingError):
-    """The orbit carries no chi-vector: two paths through the orbit give one
-    cycle opposite signs, so the character projection of its cycles is
-    zero."""
-
-
 class GeneratorError(EqsingError):
     """Generator roots the finiteness decision cannot take: none at all, or
     one that is no integer vector of the form's rank."""
@@ -131,8 +125,8 @@ class NotCertifiedError(EqsingError):
 
 
 class TableTooLargeError(EqsingError):
-    """The monomial table of the Milnor number would outgrow its fixed
-    bound at the next degree, before finiteness is certified."""
+    """Before finiteness is certified, the monomials the Milnor number would
+    list up to the next degree, n exponents each, are over a fixed bound."""
 
 
 class GermError(EqsingError, ValueError):

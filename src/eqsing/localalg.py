@@ -115,8 +115,8 @@ def parse_germ(text, corner=False):
 
     `vars x:<m> y:<n>` header, naming x and y once each, then one term per line:
     `<rational_coef> <monomial>` with monomials like `x1^4`, `x1^2*x2^2`.
-    A header whose table is over its bound at degree 1 already is a
-    TableTooLargeError, raised before any term is read.
+    A header whose monomials up to degree 1 are over the listing bound
+    (`_check_table`) is a TableTooLargeError, raised before any term is read.
     """
     m = n = None
     terms = {}

@@ -44,7 +44,6 @@ from .errors import (
     NonIntegralReflectionError,
     NotIsometryError,
     OrbitNotOrthogonalError,
-    ProjectsToZeroError,
 )
 from .lattice import IntLattice, inertia
 from .record import Record
@@ -94,19 +93,20 @@ def _check_integral(delta, Gd, dd):
 def equivariant_generators(action, chi):
     """(sublattice, (e_1, ..., e_r)) for the pipeline: one root per orbit.
 
-    Orbit k's cycle is basis vector k of the isotypic sublattice, so its
-    reflection h_k is the reflection in the unit vector e_k, and e_k is
-    the root `generate_group` takes for it.  Each orbit is checked in turn:
-    its cycles are pairwise orthogonal (OrbitNotOrthogonalError), the
-    ambient reflection in each is integral, and it carries a chi-vector
-    (ProjectsToZeroError).  Then the product of the ambient reflections
-    over the orbit must restrict to the reflection in e_k
-    (`_check_orbit_product`), which is integral because they are
-    (notes/decisions.md); `generate_group` checks that on its own form.
+    Each orbit is checked in turn: its cycles are pairwise orthogonal
+    (OrbitNotOrthogonalError), and the ambient reflection in each is
+    integral.  The k-th orbit with a chi-vector has basis vector k of the
+    isotypic sublattice as its cycle, so its reflection h_k is the one in
+    the unit vector e_k, the root `generate_group` takes for it.  The
+    product of the ambient reflections over the orbit must restrict to h_k
+    (`_check_orbit_product`), which is integral because they are.  An orbit
+    with no chi-vector is orthogonal to the sublattice, so its product
+    fixes the sublattice and it gives no root (notes/decisions.md).
     """
     sub = isotypic_sublattice(action, chi)
     G = action.lattice.gram
-    for k, (orbit, cycle) in enumerate(signed_orbits(action, chi)):
+    k = 0
+    for orbit, cycle in signed_orbits(action, chi):
         for i, j in itertools.combinations(orbit, 2):
             if G[i][j] != 0:
                 raise OrbitNotOrthogonalError(
@@ -114,12 +114,12 @@ def equivariant_generators(action, chi):
                 )
         for i in orbit:
             _check_integral(action.lattice.basis_vector(i), G[i], G[i][i])
-        if cycle is None:
-            raise ProjectsToZeroError(
-                f"orbit {tuple(i + 1 for i in orbit)} projects to zero under the character"
-            )
-        # every earlier orbit carries a chi-vector, so this one is basis vector k
-        _check_orbit_product(G, orbit, cycle, sub, k)
+        if cycle is not None:
+            _check_orbit_product(G, orbit, cycle, sub, k)
+            k += 1
+        elif any(_dot(b, G[i]) for b in sub.basis for i in orbit):
+            raise InternalError("an orbit with no chi-vector meets the isotypic "
+                                "sublattice; action data is inconsistent")
     return sub, linalg.identity(sub.rank)
 
 

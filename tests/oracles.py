@@ -20,7 +20,6 @@ from eqsing.errors import (
     NotInvolutionError,
     NotIsometryError,
     OrbitNotOrthogonalError,
-    ProjectsToZeroError,
     ZeroSublatticeError,
 )
 from eqsing.lattice import Inertia, Sublattice
@@ -284,7 +283,8 @@ def orbit_generator_by_projector(action, chi, orbit, sub):
     """The primitive chi-projection of the orbit's least cycle, in the
     coordinates of `sub`, once the reflection matrix in it is checked
     against the product of the n x n ambient reflection matrices over the
-    orbit."""
+    orbit; None when the projection is zero, once that product is checked
+    to fix every basis vector of `sub`."""
     G = action.lattice.gram
     for i, j in itertools.combinations(orbit, 2):
         if G[i][j] != 0:
@@ -296,22 +296,21 @@ def orbit_generator_by_projector(action, chi, orbit, sub):
     for i in orbit:
         H = pl_reflection(action.lattice.gram, action.lattice.basis_vector(i)).matrix
         amb = linalg.mat_mul(H, amb)
+    cols = linalg.transpose(sub.basis)
     rep = tuple(1 if i == min(orbit) else 0 for i in range(n))
     proj = character_projection(action, chi, rep)
     if all(x == 0 for x in proj):
-        raise ProjectsToZeroError(
-            f"orbit {tuple(i + 1 for i in orbit)} projects to zero under the character"
-        )
+        if linalg.mat_mul(amb, cols) != cols:
+            raise InternalError("the product over an orbit that projects to zero "
+                                "moves the isotypic sublattice")
+        return None
     den = 1
     for x in proj:
         den = den * x.denominator // gcd(den, x.denominator)
     delta_sub = coordinates(sub, linalg.primitive(tuple(int(x * den) for x in proj)))
     if delta_sub is None:
-        raise ProjectsToZeroError(
-            "orbit cycle projection does not lie in the isotypic sublattice"
-        )
+        raise InternalError("orbit cycle projection does not lie in the isotypic sublattice")
     refl = pl_reflection(sub.restricted_gram, delta_sub)
-    cols = linalg.transpose(sub.basis)
     if linalg.mat_mul(amb, cols) != linalg.mat_mul(cols, refl.matrix):
         raise InternalError(
             "restricted orbit product disagrees with the reflection in the "
@@ -322,10 +321,12 @@ def orbit_generator_by_projector(action, chi, orbit, sub):
 
 def equivariant_generators_by_projector(action, chi):
     """(sublattice, roots) by the stacked kernel, the union-find orbits and
-    `orbit_generator_by_projector`."""
+    `orbit_generator_by_projector`, over the orbits that do not project
+    to zero."""
     sub = isotypic_sublattice_by_kernel(action, chi)
-    return sub, [orbit_generator_by_projector(action, chi, orbit, sub)
-                 for orbit in orbit_decomposition(action)]
+    roots = (orbit_generator_by_projector(action, chi, orbit, sub)
+             for orbit in orbit_decomposition(action))
+    return sub, [root for root in roots if root is not None]
 
 
 def generator_outcome(construct, action, chi):

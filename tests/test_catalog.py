@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from eqsing import catalog, linalg
-from eqsing.action import Character, isotypic_sublattice
+from eqsing.action import Character, isotypic_sublattice, signed_orbits
 from eqsing.catalog import (
     action_from_file,
     confining_list,
@@ -19,6 +19,7 @@ from eqsing.catalog import (
     run_analysis,
     weyl_order,
 )
+from eqsing.diagram import DiagramFile
 from eqsing.errors import (
     BadParameterError,
     CriterionMismatchError,
@@ -31,6 +32,7 @@ from eqsing.lattice import IntLattice, inertia
 from eqsing.localalg import milnor_number, quasihomogeneous_mu
 from eqsing.monodromy import Finite, Infinite, equivariant_generators
 from oracles import (
+    closure_naive,
     equivariant_generators_by_projector,
     generator_outcome,
     inertia_by_descartes,
@@ -264,6 +266,25 @@ def test_equivariant_generators_match_the_projector_every_character(symbol, k):
         assert new == old, chi
 
 
+# the characters no fixture file names: in each, an orbit of cycles carries
+# no chi-vector and gives no generator (notes/decisions.md)
+@pytest.mark.parametrize("symbol, k, values, order", [
+    ("B", 2, (1,), 2), ("B", 3, (1,), 6), ("B", 4, (1,), 24),
+    ("C", 2, (1,), 2), ("C", 3, (1,), 2), ("C", 4, (1,), 2),
+    ("F4", None, (1,), 6), ("M5", None, (-1,), 192),
+    ("M4", None, (1, 1), 2), ("M4", None, (1, -1), 8), ("M4", None, (-1, 1), 8),
+])
+def test_character_with_an_orbit_left_out_decides(symbol, k, values, order):
+    dfile = fixture_file(symbol, k)
+    names = [name for name, _ in dfile.generators]
+    dfile = DiagramFile(dfile.diagram, dfile.generators, tuple(zip(names, values)))
+    action, chi = action_from_file(dfile)
+    assert any(cycle is None for _, cycle in signed_orbits(action, chi))
+    out = run_analysis(dfile)
+    assert out.simple and out.verdict == Finite(order=order)
+    assert closure_naive(out.sublattice.restricted_gram, out.generators) == order
+
+
 def test_run_analysis_on_definite_fixtures_calls_no_mat_mul(monkeypatch):
     # the generators are roots and a finite group's order comes from its
     # roots: on a negative definite form no matrix is multiplied
@@ -325,7 +346,7 @@ def test_emit_byte_identity():
 def test_criteria_agreement_flag_on_incoherent_input(monkeypatch):
     # a positive definite lattice has a finite group but is not negative
     # definite: the criterion takes -2 on every vertex and refuses it
-    from eqsing.diagram import DiagramFile, DynkinDiagram
+    from eqsing.diagram import DynkinDiagram
 
     flipped_a2 = DiagramFile(
         diagram=DynkinDiagram(

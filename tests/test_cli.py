@@ -88,6 +88,21 @@ def test_analyze_m4_report_values():
     assert lines["simple"] == "false"
 
 
+def test_analyze_picks_the_character_from_the_file(tmp_path):
+    # sigma = -1 on M5: the fixed Delta1 carries no chi-vector and is left
+    # out; the other four orbits give W(D4), so the file is simple
+    f = tmp_path / "m5_anti.diagram"
+    f.write_text((FIXTURES / "m5.diagram").read_text().replace("sigma=+1", "sigma=-1"))
+    code, out, err = run_cli("analyze", str(f), "--format", "machine")
+    assert (code, err) == (0, "")
+    lines = dict(l.split("=", 1) for l in out.splitlines())
+    assert lines["action.character"] == "sigma:-1"
+    assert lines["isotypic.rank"] == "4"
+    assert lines["monodromy.generators"] == "h1,h2,h3,h4"
+    assert lines["monodromy.order"] == "192"
+    assert lines["simple"] == "true"
+
+
 def test_analyze_simple_exit_zero(tmp_path):
     f = tmp_path / "a2.diagram"
     f.write_text("vertex 1 self=-2\nvertex 2 self=-2\nedge 1 2 w=1\n")

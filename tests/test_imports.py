@@ -6,7 +6,9 @@ every request.  The check parses each module with `ast` and compares the
 names its module-level imports bind with the names the module reads; a
 name listed in `__all__` counts as read.  A private function, class or
 constant of the package that no module of the package reads is a helper
-left behind by a deletion; the tests alone do not keep it alive.
+left behind by a deletion; the tests alone do not keep it alive.  Nor do
+they keep an error class alive: each class of `errors.py` is raised by
+the package, or is a base of one that is.
 """
 import ast
 from pathlib import Path
@@ -105,3 +107,43 @@ def test_detector_finds_an_unread_private_name():
 def test_no_unread_private_name_in_the_package():
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unread_private_names(sources) == []
+
+
+def unraised_error_classes(errors_source, sources):
+    """[(line, name), ...]: each class of `errors_source` that no module of
+    `sources` raises by name, as `raise Name(...)` or `raise Name`, and
+    that is no base, at any remove, of a class one of them raises."""
+    classes = {node.name: node for node in ast.parse(errors_source).body
+               if isinstance(node, ast.ClassDef)}
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in classes:
+                    used.add(exc.id)
+    todo = list(used)
+    while todo:
+        for base in classes[todo.pop()].bases:
+            if isinstance(base, ast.Name) and base.id in classes and base.id not in used:
+                used.add(base.id)
+                todo.append(base.id)
+    return [(node.lineno, name) for name, node in classes.items() if name not in used]
+
+
+def test_detector_finds_an_unraised_error_class():
+    errors = ("class Base(Exception):\n    pass\n"
+              "class Mid(Base):\n    pass\n"
+              "class Leaf(Mid, ValueError):\n    pass\n"
+              "class Named(Base):\n    pass\n"
+              "class Gone(Base):\n    pass\n")
+    sources = ["def f():\n    raise Leaf('x')\n",
+               "def g():\n    try:\n        pass\n    except Gone:\n        raise\n"
+               "    raise Named\n"]
+    assert unraised_error_classes(errors, sources) == [(9, "Gone")]
+
+
+def test_every_error_class_is_raised_by_the_package():
+    errors = (ROOT / "src" / "eqsing" / "errors.py").read_text(encoding="utf-8")
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE]
+    assert unraised_error_classes(errors, sources) == []

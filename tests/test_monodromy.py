@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from eqsing import lattice, linalg
-from eqsing.action import Character, GroupAction, SignedPermutation
+from eqsing import lattice, linalg, monodromy
+from eqsing.action import Character, GroupAction, SignedPermutation, signed_orbits
 from eqsing.catalog import action_from_file, fixture_file
 from eqsing.errors import (
     EqsingError,
@@ -15,7 +15,6 @@ from eqsing.errors import (
     NonIntegralReflectionError,
     NotIsometryError,
     OrbitNotOrthogonalError,
-    ProjectsToZeroError,
 )
 from eqsing.lattice import IntLattice, Sublattice, kernel_basis
 from eqsing.monodromy import (
@@ -218,35 +217,55 @@ def test_orbit_generator_rejects_non_orthogonal_orbit():
 
 
 def test_orbit_generator_projects_to_zero():
-    # anti-invariant character on the M5 action: Delta1 projects to zero
+    # anti-invariant character on the M5 action: Delta1 projects to zero and
+    # gives no generator; every basis vector of the sublattice is orthogonal
+    # to it, so H1 fixes the sublattice, and the other four orbits give e_1..e_4
     action, _ = action_from_file(fixture_file("M5"))
     anti = Character(values=(("sigma", -1),))
-    with pytest.raises(ProjectsToZeroError, match=r"orbit \(1,\)"):
-        equivariant_generators(action, anti)
+    assert signed_orbits(action, anti)[0] == ((0,), None)
+    sub, roots = equivariant_generators(action, anti)
+    assert roots == linalg.identity(4)
+    assert all(b[0] == 0 and product(action.lattice.gram, b, (1,) + (0,) * 8) == 0
+               for b in sub.basis)
+    assert generate_group(sub.restricted_gram, roots) == Finite(order=192)
+
+
+def test_orbit_generator_checks_the_skipped_orbit(monkeypatch):
+    # a sublattice that meets Delta1, the orbit with no chi-vector, is
+    # inconsistent action data: Delta2 + Delta4 is the invariant cycle
+    action, _ = action_from_file(fixture_file("M5"))
+    meets = Sublattice(action.lattice, ((0, 1, 0, 1, 0, 0, 0, 0, 0),))
+    assert product(action.lattice.gram, meets.basis[0], (1,) + (0,) * 8) != 0
+    monkeypatch.setattr(monodromy, "isotypic_sublattice", lambda action, chi: meets)
+    with pytest.raises(InternalError, match="no chi-vector"):
+        equivariant_generators(action, Character(values=(("sigma", -1),)))
 
 
 def test_orbit_generator_anti_swap_orbit():
-    # chi = -1 on a positive swap: the orbit cycle is Delta_i - Delta_j, and
-    # the restricted product is the reflection in it
+    # chi = -1 on the M5 swap: the orbit cycle of (Delta2, Delta4) is
+    # Delta2 - Delta4, and the restricted product is the reflection in it
     action, _ = action_from_file(fixture_file("M5"))
-    lat = IntLattice(tuple(row[1:] for row in action.lattice.gram[1:]))
-    sigma = SignedPermutation(images=tuple((j - 1, 1) for j, _ in
-                                           action.generators[0][1].images[1:]))
     anti = Character(values=(("sigma", -1),))
-    sub, roots = equivariant_generators(
-        GroupAction(generators=(("sigma", sigma),), lattice=lat), anti)
+    sub, roots = equivariant_generators(action, anti)
     assert sub.rank == 4
-    assert sub.basis[0] == (1, 0, -1, 0, 0, 0, 0, 0)
+    assert sub.basis[0] == (0, 1, 0, -1, 0, 0, 0, 0, 0)
     assert roots[0] == (1, 0, 0, 0)
     h = reflections(sub.restricted_gram, roots)[0]
     assert h.matrix == pl_reflection(sub.restricted_gram, (1, 0, 0, 0)).matrix
     assert linalg.mat_mul(h.matrix, h.matrix) == linalg.identity(4)
+    lat = action.lattice
+    H2 = pl_reflection(lat.gram, lat.basis_vector(1)).matrix
+    H4 = pl_reflection(lat.gram, lat.basis_vector(3)).matrix
+    prod = linalg.mat_mul(H4, H2)
+    for b, col in zip(sub.basis, linalg.transpose(h.matrix)):
+        assert linalg.mat_vec(prod, b) == sub.embed(col)
 
 
 def test_equivariant_generators_match_the_projector_on_random_actions():
     # every error class of the construction occurs among these 400: the
-    # three action checks, a zero sublattice, a non-orthogonal orbit, an
-    # isotropic or non-integral cycle and an orbit that projects to zero
+    # three action checks, a zero sublattice, a non-orthogonal orbit and an
+    # isotropic or non-integral cycle; and generators both with every orbit
+    # and with an orbit that projects to zero left out
     kinds = set()
     for seed in range(400):
         dfile = random_action_file(random.Random(seed))
@@ -254,11 +273,16 @@ def test_equivariant_generators_match_the_projector_on_random_actions():
         new = generator_outcome(equivariant_generators, action, chi)
         old = generator_outcome(equivariant_generators_by_projector, action, chi)
         assert new == old, dfile
-        kinds.add(new[0].__name__ if isinstance(new[0], type) else "generators")
+        if isinstance(new[0], type):
+            kinds.add(new[0].__name__)
+        elif any(cycle is None for _, cycle in signed_orbits(action, chi)):
+            kinds.add("generators, orbit left out")
+        else:
+            kinds.add("generators")
     assert kinds == {
         "NotIsometryError", "NotInvolutionError", "NotCommutingError",
         "ZeroSublatticeError", "OrbitNotOrthogonalError", "IsotropicCycleError",
-        "NonIntegralReflectionError", "ProjectsToZeroError", "generators",
+        "NonIntegralReflectionError", "generators", "generators, orbit left out",
     }
 
 

@@ -37,8 +37,7 @@ FIELDS = {
     "DiagramFile": ("diagram", "generators", "character"),
     "FamilyEntry": ("symbol", "kind", "setting", "template", "terms", "weights", "k_min",
                     "modulus_rule", "excluded", "fixture", "fixture_k"),
-    "AnalysisOutcome": ("sublattice", "generators", "inertia", "kernel", "kernel_ambient",
-                        "verdict", "simple", "criteria_agree"),
+    "AnalysisOutcome": ("sublattice", "generators", "inertia", "kernel", "verdict"),
     "MonodromyElement": ("matrix", "gram", "word"),
     "Finite": ("order",),
     "Infinite": ("certificate", "witness", "increment", "residual_charpoly"),
