@@ -4,7 +4,10 @@ Generators are signed permutations of the basis cycles, read only through
 their image tables sigma(e_i) = s_i e_pi(i).  The action must consist of
 commuting involutive isometries of the intersection form (`validate_action`);
 the (-1)^bullet-isotypic part for a character chi is the saturated sublattice
-{a : sigma_i a = chi(sigma_i) a for every generator}.
+{a : sigma_i a = chi(sigma_i) a for every generator}.  A character is its
+signs in generator order: chi = (chi(sigma_1), ..., chi(sigma_m)), each +-1,
+for the generators of `GroupAction.generators`, the key
+`LocalAlgebraReport.isotypic_dims` uses for the same character.
 
 A signed permutation keeps the span of each orbit of basis cycles, so the
 sublattice is a sum over the orbits.  On one orbit a chi-vector c satisfies
@@ -18,7 +21,6 @@ import itertools
 from .errors import (
     ActionDataError,
     NotCommutingError,
-    NotFoundError,
     NotInvolutionError,
     NotIsometryError,
     ZeroSublatticeError,
@@ -59,24 +61,6 @@ def signed_permutation_from_file(images_1based, vertex_ids):
     return SignedPermutation(images=tuple(images))
 
 
-class Character(Record):
-    """Value +-1 per generator, keyed by generator name, in generator order."""
-
-    __slots__ = ("values",)  # ((name, +1|-1), ...)
-
-    def __post_init__(self):
-        values = tuple((str(n), int(v)) for n, v in self.values)
-        if any(v not in (1, -1) for _, v in values):
-            raise ActionDataError("character values must be +1 or -1")
-        object.__setattr__(self, "values", values)
-
-    def of(self, name):
-        for n, v in self.values:
-            if n == name:
-                return v
-        raise NotFoundError(name)
-
-
 class GroupAction(Record):
     """Named commuting involutive isometries of `lattice`'s form: `generators`
     is ((name, SignedPermutation), ...)."""
@@ -92,10 +76,6 @@ class GroupAction(Record):
         for _, g in gens:
             if g.size != self.lattice.rank:
                 raise ActionDataError("generator size does not match lattice rank")
-
-    @property
-    def names(self):
-        return tuple(n for n, _ in self.generators)
 
 
 def validate_action(action):
@@ -155,9 +135,15 @@ def signed_orbits(action, chi):
     with sigma(e_i) = s e_j; `cycle` is sum c(j) e_j in ambient coordinates,
     or None when two paths give some c(j) opposite signs.  O(n m) for n
     cycles and m generators; reads only the image tables and does not
-    validate the action.
+    validate the action.  ActionDataError unless chi has one entry +-1 per
+    generator.
     """
-    moves = [(chi.of(name), g.images) for name, g in action.generators]
+    if len(chi) != len(action.generators):
+        raise ActionDataError(f"character has {len(chi)} values for "
+                              f"{len(action.generators)} generators")
+    if any(c not in (1, -1) for c in chi):
+        raise ActionDataError("character values must be +1 or -1")
+    moves = [(c, g.images) for c, (_, g) in zip(chi, action.generators)]
     n = action.lattice.rank
     sign = [0] * n
     out = []

@@ -21,7 +21,7 @@ from fractions import Fraction
 from importlib import resources
 from math import factorial
 
-from .action import Character, GroupAction, signed_permutation_from_file
+from .action import GroupAction, signed_permutation_from_file
 from .diagram import DiagramFile, DynkinDiagram, parse_file, to_lattice
 from .errors import (BadParameterError, CriterionMismatchError, DiagramError,
                      InternalError, NoFixtureError)
@@ -289,7 +289,9 @@ def fixture_file(symbol, k=None):
 
 
 def action_from_file(dfile):
-    """(GroupAction, Character) for a parsed diagram file; trivial when absent."""
+    """(GroupAction, chi) for a parsed diagram file: chi is the file's
+    character as signs in generator order, all +1 when it names none; the
+    action is trivial when the file declares no generator."""
     lat = to_lattice(dfile.diagram)
     ids = dfile.diagram.vertex_ids()
     gens = tuple(
@@ -297,18 +299,9 @@ def action_from_file(dfile):
         for name, images in dfile.generators
     )
     action = GroupAction(generators=gens, lattice=lat)
-    if dfile.character is not None:
-        chi = Character(values=dfile.character)
-    else:
-        chi = Character(values=tuple((name, 1) for name, _ in gens))
-    return action, chi
-
-
-def fixture(symbol, k=None):
-    """(DynkinDiagram, GroupAction, Character) for a bundled family fixture."""
-    dfile = fixture_file(symbol, k)
-    action, chi = action_from_file(dfile)
-    return dfile.diagram, action, chi
+    if dfile.character is None:
+        return action, (1,) * len(gens)
+    return action, tuple(v for _, v in dfile.character)
 
 
 # --------------------------------------------------------------------------

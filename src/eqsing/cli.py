@@ -5,7 +5,12 @@ Subcommands:
   catalog list [--setting z2|corner]
   catalog emit SYMBOL [--k K] [--m M --n N --modulus Q --poly] [--out FILE]
   catalog verdict SYMBOL [--k K] [--cap N] [--format text|machine]
-  mu FILE [--character SPEC] [--max-degree D] [--oracle w1,w2,...] [--corner]
+  mu FILE [--max-degree D] [--oracle w1,w2,...] [--corner]
+
+`analyze` takes the character from the file's character line.  `mu`
+prints the dimension of every character as `isotypic.<signs>=<dim>`,
+one sign per generator in generator order: `isotypic.+-=2` on M4 with
+`--corner` is the character s1 = +1, s2 = -1.
 
 Exit codes: 0 simple (or plain success), 1 not-simple, 2 error, 3 unknown.
 The machine format is a stable line-oriented key=value schema; every
@@ -234,21 +239,6 @@ def cmd_catalog_verdict(args):
     return _write_verdict(args, name, dfile)
 
 
-def _parse_character(spec):
-    """((name, +1|-1), ...) from `name=+1,name=-1,...`; a generator named
-    twice is an error, as on a diagram file's character line."""
-    values = {}
-    for tok in spec.split(","):
-        name, _, val = tok.partition("=")
-        name = name.strip()
-        if val not in ("+1", "-1", "1"):
-            raise EqsingError(f"bad character value {val!r} in --character")
-        if name in values:
-            raise EqsingError(f"generator {name!r} named twice in --character")
-        values[name] = 1 if val in ("+1", "1") else -1
-    return tuple(values.items())
-
-
 def cmd_mu(args):
     from .localalg import milnor_number, parse_germ, quasihomogeneous_mu
 
@@ -268,24 +258,12 @@ def cmd_mu(args):
             if degree != 1:
                 monomial = "*".join(f"{v}^{e}" for v, e in zip(f.variables, exps) if e)
                 raise EqsingError(f"--oracle weights give {monomial} degree {degree}, not 1")
-    names = f.generator_names
-    character = [1] * len(names)
-    if args.character:
-        order = {n: i for i, n in enumerate(names)}
-        for n, v in _parse_character(args.character):
-            if not names:
-                raise EqsingError(f"unknown generator {n!r}: the germ has no generators")
-            if n not in order:
-                raise EqsingError(f"unknown generator {n!r} (have {', '.join(names)})")
-            character[order[n]] = v
     report = milnor_number(f, max_degree=args.max_degree)
     print(f"mu={report.mu}")
     print(f"truncation_degree={report.truncation_degree}")
     for chi, d in report.isotypic_dims:
         key = "".join("+" if c > 0 else "-" for c in chi) or "trivial"
         print(f"isotypic.{key}={d}")
-    if args.character:
-        print(f"character.dim={report.dim_of(tuple(character))}")
     if oracle is not None:
         print(f"oracle.mu={oracle}")
         print(f"oracle.agrees={'true' if oracle == report.mu else 'false'}")
@@ -347,7 +325,6 @@ def build_parser():
 
     pm = sub.add_parser("mu", help="Milnor number and isotypic dimensions")
     pm.add_argument("file")
-    pm.add_argument("--character", help="e.g. sigma=+1 or s1=-1,s2=-1")
     pm.add_argument("--max-degree", type=_nonnegative, default=24,
                     help="highest degree of the truncation that certifies mu "
                     "(default %(default)s); a germ whose critical point is not "

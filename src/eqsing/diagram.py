@@ -73,11 +73,21 @@ class DiagramFile(Record):
 
     generators: ((name, ((i, j, sign), ...)), ...): generator `name` sends
     cycle i to sign*cycle j.  character: ((name, +1|-1), ...), or None when
-    the file carries no character line.
+    the file carries no character line; it lists every generator, in
+    declaration order, so its values are the character's signs in generator
+    order (DiagramSyntaxError otherwise).
     """
 
     __slots__ = ("diagram", "generators", "character")
     _defaults = {"generators": (), "character": None}
+
+    def __post_init__(self):
+        if self.character is not None and (
+            [n for n, _ in self.character] != [n for n, _ in self.generators]
+        ):
+            raise DiagramSyntaxError(
+                "character must list every generator, in declaration order"
+            )
 
 
 def _parse_int(tok, line, what):
@@ -172,12 +182,6 @@ def parse_file(text):
         if sorted(srcs) != ids or sorted(tgts) != ids:
             raise DiagramSyntaxError(
                 f"generator {name} must map the vertex set bijectively onto itself"
-            )
-    if character is not None:
-        declared = [n for n, _ in generators]
-        if [n for n, _ in character] != declared:
-            raise DiagramSyntaxError(
-                "character must list every generator, in declaration order"
             )
     return DiagramFile(diagram=diagram, generators=tuple(generators), character=character)
 

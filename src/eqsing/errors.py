@@ -11,8 +11,8 @@ class InternalError(EqsingError, AssertionError):
 
 
 class NotFoundError(EqsingError, KeyError):
-    """A lookup by name found nothing: a generator a character has no value
-    for, or a character a report does not list.  Also a KeyError."""
+    """A lookup found nothing: a character a `LocalAlgebraReport` does not
+    list.  Also a KeyError."""
 
 
 # --- diagram file parsing ---
@@ -70,7 +70,8 @@ class ActionDataError(EqsingError, ValueError):
 
 
 class ActionError(EqsingError):
-    """A group-action invariant is violated; carries witness data."""
+    """A group-action invariant is violated: the message names the
+    generator or generators at fault and the first matrix entry at fault."""
 
 
 class NotInvolutionError(ActionError):

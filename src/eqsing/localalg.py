@@ -77,10 +77,6 @@ class PolyGerm(Record):
     def nvars(self):
         return len(self.variables)
 
-    @property
-    def generator_names(self):
-        return tuple(n for n, _ in self.blocks)
-
     def character_of_monomial(self, exps):
         """Eigenvalue tuple of the monomial under each generator."""
         return tuple(

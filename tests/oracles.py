@@ -3,7 +3,7 @@ computes, for cross-checks on small inputs, and the random inputs they are
 checked on."""
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -127,9 +127,7 @@ def isotypic_rank_rational(action, chi):
         e = tuple(1 if t == j else 0 for t in range(n))
         acc = (0,) * n
         for subset, M in group_elements(action):
-            c = 1
-            for name in subset:
-                c *= chi.of(name)
+            c = prod(chi[k] for k in subset)
             acc = tuple(a + c * b for a, b in zip(acc, linalg.mat_vec(M, e)))
         proj_cols.append(acc)
     return len(linalg.hnf(proj_cols))
@@ -192,17 +190,18 @@ def validate_action_by_matrices(action):
 def group_elements(action):
     """All 2^m products of subsets of the generators, as matrices.
 
-    Yields (subset, matrix) where subset is the tuple of generator names
-    multiplied together; the empty subset is the identity.
+    Yields (subset, matrix) where subset is the tuple of the positions in
+    `action.generators` of the generators multiplied together; the empty
+    subset is the identity.
     """
     n = action.lattice.rank
-    mats = [(name, permutation_matrix(g)) for name, g in action.generators]
+    mats = [(k, permutation_matrix(g)) for k, (_, g) in enumerate(action.generators)]
     for r in range(len(mats) + 1):
         for combo in itertools.combinations(mats, r):
             M = linalg.identity(n)
             for _, gm in combo:
                 M = linalg.mat_mul(gm, M)
-            yield tuple(name for name, _ in combo), M
+            yield tuple(k for k, _ in combo), M
 
 
 def character_projection(action, chi, v):
@@ -211,9 +210,7 @@ def character_projection(action, chi, v):
     acc = [Fraction(0)] * n
     count = 0
     for subset, M in group_elements(action):
-        c = 1
-        for name in subset:
-            c *= chi.of(name)
+        c = prod(chi[k] for k in subset)
         img = linalg.mat_vec(M, v)
         for i in range(n):
             acc[i] += c * img[i]
@@ -268,8 +265,7 @@ def isotypic_sublattice_by_kernel(action, chi):
     if not action.generators:
         return Sublattice._canonical(action.lattice, linalg.identity(n))
     rows = []
-    for name, g in action.generators:
-        c = chi.of(name)
+    for c, (_, g) in zip(chi, action.generators):
         M = permutation_matrix(g)
         for i in range(n):
             rows.append(tuple(M[i][j] - (c if i == j else 0) for j in range(n)))

@@ -8,7 +8,6 @@ import pytest
 
 from eqsing import linalg
 from eqsing.action import (
-    Character,
     GroupAction,
     SignedPermutation,
     isotypic_sublattice,
@@ -69,9 +68,10 @@ def test_signed_permutation_validation():
     pytest.param(lambda: signed_permutation_from_file(((1, 3, 1), (2, 2, 1)), (1, 2)),
                  ValueError, id="unknown-vertex"),
     pytest.param(lambda: linalg.primitive((0, 0)), ValueError, id="primitive-of-zero"),
-    pytest.param(lambda: Character(values=(("s", 0),)), ValueError, id="character-value"),
-    pytest.param(lambda: Character(values=(("s", 1),)).of("t"), KeyError,
-                 id="character-of"),
+    pytest.param(lambda: signed_orbits(m5_setup()[0], (0,)), ValueError,
+                 id="character-value"),
+    pytest.param(lambda: signed_orbits(m5_setup()[0], (1, 1)), ValueError,
+                 id="character-length"),
     pytest.param(lambda: GroupAction(generators=(("s", SignedPermutation(((0, 1),))),) * 2,
                                      lattice=IntLattice(((-2,),))), ValueError,
                  id="duplicate-name"),
@@ -187,7 +187,7 @@ def test_validate_action_calls_no_linalg(monkeypatch):
 
 def test_isotypic_m5():
     action, chi = m5_setup()
-    assert chi.values == (("sigma", 1),)  # z2 rule for m = 2
+    assert chi == (1,)  # z2 rule for m = 2
     sub = isotypic_sublattice(action, chi)
     assert sub.rank == 5
     assert sub.basis == (
@@ -208,7 +208,7 @@ def test_isotypic_m4():
 
 def test_isotypic_trivial_action():
     act = GroupAction(generators=(), lattice=A2)
-    sub = isotypic_sublattice(act, Character(values=()))
+    sub = isotypic_sublattice(act, ())
     assert sub.rank == 2
     assert sub.restricted_gram == A2.gram
 
@@ -217,8 +217,7 @@ def test_isotypic_vectors_satisfy_eigenvalue_equation():
     for setup in (m5_setup, m4_setup):
         action, chi = setup()
         sub = isotypic_sublattice(action, chi)
-        for name, g in action.generators:
-            c = chi.of(name)
+        for c, (_, g) in zip(chi, action.generators):
             for b in sub.basis:
                 assert linalg.mat_vec(permutation_matrix(g), b) == tuple(c * x for x in b)
 
@@ -226,10 +225,8 @@ def test_isotypic_vectors_satisfy_eigenvalue_equation():
 def test_rank_additivity_over_characters():
     for setup in (m5_setup, m4_setup):
         action, _ = setup()
-        names = action.names
         total = 0
-        for signs in itertools.product((1, -1), repeat=len(names)):
-            chi = Character(values=tuple(zip(names, signs)))
+        for chi in itertools.product((1, -1), repeat=len(action.generators)):
             total += isotypic_rank_rational(action, chi)
         assert total == action.lattice.rank
 
@@ -258,11 +255,11 @@ def test_orbit_decomposition_examples():
     assert orbits4[3][1] == (0, 0, 0, 0, 0, 1, 1, 1, 1)
     lat = IntLattice(((-2, 0, 0), (0, -2, 0), (0, 0, -2)))
     trivial = GroupAction(generators=(), lattice=lat)
-    assert signed_orbits(trivial, Character(values=())) == (
+    assert signed_orbits(trivial, ()) == (
         ((0,), (1, 0, 0)), ((1,), (0, 1, 0)), ((2,), (0, 0, 1)))
     # chi = -1 on the M5 swap: the fixed Delta1 carries no chi-vector, and
     # the pair (2, 4) carries Delta2 - Delta4
-    anti = signed_orbits(action, Character(values=(("sigma", -1),)))
+    anti = signed_orbits(action, (-1,))
     assert anti[0] == ((0,), None)
     assert anti[1] == ((1, 3), (0, 1, 0, -1, 0, 0, 0, 0, 0))
 

@@ -8,11 +8,10 @@ from pathlib import Path
 import pytest
 
 from eqsing import catalog, linalg
-from eqsing.action import Character, isotypic_sublattice, signed_orbits
+from eqsing.action import isotypic_sublattice, signed_orbits
 from eqsing.catalog import (
     action_from_file,
     confining_list,
-    fixture,
     fixture_file,
     normal_form,
     quasihomogeneous_weights,
@@ -54,9 +53,9 @@ def test_normal_form_examples():
 
 def test_normal_form_m4_is_corner():
     f = normal_form("M4", modulus=1)
-    assert f.generator_names == ("s1", "s2")
+    assert f.blocks == (("s1", (0,)), ("s2", (1,)))
     f5 = normal_form("M5", modulus=1)
-    assert f5.generator_names == ("sigma",)
+    assert f5.blocks == (("sigma", (0, 1)),)
 
 
 def test_normal_form_parameter_validation():
@@ -108,10 +107,11 @@ def test_weyl_order_closed_forms():
 
 
 def test_fixture_a2_trivial():
-    diagram, action, chi = fixture("A", 2)
-    assert diagram.rank == 2
-    assert action.generators == ()
-    out = run_analysis(fixture_file("A", 2))
+    dfile = fixture_file("A", 2)
+    action, chi = action_from_file(dfile)
+    assert dfile.diagram.rank == 2
+    assert action.generators == () and chi == ()
+    out = run_analysis(dfile)
     assert out.sublattice.rank == 2
     assert isinstance(out.verdict, Finite) and out.verdict.order == 6
 
@@ -124,27 +124,28 @@ def test_fixture_b2_folding():
 
 
 def test_fixture_m5():
-    diagram, action, chi = fixture("M5")
-    assert diagram.rank == 9
-    assert chi.values == (("sigma", 1),)
-    out = run_analysis(fixture_file("M5"))
+    dfile = fixture_file("M5")
+    action, chi = action_from_file(dfile)
+    assert dfile.diagram.rank == 9
+    assert dfile.character == (("sigma", 1),) and chi == (1,)
+    out = run_analysis(dfile)
     assert out.sublattice.rank == 5
 
 
 def test_fixture_errors():
     with pytest.raises(NoFixtureError):
-        fixture("P8")
+        fixture_file("P8")
     with pytest.raises(NoFixtureError):
-        fixture("A", 9)
+        fixture_file("A", 9)
     with pytest.raises(NoFixtureError):
-        fixture("B", 5)
+        fixture_file("B", 5)
     with pytest.raises(BadParameterError):
-        fixture("M5", 3)
+        fixture_file("M5", 3)
 
 
 def test_fixture_e7_e8_diagrams_exist():
-    d7, _, _ = fixture("E7")
-    d8, _, _ = fixture("E8")
+    d7 = fixture_file("E7").diagram
+    d8 = fixture_file("E8").diagram
     assert d7.rank == 7 and d8.rank == 8
     assert d7.all_self_minus_two() and d8.all_self_minus_two()
     # definite forms (no group enumeration here)
@@ -227,28 +228,26 @@ def _every_fixture():
 def test_wall_twist_every_fixture_and_character(symbol, k):
     # Wall (1980): the chi-isotypic rank of the vanishing lattice equals the
     # (chi det)-isotypic dimension of the Jacobian algebra, where det(g) is
-    # (-1) to the number of x-variables g negates
+    # (-1) to the number of x-variables g negates; a character is its signs
+    # in generator order on both sides, so the generators' order is pinned
     action, _ = action_from_file(fixture_file(symbol, k))
     modulus = 1 if catalog.FAMILIES[symbol].kind == "confining" else None
     f = normal_form(symbol, k=k, modulus=modulus)
-    assert set(action.names) == set(f.generator_names)
-    det = {name: (-1) ** len(ix) for name, ix in f.blocks}
+    assert tuple(name for name, _ in action.generators) == tuple(name for name, _ in f.blocks)
     rep = milnor_number(f)
-    for values in itertools.product((1, -1), repeat=len(action.names)):
-        chi = Character(values=tuple(zip(action.names, values)))
+    for chi in itertools.product((1, -1), repeat=len(action.generators)):
         try:
             rank = isotypic_sublattice(action, chi).rank
         except ZeroSublatticeError:
             rank = 0
-        twisted = tuple(chi.of(name) * det[name] for name in f.generator_names)
+        twisted = tuple(c * (-1) ** len(ix) for c, (_, ix) in zip(chi, f.blocks))
         assert rank == rep.dim_of(twisted), (chi, rank, twisted)
 
 
 @pytest.mark.parametrize("symbol, k", _every_fixture())
 def test_inertia_matches_descartes_every_character(symbol, k):
     action, _ = action_from_file(fixture_file(symbol, k))
-    for values in itertools.product((1, -1), repeat=len(action.names)):
-        chi = Character(values=tuple(zip(action.names, values)))
+    for chi in itertools.product((1, -1), repeat=len(action.generators)):
         try:
             gram = isotypic_sublattice(action, chi).restricted_gram
         except ZeroSublatticeError:
@@ -259,8 +258,7 @@ def test_inertia_matches_descartes_every_character(symbol, k):
 @pytest.mark.parametrize("symbol, k", _every_fixture())
 def test_equivariant_generators_match_the_projector_every_character(symbol, k):
     action, _ = action_from_file(fixture_file(symbol, k))
-    for values in itertools.product((1, -1), repeat=len(action.names)):
-        chi = Character(values=tuple(zip(action.names, values)))
+    for chi in itertools.product((1, -1), repeat=len(action.generators)):
         new = generator_outcome(equivariant_generators, action, chi)
         old = generator_outcome(equivariant_generators_by_projector, action, chi)
         assert new == old, chi
@@ -500,7 +498,7 @@ def render_catalog():
         f = normal_form(sym, k=k, m=m, n=n, modulus=a)
         parts.append(
             f"## normal_form {sym} k={k} m={m} n={n} a={a} "
-            f"generators={','.join(f.generator_names)}\n{serialize_germ(f)}"
+            f"generators={','.join(name for name, _ in f.blocks)}\n{serialize_germ(f)}"
         )
     return "".join(parts)
 

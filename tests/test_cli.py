@@ -259,13 +259,12 @@ def test_catalog_verdict_rejects_emit_flags():
 def test_mu_command(tmp_path):
     f = tmp_path / "m5.poly"
     f.write_text("vars x:2 y:0\n1 x1^4\n1 x2^4\n1 x1^2*x2^2\n")
-    code, out, _ = run_cli("mu", str(f), "--character", "sigma=+1")
+    code, out, _ = run_cli("mu", str(f))
     assert code == 0
     lines = dict(l.split("=", 1) for l in out.splitlines())
     assert lines["mu"] == "9"
     assert lines["isotypic.+"] == "5"
     assert lines["isotypic.-"] == "4"
-    assert lines["character.dim"] == "5"
 
 
 def test_mu_corner(tmp_path):
@@ -331,9 +330,7 @@ _M5_POLY = "vars x:2 y:0\n1 x1^4\n1 x2^4\n1 x1^2*x2^2\n"
     (["mu", "{file}", "--oracle", "1/4,1/4,1/2"], _X9_POLY),
     (["mu", "{file}", "--oracle", "1/4"], _X9_POLY),
     (["mu", "{file}", "--oracle", "1/4,1/3"], _X9_POLY),
-    (["mu", "{file}", "--character", "s9=-1"], _A2_POLY),
-    (["mu", "{file}", "--character", "sigma=+1,sigma=-1"], _M5_POLY),
-    (["mu", "{file}", "--character", "sigma=+1"], _X9_POLY),
+    (["mu", "{file}", "--character", "sigma=+1"], _M5_POLY),
     (["mu", "{file}"], b"\xff\xfe"),
     (["analyze", "{file}"], b"\xff\xfe"),
     (["mu", "{file}", "--max-degree", "-1"], _A2_POLY),
@@ -348,8 +345,7 @@ _M5_POLY = "vars x:2 y:0\n1 x1^4\n1 x2^4\n1 x1^2*x2^2\n"
     (["analyze", str(FIXTURES / "m5.diagram"), "--cap", "-5"], None),
 ], ids=["constant-term", "negative-count", "zero-denominator", "oracle-1/0",
         "oracle-abc", "oracle-2/3", "oracle-too-many-weights", "oracle-too-few-weights",
-        "oracle-term-degree-not-1", "unknown-generator", "generator-named-twice",
-        "germ-without-generators", "mu-not-utf8", "analyze-not-utf8",
+        "oracle-term-degree-not-1", "mu-character-option", "mu-not-utf8", "analyze-not-utf8",
         "negative-max-degree", "mu-table-too-large", "vars-unknown-key",
         "vars-key-twice", "modulus-abc", "emit-m-without-poly",
         "emit-n-without-poly", "emit-modulus-without-poly", "verdict-negative-cap",
@@ -369,21 +365,6 @@ def test_bad_input_exits_two(tmp_path, argv, text):
     assert code == 2
     assert out.getvalue() == ""
     assert len([l for l in err.getvalue().splitlines() if "error:" in l]) == 1
-
-
-def test_mu_character_errors_name_the_fault(tmp_path):
-    # the last value of a generator named twice does not silently win, and
-    # a germ without generators says so instead of listing none
-    m5, x9 = tmp_path / "m5.poly", tmp_path / "x9.poly"
-    m5.write_text(_M5_POLY)
-    x9.write_text(_X9_POLY)
-    for spec in ("sigma=+1,sigma=-1", "sigma=-1,sigma=+1"):
-        code, out, err = run_cli("mu", str(m5), "--character", spec)
-        assert (code, out) == (2, "")
-        assert err == "error: generator 'sigma' named twice in --character\n"
-    code, out, err = run_cli("mu", str(x9), "--character", "sigma=+1")
-    assert (code, out) == (2, "")
-    assert err == "error: unknown generator 'sigma': the germ has no generators\n"
 
 
 @pytest.mark.parametrize("count", [99_999, 100_000_000])

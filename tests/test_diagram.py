@@ -100,6 +100,19 @@ def test_action_block_validation():
         parse_file(A2_TEXT + "generator sigma 1:+1 2:+2\ncharacter tau=-1\n")
 
 
+@pytest.mark.parametrize("character", [
+    (("s2", -1), ("s1", 1)),
+    (("s1", -1),),
+], ids=["out-of-order", "generator-left-out"])
+def test_built_file_character_lists_every_generator_in_order(character):
+    # a DiagramFile built in code follows the rule of a parsed file, so its
+    # character's values are the signs in generator order
+    m4 = fixture_file("M4")
+    with pytest.raises(DiagramSyntaxError) as info:
+        DiagramFile(m4.diagram, m4.generators, character)
+    assert str(info.value) == "character must list every generator, in declaration order"
+
+
 def test_roundtrip_parse_serialize():
     for name in ("m5", "m4", "x9"):
         df = fixture_file(name.upper())

@@ -7,8 +7,10 @@ names its module-level imports bind with the names the module reads; a
 name listed in `__all__` counts as read.  A private function, class or
 constant of the package that no module of the package reads is a helper
 left behind by a deletion; the tests alone do not keep it alive.  Nor do
-they keep an error class alive: each class of `errors.py` is raised by
-the package, or is a base of one that is.
+they keep a public method or property of a package class alive: the
+package or the benchmark reads each as an attribute.  Nor an error class:
+each class of `errors.py` is raised by the package, or is a base of one
+that is.
 """
 import ast
 from pathlib import Path
@@ -17,6 +19,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "eqsing").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -107,6 +110,43 @@ def test_detector_finds_an_unread_private_name():
 def test_no_unread_private_name_in_the_package():
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unread_private_names(sources) == []
+
+
+def unread_public_methods(sources, readers):
+    """[(module, line, "Class.name"), ...]: each public method or property
+    of a module-level class of `sources` ({module: source}) whose name no
+    source of `sources` or `readers` reads as an attribute.  Names that
+    begin with an underscore are exempt."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.attr for tree in [*trees.values(), *map(ast.parse, readers)]
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [(module, node.lineno, f"{cls.name}.{node.name}")
+            for module, tree in trees.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
+def test_detector_finds_an_unread_public_method():
+    sources = {
+        "a": ("class A:\n    def __init__(self):\n        pass\n"
+              "    def _helper(self):\n        pass\n"
+              "    def used(self):\n        return self.size\n"
+              "    @property\n    def size(self):\n        return 1\n"
+              "    def unused(self):\n        pass\n"
+              "def unused2():\n    pass\n"),
+        "b": "class B:\n    def read(self):\n        pass\n    def unused(self):\n        pass\n",
+    }
+    readers = ["from a import A\nA().used()\nb.read\n"]
+    assert unread_public_methods(sources, readers) == [
+        ("a", 11, "A.unused"), ("b", 4, "B.unused")]
+
+
+def test_every_public_method_is_read_by_the_package_or_the_benchmark():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in PACKAGE}
+    readers = [p.read_text(encoding="utf-8") for p in PERFBENCH]
+    assert unread_public_methods(sources, readers) == []
 
 
 def unraised_error_classes(errors_source, sources):

@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from eqsing.action import Character, GroupAction, SignedPermutation
+from eqsing.action import GroupAction, SignedPermutation
 from eqsing.catalog import FamilyEntry, fixture_file, run_analysis
 from eqsing.diagram import DiagramFile, DynkinDiagram
 from eqsing.lattice import Inertia, IntLattice, Sublattice
@@ -28,7 +28,6 @@ def _weights(k):
 # each record class's fields, in constructor and repr order
 FIELDS = {
     "SignedPermutation": ("images",),
-    "Character": ("values",),
     "GroupAction": ("generators", "lattice"),
     "IntLattice": ("gram", "labels"),
     "Inertia": ("n_plus", "n_zero", "n_minus"),
@@ -49,7 +48,6 @@ FIELDS = {
 # one builder per record class: each call builds a new instance from equal fields
 BUILD = {
     "SignedPermutation": lambda: SignedPermutation(images=((1, -1), (0, -1))),
-    "Character": lambda: Character(values=(("sigma", -1),)),
     "GroupAction": lambda: GroupAction(
         generators=(("sigma", SignedPermutation(((1, -1), (0, -1)))),),
         lattice=IntLattice(A2_GRAM)),
@@ -131,7 +129,7 @@ def test_equality_needs_the_same_class():
 
 def test_constructor_normalises_and_fills_defaults():
     # the class's own checks run on positional and keyword arguments alike
-    assert Character((("s1", "-1"),)) == Character(values=(("s1", -1),))
+    assert SignedPermutation((("1", "-1"), (0, 1))) == SignedPermutation(images=((1, -1), (0, 1)))
     assert DiagramFile(DynkinDiagram(((1, -2),), ())).generators == ()
     assert IntLattice([[-2]]).labels is None
     entry = BUILD["FamilyEntry"]()
