@@ -169,17 +169,20 @@ def signed_orbits(action, chi):
     return tuple(out)
 
 
-def isotypic_sublattice(action, chi):
+def isotypic_sublattice(action, chi, orbits=None):
     """Saturated sublattice {a : sigma_i a = chi(sigma_i) a for all i}.
 
     Its basis is the cycles of the orbits that carry a chi-vector
-    (`signed_orbits`), by least index.  They have disjoint supports, entries
-    +-1 and leading entry +1, so they span a saturated sublattice and are
-    its Hermite normal form already.  Raises ZeroSublatticeError when no
-    orbit carries one.
+    (`signed_orbits`, or `orbits` when the caller has walked them), by
+    least index.  They have disjoint supports, entries +-1 and leading
+    entry +1, so they span a saturated sublattice and are its Hermite
+    normal form already.  Raises ZeroSublatticeError when no orbit carries
+    one.
     """
     validate_action(action)
-    basis = tuple(cycle for _, cycle in signed_orbits(action, chi) if cycle is not None)
+    if orbits is None:
+        orbits = signed_orbits(action, chi)
+    basis = tuple(cycle for _, cycle in orbits if cycle is not None)
     if not basis:
         raise ZeroSublatticeError("isotypic sublattice is zero; nothing to restrict to")
     return Sublattice._canonical(action.lattice, basis)

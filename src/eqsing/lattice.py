@@ -2,12 +2,12 @@
 
 An IntLattice is a free abelian group of finite rank with an integer
 symmetric Gram matrix (the intersection form on a distinguished basis of
-vanishing cycles).  All computations are exact.  The inertia comes from
-Schur complements over the rationals and the kernel from Hermite normal
-forms over the integers: two independent eliminations, so the count of
-zero squares and the kernel rank check each other.
+vanishing cycles).  All computations are exact and run on integers.  The
+inertia comes from scaled Schur complements and the kernel from Hermite
+normal forms: two independent eliminations, so the count of zero squares
+and the kernel rank check each other.
 """
-from fractions import Fraction
+from math import gcd
 
 from . import linalg
 from .errors import DependentBasisError, LatticeDataError
@@ -67,18 +67,20 @@ class Inertia(Record):
 
 
 def inertia(lattice):
-    """Exact inertia of the form, by Schur complements over the rationals.
+    """Exact inertia of the form, by fraction-free Schur complements.
 
     Each step takes a basis vector v of the block still to be diagonalised
-    with d = (v, v) != 0, counts the sign of d, and replaces every other
-    v_j by v_j - (f_j/d) v, f_j = (v_j, v), which is orthogonal to v; a
-    row with f_j = 0 is left as it is.  When every norm in the block is
-    zero but some (v_j, v_k) is not, v_j + v_k has norm 2(v_j, v_k) and is
-    the pivot.  The all-zero block left at the end is the radical.  Every
-    step is a change of basis, so by Sylvester's law the counts are the
-    inertia (notes/decisions.md, "Inertia by Schur complements").
+    with d = (v, v) != 0, counts the sign of d, and replaces the rest of
+    the block by |d| times the Schur complement of d, with entries
+    |d| (v_j, v_k) - sign(d) f_j f_k, f_j = (v_j, v), and then divides it
+    by the gcd of its entries.  When every norm in the block is zero but
+    some (v_j, v_k) is not, v_j + v_k has norm 2(v_j, v_k) and is the
+    pivot.  The all-zero block left at the end is the radical.  Every step
+    is a change of basis or a positive scaling, so by Sylvester's law the
+    counts are the inertia (notes/decisions.md, "Inertia by Schur
+    complements").
     """
-    M = [[Fraction(x) for x in row] for row in lattice.gram]
+    M = [list(row) for row in lattice.gram]
     counts = [0, 0, 0]  # n_plus, n_zero, n_minus
     while M:
         p = next((j for j, row in enumerate(M) if row[j]), None)
@@ -95,11 +97,16 @@ def inertia(lattice):
         f = M.pop(p)
         d = f.pop(p)
         counts[0 if d > 0 else 2] += 1
+        scale = abs(d)
+        if d < 0:
+            f = [-b for b in f]
         for row in M:
             fj = row.pop(p)
-            if fj:
-                s = fj / d
-                row[:] = [a - s * b for a, b in zip(row, f)]
+            if fj or scale != 1:
+                row[:] = [scale * a - fj * b for a, b in zip(row, f)]
+        g = gcd(*(a for row in M for a in row))
+        if g > 1:
+            M = [[a // g for a in row] for row in M]
     counts[1] = len(M)
     return Inertia(*counts)
 

@@ -1,20 +1,20 @@
 """Milnor numbers and Z2^m-isotypic dimensions of Jacobian local algebras.
 
-The quotient dimension is computed by exact rational row reduction of the
-products u * df/dv in one echelon, which step D = 1, 2, ... extends by the
-products of order D.  Its pivots of degree <= D are those of the row space
-truncated at D, which gives an explicit finiteness certificate: once every
-monomial of degree D is a pivot, every monomial of degree D lies in
-J + m^(D+1), so m^D is contained in the ideal (Nakayama), and the count of
-standard monomials (the non-pivots) below degree D is the exact Milnor
-number.  The Jacobian ideal of an invariant germ is group-stable, hence
+The quotient dimension is computed by exact fraction-free row reduction,
+on integer rows, of the products u * df/dv in one echelon, which step
+D = 1, 2, ... extends by the products of order D.  Its pivots of degree
+<= D are those of the row space truncated at D, which gives an explicit
+finiteness certificate: once every monomial of degree D is a pivot, every
+monomial of degree D lies in J + m^(D+1), so m^D is contained in the
+ideal (Nakayama), and the count of standard monomials (the non-pivots)
+below degree D is the exact Milnor number.  The Jacobian ideal of an invariant germ is group-stable, hence
 the quotient splits by character and the split is read off the parity
 classes of the standard monomials.
 """
 import itertools
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import (
     DiagramSyntaxError,
@@ -212,21 +212,37 @@ def _partial(terms, v):
 
 
 def _reduce(pivots, row):
-    """Reduce `row` (column -> coefficient) in place by `pivots`, rows keyed
-    by their least column, until its least column is no pivot.  The result
-    is empty exactly when the row lies in the span of the pivot rows."""
+    """Reduce `row` (column -> integer) in place by `pivots`, rows keyed by
+    their least column, until its least column is no pivot, and divide it
+    by the gcd of its entries.  Each step is row <- p*row - r*prow, with p
+    and r the leading coefficients of prow and row over their gcd: fraction
+    free, and a nonzero multiple of the rational step, so the row space and
+    its least columns are the same (notes/decisions.md).  The result is
+    empty exactly when the row lies in the span of the pivot rows."""
     while row:
         lead = min(row)
         prow = pivots.get(lead)
         if prow is None:
             break
-        f = row[lead] / prow[lead]
+        p = prow[lead]
+        r = row[lead]
+        g = gcd(p, r)
+        p //= g
+        r //= g
+        if p != 1:
+            for c in row:
+                row[c] *= p
         for c, v in prow.items():
-            v = row.get(c, 0) - f * v
+            v = row.get(c, 0) - r * v
             if v:
                 row[c] = v
             else:
                 del row[c]
+    if row:
+        g = gcd(*row.values())
+        if g != 1:
+            for c in row:
+                row[c] //= g
     return row
 
 
@@ -274,7 +290,10 @@ def milnor_number(f, max_degree=24):
     gens = [g for g in (_partial(f.terms, v) for v in range(n)) if g]
     if not gens:
         raise NotCertifiedError(max_degree)
-    gens = [(min(d for _, d, _ in g), [(key(e), d, c) for e, d, c in g]) for g in gens]
+    # each partial on integers, scaled by the lcm of its denominators
+    scales = [lcm(*(c.denominator for _, _, c in g)) for g in gens]
+    gens = [(min(d for _, d, _ in g), [(key(e), d, int(c * s)) for e, d, c in g])
+            for g, s in zip(gens, scales)]
     layers = [[0]]  # layers[d]: the keys of the degree-d monomials, in order
     pivots = {}
     # D = 0 adds rows only when a partial has a constant term (f is not singular)

@@ -101,12 +101,14 @@ def equivariant_generators(action, chi):
     product of the ambient reflections over the orbit must restrict to h_k
     (`_check_orbit_product`), which is integral because they are.  An orbit
     with no chi-vector is orthogonal to the sublattice, so its product
-    fixes the sublattice and it gives no root (notes/decisions.md).
+    fixes the sublattice and it gives no root (notes/decisions.md).  The
+    orbits are walked once and handed to `isotypic_sublattice`.
     """
-    sub = isotypic_sublattice(action, chi)
+    orbits = signed_orbits(action, chi)
+    sub = isotypic_sublattice(action, chi, orbits)
     G = action.lattice.gram
     k = 0
-    for orbit, cycle in signed_orbits(action, chi):
+    for orbit, cycle in orbits:
         for i, j in itertools.combinations(orbit, 2):
             if G[i][j] != 0:
                 raise OrbitNotOrthogonalError(

@@ -23,7 +23,7 @@ from eqsing.errors import (
     ZeroSublatticeError,
 )
 from eqsing.lattice import Inertia, Sublattice
-from eqsing.localalg import LocalAlgebraReport, _check_table, _partial, _reduce
+from eqsing.localalg import LocalAlgebraReport, _check_table, _partial
 from eqsing.monodromy import MonodromyElement
 
 
@@ -508,14 +508,34 @@ def box_signs(lattice, bound=5):
     return pos, neg, zero
 
 
+def reduce_rational(pivots, row):
+    """Reduce `row` (column -> Fraction) in place by `pivots`, rows keyed by
+    their least column, until its least column is no pivot: rational
+    elimination, independent of the package's fraction-free `_reduce`."""
+    while row:
+        lead = min(row)
+        prow = pivots.get(lead)
+        if prow is None:
+            break
+        f = row[lead] / prow[lead]
+        for c, v in prow.items():
+            v = row.get(c, 0) - f * v
+            if v:
+                row[c] = v
+            else:
+                del row[c]
+    return row
+
+
 def milnor_number_by_truncation(f, max_degree=24):
     """`localalg.milnor_number` by a fresh elimination at every degree.
 
     At each D the columns are the monomials of degree <= D in (degree, lex)
     order, and the rows u * df/dv, truncated at degree D, are reduced from
-    scratch.  D is certified when every degree-D column is a pivot; mu and
-    the isotypic dimensions are the non-pivot columns below degree D.
-    Same report, errors and messages as the package.
+    scratch over the rationals (`reduce_rational`).  D is certified when
+    every degree-D column is a pivot; mu and the isotypic dimensions are
+    the non-pivot columns below degree D.  Same report, errors and
+    messages as the package.
     """
     gens = [g for g in (_partial(f.terms, v) for v in range(f.nvars)) if g]
     if not gens:
@@ -541,7 +561,7 @@ def milnor_number_by_truncation(f, max_degree=24):
                 du = sum(u)
                 row = {index[tuple(a + b for a, b in zip(e, u))]: c
                        for e, d, c in g if d + du <= D}
-                row = _reduce(pivots, row)
+                row = reduce_rational(pivots, row)
                 if row:
                     pivots[min(row)] = row
         if all(c in pivots for c in range(size[D - 1], size[D])):

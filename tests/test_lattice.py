@@ -7,6 +7,7 @@ from eqsing import linalg
 from eqsing.errors import DependentBasisError
 from eqsing.lattice import IntLattice, Sublattice, inertia, kernel_basis
 from oracles import box_signs, coordinates, inertia_by_descartes
+from test_closure import _dynkin_gram
 
 
 A2 = IntLattice(((-2, 1), (1, -2)))
@@ -126,6 +127,27 @@ def test_inertia_equals_descartes_oracle():
         lat = IntLattice(linalg.freeze(M))
         assert inertia(lat) == inertia_by_descartes(lat.gram), lat.gram
     assert zero_diagonal >= 100
+
+
+def _chain(a, b):
+    return [(i, i + 1) for i in range(a, b)]
+
+
+@pytest.mark.parametrize("gram, counts", [
+    # T(2, 3, r): arms of 1, 2 and r - 1 vertices on vertex 1
+    pytest.param(_dynkin_gram(33, [(1, 2), (1, 3), (3, 4), (1, 5)] + _chain(5, 33)),
+                 (1, 0, 32), id="T(2,3,30)"),
+    pytest.param(_dynkin_gram(63, [(1, 2), (1, 3), (3, 4), (1, 5)] + _chain(5, 63)),
+                 (1, 0, 62), id="T(2,3,60)"),
+    pytest.param(_dynkin_gram(30, _chain(1, 30) + [(30, 1)]), (0, 1, 29), id="affine A29"),
+    pytest.param(_dynkin_gram(31, _chain(1, 29) + [(2, 30), (28, 31)]), (0, 1, 30),
+                 id="affine D30"),
+    pytest.param(_dynkin_gram(20, _chain(1, 19) + [(18, 20)]), (0, 0, 20), id="D20"),
+])
+def test_inertia_equals_descartes_at_high_rank(gram, counts):
+    # the scaled Schur complements over many steps, on forms of rank 20-63
+    assert inertia(IntLattice(gram)) == inertia_by_descartes(gram)
+    assert inertia(IntLattice(gram)).as_tuple() == counts
 
 
 def test_kernel_examples():

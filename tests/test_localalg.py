@@ -1,6 +1,7 @@
 """Local algebra: Milnor numbers and isotypic dimensions."""
+import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +16,13 @@ from eqsing.errors import (
     TableTooLargeError,
 )
 from eqsing.localalg import (
+    _reduce,
     germ,
     milnor_number,
     parse_germ,
     quasihomogeneous_mu,
 )
-from oracles import milnor_number_by_truncation
+from oracles import milnor_number_by_truncation, reduce_rational
 
 
 def x9_member(a=1, corner=False):
@@ -304,3 +306,27 @@ def test_terms_above_max_degree_are_cut():
     assert (rep.mu, tuple(d for _, d in rep.isotypic_dims), rep.truncation_degree) == (
         4, (4, 0), 3)
     assert rep == milnor_number_by_truncation(f)
+
+
+def test_reduce_keeps_primitive_integer_rows():
+    # the kernel stays on integers: every reduced row has int entries with
+    # gcd 1 (a stray Fraction would give the same answers, only slower),
+    # and it is a multiple of the rational elimination's row, whose pivots
+    # it shares
+    rng = random.Random(1968)
+    for _ in range(50):
+        pivots, rational = {}, {}
+        for _ in range(rng.randint(1, 12)):
+            scale = rng.choice((1, 2, 6))
+            row = {c: scale * rng.choice((-3, -2, -1, 1, 2, 3))
+                   for c in rng.sample(range(10), rng.randint(1, 6))}
+            out = _reduce(pivots, dict(row))
+            ref = reduce_rational(rational, {c: Fraction(v) for c, v in row.items()})
+            assert out.keys() == ref.keys()
+            if out:
+                assert all(type(v) is int for v in out.values())
+                assert gcd(*out.values()) == 1
+                lead = min(out)
+                assert all(v * ref[lead] == ref[c] * out[lead] for c, v in out.items())
+                pivots[lead] = out
+                rational[lead] = ref

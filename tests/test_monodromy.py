@@ -236,9 +236,28 @@ def test_orbit_generator_checks_the_skipped_orbit(monkeypatch):
     action, _ = action_from_file(fixture_file("M5"))
     meets = Sublattice(action.lattice, ((0, 1, 0, 1, 0, 0, 0, 0, 0),))
     assert product(action.lattice.gram, meets.basis[0], (1,) + (0,) * 8) != 0
-    monkeypatch.setattr(monodromy, "isotypic_sublattice", lambda action, chi: meets)
+    monkeypatch.setattr(monodromy, "isotypic_sublattice", lambda action, chi, orbits: meets)
     with pytest.raises(InternalError, match="no chi-vector"):
         equivariant_generators(action, (-1,))
+
+
+def test_analysis_walks_the_signed_orbits_once(monkeypatch):
+    # equivariant_generators hands its walk to isotypic_sublattice, which
+    # would otherwise walk the same orbits again
+    from eqsing import action as action_module
+    from eqsing import catalog
+
+    calls = []
+
+    def counted(action, chi, _original=signed_orbits):
+        calls.append(chi)
+        return _original(action, chi)
+
+    monkeypatch.setattr(action_module, "signed_orbits", counted)
+    monkeypatch.setattr(monodromy, "signed_orbits", counted)
+    out = catalog.run_analysis(fixture_file("M5"))
+    assert out.verdict.kind == "infinite"
+    assert calls == [(1,)]
 
 
 def test_orbit_generator_anti_swap_orbit():
