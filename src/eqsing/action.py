@@ -1,9 +1,9 @@
 """Z2^m actions on the distinguished basis and their isotypic sublattices.
 
-Generators are signed permutations of the basis cycles, read only through
-their image tables sigma(e_i) = s_i e_pi(i).  The action must consist of
-commuting involutive isometries of the intersection form (`validate_action`);
-the (-1)^bullet-isotypic part for a character chi is the saturated sublattice
+A generator is a signed permutation of the basis cycles, given as its
+0-based image table ((j, s), ...) with sigma(e_i) = s e_j at entry i.  The
+action must consist of commuting involutive isometries of the intersection
+form (`validate_action`); the (-1)^bullet-isotypic part for a character chi is the saturated sublattice
 {a : sigma_i a = chi(sigma_i) a for every generator}.  A character is its
 signs in generator order: chi = (chi(sigma_1), ..., chi(sigma_m)), each +-1,
 for the generators of `GroupAction.generators`, the key
@@ -29,53 +29,27 @@ from .lattice import Sublattice
 from .record import Record
 
 
-class SignedPermutation(Record):
-    """images[i] = (j, sign): basis vector i maps to sign * basis vector j (0-based)."""
-
-    __slots__ = ("images",)
-
-    def __post_init__(self):
-        images = tuple((int(j), int(s)) for j, s in self.images)
-        object.__setattr__(self, "images", images)
-        targets = [j for j, _ in images]
-        if sorted(targets) != list(range(len(images))):
-            raise ActionDataError("underlying index map is not a bijection")
-        if any(s not in (1, -1) for _, s in images):
-            raise ActionDataError("signs must be +1 or -1")
-
-    @property
-    def size(self):
-        return len(self.images)
-
-
-def signed_permutation_from_file(images_1based, vertex_ids):
-    """Build a SignedPermutation from file-format image triples (i, j, sign)."""
-    index = {v: k for k, v in enumerate(vertex_ids)}
-    images = [None] * len(vertex_ids)
-    for i, j, s in images_1based:
-        if i not in index or j not in index:
-            raise ActionDataError(f"image {i} -> {j} names a vertex the diagram lacks")
-        images[index[i]] = (index[j], s)
-    if any(im is None for im in images):
-        raise ActionDataError("generator does not cover every vertex")
-    return SignedPermutation(images=tuple(images))
-
-
 class GroupAction(Record):
     """Named commuting involutive isometries of `lattice`'s form: `generators`
-    is ((name, SignedPermutation), ...)."""
+    is ((name, images), ...) with `images` the image table.  The names are
+    unique and each table is a bijection of range(rank) with signs +-1, or
+    ActionDataError names the generator; `validate_action` checks the rest."""
 
     __slots__ = ("generators", "lattice")
 
     def __post_init__(self):
-        gens = tuple((str(n), g) for n, g in self.generators)
+        gens = tuple((name, tuple(images)) for name, images in self.generators)
         object.__setattr__(self, "generators", gens)
         names = [n for n, _ in gens]
         if len(set(names)) != len(names):
             raise ActionDataError("generator names must be unique")
-        for _, g in gens:
-            if g.size != self.lattice.rank:
-                raise ActionDataError("generator size does not match lattice rank")
+        cycles = list(range(self.lattice.rank))
+        for name, images in gens:
+            if sorted(j for j, _ in images) != cycles:
+                raise ActionDataError(f"generator {name} is not a bijection of the "
+                                      f"{len(cycles)} basis cycles")
+            if any(s not in (1, -1) for _, s in images):
+                raise ActionDataError(f"generator {name} has a sign other than +1 or -1")
 
 
 def validate_action(action):
@@ -88,9 +62,9 @@ def validate_action(action):
     None when everything holds.
     """
     G = action.lattice.gram
-    for name, g in action.generators:
-        for i, (pi, si) in enumerate(g.images):
-            for j, (pj, sj) in enumerate(g.images):
+    for name, images in action.generators:
+        for i, (pi, si) in enumerate(images):
+            for j, (pj, sj) in enumerate(images):
                 # entry (i, j) of sigma^T G sigma against G[i][j]
                 if si * sj * G[pi][pj] != G[i][j]:
                     raise NotIsometryError(
@@ -98,13 +72,13 @@ def validate_action(action):
                     )
     identity = tuple((j, 1) for j in range(action.lattice.rank))
     for name, g in action.generators:
-        bad = _first_difference(_compose(g.images, g.images), identity)
+        bad = _first_difference(_compose(g, g), identity)
         if bad is not None:
             raise NotInvolutionError(
                 f"generator {name} is not an involution (entry {bad} of sigma^2)"
             )
     for (na, a), (nb, b) in itertools.combinations(action.generators, 2):
-        bad = _first_difference(_compose(a.images, b.images), _compose(b.images, a.images))
+        bad = _first_difference(_compose(a, b), _compose(b, a))
         if bad is not None:
             raise NotCommutingError(f"generators {na}, {nb} do not commute (entry {bad})")
     return None
@@ -143,7 +117,7 @@ def signed_orbits(action, chi):
                               f"{len(action.generators)} generators")
     if any(c not in (1, -1) for c in chi):
         raise ActionDataError("character values must be +1 or -1")
-    moves = [(c, g.images) for c, (_, g) in zip(chi, action.generators)]
+    moves = [(c, images) for c, (_, images) in zip(chi, action.generators)]
     n = action.lattice.rank
     sign = [0] * n
     out = []

@@ -21,7 +21,7 @@ from fractions import Fraction
 from importlib import resources
 from math import factorial
 
-from .action import GroupAction, signed_permutation_from_file
+from .action import GroupAction
 from .diagram import DiagramFile, DynkinDiagram, parse_file, to_lattice
 from .errors import (BadParameterError, CriterionMismatchError, DiagramError,
                      InternalError, NoFixtureError)
@@ -238,11 +238,12 @@ def normal_form(symbol, k=None, m=None, n=None, modulus=None):
                                     f"{entry.modulus_rule} (a={a})")
     elif modulus is not None:
         raise BadParameterError(f"{entry.symbol} takes no modulus")
+    from .localalg import _check_table, parse_germ  # verdicts never load localalg
+    _check_table(m + n, 1)  # the header's bound, before m + n lines are built
     mmin, nmin = entry.min_vars
     lines = [f"vars x:{m} y:{n}", *entry.terms(k, a)]
     lines += [f"1 x{i}^2" for i in range(mmin + 1, m + 1)]
     lines += [f"1 y{j}^2" for j in range(nmin + 1, n + 1)]
-    from .localalg import parse_germ  # only here: verdicts never load localalg
     return parse_germ("\n".join(lines), corner=entry.setting == "corner")
 
 
@@ -291,14 +292,12 @@ def fixture_file(symbol, k=None):
 def action_from_file(dfile):
     """(GroupAction, chi) for a parsed diagram file: chi is the file's
     character as signs in generator order, all +1 when it names none; the
-    action is trivial when the file declares no generator."""
-    lat = to_lattice(dfile.diagram)
-    ids = dfile.diagram.vertex_ids()
-    gens = tuple(
-        (name, signed_permutation_from_file(images, ids))
-        for name, images in dfile.generators
-    )
-    action = GroupAction(generators=gens, lattice=lat)
+    action is trivial when the file declares no generator.  `DiagramFile`
+    has checked each generator against the vertex set, so no lookup fails."""
+    index = {v: k for k, v in enumerate(dfile.diagram.vertex_ids())}
+    gens = tuple((name, tuple((index[j], s) for _, j, s in sorted(images)))
+                 for name, images in dfile.generators)
+    action = GroupAction(generators=gens, lattice=to_lattice(dfile.diagram))
     if dfile.character is None:
         return action, (1,) * len(gens)
     return action, tuple(v for _, v in dfile.character)

@@ -274,7 +274,7 @@ def cmd_mu(args):
 
 def _nonnegative(text):
     """argparse type of --cap and --max-degree: an integer >= 0."""
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
 

@@ -12,9 +12,14 @@ file fully describes an analysis input:
     generator sigma 1:+1 2:+4 ...
     character sigma=+1
 
+Every integer is ASCII [+-]?[0-9]+.  In an image token i:±j the one sign
+is the image's, so a generator names only vertices with ids >= 0.
+
 Serialization is byte-stable: vertices in ascending id order, edges in
 lexicographic order, generators in declaration order.
 """
+import re
+
 from .errors import (
     DanglingEdgeError,
     DiagramError,
@@ -24,6 +29,8 @@ from .errors import (
 )
 from .lattice import IntLattice
 from .record import Record
+
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 class DynkinDiagram(Record):
@@ -69,19 +76,28 @@ class DynkinDiagram(Record):
 
 
 class DiagramFile(Record):
-    """Parsed file: diagram plus optional action block (raw, 1-based ids).
+    """Parsed file: diagram plus optional action block (raw vertex ids).
 
     generators: ((name, ((i, j, sign), ...)), ...): generator `name` sends
-    cycle i to sign*cycle j.  character: ((name, +1|-1), ...), or None when
-    the file carries no character line; it lists every generator, in
-    declaration order, so its values are the character's signs in generator
-    order (DiagramSyntaxError otherwise).
+    cycle i to sign*cycle j; its sources and its targets are each the vertex
+    set.  character: ((name, +1|-1), ...), or None when the file carries no
+    character line; it lists every generator, in declaration order, so its
+    values are the character's signs in generator order.  DiagramSyntaxError
+    otherwise, for a parsed file and a built one alike.
     """
 
     __slots__ = ("diagram", "generators", "character")
     _defaults = {"generators": (), "character": None}
 
     def __post_init__(self):
+        if self.generators:
+            ids = list(self.diagram.vertex_ids())
+            for name, images in self.generators:
+                if (sorted(i for i, _, _ in images) != ids
+                        or sorted(j for _, j, _ in images) != ids):
+                    raise DiagramSyntaxError(
+                        f"generator {name} must map the vertex set bijectively onto itself"
+                    )
         if self.character is not None and (
             [n for n, _ in self.character] != [n for n, _ in self.generators]
         ):
@@ -91,14 +107,14 @@ class DiagramFile(Record):
 
 
 def _parse_int(tok, line, what):
-    try:
-        return int(tok)
-    except ValueError:
+    if not _INT_RE.fullmatch(tok):
         raise DiagramSyntaxError(f"expected integer {what}, got {tok!r}", line=line)
+    return int(tok)
 
 
 def parse_file(text):
-    """Parse the full diagram(+action) file format; diagnostics carry lines."""
+    """Parse the full diagram(+action) file format; each check of one line
+    carries its number, and DiagramFile checks the action block as a whole."""
     vertices = []
     edges = []
     generators = []
@@ -142,14 +158,8 @@ def parse_file(text):
                     raise DiagramSyntaxError(f"bad image token {t!r}", line=lineno)
                 src, dst = t.split(":", 1)
                 i = _parse_int(src, lineno, "source vertex")
-                sign = 1
-                if dst.startswith("+"):
-                    dst = dst[1:]
-                elif dst.startswith("-"):
-                    sign = -1
-                    dst = dst[1:]
                 j = _parse_int(dst, lineno, "target vertex")
-                images.append((i, j, sign))
+                images.append((i, abs(j), -1 if dst.startswith("-") else 1))
             generators.append((name, tuple(images)))
         elif kind == "character":
             if character is not None:
@@ -174,15 +184,6 @@ def parse_file(text):
     except DiagramError as err:
         kind, k = err.entry
         raise type(err)(err.detail, line=lines[kind][k]) from None
-    ids = list(diagram.vertex_ids())
-    # generator image maps must cover the vertex set exactly
-    for name, images in generators:
-        srcs = [i for i, _, _ in images]
-        tgts = [j for _, j, _ in images]
-        if sorted(srcs) != ids or sorted(tgts) != ids:
-            raise DiagramSyntaxError(
-                f"generator {name} must map the vertex set bijectively onto itself"
-            )
     return DiagramFile(diagram=diagram, generators=tuple(generators), character=character)
 
 

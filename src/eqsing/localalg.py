@@ -103,7 +103,8 @@ def germ(terms, m, n, corner=False):
     return PolyGerm(variables=names, terms=tuple(terms.items()), blocks=blocks)
 
 
-_TERM_RE = re.compile(r"^([xy])(\d+)(?:\^(\d+))?$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")  # diagram's too: `mu` does not load diagram
+_TERM_RE = re.compile(r"^([xy])([0-9]+)(?:\^([0-9]+))?$")
 
 
 def parse_germ(text, corner=False):
@@ -129,6 +130,8 @@ def parse_germ(text, corner=False):
                 if sorted(p[0] for p in pairs) != ["x", "y"]:
                     raise ValueError
                 spec = dict(pairs)
+                if not all(map(_INT_RE.fullmatch, spec.values())):
+                    raise ValueError
                 m, n = int(spec["x"]), int(spec["y"])
                 if m < 0 or n < 0:
                     raise ValueError

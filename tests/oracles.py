@@ -138,12 +138,12 @@ def isotypic_rank_rational(action, chi):
 # reflections by projector and ambient matrices
 
 
-def permutation_matrix(sp):
-    """The n x n matrix of a SignedPermutation: column i has sign s at row
-    j when basis vector i maps to s times basis vector j."""
-    n = sp.size
+def permutation_matrix(images):
+    """The n x n matrix of an image table: column i has sign s at row j
+    when images[i] = (j, s), basis vector i maps to s times basis vector j."""
+    n = len(images)
     M = [[0] * n for _ in range(n)]
-    for i, (j, s) in enumerate(sp.images):
+    for i, (j, s) in enumerate(images):
         M[j][i] = s
     return linalg.freeze(M)
 
@@ -245,8 +245,8 @@ def orbit_decomposition(action):
             a = parent[a]
         return a
 
-    for _, g in action.generators:
-        for i, (j, _) in enumerate(g.images):
+    for _, images in action.generators:
+        for i, (j, _) in enumerate(images):
             ra, rb = find(i), find(j)
             if ra != rb:
                 parent[rb] = ra

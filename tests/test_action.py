@@ -7,16 +7,12 @@ from math import gcd
 import pytest
 
 from eqsing import linalg
-from eqsing.action import (
-    GroupAction,
-    SignedPermutation,
-    isotypic_sublattice,
-    signed_orbits,
-    signed_permutation_from_file,
-    validate_action,
-)
+from eqsing.action import GroupAction, isotypic_sublattice, signed_orbits, validate_action
 from eqsing.catalog import action_from_file, fixture_file
+from eqsing.diagram import DiagramFile, DynkinDiagram
 from eqsing.errors import (
+    DiagramError,
+    DiagramSyntaxError,
     EqsingError,
     NotCommutingError,
     NotInvolutionError,
@@ -37,6 +33,7 @@ from test_catalog import BUNDLED_FIXTURES
 
 
 A2 = IntLattice(((-2, 1), (1, -2)))
+A2_DIAGRAM = DynkinDiagram(((1, -2), (2, -2)), ((1, 2, 1),))
 
 
 def m5_setup():
@@ -50,33 +47,51 @@ def m4_setup():
 
 
 def test_signed_permutation_validation():
-    with pytest.raises(ValueError):
-        SignedPermutation(images=((0, 1), (0, 1)))  # not a bijection
-    with pytest.raises(ValueError):
-        SignedPermutation(images=((0, 2),))  # bad sign
-    sp = SignedPermutation(images=((1, 1), (0, -1)))
-    assert permutation_matrix(sp) == ((0, -1), (1, 0))
-    assert linalg.mat_vec(permutation_matrix(sp), (1, 0)) == (0, 1)
+    # GroupAction checks each image table: a bijection of the basis cycles
+    # with signs +-1, or an ActionDataError naming the generator
+    with pytest.raises(ValueError, match="generator s is not a bijection"):
+        GroupAction((("s", ((0, 1), (0, 1))),), A2)
+    with pytest.raises(ValueError, match="generator s has a sign"):
+        GroupAction((("s", ((0, 2),)),), IntLattice(((-2,),)))
+    table = ((1, 1), (0, -1))
+    assert GroupAction((("s", table),), A2).generators == (("s", table),)
+    assert permutation_matrix(table) == ((0, -1), (1, 0))
+    assert linalg.mat_vec(permutation_matrix(table), (1, 0)) == (0, 1)
+
+
+def test_built_diagram_file_checks_the_generators_like_a_parsed_one():
+    # the check of a generator's vertex ids lives in DiagramFile alone: a
+    # file built in code gets the message and the place in the order of
+    # checks that parse_file gives
+    bad = (("s", ((1, 1, 1),)),), (("s", ((1, 3, 1), (2, 2, 1))),)
+    for generators in bad:
+        with pytest.raises(DiagramSyntaxError,
+                           match="generator s must map the vertex set bijectively"):
+            # the character is wrong too, and the generators are checked first
+            DiagramFile(A2_DIAGRAM, generators, (("t", 1),))
+    swap = (("s", ((2, 1, -1), (1, 2, -1))),)
+    action, chi = action_from_file(DiagramFile(A2_DIAGRAM, swap, (("s", -1),)))
+    assert action.generators == (("s", ((1, -1), (0, -1))),) and chi == (-1,)
 
 
 @pytest.mark.parametrize("build, base", [
-    pytest.param(lambda: SignedPermutation(images=((0, 1), (0, 1))), ValueError,
+    pytest.param(lambda: GroupAction((("s", ((0, 1), (0, 1))),), A2), ValueError,
                  id="not-a-bijection"),
-    pytest.param(lambda: SignedPermutation(images=((0, 2),)), ValueError, id="bad-sign"),
-    pytest.param(lambda: signed_permutation_from_file(((1, 1, 1),), (1, 2)), ValueError,
+    pytest.param(lambda: GroupAction((("s", ((0, 2),)),), IntLattice(((-2,),))),
+                 ValueError, id="bad-sign"),
+    pytest.param(lambda: DiagramFile(A2_DIAGRAM, (("s", ((1, 1, 1),)),)), DiagramError,
                  id="uncovered-vertex"),
-    pytest.param(lambda: signed_permutation_from_file(((1, 3, 1), (2, 2, 1)), (1, 2)),
-                 ValueError, id="unknown-vertex"),
+    pytest.param(lambda: DiagramFile(A2_DIAGRAM, (("s", ((1, 3, 1), (2, 2, 1))),)),
+                 DiagramError, id="unknown-vertex"),
     pytest.param(lambda: linalg.primitive((0, 0)), ValueError, id="primitive-of-zero"),
     pytest.param(lambda: signed_orbits(m5_setup()[0], (0,)), ValueError,
                  id="character-value"),
     pytest.param(lambda: signed_orbits(m5_setup()[0], (1, 1)), ValueError,
                  id="character-length"),
-    pytest.param(lambda: GroupAction(generators=(("s", SignedPermutation(((0, 1),))),) * 2,
-                                     lattice=IntLattice(((-2,),))), ValueError,
-                 id="duplicate-name"),
-    pytest.param(lambda: GroupAction(generators=(("s", SignedPermutation(((0, 1),))),),
-                                     lattice=A2), ValueError, id="size-mismatch"),
+    pytest.param(lambda: GroupAction((("s", ((0, 1),)),) * 2, IntLattice(((-2,),))),
+                 ValueError, id="duplicate-name"),
+    pytest.param(lambda: GroupAction((("s", ((0, 1),)),), A2), ValueError,
+                 id="size-mismatch"),
     pytest.param(lambda: IntLattice(((-2, 1), (0, -2))), ValueError, id="not-symmetric"),
     pytest.param(lambda: IntLattice(((-2, 1),)), ValueError, id="not-square"),
     pytest.param(lambda: IntLattice(((-2,),), labels=("a", "b")), ValueError,
@@ -93,7 +108,7 @@ def test_library_boundary_errors_are_typed(build, base):
 
 def test_validate_identity_ok():
     act = GroupAction(
-        generators=(("e", SignedPermutation(images=((0, 1), (1, 1)))),), lattice=A2
+        generators=(("e", ((0, 1), (1, 1))),), lattice=A2
     )
     assert validate_action(act) is None
 
@@ -106,7 +121,7 @@ def test_validate_m5_central_symmetry_ok():
 def test_validate_not_isometry():
     # swap (1 2) with signs (+1, -1) breaks the A2 form
     act = GroupAction(
-        generators=(("s", SignedPermutation(images=((1, 1), (0, -1)))),), lattice=A2
+        generators=(("s", ((1, 1), (0, -1))),), lattice=A2
     )
     with pytest.raises(NotIsometryError):
         validate_action(act)
@@ -116,7 +131,7 @@ def test_validate_not_involution():
     # 3-cycle is not an involution
     lat = IntLattice(((-2, 0, 0), (0, -2, 0), (0, 0, -2)))
     act = GroupAction(
-        generators=(("r", SignedPermutation(images=((1, 1), (2, 1), (0, 1)))),),
+        generators=(("r", ((1, 1), (2, 1), (0, 1))),),
         lattice=lat,
     )
     with pytest.raises(NotInvolutionError):
@@ -126,8 +141,8 @@ def test_validate_not_involution():
 def test_validate_not_commuting():
     # two transpositions with overlapping support on a diagonal form
     lat = IntLattice(((-2, 0, 0), (0, -2, 0), (0, 0, -2)))
-    s1 = SignedPermutation(images=((1, 1), (0, 1), (2, 1)))
-    s2 = SignedPermutation(images=((0, 1), (2, 1), (1, 1)))
+    s1 = ((1, 1), (0, 1), (2, 1))
+    s2 = ((0, 1), (2, 1), (1, 1))
     act = GroupAction(generators=(("a", s1), ("b", s2)), lattice=lat)
     with pytest.raises(NotCommutingError):
         validate_action(act)
@@ -136,7 +151,7 @@ def test_validate_not_commuting():
 def _random_signed_permutation(rng, n):
     targets = list(range(n))
     rng.shuffle(targets)
-    return SignedPermutation(images=tuple((j, rng.choice((1, -1))) for j in targets))
+    return tuple((j, rng.choice((1, -1))) for j in targets)
 
 
 def _validation_outcome(check, action):

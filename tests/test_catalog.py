@@ -2,6 +2,7 @@
 import contextlib
 import io
 import itertools
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from eqsing.errors import (
     DiagramError,
     InternalError,
     NoFixtureError,
+    TableTooLargeError,
     ZeroSublatticeError,
 )
 from eqsing.lattice import IntLattice, inertia
@@ -56,6 +58,20 @@ def test_normal_form_m4_is_corner():
     assert f.blocks == (("s1", (0,)), ("s2", (1,)))
     f5 = normal_form("M5", modulus=1)
     assert f5.blocks == (("sigma", (0, 1)),)
+
+
+def test_normal_form_refuses_too_many_variables_before_building_lines():
+    # the vars header's listing bound runs before the m + n lines of the
+    # file are built: 200,001 variables were 29 MB of lines before the
+    # refusal, and 10^8 an out-of-memory kill
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableTooLargeError, match="200002 monomials of 200001 variables"):
+            normal_form("A", k=2, m=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_normal_form_parameter_validation():

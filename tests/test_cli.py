@@ -1,7 +1,9 @@
 """CLI: exit codes, machine-format golden output, file errors."""
 import io
 import contextlib
+import hashlib
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from eqsing.cli import main
+from eqsing.diagram import serialize
+from oracles import random_action_file
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "src" / "eqsing" / "fixtures"
@@ -71,6 +75,30 @@ def test_analyze_not_simple_diagrams_machine_golden(monkeypatch, name, cap):
     code, out, err = run_cli(*argv + ([] if cap is None else ["--cap", str(cap)]))
     assert (code, err) == (1, "")
     assert out == (GOLDEN / f"{name}_analyze.machine").read_text()
+
+
+def _random_action_transcript():
+    """One line per seed 0..299: the seed, the exit code and the sha256 of
+    stdout and of stderr of `analyze action.diagram --format machine` on
+    `random_action_file(random.Random(seed))`, with the default
+    self-intersections on even seeds and all -2 on odd ones.  Run in the
+    current directory, so the file name is the same on every machine."""
+    lines = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        dfile = random_action_file(rng) if seed % 2 == 0 else random_action_file(rng, (-2,))
+        Path("action.diagram").write_text(serialize(dfile))
+        code, out, err = run_cli("analyze", "action.diagram", "--format", "machine")
+        digests = (hashlib.sha256(s.encode()).hexdigest() for s in (out, err))
+        lines.append(" ".join([str(seed), str(code), *digests]) + "\n")
+    return "".join(lines)
+
+
+def test_random_action_files_machine_golden(monkeypatch, tmp_path):
+    # verdicts and refusals alike: every message a malformed or invalid
+    # action gives, and the layer that gives it, are pinned byte for byte
+    monkeypatch.chdir(tmp_path)
+    assert _random_action_transcript() == (GOLDEN / "random_actions.sha256").read_text()
 
 
 def test_analyze_m4_report_values():
@@ -320,6 +348,18 @@ _X9_POLY = "vars x:0 y:2\n" + _X9_TERMS
 _M5_POLY = "vars x:2 y:0\n1 x1^4\n1 x2^4\n1 x1^2*x2^2\n"
 
 
+# integers that Python's int() reads but the file formats do not: each is
+# ASCII [+-]?[0-9]+.  id: (argv, file text, the line at fault)
+_LOOSE_INTEGERS = {
+    "image-second-sign": (["analyze", "{file}"],
+                          "vertex 1 self=-2\ngenerator s 1:-+1\ncharacter s=-1\n", 2),
+    "vertex-underscore": (["analyze", "{file}"], "vertex 1_0 self=-2\n", 1),
+    "vertex-arabic-indic": (["analyze", "{file}"], "vertex \u0661 self=-2\n", 1),
+    "vars-underscore": (["mu", "{file}"], "vars x:0_0 y:1\n1 y1^3\n", 1),
+    "exponent-arabic-indic": (["mu", "{file}"], "vars x:0 y:1\n1 y1^\u0663\n", 2),
+}
+
+
 @pytest.mark.parametrize("argv, text", [
     (["mu", "{file}"], "vars x:0 y:1\n1 1\n1 y1^3\n"),
     (["mu", "{file}"], "vars x:-1 y:2\n1 y1^3\n"),
@@ -343,13 +383,15 @@ _M5_POLY = "vars x:2 y:0\n1 x1^4\n1 x2^4\n1 x1^2*x2^2\n"
     (["catalog", "emit", "A", "--k", "3", "--modulus", "7"], None),
     (["catalog", "verdict", "E6", "--cap", "-5"], None),
     (["analyze", str(FIXTURES / "m5.diagram"), "--cap", "-5"], None),
+    (["catalog", "verdict", "A", "--k", "2", "--cap", "\u0661\u0660"], None),
+    *((argv, text) for argv, text, _ in _LOOSE_INTEGERS.values()),
 ], ids=["constant-term", "negative-count", "zero-denominator", "oracle-1/0",
         "oracle-abc", "oracle-2/3", "oracle-too-many-weights", "oracle-too-few-weights",
         "oracle-term-degree-not-1", "mu-character-option", "mu-not-utf8", "analyze-not-utf8",
         "negative-max-degree", "mu-table-too-large", "vars-unknown-key",
         "vars-key-twice", "modulus-abc", "emit-m-without-poly",
         "emit-n-without-poly", "emit-modulus-without-poly", "verdict-negative-cap",
-        "analyze-negative-cap"])
+        "analyze-negative-cap", "cap-arabic-indic", *_LOOSE_INTEGERS])
 def test_bad_input_exits_two(tmp_path, argv, text):
     # a refused input is exit 2 with one error line: never a traceback, and
     # never an exit code that reads as a verdict
@@ -365,6 +407,16 @@ def test_bad_input_exits_two(tmp_path, argv, text):
     assert code == 2
     assert out.getvalue() == ""
     assert len([l for l in err.getvalue().splitlines() if "error:" in l]) == 1
+
+
+@pytest.mark.parametrize("name", _LOOSE_INTEGERS)
+def test_loose_integer_is_refused_on_its_line(tmp_path, name):
+    argv, text, line = _LOOSE_INTEGERS[name]
+    path = tmp_path / "probe"
+    path.write_text(text)
+    code, out, err = run_cli(*(a.format(file=path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {line}: ")
 
 
 @pytest.mark.parametrize("count", [99_999, 100_000_000])

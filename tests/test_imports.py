@@ -7,8 +7,9 @@ names its module-level imports bind with the names the module reads; a
 name listed in `__all__` counts as read.  A private function, class or
 constant of the package that no module of the package reads is a helper
 left behind by a deletion; the tests alone do not keep it alive.  Nor do
-they keep a public method or property of a package class alive: the
-package or the benchmark reads each as an attribute.  Nor an error class:
+they keep a public function, class, method or property of the package
+alive: the package or the benchmark reads each, by name or as an
+attribute.  Nor an error class:
 each class of `errors.py` is raised by the package, or is a base of one
 that is.
 """
@@ -66,19 +67,25 @@ def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _names_read(trees):
+    """Every name loaded and every attribute read in the syntax `trees`."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
 def unread_private_names(sources):
     """[(module, line, name), ...]: each private module-level function,
     class or constant of the modules `sources` ({module: source}) that
     none of them reads, as a name or as an attribute.  Dunder names are
     exempt."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = _names_read(trees.values())
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -147,6 +154,38 @@ def test_every_public_method_is_read_by_the_package_or_the_benchmark():
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in PACKAGE}
     readers = [p.read_text(encoding="utf-8") for p in PERFBENCH]
     assert unread_public_methods(sources, readers) == []
+
+
+def unread_public_names(sources, readers):
+    """[(module, line, name), ...]: each public module-level function or
+    class of `sources` ({module: source}) whose name no source of
+    `sources` or `readers` reads, as a name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = _names_read([*trees.values(), *map(ast.parse, readers)])
+    return [(module, node.lineno, node.name)
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
+def test_detector_finds_an_unread_public_name():
+    sources = {
+        "a": ("def used():\n    pass\n"
+              "def unused():\n    pass\n"
+              "class Base:\n    pass\n"
+              "class Leaf(Base):\n    pass\n"
+              "def _private():\n    pass\n"),
+        "b": "from a import unused\nimport a\na.used()\n",
+    }
+    readers = ["from a import Leaf\nLeaf()\n"]
+    assert unread_public_names(sources, readers) == [("a", 3, "unused")]
+
+
+def test_every_public_name_is_read_by_the_package_or_the_benchmark():
+    # the tests alone do not keep a public function or class alive
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in PACKAGE}
+    readers = [p.read_text(encoding="utf-8") for p in PERFBENCH]
+    assert unread_public_names(sources, readers) == []
 
 
 def unraised_error_classes(errors_source, sources):

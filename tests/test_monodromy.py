@@ -4,7 +4,7 @@ import random
 import pytest
 
 from eqsing import lattice, linalg, monodromy
-from eqsing.action import GroupAction, SignedPermutation, signed_orbits
+from eqsing.action import GroupAction, signed_orbits
 from eqsing.catalog import action_from_file, fixture_file
 from eqsing.errors import (
     EqsingError,
@@ -210,8 +210,7 @@ def test_orbit_generator_m4_four_cycle_orbit():
 def test_orbit_generator_rejects_non_orthogonal_orbit():
     # sigma swaps the adjacent Delta1 and Delta2
     lat = IntLattice(((-2, 1), (1, -2)))
-    swap = SignedPermutation(images=((1, 1), (0, 1)))
-    action = GroupAction(generators=(("sigma", swap),), lattice=lat)
+    action = GroupAction(generators=(("sigma", ((1, 1), (0, 1))),), lattice=lat)
     with pytest.raises(OrbitNotOrthogonalError, match="cycles 1 and 2"):
         equivariant_generators(action, (1,))
 

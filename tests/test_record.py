@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from eqsing.action import GroupAction, SignedPermutation
+from eqsing.action import GroupAction
 from eqsing.catalog import FamilyEntry, fixture_file, run_analysis
 from eqsing.diagram import DiagramFile, DynkinDiagram
 from eqsing.lattice import Inertia, IntLattice, Sublattice
@@ -27,7 +27,6 @@ def _weights(k):
 
 # each record class's fields, in constructor and repr order
 FIELDS = {
-    "SignedPermutation": ("images",),
     "GroupAction": ("generators", "lattice"),
     "IntLattice": ("gram", "labels"),
     "Inertia": ("n_plus", "n_zero", "n_minus"),
@@ -47,10 +46,8 @@ FIELDS = {
 
 # one builder per record class: each call builds a new instance from equal fields
 BUILD = {
-    "SignedPermutation": lambda: SignedPermutation(images=((1, -1), (0, -1))),
-    "GroupAction": lambda: GroupAction(
-        generators=(("sigma", SignedPermutation(((1, -1), (0, -1)))),),
-        lattice=IntLattice(A2_GRAM)),
+    "GroupAction": lambda: GroupAction(generators=(("sigma", ((1, -1), (0, -1))),),
+                                       lattice=IntLattice(A2_GRAM)),
     "IntLattice": lambda: IntLattice(A2_GRAM, labels=("Δ1", "Δ2")),
     "Inertia": lambda: Inertia(0, 0, 3),
     "Sublattice": lambda: Sublattice(IntLattice(A2_GRAM), ((1, 1),)),
@@ -129,7 +126,8 @@ def test_equality_needs_the_same_class():
 
 def test_constructor_normalises_and_fills_defaults():
     # the class's own checks run on positional and keyword arguments alike
-    assert SignedPermutation((("1", "-1"), (0, 1))) == SignedPermutation(images=((1, -1), (0, 1)))
+    assert GroupAction((("s", [(0, -1)]),), IntLattice([[-2]])) == GroupAction(
+        generators=(("s", ((0, -1),)),), lattice=IntLattice(((-2,),)))
     assert DiagramFile(DynkinDiagram(((1, -2),), ())).generators == ()
     assert IntLattice([[-2]]).labels is None
     entry = BUILD["FamilyEntry"]()
