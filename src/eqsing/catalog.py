@@ -1,5 +1,8 @@
-"""The classification as data: one row per family in `FAMILIES`, the
-bundled diagram/action fixtures, and the simplicity-verdict wiring.
+"""The classification as data: one row per family in `FAMILIES`, and the
+bundled diagram/action fixtures.  The criterion a verdict runs,
+`run_analysis`, is `monodromy`'s, so `analyze` never loads the family
+table, and `fractions` is imported only by the three functions that read
+a row's rationals, so `catalog verdict` never loads it.
 
 Simple families: A_k, D_k, E6, E7, E8, B_k, C_k, F4 (identical lists in
 the single-Z2 and corner settings, up to renumbering of generators);
@@ -17,17 +20,17 @@ inside E6 by a sign-lifted diagram automorphism; the chosen lifts are the
 ones validated by the build-time oracle (isotypic rank, negative
 definiteness, and Weyl group order) in the test suite.
 """
-from fractions import Fraction
 from importlib import resources
 from math import factorial
 
-from .action import GroupAction
-from .diagram import DiagramFile, DynkinDiagram, parse_file, to_lattice
-from .errors import (BadParameterError, CriterionMismatchError, DiagramError,
-                     InternalError, NoFixtureError)
-from .lattice import inertia, kernel_basis
-from .monodromy import equivariant_generators, generate_group
+from .diagram import DiagramFile, DynkinDiagram, parse_file
+from .errors import BadParameterError, NoFixtureError
+from .monodromy import run_analysis
 from .record import Record
+
+# run_analysis is monodromy's; re-exported because perfbench/worker.py reads catalog.run_analysis
+__all__ = ["FAMILIES", "SIMPLE_SYMBOLS", "FamilyEntry", "confining_list", "fixture_file",
+           "normal_form", "quasihomogeneous_weights", "run_analysis", "weyl_order"]
 
 
 # --------------------------------------------------------------------------
@@ -111,6 +114,8 @@ class FamilyEntry(Record):
 
     def block_weights(self, k):
         """(x-block, y-block) weights of the core variables, as Fractions."""
+        from fractions import Fraction
+
         return tuple(tuple(Fraction(w) for w in block.split()) for block in self.weights(k))
 
     @property
@@ -224,6 +229,8 @@ def normal_form(symbol, k=None, m=None, n=None, modulus=None):
     M4 is built with the corner (Z2^m) block structure, everything else
     with the single-Z2 action negating all x's.
     """
+    from fractions import Fraction
+
     entry, m, n = _family(symbol, k, m, n)
     a = None
     if entry.kind == "confining":
@@ -254,6 +261,8 @@ def quasihomogeneous_weights(symbol, k=None, m=None, n=None):
     stabilization squares weigh 1/2.  This is the independent oracle for
     milnor_number on the catalog.
     """
+    from fractions import Fraction
+
     entry, m, n = _family(symbol, k, m, n)
     core_x, core_y = entry.block_weights(k)
     half = (Fraction(1, 2),)
@@ -287,81 +296,3 @@ def fixture_file(symbol, k=None):
     elif k is not None:
         raise BadParameterError(f"{symbol} takes no index k")
     return entry.fixture(k)
-
-
-def action_from_file(dfile):
-    """(GroupAction, chi) for a parsed diagram file: chi is the file's
-    character as signs in generator order, all +1 when it names none; the
-    action is trivial when the file declares no generator.  `DiagramFile`
-    has checked each generator against the vertex set, so no lookup fails."""
-    index = {v: k for k, v in enumerate(dfile.diagram.vertex_ids())}
-    gens = tuple((name, tuple((index[j], s) for _, j, s in sorted(images)))
-                 for name, images in dfile.generators)
-    action = GroupAction(generators=gens, lattice=to_lattice(dfile.diagram))
-    if dfile.character is None:
-        return action, (1,) * len(gens)
-    return action, tuple(v for _, v in dfile.character)
-
-
-# --------------------------------------------------------------------------
-# the simplicity criterion
-
-
-class AnalysisOutcome(Record):
-    """Everything the criterion produces for one diagram+action input.
-
-    `generators` holds the roots e_1, ..., e_r of the orbit reflections
-    h_1, ..., h_r, in sublattice coordinates; no matrix is built for them.
-    `kernel` is in sublattice coordinates, `kernel_ambient` in ambient ones.
-    `criteria_agree` is always true: `run_analysis` raises
-    CriterionMismatchError instead of returning a disagreement.
-    """
-
-    __slots__ = ("sublattice", "generators", "inertia", "kernel", "verdict")
-
-    criteria_agree = True
-
-    @property
-    def simple(self):
-        return self.inertia.negative_definite
-
-    @property
-    def kernel_ambient(self):
-        return tuple(self.sublattice.embed(v) for v in self.kernel)
-
-
-def run_analysis(dfile, cap=10**6):
-    """Full pipeline: action validation, isotypic restriction, inertia and
-    kernel, orbit reflections, finiteness with certificate.
-
-    The diagram must have self-intersection -2 on every vertex, the
-    paper's convention, or DiagramError names the first vertex without.
-    `simple` is the paper's criterion, negative definiteness of the
-    restricted form.  The monodromy verdict, which may be Unknown at the
-    cap, cross-checks it: on such a diagram a decided verdict is finite
-    exactly when the form is negative definite (notes/decisions.md), and
-    CriterionMismatchError reports a disagreement as a defect, and
-    InternalError one between the inertia's n_zero and the kernel rank.
-    The inertia is computed once and handed to `generate_group`.
-    """
-    diagram = dfile.diagram
-    if not diagram.all_self_minus_two():
-        i, s = next(v for v in diagram.vertices if v[1] != -2)
-        raise DiagramError(f"vertex {i} has self-intersection {s}; "
-                           "the criterion takes -2 on every vertex")
-    action, chi = action_from_file(dfile)
-    sub, roots = equivariant_generators(action, chi)
-    lattice = sub.lattice()
-    sig = inertia(lattice)
-    ker = kernel_basis(lattice)
-    if sig.n_zero != len(ker):
-        raise InternalError(f"inertia has {sig.n_zero} zero squares but the kernel "
-                            f"has rank {len(ker)}")
-    verdict = generate_group(sub.restricted_gram, roots, cap=cap, sig=sig)
-    if verdict.kind != "unknown" and sig.negative_definite != (verdict.kind == "finite"):
-        raise CriterionMismatchError(
-            f"negative definiteness and finiteness disagree "
-            f"(inertia {sig.as_tuple()}, verdict {verdict})"
-        )
-    return AnalysisOutcome(sublattice=sub, generators=roots, inertia=sig, kernel=ker,
-                           verdict=verdict)

@@ -21,9 +21,8 @@ request loads no layer it does not need.
 import argparse
 import sys
 import time
-from fractions import Fraction
 
-from .errors import EqsingError
+from .errors import EqsingError, parse_int, parse_rational
 
 EXIT_SIMPLE = 0
 EXIT_NOT_SIMPLE = 1
@@ -172,10 +171,10 @@ def _text_report(source, dfile, outcome, elapsed):
 def _write_verdict(args, source, dfile):
     """Run the criterion on `dfile` at `args.cap`, write the report in the
     format asked for, and return the verdict's exit code."""
-    from . import catalog
+    from .monodromy import run_analysis
 
     t0 = time.monotonic()
-    outcome = catalog.run_analysis(dfile, cap=args.cap)
+    outcome = run_analysis(dfile, cap=args.cap)
     if args.format == "machine":
         sys.stdout.write(_machine_report(source, dfile, outcome))
     else:
@@ -243,8 +242,8 @@ def cmd_mu(args):
     from .localalg import milnor_number, parse_germ, quasihomogeneous_mu
 
     try:
-        weights = [Fraction(w) for w in args.oracle.split(",")] if args.oracle else None
-    except (ValueError, ZeroDivisionError):
+        weights = [parse_rational(w) for w in args.oracle.split(",")] if args.oracle else None
+    except ValueError:
         raise EqsingError(f"bad weight list {args.oracle!r} in --oracle")
     oracle = quasihomogeneous_mu(weights) if weights else None
     with open(args.file) as fh:
@@ -272,11 +271,28 @@ def cmd_mu(args):
     return EXIT_SIMPLE
 
 
+def _integer(text):
+    """argparse type of --k, --m and --n: `errors.parse_int`."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _nonnegative(text):
     """argparse type of --cap and --max-degree: an integer >= 0."""
-    if not (text.isascii() and text.isdecimal()):
+    value = _integer(text)
+    if value < 0:
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+    return value
+
+
+def _rational(text):
+    """argparse type of --modulus: `errors.parse_rational`."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 _CAP_HELP = ("bound on the roots the finiteness search records, on every "
@@ -307,10 +323,11 @@ def build_parser():
 
     pe = csub.add_parser("emit", help="write a fixture or normal-form file")
     pe.add_argument("symbol")
-    pe.add_argument("--k", type=int)
-    pe.add_argument("--m", type=int, help="x-variables, with --poly")
-    pe.add_argument("--n", type=int, help="y-variables, with --poly")
-    pe.add_argument("--modulus", help="the confining modulus a, with --poly")
+    pe.add_argument("--k", type=_integer)
+    pe.add_argument("--m", type=_integer, help="x-variables, with --poly")
+    pe.add_argument("--n", type=_integer, help="y-variables, with --poly")
+    pe.add_argument("--modulus", type=_rational,
+                    help="the confining modulus a, p or p/q, with --poly")
     pe.add_argument("--poly", action="store_true",
                     help="emit the normal-form polynomial instead of the diagram")
     pe.add_argument("--out")
@@ -318,7 +335,7 @@ def build_parser():
 
     pv = csub.add_parser("verdict", help="run the simplicity criterion on a fixture")
     pv.add_argument("symbol")
-    pv.add_argument("--k", type=int)
+    pv.add_argument("--k", type=_integer)
     pv.add_argument("--cap", type=_nonnegative, default=10**6, help=_CAP_HELP)
     pv.add_argument("--format", choices=("text", "machine"), default="text")
     pv.set_defaults(func=cmd_catalog_verdict)

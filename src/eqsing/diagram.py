@@ -12,29 +12,27 @@ file fully describes an analysis input:
     generator sigma 1:+1 2:+4 ...
     character sigma=+1
 
-Every integer is ASCII [+-]?[0-9]+.  In an image token i:±j the one sign
-is the image's, so a generator names only vertices with ids >= 0.
+Every integer is ASCII [+-]?[0-9]+ (`errors.parse_int`).  Vertex ids are
+>= 0, so in an image token i:±j the one sign is the image's.
 
 Serialization is byte-stable: vertices in ascending id order, edges in
 lexicographic order, generators in declaration order.
 """
-import re
-
 from .errors import (
     DanglingEdgeError,
     DiagramError,
     DiagramSyntaxError,
     DuplicateEdgeError,
     DuplicateVertexError,
+    parse_int,
 )
 from .lattice import IntLattice
 from .record import Record
 
-_INT_RE = re.compile(r"[+-]?[0-9]+")
-
 
 class DynkinDiagram(Record):
-    """vertices: ((id, self_intersection), ...); edges: ((i, j, weight), ...)."""
+    """vertices: ((id, self_intersection), ...) with ids >= 0; edges:
+    ((i, j, weight), ...)."""
 
     __slots__ = ("vertices", "edges")
 
@@ -42,6 +40,9 @@ class DynkinDiagram(Record):
         vertices = tuple((int(i), int(s)) for i, s in self.vertices)
         ids = set()
         for k, (i, _) in enumerate(vertices):
+            if i < 0:
+                raise DiagramSyntaxError(f"vertex {i}: ids must be >= 0",
+                                         entry=("vertices", k))
             if i in ids:
                 raise DuplicateVertexError(f"vertex {i} already declared",
                                            entry=("vertices", k))
@@ -107,9 +108,10 @@ class DiagramFile(Record):
 
 
 def _parse_int(tok, line, what):
-    if not _INT_RE.fullmatch(tok):
-        raise DiagramSyntaxError(f"expected integer {what}, got {tok!r}", line=line)
-    return int(tok)
+    try:
+        return parse_int(tok)
+    except ValueError:
+        raise DiagramSyntaxError(f"expected integer {what}, got {tok!r}", line=line) from None
 
 
 def parse_file(text):

@@ -1,4 +1,37 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one number grammar
+of its inputs.
+
+Every integer a file or an option spells is ASCII [+-]?[0-9]+, and every
+rational [+-]?[0-9]+(/[0-9]+)?.  Python's int() and Fraction() also take
+`1_0`, surrounding spaces, any Unicode decimal digit, and decimals such as
+`.5` or `1e3`; the readers here take none of them.  Every subcommand
+imports this module, so both readers cost no extra load; `fractions` is
+imported inside `parse_rational`, which only the germ side calls.
+"""
+
+
+def _is_int(text):
+    """True when `text` is [+-]?[0-9]+."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdigit()
+
+
+def parse_int(text):
+    """The integer `text` spells as [+-]?[0-9]+; ValueError otherwise."""
+    if not _is_int(text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
+def parse_rational(text):
+    """The Fraction `text` spells as [+-]?[0-9]+(/[0-9]+)?; ValueError
+    otherwise, and on a zero denominator."""
+    from fractions import Fraction
+
+    num, slash, den = text.partition("/")
+    if not (_is_int(num) and (not slash or den.isascii() and den.isdigit() and int(den))):
+        raise ValueError(f"expected a rational p or p/q, got {text!r}")
+    return Fraction(int(num), int(den) if slash else 1)
 
 
 class EqsingError(Exception):

@@ -24,6 +24,8 @@ from .errors import (
     NotIntegerError,
     NotInvariantError,
     TableTooLargeError,
+    parse_int,
+    parse_rational,
 )
 from .record import Record
 
@@ -103,7 +105,6 @@ def germ(terms, m, n, corner=False):
     return PolyGerm(variables=names, terms=tuple(terms.items()), blocks=blocks)
 
 
-_INT_RE = re.compile(r"[+-]?[0-9]+")  # diagram's too: `mu` does not load diagram
 _TERM_RE = re.compile(r"^([xy])([0-9]+)(?:\^([0-9]+))?$")
 
 
@@ -112,8 +113,10 @@ def parse_germ(text, corner=False):
 
     `vars x:<m> y:<n>` header, naming x and y once each, then one term per line:
     `<rational_coef> <monomial>` with monomials like `x1^4`, `x1^2*x2^2`.
-    A header whose monomials up to degree 1 are over the listing bound
-    (`_check_table`) is a TableTooLargeError, raised before any term is read.
+    Counts and coefficients follow `errors.parse_int` and `parse_rational`,
+    and indices and exponents are [0-9]+.  A header whose monomials up to
+    degree 1 are over the listing bound (`_check_table`) is a
+    TableTooLargeError, raised before any term is read.
     """
     m = n = None
     terms = {}
@@ -130,9 +133,7 @@ def parse_germ(text, corner=False):
                 if sorted(p[0] for p in pairs) != ["x", "y"]:
                     raise ValueError
                 spec = dict(pairs)
-                if not all(map(_INT_RE.fullmatch, spec.values())):
-                    raise ValueError
-                m, n = int(spec["x"]), int(spec["y"])
+                m, n = parse_int(spec["x"]), parse_int(spec["y"])
                 if m < 0 or n < 0:
                     raise ValueError
             except ValueError:
@@ -148,8 +149,8 @@ def parse_germ(text, corner=False):
                 "expected `<rational_coef> <monomial>`", line=lineno
             )
         try:
-            coef = Fraction(toks[0])
-        except (ValueError, ZeroDivisionError):
+            coef = parse_rational(toks[0])
+        except ValueError:
             raise DiagramSyntaxError(f"bad coefficient {toks[0]!r}", line=lineno)
         exps = [0] * (m + n)
         if toks[1] != "1":

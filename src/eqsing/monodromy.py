@@ -31,13 +31,21 @@ when the reflection fixes r.  The one matrix is the certificate of an
 infinite group, a MonodromyElement.
 
 Everything runs on tuples of Python ints, so no entry can overflow.
+
+The last section is the simplicity criterion on one diagram+action file,
+`run_analysis`: inertia of the restricted form, cross-checked by the
+finiteness decision.  It lives here, not in `catalog`, so that `analyze`
+does not load the family table.
 """
 import itertools
 from math import gcd
 
 from . import linalg
-from .action import isotypic_sublattice, signed_orbits
+from .action import GroupAction, isotypic_sublattice, signed_orbits
+from .diagram import to_lattice
 from .errors import (
+    CriterionMismatchError,
+    DiagramError,
     GeneratorError,
     InternalError,
     IsotropicCycleError,
@@ -45,7 +53,7 @@ from .errors import (
     NotIsometryError,
     OrbitNotOrthogonalError,
 )
-from .lattice import IntLattice, inertia
+from .lattice import IntLattice, inertia, kernel_basis
 from .record import Record
 
 
@@ -547,3 +555,81 @@ def _index2_witness(matrix):
         if not linalg.is_zero_vec(img):
             return tuple(cand), img
     raise InternalError("no index-2 witness: element is not a nontrivial unipotent")
+
+
+# --------------------------------------------------------------------------
+# the simplicity criterion
+
+
+def action_from_file(dfile):
+    """(GroupAction, chi) for a parsed diagram file: chi is the file's
+    character as signs in generator order, all +1 when it names none; the
+    action is trivial when the file declares no generator.  `DiagramFile`
+    has checked each generator against the vertex set, so no lookup fails."""
+    index = {v: k for k, v in enumerate(dfile.diagram.vertex_ids())}
+    gens = tuple((name, tuple((index[j], s) for _, j, s in sorted(images)))
+                 for name, images in dfile.generators)
+    action = GroupAction(generators=gens, lattice=to_lattice(dfile.diagram))
+    if dfile.character is None:
+        return action, (1,) * len(gens)
+    return action, tuple(v for _, v in dfile.character)
+
+
+class AnalysisOutcome(Record):
+    """Everything the criterion produces for one diagram+action input.
+
+    `generators` holds the roots e_1, ..., e_r of the orbit reflections
+    h_1, ..., h_r, in sublattice coordinates; no matrix is built for them.
+    `kernel` is in sublattice coordinates, `kernel_ambient` in ambient ones.
+    `criteria_agree` is always true: `run_analysis` raises
+    CriterionMismatchError instead of returning a disagreement.
+    """
+
+    __slots__ = ("sublattice", "generators", "inertia", "kernel", "verdict")
+
+    criteria_agree = True
+
+    @property
+    def simple(self):
+        return self.inertia.negative_definite
+
+    @property
+    def kernel_ambient(self):
+        return tuple(self.sublattice.embed(v) for v in self.kernel)
+
+
+def run_analysis(dfile, cap=10**6):
+    """Full pipeline: action validation, isotypic restriction, inertia and
+    kernel, orbit reflections, finiteness with certificate.
+
+    The diagram must have self-intersection -2 on every vertex, the
+    paper's convention, or DiagramError names the first vertex without.
+    `simple` is the paper's criterion, negative definiteness of the
+    restricted form.  The monodromy verdict, which may be Unknown at the
+    cap, cross-checks it: on such a diagram a decided verdict is finite
+    exactly when the form is negative definite (notes/decisions.md), and
+    CriterionMismatchError reports a disagreement as a defect, and
+    InternalError one between the inertia's n_zero and the kernel rank.
+    The inertia is computed once and handed to `generate_group`.
+    """
+    diagram = dfile.diagram
+    if not diagram.all_self_minus_two():
+        i, s = next(v for v in diagram.vertices if v[1] != -2)
+        raise DiagramError(f"vertex {i} has self-intersection {s}; "
+                           "the criterion takes -2 on every vertex")
+    action, chi = action_from_file(dfile)
+    sub, roots = equivariant_generators(action, chi)
+    lattice = sub.lattice()
+    sig = inertia(lattice)
+    ker = kernel_basis(lattice)
+    if sig.n_zero != len(ker):
+        raise InternalError(f"inertia has {sig.n_zero} zero squares but the kernel "
+                            f"has rank {len(ker)}")
+    verdict = generate_group(sub.restricted_gram, roots, cap=cap, sig=sig)
+    if verdict.kind != "unknown" and sig.negative_definite != (verdict.kind == "finite"):
+        raise CriterionMismatchError(
+            f"negative definiteness and finiteness disagree "
+            f"(inertia {sig.as_tuple()}, verdict {verdict})"
+        )
+    return AnalysisOutcome(sublattice=sub, generators=roots, inertia=sig, kernel=ker,
+                           verdict=verdict)

@@ -18,19 +18,17 @@ import time
 from math import factorial
 
 from eqsing import linalg
-from eqsing.catalog import (
-    action_from_file,
-    fixture_file,
-    normal_form,
-    quasihomogeneous_weights,
-    run_analysis,
-    weyl_order,
-)
+from eqsing.catalog import fixture_file, normal_form, quasihomogeneous_weights, weyl_order
 from eqsing.diagram import DiagramFile, DynkinDiagram, parse_file, serialize, to_lattice
 from eqsing.errors import NonIntegralReflectionError
 from eqsing.lattice import IntLattice, inertia, kernel_basis
 from eqsing.localalg import germ, milnor_number, quasihomogeneous_mu
-from eqsing.monodromy import equivariant_generators, power_law_check
+from eqsing.monodromy import (
+    action_from_file,
+    equivariant_generators,
+    power_law_check,
+    run_analysis,
+)
 from oracles import box_signs, pl_reflection, product, reflections, word_element
 
 

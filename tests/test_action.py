@@ -8,7 +8,7 @@ import pytest
 
 from eqsing import linalg
 from eqsing.action import GroupAction, isotypic_sublattice, signed_orbits, validate_action
-from eqsing.catalog import action_from_file, fixture_file
+from eqsing.catalog import fixture_file
 from eqsing.diagram import DiagramFile, DynkinDiagram
 from eqsing.errors import (
     DiagramError,
@@ -20,6 +20,7 @@ from eqsing.errors import (
 )
 from eqsing.lattice import IntLattice, Sublattice
 from eqsing.localalg import LocalAlgebraReport
+from eqsing.monodromy import action_from_file
 from oracles import (
     character_projection,
     group_elements,

@@ -8,15 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from eqsing import catalog, linalg
+from eqsing import catalog, linalg, monodromy
 from eqsing.action import isotypic_sublattice, signed_orbits
 from eqsing.catalog import (
-    action_from_file,
     confining_list,
     fixture_file,
     normal_form,
     quasihomogeneous_weights,
-    run_analysis,
     weyl_order,
 )
 from eqsing.diagram import DiagramFile
@@ -31,7 +29,13 @@ from eqsing.errors import (
 )
 from eqsing.lattice import IntLattice, inertia
 from eqsing.localalg import milnor_number, quasihomogeneous_mu
-from eqsing.monodromy import Finite, Infinite, equivariant_generators
+from eqsing.monodromy import (
+    Finite,
+    Infinite,
+    action_from_file,
+    equivariant_generators,
+    run_analysis,
+)
 from oracles import (
     closure_naive,
     equivariant_generators_by_projector,
@@ -371,7 +375,7 @@ def test_criteria_agreement_flag_on_incoherent_input(monkeypatch):
         run_analysis(flipped_a2)
     # with -2 on every vertex the decided criteria agree, so a disagreement
     # is a defect: here a finite verdict on M5's semidefinite form
-    monkeypatch.setattr(catalog, "generate_group", lambda gram, roots, cap, sig: Finite(order=1))
+    monkeypatch.setattr(monodromy, "generate_group", lambda gram, roots, cap, sig: Finite(order=1))
     with pytest.raises(CriterionMismatchError, match="disagree") as info:
         run_analysis(fixture_file("M5"))
     assert isinstance(info.value, InternalError)

@@ -7,12 +7,14 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from eqsing.cli import main
 from eqsing.diagram import serialize
+from eqsing.errors import parse_int, parse_rational
 from oracles import random_action_file
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -202,10 +204,10 @@ def test_analyze_internal_error_exit_two(monkeypatch):
 def test_analyze_nullity_mismatch_exit_two(monkeypatch):
     # the zero squares of the inertia and the kernel rank come from two
     # independent eliminations; a kernel short of a vector is a fault
-    from eqsing import catalog
+    from eqsing import monodromy
 
-    kernel_basis = catalog.kernel_basis
-    monkeypatch.setattr(catalog, "kernel_basis", lambda lat: kernel_basis(lat)[1:])
+    kernel_basis = monodromy.kernel_basis
+    monkeypatch.setattr(monodromy, "kernel_basis", lambda lat: kernel_basis(lat)[1:])
     code, out, err = run_cli("analyze", str(FIXTURES / "m5.diagram"))
     assert code == 2
     assert out == ""
@@ -348,15 +350,33 @@ _X9_POLY = "vars x:0 y:2\n" + _X9_TERMS
 _M5_POLY = "vars x:2 y:0\n1 x1^4\n1 x2^4\n1 x1^2*x2^2\n"
 
 
-# integers that Python's int() reads but the file formats do not: each is
-# ASCII [+-]?[0-9]+.  id: (argv, file text, the line at fault)
-_LOOSE_INTEGERS = {
+# numbers that Python's int() or Fraction() reads but the file formats do
+# not: each integer is ASCII [+-]?[0-9]+ and each coefficient
+# [+-]?[0-9]+(/[0-9]+)?.  id: (argv, file text, the line at fault)
+_LOOSE_NUMBERS = {
     "image-second-sign": (["analyze", "{file}"],
                           "vertex 1 self=-2\ngenerator s 1:-+1\ncharacter s=-1\n", 2),
     "vertex-underscore": (["analyze", "{file}"], "vertex 1_0 self=-2\n", 1),
     "vertex-arabic-indic": (["analyze", "{file}"], "vertex \u0661 self=-2\n", 1),
     "vars-underscore": (["mu", "{file}"], "vars x:0_0 y:1\n1 y1^3\n", 1),
     "exponent-arabic-indic": (["mu", "{file}"], "vars x:0 y:1\n1 y1^\u0663\n", 2),
+    "coefficient-underscore": (["mu", "{file}"], "vars x:0 y:1\n1_0 y1^3\n", 2),
+    "coefficient-exponent": (["mu", "{file}"], "vars x:0 y:1\n1e3 y1^3\n", 2),
+    "coefficient-decimal": (["mu", "{file}"], "vars x:0 y:1\n.5 y1^3\n", 2),
+    "coefficient-arabic-indic": (["mu", "{file}"], "vars x:0 y:1\n\u0661 y1^3\n", 2),
+}
+
+# the same numbers in options, refused by the same two readers
+_LOOSE_OPTIONS = {
+    "k-arabic-indic": ["catalog", "verdict", "A", "--k", "\u0661"],
+    "emit-k-underscore": ["catalog", "emit", "A", "--k", "1_0"],
+    "m-underscore": ["catalog", "emit", "A", "--k", "2", "--poly", "--m", "1_0"],
+    "n-arabic-indic": ["catalog", "emit", "A", "--k", "2", "--poly", "--n", "\u0662"],
+    "max-degree-underscore": ["mu", "{file}", "--max-degree", "2_4"],
+    "oracle-decimal": ["mu", "{file}", "--oracle", ".5"],
+    "oracle-arabic-indic": ["mu", "{file}", "--oracle", "\u0661/3"],
+    "modulus-arabic-indic": ["catalog", "emit", "X9", "--poly", "--modulus", "\u0661/\u0662"],
+    "modulus-zero-denominator": ["catalog", "emit", "X9", "--poly", "--modulus", "1/0"],
 }
 
 
@@ -384,14 +404,15 @@ _LOOSE_INTEGERS = {
     (["catalog", "verdict", "E6", "--cap", "-5"], None),
     (["analyze", str(FIXTURES / "m5.diagram"), "--cap", "-5"], None),
     (["catalog", "verdict", "A", "--k", "2", "--cap", "\u0661\u0660"], None),
-    *((argv, text) for argv, text, _ in _LOOSE_INTEGERS.values()),
+    *((argv, text) for argv, text, _ in _LOOSE_NUMBERS.values()),
+    *((argv, _A2_POLY) for argv in _LOOSE_OPTIONS.values()),
 ], ids=["constant-term", "negative-count", "zero-denominator", "oracle-1/0",
         "oracle-abc", "oracle-2/3", "oracle-too-many-weights", "oracle-too-few-weights",
         "oracle-term-degree-not-1", "mu-character-option", "mu-not-utf8", "analyze-not-utf8",
         "negative-max-degree", "mu-table-too-large", "vars-unknown-key",
         "vars-key-twice", "modulus-abc", "emit-m-without-poly",
         "emit-n-without-poly", "emit-modulus-without-poly", "verdict-negative-cap",
-        "analyze-negative-cap", "cap-arabic-indic", *_LOOSE_INTEGERS])
+        "analyze-negative-cap", "cap-arabic-indic", *_LOOSE_NUMBERS, *_LOOSE_OPTIONS])
 def test_bad_input_exits_two(tmp_path, argv, text):
     # a refused input is exit 2 with one error line: never a traceback, and
     # never an exit code that reads as a verdict
@@ -409,9 +430,23 @@ def test_bad_input_exits_two(tmp_path, argv, text):
     assert len([l for l in err.getvalue().splitlines() if "error:" in l]) == 1
 
 
-@pytest.mark.parametrize("name", _LOOSE_INTEGERS)
+def test_one_number_grammar():
+    # errors.parse_int and parse_rational read what the grammar spells and
+    # nothing else that int() or Fraction() would take
+    assert [parse_int(t) for t in ("0", "+7", "-12", "007")] == [0, 7, -12, 7]
+    assert [parse_rational(t) for t in ("3", "-3/6", "+0/5")] == [3, Fraction(-1, 2), 0]
+    for bad in ("", "+", "1_0", " 1", "1\n", "\u0661", "1.0", "1e3", "0x1", "+-1", "\u00b2"):
+        with pytest.raises(ValueError):
+            parse_int(bad)
+    for bad in ("", "1/", "/2", "1/0", "1/-2", "1/+2", "1/2/3", ".5", "1e3", "1_0/2",
+                "\u0661/2", "1/\u0662", " 1/2", "1 /2"):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
+
+@pytest.mark.parametrize("name", _LOOSE_NUMBERS)
 def test_loose_integer_is_refused_on_its_line(tmp_path, name):
-    argv, text, line = _LOOSE_INTEGERS[name]
+    argv, text, line = _LOOSE_NUMBERS[name]
     path = tmp_path / "probe"
     path.write_text(text)
     code, out, err = run_cli(*(a.format(file=path) for a in argv))
@@ -443,7 +478,8 @@ def test_package_exports_resolve():
 
 def test_cli_import_does_not_load_numpy(tmp_path):
     # a fresh process loads the layers its subcommand runs and no others,
-    # and no `dataclasses`: the modules it adds to a bare interpreter's
+    # and no `dataclasses`; a lattice request loads no `fractions` and
+    # `analyze` no family table: the modules it adds to a bare interpreter's
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     script = ("import sys, eqsing.cli\n"
               "if sys.argv[1:]: eqsing.cli.main(sys.argv[1:])\n"
@@ -463,15 +499,18 @@ def test_cli_import_does_not_load_numpy(tmp_path):
     assert packages == {"eqsing", "eqsing.cli", "eqsing.errors"}
     poly = tmp_path / "x9.poly"
     poly.write_text(_X9_POLY)
-    lattice_layers = {f"eqsing.{m}" for m in ("catalog", "monodromy", "action", "diagram",
-                                               "lattice")}
+    lattice_layers = {f"eqsing.{m}" for m in ("monodromy", "action", "diagram", "lattice")}
+    rationals = {"fractions", "decimal", "numbers"}
     mu = loaded("mu", str(poly), "--oracle", "1/4,1/4")
     assert "eqsing.localalg" in mu
-    assert not mu & (lattice_layers | {"eqsing.linalg", "numpy", "dataclasses"})
-    for argv in (["analyze", str(FIXTURES / "m5.diagram")], ["catalog", "verdict", "E6"]):
-        verdict = loaded(*argv)
-        assert lattice_layers <= verdict
-        assert not verdict & {"eqsing.localalg", "numpy", "dataclasses"}
+    assert not mu & (lattice_layers | {"eqsing.catalog", "eqsing.linalg", "numpy",
+                                       "dataclasses"})
+    analyze = loaded("analyze", str(FIXTURES / "m5.diagram"))
+    verdict = loaded("catalog", "verdict", "E6")
+    assert lattice_layers <= analyze and lattice_layers | {"eqsing.catalog"} <= verdict
+    assert "eqsing.catalog" not in analyze
+    for request in (analyze, verdict):
+        assert not request & (rationals | {"eqsing.localalg", "numpy", "dataclasses"})
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     requirements = project["dependencies"] + [

@@ -6,10 +6,17 @@ import time
 import pytest
 
 from eqsing import linalg, monodromy
-from eqsing.catalog import action_from_file, fixture_file, run_analysis, weyl_order
+from eqsing.catalog import fixture_file, weyl_order
 from eqsing.errors import EqsingError
 from eqsing.lattice import IntLattice, inertia
-from eqsing.monodromy import Finite, Unknown, equivariant_generators, generate_group
+from eqsing.monodromy import (
+    Finite,
+    Unknown,
+    action_from_file,
+    equivariant_generators,
+    generate_group,
+    run_analysis,
+)
 from oracles import closure_naive, pl_reflection
 from test_semidefinite import AFFINE_E8_A1, _basis
 

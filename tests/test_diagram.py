@@ -1,8 +1,10 @@
 """Diagram codec: parsing, serialization, the fig1 encoding gate."""
+import random
+
 import pytest
 
 from eqsing.action import isotypic_sublattice
-from eqsing.catalog import action_from_file, fixture_file
+from eqsing.catalog import fixture_file
 from eqsing.diagram import (
     DiagramFile,
     DynkinDiagram,
@@ -16,7 +18,8 @@ from eqsing.errors import (
     DuplicateEdgeError,
     DuplicateVertexError,
 )
-from oracles import product
+from eqsing.monodromy import action_from_file
+from oracles import product, random_action_file
 
 A2_TEXT = """\
 vertex 1 self=-2
@@ -71,6 +74,7 @@ def test_zero_weight_rejected():
     pytest.param((1, 2), ((1, 7, 1),), DanglingEdgeError, id="dangling end"),
     pytest.param((1, 2), ((1, 2, 1), (2, 1, -1)), DuplicateEdgeError, id="duplicate edge"),
     pytest.param((1, 2, 1), (), DuplicateVertexError, id="duplicate vertex"),
+    pytest.param((2, -1), (), DiagramSyntaxError, id="negative id"),
 ])
 def test_diagram_checks_carry_the_line_when_parsed(vertices, edges, error):
     # the same check serves both routes; only the parser knows the line
@@ -120,6 +124,17 @@ def test_roundtrip_parse_serialize():
     # nontrivial weights survive the round trip
     d = DynkinDiagram(vertices=((1, -2), (2, -4)), edges=((1, 2, 3),))
     assert parse_file(serialize(d)).diagram == d
+    # an image token carries one sign, the image's, so a diagram refuses a
+    # negative vertex id, which could be written but not read back; the
+    # least id it takes, 0, gets a sign of its own
+    d = DynkinDiagram(vertices=((0, -2), (2, -2)), edges=((0, 2, 1),))
+    df = DiagramFile(d, (("s", ((0, 2, -1), (2, 0, -1))),), (("s", -1),))
+    assert "generator s 0:-2 2:-0" in serialize(df)
+    assert parse_file(serialize(df)) == df
+    rng = random.Random(0)
+    for _ in range(200):
+        df = random_action_file(rng)
+        assert parse_file(serialize(df)) == df
 
 
 def test_serialization_is_byte_stable():

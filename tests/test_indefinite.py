@@ -5,13 +5,13 @@ import random
 import pytest
 
 from eqsing import linalg
-from eqsing.catalog import action_from_file
 from eqsing.errors import EqsingError
 from eqsing.lattice import IntLattice, inertia
 from eqsing.monodromy import (
     Finite,
     Infinite,
     Unknown,
+    action_from_file,
     equivariant_generators,
     generate_group,
 )

@@ -176,7 +176,8 @@ def test_kernel_properties_random():
 def test_analysis_runs_no_rank_or_saturation(monkeypatch):
     # the isotypic kernel is saturated and in Hermite normal form already,
     # so no call runs the checked constructor's rank and saturation tests
-    from eqsing.catalog import fixture_file, run_analysis
+    from eqsing.catalog import fixture_file
+    from eqsing.monodromy import run_analysis
 
     calls = []
 
@@ -201,9 +202,8 @@ def test_analysis_computes_the_inertia_once(monkeypatch):
         calls.append(lat.gram)
         return _original(lat)
 
-    monkeypatch.setattr(catalog, "inertia", counted)
     monkeypatch.setattr(monodromy, "inertia", counted)
-    out = catalog.run_analysis(catalog.fixture_file("E6"))
+    out = monodromy.run_analysis(catalog.fixture_file("E6"))
     assert out.verdict.kind == "finite"
     assert calls == [out.sublattice.restricted_gram]
 
@@ -265,7 +265,8 @@ def test_sublattice_embed_and_coordinates():
 
 def test_coordinates_round_trip_on_fixture_sublattices():
     from eqsing.action import isotypic_sublattice
-    from eqsing.catalog import action_from_file, fixture_file
+    from eqsing.catalog import fixture_file
+    from eqsing.monodromy import action_from_file
 
     fixtures = (
         [("A", k) for k in range(1, 9)] + [("D", k) for k in (4, 5, 6)]

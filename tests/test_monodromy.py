@@ -5,7 +5,7 @@ import pytest
 
 from eqsing import lattice, linalg, monodromy
 from eqsing.action import GroupAction, signed_orbits
-from eqsing.catalog import action_from_file, fixture_file
+from eqsing.catalog import fixture_file
 from eqsing.errors import (
     EqsingError,
     GeneratorError,
@@ -25,6 +25,7 @@ from eqsing.monodromy import (
     _check_orbit_product,
     _mirror,
     _reflect,
+    action_from_file,
     equivariant_generators,
     generate_group,
     power_law_check,
@@ -244,7 +245,6 @@ def test_analysis_walks_the_signed_orbits_once(monkeypatch):
     # equivariant_generators hands its walk to isotypic_sublattice, which
     # would otherwise walk the same orbits again
     from eqsing import action as action_module
-    from eqsing import catalog
 
     calls = []
 
@@ -254,7 +254,7 @@ def test_analysis_walks_the_signed_orbits_once(monkeypatch):
 
     monkeypatch.setattr(action_module, "signed_orbits", counted)
     monkeypatch.setattr(monodromy, "signed_orbits", counted)
-    out = catalog.run_analysis(fixture_file("M5"))
+    out = monodromy.run_analysis(fixture_file("M5"))
     assert out.verdict.kind == "infinite"
     assert calls == [(1,)]
 

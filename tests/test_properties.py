@@ -10,11 +10,10 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqsing.catalog import run_analysis
 from eqsing.cli import main
 from eqsing.diagram import parse_file, serialize
 from eqsing.errors import EqsingError, InternalError
-from eqsing.monodromy import Infinite, MonodromyElement, generate_group
+from eqsing.monodromy import Infinite, MonodromyElement, generate_group, run_analysis
 from oracles import closure_naive, random_action_file
 
 

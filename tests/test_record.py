@@ -8,11 +8,11 @@ import pickle
 import pytest
 
 from eqsing.action import GroupAction
-from eqsing.catalog import FamilyEntry, fixture_file, run_analysis
+from eqsing.catalog import FamilyEntry, fixture_file
 from eqsing.diagram import DiagramFile, DynkinDiagram
 from eqsing.lattice import Inertia, IntLattice, Sublattice
 from eqsing.localalg import LocalAlgebraReport, PolyGerm
-from eqsing.monodromy import Finite, Infinite, MonodromyElement, Unknown
+from eqsing.monodromy import Finite, Infinite, MonodromyElement, Unknown, run_analysis
 
 A2_GRAM = ((-2, 1), (1, -2))
 

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from eqsing import linalg
-from eqsing.catalog import action_from_file, fixture_file, run_analysis
+from eqsing.catalog import fixture_file
 from eqsing.diagram import DiagramFile, DynkinDiagram
 from eqsing.errors import EqsingError
 from eqsing.lattice import IntLattice, inertia
@@ -14,8 +14,10 @@ from eqsing.monodromy import (
     Finite,
     Infinite,
     Unknown,
+    action_from_file,
     equivariant_generators,
     generate_group,
+    run_analysis,
 )
 from oracles import closure_naive, evaluate_word, pl_reflection, reflections
 
