@@ -18,13 +18,7 @@ give c(j) opposite signs, and then the orbit carries none
 """
 import itertools
 
-from .errors import (
-    ActionDataError,
-    NotCommutingError,
-    NotInvolutionError,
-    NotIsometryError,
-    ZeroSublatticeError,
-)
+from .errors import EqsingError
 from .lattice import Sublattice
 from .record import Record
 
@@ -33,7 +27,7 @@ class GroupAction(Record):
     """Named commuting involutive isometries of `lattice`'s form: `generators`
     is ((name, images), ...) with `images` the image table.  The names are
     unique and each table is a bijection of range(rank) with signs +-1, or
-    ActionDataError names the generator; `validate_action` checks the rest."""
+    an EqsingError names the generator; `validate_action` checks the rest."""
 
     __slots__ = ("generators", "lattice")
 
@@ -42,14 +36,14 @@ class GroupAction(Record):
         object.__setattr__(self, "generators", gens)
         names = [n for n, _ in gens]
         if len(set(names)) != len(names):
-            raise ActionDataError("generator names must be unique")
+            raise EqsingError("generator names must be unique")
         cycles = list(range(self.lattice.rank))
         for name, images in gens:
             if sorted(j for j, _ in images) != cycles:
-                raise ActionDataError(f"generator {name} is not a bijection of the "
-                                      f"{len(cycles)} basis cycles")
+                raise EqsingError(f"generator {name} is not a bijection of the "
+                                  f"{len(cycles)} basis cycles")
             if any(s not in (1, -1) for _, s in images):
-                raise ActionDataError(f"generator {name} has a sign other than +1 or -1")
+                raise EqsingError(f"generator {name} has a sign other than +1 or -1")
 
 
 def validate_action(action):
@@ -67,20 +61,20 @@ def validate_action(action):
             for j, (pj, sj) in enumerate(images):
                 # entry (i, j) of sigma^T G sigma against G[i][j]
                 if si * sj * G[pi][pj] != G[i][j]:
-                    raise NotIsometryError(
+                    raise EqsingError(
                         f"generator {name} does not preserve the form (entry {(i, j)})"
                     )
     identity = tuple((j, 1) for j in range(action.lattice.rank))
     for name, g in action.generators:
         bad = _first_difference(_compose(g, g), identity)
         if bad is not None:
-            raise NotInvolutionError(
+            raise EqsingError(
                 f"generator {name} is not an involution (entry {bad} of sigma^2)"
             )
     for (na, a), (nb, b) in itertools.combinations(action.generators, 2):
         bad = _first_difference(_compose(a, b), _compose(b, a))
         if bad is not None:
-            raise NotCommutingError(f"generators {na}, {nb} do not commute (entry {bad})")
+            raise EqsingError(f"generators {na}, {nb} do not commute (entry {bad})")
     return None
 
 
@@ -109,14 +103,14 @@ def signed_orbits(action, chi):
     with sigma(e_i) = s e_j; `cycle` is sum c(j) e_j in ambient coordinates,
     or None when two paths give some c(j) opposite signs.  O(n m) for n
     cycles and m generators; reads only the image tables and does not
-    validate the action.  ActionDataError unless chi has one entry +-1 per
+    validate the action.  EqsingError unless chi has one entry +-1 per
     generator.
     """
     if len(chi) != len(action.generators):
-        raise ActionDataError(f"character has {len(chi)} values for "
-                              f"{len(action.generators)} generators")
+        raise EqsingError(f"character has {len(chi)} values for "
+                          f"{len(action.generators)} generators")
     if any(c not in (1, -1) for c in chi):
-        raise ActionDataError("character values must be +1 or -1")
+        raise EqsingError("character values must be +1 or -1")
     moves = [(c, images) for c, (_, images) in zip(chi, action.generators)]
     n = action.lattice.rank
     sign = [0] * n
@@ -150,13 +144,12 @@ def isotypic_sublattice(action, chi, orbits=None):
     (`signed_orbits`, or `orbits` when the caller has walked them), by
     least index.  They have disjoint supports, entries +-1 and leading
     entry +1, so they span a saturated sublattice and are its Hermite
-    normal form already.  Raises ZeroSublatticeError when no orbit carries
-    one.
+    normal form already.  Raises EqsingError when no orbit carries one.
     """
     validate_action(action)
     if orbits is None:
         orbits = signed_orbits(action, chi)
     basis = tuple(cycle for _, cycle in orbits if cycle is not None)
     if not basis:
-        raise ZeroSublatticeError("isotypic sublattice is zero; nothing to restrict to")
+        raise EqsingError("isotypic sublattice is zero; nothing to restrict to")
     return Sublattice._canonical(action.lattice, basis)

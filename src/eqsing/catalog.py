@@ -24,7 +24,7 @@ from importlib import resources
 from math import factorial
 
 from .diagram import DiagramFile, DynkinDiagram, parse_file
-from .errors import BadParameterError, NoFixtureError
+from .errors import EqsingError
 from .monodromy import run_analysis
 from .record import Record
 
@@ -191,7 +191,7 @@ SIMPLE_SYMBOLS = tuple(s for s, e in FAMILIES.items() if e.kind == "simple")
 def confining_list(setting):
     """Confining families for the requested setting, M5/M4 last."""
     if setting not in ("z2", "corner"):
-        raise BadParameterError(f"unknown setting {setting!r} (use z2 or corner)")
+        raise EqsingError(f"unknown setting {setting!r} (use z2 or corner)")
     return tuple(
         e for e in FAMILIES.values()
         if e.kind == "confining" and e.setting in (setting, "both")
@@ -203,21 +203,21 @@ def _family(symbol, k, m, n):
     symbol = symbol.upper()
     entry = FAMILIES.get(symbol)
     if entry is None:
-        raise BadParameterError(f"unknown family symbol {symbol!r}")
+        raise EqsingError(f"unknown family symbol {symbol!r}")
     if entry.k_min is not None:
         if k is None:
-            raise BadParameterError(f"{symbol} requires the index k")
+            raise EqsingError(f"{symbol} requires the index k")
         if not isinstance(k, int):
-            raise BadParameterError(f"{symbol}: k must be an integer, got {k!r}")
+            raise EqsingError(f"{symbol}: k must be an integer, got {k!r}")
         if k < entry.k_min:
-            raise BadParameterError(f"{symbol}: k must be >= {entry.k_min}, got {k}")
+            raise EqsingError(f"{symbol}: k must be >= {entry.k_min}, got {k}")
     elif k is not None:
-        raise BadParameterError(f"{symbol} takes no index k")
+        raise EqsingError(f"{symbol} takes no index k")
     mmin, nmin = entry.min_vars
     m = mmin if m is None else m
     n = nmin if n is None else n
     if m < mmin or n < nmin:
-        raise BadParameterError(f"{symbol} needs at least m={mmin}, n={nmin} variables")
+        raise EqsingError(f"{symbol} needs at least m={mmin}, n={nmin} variables")
     return entry, m, n
 
 
@@ -225,7 +225,8 @@ def normal_form(symbol, k=None, m=None, n=None, modulus=None):
     """Instantiate a family's normal-form polynomial as a PolyGerm.
 
     Extra x/y variables beyond the template minimum are filled with
-    squares (stabilization).  Confining families require their modulus.
+    squares (stabilization).  Confining families require their modulus, a
+    number; a string is refused (the CLI reads one with `parse_rational`).
     M4 is built with the corner (Z2^m) block structure, everything else
     with the single-Z2 action negating all x's.
     """
@@ -235,16 +236,19 @@ def normal_form(symbol, k=None, m=None, n=None, modulus=None):
     a = None
     if entry.kind == "confining":
         if modulus is None:
-            raise BadParameterError(f"{entry.symbol} requires the modulus a")
+            raise EqsingError(f"{entry.symbol} requires the modulus a")
+        bad = EqsingError(f"{entry.symbol}: bad modulus {modulus!r}")
+        if isinstance(modulus, str):
+            raise bad
         try:
             a = Fraction(modulus)
         except (TypeError, ValueError, ZeroDivisionError):
-            raise BadParameterError(f"{entry.symbol}: bad modulus {modulus!r}")
+            raise bad from None
         if entry.excluded(a):
-            raise BadParameterError(f"{entry.symbol}: modulus excluded by "
-                                    f"{entry.modulus_rule} (a={a})")
+            raise EqsingError(f"{entry.symbol}: modulus excluded by "
+                              f"{entry.modulus_rule} (a={a})")
     elif modulus is not None:
-        raise BadParameterError(f"{entry.symbol} takes no modulus")
+        raise EqsingError(f"{entry.symbol} takes no modulus")
     from .localalg import _check_table, parse_germ  # verdicts never load localalg
     _check_table(m + n, 1)  # the header's bound, before m + n lines are built
     mmin, nmin = entry.min_vars
@@ -286,13 +290,13 @@ def fixture_file(symbol, k=None):
     symbol = symbol.upper()
     entry = FAMILIES.get(symbol)
     if entry is None or entry.fixture is None:
-        raise NoFixtureError(f"no bundled fixture for family {symbol}")
+        raise EqsingError(f"no bundled fixture for family {symbol}")
     if entry.fixture_k is not None:
         lo, hi = entry.fixture_k
         if k is None or not lo <= k <= hi:
-            raise NoFixtureError(
+            raise EqsingError(
                 f"{symbol} fixtures are bundled for {lo} <= k <= {hi} (got k={k})"
             )
     elif k is not None:
-        raise BadParameterError(f"{symbol} takes no index k")
+        raise EqsingError(f"{symbol} takes no index k")
     return entry.fixture(k)

@@ -296,7 +296,9 @@ def _rational(text):
 
 
 _CAP_HELP = ("bound on the roots the finiteness search records, on every "
-             "form; the verdict is Unknown beyond it")
+             "form; the verdict is Unknown beyond it, or beyond a fixed bound "
+             "on recorded entries (roots times rank, "
+             "monodromy.MAX_ROOT_ENTRIES), whichever comes first")
 
 
 def build_parser():

@@ -18,14 +18,7 @@ Every integer is ASCII [+-]?[0-9]+ (`errors.parse_int`).  Vertex ids are
 Serialization is byte-stable: vertices in ascending id order, edges in
 lexicographic order, generators in declaration order.
 """
-from .errors import (
-    DanglingEdgeError,
-    DiagramError,
-    DiagramSyntaxError,
-    DuplicateEdgeError,
-    DuplicateVertexError,
-    parse_int,
-)
+from .errors import DiagramError, parse_int
 from .lattice import IntLattice
 from .record import Record
 
@@ -41,26 +34,26 @@ class DynkinDiagram(Record):
         ids = set()
         for k, (i, _) in enumerate(vertices):
             if i < 0:
-                raise DiagramSyntaxError(f"vertex {i}: ids must be >= 0",
-                                         entry=("vertices", k))
+                raise DiagramError(f"vertex {i}: ids must be >= 0",
+                                   entry=("vertices", k))
             if i in ids:
-                raise DuplicateVertexError(f"vertex {i} already declared",
-                                           entry=("vertices", k))
+                raise DiagramError(f"vertex {i} already declared",
+                                   entry=("vertices", k))
             ids.add(i)
         object.__setattr__(self, "vertices", tuple(sorted(vertices)))
         norm = {}
         for k, (i, j, w) in enumerate(self.edges):
             at = ("edges", k)
             if i == j:
-                raise DiagramSyntaxError(f"edge {i} {j}: loops are not allowed", entry=at)
+                raise DiagramError(f"edge {i} {j}: loops are not allowed", entry=at)
             if w == 0:
-                raise DiagramSyntaxError(f"edge {i} {j}: weight must be nonzero", entry=at)
+                raise DiagramError(f"edge {i} {j}: weight must be nonzero", entry=at)
             key = (i, j) if i < j else (j, i)
             if key in norm:
-                raise DuplicateEdgeError(
+                raise DiagramError(
                     f"more than one edge between {key[0]} and {key[1]}", entry=at)
             if i not in ids or j not in ids:
-                raise DanglingEdgeError(f"edge {i} {j} references unknown vertex", entry=at)
+                raise DiagramError(f"edge {i} {j} references unknown vertex", entry=at)
             norm[key] = int(w)
         object.__setattr__(self, "edges", tuple(sorted(k + (w,) for k, w in norm.items())))
 
@@ -83,7 +76,7 @@ class DiagramFile(Record):
     cycle i to sign*cycle j; its sources and its targets are each the vertex
     set.  character: ((name, +1|-1), ...), or None when the file carries no
     character line; it lists every generator, in declaration order, so its
-    values are the character's signs in generator order.  DiagramSyntaxError
+    values are the character's signs in generator order.  DiagramError
     otherwise, for a parsed file and a built one alike.
     """
 
@@ -96,13 +89,13 @@ class DiagramFile(Record):
             for name, images in self.generators:
                 if (sorted(i for i, _, _ in images) != ids
                         or sorted(j for _, j, _ in images) != ids):
-                    raise DiagramSyntaxError(
+                    raise DiagramError(
                         f"generator {name} must map the vertex set bijectively onto itself"
                     )
         if self.character is not None and (
             [n for n, _ in self.character] != [n for n, _ in self.generators]
         ):
-            raise DiagramSyntaxError(
+            raise DiagramError(
                 "character must list every generator, in declaration order"
             )
 
@@ -111,7 +104,7 @@ def _parse_int(tok, line, what):
     try:
         return parse_int(tok)
     except ValueError:
-        raise DiagramSyntaxError(f"expected integer {what}, got {tok!r}", line=line) from None
+        raise DiagramError(f"expected integer {what}, got {tok!r}", line=line) from None
 
 
 def parse_file(text):
@@ -131,7 +124,7 @@ def parse_file(text):
         kind = toks[0]
         if kind == "vertex":
             if len(toks) != 3 or not toks[2].startswith("self="):
-                raise DiagramSyntaxError(
+                raise DiagramError(
                     "expected `vertex <id> self=<int>`", line=lineno
                 )
             vid = _parse_int(toks[1], lineno, "vertex id")
@@ -140,7 +133,7 @@ def parse_file(text):
             vertices.append((vid, s))
         elif kind == "edge":
             if len(toks) != 4 or not toks[3].startswith("w="):
-                raise DiagramSyntaxError("expected `edge <i> <j> w=<int>`", line=lineno)
+                raise DiagramError("expected `edge <i> <j> w=<int>`", line=lineno)
             i = _parse_int(toks[1], lineno, "vertex id")
             j = _parse_int(toks[2], lineno, "vertex id")
             w = _parse_int(toks[3][2:], lineno, "edge weight")
@@ -148,16 +141,16 @@ def parse_file(text):
             edges.append((i, j, w))
         elif kind == "generator":
             if len(toks) < 3:
-                raise DiagramSyntaxError(
+                raise DiagramError(
                     "expected `generator <name> <i>:<±j> ...`", line=lineno
                 )
             name = toks[1]
             if any(name == g for g, _ in generators):
-                raise DiagramSyntaxError(f"generator {name} already declared", line=lineno)
+                raise DiagramError(f"generator {name} already declared", line=lineno)
             images = []
             for t in toks[2:]:
                 if ":" not in t:
-                    raise DiagramSyntaxError(f"bad image token {t!r}", line=lineno)
+                    raise DiagramError(f"bad image token {t!r}", line=lineno)
                 src, dst = t.split(":", 1)
                 i = _parse_int(src, lineno, "source vertex")
                 j = _parse_int(dst, lineno, "target vertex")
@@ -165,27 +158,27 @@ def parse_file(text):
             generators.append((name, tuple(images)))
         elif kind == "character":
             if character is not None:
-                raise DiagramSyntaxError("character already declared", line=lineno)
+                raise DiagramError("character already declared", line=lineno)
             values = []
             for t in toks[1:]:
                 if "=" not in t:
-                    raise DiagramSyntaxError(f"bad character token {t!r}", line=lineno)
+                    raise DiagramError(f"bad character token {t!r}", line=lineno)
                 name, val = t.split("=", 1)
                 if val not in ("+1", "-1", "1"):
-                    raise DiagramSyntaxError(
+                    raise DiagramError(
                         f"character value must be +1 or -1, got {val!r}", line=lineno
                     )
                 values.append((name, 1 if val in ("+1", "1") else -1))
             character = tuple(values)
         else:
-            raise DiagramSyntaxError(f"unknown directive {kind!r}", line=lineno)
+            raise DiagramError(f"unknown directive {kind!r}", line=lineno)
     if not vertices:
-        raise DiagramSyntaxError("file declares no vertices", line=1)
+        raise DiagramError("file declares no vertices", line=1)
     try:
         diagram = DynkinDiagram(vertices=tuple(vertices), edges=tuple(edges))
     except DiagramError as err:
         kind, k = err.entry
-        raise type(err)(err.detail, line=lines[kind][k]) from None
+        raise DiagramError(err.detail, line=lines[kind][k]) from None
     return DiagramFile(diagram=diagram, generators=tuple(generators), character=character)
 
 

@@ -1,5 +1,13 @@
-"""Exception types shared across the toolkit, and the one number grammar
-of its inputs.
+"""The three exception types of the toolkit, and the one number grammar of
+its inputs.
+
+A refusal is an EqsingError, and its message is what tells one refusal
+from another: the CLI prints it as one `error:` line and exits 2.  Only
+two kinds have callers that catch them apart (notes/decisions.md, "An
+error is its message"): an InternalError is a defect, never a verdict, and
+is also the AssertionError a caller of the library may catch; a
+DiagramError carries the file line at fault, which `diagram.parse_file`
+adds to a check of a built diagram.
 
 Every integer a file or an option spells is ASCII [+-]?[0-9]+, and every
 rational [+-]?[0-9]+(/[0-9]+)?.  Python's int() and Fraction() also take
@@ -35,28 +43,24 @@ def parse_rational(text):
 
 
 class EqsingError(Exception):
-    """Base class for all toolkit errors."""
+    """Every refusal of an input the toolkit cannot judge."""
 
 
 class InternalError(EqsingError, AssertionError):
     """An internal invariant failed: inconsistent data or a defect, never a
-    verdict.  It is also an AssertionError, which is what it replaces."""
+    verdict.  Negative definiteness and finiteness disagreeing on a decided
+    verdict is one (notes/decisions.md).  It is also an AssertionError,
+    which is what it replaces."""
 
-
-class NotFoundError(EqsingError, KeyError):
-    """A lookup found nothing: a character a `LocalAlgebraReport` does not
-    list.  Also a KeyError."""
-
-
-# --- diagram file parsing ---
 
 class DiagramError(EqsingError):
-    """Structural or syntactic problem in a diagram file, or a diagram the
-    criterion does not take: a self-intersection other than -2.
+    """A line of a diagram or polynomial file at fault, or a check of a
+    built diagram, or a diagram the criterion does not take.
 
     `line` is the file line at fault, when known.  `entry` is ("vertices"
     or "edges", position) when a check of a DynkinDiagram's input fails, so
-    that a parser can name the line the entry came from.
+    that a parser can name the line the entry came from; `detail` is the
+    message without the line.
     """
 
     def __init__(self, message, line=None, entry=None):
@@ -66,128 +70,3 @@ class DiagramError(EqsingError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class DiagramSyntaxError(DiagramError):
-    pass
-
-
-class DuplicateVertexError(DiagramError):
-    pass
-
-
-class DanglingEdgeError(DiagramError):
-    pass
-
-
-class DuplicateEdgeError(DiagramError):
-    pass
-
-
-# --- lattices and sublattices ---
-
-class LatticeDataError(EqsingError, ValueError):
-    """A Gram matrix or sublattice basis that is not well formed; also a
-    ValueError."""
-
-
-class DependentBasisError(EqsingError):
-    """Input vectors are linearly dependent over the rationals."""
-
-
-# --- group actions ---
-
-class ActionDataError(EqsingError, ValueError):
-    """A signed permutation, character or generator list that is not well
-    formed; also a ValueError."""
-
-
-class ActionError(EqsingError):
-    """A group-action invariant is violated: the message names the
-    generator or generators at fault and the first matrix entry at fault."""
-
-
-class NotInvolutionError(ActionError):
-    pass
-
-
-class NotCommutingError(ActionError):
-    pass
-
-
-class NotIsometryError(ActionError):
-    pass
-
-
-class ZeroSublatticeError(EqsingError):
-    """The character's isotypic sublattice is zero: nothing to restrict to."""
-
-
-# --- monodromy engine ---
-
-class IsotropicCycleError(EqsingError):
-    """Reflection requested in a cycle of self-intersection zero."""
-
-
-class NonIntegralReflectionError(EqsingError):
-    """The Picard-Lefschetz map does not preserve the integer lattice."""
-
-
-class OrbitNotOrthogonalError(EqsingError):
-    """Orbit cycles are not pairwise orthogonal."""
-
-
-class GeneratorError(EqsingError):
-    """Generator roots the finiteness decision cannot take: none at all, or
-    one that is no integer vector of the form's rank."""
-
-
-# --- local algebra ---
-
-class NotCertifiedError(EqsingError):
-    """Quotient dimension could not be certified up to the degree cap.
-
-    Raised both for non-isolated critical points and for an insufficient
-    max_degree; the two are indistinguishable at a finite truncation.
-    """
-
-    def __init__(self, max_degree):
-        self.max_degree = max_degree
-        super().__init__(
-            f"finiteness of the Jacobian quotient not certified at degree {max_degree}"
-        )
-
-
-class TableTooLargeError(EqsingError):
-    """Before finiteness is certified, the monomials the Milnor number would
-    list up to the next degree, n exponents each, are over a fixed bound."""
-
-
-class GermError(EqsingError, ValueError):
-    """Malformed germ data, such as a constant term; also a ValueError."""
-
-
-class NotIntegerError(EqsingError):
-    """Weight data does not yield an integer Milnor number."""
-
-
-class NotInvariantError(EqsingError):
-    """Polynomial is not invariant under the declared group action."""
-
-
-# --- catalog ---
-
-class BadParameterError(EqsingError):
-    """Family parameter outside the allowed range or an excluded modulus."""
-
-
-class NoFixtureError(EqsingError):
-    """No bundled diagram/action fixture for the requested family."""
-
-
-class CriterionMismatchError(InternalError):
-    """Negative definiteness and monodromy finiteness disagree.
-
-    On a diagram with -2 on every vertex the two decided criteria coincide
-    (notes/decisions.md), so a mismatch is a defect, never a verdict.
-    """

@@ -10,7 +10,7 @@ and the kernel rank check each other.
 from math import gcd
 
 from . import linalg
-from .errors import DependentBasisError, LatticeDataError
+from .errors import EqsingError
 from .record import Record
 
 
@@ -27,14 +27,14 @@ class IntLattice(Record):
         n = len(gram)
         for i, row in enumerate(gram):
             if len(row) != n:
-                raise LatticeDataError("gram matrix must be square")
+                raise EqsingError("gram matrix must be square")
             for j in range(n):
                 if gram[i][j] != gram[j][i]:
-                    raise LatticeDataError(f"gram matrix not symmetric at ({i},{j})")
+                    raise EqsingError(f"gram matrix not symmetric at ({i},{j})")
         if self.labels is not None:
             labels = tuple(self.labels)
             if len(labels) != n:
-                raise LatticeDataError("labels length must equal rank")
+                raise EqsingError("labels length must equal rank")
             object.__setattr__(self, "labels", labels)
 
     @property
@@ -137,12 +137,12 @@ class Sublattice(Record):
         if len(set(len(b) for b in basis)) > 1 or (
             basis and len(basis[0]) != ambient.rank
         ):
-            raise LatticeDataError("basis vectors must have ambient rank length")
+            raise EqsingError("basis vectors must have ambient rank length")
         canonical = linalg.hnf(basis)
         if len(canonical) != len(basis):
-            raise DependentBasisError("basis vectors are rationally dependent")
+            raise EqsingError("basis vectors are rationally dependent")
         if canonical != linalg.saturation(basis):
-            raise LatticeDataError("basis does not span a saturated sublattice")
+            raise EqsingError("basis does not span a saturated sublattice")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", canonical)
         object.__setattr__(self, "restricted_gram", _gram_on(ambient, canonical))

@@ -1,13 +1,12 @@
 """Exact integer matrix routines.
 
 Matrices are tuples of tuples of Python ints, row-major.  Everything here
-is exact; no floating point.  Sizes in this toolkit stay small (rank <=
-~12), so the classical algorithm below is the right tool: Hermite normal
-form with transform for integer kernels and saturations.
+is exact; no floating point.  Integer kernels and saturations come from
+the classical Hermite normal form with transform.
 """
 from math import gcd
 
-from .errors import InternalError, LatticeDataError
+from .errors import EqsingError, InternalError
 
 
 def freeze(rows):
@@ -45,7 +44,7 @@ def primitive(v):
     for x in v:
         g = gcd(g, abs(x))
     if g == 0:
-        raise LatticeDataError("zero vector has no primitive representative")
+        raise EqsingError("zero vector has no primitive representative")
     w = tuple(x // g for x in v)
     for x in w:
         if x != 0:

@@ -16,17 +16,7 @@ import re
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .errors import (
-    DiagramSyntaxError,
-    GermError,
-    NotCertifiedError,
-    NotFoundError,
-    NotIntegerError,
-    NotInvariantError,
-    TableTooLargeError,
-    parse_int,
-    parse_rational,
-)
+from .errors import DiagramError, EqsingError, parse_int, parse_rational
 from .record import Record
 
 # The bound on the monomials listed up to degree D, counted as C(n + D, D)
@@ -39,7 +29,8 @@ class PolyGerm(Record):
     """Polynomial germ with variable parities and a Z2^m block assignment.
 
     variables: ordered names, x-block first ("x1".."xm"), then y-block.
-    terms: exponent tuple -> exact rational coefficient (no constant term).
+    terms: exponent tuple -> rational coefficient (no constant term), a
+    number; a string is refused (a file's is read with `parse_rational`).
     blocks: ((generator name, (variable indices it negates)), ...).
     The terms are stored as ((exponents, Fraction), ...), sorted, so that
     the germ is hashable.
@@ -50,14 +41,16 @@ class PolyGerm(Record):
     def __post_init__(self):
         terms = []
         for exps, c in dict(self.terms).items():
+            if isinstance(c, str):
+                raise EqsingError(f"bad coefficient {c!r}")
             c = Fraction(c)
             if c == 0:
                 continue
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(self.variables):
-                raise GermError("exponent length does not match variable count")
+                raise EqsingError("exponent length does not match variable count")
             if sum(exps) == 0:
-                raise GermError("germ must vanish at the origin (no constant term)")
+                raise EqsingError("germ must vanish at the origin (no constant term)")
             terms.append((exps, c))
         object.__setattr__(self, "terms", tuple(sorted(terms)))
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -66,12 +59,12 @@ class PolyGerm(Record):
         for _, ix in blocks:
             for i in ix:
                 if not 0 <= i < len(self.variables):
-                    raise GermError("block index out of range")
+                    raise EqsingError("block index out of range")
         # invariance: even degree inside each generator's block
         for exps, _ in self.terms:
             for name, ix in blocks:
                 if sum(exps[i] for i in ix) % 2 != 0:
-                    raise NotInvariantError(
+                    raise EqsingError(
                         f"monomial {exps} is odd in the {name}-block"
                     )
 
@@ -115,8 +108,8 @@ def parse_germ(text, corner=False):
     `<rational_coef> <monomial>` with monomials like `x1^4`, `x1^2*x2^2`.
     Counts and coefficients follow `errors.parse_int` and `parse_rational`,
     and indices and exponents are [0-9]+.  A header whose monomials up to
-    degree 1 are over the listing bound (`_check_table`) is a
-    TableTooLargeError, raised before any term is read.
+    degree 1 are over the listing bound (`_check_table`) is refused before
+    any term is read.
     """
     m = n = None
     terms = {}
@@ -127,7 +120,7 @@ def parse_germ(text, corner=False):
         toks = line.split()
         if toks[0] == "vars":
             if m is not None:
-                raise DiagramSyntaxError("duplicate vars header", line=lineno)
+                raise DiagramError("duplicate vars header", line=lineno)
             try:
                 pairs = [t.split(":", 1) for t in toks[1:]]
                 if sorted(p[0] for p in pairs) != ["x", "y"]:
@@ -137,41 +130,41 @@ def parse_germ(text, corner=False):
                 if m < 0 or n < 0:
                     raise ValueError
             except ValueError:
-                raise DiagramSyntaxError(
+                raise DiagramError(
                     "expected `vars x:<m> y:<n>` with m, n >= 0", line=lineno
                 )
             _check_table(m + n, 1)
             continue
         if m is None:
-            raise DiagramSyntaxError("term before vars header", line=lineno)
+            raise DiagramError("term before vars header", line=lineno)
         if len(toks) != 2:
-            raise DiagramSyntaxError(
+            raise DiagramError(
                 "expected `<rational_coef> <monomial>`", line=lineno
             )
         try:
             coef = parse_rational(toks[0])
         except ValueError:
-            raise DiagramSyntaxError(f"bad coefficient {toks[0]!r}", line=lineno)
+            raise DiagramError(f"bad coefficient {toks[0]!r}", line=lineno)
         exps = [0] * (m + n)
         if toks[1] != "1":
             for factor in toks[1].split("*"):
                 match = _TERM_RE.match(factor)
                 if not match:
-                    raise DiagramSyntaxError(f"bad monomial factor {factor!r}", line=lineno)
+                    raise DiagramError(f"bad monomial factor {factor!r}", line=lineno)
                 kind, idx, power = match.group(1), int(match.group(2)), match.group(3)
                 power = int(power) if power else 1
                 if kind == "x":
                     if not 1 <= idx <= m:
-                        raise DiagramSyntaxError(f"x{idx} out of range", line=lineno)
+                        raise DiagramError(f"x{idx} out of range", line=lineno)
                     exps[idx - 1] += power
                 else:
                     if not 1 <= idx <= n:
-                        raise DiagramSyntaxError(f"y{idx} out of range", line=lineno)
+                        raise DiagramError(f"y{idx} out of range", line=lineno)
                     exps[m + idx - 1] += power
         key = tuple(exps)
         terms[key] = terms.get(key, Fraction(0)) + coef
     if m is None:
-        raise DiagramSyntaxError("missing vars header", line=1)
+        raise DiagramError("missing vars header", line=1)
     return germ(terms, m, n, corner=corner)
 
 
@@ -202,7 +195,7 @@ class LocalAlgebraReport(Record):
         for chi, d in self.isotypic_dims:
             if chi == tuple(character):
                 return d
-        raise NotFoundError(character)
+        raise EqsingError(f"no character {tuple(character)} in this report")
 
 
 def _partial(terms, v):
@@ -255,7 +248,7 @@ def _check_table(nvars, D):
     degree D, nvars exponents each, would be over MAX_TABLE_ENTRIES entries."""
     monomials = comb(nvars + D, D)
     if monomials * nvars > MAX_TABLE_ENTRIES:
-        raise TableTooLargeError(
+        raise EqsingError(
             f"the monomial table at degree {D} would hold {monomials} monomials "
             f"of {nvars} variables, {monomials * nvars} entries, over {MAX_TABLE_ENTRIES}"
         )
@@ -272,9 +265,10 @@ def milnor_number(f, max_degree=24):
     monomial is a pivot; mu and the isotypic dimensions are then the
     non-pivot monomials, all of degree below D (notes/decisions.md).
 
-    Raises NotCertifiedError when finiteness cannot be certified by
-    `max_degree` (non-isolated critical point, or cap too small), and
-    TableTooLargeError before listing a degree whose monomials up to it
+    Refuses, with "not certified at degree max_degree", when finiteness
+    cannot be certified by `max_degree`: a critical point that is not
+    isolated and too small a `max_degree` are indistinguishable at a finite
+    truncation.  Refuses before listing a degree whose monomials up to it
     would count more than MAX_TABLE_ENTRIES entries (`_check_table`).
     """
     n = f.nvars
@@ -293,7 +287,8 @@ def milnor_number(f, max_degree=24):
 
     gens = [g for g in (_partial(f.terms, v) for v in range(n)) if g]
     if not gens:
-        raise NotCertifiedError(max_degree)
+        raise EqsingError(
+            f"finiteness of the Jacobian quotient not certified at degree {max_degree}")
     # each partial on integers, scaled by the lcm of its denominators
     scales = [lcm(*(c.denominator for _, _, c in g)) for g in gens]
     gens = [(min(d for _, d, _ in g), [(key(e), d, int(c * s)) for e, d, c in g])
@@ -327,21 +322,22 @@ def milnor_number(f, max_degree=24):
                 isotypic_dims=tuple(dims.items()),
                 truncation_degree=D,
             )
-    raise NotCertifiedError(max_degree)
+    raise EqsingError(
+        f"finiteness of the Jacobian quotient not certified at degree {max_degree}")
 
 
 def quasihomogeneous_mu(weights):
     """Product formula prod(1/w_i - 1) for quasihomogeneous weights.
 
     Weights are rationals in (0, 1/2], normalized to degree 1; raises
-    NotIntegerError when the product is not a positive integer.
+    EqsingError when the product is not a positive integer.
     """
     total = Fraction(1)
     for w in weights:
         w = Fraction(w)
         if not 0 < w <= Fraction(1, 2):
-            raise NotIntegerError(f"weight {w} outside (0, 1/2]")
+            raise EqsingError(f"weight {w} outside (0, 1/2]")
         total *= 1 / w - 1
     if total.denominator != 1 or total <= 0:
-        raise NotIntegerError(f"product formula gives non-integer {total}")
+        raise EqsingError(f"product formula gives non-integer {total}")
     return int(total)

@@ -18,7 +18,8 @@ form chooses only the partner test and whether the Coxeter orbits run:
 A closure with no such pair gives the exact order by orbit-stabiliser on
 the roots: the orbit of one root, times the order of the group generated
 by the reflections in the roots orthogonal to it (Steinberg).  The cap
-counts roots on every form: Unknown when the roots exceed it.
+counts roots on every form: Unknown when the roots exceed it, or exceed
+the MAX_ROOT_ENTRIES bound on the integers they are held in.
 
 The generators are held as roots only.  The pipeline's h_k is the
 Picard-Lefschetz reflection in basis vector k of the isotypic sublattice
@@ -43,18 +44,15 @@ from math import gcd
 from . import linalg
 from .action import GroupAction, isotypic_sublattice, signed_orbits
 from .diagram import to_lattice
-from .errors import (
-    CriterionMismatchError,
-    DiagramError,
-    GeneratorError,
-    InternalError,
-    IsotropicCycleError,
-    NonIntegralReflectionError,
-    NotIsometryError,
-    OrbitNotOrthogonalError,
-)
+from .errors import DiagramError, EqsingError, InternalError
 from .lattice import IntLattice, inertia, kernel_basis
 from .record import Record
+
+# The bound on the roots the search records, counted as roots times rank
+# entries.  E8 records 240 roots of rank 8 (1,920 entries), A60 3,660 of
+# rank 60 (219,600); each entry of a root and of its image G r costs about
+# 68 bytes.
+MAX_ROOT_ENTRIES = 2_000_000
 
 
 class MonodromyElement(Record):
@@ -72,7 +70,7 @@ class MonodromyElement(Record):
         object.__setattr__(self, "word", tuple(self.word))
         MGM = linalg.mat_mul(linalg.mat_mul(linalg.transpose(M), G), M)
         if MGM != G:
-            raise NotIsometryError("matrix does not preserve the bilinear form")
+            raise EqsingError("matrix does not preserve the bilinear form")
 
     @property
     def rank(self):
@@ -88,11 +86,11 @@ def _check_integral(delta, Gd, dd):
     dd = (delta, delta), is an integer matrix: dd != 0 and dd divides
     every 2 (e_j, delta) delta_i."""
     if dd == 0:
-        raise IsotropicCycleError(f"cycle {delta} has self-intersection zero")
+        raise EqsingError(f"cycle {delta} has self-intersection zero")
     for d in filter(None, delta):
         for j, x in enumerate(Gd):
             if 2 * x * d % dd:
-                raise NonIntegralReflectionError(
+                raise EqsingError(
                     f"reflection in {delta} is not integral: "
                     f"2(e_{j + 1}, delta) delta is not divisible by ({dd})"
                 )
@@ -101,13 +99,13 @@ def _check_integral(delta, Gd, dd):
 def equivariant_generators(action, chi):
     """(sublattice, (e_1, ..., e_r)) for the pipeline: one root per orbit.
 
-    Each orbit is checked in turn: its cycles are pairwise orthogonal
-    (OrbitNotOrthogonalError), and the ambient reflection in each is
-    integral.  The k-th orbit with a chi-vector has basis vector k of the
-    isotypic sublattice as its cycle, so its reflection h_k is the one in
-    the unit vector e_k, the root `generate_group` takes for it.  The
-    product of the ambient reflections over the orbit must restrict to h_k
-    (`_check_orbit_product`), which is integral because they are.  An orbit
+    Each orbit is checked in turn: its cycles are pairwise orthogonal, and
+    the ambient reflection in each is integral.  The k-th orbit with a
+    chi-vector has basis vector k of the isotypic sublattice as its cycle,
+    so its reflection h_k is the one in the unit vector e_k, the root
+    `generate_group` takes for it.  The product of the ambient reflections
+    over the orbit must restrict to h_k (`_check_orbit_product`), which
+    is integral because they are.  An orbit
     with no chi-vector is orthogonal to the sublattice, so its product
     fixes the sublattice and it gives no root (notes/decisions.md).  The
     orbits are walked once and handed to `isotypic_sublattice`.
@@ -119,7 +117,7 @@ def equivariant_generators(action, chi):
     for orbit, cycle in orbits:
         for i, j in itertools.combinations(orbit, 2):
             if G[i][j] != 0:
-                raise OrbitNotOrthogonalError(
+                raise EqsingError(
                     f"cycles {i + 1} and {j + 1} in one orbit have product {G[i][j]} != 0"
                 )
         for i in orbit:
@@ -273,19 +271,19 @@ def generate_group(gram, roots, cap=10**6, sig=None):
     Infinite certificate is re-validated before it is returned, and its
     word names the reflection in root i h{i+1}.  A root stands for its
     reflection, so it counts only up to sign and scale.  The cap bounds
-    the roots the search records, on every form.  `sig` is the Inertia of
-    the form when the caller has it already, and is computed otherwise.
-    A bad form or root is a LatticeDataError, GeneratorError,
-    IsotropicCycleError or NonIntegralReflectionError (notes/decisions.md).
+    the roots the search records, on every form, and so does
+    MAX_ROOT_ENTRIES // rank.  `sig` is the Inertia of the form when the
+    caller has it already, and is computed otherwise.  A bad form or root
+    is an EqsingError that names what is wrong with it (notes/decisions.md).
     """
     lattice = IntLattice(gram)
     gram = lattice.gram
     if not roots:
-        raise GeneratorError("at least one root is required")
+        raise EqsingError("at least one root is required")
     mirrors = []
     for i, root in enumerate(roots):
         if len(root) != lattice.rank or not all(isinstance(x, int) for x in root):
-            raise GeneratorError(
+            raise EqsingError(
                 f"root h{i + 1} is no integer vector of length {lattice.rank}: {root!r}")
         delta = linalg.primitive(root)
         mirror = _mirror((delta, linalg.mat_vec(gram, delta)))
@@ -331,10 +329,13 @@ def _generate_reflections(gram, mirrors, cap, sig):
     test of `_pair_partner`, both read off the image.  On a definite form
     no two roots share a class, so none is tested, and the search always
     closes.  The first partner rho' gives the certificate g = s_rho s_rho'
-    (`_pair_certificate`).  More than `cap` roots gives Unknown.  A closure
-    with no partner is a finite group, and `_reflection_group_order` gives
-    its order from the roots recorded (notes/decisions.md).
+    (`_pair_certificate`).  More than `cap` roots gives Unknown(cap); `cap`
+    is first lowered to MAX_ROOT_ENTRIES // rank, once, so the bound costs
+    nothing per root.  A closure with no partner is a finite group, and
+    `_reflection_group_order` gives its order from the roots recorded
+    (notes/decisions.md).
     """
+    cap = min(cap, MAX_ROOT_ENTRIES // len(gram))
     points, words, seen = [], [], set()
     if sig.negative_definite:  # the kernel is zero: no two roots share a class
         partner = lambda root: None
@@ -581,8 +582,8 @@ class AnalysisOutcome(Record):
     `generators` holds the roots e_1, ..., e_r of the orbit reflections
     h_1, ..., h_r, in sublattice coordinates; no matrix is built for them.
     `kernel` is in sublattice coordinates, `kernel_ambient` in ambient ones.
-    `criteria_agree` is always true: `run_analysis` raises
-    CriterionMismatchError instead of returning a disagreement.
+    `criteria_agree` is always true: `run_analysis` raises InternalError
+    instead of returning a disagreement.
     """
 
     __slots__ = ("sublattice", "generators", "inertia", "kernel", "verdict")
@@ -608,8 +609,8 @@ def run_analysis(dfile, cap=10**6):
     restricted form.  The monodromy verdict, which may be Unknown at the
     cap, cross-checks it: on such a diagram a decided verdict is finite
     exactly when the form is negative definite (notes/decisions.md), and
-    CriterionMismatchError reports a disagreement as a defect, and
-    InternalError one between the inertia's n_zero and the kernel rank.
+    InternalError reports a disagreement as a defect, as it does one
+    between the inertia's n_zero and the kernel rank.
     The inertia is computed once and handed to `generate_group`.
     """
     diagram = dfile.diagram
@@ -627,7 +628,7 @@ def run_analysis(dfile, cap=10**6):
                             f"has rank {len(ker)}")
     verdict = generate_group(sub.restricted_gram, roots, cap=cap, sig=sig)
     if verdict.kind != "unknown" and sig.negative_definite != (verdict.kind == "finite"):
-        raise CriterionMismatchError(
+        raise InternalError(
             f"negative definiteness and finiteness disagree "
             f"(inertia {sig.as_tuple()}, verdict {verdict})"
         )

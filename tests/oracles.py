@@ -10,18 +10,7 @@ import pytest
 from eqsing import linalg
 from eqsing.action import validate_action
 from eqsing.diagram import DiagramFile, DynkinDiagram
-from eqsing.errors import (
-    EqsingError,
-    InternalError,
-    IsotropicCycleError,
-    NonIntegralReflectionError,
-    NotCertifiedError,
-    NotCommutingError,
-    NotInvolutionError,
-    NotIsometryError,
-    OrbitNotOrthogonalError,
-    ZeroSublatticeError,
-)
+from eqsing.errors import EqsingError, InternalError
 from eqsing.lattice import Inertia, Sublattice
 from eqsing.localalg import LocalAlgebraReport, _check_table, _partial
 from eqsing.monodromy import MonodromyElement
@@ -40,21 +29,22 @@ def pl_reflection(gram, delta, name=None):
     the tests multiply, where the package applies the reflection formula.
 
     a |-> a - 2 (a, delta)/(delta, delta) * delta, entry by entry in
-    Fractions.  Raises IsotropicCycleError when (delta, delta) = 0 and
-    NonIntegralReflectionError at the first entry, in row-major order,
-    that is not an integer; the element checks that it keeps the form.
+    Fractions.  Refuses, with the package's messages, a cycle with
+    (delta, delta) = 0, and a reflection at its first entry, in row-major
+    order, that is not an integer; the element checks that it keeps the
+    form.
     """
     n = len(gram)
     delta = tuple(delta)
     Gd = linalg.mat_vec(gram, delta)
     dd = sum(a * b for a, b in zip(delta, Gd))
     if dd == 0:
-        raise IsotropicCycleError(f"cycle {delta} has self-intersection zero")
+        raise EqsingError(f"cycle {delta} has self-intersection zero")
     rows = [[int(i == j) - Fraction(2 * Gd[j] * delta[i], dd) for j in range(n)]
             for i in range(n)]
     for i, j in itertools.product(range(n), repeat=2):
         if rows[i][j].denominator != 1:
-            raise NonIntegralReflectionError(
+            raise EqsingError(
                 f"reflection in {delta} is not integral: "
                 f"2(e_{j + 1}, delta) delta is not divisible by ({dd})"
             )
@@ -164,7 +154,7 @@ def validate_action_by_matrices(action):
             bad = next(
                 (i, j) for i in range(n) for j in range(n) if MGM[i][j] != G[i][j]
             )
-            raise NotIsometryError(
+            raise EqsingError(
                 f"generator {name} does not preserve the form (entry {bad})"
             )
     for name, M in mats:
@@ -173,7 +163,7 @@ def validate_action_by_matrices(action):
             bad = next(
                 (i, j) for i in range(n) for j in range(n) if sq[i][j] != I[i][j]
             )
-            raise NotInvolutionError(
+            raise EqsingError(
                 f"generator {name} is not an involution (entry {bad} of sigma^2)"
             )
     for (na, A), (nb, B) in itertools.combinations(mats, 2):
@@ -183,7 +173,7 @@ def validate_action_by_matrices(action):
             bad = next(
                 (i, j) for i in range(n) for j in range(n) if AB[i][j] != BA[i][j]
             )
-            raise NotCommutingError(f"generators {na}, {nb} do not commute (entry {bad})")
+            raise EqsingError(f"generators {na}, {nb} do not commute (entry {bad})")
     return None
 
 
@@ -271,7 +261,7 @@ def isotypic_sublattice_by_kernel(action, chi):
             rows.append(tuple(M[i][j] - (c if i == j else 0) for j in range(n)))
     ker = linalg.int_kernel(linalg.freeze(rows))
     if not ker:
-        raise ZeroSublatticeError("isotypic sublattice is zero; nothing to restrict to")
+        raise EqsingError("isotypic sublattice is zero; nothing to restrict to")
     return Sublattice._canonical(action.lattice, ker)
 
 
@@ -284,7 +274,7 @@ def orbit_generator_by_projector(action, chi, orbit, sub):
     G = action.lattice.gram
     for i, j in itertools.combinations(orbit, 2):
         if G[i][j] != 0:
-            raise OrbitNotOrthogonalError(
+            raise EqsingError(
                 f"cycles {i + 1} and {j + 1} in one orbit have product {G[i][j]} != 0"
             )
     n = action.lattice.rank
@@ -539,7 +529,8 @@ def milnor_number_by_truncation(f, max_degree=24):
     """
     gens = [g for g in (_partial(f.terms, v) for v in range(f.nvars)) if g]
     if not gens:
-        raise NotCertifiedError(max_degree)
+        raise EqsingError(
+            f"finiteness of the Jacobian quotient not certified at degree {max_degree}")
     table = [(0,) * f.nvars]  # the monomials, in (degree, lex) order
     index = {table[0]: 0}
     size = [1]  # size[d]: the monomials of degree <= d, a prefix of table
@@ -574,4 +565,5 @@ def milnor_number_by_truncation(f, max_degree=24):
                 isotypic_dims=tuple(dims.items()),
                 truncation_degree=D,
             )
-    raise NotCertifiedError(max_degree)
+    raise EqsingError(
+        f"finiteness of the Jacobian quotient not certified at degree {max_degree}")

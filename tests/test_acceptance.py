@@ -20,7 +20,7 @@ from math import factorial
 from eqsing import linalg
 from eqsing.catalog import fixture_file, normal_form, quasihomogeneous_weights, weyl_order
 from eqsing.diagram import DiagramFile, DynkinDiagram, parse_file, serialize, to_lattice
-from eqsing.errors import NonIntegralReflectionError
+from eqsing.errors import EqsingError
 from eqsing.lattice import IntLattice, inertia, kernel_basis
 from eqsing.localalg import germ, milnor_number, quasihomogeneous_mu
 from eqsing.monodromy import (
@@ -295,7 +295,8 @@ def test_criterion_7_property_suites():
             continue
         try:
             h = pl_reflection(lat.gram, delta)
-        except NonIntegralReflectionError:
+        except EqsingError as exc:
+            assert "is not integral" in str(exc)
             continue
         checked += 1
         if linalg.mat_mul(h.matrix, h.matrix) != linalg.identity(n):

@@ -10,14 +10,7 @@ from eqsing import linalg
 from eqsing.action import GroupAction, isotypic_sublattice, signed_orbits, validate_action
 from eqsing.catalog import fixture_file
 from eqsing.diagram import DiagramFile, DynkinDiagram
-from eqsing.errors import (
-    DiagramError,
-    DiagramSyntaxError,
-    EqsingError,
-    NotCommutingError,
-    NotInvolutionError,
-    NotIsometryError,
-)
+from eqsing.errors import DiagramError, EqsingError
 from eqsing.lattice import IntLattice, Sublattice
 from eqsing.localalg import LocalAlgebraReport
 from eqsing.monodromy import action_from_file
@@ -49,10 +42,10 @@ def m4_setup():
 
 def test_signed_permutation_validation():
     # GroupAction checks each image table: a bijection of the basis cycles
-    # with signs +-1, or an ActionDataError naming the generator
-    with pytest.raises(ValueError, match="generator s is not a bijection"):
+    # with signs +-1, or an error naming the generator
+    with pytest.raises(EqsingError, match="generator s is not a bijection"):
         GroupAction((("s", ((0, 1), (0, 1))),), A2)
-    with pytest.raises(ValueError, match="generator s has a sign"):
+    with pytest.raises(EqsingError, match="generator s has a sign"):
         GroupAction((("s", ((0, 2),)),), IntLattice(((-2,),)))
     table = ((1, 1), (0, -1))
     assert GroupAction((("s", table),), A2).generators == (("s", table),)
@@ -66,7 +59,7 @@ def test_built_diagram_file_checks_the_generators_like_a_parsed_one():
     # checks that parse_file gives
     bad = (("s", ((1, 1, 1),)),), (("s", ((1, 3, 1), (2, 2, 1))),)
     for generators in bad:
-        with pytest.raises(DiagramSyntaxError,
+        with pytest.raises(DiagramError,
                            match="generator s must map the vertex set bijectively"):
             # the character is wrong too, and the generators are checked first
             DiagramFile(A2_DIAGRAM, generators, (("t", 1),))
@@ -75,36 +68,41 @@ def test_built_diagram_file_checks_the_generators_like_a_parsed_one():
     assert action.generators == (("s", ((1, -1), (0, -1))),) and chi == (-1,)
 
 
-@pytest.mark.parametrize("build, base", [
-    pytest.param(lambda: GroupAction((("s", ((0, 1), (0, 1))),), A2), ValueError,
-                 id="not-a-bijection"),
+@pytest.mark.parametrize("build, cls, message", [
+    pytest.param(lambda: GroupAction((("s", ((0, 1), (0, 1))),), A2), EqsingError,
+                 "generator s is not a bijection of the 2 basis cycles", id="not-a-bijection"),
     pytest.param(lambda: GroupAction((("s", ((0, 2),)),), IntLattice(((-2,),))),
-                 ValueError, id="bad-sign"),
+                 EqsingError, r"generator s has a sign other than \+1 or -1", id="bad-sign"),
     pytest.param(lambda: DiagramFile(A2_DIAGRAM, (("s", ((1, 1, 1),)),)), DiagramError,
-                 id="uncovered-vertex"),
+                 "generator s must map the vertex set bijectively", id="uncovered-vertex"),
     pytest.param(lambda: DiagramFile(A2_DIAGRAM, (("s", ((1, 3, 1), (2, 2, 1))),)),
-                 DiagramError, id="unknown-vertex"),
-    pytest.param(lambda: linalg.primitive((0, 0)), ValueError, id="primitive-of-zero"),
-    pytest.param(lambda: signed_orbits(m5_setup()[0], (0,)), ValueError,
-                 id="character-value"),
-    pytest.param(lambda: signed_orbits(m5_setup()[0], (1, 1)), ValueError,
-                 id="character-length"),
+                 DiagramError, "generator s must map the vertex set bijectively",
+                 id="unknown-vertex"),
+    pytest.param(lambda: linalg.primitive((0, 0)), EqsingError,
+                 "zero vector has no primitive representative", id="primitive-of-zero"),
+    pytest.param(lambda: signed_orbits(m5_setup()[0], (0,)), EqsingError,
+                 r"character values must be \+1 or -1", id="character-value"),
+    pytest.param(lambda: signed_orbits(m5_setup()[0], (1, 1)), EqsingError,
+                 "character has 2 values for 1 generators", id="character-length"),
     pytest.param(lambda: GroupAction((("s", ((0, 1),)),) * 2, IntLattice(((-2,),))),
-                 ValueError, id="duplicate-name"),
-    pytest.param(lambda: GroupAction((("s", ((0, 1),)),), A2), ValueError,
-                 id="size-mismatch"),
-    pytest.param(lambda: IntLattice(((-2, 1), (0, -2))), ValueError, id="not-symmetric"),
-    pytest.param(lambda: IntLattice(((-2, 1),)), ValueError, id="not-square"),
-    pytest.param(lambda: IntLattice(((-2,),), labels=("a", "b")), ValueError,
-                 id="labels"),
-    pytest.param(lambda: Sublattice(A2, ((2, 0),)), ValueError, id="not-saturated"),
-    pytest.param(lambda: LocalAlgebraReport(1, (((1,), 1),), 2).dim_of((-1,)), KeyError,
-                 id="dim-of"),
+                 EqsingError, "generator names must be unique", id="duplicate-name"),
+    pytest.param(lambda: GroupAction((("s", ((0, 1),)),), A2), EqsingError,
+                 "generator s is not a bijection of the 2 basis cycles", id="size-mismatch"),
+    pytest.param(lambda: IntLattice(((-2, 1), (0, -2))), EqsingError,
+                 r"gram matrix not symmetric at \(0,1\)", id="not-symmetric"),
+    pytest.param(lambda: IntLattice(((-2, 1),)), EqsingError, "gram matrix must be square",
+                 id="not-square"),
+    pytest.param(lambda: IntLattice(((-2,),), labels=("a", "b")), EqsingError,
+                 "labels length must equal rank", id="labels"),
+    pytest.param(lambda: Sublattice(A2, ((2, 0),)), EqsingError,
+                 "basis does not span a saturated sublattice", id="not-saturated"),
+    pytest.param(lambda: LocalAlgebraReport(1, (((1,), 1),), 2).dim_of((-1,)), EqsingError,
+                 r"no character \(-1,\) in this report", id="dim-of"),
 ])
-def test_library_boundary_errors_are_typed(build, base):
-    with pytest.raises(EqsingError) as info:
+def test_library_boundary_errors_are_typed(build, cls, message):
+    with pytest.raises(cls, match=message) as info:
         build()
-    assert isinstance(info.value, base)
+    assert type(info.value) is cls
 
 
 def test_validate_identity_ok():
@@ -124,7 +122,8 @@ def test_validate_not_isometry():
     act = GroupAction(
         generators=(("s", ((1, 1), (0, -1))),), lattice=A2
     )
-    with pytest.raises(NotIsometryError):
+    with pytest.raises(EqsingError,
+                       match=r"generator s does not preserve the form \(entry \(0, 1\)\)"):
         validate_action(act)
 
 
@@ -135,7 +134,7 @@ def test_validate_not_involution():
         generators=(("r", ((1, 1), (2, 1), (0, 1))),),
         lattice=lat,
     )
-    with pytest.raises(NotInvolutionError):
+    with pytest.raises(EqsingError, match=r"generator r is not an involution \(entry \(0, 0\)"):
         validate_action(act)
 
 
@@ -145,7 +144,7 @@ def test_validate_not_commuting():
     s1 = ((1, 1), (0, 1), (2, 1))
     s2 = ((0, 1), (2, 1), (1, 1))
     act = GroupAction(generators=(("a", s1), ("b", s2)), lattice=lat)
-    with pytest.raises(NotCommutingError):
+    with pytest.raises(EqsingError, match=r"generators a, b do not commute \(entry \(0, 1\)\)"):
         validate_action(act)
 
 
@@ -163,8 +162,8 @@ def _validation_outcome(check, action):
 
 
 def test_validate_action_matches_the_matrix_products():
-    # the image tables give the error class and the witness entry of the
-    # matrix identities, on every fixture action and 6,000 seeded ones:
+    # the image tables give the error message, with the witness entry of
+    # the matrix identities, on every fixture action and 6,000 seeded ones:
     # random diagram+action files, random signed permutations on random
     # forms, and on a diagonal form, which every signed permutation keeps,
     # so that the involution and commutation checks are reached
@@ -181,12 +180,13 @@ def test_validate_action_matches_the_matrix_products():
             gens = tuple((f"g{k + 1}", _random_signed_permutation(rng, n))
                          for k in range(rng.randint(1, 3)))
             actions.append(GroupAction(generators=gens, lattice=IntLattice(gram)))
+    stems = ("does not preserve the form", "is not an involution", "do not commute")
     kinds = set()
     for action in actions:
         got = _validation_outcome(validate_action, action)
         assert got == _validation_outcome(validate_action_by_matrices, action)
-        kinds.add(None if got is None else got[0])
-    assert kinds == {None, NotIsometryError, NotInvolutionError, NotCommutingError}
+        kinds.add(None if got is None else next(k for k in stems if k in got[1]))
+    assert kinds == {None, *stems}
 
 
 def test_validate_action_calls_no_linalg(monkeypatch):

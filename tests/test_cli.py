@@ -279,6 +279,17 @@ def test_catalog_verdict_undecided_definite_is_simple():
     assert lines["simple"] == "true"
 
 
+def test_root_entry_bound_reads_as_the_cap(monkeypatch):
+    # past MAX_ROOT_ENTRIES // rank roots the verdict is the Unknown of that
+    # cap, byte for byte, at the default --cap; the --cap help names the bound
+    from eqsing import cli, monodromy
+
+    assert "monodromy.MAX_ROOT_ENTRIES" in cli._CAP_HELP
+    capped = run_cli("catalog", "verdict", "E8", "--cap", "100", "--format", "machine")
+    monkeypatch.setattr(monodromy, "MAX_ROOT_ENTRIES", 800)
+    assert run_cli("catalog", "verdict", "E8", "--format", "machine") == capped
+
+
 def test_catalog_verdict_rejects_emit_flags():
     # --m/--n/--modulus belong to `catalog emit`; verdict does not accept them
     with pytest.raises(SystemExit) as exc:

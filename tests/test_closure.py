@@ -103,6 +103,19 @@ def test_definite_cap_bounds_the_orbit():
     assert generate_group(gram, roots) == Finite(order=weyl_order("E8"))
 
 
+def test_root_entry_bound_caps_the_search(monkeypatch):
+    # the search records at most MAX_ROOT_ENTRIES // rank roots, whatever
+    # the cap: on E8, of rank 8, 800 entries stop it as cap=100 does
+    gram, roots = _fixture_form("E8")
+    monkeypatch.setattr(monodromy, "MAX_ROOT_ENTRIES", 800)
+    assert generate_group(gram, roots) == Unknown(cap=100)
+    assert generate_group(gram, roots, cap=50) == Unknown(cap=50)
+    monkeypatch.setattr(monodromy, "MAX_ROOT_ENTRIES", 240 * 8 - 1)
+    assert generate_group(gram, roots) == Unknown(cap=239)
+    monkeypatch.setattr(monodromy, "MAX_ROOT_ENTRIES", 240 * 8)
+    assert generate_group(gram, roots) == Finite(order=weyl_order("E8"))
+
+
 @pytest.mark.parametrize("symbol", ["E7", "E8", "affine E8 + A1"])
 def test_root_search_multiplies_by_the_form_once_per_generator(monkeypatch, symbol):
     # every root carries its image G r, so the search computes G delta once

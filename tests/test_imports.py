@@ -11,7 +11,8 @@ they keep a public function, class, method or property of the package
 alive: the package or the benchmark reads each, by name or as an
 attribute.  Nor an error class:
 each class of `errors.py` is raised by the package, or is a base of one
-that is.
+that is.  And since a refusal is told apart by its message alone, each
+raise of such a class passes a message first.
 """
 import ast
 from pathlib import Path
@@ -226,3 +227,55 @@ def test_every_error_class_is_raised_by_the_package():
     errors = (ROOT / "src" / "eqsing" / "errors.py").read_text(encoding="utf-8")
     sources = [p.read_text(encoding="utf-8") for p in PACKAGE]
     assert unraised_error_classes(errors, sources) == []
+
+
+def _is_message(node):
+    """True for a string literal, an f-string, a concatenation of them, or
+    the `detail` of a caught DiagramError, which is the message it was
+    raised with."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _is_message(node.left) and _is_message(node.right)
+    return (isinstance(node, ast.JoinedStr)
+            or isinstance(node, ast.Constant) and isinstance(node.value, str)
+            or isinstance(node, ast.Attribute) and node.attr == "detail")
+
+
+def raises_without_message(errors_source, sources):
+    """[(module, line, name), ...]: each `raise Name(...)` or `raise Name`
+    in `sources` ({module: source}) of a class of `errors_source` whose
+    first argument is no message (`_is_message`)."""
+    classes = {node.name for node in ast.parse(errors_source).body
+               if isinstance(node, ast.ClassDef)}
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            call = node.exc if isinstance(node.exc, ast.Call) else None
+            name = call.func if call else node.exc
+            if not (isinstance(name, ast.Name) and name.id in classes):
+                continue
+            if not (call and call.args and _is_message(call.args[0])):
+                found.append((module, node.lineno, name.id))
+    return found
+
+
+def test_detector_finds_a_raise_without_a_message():
+    errors = "class Base(Exception):\n    pass\nclass Leaf(Base):\n    pass\n"
+    sources = {"a": ("def f(n, err):\n"
+                     "    raise Base('literal')\n"
+                     "    raise Leaf(f'{n} ' + 'x' + f'{n}')\n"
+                     "    raise Leaf(err.detail, line=n)\n"
+                     "    raise Base(n)\n"
+                     "    raise Leaf\n"
+                     "    raise Base(message=n)\n"
+                     "    raise Leaf(str(n))\n"
+                     "    raise ValueError(n)\n")}
+    assert raises_without_message(errors, sources) == [
+        ("a", 5, "Base"), ("a", 6, "Leaf"), ("a", 7, "Base"), ("a", 8, "Leaf")]
+
+
+def test_every_refusal_of_the_package_passes_a_message():
+    errors = (ROOT / "src" / "eqsing" / "errors.py").read_text(encoding="utf-8")
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert raises_without_message(errors, sources) == []
