@@ -144,7 +144,8 @@ def isotypic_sublattice(action, chi, orbits=None):
     (`signed_orbits`, or `orbits` when the caller has walked them), by
     least index.  They have disjoint supports, entries +-1 and leading
     entry +1, so they span a saturated sublattice and are its Hermite
-    normal form already.  Raises EqsingError when no orbit carries one.
+    normal form already, the basis `Sublattice` takes as given.  Raises
+    EqsingError when no orbit carries one.
     """
     validate_action(action)
     if orbits is None:
@@ -152,4 +153,4 @@ def isotypic_sublattice(action, chi, orbits=None):
     basis = tuple(cycle for _, cycle in orbits if cycle is not None)
     if not basis:
         raise EqsingError("isotypic sublattice is zero; nothing to restrict to")
-    return Sublattice._canonical(action.lattice, basis)
+    return Sublattice(action.lattice, basis)

@@ -57,7 +57,7 @@ def _combo(vec, labels):
 
 def _generator_names(outcome):
     """h1, ..., hr: the names certificate words give the generator roots."""
-    return [f"h{k}" for k in range(1, len(outcome.generators) + 1)]
+    return [f"h{k}" for k in range(1, outcome.sublattice.rank + 1)]
 
 
 def _machine_report(source, dfile, outcome):
@@ -112,8 +112,8 @@ def _machine_report(source, dfile, outcome):
 
 def _text_report(source, dfile, outcome, elapsed):
     sub = outcome.sublattice
-    amb = sub.ambient
-    dl = [f"δ{i + 1}" for i in range(sub.rank)]
+    al = [f"Δ{v}" for v in dfile.diagram.vertex_ids()]  # the ambient basis
+    dl = [f"δ{i + 1}" for i in range(sub.rank)]  # the sublattice's basis
     out = [f"== analysis: {source}"]
     out.append(f"ambient lattice: rank {dfile.diagram.rank}")
     if dfile.generators:
@@ -128,7 +128,7 @@ def _text_report(source, dfile, outcome, elapsed):
         out.append("action: trivial")
     out.append(f"isotypic sublattice: rank {sub.rank}")
     for i, b in enumerate(sub.basis):
-        out.append(f"  {dl[i]} = {_combo(b, amb.labels)}")
+        out.append(f"  {dl[i]} = {_combo(b, al)}")
     out.append("restricted gram:")
     for row in sub.restricted_gram:
         out.append("  [" + " ".join(f"{x:3d}" for x in row) + "]")
@@ -141,7 +141,7 @@ def _text_report(source, dfile, outcome, elapsed):
     out.append(f"inertia (n+, n0, n-): {sig.as_tuple()}  [{shape}]")
     out.append(f"kernel basis (rank {len(outcome.kernel)}):")
     for v, va in zip(outcome.kernel, outcome.kernel_ambient):
-        out.append(f"  {_combo(v, dl)}  =  {_combo(va, amb.labels)}")
+        out.append(f"  {_combo(v, dl)}  =  {_combo(va, al)}")
     out.append(
         "monodromy generators: "
         + ", ".join(_generator_names(outcome))
@@ -158,7 +158,7 @@ def _text_report(source, dfile, outcome, elapsed):
                 f"  law g^s v = v + s*w with v = {_combo(v.witness, dl)}, "
                 f"w = {_combo(v.increment, dl)}"
             )
-            out.append(f"  w in ambient coordinates: {_combo(sub.embed(v.increment), amb.labels)}")
+            out.append(f"  w in ambient coordinates: {_combo(sub.embed(v.increment), al)}")
         if v.residual_charpoly is not None:
             out.append(f"  charpoly factor x^2 - t x + 1, |t| > 2: {list(v.residual_charpoly)}")
     else:

@@ -64,10 +64,6 @@ class DynkinDiagram(Record):
     def vertex_ids(self):
         return tuple(i for i, _ in self.vertices)
 
-    def all_self_minus_two(self):
-        """True when every self-intersection is -2 (germs in 3 mod 4 variables)."""
-        return all(s == -2 for _, s in self.vertices)
-
 
 class DiagramFile(Record):
     """Parsed file: diagram plus optional action block (raw vertex ids).
@@ -203,9 +199,8 @@ def serialize(obj):
 def to_lattice(diagram):
     """Intersection form of the diagram as an IntLattice.
 
-    Vertex ids become basis labels Δ<id> in ascending id order; gram
-    off-diagonal entries are the edge weights, diagonal the
-    self-intersections.
+    The basis is the vertices in ascending id order; gram off-diagonal
+    entries are the edge weights, diagonal the self-intersections.
     """
     ids = diagram.vertex_ids()
     index = {v: k for k, v in enumerate(ids)}
@@ -216,5 +211,4 @@ def to_lattice(diagram):
     for i, j, w in diagram.edges:
         a, b = index[i], index[j]
         gram[a][b] = gram[b][a] = w
-    labels = tuple(f"Δ{v}" for v in ids)
-    return IntLattice(gram=tuple(tuple(r) for r in gram), labels=labels)
+    return IntLattice(gram)

@@ -1,8 +1,10 @@
 """Integer symmetric bilinear forms: inertia, kernels, primitive sublattices.
 
-An IntLattice is a free abelian group of finite rank with an integer
-symmetric Gram matrix (the intersection form on a distinguished basis of
-vanishing cycles).  All computations are exact and run on integers.  The
+An IntLattice is its Gram matrix: the integer symmetric intersection form
+on a distinguished basis of vanishing cycles.  A Sublattice is a saturated
+basis in Hermite normal form with the form restricted to it; the package
+builds one only in `action.isotypic_sublattice`, which proves that form.
+All computations are exact and run on integers.  The
 inertia comes from scaled Schur complements and the kernel from Hermite
 normal forms: two independent eliminations, so the count of zero squares
 and the kernel rank check each other.
@@ -15,27 +17,24 @@ from .record import Record
 
 
 class IntLattice(Record):
-    """Free Z-module of finite rank with a symmetric integer form; `labels`
-    names the basis vectors, or is None."""
+    """Free Z-module of finite rank with a symmetric integer form: its Gram
+    matrix, square, symmetric and of Python ints, or an EqsingError names
+    the first entry at fault."""
 
-    __slots__ = ("gram", "labels")
-    _defaults = {"labels": None}
+    __slots__ = ("gram",)
 
     def __post_init__(self):
         gram = linalg.freeze(self.gram)
         object.__setattr__(self, "gram", gram)
         n = len(gram)
+        if any(len(row) != n for row in gram):
+            raise EqsingError("gram matrix must be square")
         for i, row in enumerate(gram):
-            if len(row) != n:
-                raise EqsingError("gram matrix must be square")
-            for j in range(n):
-                if gram[i][j] != gram[j][i]:
+            for j, x in enumerate(row):
+                if not isinstance(x, int):
+                    raise EqsingError(f"gram matrix entry ({i},{j}) is not an integer: {x!r}")
+                if x != gram[j][i]:
                     raise EqsingError(f"gram matrix not symmetric at ({i},{j})")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != n:
-                raise EqsingError("labels length must equal rank")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def rank(self):
@@ -124,38 +123,20 @@ def kernel_basis(lattice):
 class Sublattice(Record):
     """Primitive (saturated) sublattice with the restricted form.
 
-    `basis` rows are ambient coordinates in canonical echelon form: the
-    basis given is stored as its Hermite normal form, so two bases of one
-    sublattice give equal Sublattices.  `restricted_gram[i][j]` is the
-    ambient product of basis[i], basis[j]; it is computed, never given.
+    `basis` rows are ambient coordinates, saturated and in Hermite normal
+    form, so two equal sublattices have equal bases.  The constructor
+    trusts this: its one builder, `action.isotypic_sublattice`, proves it
+    (notes/decisions.md, "The signed orbit sums are the Hermite normal
+    form of L_chi").  `restricted_gram[i][j]` is the ambient product of
+    basis[i], basis[j]; it is computed, never given.
     """
 
     __slots__ = ("ambient", "basis", "restricted_gram")
 
     def __init__(self, ambient, basis):
-        basis = linalg.freeze(basis)
-        if len(set(len(b) for b in basis)) > 1 or (
-            basis and len(basis[0]) != ambient.rank
-        ):
-            raise EqsingError("basis vectors must have ambient rank length")
-        canonical = linalg.hnf(basis)
-        if len(canonical) != len(basis):
-            raise EqsingError("basis vectors are rationally dependent")
-        if canonical != linalg.saturation(basis):
-            raise EqsingError("basis does not span a saturated sublattice")
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", canonical)
-        object.__setattr__(self, "restricted_gram", _gram_on(ambient, canonical))
-
-    @classmethod
-    def _canonical(cls, ambient, basis):
-        """The sublattice of a basis that is already saturated and in
-        Hermite normal form, without re-running the checks."""
-        sub = object.__new__(cls)
-        object.__setattr__(sub, "ambient", ambient)
-        object.__setattr__(sub, "basis", basis)
-        object.__setattr__(sub, "restricted_gram", _gram_on(ambient, basis))
-        return sub
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "restricted_gram", _gram_on(ambient, basis))
 
     @property
     def rank(self):

@@ -1,8 +1,8 @@
 """Exact integer matrix routines.
 
 Matrices are tuples of tuples of Python ints, row-major.  Everything here
-is exact; no floating point.  Integer kernels and saturations come from
-the classical Hermite normal form with transform.
+is exact; no floating point.  Integer kernels come from the classical
+Hermite normal form with transform.
 """
 from math import gcd
 
@@ -125,18 +125,3 @@ def int_kernel(M):
     ker = [u for h, u in zip(H, U) if is_zero_vec(h)]
     return hnf(ker) if ker else ()
 
-
-def saturation(rows):
-    """Saturate the row lattice: (Q-span of rows) intersected with Z^n.
-
-    Computed as the integer kernel of the integer kernel; kernels of
-    integer matrices are saturated, so two applications land exactly on
-    the primitive closure.  Returns the canonical (HNF) basis.
-    """
-    rows = freeze(rows)
-    if not rows:
-        return ()
-    K = int_kernel(rows)
-    if not K:
-        return hnf(identity(len(rows[0])))
-    return int_kernel(K)

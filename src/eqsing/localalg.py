@@ -26,19 +26,23 @@ MAX_TABLE_ENTRIES = 2_000_000
 
 
 class PolyGerm(Record):
-    """Polynomial germ with variable parities and a Z2^m block assignment.
+    """Invariant polynomial germ in m x-variables and n y-variables.
 
-    variables: ordered names, x-block first ("x1".."xm"), then y-block.
-    terms: exponent tuple -> rational coefficient (no constant term), a
-    number; a string is refused (a file's is read with `parse_rational`).
-    blocks: ((generator name, (variable indices it negates)), ...).
-    The terms are stored as ((exponents, Fraction), ...), sorted, so that
-    the germ is hashable.
+    terms: exponent tuple (x-block first) -> rational coefficient, no
+    constant term, as a mapping or pairs; a coefficient is a number, and a
+    string is refused (a file's is read with `parse_rational`).  They are
+    stored as ((exponents, Fraction), ...), sorted, so that the germ is
+    hashable.  For corner=False the one generator `sigma` negates every x;
+    for corner=True the generators s1..sm negate one x each.  `variables`,
+    `blocks` and `nvars` are read off (m, n, corner).
     """
 
-    __slots__ = ("variables", "terms", "blocks")
+    __slots__ = ("terms", "m", "n", "corner")
+    _defaults = {"corner": False}
 
     def __post_init__(self):
+        if not all(isinstance(k, int) and k >= 0 for k in (self.m, self.n)):
+            raise EqsingError(f"variable counts must be integers >= 0, got {self.m!r}, {self.n!r}")
         terms = []
         for exps, c in dict(self.terms).items():
             if isinstance(c, str):
@@ -47,20 +51,14 @@ class PolyGerm(Record):
             if c == 0:
                 continue
             exps = tuple(int(e) for e in exps)
-            if len(exps) != len(self.variables):
+            if len(exps) != self.nvars:
                 raise EqsingError("exponent length does not match variable count")
             if sum(exps) == 0:
                 raise EqsingError("germ must vanish at the origin (no constant term)")
             terms.append((exps, c))
         object.__setattr__(self, "terms", tuple(sorted(terms)))
-        object.__setattr__(self, "variables", tuple(self.variables))
-        blocks = tuple((str(n), tuple(ix)) for n, ix in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        for _, ix in blocks:
-            for i in ix:
-                if not 0 <= i < len(self.variables):
-                    raise EqsingError("block index out of range")
         # invariance: even degree inside each generator's block
+        blocks = self.blocks
         for exps, _ in self.terms:
             for name, ix in blocks:
                 if sum(exps[i] for i in ix) % 2 != 0:
@@ -69,8 +67,23 @@ class PolyGerm(Record):
                     )
 
     @property
+    def variables(self):
+        """Ordered names, x-block first ("x1".."xm"), then "y1".."yn"."""
+        return (tuple(f"x{i + 1}" for i in range(self.m))
+                + tuple(f"y{j + 1}" for j in range(self.n)))
+
+    @property
+    def blocks(self):
+        """((generator name, (variable indices it negates)), ...)."""
+        if self.m == 0:
+            return ()
+        if self.corner:
+            return tuple((f"s{i + 1}", (i,)) for i in range(self.m))
+        return (("sigma", tuple(range(self.m))),)
+
+    @property
     def nvars(self):
-        return len(self.variables)
+        return self.m + self.n
 
     def character_of_monomial(self, exps):
         """Eigenvalue tuple of the monomial under each generator."""
@@ -79,23 +92,7 @@ class PolyGerm(Record):
         )
 
 
-def germ(terms, m, n, corner=False):
-    """Convenience constructor for a germ in m x-variables and n y-variables.
-
-    `terms` maps exponent tuples (length m+n, x-block first) to rational
-    coefficients.  For corner=False the single generator `sigma` negates
-    every x; for corner=True the generators s1..sm negate one x each.
-    """
-    names = tuple(f"x{i + 1}" for i in range(m)) + tuple(
-        f"y{j + 1}" for j in range(n)
-    )
-    if m == 0:
-        blocks = ()
-    elif corner:
-        blocks = tuple((f"s{i + 1}", (i,)) for i in range(m))
-    else:
-        blocks = (("sigma", tuple(range(m))),)
-    return PolyGerm(variables=names, terms=tuple(terms.items()), blocks=blocks)
+germ = PolyGerm
 
 
 _TERM_RE = re.compile(r"^([xy])([0-9]+)(?:\^([0-9]+))?$")
@@ -165,31 +162,29 @@ def parse_germ(text, corner=False):
         terms[key] = terms.get(key, Fraction(0)) + coef
     if m is None:
         raise DiagramError("missing vars header", line=1)
-    return germ(terms, m, n, corner=corner)
+    return PolyGerm(terms, m, n, corner=corner)
 
 
 def serialize_germ(f):
     """The polynomial file format for a PolyGerm (inverse of parse_germ)."""
-    xs = sorted({i for _, ix in f.blocks for i in ix})
-    m = len(xs)
-    n = f.nvars - m
-    lines = [f"vars x:{m} y:{n}"]
+    names = f.variables
+    lines = [f"vars x:{f.m} y:{f.n}"]
     for exps, c in sorted(f.terms, key=lambda t: (sum(t[0]), t[0])):
-        factors = []
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            name = f.variables[i]
-            factors.append(name if e == 1 else f"{name}^{e}")
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e]
         lines.append(f"{c} " + "*".join(factors))
     return "\n".join(lines) + "\n"
 
 
 class LocalAlgebraReport(Record):
-    """mu, per-character dimensions as ((character tuple, dim), ...) in
-    binary order, and the certified truncation degree."""
+    """Per-character dimensions as ((character tuple, dim), ...) in binary
+    order, and the certified truncation degree; `mu` is the sum of the
+    dimensions."""
 
-    __slots__ = ("mu", "isotypic_dims", "truncation_degree")
+    __slots__ = ("isotypic_dims", "truncation_degree")
+
+    @property
+    def mu(self):
+        return sum(d for _, d in self.isotypic_dims)
 
     def dim_of(self, character):
         for chi, d in self.isotypic_dims:
@@ -317,11 +312,8 @@ def milnor_number(f, max_degree=24):
                 for e in monomials(d):
                     if key(e) not in pivots:
                         dims[f.character_of_monomial(e)] += 1
-            return LocalAlgebraReport(
-                mu=sum(dims.values()),
-                isotypic_dims=tuple(dims.items()),
-                truncation_degree=D,
-            )
+            return LocalAlgebraReport(isotypic_dims=tuple(dims.items()),
+                                      truncation_degree=D)
     raise EqsingError(
         f"finiteness of the Jacobian quotient not certified at degree {max_degree}")
 

@@ -579,14 +579,15 @@ def action_from_file(dfile):
 class AnalysisOutcome(Record):
     """Everything the criterion produces for one diagram+action input.
 
-    `generators` holds the roots e_1, ..., e_r of the orbit reflections
-    h_1, ..., h_r, in sublattice coordinates; no matrix is built for them.
+    The orbit reflections h_1, ..., h_r are those in the unit vectors of
+    the sublattice, r its rank (`equivariant_generators`), so the outcome
+    holds no roots and no matrix is built for them.
     `kernel` is in sublattice coordinates, `kernel_ambient` in ambient ones.
     `criteria_agree` is always true: `run_analysis` raises InternalError
     instead of returning a disagreement.
     """
 
-    __slots__ = ("sublattice", "generators", "inertia", "kernel", "verdict")
+    __slots__ = ("sublattice", "inertia", "kernel", "verdict")
 
     criteria_agree = True
 
@@ -613,10 +614,9 @@ def run_analysis(dfile, cap=10**6):
     between the inertia's n_zero and the kernel rank.
     The inertia is computed once and handed to `generate_group`.
     """
-    diagram = dfile.diagram
-    if not diagram.all_self_minus_two():
-        i, s = next(v for v in diagram.vertices if v[1] != -2)
-        raise DiagramError(f"vertex {i} has self-intersection {s}; "
+    bad = next((v for v in dfile.diagram.vertices if v[1] != -2), None)
+    if bad is not None:
+        raise DiagramError(f"vertex {bad[0]} has self-intersection {bad[1]}; "
                            "the criterion takes -2 on every vertex")
     action, chi = action_from_file(dfile)
     sub, roots = equivariant_generators(action, chi)
@@ -632,5 +632,4 @@ def run_analysis(dfile, cap=10**6):
             f"negative definiteness and finiteness disagree "
             f"(inertia {sig.as_tuple()}, verdict {verdict})"
         )
-    return AnalysisOutcome(sublattice=sub, generators=roots, inertia=sig, kernel=ker,
-                           verdict=verdict)
+    return AnalysisOutcome(sublattice=sub, inertia=sig, kernel=ker, verdict=verdict)

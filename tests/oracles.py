@@ -253,7 +253,7 @@ def isotypic_sublattice_by_kernel(action, chi):
     validate_action(action)
     n = action.lattice.rank
     if not action.generators:
-        return Sublattice._canonical(action.lattice, linalg.identity(n))
+        return Sublattice(action.lattice, linalg.identity(n))
     rows = []
     for c, (_, g) in zip(chi, action.generators):
         M = permutation_matrix(g)
@@ -262,7 +262,7 @@ def isotypic_sublattice_by_kernel(action, chi):
     ker = linalg.int_kernel(linalg.freeze(rows))
     if not ker:
         raise EqsingError("isotypic sublattice is zero; nothing to restrict to")
-    return Sublattice._canonical(action.lattice, ker)
+    return Sublattice(action.lattice, ker)
 
 
 def orbit_generator_by_projector(action, chi, orbit, sub):
@@ -451,6 +451,23 @@ def inverse_unimodular(U):
     return tuple(tuple(int(x) for x in row[n:]) for row in M)
 
 
+def saturation(rows):
+    """Saturate the row lattice: (Q-span of rows) intersected with Z^n.
+
+    Computed as the integer kernel of the integer kernel; kernels of
+    integer matrices are saturated, so two applications land exactly on
+    the primitive closure.  Returns the canonical (HNF) basis: the
+    reference for the bases the package proves saturated.
+    """
+    rows = linalg.freeze(rows)
+    if not rows:
+        return ()
+    K = linalg.int_kernel(rows)
+    if not K:
+        return linalg.hnf(linalg.identity(len(rows[0])))
+    return linalg.int_kernel(K)
+
+
 def charpoly_sympy(M):
     """Characteristic polynomial det(xI - M) by sympy, as integer
     coefficients, highest degree first; skips the test without sympy."""
@@ -560,10 +577,7 @@ def milnor_number_by_truncation(f, max_degree=24):
             for c in range(size[D - 1]):
                 if c not in pivots:
                     dims[f.character_of_monomial(table[c])] += 1
-            return LocalAlgebraReport(
-                mu=sum(dims.values()),
-                isotypic_dims=tuple(dims.items()),
-                truncation_degree=D,
-            )
+            return LocalAlgebraReport(isotypic_dims=tuple(dims.items()),
+                                      truncation_degree=D)
     raise EqsingError(
         f"finiteness of the Jacobian quotient not certified at degree {max_degree}")

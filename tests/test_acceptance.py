@@ -82,7 +82,8 @@ def test_criterion_1_m5_pipeline():
     # the power law of the paper's element g = h5 h4 h1 on v = delta2 + delta3:
     # the increment w = 2*nabla - 2*nabla' is derived by hand from the
     # restricted Gram matrix (notes/decisions.md), not taken from g
-    g = word_element(reflections(sub.restricted_gram, out.generators), ("h5", "h4", "h1"))
+    gens = reflections(sub.restricted_gram, linalg.identity(sub.rank))
+    g = word_element(gens, ("h5", "h4", "h1"))
     v = (0, 1, 1, 0, 0)
     w = tuple(2 * a - 2 * b for a, b in zip(M5_NABLA, M5_NABLA_P))
     gv_minus_v = tuple(a - b for a, b in zip(linalg.mat_vec(g.matrix, v), v))
@@ -123,7 +124,8 @@ def test_criterion_2_m4_pipeline():
         out.verdict.validate()
     # infiniteness via the (h4 h1)^s law: the element shifts v = d2+d3 by a
     # fixed nonzero kernel vector at every step, s = 1..5 exactly
-    g = word_element(reflections(sub.restricted_gram, out.generators), ("h4", "h1"))
+    gens = reflections(sub.restricted_gram, linalg.identity(sub.rank))
+    g = word_element(gens, ("h4", "h1"))
     v = (0, 1, 1, 0)
     w = tuple(a - b for a, b in zip(linalg.mat_vec(g.matrix, v), v))
     if linalg.is_zero_vec(w):

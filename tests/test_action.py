@@ -11,9 +11,9 @@ from eqsing.action import GroupAction, isotypic_sublattice, signed_orbits, valid
 from eqsing.catalog import fixture_file
 from eqsing.diagram import DiagramFile, DynkinDiagram
 from eqsing.errors import DiagramError, EqsingError
-from eqsing.lattice import IntLattice, Sublattice
-from eqsing.localalg import LocalAlgebraReport
-from eqsing.monodromy import action_from_file
+from eqsing.lattice import IntLattice
+from eqsing.localalg import LocalAlgebraReport, PolyGerm
+from eqsing.monodromy import action_from_file, generate_group
 from oracles import (
     character_projection,
     group_elements,
@@ -21,6 +21,7 @@ from oracles import (
     permutation_matrix,
     product,
     random_action_file,
+    saturation,
     validate_action_by_matrices,
 )
 from test_catalog import BUNDLED_FIXTURES
@@ -92,11 +93,19 @@ def test_built_diagram_file_checks_the_generators_like_a_parsed_one():
                  r"gram matrix not symmetric at \(0,1\)", id="not-symmetric"),
     pytest.param(lambda: IntLattice(((-2, 1),)), EqsingError, "gram matrix must be square",
                  id="not-square"),
-    pytest.param(lambda: IntLattice(((-2,),), labels=("a", "b")), EqsingError,
-                 "labels length must equal rank", id="labels"),
-    pytest.param(lambda: Sublattice(A2, ((2, 0),)), EqsingError,
-                 "basis does not span a saturated sublattice", id="not-saturated"),
-    pytest.param(lambda: LocalAlgebraReport(1, (((1,), 1),), 2).dim_of((-1,)), EqsingError,
+    pytest.param(lambda: IntLattice(((-2, 1), ())), EqsingError, "gram matrix must be square",
+                 id="ragged"),
+    # a form with an entry that is no int is no integer lattice, so it is
+    # refused by the entry before generate_group reads its roots
+    pytest.param(lambda: IntLattice((("x",),)), EqsingError,
+                 r"^gram matrix entry \(0,0\) is not an integer: 'x'$", id="not-an-int"),
+    pytest.param(lambda: generate_group(((-1.5,),), [(1,)]), EqsingError,
+                 r"^gram matrix entry \(0,0\) is not an integer: -1.5$", id="float-diagonal"),
+    pytest.param(lambda: generate_group(((-2, 0.5), (0.5, -2)), [(1, 0), (0, 1)]), EqsingError,
+                 r"^gram matrix entry \(0,1\) is not an integer: 0.5$", id="float-off-diagonal"),
+    pytest.param(lambda: PolyGerm({(2,): 1}, -1, 2), EqsingError,
+                 "^variable counts must be integers >= 0, got -1, 2$", id="negative-count"),
+    pytest.param(lambda: LocalAlgebraReport((((1,), 1),), 2).dim_of((-1,)), EqsingError,
                  r"no character \(-1,\) in this report", id="dim-of"),
 ])
 def test_library_boundary_errors_are_typed(build, cls, message):
@@ -294,4 +303,4 @@ def test_character_projection_projector_identity():
             den = den * x.denominator // gcd(den, x.denominator)
         cols.append(tuple(int(x * den) for x in p))
     image = [c for c in cols if any(c)]
-    assert linalg.saturation(image) == sub.basis
+    assert saturation(image) == sub.basis

@@ -1,4 +1,4 @@
-"""CLI: exit codes, machine-format golden output, file errors."""
+"""CLI: exit codes, machine- and text-format golden output, file errors."""
 import io
 import contextlib
 import hashlib
@@ -78,6 +78,21 @@ def test_analyze_not_simple_diagrams_machine_golden(monkeypatch, name, cap):
     assert (code, err) == (1, "")
     assert out == (GOLDEN / f"{name}_analyze.machine").read_text()
 
+
+
+@pytest.mark.parametrize("name, path", [
+    ("m5", FIXTURES / "m5.diagram"),
+    ("affine_e6", GOLDEN / "affine_e6.diagram"),
+])
+def test_analyze_text_golden(monkeypatch, name, path):
+    # the text report names the ambient basis Δ<id> and the sublattice's
+    # δ1, δ2, ...; its last line, elapsed:, is the one that is not pinned
+    monkeypatch.chdir(path.parent)
+    code, out, err = run_cli("analyze", path.name)
+    assert (code, err) == (1, "")
+    *report, elapsed = out.splitlines(keepends=True)
+    assert elapsed.startswith("elapsed: ")
+    assert "".join(report) == (GOLDEN / f"{name}_analyze.text").read_text()
 
 def _random_action_transcript():
     """One line per seed 0..299: the seed, the exit code and the sha256 of

@@ -13,7 +13,7 @@ from eqsing.diagram import (
     to_lattice,
 )
 from eqsing.errors import DiagramError
-from eqsing.monodromy import action_from_file
+from eqsing.monodromy import action_from_file, run_analysis
 from oracles import product, random_action_file
 
 A2_TEXT = """\
@@ -147,7 +147,7 @@ def test_serialization_is_byte_stable():
 def test_fig1_lattice_entries():
     lat = to_lattice(fixture_file("X9").diagram)
     assert lat.rank == 9
-    assert lat.labels[0] == "Δ1"
+    assert fixture_file("X9").diagram.vertex_ids()[0] == 1  # the text report's Δ1
     idx = {i + 1: i for i in range(9)}
     # (Delta2, Delta4) = 0
     assert lat.gram[idx[2]][idx[4]] == 0
@@ -197,6 +197,8 @@ def test_fig1_encoding_gate(name):
 
 
 def test_threemod4_validation():
-    assert fixture_file("X9").diagram.all_self_minus_two()
-    d = DynkinDiagram(vertices=((1, -3),), edges=())
-    assert not d.all_self_minus_two()
+    assert all(s == -2 for _, s in fixture_file("X9").diagram.vertices)
+    d = DynkinDiagram(vertices=((1, -2), (2, -3), (3, 0)), edges=((1, 2, 1),))
+    with pytest.raises(DiagramError, match="^vertex 2 has self-intersection -3; "
+                       "the criterion takes -2 on every vertex$"):
+        run_analysis(DiagramFile(d))

@@ -173,23 +173,6 @@ def test_kernel_properties_random():
         assert linalg.hnf(ker) == ker if ker else ker == ()
 
 
-def test_analysis_runs_no_rank_or_saturation(monkeypatch):
-    # the isotypic kernel is saturated and in Hermite normal form already,
-    # so no call runs the checked constructor's rank and saturation tests
-    from eqsing.catalog import fixture_file
-    from eqsing.monodromy import run_analysis
-
-    calls = []
-
-    def counted(rows, _original=linalg.saturation):
-        calls.append(rows)
-        return _original(rows)
-
-    monkeypatch.setattr(linalg, "saturation", counted)
-    run_analysis(fixture_file("M5"))
-    assert calls == []
-
-
 def test_analysis_computes_the_inertia_once(monkeypatch):
     # run_analysis hands its inertia to generate_group, which would
     # otherwise compute it again; a finite verdict has no certificate to
@@ -206,29 +189,6 @@ def test_analysis_computes_the_inertia_once(monkeypatch):
     out = monodromy.run_analysis(catalog.fixture_file("E6"))
     assert out.verdict.kind == "finite"
     assert calls == [out.sublattice.restricted_gram]
-
-
-def test_direct_sublattice_construction_is_checked():
-    sub = Sublattice(ambient=A2, basis=((1, 0),))
-    assert sub == Sublattice._canonical(A2, ((1, 0),))
-    assert sub.restricted_gram == ((-2,),)
-    with pytest.raises(EqsingError, match="basis vectors are rationally dependent"):
-        Sublattice(ambient=A2, basis=((1, 0), (2, 0)))
-    with pytest.raises(EqsingError, match="basis does not span a saturated sublattice"):
-        Sublattice(ambient=A2, basis=((2, 0),))
-    with pytest.raises(EqsingError, match="basis vectors must have ambient rank length"):
-        Sublattice(ambient=A2, basis=((1, 0, 0),))
-
-
-def test_direct_sublattice_stores_the_canonical_basis():
-    # two bases of one sublattice give one Sublattice, with the Hermite
-    # normal form as its basis and the form on that basis
-    A3 = IntLattice(((-2, 1, 0), (1, -2, 1), (0, 1, -2)))
-    swapped = Sublattice(A3, ((0, 1, 0), (1, 0, 0)))
-    assert swapped == Sublattice(A3, ((1, 0, 0), (0, 1, 0)))
-    assert swapped.basis == linalg.hnf(((0, 1, 0), (1, 0, 0)))
-    assert swapped.restricted_gram == ((-2, 1), (1, -2))
-    assert Sublattice(A3, ((1, 1, 0), (0, -1, 0))) == swapped
 
 
 def test_restrict_m5_and_m4_self_intersections():

