@@ -26,8 +26,9 @@ from .record import Record
 class GroupAction(Record):
     """Named commuting involutive isometries of `lattice`'s form: `generators`
     is ((name, images), ...) with `images` the image table.  The names are
-    unique and each table is a bijection of range(rank) with signs +-1, or
-    an EqsingError names the generator; `validate_action` checks the rest."""
+    unique and each table is a bijection of range(rank) with signs +-1, all
+    Python ints, or an EqsingError names the generator; `validate_action`
+    checks the rest."""
 
     __slots__ = ("generators", "lattice")
 
@@ -39,6 +40,9 @@ class GroupAction(Record):
             raise EqsingError("generator names must be unique")
         cycles = list(range(self.lattice.rank))
         for name, images in gens:
+            if not all(isinstance(j, int) and isinstance(s, int) for j, s in images):
+                raise EqsingError(f"generator {name} has an image index or sign "
+                                  "that is not an integer")
             if sorted(j for j, _ in images) != cycles:
                 raise EqsingError(f"generator {name} is not a bijection of the "
                                   f"{len(cycles)} basis cycles")

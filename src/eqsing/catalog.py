@@ -1,8 +1,9 @@
 """The classification as data: one row per family in `FAMILIES`, and the
 bundled diagram/action fixtures.  The criterion a verdict runs,
 `run_analysis`, is `monodromy`'s, so `analyze` never loads the family
-table, and `fractions` is imported only by the three functions that read
-a row's rationals, so `catalog verdict` never loads it.
+table.  `fractions` is imported only by the three functions that read a
+row's rationals, and one function, `_entry`, checks the (symbol, k) of
+every call without reading a weight, so `catalog verdict` never loads it.
 
 Simple families: A_k, D_k, E6, E7, E8, B_k, C_k, F4 (identical lists in
 the single-Z2 and corner settings, up to renumbering of generators);
@@ -95,7 +96,9 @@ class FamilyEntry(Record):
     lines; `weights(k)` the hand-written weights of the core x- and
     y-variables as two space-separated strings; `excluded(a)` is true on
     the locus `modulus_rule` excludes; `fixture(k)` builds the bundled
-    DiagramFile, for k in the closed range `fixture_k` if indexed.
+    DiagramFile.  An indexed family bundles fixtures for k in the closed
+    range `fixture_k`, which starts at `k_min`: `_entry` checks the lower
+    end for every function, `fixture_file` only the upper one.
     `kind` is "simple" or "confining", `setting` "z2", "corner" or
     "both", and `modulus_rule` the exclusion in words; the fields from
     `k_min` on are None when not given."""
@@ -198,8 +201,13 @@ def confining_list(setting):
     )
 
 
-def _family(symbol, k, m, n):
-    """(row, m, n) for checked arguments; m and n default to the minimum."""
+def _entry(symbol, k):
+    """The row of `symbol`, for an index `k` that the row takes: the one
+    check of (symbol, k) behind `normal_form`, `quasihomogeneous_weights`,
+    `weyl_order` and `fixture_file`.  It reads no weights, so a verdict
+    loads no `fractions`."""
+    if not isinstance(symbol, str):
+        raise EqsingError(f"unknown family symbol {symbol!r}")
     symbol = symbol.upper()
     entry = FAMILIES.get(symbol)
     if entry is None:
@@ -213,11 +221,17 @@ def _family(symbol, k, m, n):
             raise EqsingError(f"{symbol}: k must be >= {entry.k_min}, got {k}")
     elif k is not None:
         raise EqsingError(f"{symbol} takes no index k")
+    return entry
+
+
+def _family(symbol, k, m, n):
+    """(row, m, n) for checked arguments; m and n default to the minimum."""
+    entry = _entry(symbol, k)
     mmin, nmin = entry.min_vars
     m = mmin if m is None else m
     n = nmin if n is None else n
     if m < mmin or n < nmin:
-        raise EqsingError(f"{symbol} needs at least m={mmin}, n={nmin} variables")
+        raise EqsingError(f"{entry.symbol} needs at least m={mmin}, n={nmin} variables")
     return entry, m, n
 
 
@@ -274,29 +288,29 @@ def quasihomogeneous_weights(symbol, k=None, m=None, n=None):
 
 
 def weyl_order(symbol, k=None):
-    """Closed-form Weyl group orders (independent of the closure engine)."""
-    symbol = symbol.upper()
+    """Closed-form Weyl group orders (independent of the closure engine),
+    for the simple families."""
+    symbol = _entry(symbol, k).symbol
     if symbol == "A":
         return factorial(k + 1)
     if symbol in ("B", "C"):
         return 2**k * factorial(k)
     if symbol == "D":
         return 2 ** (k - 1) * factorial(k)
-    return {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152}[symbol]
+    orders = {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152}
+    if symbol not in orders:
+        raise EqsingError(f"{symbol} has no Weyl group order in closed form")
+    return orders[symbol]
 
 
 def fixture_file(symbol, k=None):
     """The diagram/action fixture as a DiagramFile (serializable)."""
-    symbol = symbol.upper()
-    entry = FAMILIES.get(symbol)
-    if entry is None or entry.fixture is None:
-        raise EqsingError(f"no bundled fixture for family {symbol}")
-    if entry.fixture_k is not None:
+    entry = _entry(symbol, k)
+    if entry.fixture is None:
+        raise EqsingError(f"no bundled fixture for family {entry.symbol}")
+    if entry.fixture_k is not None and k > entry.fixture_k[1]:
         lo, hi = entry.fixture_k
-        if k is None or not lo <= k <= hi:
-            raise EqsingError(
-                f"{symbol} fixtures are bundled for {lo} <= k <= {hi} (got k={k})"
-            )
-    elif k is not None:
-        raise EqsingError(f"{symbol} takes no index k")
+        raise EqsingError(
+            f"{entry.symbol} fixtures are bundled for {lo} <= k <= {hi} (got k={k})"
+        )
     return entry.fixture(k)

@@ -25,14 +25,18 @@ from .record import Record
 
 class DynkinDiagram(Record):
     """vertices: ((id, self_intersection), ...) with ids >= 0; edges:
-    ((i, j, weight), ...)."""
+    ((i, j, weight), ...).  Every entry is a Python int, as in IntLattice,
+    or a DiagramError names the vertex or edge."""
 
     __slots__ = ("vertices", "edges")
 
     def __post_init__(self):
-        vertices = tuple((int(i), int(s)) for i, s in self.vertices)
+        vertices = tuple((i, s) for i, s in self.vertices)
         ids = set()
-        for k, (i, _) in enumerate(vertices):
+        for k, (i, s) in enumerate(vertices):
+            if not (isinstance(i, int) and isinstance(s, int)):
+                raise DiagramError(f"vertex {i!r} self={s!r}: entries must be integers",
+                                   entry=("vertices", k))
             if i < 0:
                 raise DiagramError(f"vertex {i}: ids must be >= 0",
                                    entry=("vertices", k))
@@ -44,6 +48,9 @@ class DynkinDiagram(Record):
         norm = {}
         for k, (i, j, w) in enumerate(self.edges):
             at = ("edges", k)
+            if not (isinstance(i, int) and isinstance(j, int) and isinstance(w, int)):
+                raise DiagramError(f"edge {i!r} {j!r} w={w!r}: entries must be integers",
+                                   entry=at)
             if i == j:
                 raise DiagramError(f"edge {i} {j}: loops are not allowed", entry=at)
             if w == 0:
@@ -54,7 +61,7 @@ class DynkinDiagram(Record):
                     f"more than one edge between {key[0]} and {key[1]}", entry=at)
             if i not in ids or j not in ids:
                 raise DiagramError(f"edge {i} {j} references unknown vertex", entry=at)
-            norm[key] = int(w)
+            norm[key] = w
         object.__setattr__(self, "edges", tuple(sorted(k + (w,) for k, w in norm.items())))
 
     @property

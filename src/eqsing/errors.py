@@ -14,7 +14,9 @@ rational [+-]?[0-9]+(/[0-9]+)?.  Python's int() and Fraction() also take
 `1_0`, surrounding spaces, any Unicode decimal digit, and decimals such as
 `.5` or `1e3`; the readers here take none of them.  Every subcommand
 imports this module, so both readers cost no extra load; `fractions` is
-imported inside `parse_rational`, which only the germ side calls.
+imported inside `parse_rational`, which only the germ side calls.  A
+library caller passes numbers, and a record refuses an integer entry
+that is not an `int` instead of converting it.
 """
 
 

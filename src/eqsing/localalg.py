@@ -29,12 +29,13 @@ class PolyGerm(Record):
     """Invariant polynomial germ in m x-variables and n y-variables.
 
     terms: exponent tuple (x-block first) -> rational coefficient, no
-    constant term, as a mapping or pairs; a coefficient is a number, and a
-    string is refused (a file's is read with `parse_rational`).  They are
-    stored as ((exponents, Fraction), ...), sorted, so that the germ is
-    hashable.  For corner=False the one generator `sigma` negates every x;
-    for corner=True the generators s1..sm negate one x each.  `variables`,
-    `blocks` and `nvars` are read off (m, n, corner).
+    constant term, as a mapping or pairs; an exponent is an int >= 0, a
+    coefficient is a number, and a string is refused (a file's is read
+    with `parse_rational`).  They are stored as ((exponents, Fraction),
+    ...), sorted, so that the germ is hashable.  For corner=False the one
+    generator `sigma` negates every x; for corner=True the generators
+    s1..sm negate one x each.  `variables`, `blocks` and `nvars` are read
+    off (m, n, corner).
     """
 
     __slots__ = ("terms", "m", "n", "corner")
@@ -45,12 +46,14 @@ class PolyGerm(Record):
             raise EqsingError(f"variable counts must be integers >= 0, got {self.m!r}, {self.n!r}")
         terms = []
         for exps, c in dict(self.terms).items():
+            exps = tuple(exps)
+            if not all(isinstance(e, int) and e >= 0 for e in exps):
+                raise EqsingError(f"exponents must be integers >= 0, got {exps!r}")
             if isinstance(c, str):
                 raise EqsingError(f"bad coefficient {c!r}")
             c = Fraction(c)
             if c == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
             if len(exps) != self.nvars:
                 raise EqsingError("exponent length does not match variable count")
             if sum(exps) == 0:

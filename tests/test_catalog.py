@@ -126,6 +126,14 @@ def test_weyl_order_closed_forms():
     assert weyl_order("D", 5) == 1920
     assert weyl_order("E6") == 51840
     assert weyl_order("F4") == 1152
+    with pytest.raises(EqsingError, match="P8 has no Weyl group order in closed form"):
+        weyl_order("P8")
+
+
+def test_fixture_range_starts_at_k_min():
+    # fixture_file checks only the top of `fixture_k`; `_entry` the bottom
+    indexed = [e for e in catalog.FAMILIES.values() if e.fixture_k is not None]
+    assert indexed and all(e.fixture_k[0] == e.k_min for e in indexed)
 
 
 def test_fixture_a2_trivial():
@@ -155,8 +163,18 @@ def test_fixture_m5():
 
 
 def test_fixture_errors():
+    # (symbol, k) is checked first, as for every catalog function, then
+    # whether a fixture is bundled, then the top of its range
     with pytest.raises(EqsingError, match="no bundled fixture for family P8"):
         fixture_file("P8")
+    with pytest.raises(EqsingError, match="P8 takes no index k"):
+        fixture_file("P8", 3)
+    with pytest.raises(EqsingError, match="unknown family symbol 'Z99'"):
+        fixture_file("z99")
+    with pytest.raises(EqsingError, match="A requires the index k"):
+        fixture_file("A")
+    with pytest.raises(EqsingError, match="A: k must be >= 1, got 0"):
+        fixture_file("A", 0)
     with pytest.raises(EqsingError, match=r"A fixtures are bundled for 1 <= k <= 8 \(got k=9\)"):
         fixture_file("A", 9)
     with pytest.raises(EqsingError, match=r"B fixtures are bundled for 2 <= k <= 4 \(got k=5\)"):
@@ -419,18 +437,28 @@ def test_normal_form_terms_have_weighted_degree_one(extra):
     assert checked == set(catalog.FAMILIES)
 
 
-@pytest.mark.parametrize("fn", [normal_form, quasihomogeneous_weights])
-@pytest.mark.parametrize("args, message", [
-    pytest.param(args, message, id=repr(args)) for args, message in [
-        (("Z99",), "unknown family symbol 'Z99'"),
-        (("A",), "A requires the index k"),
-        (("A", 1, 0, 0), "A needs at least m=0, n=1 variables"),
-        (("D", 3), "D: k must be >= 4, got 3"),  # below k_min
-        (("A", 2.5), "A: k must be an integer, got 2.5"),
-        (("E6", 2), "E6 takes no index k"),
-        (("M5", None, 1), "M5 needs at least m=2, n=0 variables"),
-        (("B", 2, 0), "B needs at least m=1, n=0 variables"),
-    ]
+# (arguments, message, the functions that refuse them); every function that
+# takes (symbol, k) refuses a bad pair with the same message
+_BY_SYMBOL_K = (normal_form, quasihomogeneous_weights, fixture_file, weyl_order)
+_BY_VARIABLES = (normal_form, quasihomogeneous_weights)
+_BAD_FAMILY_ARGUMENTS = [
+    (("Z99",), "unknown family symbol 'Z99'", _BY_SYMBOL_K),
+    ((3,), "unknown family symbol 3", _BY_SYMBOL_K),
+    (("A",), "A requires the index k", _BY_SYMBOL_K),
+    (("A", 1, 0, 0), "A needs at least m=0, n=1 variables", _BY_VARIABLES),
+    (("D", 3), "D: k must be >= 4, got 3", _BY_SYMBOL_K),  # below k_min
+    (("A", 2.5), "A: k must be an integer, got 2.5", _BY_SYMBOL_K),
+    (("A", "3"), "A: k must be an integer, got '3'", _BY_SYMBOL_K),
+    (("A", 3.0), "A: k must be an integer, got 3.0", _BY_SYMBOL_K),
+    (("E6", 2), "E6 takes no index k", _BY_SYMBOL_K),
+    (("M5", None, 1), "M5 needs at least m=2, n=0 variables", _BY_VARIABLES),
+    (("B", 2, 0), "B needs at least m=1, n=0 variables", _BY_VARIABLES),
+]
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    pytest.param(fn, args, message, id=f"{args!r}-{fn.__name__}")
+    for args, message, fns in _BAD_FAMILY_ARGUMENTS for fn in fns
 ])
 def test_bad_family_arguments_rejected(fn, args, message):
     with pytest.raises(EqsingError, match=re.escape(message)):

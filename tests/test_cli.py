@@ -277,6 +277,22 @@ def test_catalog_verdict_exit_codes():
     assert code == 2  # no fixture
 
 
+@pytest.mark.parametrize("command", ["verdict", "emit"])
+@pytest.mark.parametrize("argv, message", [
+    # the library's one (symbol, k) check speaks before the fixture's own
+    (["Z99"], "unknown family symbol 'Z99'"),
+    (["A"], "A requires the index k"),
+    (["A", "--k", "0"], "A: k must be >= 1, got 0"),
+    (["P8", "--k", "3"], "P8 takes no index k"),
+    # the fixture's own checks
+    (["P8"], "no bundled fixture for family P8"),
+    (["A", "--k", "9"], "A fixtures are bundled for 1 <= k <= 8 (got k=9)"),
+], ids=["unknown-symbol", "missing-k", "k-below-min", "k-not-taken", "no-fixture",
+        "k-above-range"])
+def test_catalog_refusal_messages(command, argv, message):
+    assert run_cli("catalog", command, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_catalog_verdict_undecided_definite_is_simple():
     # E8 is negative definite, so simple by the criterion, while its
     # monodromy (240 roots) is undecided at cap 100: exit 3 says so

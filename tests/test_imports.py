@@ -12,7 +12,9 @@ alive: the package or the benchmark reads each, by name or as an
 attribute.  Nor an error class:
 each class of `errors.py` is raised by the package, or is a base of one
 that is.  And since a refusal is told apart by its message alone, each
-raise of such a class passes a message first.
+raise of such a class passes a message first.  And a record checks its
+entries and never converts them: no `__post_init__` of the package calls
+`int(`.
 """
 import ast
 from pathlib import Path
@@ -279,3 +281,34 @@ def test_every_refusal_of_the_package_passes_a_message():
     errors = (ROOT / "src" / "eqsing" / "errors.py").read_text(encoding="utf-8")
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in PACKAGE}
     assert raises_without_message(errors, sources) == []
+
+
+def post_init_int_calls(sources):
+    """[(module, line), ...]: each call of `int(...)` inside a method named
+    `__post_init__` in `sources` ({module: source})."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+                found += [(module, call.lineno) for call in ast.walk(node)
+                          if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                          and call.func.id == "int"]
+    return sorted(found)
+
+
+def test_detector_finds_an_int_call_in_a_post_init():
+    sources = {"a": ("class A:\n"
+                     "    def __post_init__(self):\n"
+                     "        x = [int(v) for v in self.v]\n"
+                     "        isinstance(x, int)\n"
+                     "    def other(self):\n"
+                     "        return int(self.v)\n"
+                     "def __post_init__():\n"
+                     "    return int('1')\n")}
+    assert post_init_int_calls(sources) == [("a", 3), ("a", 8)]
+
+
+def test_no_post_init_converts_with_int():
+    # a record refuses an entry that is not an int (IntLattice's rule)
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert post_init_int_calls(sources) == []

@@ -6,6 +6,7 @@ import copy
 import importlib
 import pickle
 import pkgutil
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ import eqsing
 from eqsing.action import GroupAction
 from eqsing.catalog import FamilyEntry, fixture_file
 from eqsing.diagram import DiagramFile, DynkinDiagram
+from eqsing.errors import DiagramError, EqsingError
 from eqsing.lattice import Inertia, IntLattice, Sublattice
 from eqsing.localalg import LocalAlgebraReport, PolyGerm
 from eqsing.monodromy import Finite, Infinite, MonodromyElement, Unknown, run_analysis
@@ -69,6 +71,34 @@ BUILD = {
     "PolyGerm": lambda: PolyGerm(terms=(((2, 0), 1), ((0, 3), 1)), m=1, n=1, corner=True),
     "LocalAlgebraReport": lambda: LocalAlgebraReport((((1,), 2),), 3),
 }
+
+# a record checks its integer entries and never converts them: each of these
+# is refused (a diagram's with the DiagramError that names the entry)
+NOT_INTEGERS = {
+    "diagram-float-and-str": (
+        lambda: DynkinDiagram(((1, -2.5), (2, "-2")), ((1, 2, 1.9),)),
+        DiagramError, "vertex 1 self=-2.5: entries must be integers"),
+    "diagram-float-id": (lambda: DynkinDiagram(((1.5, -2),), ()),
+                         DiagramError, "vertex 1.5 self=-2: entries must be integers"),
+    "diagram-float-weight": (lambda: DynkinDiagram(((1, -2), (2, -2)), ((1, 2, 1.9),)),
+                             DiagramError, "edge 1 2 w=1.9: entries must be integers"),
+    "germ-negative-exponent": (lambda: PolyGerm({(-2, 0): 1, (2, 0): 1, (0, 2): 1}, 1, 1),
+                               EqsingError, "exponents must be integers >= 0, got (-2, 0)"),
+    "germ-float-exponent": (lambda: PolyGerm({(2.5, 0): 1, (0, 2): 1}, 1, 1),
+                            EqsingError, "exponents must be integers >= 0, got (2.5, 0)"),
+    "action-float-index": (
+        lambda: GroupAction((("s", ((1.0, 1), (0, 1))),), IntLattice(A2_GRAM)),
+        EqsingError, "generator s has an image index or sign that is not an integer"),
+    "action-float-sign": (
+        lambda: GroupAction((("s", ((1, -1.0), (0, -1))),), IntLattice(A2_GRAM)),
+        EqsingError, "generator s has an image index or sign that is not an integer"),
+}
+
+
+@pytest.mark.parametrize("build, error, message", NOT_INTEGERS.values(), ids=list(NOT_INTEGERS))
+def test_records_refuse_entries_that_are_not_ints(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
 
 
 @pytest.mark.parametrize("name", BUILD)
