@@ -27,13 +27,22 @@ class GroupAction(Record):
     """Named commuting involutive isometries of `lattice`'s form: `generators`
     is ((name, images), ...) with `images` the image table.  The names are
     unique and each table is a bijection of range(rank) with signs +-1, all
-    Python ints, or an EqsingError names the generator; `validate_action`
-    checks the rest."""
+    Python ints, or an EqsingError names the generator, or the entry of
+    another shape; `validate_action` checks the rest."""
 
     __slots__ = ("generators", "lattice")
 
     def __post_init__(self):
-        gens = tuple((name, tuple(images)) for name, images in self.generators)
+        gens = []
+        entry = self.generators  # named when it is no sequence at all
+        try:
+            for entry in self.generators:
+                name, images = entry
+                gens.append((name, tuple((j, s) for j, s in images)))
+        except (TypeError, ValueError):
+            raise EqsingError(f"generator entry {entry!r} is not "
+                              "(name, ((j, s), ...))") from None
+        gens = tuple(gens)
         object.__setattr__(self, "generators", gens)
         names = [n for n, _ in gens]
         if len(set(names)) != len(names):

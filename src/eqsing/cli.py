@@ -1,26 +1,66 @@
-"""Command-line front end.
+"""eqsing: the simplicity criterion for Z2-invariant and corner
+singularities, with intersection lattices, isotypic sublattices and
+equivariant monodromy certificates.
 
-Subcommands:
-  analyze FILE [--cap N] [--format text|machine]
-  catalog list [--setting z2|corner]
-  catalog emit SYMBOL [--k K] [--m M --n N --modulus Q --poly] [--out FILE]
-  catalog verdict SYMBOL [--k K] [--cap N] [--format text|machine]
-  mu FILE [--max-degree D] [--oracle w1,w2,...] [--corner]
+usage:
+  eqsing analyze FILE [--cap N] [--format text|machine]
+  eqsing catalog list [--setting z2|corner]
+  eqsing catalog emit SYMBOL [--k K] [--m M] [--n N] [--modulus Q] [--poly]
+                      [--out FILE]
+  eqsing catalog verdict SYMBOL [--k K] [--cap N] [--format text|machine]
+  eqsing mu FILE [--max-degree D] [--oracle w1,w2,...] [--corner]
+  eqsing -h | --help
 
-`analyze` takes the character from the file's character line.  `mu`
-prints the dimension of every character as `isotypic.<signs>=<dim>`,
-one sign per generator in generator order: `isotypic.+-=2` on M4 with
-`--corner` is the character s1 = +1, s2 = -1.
+analyze          run the criterion on a diagram+action file, for the
+                 character of the file's character line
+catalog list     list the simple and the confining families
+catalog emit     write a family's fixture file, or its normal-form
+                 polynomial with --poly, to stdout or to --out FILE
+catalog verdict  run the criterion on a family's bundled fixture
+mu               the Milnor number of a polynomial file and the dimension
+                 of every character, as `isotypic.<signs>=<dim>`, one sign
+                 per generator in generator order: `isotypic.+-=2` on M4
+                 with --corner is the character s1 = +1, s2 = -1
 
-Exit codes: 0 simple (or plain success), 1 not-simple, 2 error, 3 unknown.
-The machine format is a stable line-oriented key=value schema; every
-field is reproducible from the input file alone, so timings appear only
-in the text format.  Each subcommand imports the layers it runs, so a
-request loads no layer it does not need.
+options:
+  --cap N         bound on the roots the finiteness search records, on
+                  every form; the verdict is Unknown beyond it, or beyond
+                  a fixed bound on recorded entries (roots times rank,
+                  monodromy.MAX_ROOT_ENTRIES), whichever comes first
+                  (default 1000000)
+  --format F      text (default) or machine
+  --setting S     z2 (default) or corner
+  --k K           the family's index, for an indexed family
+  --m M, --n N    x- and y-variables of the normal form, with --poly
+  --modulus Q     the confining modulus a, p or p/q, with --poly
+  --poly          emit the normal-form polynomial instead of the diagram
+  --out FILE      write to FILE instead of stdout
+  --max-degree D  highest degree of the truncation that certifies mu
+                  (default 24); a germ whose critical point is not
+                  isolated works through every degree up to it, or until
+                  the monomial listing bound stops it
+  --oracle W      quasihomogeneous weights w1,w2,...: check that they
+                  make the germ of degree 1 and compare mu with theirs
+  --corner        one generator per x-variable instead of a single sigma
+
+Options come before or after the positional argument, as `--opt value`
+or `--opt=value` (a value that begins with `--` only in the second
+form); a repeated option keeps its last value.  Every integer
+is ASCII [+-]?[0-9]+ and every rational [+-]?[0-9]+(/[0-9]+)?.
+
+Exit codes: 0 simple (or plain success), 1 not simple, 2 error (one
+`error:` line on stderr, usage errors included), 3 unknown.  The machine
+format is a stable line-oriented key=value schema; every field is
+reproducible from the input file alone, so timings appear only in the
+text format.
 """
-import argparse
+# A request is one fresh process, so start-up is most of its cost: each
+# cmd_* imports the layers it runs, and the arguments are read from one
+# table (_COMMANDS) with no parser library, whose import and build would
+# add about 10 ms (notes/decisions.md, "Start-up").
 import sys
 import time
+from types import SimpleNamespace
 
 from .errors import EqsingError, parse_int, parse_rational
 
@@ -271,96 +311,87 @@ def cmd_mu(args):
     return EXIT_SIMPLE
 
 
-def _integer(text):
-    """argparse type of --k, --m and --n: `errors.parse_int`."""
-    try:
-        return parse_int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _nonnegative(text):
-    """argparse type of --cap and --max-degree: an integer >= 0."""
-    value = _integer(text)
+def _count(text):
+    """An integer >= 0: --cap and --max-degree."""
+    value = parse_int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+        raise ValueError(f"expected an integer >= 0, got {text!r}")
     return value
 
 
-def _rational(text):
-    """argparse type of --modulus: `errors.parse_rational`."""
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _one_of(*choices):
+    """The parse function of an option that takes one of `choices`."""
+    def parse(text):
+        if text not in choices:
+            raise ValueError(f"expected {' or '.join(choices)}, got {text!r}")
+        return text
+    return parse
 
 
-_CAP_HELP = ("bound on the roots the finiteness search records, on every "
-             "form; the verdict is Unknown beyond it, or beyond a fixed bound "
-             "on recorded entries (roots times rank, "
-             "monodromy.MAX_ROOT_ENTRIES), whichever comes first")
+_CAP = (_count, 10**6)
+_FORMAT = (_one_of("text", "machine"), "text")
+
+# command -> (positional, {option: (parse, default)}, flags, handler); a
+# parse function refuses a value with ValueError
+_COMMANDS = {
+    "analyze": ("file", {"--cap": _CAP, "--format": _FORMAT}, (), cmd_analyze),
+    "catalog list": (None, {"--setting": (_one_of("z2", "corner"), "z2")}, (),
+                     cmd_catalog_list),
+    "catalog emit": ("symbol", {"--k": (parse_int, None), "--m": (parse_int, None),
+                                "--n": (parse_int, None),
+                                "--modulus": (parse_rational, None), "--out": (str, None)},
+                     ("--poly",), cmd_catalog_emit),
+    "catalog verdict": ("symbol", {"--k": (parse_int, None), "--cap": _CAP,
+                                   "--format": _FORMAT}, (), cmd_catalog_verdict),
+    "mu": ("file", {"--max-degree": (_count, 24), "--oracle": (str, None)},
+           ("--corner",), cmd_mu),
+}
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="eqsing",
-        description="Simplicity criterion for Z2-invariant and corner "
-        "singularities: intersection lattices, isotypic sublattices, and "
-        "equivariant monodromy with certificates.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("analyze", help="run the full pipeline on a diagram+action file")
-    pa.add_argument("file")
-    pa.add_argument("--cap", type=_nonnegative, default=10**6, help=_CAP_HELP)
-    pa.add_argument("--format", choices=("text", "machine"), default="text")
-    pa.set_defaults(func=cmd_analyze)
-
-    pc = sub.add_parser("catalog", help="list, emit, or judge catalog families")
-    csub = pc.add_subparsers(dest="subcommand", required=True)
-
-    pl = csub.add_parser("list", help="list simple and confining families")
-    pl.add_argument("--setting", choices=("z2", "corner"), default="z2")
-    pl.set_defaults(func=cmd_catalog_list)
-
-    pe = csub.add_parser("emit", help="write a fixture or normal-form file")
-    pe.add_argument("symbol")
-    pe.add_argument("--k", type=_integer)
-    pe.add_argument("--m", type=_integer, help="x-variables, with --poly")
-    pe.add_argument("--n", type=_integer, help="y-variables, with --poly")
-    pe.add_argument("--modulus", type=_rational,
-                    help="the confining modulus a, p or p/q, with --poly")
-    pe.add_argument("--poly", action="store_true",
-                    help="emit the normal-form polynomial instead of the diagram")
-    pe.add_argument("--out")
-    pe.set_defaults(func=cmd_catalog_emit)
-
-    pv = csub.add_parser("verdict", help="run the simplicity criterion on a fixture")
-    pv.add_argument("symbol")
-    pv.add_argument("--k", type=_integer)
-    pv.add_argument("--cap", type=_nonnegative, default=10**6, help=_CAP_HELP)
-    pv.add_argument("--format", choices=("text", "machine"), default="text")
-    pv.set_defaults(func=cmd_catalog_verdict)
-
-    pm = sub.add_parser("mu", help="Milnor number and isotypic dimensions")
-    pm.add_argument("file")
-    pm.add_argument("--max-degree", type=_nonnegative, default=24,
-                    help="highest degree of the truncation that certifies mu "
-                    "(default %(default)s); a germ whose critical point is not "
-                    "isolated works through every degree up to it, or until the "
-                    "monomial listing bound stops it")
-    pm.add_argument("--oracle", help="quasihomogeneous weights w1,w2,...")
-    pm.add_argument("--corner", action="store_true",
-                    help="one generator per x-variable instead of a single sigma")
-    pm.set_defaults(func=cmd_mu)
-    return p
+def _parse_args(argv):
+    """(handler, namespace) for the command line `argv`, as the module
+    docstring describes it; EqsingError on a usage error."""
+    words = 2 if argv[:1] == ["catalog"] else 1
+    command = " ".join(argv[:words])
+    if command not in _COMMANDS:
+        raise EqsingError(f"expected a command ({', '.join(_COMMANDS)}), got {command!r}")
+    positional, options, flags, handler = _COMMANDS[command]
+    values = {name: default for name, (_, default) in options.items()}
+    values.update((flag, False) for flag in flags)
+    rest = iter(argv[words:])
+    for token in rest:
+        name, eq, value = token.partition("=")
+        if name in flags:
+            if eq:
+                raise EqsingError(f"argument {name}: takes no value")
+            values[name] = True
+        elif name in options:
+            if not eq:
+                value = next(rest, None)
+                if value is None or value.startswith("--"):
+                    raise EqsingError(f"argument {name}: expected a value")
+            try:
+                values[name] = options[name][0](value)
+            except ValueError as exc:
+                raise EqsingError(f"argument {name}: {exc}") from None
+        elif token.startswith("-") or positional is None or positional in values:
+            raise EqsingError(f"{command}: unexpected argument {token!r}")
+        else:
+            values[positional] = token
+    if positional is not None and positional not in values:
+        raise EqsingError(f"{command}: expected the argument {positional.upper()}")
+    return handler, SimpleNamespace(**{name.lstrip("-").replace("-", "_"): value
+                                       for name, value in values.items()})
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(__doc__)
+        return EXIT_SIMPLE
     try:
-        return args.func(args)
+        handler, args = _parse_args(argv)
+        return handler(args)
     except (EqsingError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -23,15 +23,41 @@ from .lattice import IntLattice
 from .record import Record
 
 
+def _rows(entries, what, fields, kind=None):
+    """`entries` as a tuple of tuples, each with one value per name of
+    `fields`; a DiagramError names `what` and the first entry of another
+    shape, with its place (kind, k) when `kind` is DynkinDiagram's
+    "vertices" or "edges", so that parse_file can name its line."""
+    shape = f"({', '.join(fields)})"
+    try:
+        entries = tuple(entries)
+    except TypeError:
+        raise DiagramError(f"expected a sequence of {what} entries {shape}, "
+                           f"got {entries!r}") from None
+    rows = []
+    for k, entry in enumerate(entries):
+        try:
+            row = tuple(entry)
+        except TypeError:
+            row = ()
+        if len(row) != len(fields):
+            raise DiagramError(f"{what} entry {entry!r} is not {shape}",
+                               entry=(kind, k) if kind else None)
+        rows.append(row)
+    return tuple(rows)
+
+
 class DynkinDiagram(Record):
     """vertices: ((id, self_intersection), ...) with ids >= 0; edges:
     ((i, j, weight), ...).  Every entry is a Python int, as in IntLattice,
-    or a DiagramError names the vertex or edge."""
+    or a DiagramError names the vertex or edge; so does an entry of
+    another shape."""
 
     __slots__ = ("vertices", "edges")
 
     def __post_init__(self):
-        vertices = tuple((i, s) for i, s in self.vertices)
+        vertices = _rows(self.vertices, "vertex", ("id", "self_intersection"), "vertices")
+        edges = _rows(self.edges, "edge", ("i", "j", "weight"), "edges")
         ids = set()
         for k, (i, s) in enumerate(vertices):
             if not (isinstance(i, int) and isinstance(s, int)):
@@ -46,7 +72,7 @@ class DynkinDiagram(Record):
             ids.add(i)
         object.__setattr__(self, "vertices", tuple(sorted(vertices)))
         norm = {}
-        for k, (i, j, w) in enumerate(self.edges):
+        for k, (i, j, w) in enumerate(edges):
             at = ("edges", k)
             if not (isinstance(i, int) and isinstance(j, int) and isinstance(w, int)):
                 raise DiagramError(f"edge {i!r} {j!r} w={w!r}: entries must be integers",
@@ -79,7 +105,8 @@ class DiagramFile(Record):
     cycle i to sign*cycle j; its sources and its targets are each the vertex
     set.  character: ((name, +1|-1), ...), or None when the file carries no
     character line; it lists every generator, in declaration order, so its
-    values are the character's signs in generator order.  DiagramError
+    values are the character's signs in generator order.  Every source,
+    target, sign and character value is a Python int.  DiagramError
     otherwise, for a parsed file and a built one alike.
     """
 
@@ -89,18 +116,27 @@ class DiagramFile(Record):
     def __post_init__(self):
         if self.generators:
             ids = list(self.diagram.vertex_ids())
-            for name, images in self.generators:
+            for name, images in _rows(self.generators, "generator", ("name", "images")):
+                images = _rows(images, f"generator {name} image", ("source", "target", "sign"))
+                if not all(isinstance(x, int) for image in images for x in image):
+                    raise DiagramError(f"generator {name} has a source, target or sign "
+                                       "that is not an integer")
                 if (sorted(i for i, _, _ in images) != ids
                         or sorted(j for _, j, _ in images) != ids):
                     raise DiagramError(
                         f"generator {name} must map the vertex set bijectively onto itself"
                     )
-        if self.character is not None and (
-            [n for n, _ in self.character] != [n for n, _ in self.generators]
-        ):
+        if self.character is None:
+            return
+        character = _rows(self.character, "character", ("name", "value"))
+        if [n for n, _ in character] != [n for n, _ in self.generators]:
             raise DiagramError(
                 "character must list every generator, in declaration order"
             )
+        for name, value in character:
+            if not isinstance(value, int):
+                raise DiagramError(f"character value of generator {name} is not an "
+                                   f"integer: {value!r}")
 
 
 def _parse_int(tok, line, what):

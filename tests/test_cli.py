@@ -312,20 +312,30 @@ def test_catalog_verdict_undecided_definite_is_simple():
 
 def test_root_entry_bound_reads_as_the_cap(monkeypatch):
     # past MAX_ROOT_ENTRIES // rank roots the verdict is the Unknown of that
-    # cap, byte for byte, at the default --cap; the --cap help names the bound
-    from eqsing import cli, monodromy
+    # cap, byte for byte, at the default --cap (the help names the bound)
+    from eqsing import monodromy
 
-    assert "monodromy.MAX_ROOT_ENTRIES" in cli._CAP_HELP
     capped = run_cli("catalog", "verdict", "E8", "--cap", "100", "--format", "machine")
     monkeypatch.setattr(monodromy, "MAX_ROOT_ENTRIES", 800)
     assert run_cli("catalog", "verdict", "E8", "--format", "machine") == capped
 
 
-def test_catalog_verdict_rejects_emit_flags():
-    # --m/--n/--modulus belong to `catalog emit`; verdict does not accept them
-    with pytest.raises(SystemExit) as exc:
-        run_cli("catalog", "verdict", "E6", "--m", "1")
-    assert exc.value.code == 2
+@pytest.mark.parametrize("argv", [["--help"], ["catalog", "verdict", "-h"],
+                                  ["mu", "--bogus", "--help"]])
+def test_help_names_every_option(argv):
+    # the help is the module docstring: it names every option and flag of
+    # the table the arguments are read from, and the bound behind --cap
+    from eqsing import cli
+
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    assert out == cli.__doc__
+    for command, (positional, options, flags, _) in cli._COMMANDS.items():
+        assert f"eqsing {command} " in out
+        assert positional is None or positional.upper() in out
+        for name in [*options, *flags]:
+            assert name in out
+    assert "monodromy.MAX_ROOT_ENTRIES" in out
 
 
 def test_mu_command(tmp_path):
@@ -446,6 +456,17 @@ _LOOSE_OPTIONS = {
     (["catalog", "verdict", "E6", "--cap", "-5"], None),
     (["analyze", str(FIXTURES / "m5.diagram"), "--cap", "-5"], None),
     (["catalog", "verdict", "A", "--k", "2", "--cap", "\u0661\u0660"], None),
+    ([], None),
+    (["frobnicate"], None),
+    (["catalog"], None),
+    (["catalog", "verdict"], None),
+    (["analyze", "{file}", "--bogus"], _A2_POLY),
+    (["analyze", "{file}", "--cap"], _A2_POLY),
+    (["catalog", "emit", "A", "--k", "2", "--out", "--poly"], None),
+    (["analyze", "{file}", "--format", "xml"], _A2_POLY),
+    (["catalog", "emit", "A", "--k", "2", "--poly=1"], None),
+    (["analyze", "{file}", "{file}"], _A2_POLY),
+    (["catalog", "verdict", "E6", "--m", "1"], None),
     *((argv, text) for argv, text, _ in _LOOSE_NUMBERS.values()),
     *((argv, _A2_POLY) for argv in _LOOSE_OPTIONS.values()),
 ], ids=["constant-term", "negative-count", "zero-denominator", "oracle-1/0",
@@ -454,22 +475,20 @@ _LOOSE_OPTIONS = {
         "negative-max-degree", "mu-table-too-large", "vars-unknown-key",
         "vars-key-twice", "modulus-abc", "emit-m-without-poly",
         "emit-n-without-poly", "emit-modulus-without-poly", "verdict-negative-cap",
-        "analyze-negative-cap", "cap-arabic-indic", *_LOOSE_NUMBERS, *_LOOSE_OPTIONS])
+        "analyze-negative-cap", "cap-arabic-indic", "no-command", "unknown-command",
+        "bare-catalog", "missing-positional", "unknown-option", "option-without-value",
+        "option-value-is-an-option",
+        "bad-format", "flag-with-value", "two-positionals", "verdict-emit-flag",
+        *_LOOSE_NUMBERS, *_LOOSE_OPTIONS])
 def test_bad_input_exits_two(tmp_path, argv, text):
     # a refused input is exit 2 with one error line: never a traceback, and
     # never an exit code that reads as a verdict
     path = tmp_path / "probe.poly"
     if text is not None:
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main([a.format(file=path) for a in argv])
-        except SystemExit as exc:  # argparse's exit on a usage error
-            code = exc.code
-    assert code == 2
-    assert out.getvalue() == ""
-    assert len([l for l in err.getvalue().splitlines() if "error:" in l]) == 1
+    code, out, err = run_cli(*(a.format(file=path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_one_number_grammar():
@@ -520,8 +539,9 @@ def test_package_exports_resolve():
 
 def test_cli_import_does_not_load_numpy(tmp_path):
     # a fresh process loads the layers its subcommand runs and no others,
-    # and no `dataclasses`; a lattice request loads no `fractions` and
-    # `analyze` no family table: the modules it adds to a bare interpreter's
+    # and no `dataclasses` or argument parser (`argparse`, with `gettext`
+    # and `locale`); a lattice request loads no `fractions` and `analyze`
+    # no family table: the modules it adds to a bare interpreter's
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     script = ("import sys, eqsing.cli\n"
               "if sys.argv[1:]: eqsing.cli.main(sys.argv[1:])\n"
@@ -537,8 +557,11 @@ def test_cli_import_does_not_load_numpy(tmp_path):
     def loaded(*argv):
         return modules(script, *argv) - bare
 
-    packages = {m for m in loaded() if m.split(".")[0] in ("eqsing", "numpy")}
+    parser = {"argparse", "gettext", "locale"}
+    bare_cli = loaded()
+    packages = {m for m in bare_cli if m.split(".")[0] in ("eqsing", "numpy")}
     assert packages == {"eqsing", "eqsing.cli", "eqsing.errors"}
+    assert not bare_cli & parser
     poly = tmp_path / "x9.poly"
     poly.write_text(_X9_POLY)
     lattice_layers = {f"eqsing.{m}" for m in ("monodromy", "action", "diagram", "lattice")}
@@ -553,6 +576,8 @@ def test_cli_import_does_not_load_numpy(tmp_path):
     assert "eqsing.catalog" not in analyze
     for request in (analyze, verdict):
         assert not request & (rationals | {"eqsing.localalg", "numpy", "dataclasses"})
+    for request in (mu, analyze, verdict):
+        assert not request & parser
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     requirements = project["dependencies"] + [

@@ -21,6 +21,7 @@ from eqsing.monodromy import Finite, Infinite, MonodromyElement, Unknown, run_an
 from eqsing.record import Record
 
 A2_GRAM = ((-2, 1), (1, -2))
+A2_DIAGRAM = DynkinDiagram(((1, -2), (2, -2)), ((1, 2, 1),))
 
 
 def _terms(k, a):
@@ -92,6 +93,40 @@ NOT_INTEGERS = {
     "action-float-sign": (
         lambda: GroupAction((("s", ((1, -1.0), (0, -1))),), IntLattice(A2_GRAM)),
         EqsingError, "generator s has an image index or sign that is not an integer"),
+    # 1.0 == 1, so a float passes the vertex-set comparison; serialize would
+    # write `generator s 1.0:+1 2:+2`, which parse_file refuses
+    "file-float-source": (
+        lambda: DiagramFile(A2_DIAGRAM, (("s", ((1.0, 1, 1), (2, 2, 1))),), (("s", 1.0),)),
+        DiagramError, "generator s has a source, target or sign that is not an integer"),
+    "file-float-target": (
+        lambda: DiagramFile(A2_DIAGRAM, (("s", ((1, 2.0, 1), (2, 1, 1))),)),
+        DiagramError, "generator s has a source, target or sign that is not an integer"),
+    "file-float-sign": (
+        lambda: DiagramFile(A2_DIAGRAM, (("s", ((1, 1, 1), (2, 2, -1.0))),)),
+        DiagramError, "generator s has a source, target or sign that is not an integer"),
+    "file-float-character": (
+        lambda: DiagramFile(A2_DIAGRAM, (("s", ((1, 1, 1), (2, 2, 1))),), (("s", 1.0),)),
+        DiagramError, "character value of generator s is not an integer: 1.0"),
+}
+
+# an entry of the wrong shape is refused with the package's error naming it,
+# not with the ValueError or TypeError of a failed unpacking
+MALFORMED = {
+    "vertex-short": (lambda: DynkinDiagram(((1,),), ()), DiagramError,
+                     "vertex entry (1,) is not (id, self_intersection)", ("vertices", 0)),
+    "edge-short": (lambda: DynkinDiagram(((1, -2),), ((1, 1),)), DiagramError,
+                   "edge entry (1, 1) is not (i, j, weight)", ("edges", 0)),
+    "vertices-not-a-sequence": (
+        lambda: DynkinDiagram(5, ()), DiagramError,
+        "expected a sequence of vertex entries (id, self_intersection), got 5", None),
+    "image-short": (lambda: GroupAction((("s", ((0,),)),), IntLattice(((-2,),))), EqsingError,
+                    "generator entry ('s', ((0,),)) is not (name, ((j, s), ...))", None),
+    "file-image-short": (
+        lambda: DiagramFile(A2_DIAGRAM, (("s", ((1, 1), (2, 2, 1))),)), DiagramError,
+        "generator s image entry (1, 1) is not (source, target, sign)", None),
+    "file-character-short": (
+        lambda: DiagramFile(A2_DIAGRAM, (("s", ((1, 1, 1), (2, 2, 1))),), (("s",),)),
+        DiagramError, "character entry ('s',) is not (name, value)", None),
 }
 
 
@@ -99,6 +134,14 @@ NOT_INTEGERS = {
 def test_records_refuse_entries_that_are_not_ints(build, error, message):
     with pytest.raises(error, match=re.escape(message)):
         build()
+
+
+@pytest.mark.parametrize("build, error, message, entry", MALFORMED.values(), ids=list(MALFORMED))
+def test_records_refuse_entries_of_the_wrong_shape(build, error, message, entry):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        build()
+    assert type(info.value) is error
+    assert getattr(info.value, "entry", None) == entry
 
 
 @pytest.mark.parametrize("name", BUILD)
