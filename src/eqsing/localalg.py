@@ -24,6 +24,13 @@ from .record import Record
 # benchmark case counts 42,504 (A20: 10,626 monomials in 4 variables, degree 20).
 MAX_TABLE_ENTRIES = 2_000_000
 
+# The bound on the rows u * df/dv that `milnor_number` builds and reduces,
+# counted over all degrees.  The most of any benchmark case is 26,566
+# (A20 with m = 0, n = 4), of any catalog row from k_min to k_min + 4 at
+# the default m and n 42.  The non-isolated x1^2*y1 reaches the bound at
+# degree 549, after about 3 s on a 2-CPU x86-64 container.
+MAX_ROWS = 300_000
+
 
 class PolyGerm(Record):
     """Invariant polynomial germ in m x-variables and n y-variables.
@@ -267,7 +274,9 @@ def milnor_number(f, max_degree=24):
     cannot be certified by `max_degree`: a critical point that is not
     isolated and too small a `max_degree` are indistinguishable at a finite
     truncation.  Refuses before listing a degree whose monomials up to it
-    would count more than MAX_TABLE_ENTRIES entries (`_check_table`).
+    would count more than MAX_TABLE_ENTRIES entries (`_check_table`), and
+    before building the rows of a degree that would take the rows built
+    over MAX_ROWS, with the same "not certified" error at the degree below.
     """
     n = f.nvars
     base = max_degree + 1
@@ -293,11 +302,17 @@ def milnor_number(f, max_degree=24):
             for g, s in zip(gens, scales)]
     layers = [[0]]  # layers[d]: the keys of the degree-d monomials, in order
     pivots = {}
+    rows = 0
     # D = 0 adds rows only when a partial has a constant term (f is not singular)
     for D in range(max_degree + 1):
         if D:
             _check_table(n, D)
             layers.append(sorted(map(key, monomials(D))))
+        rows += sum(len(layers[D - order]) for order, _ in gens if D >= order)
+        if rows > MAX_ROWS:
+            raise EqsingError(
+                f"finiteness of the Jacobian quotient not certified at degree {D - 1}: "
+                f"degree {D} would take the rows built to {rows}, over {MAX_ROWS}")
         for order, g in gens:
             du = D - order
             if du < 0:

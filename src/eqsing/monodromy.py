@@ -15,11 +15,14 @@ form chooses only the partner test and whether the Coxeter orbits run:
     real eigenvalue off the unit circle, a root of x^2 - t x + 1 with
     t = 4b^2/(ac) - 2.
 
-A closure with no such pair gives the exact order by orbit-stabiliser on
-the roots: the orbit of one root, times the order of the group generated
-by the reflections in the roots orthogonal to it (Steinberg).  The cap
-counts roots on every form: Unknown when the roots exceed it, or exceed
-the MAX_ROOT_ENTRIES bound on the integers they are held in.
+A closure with no such pair is a finite group, and its order comes from
+the heights of its positive roots, the exponents being the dual partition
+of the height counts (Kostant).  Before Finite returns, the simple roots
+must rebuild the recorded positive roots by root strings alone, with an
+integral Cartan matrix and definite components, or InternalError is
+raised.  The cap counts roots on every form: Unknown when the roots
+exceed it, or exceed the MAX_ROOT_ENTRIES bound on the integers they are
+held in.
 
 The generators are held as roots only.  The pipeline's h_k is the
 Picard-Lefschetz reflection in basis vector k of the isotypic sublattice
@@ -39,7 +42,7 @@ finiteness decision.  It lives here, not in `catalog`, so that `analyze`
 does not load the family table.
 """
 import itertools
-from math import gcd
+from math import gcd, prod
 
 from . import linalg
 from .action import GroupAction, isotypic_sublattice, signed_orbits
@@ -332,8 +335,9 @@ def _generate_reflections(gram, mirrors, cap, sig):
     (`_pair_certificate`).  More than `cap` roots gives Unknown(cap); `cap`
     is first lowered to MAX_ROOT_ENTRIES // rank, once, so the bound costs
     nothing per root.  A closure with no partner is a finite group, and
-    `_reflection_group_order` gives its order from the roots recorded
-    (notes/decisions.md).
+    `_finite_order` gives its order from the heights of the roots
+    recorded, once `_check_simple_system` has rebuilt them from their
+    simple roots (notes/decisions.md).
     """
     cap = min(cap, MAX_ROOT_ENTRIES // len(gram))
     points, words, seen = [], [], set()
@@ -377,39 +381,86 @@ def _generate_reflections(gram, mirrors, cap, sig):
                 if verdict is not None:
                     return verdict
         lo, hi = hi, len(points)
-    return Finite(order=_reflection_group_order(points, mirrors))
+    return Finite(order=_finite_order(points, mirrors))
 
 
-def _reflection_group_order(points, mirrors):
+def _finite_order(points, mirrors):
     """|W| for the finite group W generated by the reflections `mirrors`,
-    with `points` the signed roots and their images, closed under W.
+    with `points` the signed roots and their images, closed under W: from
+    the heights of its positive roots, checked against its simple roots
+    first.  The recorded roots must be closed under negation and hold every
+    generator root.
 
-    Orbit-stabiliser on a root rho: |W| = |W rho| |W_rho|, and by
-    Steinberg's theorem W_rho is generated by the reflections in the roots
-    orthogonal to rho, which are again closed under it (notes/decisions.md).
-    Each pass takes the orbit of the first root and keeps the roots
-    orthogonal to it; from the second pass on the mirrors are one per pair
-    +-r of the roots kept.  Reflections keep the norm, so the orbit is
-    complete once it holds every root of the norm of rho.
+    The positive roots are the lexicographically positive ones, an order
+    compatible with addition.  In ascending order, a positive root alpha
+    is simple when no simple root sigma found so far has alpha - sigma
+    positive.  With c_k the number of positive roots of height k, the
+    exponents m_j are the dual partition of (c_k), and |W| = prod(m_j + 1)
+    (Kostant; Humphreys 1990, 3.20; notes/decisions.md).
     """
-    roots = [_mirror(root) for root in points]
-    order = 1
-    while roots:
-        rho, g_rho, norm, _ = roots[0]
-        size = sum(1 for m in roots if m[2] == norm)
-        orbit, members = [(rho, g_rho)], {rho}
-        for root in orbit:
-            if len(orbit) == size:
-                break
-            for mirror in mirrors:
-                q = _reflect(root, mirror)
-                if q is not root and q[0] not in members:
-                    members.add(q[0])
-                    orbit.append(q)
-        order *= len(orbit)
-        roots = [m for m in roots if not _dot(m[0], g_rho)]
-        mirrors = [m for m in roots if m[0] > tuple(-x for x in m[0])]
-    return order
+    zero = (0,) * len(points[0][0])
+    positive = {r for r, _ in points if r > zero}
+    if {tuple(-x for x in r) for r, _ in points if r < zero} != positive:
+        raise InternalError("the recorded roots are not closed under negation")
+    if any(max(m[0], tuple(-x for x in m[0])) not in positive for m in mirrors):
+        raise InternalError("a generator root is not among the recorded roots")
+    simple = []
+    for root in sorted(p for p in points if p[0] > zero):
+        if not any(tuple(a - b for a, b in zip(root[0], s)) in positive for s, _ in simple):
+            simple.append(root)
+    counts = _check_simple_system(simple, positive)
+    return prod(1 + sum(c >= j for c in counts) for j in range(1, len(simple) + 1))
+
+
+def _check_simple_system(simple, positive):
+    """The number of positive roots of each height, built from the simple
+    roots (with their images) alone; InternalError unless they build
+    exactly the recorded positive roots `positive`.
+
+    Every Cartan integer 2(s_i, s_j)/(s_j, s_j) must be an integer, at
+    most 0 off the diagonal.  The root strings then build Phi+ by height:
+    beta + s_i is a root exactly when p > <beta, s_i^v>, with p the
+    largest k such that beta - k s_i is one.  They stop once they exceed
+    the recorded count, so an affine Cartan matrix ends too.  Last, each
+    connected component of the simple roots' Gram matrix must be definite,
+    of either sign.  So the simple roots are independent, and roots that
+    agree as vectors agree in simple-root coordinates.
+    """
+    gram = [[_dot(s, g_t) for _, g_t in simple] for s, _ in simple]
+    if any(2 * x % gram[j][j] or (i != j and 2 * x // gram[j][j] > 0)
+           for i, row in enumerate(gram) for j, x in enumerate(row)):
+        raise InternalError("a Cartan integer of the simple roots is not an integer <= 0")
+    level = [s for s, _ in simple]
+    built, counts = set(level), []
+    while level:
+        counts.append(len(level))
+        if len(built) > len(positive):
+            raise InternalError("the simple roots' root strings exceed the recorded roots")
+        following = []
+        for beta in level:
+            for i, (s, g_s) in enumerate(simple):
+                p, lower = 0, tuple(a - b for a, b in zip(beta, s))
+                while lower in built:
+                    p, lower = p + 1, tuple(a - b for a, b in zip(lower, s))
+                if p > 2 * _dot(beta, g_s) // gram[i][i]:
+                    up = tuple(a + b for a, b in zip(beta, s))
+                    if up not in built:
+                        built.add(up)
+                        following.append(up)
+        level = following
+    if built != positive:
+        raise InternalError("the simple roots' root strings miss recorded roots")
+    todo = set(range(len(simple)))
+    while todo:
+        component = [todo.pop()]
+        for i in component:
+            component += [j for j in todo if gram[i][j]]
+            todo.difference_update(component)
+        sig = inertia(IntLattice(tuple(tuple(gram[i][j] for j in component)
+                                       for i in component)))
+        if sig.n_zero or (sig.n_plus and sig.n_minus):
+            raise InternalError("the simple roots' Gram matrix is not definite")
+    return counts
 
 
 def _mirror(root):

@@ -13,7 +13,7 @@ from eqsing.diagram import DiagramFile, DynkinDiagram
 from eqsing.errors import EqsingError, InternalError
 from eqsing.lattice import Inertia, Sublattice
 from eqsing.localalg import LocalAlgebraReport, _check_table, _partial
-from eqsing.monodromy import MonodromyElement
+from eqsing.monodromy import MonodromyElement, _dot, _mirror, _reflect
 
 
 def product(gram, u, v):
@@ -63,9 +63,8 @@ def closure_naive(gram, roots, limit=100000):
     """Order of the group generated by the reflections in `roots`, by
     repeated pairwise products of their matrices until stable.
 
-    Lists every element as a matrix, a different method from the
-    orbit-stabiliser order on the roots, so the two can be cross-checked
-    on small groups.
+    Lists every element as a matrix, a different method from the order
+    from root heights, so the two can be cross-checked on small groups.
     """
     mats = {linalg.identity(len(gram))}
     mats.update(g.matrix for g in reflections(gram, roots))
@@ -81,6 +80,58 @@ def closure_naive(gram, roots, limit=100000):
         mats |= new
         if len(mats) > limit:
             raise RuntimeError("naive closure limit exceeded")
+
+
+def root_orbit(gram, roots):
+    """(points, mirrors) for the reflections in `roots`: the signed roots
+    of the group they generate, each with its image G r, found by applying
+    the reflection matrices until nothing new appears, and the `_mirror`
+    of each generator root."""
+    mats = [g.matrix for g in reflections(gram, roots)]
+    orbit = list(dict.fromkeys(linalg.primitive(r) for r in roots))
+    seen = set(orbit)
+    for r in orbit:
+        for m in mats:
+            q = linalg.mat_vec(m, r)
+            if q not in seen:
+                seen.add(q)
+                orbit.append(q)
+    points = [(r, linalg.mat_vec(gram, r)) for r in orbit]
+    mirrors = [_mirror((d, linalg.mat_vec(gram, d))) for d in map(linalg.primitive, roots)]
+    return points, mirrors
+
+
+def orbit_stabiliser_order(points, mirrors):
+    """|W| for the finite group W generated by the reflections `mirrors`,
+    with `points` the signed roots and their images, closed under W.
+
+    Orbit-stabiliser on a root rho: |W| = |W rho| |W_rho|, and by
+    Steinberg's theorem W_rho is generated by the reflections in the roots
+    orthogonal to rho, which are again closed under it.  Each pass takes
+    the orbit of the first root and keeps the roots orthogonal to it; from
+    the second pass on the mirrors are one per pair +-r of the roots kept.
+    Reflections keep the norm, so the orbit is complete once it holds
+    every root of the norm of rho.  A different method from the package's
+    order by root heights, so the two can be cross-checked.
+    """
+    roots = [_mirror(root) for root in points]
+    order = 1
+    while roots:
+        rho, g_rho, norm, _ = roots[0]
+        size = sum(1 for m in roots if m[2] == norm)
+        orbit, members = [(rho, g_rho)], {rho}
+        for root in orbit:
+            if len(orbit) == size:
+                break
+            for mirror in mirrors:
+                q = _reflect(root, mirror)
+                if q is not root and q[0] not in members:
+                    members.add(q[0])
+                    orbit.append(q)
+        order *= len(orbit)
+        roots = [m for m in roots if not _dot(m[0], g_rho)]
+        mirrors = [m for m in roots if m[0] > tuple(-x for x in m[0])]
+    return order
 
 
 def evaluate_word(generators, word):

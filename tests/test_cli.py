@@ -376,6 +376,18 @@ def test_mu_not_certified(tmp_path):
     assert "not certified" in err
 
 
+def test_mu_work_is_bounded_whatever_the_max_degree(tmp_path):
+    # x1^2*y1 is not isolated, so no degree certifies it: the rows built
+    # over all degrees stop it at localalg.MAX_ROWS, within seconds
+    f = tmp_path / "bad.poly"
+    f.write_text("vars x:1 y:1\n1 x1^2*y1\n")
+    start = time.monotonic()
+    code, _, err = run_cli("mu", str(f), "--max-degree", "1000000")
+    assert code == 2
+    assert "not certified at degree 548: degree 549 would take" in err
+    assert time.monotonic() - start < 15
+
+
 def test_mu_output_does_not_depend_on_a_large_max_degree(tmp_path):
     # the monomial keys are digits in base max_degree + 1
     target = tmp_path / "x9.poly"

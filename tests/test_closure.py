@@ -1,13 +1,15 @@
-"""Negative definite forms: the root search closes, and orbit-stabiliser on
-the roots gives the exact order."""
+"""Negative definite forms: the root search closes, and the heights of the
+roots give the exact order, checked against the simple roots."""
+import itertools
 import random
 import time
 
 import pytest
 
-from eqsing import linalg, monodromy
+from eqsing import catalog, linalg, monodromy
 from eqsing.catalog import fixture_file, weyl_order
-from eqsing.errors import EqsingError
+from eqsing.diagram import DiagramFile
+from eqsing.errors import EqsingError, InternalError
 from eqsing.lattice import IntLattice, inertia
 from eqsing.monodromy import (
     Finite,
@@ -17,7 +19,7 @@ from eqsing.monodromy import (
     generate_group,
     run_analysis,
 )
-from oracles import closure_naive, pl_reflection
+from oracles import closure_naive, orbit_stabiliser_order, pl_reflection, root_orbit
 from test_semidefinite import AFFINE_E8_A1, _basis
 
 G2 = ((-2, 3), (3, -6))
@@ -67,6 +69,8 @@ def _small_groups():
         pytest.param(*_basis(_direct_sum(A2, A2)), 36, id="A2+A2"),
         pytest.param(*_basis(_direct_sum(((-2,),), A2)), 12, id="A1+A2"),
         pytest.param(*_basis(_direct_sum(C2, G2)), 96, id="C2+G2"),
+        # indefinite: simple roots in components of either sign
+        pytest.param(*_basis(_direct_sum(A2, ((2,),))), 12, id="A2+positive A1"),
     ]
 
 
@@ -92,6 +96,17 @@ def test_e7_e8_simple_with_weyl_order(symbol):
 ])
 def test_order_above_the_fixture_ranks(symbol, n, edges):
     assert generate_group(*_basis(_dynkin_gram(n, edges))) == Finite(order=weyl_order(symbol, n))
+
+
+@pytest.mark.parametrize("dfile, symbol, k", [
+    pytest.param(DiagramFile(catalog._chain(16)), "A", 16, id="A16"),
+    pytest.param(DiagramFile(catalog._d_diagram(16)), "D", 16, id="D16"),
+    pytest.param(DiagramFile(catalog._d_diagram(20)), "D", 20, id="D20"),
+    pytest.param(catalog._b_fixture(12), "B", 12, id="B12"),
+    pytest.param(catalog._c_fixture(12), "C", 12, id="C12"),
+])
+def test_order_at_high_rank(dfile, symbol, k):
+    assert run_analysis(dfile).verdict == Finite(order=weyl_order(symbol, k))
 
 
 def test_definite_cap_bounds_the_orbit():
@@ -177,3 +192,88 @@ def test_random_definite_reflection_groups():
         assert generate_group(gram, roots) == Finite(order=closure_naive(gram, roots)), \
             (gram, roots)
         checked += 1
+
+
+def test_random_reflection_groups_match_orbit_stabiliser():
+    # random definite forms of rank 2-6, of either sign, with roots among
+    # the basis vectors and random integral ones: the order from root
+    # heights equals orbit-stabiliser
+    rng = random.Random(1087)
+    checked = 0
+    while checked < 300:
+        n = 2 + checked % 5
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 1.5 / n:
+                    gram[i][j] = gram[j][i] = rng.choice((1, -1))
+            gram[i][i] = -2
+        if not inertia(IntLattice(gram)).negative_definite:
+            continue
+        if rng.random() < 0.5:
+            gram = [[-x for x in row] for row in gram]
+        candidates = [[int(i == k) for i in range(n)] for k in range(n) if rng.random() < 0.7]
+        candidates += [[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        roots = []
+        for root in candidates:
+            try:
+                pl_reflection(gram, root)
+            except EqsingError:
+                continue
+            roots.append(root)
+        if len(roots) < 2:
+            continue
+        expected = orbit_stabiliser_order(*root_orbit(gram, roots))
+        assert generate_group(gram, roots) == Finite(order=expected), (gram, roots)
+        checked += 1
+
+
+def _negative(r):
+    return tuple(-x for x in r)
+
+
+@pytest.mark.parametrize("gram, roots", [
+    _basis(A1_CUBED), _basis(G2), _fixture_form("B", 3), _fixture_form("D", 4),
+    _fixture_form("E6"), _basis(_direct_sum(C2, G2)),
+], ids=["A1+A1+A1", "G2", "B3", "D4", "E6", "C2+G2"])
+def test_finite_order_refuses_a_doctored_root_set(gram, roots):
+    # the recorded roots with one root dropped, one pair +-r dropped, or
+    # one foreign vector (or pair) added never pass the check
+    points, mirrors = root_orbit(gram, roots)
+    assert monodromy._finite_order(points, mirrors) == orbit_stabiliser_order(points, mirrors)
+    recorded = {r for r, _ in points}
+    for k, (r, _) in enumerate(points):
+        with pytest.raises(InternalError):
+            monodromy._finite_order(points[:k] + points[k + 1:], mirrors)
+        with pytest.raises(InternalError):
+            monodromy._finite_order([p for p in points if p[0] not in (r, _negative(r))],
+                                    mirrors)
+    n = len(gram)
+    for v in itertools.islice((v for v in itertools.product((-1, 0, 1), repeat=n)
+                               if any(v) and v not in recorded), 40):
+        foreign = (v, linalg.mat_vec(gram, v))
+        with pytest.raises(InternalError):
+            monodromy._finite_order(points + [foreign], mirrors)
+        with pytest.raises(InternalError):
+            monodromy._finite_order(
+                points + [foreign, (_negative(v), _negative(foreign[1]))], mirrors)
+
+
+def test_simple_system_check_refuses_what_is_no_simple_system():
+    a2_positive = {(1, 0), (0, 1), (1, 1)}
+    simple = [(r, linalg.mat_vec(A2, r)) for r in ((1, 0), (0, 1), (-1, -1))]
+    assert monodromy._check_simple_system(simple[:2], a2_positive) == [2, 1]
+    # the three roots of affine A2: the root strings run without end, and
+    # stop once they exceed the recorded count
+    with pytest.raises(InternalError, match="exceed the recorded roots"):
+        monodromy._check_simple_system(simple, a2_positive)
+    # b and a + b span a definite form and build only themselves, but
+    # their Cartan integer is 1
+    pair = [(r, linalg.mat_vec(A2, r)) for r in ((0, 1), (1, 1))]
+    with pytest.raises(InternalError, match="Cartan integer"):
+        monodromy._check_simple_system(pair, {(0, 1), (1, 1)})
+    # a and -a, the affine A1 Cartan matrix on dependent vectors: the
+    # strings close on {a, -a, 0}, and only the semidefinite Gram refuses
+    pair = [(r, linalg.mat_vec(A2, r)) for r in ((1, 0), (-1, 0))]
+    with pytest.raises(InternalError, match="not definite"):
+        monodromy._check_simple_system(pair, {(1, 0), (-1, 0), (0, 0)})

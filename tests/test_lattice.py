@@ -175,20 +175,30 @@ def test_kernel_properties_random():
 
 def test_analysis_computes_the_inertia_once(monkeypatch):
     # run_analysis hands its inertia to generate_group, which would
-    # otherwise compute it again; a finite verdict has no certificate to
-    # validate, so no other call reaches inertia
+    # otherwise compute it again; the only other calls are the finite
+    # verdict's check, one per component of the simple roots' Gram matrix
     from eqsing import catalog, monodromy
 
-    calls = []
+    calls = {"outside": [], "check": []}
+    inside = ["outside"]
 
     def counted(lat, _original=inertia):
-        calls.append(lat.gram)
+        calls[inside[-1]].append(lat.gram)
         return _original(lat)
 
+    def check(*args, _original=monodromy._check_simple_system):
+        inside.append("check")
+        try:
+            return _original(*args)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(monodromy, "inertia", counted)
+    monkeypatch.setattr(monodromy, "_check_simple_system", check)
     out = monodromy.run_analysis(catalog.fixture_file("E6"))
     assert out.verdict.kind == "finite"
-    assert calls == [out.sublattice.restricted_gram]
+    assert calls["outside"] == [out.sublattice.restricted_gram]
+    assert len(calls["check"]) == 1 and len(calls["check"][0]) == 6  # E6 is connected
 
 
 def test_restrict_m5_and_m4_self_intersections():

@@ -7,6 +7,7 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqsing import localalg
 from eqsing.catalog import normal_form
 from eqsing.errors import DiagramError, EqsingError
 from eqsing.localalg import (
@@ -254,6 +255,24 @@ def test_pinned_reports(form):
     dims = tuple(d for _, d in rep.isotypic_dims)
     assert (rep.mu, dims, rep.truncation_degree) == PINNED[form]
     assert rep == milnor_number_by_truncation(f)
+
+
+def test_rows_are_bounded_over_all_degrees(monkeypatch):
+    # MAX_ROWS counts every row built, whatever its degree: exactly the
+    # rows X9 needs still certify, one fewer refuses at the degree below
+    f = normal_form("X9", modulus=Fraction(1))
+    built = []
+    monkeypatch.setattr(localalg, "_reduce",
+                        lambda pivots, row, _reduce=localalg._reduce:
+                        built.append(row) or _reduce(pivots, row))
+    report, rows = milnor_number(f), len(built)
+    monkeypatch.setattr(localalg, "MAX_ROWS", rows)
+    assert milnor_number(f) == report
+    monkeypatch.setattr(localalg, "MAX_ROWS", rows - 1)
+    degree = report.truncation_degree
+    with pytest.raises(EqsingError, match=f"not certified at degree {degree - 1}: "
+                                          f"degree {degree} would take"):
+        milnor_number(f)
 
 
 @pytest.mark.parametrize("form", list(PINNED), ids=_form_id)
