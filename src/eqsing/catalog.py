@@ -1,5 +1,5 @@
 """The classification as data: one row per family in `FAMILIES`, and the
-bundled diagram/action fixtures.  The criterion a verdict runs,
+diagram/action fixtures.  The criterion a verdict runs,
 `run_analysis`, is `monodromy`'s, so `analyze` never loads the family
 table.  `fractions` is imported only by the three functions that read a
 row's rationals, and one function, `_entry`, checks the (symbol, k) of
@@ -24,6 +24,7 @@ definiteness, and Weyl group order) in the test suite.
 from importlib import resources
 from math import factorial
 
+from . import monodromy
 from .diagram import DiagramFile, DynkinDiagram, parse_file
 from .errors import EqsingError
 from .monodromy import run_analysis
@@ -95,16 +96,15 @@ class FamilyEntry(Record):
     """One family.  `terms(k, a)` gives the core terms as polynomial-file
     lines; `weights(k)` the hand-written weights of the core x- and
     y-variables as two space-separated strings; `excluded(a)` is true on
-    the locus `modulus_rule` excludes; `fixture(k)` builds the bundled
-    DiagramFile.  An indexed family bundles fixtures for k in the closed
-    range `fixture_k`, which starts at `k_min`: `_entry` checks the lower
-    end for every function, `fixture_file` only the upper one.
+    the locus `modulus_rule` excludes; `fixture(k)` builds the
+    DiagramFile.  An indexed family builds a fixture for every k from
+    `k_min` on, up to the root search's entry bound (`fixture_file`).
     `kind` is "simple" or "confining", `setting` "z2", "corner" or
     "both", and `modulus_rule` the exclusion in words; the fields from
     `k_min` on are None when not given."""
 
     __slots__ = ("symbol", "kind", "setting", "template", "terms", "weights",
-                 "k_min", "modulus_rule", "excluded", "fixture", "fixture_k")
+                 "k_min", "modulus_rule", "excluded", "fixture")
     _defaults = dict.fromkeys(__slots__[6:])
 
     def describe(self):
@@ -130,11 +130,11 @@ class FamilyEntry(Record):
 FAMILIES = {e.symbol: e for e in (
     FamilyEntry("A", "simple", "both", "x1^2+...+xm^2+y1^(k+1)", k_min=1,
                 terms=lambda k, a: (f"1 y1^{k + 1}",), weights=lambda k: ("", f"1/{k + 1}"),
-                fixture=lambda k: DiagramFile(_chain(k)), fixture_k=(1, 8)),
+                fixture=lambda k: DiagramFile(_chain(k))),
     FamilyEntry("D", "simple", "both", "x1^2+...+xm^2+y1^2*y2+y2^(k-1)", k_min=4,
                 terms=lambda k, a: ("1 y1^2*y2", f"1 y2^{k - 1}"),
                 weights=lambda k: ("", f"{k - 2}/{2 * (k - 1)} 1/{k - 1}"),
-                fixture=lambda k: DiagramFile(_d_diagram(k)), fixture_k=(4, 6)),
+                fixture=lambda k: DiagramFile(_d_diagram(k))),
     FamilyEntry("E6", "simple", "both", "x1^2+...+xm^2+y1^3+y2^4",
                 terms=lambda k, a: ("1 y1^3", "1 y2^4"), weights=lambda k: ("", "1/3 1/4"),
                 fixture=lambda k: DiagramFile(_e_diagram(6))),
@@ -146,11 +146,11 @@ FAMILIES = {e.symbol: e for e in (
                 fixture=lambda k: DiagramFile(_e_diagram(8))),
     FamilyEntry("B", "simple", "both", "x1^(2k)+x2^2+...+xm^2", k_min=2,
                 terms=lambda k, a: (f"1 x1^{2 * k}",), weights=lambda k: (f"1/{2 * k}", ""),
-                fixture=_b_fixture, fixture_k=(2, 4)),
+                fixture=_b_fixture),
     FamilyEntry("C", "simple", "both", "x1^2*y1+x2^2+...+xm^2+y1^k", k_min=2,
                 terms=lambda k, a: ("1 x1^2*y1", f"1 y1^{k}"),
                 weights=lambda k: (f"{k - 1}/{2 * k}", f"1/{k}"),
-                fixture=_c_fixture, fixture_k=(2, 4)),
+                fixture=_c_fixture),
     FamilyEntry("F4", "simple", "both", "x1^4+x2^2+...+xm^2+y1^3",
                 terms=lambda k, a: ("1 x1^4", "1 y1^3"), weights=lambda k: ("1/4", "1/3"),
                 fixture=_f4_fixture),
@@ -308,9 +308,9 @@ def fixture_file(symbol, k=None):
     entry = _entry(symbol, k)
     if entry.fixture is None:
         raise EqsingError(f"no bundled fixture for family {entry.symbol}")
-    if entry.fixture_k is not None and k > entry.fixture_k[1]:
-        lo, hi = entry.fixture_k
-        raise EqsingError(
-            f"{entry.symbol} fixtures are bundled for {lo} <= k <= {hi} (got k={k})"
-        )
+    # an indexed fixture's isotypic sublattice has rank k, so its k generator
+    # roots hold k*k entries; past the bound the verdict could only be Unknown
+    if k is not None and k * k > monodromy.MAX_ROOT_ENTRIES:
+        raise EqsingError(f"{entry.symbol}: k*k must be <= monodromy.MAX_ROOT_ENTRIES "
+                          f"({monodromy.MAX_ROOT_ENTRIES}), got k={k}")
     return entry.fixture(k)

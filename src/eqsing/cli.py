@@ -16,7 +16,7 @@ analyze          run the criterion on a diagram+action file, for the
 catalog list     list the simple and the confining families
 catalog emit     write a family's fixture file, or its normal-form
                  polynomial with --poly, to stdout or to --out FILE
-catalog verdict  run the criterion on a family's bundled fixture
+catalog verdict  run the criterion on a family's fixture
 mu               the Milnor number of a polynomial file and the dimension
                  of every character, as `isotypic.<signs>=<dim>`, one sign
                  per generator in generator order: `isotypic.+-=2` on M4

@@ -61,25 +61,21 @@ def reflections(gram, roots):
 
 def closure_naive(gram, roots, limit=100000):
     """Order of the group generated by the reflections in `roots`, by
-    repeated pairwise products of their matrices until stable.
+    multiplying each round's new elements by the generator matrices until
+    no new element appears.
 
     Lists every element as a matrix, a different method from the order
     from root heights, so the two can be cross-checked on small groups.
     """
+    gens = [g.matrix for g in reflections(gram, roots)]
     mats = {linalg.identity(len(gram))}
-    mats.update(g.matrix for g in reflections(gram, roots))
-    while True:
-        new = set()
-        for a in mats:
-            for b in mats:
-                p = linalg.mat_mul(a, b)
-                if p not in mats:
-                    new.add(p)
-        if not new:
-            return len(mats)
+    new = mats
+    while new:
+        new = {p for a in new for g in gens if (p := linalg.mat_mul(a, g)) not in mats}
         mats |= new
         if len(mats) > limit:
             raise RuntimeError("naive closure limit exceeded")
+    return len(mats)
 
 
 def root_orbit(gram, roots):

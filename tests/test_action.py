@@ -24,7 +24,7 @@ from oracles import (
     saturation,
     validate_action_by_matrices,
 )
-from test_catalog import BUNDLED_FIXTURES
+from test_catalog import GOLDEN_FIXTURES
 
 
 A2 = IntLattice(((-2, 1), (1, -2)))
@@ -177,7 +177,7 @@ def test_validate_action_matches_the_matrix_products():
     # forms, and on a diagonal form, which every signed permutation keeps,
     # so that the involution and commutation checks are reached
     rng = random.Random(14)
-    actions = [action_from_file(fixture_file(s, k))[0] for s, k in BUNDLED_FIXTURES]
+    actions = [action_from_file(fixture_file(s, k))[0] for s, k in GOLDEN_FIXTURES]
     actions += [action_from_file(random_action_file(rng))[0] for _ in range(2000)]
     for diagonal in (False, True):
         for _ in range(2000):
@@ -203,7 +203,7 @@ def test_validate_action_calls_no_linalg(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("validate_action called a linalg routine")
 
-    actions = [action_from_file(fixture_file(s, k))[0] for s, k in BUNDLED_FIXTURES]
+    actions = [action_from_file(fixture_file(s, k))[0] for s, k in GOLDEN_FIXTURES]
     for name, _ in inspect.getmembers(linalg, inspect.isfunction):
         monkeypatch.setattr(linalg, name, refuse)
     for action in actions:

@@ -130,12 +130,6 @@ def test_weyl_order_closed_forms():
         weyl_order("P8")
 
 
-def test_fixture_range_starts_at_k_min():
-    # fixture_file checks only the top of `fixture_k`; `_entry` the bottom
-    indexed = [e for e in catalog.FAMILIES.values() if e.fixture_k is not None]
-    assert indexed and all(e.fixture_k[0] == e.k_min for e in indexed)
-
-
 def test_fixture_a2_trivial():
     dfile = fixture_file("A", 2)
     action, chi = action_from_file(dfile)
@@ -164,7 +158,7 @@ def test_fixture_m5():
 
 def test_fixture_errors():
     # (symbol, k) is checked first, as for every catalog function, then
-    # whether a fixture is bundled, then the top of its range
+    # whether a fixture is bundled, then k against the root search's bound
     with pytest.raises(EqsingError, match="no bundled fixture for family P8"):
         fixture_file("P8")
     with pytest.raises(EqsingError, match="P8 takes no index k"):
@@ -175,12 +169,27 @@ def test_fixture_errors():
         fixture_file("A")
     with pytest.raises(EqsingError, match="A: k must be >= 1, got 0"):
         fixture_file("A", 0)
-    with pytest.raises(EqsingError, match=r"A fixtures are bundled for 1 <= k <= 8 \(got k=9\)"):
-        fixture_file("A", 9)
-    with pytest.raises(EqsingError, match=r"B fixtures are bundled for 2 <= k <= 4 \(got k=5\)"):
-        fixture_file("B", 5)
     with pytest.raises(EqsingError, match="M5 takes no index k"):
         fixture_file("M5", 3)
+    with pytest.raises(EqsingError, match=re.escape(
+            "B: k*k must be <= monodromy.MAX_ROOT_ENTRIES (2000000), got k=1415")):
+        fixture_file("B", 1415)
+    # past the fixtures the goldens pin, every k builds its fixture
+    assert run_analysis(fixture_file("A", 9)).verdict == Finite(weyl_order("A", 9))
+    assert run_analysis(fixture_file("B", 5)).verdict == Finite(weyl_order("B", 5))
+
+
+def test_k_over_the_bound_is_refused_before_anything_is_built():
+    # runs before the CLI cases with a large k: a chain of 10**6 vertices
+    # would take far more than the 1 MB this refusal may use
+    tracemalloc.start()
+    try:
+        with pytest.raises(EqsingError, match="got k=1000000"):
+            fixture_file("A", 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_fixture_e7_e8_diagrams_exist():
@@ -252,20 +261,21 @@ def test_remark1_consistency_folded_families():
     assert out.sublattice.rank == rep.dim_of((1,)) == 4
 
 
+# the fixtures `catalog.txt` and `verdict_cap*.machine` pin, and the ones the
+# per-fixture checks run on; every k of an indexed family has a fixture
+GOLDEN_FIXTURES = (
+    [("A", k) for k in range(1, 9)] + [("D", k) for k in range(4, 7)]
+    + [("B", k) for k in range(2, 5)] + [("C", k) for k in range(2, 5)]
+    + [(s, None) for s in ("E6", "E7", "E8", "F4", "M5", "M4", "X9")]
+)
+
+
 def _every_fixture():
-    for entry in catalog.FAMILIES.values():
-        if entry.fixture is None:
-            continue
-        if entry.fixture_k is None:
-            yield pytest.param(entry.symbol, None, id=entry.symbol)
-        else:
-            lo, hi = entry.fixture_k
-            for k in range(lo, hi + 1):
-                yield pytest.param(entry.symbol, k, id=f"{entry.symbol}{k}")
+    for symbol, k in GOLDEN_FIXTURES:
+        yield pytest.param(symbol, k, id=symbol + ("" if k is None else str(k)))
 
 
-@pytest.mark.parametrize("symbol, k", _every_fixture())
-def test_wall_twist_every_fixture_and_character(symbol, k):
+def _assert_wall_twist(symbol, k):
     # Wall (1980): the chi-isotypic rank of the vanishing lattice equals the
     # (chi det)-isotypic dimension of the Jacobian algebra, where det(g) is
     # (-1) to the number of x-variables g negates; a character is its signs
@@ -283,6 +293,26 @@ def test_wall_twist_every_fixture_and_character(symbol, k):
             rank = 0
         twisted = tuple(c * (-1) ** len(ix) for c, (_, ix) in zip(chi, f.blocks))
         assert rank == rep.dim_of(twisted), (chi, rank, twisted)
+
+
+@pytest.mark.parametrize("symbol, k", _every_fixture())
+def test_wall_twist_every_fixture_and_character(symbol, k):
+    _assert_wall_twist(symbol, k)
+
+
+@pytest.mark.parametrize("symbol, k", [
+    pytest.param(symbol, k, id=f"{symbol}{k}")
+    for symbol, ks in [("A", range(1, 21)), ("D", range(4, 17)),
+                       ("B", range(2, 13)), ("C", range(2, 13))]
+    for k in ks
+])
+def test_every_k_is_finite_of_the_weyl_order_on_rank_k(symbol, k):
+    # A_k, D_k, and B_k and C_k folded from A_{2k-1} and D_{k+1}: the
+    # isotypic sublattice has rank k, and the group is the Weyl group
+    out = run_analysis(fixture_file(symbol, k))
+    assert out.sublattice.rank == k
+    assert out.verdict == Finite(weyl_order(symbol, k))
+    _assert_wall_twist(symbol, k)
 
 
 @pytest.mark.parametrize("symbol, k", _every_fixture())
@@ -501,12 +531,6 @@ def test_action_validated_once_per_run(monkeypatch, symbol, k):
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "catalog.txt"
 
-BUNDLED_FIXTURES = (
-    [("A", k) for k in range(1, 9)] + [("D", k) for k in range(4, 7)]
-    + [("B", k) for k in range(2, 5)] + [("C", k) for k in range(2, 5)]
-    + [(s, None) for s in ("E6", "E7", "E8", "F4", "M5", "M4", "X9")]
-)
-
 # one instance per family at its minimum variables, one stabilised
 GOLDEN_FORMS = [
     ("A", 3, None, None, None), ("A", 5, 2, 3, None),
@@ -546,7 +570,7 @@ def render_catalog():
         with contextlib.redirect_stdout(out):
             main(["catalog", "list", "--setting", setting])
         parts.append(f"## catalog list --setting {setting}\n{out.getvalue()}")
-    for sym, k in BUNDLED_FIXTURES:
+    for sym, k in GOLDEN_FIXTURES:
         parts.append(f"## fixture {sym} k={k}\n{serialize(fixture_file(sym, k))}")
     for sym, k, m, n, a in GOLDEN_FORMS:
         f = normal_form(sym, k=k, m=m, n=n, modulus=a)

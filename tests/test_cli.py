@@ -16,6 +16,7 @@ from eqsing.cli import main
 from eqsing.diagram import serialize
 from eqsing.errors import parse_int, parse_rational
 from oracles import random_action_file
+from test_catalog import GOLDEN_FIXTURES
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "src" / "eqsing" / "fixtures"
@@ -40,16 +41,14 @@ def test_analyze_m5_machine_golden():
 
 
 def _verdict_transcript(cap):
-    """`catalog verdict --format machine` on every bundled fixture at `cap`,
-    each output under a header line with its arguments and exit code."""
+    """`catalog verdict --format machine` on every fixture of the goldens'
+    table at `cap`, in family order, each output under a header line with
+    its arguments and exit code."""
     from eqsing.catalog import FAMILIES
 
     parts = []
     for entry in FAMILIES.values():
-        if entry.fixture is None:
-            continue
-        lo, hi = entry.fixture_k or (None, None)
-        for k in [None] if lo is None else range(lo, hi + 1):
+        for k in [k for symbol, k in GOLDEN_FIXTURES if symbol == entry.symbol]:
             argv = ["catalog", "verdict", entry.symbol, "--cap", str(cap),
                     "--format", "machine"] + ([] if k is None else ["--k", str(k)])
             code, out, _ = run_cli(*argv)
@@ -286,11 +285,32 @@ def test_catalog_verdict_exit_codes():
     (["P8", "--k", "3"], "P8 takes no index k"),
     # the fixture's own checks
     (["P8"], "no bundled fixture for family P8"),
-    (["A", "--k", "9"], "A fixtures are bundled for 1 <= k <= 8 (got k=9)"),
+    (["A", "--k", "1000000"],
+     "A: k*k must be <= monodromy.MAX_ROOT_ENTRIES (2000000), got k=1000000"),
 ], ids=["unknown-symbol", "missing-k", "k-below-min", "k-not-taken", "no-fixture",
-        "k-above-range"])
+        "k-over-bound"])
 def test_catalog_refusal_messages(command, argv, message):
     assert run_cli("catalog", command, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_catalog_verdict_past_the_fixture_goldens():
+    code, out, err = run_cli("catalog", "verdict", "D", "--k", "7", "--format", "machine")
+    assert (code, err) == (0, "")
+    assert "monodromy.order=322560\n" in out
+
+
+def test_root_entry_bound_is_the_only_limit_on_k(monkeypatch):
+    # A_k's sublattice has rank k: at k*k <= MAX_ROOT_ENTRIES the search runs
+    # and stops at its cap MAX_ROOT_ENTRIES // k; past it nothing is built
+    from eqsing import monodromy
+
+    monkeypatch.setattr(monodromy, "MAX_ROOT_ENTRIES", 800)
+    code, out, err = run_cli("catalog", "verdict", "A", "--k", "28", "--format", "machine")
+    assert (code, err) == (3, "")
+    assert "monodromy.cap=28\n" in out
+    code, out, err = run_cli("catalog", "verdict", "A", "--k", "29", "--format", "machine")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_catalog_verdict_undecided_definite_is_simple():

@@ -41,7 +41,7 @@ FIELDS = {
     "DynkinDiagram": ("vertices", "edges"),
     "DiagramFile": ("diagram", "generators", "character"),
     "FamilyEntry": ("symbol", "kind", "setting", "template", "terms", "weights", "k_min",
-                    "modulus_rule", "excluded", "fixture", "fixture_k"),
+                    "modulus_rule", "excluded", "fixture"),
     "AnalysisOutcome": ("sublattice", "inertia", "kernel", "verdict"),
     "MonodromyElement": ("matrix", "gram", "word"),
     "Finite": ("order",),
