@@ -1,9 +1,10 @@
 """Z2^m actions on the distinguished basis and their isotypic sublattices.
 
 A generator is a signed permutation of the basis cycles, given as its
-0-based image table ((j, s), ...) with sigma(e_i) = s e_j at entry i.  The
-action must consist of commuting involutive isometries of the intersection
-form (`validate_action`); the (-1)^bullet-isotypic part for a character chi is the saturated sublattice
+0-based image table ((j, s), ...) with sigma(e_i) = s e_j at entry i.  A
+`GroupAction` checks as it is built that its generators are commuting
+involutive isometries of the intersection form; the (-1)^bullet-isotypic
+part for a character chi is the saturated sublattice
 {a : sigma_i a = chi(sigma_i) a for every generator}.  A character is its
 signs in generator order: chi = (chi(sigma_1), ..., chi(sigma_m)), each +-1,
 for the generators of `GroupAction.generators`, the key
@@ -28,7 +29,9 @@ class GroupAction(Record):
     is ((name, images), ...) with `images` the image table.  The names are
     unique and each table is a bijection of range(rank) with signs +-1, all
     Python ints, or an EqsingError names the generator, or the entry of
-    another shape; `validate_action` checks the rest."""
+    another shape.  Then isometry, involution and commutation are checked,
+    in that order, and an error names the first entry at fault of its
+    matrix identity (notes/decisions.md, "Checking an action ...")."""
 
     __slots__ = ("generators", "lattice")
 
@@ -57,38 +60,24 @@ class GroupAction(Record):
                                   f"{len(cycles)} basis cycles")
             if any(s not in (1, -1) for _, s in images):
                 raise EqsingError(f"generator {name} has a sign other than +1 or -1")
-
-
-def validate_action(action):
-    """Check isometry, involution and commutation for every generator, in
-    that order, on the image tables (notes/decisions.md, "Checking an
-    action on its image tables").
-
-    Raises the typed error for the first violated identity, naming the
-    first entry at fault of its matrix form in row-major order; returns
-    None when everything holds.
-    """
-    G = action.lattice.gram
-    for name, images in action.generators:
-        for i, (pi, si) in enumerate(images):
-            for j, (pj, sj) in enumerate(images):
-                # entry (i, j) of sigma^T G sigma against G[i][j]
-                if si * sj * G[pi][pj] != G[i][j]:
-                    raise EqsingError(
-                        f"generator {name} does not preserve the form (entry {(i, j)})"
-                    )
-    identity = tuple((j, 1) for j in range(action.lattice.rank))
-    for name, g in action.generators:
-        bad = _first_difference(_compose(g, g), identity)
-        if bad is not None:
-            raise EqsingError(
-                f"generator {name} is not an involution (entry {bad} of sigma^2)"
-            )
-    for (na, a), (nb, b) in itertools.combinations(action.generators, 2):
-        bad = _first_difference(_compose(a, b), _compose(b, a))
-        if bad is not None:
-            raise EqsingError(f"generators {na}, {nb} do not commute (entry {bad})")
-    return None
+        G = self.lattice.gram
+        for name, images in gens:
+            for i, (pi, si) in enumerate(images):
+                for j, (pj, sj) in enumerate(images):
+                    # entry (i, j) of sigma^T G sigma against G[i][j]
+                    if si * sj * G[pi][pj] != G[i][j]:
+                        raise EqsingError(f"generator {name} does not preserve the "
+                                          f"form (entry {(i, j)})")
+        identity = tuple((j, 1) for j in cycles)
+        for name, g in gens:
+            bad = _first_difference(_compose(g, g), identity)
+            if bad is not None:
+                raise EqsingError(f"generator {name} is not an involution "
+                                  f"(entry {bad} of sigma^2)")
+        for (na, a), (nb, b) in itertools.combinations(gens, 2):
+            bad = _first_difference(_compose(a, b), _compose(b, a))
+            if bad is not None:
+                raise EqsingError(f"generators {na}, {nb} do not commute (entry {bad})")
 
 
 def _compose(a, b):
@@ -115,9 +104,8 @@ def signed_orbits(action, chi):
     sets c(i0) = +1 and c(j) = chi(sigma) s c(i) for each generator sigma
     with sigma(e_i) = s e_j; `cycle` is sum c(j) e_j in ambient coordinates,
     or None when two paths give some c(j) opposite signs.  O(n m) for n
-    cycles and m generators; reads only the image tables and does not
-    validate the action.  EqsingError unless chi has one entry +-1 per
-    generator.
+    cycles and m generators; reads only the image tables.  EqsingError
+    unless chi has one entry +-1 per generator.
     """
     if len(chi) != len(action.generators):
         raise EqsingError(f"character has {len(chi)} values for "
@@ -160,7 +148,6 @@ def isotypic_sublattice(action, chi, orbits=None):
     normal form already, the basis `Sublattice` takes as given.  Raises
     EqsingError when no orbit carries one.
     """
-    validate_action(action)
     if orbits is None:
         orbits = signed_orbits(action, chi)
     basis = tuple(cycle for _, cycle in orbits if cycle is not None)

@@ -256,7 +256,7 @@ def normal_form(symbol, k=None, m=None, n=None, modulus=None):
             raise bad
         try:
             a = Fraction(modulus)
-        except (TypeError, ValueError, ZeroDivisionError):
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             raise bad from None
         if entry.excluded(a):
             raise EqsingError(f"{entry.symbol}: modulus excluded by "

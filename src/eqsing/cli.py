@@ -105,13 +105,9 @@ def _machine_report(source, dfile, outcome):
     lines = [f"input={source}", f"ambient.rank={dfile.diagram.rank}"]
     gens = ",".join(name for name, _ in dfile.generators)
     lines.append(f"action.generators={gens}")
-    if dfile.character is not None:
-        lines.append(
-            "action.character="
-            + ",".join(f"{n}:{'+1' if v > 0 else '-1'}" for n, v in dfile.character)
-        )
-    else:
-        lines.append("action.character=")
+    # DiagramFile holds each character value to +-1, so it prints as its sign
+    character = ",".join(f"{n}:{v:+d}" for n, v in dfile.character or ())
+    lines.append(f"action.character={character}")
     lines.append(f"isotypic.rank={sub.rank}")
     for i, b in enumerate(sub.basis, 1):
         lines.append(f"isotypic.basis.{i}={_csv(b)}")
@@ -122,9 +118,7 @@ def _machine_report(source, dfile, outcome):
     for i, (v, va) in enumerate(zip(outcome.kernel, outcome.kernel_ambient), 1):
         lines.append(f"kernel.delta.{i}={_csv(v)}")
         lines.append(f"kernel.ambient.{i}={_csv(va)}")
-    lines.append(
-        "monodromy.generators=" + ",".join(_generator_names(outcome))
-    )
+    lines.append("monodromy.generators=" + ",".join(_generator_names(outcome)))
     v = outcome.verdict
     lines.append(f"monodromy.verdict={v.kind}")
     if v.kind == "finite":
@@ -136,13 +130,9 @@ def _machine_report(source, dfile, outcome):
         if v.witness is not None:
             lines.append(f"monodromy.certificate.v={_csv(v.witness)}")
             lines.append(f"monodromy.certificate.w={_csv(v.increment)}")
-            lines.append(
-                f"monodromy.certificate.w.ambient={_csv(sub.embed(v.increment))}"
-            )
+            lines.append(f"monodromy.certificate.w.ambient={_csv(sub.embed(v.increment))}")
         if v.residual_charpoly is not None:
-            lines.append(
-                f"monodromy.certificate.residual_charpoly={_csv(v.residual_charpoly)}"
-            )
+            lines.append(f"monodromy.certificate.residual_charpoly={_csv(v.residual_charpoly)}")
     else:
         lines.append(f"monodromy.cap={v.cap}")
     lines.append(f"criteria.agree={'true' if outcome.criteria_agree else 'false'}")
@@ -160,10 +150,7 @@ def _text_report(source, dfile, outcome, elapsed):
         names = ", ".join(n for n, _ in dfile.generators)
         out.append(f"action: {names}")
         if dfile.character is not None:
-            out.append(
-                "character: "
-                + " ".join(f"{n}={'+1' if v > 0 else '-1'}" for n, v in dfile.character)
-            )
+            out.append("character: " + " ".join(f"{n}={v:+d}" for n, v in dfile.character))
     else:
         out.append("action: trivial")
     out.append(f"isotypic sublattice: rank {sub.rank}")
@@ -173,11 +160,8 @@ def _text_report(source, dfile, outcome, elapsed):
     for row in sub.restricted_gram:
         out.append("  [" + " ".join(f"{x:3d}" for x in row) + "]")
     sig = outcome.inertia
-    shape = (
-        "negative definite"
-        if sig.negative_definite
-        else "negative semidefinite" if sig.negative_semidefinite else "indefinite"
-    )
+    shape = ("negative definite" if sig.negative_definite else
+             "negative semidefinite" if sig.negative_semidefinite else "indefinite")
     out.append(f"inertia (n+, n0, n-): {sig.as_tuple()}  [{shape}]")
     out.append(f"kernel basis (rank {len(outcome.kernel)}):")
     for v, va in zip(outcome.kernel, outcome.kernel_ambient):

@@ -106,8 +106,9 @@ class DiagramFile(Record):
     set.  character: ((name, +1|-1), ...), or None when the file carries no
     character line; it lists every generator, in declaration order, so its
     values are the character's signs in generator order.  Every source,
-    target, sign and character value is a Python int.  DiagramError
-    otherwise, for a parsed file and a built one alike.
+    target, sign and character value is a Python int, each sign and value
+    +-1, so the file round-trips through `serialize` and `parse_file`.
+    DiagramError otherwise, for a parsed file and a built one alike.
     """
 
     __slots__ = ("diagram", "generators", "character")
@@ -121,6 +122,8 @@ class DiagramFile(Record):
                 if not all(isinstance(x, int) for image in images for x in image):
                     raise DiagramError(f"generator {name} has a source, target or sign "
                                        "that is not an integer")
+                if any(s not in (1, -1) for _, _, s in images):
+                    raise DiagramError(f"generator {name} has a sign other than +1 or -1")
                 if (sorted(i for i, _, _ in images) != ids
                         or sorted(j for _, j, _ in images) != ids):
                     raise DiagramError(
@@ -137,6 +140,9 @@ class DiagramFile(Record):
             if not isinstance(value, int):
                 raise DiagramError(f"character value of generator {name} is not an "
                                    f"integer: {value!r}")
+            if value not in (1, -1):
+                raise DiagramError(f"character value of generator {name} must be "
+                                   f"+1 or -1, got {value}")
 
 
 def _parse_int(tok, line, what):
@@ -234,7 +240,7 @@ def serialize(obj):
         toks = " ".join(f"{i}:{'+' if s > 0 else '-'}{j}" for i, j, s in sorted(images))
         lines.append(f"generator {name} {toks}")
     if obj.character is not None:
-        toks = " ".join(f"{n}={'+1' if v > 0 else '-1'}" for n, v in obj.character)
+        toks = " ".join(f"{n}={v:+d}" for n, v in obj.character)
         lines.append(f"character {toks}")
     return "\n".join(lines) + "\n"
 

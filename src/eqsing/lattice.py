@@ -18,13 +18,17 @@ from .record import Record
 
 class IntLattice(Record):
     """Free Z-module of finite rank with a symmetric integer form: its Gram
-    matrix, square, symmetric and of Python ints, or an EqsingError names
-    the first entry at fault."""
+    matrix, a sequence of rows, square, symmetric and of Python ints, or an
+    EqsingError names the first entry at fault."""
 
     __slots__ = ("gram",)
 
     def __post_init__(self):
-        gram = linalg.freeze(self.gram)
+        try:
+            gram = linalg.freeze(self.gram)
+        except TypeError:
+            raise EqsingError(f"gram matrix must be a sequence of rows, "
+                              f"got {self.gram!r}") from None
         object.__setattr__(self, "gram", gram)
         n = len(gram)
         if any(len(row) != n for row in gram):

@@ -37,8 +37,8 @@ class PolyGerm(Record):
 
     terms: exponent tuple (x-block first) -> rational coefficient, no
     constant term, as a mapping or pairs; an exponent is an int >= 0, a
-    coefficient is a number, and a string is refused (a file's is read
-    with `parse_rational`).  They are stored as ((exponents, Fraction),
+    coefficient is a finite number, and a string is refused (a file's is
+    read with `parse_rational`).  They are stored as ((exponents, Fraction),
     ...), sorted, so that the germ is hashable.  For corner=False the one
     generator `sigma` negates every x; for corner=True the generators
     s1..sm negate one x each.  `variables`, `blocks` and `nvars` are read
@@ -51,14 +51,23 @@ class PolyGerm(Record):
     def __post_init__(self):
         if not all(isinstance(k, int) and k >= 0 for k in (self.m, self.n)):
             raise EqsingError(f"variable counts must be integers >= 0, got {self.m!r}, {self.n!r}")
+        try:
+            items = dict(self.terms).items()
+        except (TypeError, ValueError):
+            raise EqsingError("terms must be a mapping or (exponents, coefficient) "
+                              f"pairs, got {self.terms!r}") from None
         terms = []
-        for exps, c in dict(self.terms).items():
-            exps = tuple(exps)
+        for exps, c in items:
+            if not isinstance(exps, tuple):
+                raise EqsingError(f"exponents must be a tuple, got {exps!r}")
             if not all(isinstance(e, int) and e >= 0 for e in exps):
                 raise EqsingError(f"exponents must be integers >= 0, got {exps!r}")
             if isinstance(c, str):
                 raise EqsingError(f"bad coefficient {c!r}")
-            c = Fraction(c)
+            try:
+                c = Fraction(c)
+            except (TypeError, ValueError, OverflowError):
+                raise EqsingError(f"bad coefficient {c!r}") from None
             if c == 0:
                 continue
             if len(exps) != self.nvars:

@@ -210,11 +210,8 @@ class Infinite(Record):
             if not linalg.int_kernel(Q):
                 raise InternalError("no root of the residual charpoly is an eigenvalue")
             return True
-        I = linalg.identity(g.rank)
-        U = linalg.freeze(
-            tuple(a - b for a, b in zip(row, irow))
-            for row, irow in zip(g.matrix, I)
-        )
+        U = tuple(tuple(x - int(i == j) for j, x in enumerate(row))
+                  for i, row in enumerate(g.matrix))
         v, w = self.witness, self.increment
         if v is None or w is None:
             raise InternalError("unipotent certificate lacks witness data")
@@ -281,6 +278,11 @@ def generate_group(gram, roots, cap=10**6, sig=None):
     """
     lattice = IntLattice(gram)
     gram = lattice.gram
+    try:
+        roots = [tuple(root) for root in roots]
+    except TypeError:
+        raise EqsingError(f"roots must be a sequence of integer vectors, "
+                          f"got {roots!r}") from None
     if not roots:
         raise EqsingError("at least one root is required")
     mirrors = []
@@ -617,7 +619,11 @@ def action_from_file(dfile):
     """(GroupAction, chi) for a parsed diagram file: chi is the file's
     character as signs in generator order, all +1 when it names none; the
     action is trivial when the file declares no generator.  `DiagramFile`
-    has checked each generator against the vertex set, so no lookup fails."""
+    has checked each generator against the vertex set, so no lookup fails.
+    No n x n form is built past n*n > 4*MAX_ROOT_ENTRIES (notes/decisions.md)."""
+    if dfile.diagram.rank ** 2 > 4 * MAX_ROOT_ENTRIES:
+        raise EqsingError(f"diagram: n*n must be <= 4*monodromy.MAX_ROOT_ENTRIES "
+                          f"({4 * MAX_ROOT_ENTRIES}), got n={dfile.diagram.rank} vertices")
     index = {v: k for k, v in enumerate(dfile.diagram.vertex_ids())}
     gens = tuple((name, tuple((index[j], s) for _, j, s in sorted(images)))
                  for name, images in dfile.generators)

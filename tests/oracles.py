@@ -8,12 +8,11 @@ from math import gcd, prod
 import pytest
 
 from eqsing import linalg
-from eqsing.action import validate_action
-from eqsing.diagram import DiagramFile, DynkinDiagram
+from eqsing.diagram import DiagramFile, DynkinDiagram, to_lattice
 from eqsing.errors import EqsingError, InternalError
 from eqsing.lattice import Inertia, Sublattice
 from eqsing.localalg import LocalAlgebraReport, _check_table, _partial
-from eqsing.monodromy import MonodromyElement, _dot, _mirror, _reflect
+from eqsing.monodromy import MonodromyElement, _dot, _mirror, _reflect, action_from_file
 
 
 def product(gram, u, v):
@@ -185,16 +184,16 @@ def permutation_matrix(images):
     return linalg.freeze(M)
 
 
-def validate_action_by_matrices(action):
-    """Check isometry, involution and commutation for every generator by
-    multiplying n x n matrices: sigma^T G sigma = G, sigma^2 = I and
-    sigma tau = tau sigma, each with the first entry at fault in row-major
-    order as the witness.  The reference for `validate_action`, which
-    reads the image tables."""
-    G = action.lattice.gram
-    n = action.lattice.rank
+def validate_action_by_matrices(generators, lattice):
+    """Check isometry, involution and commutation for every generator of
+    ((name, image table), ...) on `lattice` by multiplying n x n matrices:
+    sigma^T G sigma = G, sigma^2 = I and sigma tau = tau sigma, each with
+    the first entry at fault in row-major order as the witness.  The
+    reference for `GroupAction`'s checks, which read the image tables."""
+    G = lattice.gram
+    n = lattice.rank
     I = linalg.identity(n)
-    mats = [(name, permutation_matrix(g)) for name, g in action.generators]
+    mats = [(name, permutation_matrix(g)) for name, g in generators]
     for name, M in mats:
         MGM = linalg.mat_mul(linalg.mat_mul(linalg.transpose(M), G), M)
         if MGM != G:
@@ -297,7 +296,6 @@ def isotypic_sublattice_by_kernel(action, chi):
     """The chi-isotypic sublattice as the integer kernel of the stacked
     matrices sigma_i - chi_i I, which is saturated and in Hermite normal
     form."""
-    validate_action(action)
     n = action.lattice.rank
     if not action.generators:
         return Sublattice(action.lattice, linalg.identity(n))
@@ -362,17 +360,29 @@ def equivariant_generators_by_projector(action, chi):
     return sub, [root for root in roots if root is not None]
 
 
-def generator_outcome(construct, action, chi):
-    """What `construct(action, chi)` gives, as plain data to compare: the
-    sublattice basis, its Gram matrix and the matrices and words of the
-    reflections in its roots, or the type and message of the EqsingError
-    it raises."""
+def generator_outcome(construct, dfile, chi=None):
+    """What `construct(action, chi)` gives on the action of `dfile`, and on
+    the file's character unless `chi` is given, as plain data to compare:
+    the sublattice basis, its Gram matrix and the matrices and words of
+    the reflections in its roots, or the type and message of the
+    EqsingError that building the action or the construction raises."""
     try:
-        sub, roots = construct(action, chi)
+        action, file_chi = action_from_file(dfile)
+        sub, roots = construct(action, file_chi if chi is None else chi)
     except EqsingError as exc:
         return type(exc), str(exc)
     gens = reflections(sub.restricted_gram, roots)
     return sub.basis, sub.restricted_gram, tuple((h.matrix, h.word) for h in gens)
+
+
+def action_tables(dfile):
+    """(generators, lattice): the image tables of `dfile`'s generators and
+    its lattice, from which `action_from_file` builds its GroupAction, for
+    the tests that check an action built from them."""
+    index = {v: k for k, v in enumerate(dfile.diagram.vertex_ids())}
+    gens = tuple((name, tuple((index[j], s) for _, j, s in sorted(images)))
+                 for name, images in dfile.generators)
+    return gens, to_lattice(dfile.diagram)
 
 
 def random_action_file(rng, self_ints=(-4, -2, -2, -2, 0, 2)):

@@ -1,4 +1,5 @@
-"""Group actions: validation, isotypic sublattices, signed orbits."""
+"""Group actions: the checks of an action as it is built, isotypic
+sublattices, signed orbits."""
 import inspect
 import itertools
 import random
@@ -7,14 +8,15 @@ from math import gcd
 import pytest
 
 from eqsing import linalg
-from eqsing.action import GroupAction, isotypic_sublattice, signed_orbits, validate_action
-from eqsing.catalog import fixture_file
+from eqsing.action import GroupAction, isotypic_sublattice, signed_orbits
+from eqsing.catalog import fixture_file, normal_form
 from eqsing.diagram import DiagramFile, DynkinDiagram
 from eqsing.errors import DiagramError, EqsingError
 from eqsing.lattice import IntLattice
 from eqsing.localalg import LocalAlgebraReport, PolyGerm
 from eqsing.monodromy import action_from_file, generate_group
 from oracles import (
+    action_tables,
     character_projection,
     group_elements,
     isotypic_rank_rational,
@@ -48,8 +50,11 @@ def test_signed_permutation_validation():
         GroupAction((("s", ((0, 1), (0, 1))),), A2)
     with pytest.raises(EqsingError, match="generator s has a sign"):
         GroupAction((("s", ((0, 2),)),), IntLattice(((-2,),)))
+    swap = ((1, -1), (0, -1))
+    assert GroupAction((("s", swap),), A2).generators == (("s", swap),)
+    # column i of the matrix holds s at row j: the quarter turn, which is
+    # no involution, tells the matrix from its transpose
     table = ((1, 1), (0, -1))
-    assert GroupAction((("s", table),), A2).generators == (("s", table),)
     assert permutation_matrix(table) == ((0, -1), (1, 0))
     assert linalg.mat_vec(permutation_matrix(table), (1, 0)) == (0, 1)
 
@@ -107,6 +112,27 @@ def test_built_diagram_file_checks_the_generators_like_a_parsed_one():
                  "^variable counts must be integers >= 0, got -1, 2$", id="negative-count"),
     pytest.param(lambda: LocalAlgebraReport((((1,), 1),), 2).dim_of((-1,)), EqsingError,
                  r"no character \(-1,\) in this report", id="dim-of"),
+    # every file DiagramFile takes round-trips through serialize and
+    # parse_file, which write and read one sign per image and value
+    pytest.param(lambda: DiagramFile(A2_DIAGRAM, (("s", ((1, 1, 3), (2, 2, 1))),)),
+                 DiagramError, r"^generator s has a sign other than \+1 or -1$",
+                 id="file-sign-3"),
+    pytest.param(lambda: DiagramFile(A2_DIAGRAM, (("s", ((1, 1, 1), (2, 2, 1))),),
+                                     (("s", 0),)),
+                 DiagramError, r"^character value of generator s must be \+1 or -1, got 0$",
+                 id="file-character-0"),
+    pytest.param(lambda: PolyGerm({(2,): object()}, 0, 1), EqsingError,
+                 "^bad coefficient <object object at", id="coefficient-object"),
+    pytest.param(lambda: PolyGerm({(2,): float("nan")}, 0, 1), EqsingError,
+                 "^bad coefficient nan$", id="coefficient-nan"),
+    pytest.param(lambda: PolyGerm({(2,): float("inf")}, 0, 1), EqsingError,
+                 "^bad coefficient inf$", id="coefficient-inf"),
+    pytest.param(lambda: PolyGerm({(2, 0): 1}, 0, 1), EqsingError,
+                 "^exponent length does not match variable count$", id="exponent-length"),
+    pytest.param(lambda: normal_form("X9", modulus=object()), EqsingError,
+                 "^X9: bad modulus <object object at", id="modulus-object"),
+    pytest.param(lambda: normal_form("X9", modulus=float("inf")), EqsingError,
+                 "^X9: bad modulus inf$", id="modulus-inf"),
 ])
 def test_library_boundary_errors_are_typed(build, cls, message):
     with pytest.raises(cls, match=message) as info:
@@ -115,36 +141,28 @@ def test_library_boundary_errors_are_typed(build, cls, message):
 
 
 def test_validate_identity_ok():
-    act = GroupAction(
-        generators=(("e", ((0, 1), (1, 1))),), lattice=A2
-    )
-    assert validate_action(act) is None
+    table = ((0, 1), (1, 1))
+    act = GroupAction(generators=(("e", table),), lattice=A2)
+    assert act.generators == (("e", table),)
 
 
 def test_validate_m5_central_symmetry_ok():
     action, _ = m5_setup()
-    assert validate_action(action) is None
+    assert [name for name, _ in action.generators] == ["sigma"]
 
 
 def test_validate_not_isometry():
     # swap (1 2) with signs (+1, -1) breaks the A2 form
-    act = GroupAction(
-        generators=(("s", ((1, 1), (0, -1))),), lattice=A2
-    )
     with pytest.raises(EqsingError,
                        match=r"generator s does not preserve the form \(entry \(0, 1\)\)"):
-        validate_action(act)
+        GroupAction(generators=(("s", ((1, 1), (0, -1))),), lattice=A2)
 
 
 def test_validate_not_involution():
     # 3-cycle is not an involution
     lat = IntLattice(((-2, 0, 0), (0, -2, 0), (0, 0, -2)))
-    act = GroupAction(
-        generators=(("r", ((1, 1), (2, 1), (0, 1))),),
-        lattice=lat,
-    )
     with pytest.raises(EqsingError, match=r"generator r is not an involution \(entry \(0, 0\)"):
-        validate_action(act)
+        GroupAction(generators=(("r", ((1, 1), (2, 1), (0, 1))),), lattice=lat)
 
 
 def test_validate_not_commuting():
@@ -152,9 +170,8 @@ def test_validate_not_commuting():
     lat = IntLattice(((-2, 0, 0), (0, -2, 0), (0, 0, -2)))
     s1 = ((1, 1), (0, 1), (2, 1))
     s2 = ((0, 1), (2, 1), (1, 1))
-    act = GroupAction(generators=(("a", s1), ("b", s2)), lattice=lat)
     with pytest.raises(EqsingError, match=r"generators a, b do not commute \(entry \(0, 1\)\)"):
-        validate_action(act)
+        GroupAction(generators=(("a", s1), ("b", s2)), lattice=lat)
 
 
 def _random_signed_permutation(rng, n):
@@ -163,22 +180,28 @@ def _random_signed_permutation(rng, n):
     return tuple((j, rng.choice((1, -1))) for j in targets)
 
 
-def _validation_outcome(check, action):
+def _validation_outcome(check, generators, lattice):
+    """None when `check(generators, lattice)` accepts, else the type and
+    message of its EqsingError."""
     try:
-        return check(action)
+        check(generators, lattice)
     except EqsingError as exc:
         return type(exc), str(exc)
+    return None
 
 
 def test_validate_action_matches_the_matrix_products():
-    # the image tables give the error message, with the witness entry of
+    # building the action gives the error message, with the witness entry of
     # the matrix identities, on every fixture action and 6,000 seeded ones:
     # random diagram+action files, random signed permutations on random
     # forms, and on a diagonal form, which every signed permutation keeps,
     # so that the involution and commutation checks are reached
     rng = random.Random(14)
-    actions = [action_from_file(fixture_file(s, k))[0] for s, k in GOLDEN_FIXTURES]
-    actions += [action_from_file(random_action_file(rng))[0] for _ in range(2000)]
+    fixtures = [fixture_file(s, k) for s, k in GOLDEN_FIXTURES]
+    cases = [action_tables(dfile) for dfile in fixtures]
+    assert [GroupAction(*case) for case in cases] == [
+        action_from_file(dfile)[0] for dfile in fixtures]
+    cases += [action_tables(random_action_file(rng)) for _ in range(2000)]
     for diagonal in (False, True):
         for _ in range(2000):
             n = rng.randint(1, 4)
@@ -188,12 +211,12 @@ def test_validate_action_matches_the_matrix_products():
                     gram[i][j] = gram[j][i] = rng.choice((-2, -2, -1, 0, 0, 1, 2))
             gens = tuple((f"g{k + 1}", _random_signed_permutation(rng, n))
                          for k in range(rng.randint(1, 3)))
-            actions.append(GroupAction(generators=gens, lattice=IntLattice(gram)))
+            cases.append((gens, IntLattice(gram)))
     stems = ("does not preserve the form", "is not an involution", "do not commute")
     kinds = set()
-    for action in actions:
-        got = _validation_outcome(validate_action, action)
-        assert got == _validation_outcome(validate_action_by_matrices, action)
+    for generators, lattice in cases:
+        got = _validation_outcome(GroupAction, generators, lattice)
+        assert got == _validation_outcome(validate_action_by_matrices, generators, lattice)
         kinds.add(None if got is None else next(k for k in stems if k in got[1]))
     assert kinds == {None, *stems}
 
@@ -201,13 +224,13 @@ def test_validate_action_matches_the_matrix_products():
 def test_validate_action_calls_no_linalg(monkeypatch):
     # the checks read the image tables: no matrix is built or multiplied
     def refuse(*args, **kwargs):
-        raise AssertionError("validate_action called a linalg routine")
+        raise AssertionError("GroupAction called a linalg routine")
 
-    actions = [action_from_file(fixture_file(s, k))[0] for s, k in GOLDEN_FIXTURES]
+    cases = [action_tables(fixture_file(s, k)) for s, k in GOLDEN_FIXTURES]
     for name, _ in inspect.getmembers(linalg, inspect.isfunction):
         monkeypatch.setattr(linalg, name, refuse)
-    for action in actions:
-        assert validate_action(action) is None
+    for generators, lattice in cases:
+        assert GroupAction(generators, lattice).lattice is lattice
 
 
 def test_isotypic_m5():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from eqsing import catalog, linalg, monodromy
-from eqsing.action import isotypic_sublattice, signed_orbits
+from eqsing.action import GroupAction, isotypic_sublattice, signed_orbits
 from eqsing.catalog import (
     confining_list,
     fixture_file,
@@ -329,10 +329,10 @@ def test_inertia_matches_descartes_every_character(symbol, k):
 
 @pytest.mark.parametrize("symbol, k", _every_fixture())
 def test_equivariant_generators_match_the_projector_every_character(symbol, k):
-    action, _ = action_from_file(fixture_file(symbol, k))
-    for chi in itertools.product((1, -1), repeat=len(action.generators)):
-        new = generator_outcome(equivariant_generators, action, chi)
-        old = generator_outcome(equivariant_generators_by_projector, action, chi)
+    dfile = fixture_file(symbol, k)
+    for chi in itertools.product((1, -1), repeat=len(dfile.generators)):
+        new = generator_outcome(equivariant_generators, dfile, chi)
+        old = generator_outcome(equivariant_generators_by_projector, dfile, chi)
         assert new == old, chi
 
 
@@ -512,16 +512,15 @@ def test_certificate_validated_once_per_run(monkeypatch, symbol):
 
 @pytest.mark.parametrize("symbol, k", [("M5", None), ("M4", None), ("B", 3)])
 def test_action_validated_once_per_run(monkeypatch, symbol, k):
-    from eqsing import action as action_module
-
+    # the action checks itself when it is built, and one is built per run
     calls = []
-    original = action_module.validate_action
+    original = GroupAction.__post_init__
 
     def counted(act):
         calls.append(act)
         return original(act)
 
-    monkeypatch.setattr(action_module, "validate_action", counted)
+    monkeypatch.setattr(GroupAction, "__post_init__", counted)
     run_analysis(fixture_file(symbol, k))
     assert len(calls) == 1
 

@@ -464,6 +464,96 @@ _LOOSE_OPTIONS = {
 }
 
 
+_V12 = "vertex 1 self=-2\nvertex 2 self=-2\n"
+_SWAP = "generator s 1:+2 2:+1\n"
+
+# the refusals of the two file readers that no other case reaches, each with
+# its one error line.  id: (argv, file text, error line)
+_READER_REFUSALS = {
+    "vertex-malformed": (["analyze", "{file}"], "vertex 1\n",
+                         "line 1: expected `vertex <id> self=<int>`"),
+    "edge-malformed": (["analyze", "{file}"], _V12 + "edge 1 2\n",
+                       "line 3: expected `edge <i> <j> w=<int>`"),
+    "generator-malformed": (["analyze", "{file}"], _V12 + "generator s\n",
+                            "line 3: expected `generator <name> <i>:<±j> ...`"),
+    "generator-twice": (["analyze", "{file}"], _V12 + _SWAP + _SWAP,
+                        "line 4: generator s already declared"),
+    "image-token": (["analyze", "{file}"], _V12 + "generator s 1+2 2:+1\n",
+                    "line 3: bad image token '1+2'"),
+    "character-twice": (["analyze", "{file}"], _V12 + _SWAP + "character s=+1\n" * 2,
+                        "line 5: character already declared"),
+    "character-token": (["analyze", "{file}"], _V12 + _SWAP + "character s\n",
+                        "line 4: bad character token 's'"),
+    "character-value": (["analyze", "{file}"], _V12 + _SWAP + "character s=2\n",
+                        "line 4: character value must be +1 or -1, got '2'"),
+    "vars-twice": (["mu", "{file}"], "vars x:0 y:1\nvars x:0 y:1\n1 y1^3\n",
+                   "line 2: duplicate vars header"),
+    "vars-missing": (["mu", "{file}"], "# no header\n", "line 1: missing vars header"),
+}
+
+
+@pytest.mark.parametrize("argv, text, message", _READER_REFUSALS.values(),
+                         ids=list(_READER_REFUSALS))
+def test_reader_refusal_messages(tmp_path, argv, text, message):
+    # exit 2 and exactly this one error line, as test_bad_input_exits_two
+    # asks of every refusal, with the message pinned
+    path = tmp_path / "probe"
+    path.write_text(text)
+    assert run_cli(*(a.format(file=path) for a in argv)) == (2, "", f"error: {message}\n")
+
+
+def test_analyze_reports_the_residual_charpoly(tmp_path):
+    # b^2 > ac on the weight-3 pair: an element with a real eigenvalue off
+    # the unit circle, a root of x^2 - 7x + 1 (t = 4*9/4 - 2)
+    f = tmp_path / "w3.diagram"
+    f.write_text(_V12 + "edge 1 2 w=3\n")
+    code, out, err = run_cli("analyze", str(f))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-5:-1] == [
+        "verdict: Infinite",
+        "  certificate g = h2*h1",
+        "  charpoly factor x^2 - t x + 1, |t| > 2: [1, -7, 1]",
+        "simple: NO",
+    ]
+
+
+def test_mu_oracle_disagreement_exits_two(monkeypatch, tmp_path):
+    # only a defect in milnor_number or in the weight formula reaches this
+    from eqsing import localalg
+
+    monkeypatch.setattr(localalg, "quasihomogeneous_mu", lambda weights: 3)
+    f = tmp_path / "a2.poly"
+    f.write_text(_A2_POLY)
+    assert run_cli("mu", str(f), "--oracle", "1/3") == (2, (
+        "mu=2\ntruncation_degree=2\nisotypic.trivial=2\n"
+        "oracle.mu=3\noracle.agrees=false\n"), "")
+
+
+def _chain(n):
+    return "".join(f"vertex {i} self=-2\n" for i in range(1, n + 1)) + "".join(
+        f"edge {i} {i + 1} w=1\n" for i in range(1, n))
+
+
+def test_diagram_size_bound_reads_the_root_entry_bound(monkeypatch, tmp_path):
+    # with the bound patched to 100, a diagram of n <= 20 vertices is
+    # analysed and stops at the search's cap 100 // n, one of 21 is refused;
+    # every family at the largest k fixture_file takes, 10, is analysed
+    from eqsing import monodromy
+
+    monkeypatch.setattr(monodromy, "MAX_ROOT_ENTRIES", 100)
+    f = tmp_path / "chain.diagram"
+    f.write_text(_chain(20))
+    code, out, err = run_cli("analyze", str(f), "--format", "machine")
+    assert (code, err) == (3, "") and "monodromy.cap=5\n" in out
+    f.write_text(_chain(21))
+    assert run_cli("analyze", str(f)) == (2, "", (
+        "error: diagram: n*n must be <= 4*monodromy.MAX_ROOT_ENTRIES (400), "
+        "got n=21 vertices\n"))
+    for symbol in ("A", "B", "C", "D"):
+        code, _, err = run_cli("catalog", "verdict", symbol, "--k", "10")
+        assert (code, err) == (3, ""), symbol
+
+
 @pytest.mark.parametrize("argv, text", [
     (["mu", "{file}"], "vars x:0 y:1\n1 1\n1 y1^3\n"),
     (["mu", "{file}"], "vars x:-1 y:2\n1 y1^3\n"),

@@ -1,11 +1,13 @@
 """Monodromy engine: reflections, equivariant generators, finiteness."""
 import random
+import tracemalloc
 
 import pytest
 
 from eqsing import lattice, linalg, monodromy
 from eqsing.action import GroupAction, signed_orbits
 from eqsing.catalog import fixture_file
+from eqsing.diagram import DiagramFile, DynkinDiagram
 from eqsing.errors import EqsingError, InternalError
 from eqsing.lattice import IntLattice, Sublattice, kernel_basis
 from eqsing.monodromy import (
@@ -201,6 +203,23 @@ def test_orbit_generator_m4_four_cycle_orbit():
     assert gens[3].matrix == pl_reflection(sub.restricted_gram, (0, 0, 0, 1)).matrix
 
 
+def test_oversized_diagram_is_refused_before_its_form_is_built():
+    # past n*n > 4*MAX_ROOT_ENTRIES no n x n form is built: a chain of 2829
+    # vertices would take about 128 MB for its Gram matrix, the refusal
+    # less than 1 MB
+    n = 2829
+    dfile = DiagramFile(DynkinDiagram(tuple((i, -2) for i in range(1, n + 1)),
+                                      tuple((i, i + 1, 1) for i in range(1, n))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EqsingError, match=r"\(8000000\), got n=2829 vertices$"):
+            action_from_file(dfile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_orbit_generator_rejects_non_orthogonal_orbit():
     # sigma swaps the adjacent Delta1 and Delta2
     lat = IntLattice(((-2, 1), (1, -2)))
@@ -274,24 +293,23 @@ def test_orbit_generator_anti_swap_orbit():
 
 def test_equivariant_generators_match_the_projector_on_random_actions():
     # every refusal of the construction occurs among these 400, told apart
-    # by its message: the three action checks, a zero sublattice, a
-    # non-orthogonal orbit and an isotropic or non-integral cycle; and
-    # generators both with every orbit and with an orbit that projects to
-    # zero left out
+    # by its message: the three checks of the action as it is built, a zero
+    # sublattice, a non-orthogonal orbit and an isotropic or non-integral
+    # cycle; and generators both with every orbit and with an orbit that
+    # projects to zero left out
     stems = ("does not preserve the form", "is not an involution", "do not commute",
              "isotypic sublattice is zero", "in one orbit have product",
              "has self-intersection zero", "is not integral")
     kinds = set()
     for seed in range(400):
         dfile = random_action_file(random.Random(seed))
-        action, chi = action_from_file(dfile)
-        new = generator_outcome(equivariant_generators, action, chi)
-        old = generator_outcome(equivariant_generators_by_projector, action, chi)
+        new = generator_outcome(equivariant_generators, dfile)
+        old = generator_outcome(equivariant_generators_by_projector, dfile)
         assert new == old, dfile
         if isinstance(new[0], type):
             kind, = [stem for stem in stems if stem in new[1]]
             kinds.add(kind)
-        elif any(cycle is None for _, cycle in signed_orbits(action, chi)):
+        elif any(cycle is None for _, cycle in signed_orbits(*action_from_file(dfile))):
             kinds.add("generators, orbit left out")
         else:
             kinds.add("generators")

@@ -17,7 +17,8 @@ from eqsing.diagram import DiagramFile, DynkinDiagram
 from eqsing.errors import DiagramError, EqsingError
 from eqsing.lattice import Inertia, IntLattice, Sublattice
 from eqsing.localalg import LocalAlgebraReport, PolyGerm
-from eqsing.monodromy import Finite, Infinite, MonodromyElement, Unknown, run_analysis
+from eqsing.monodromy import (Finite, Infinite, MonodromyElement, Unknown, generate_group,
+                              run_analysis)
 from eqsing.record import Record
 
 A2_GRAM = ((-2, 1), (1, -2))
@@ -127,6 +128,19 @@ MALFORMED = {
     "file-character-short": (
         lambda: DiagramFile(A2_DIAGRAM, (("s", ((1, 1, 1), (2, 2, 1))),), (("s",),)),
         DiagramError, "character entry ('s',) is not (name, value)", None),
+    "gram-not-a-sequence": (lambda: IntLattice(5), EqsingError,
+                            "gram matrix must be a sequence of rows, got 5", None),
+    "gram-row-not-a-sequence": (lambda: IntLattice((5,)), EqsingError,
+                                "gram matrix must be a sequence of rows, got (5,)", None),
+    "germ-terms-not-a-mapping": (
+        lambda: PolyGerm(5, 1, 0), EqsingError,
+        "terms must be a mapping or (exponents, coefficient) pairs, got 5", None),
+    "germ-exponents-not-a-tuple": (lambda: PolyGerm({5: 1}, 1, 0), EqsingError,
+                                   "exponents must be a tuple, got 5", None),
+    "roots-not-a-sequence": (lambda: generate_group(((-2,),), 5), EqsingError,
+                             "roots must be a sequence of integer vectors, got 5", None),
+    "root-not-a-sequence": (lambda: generate_group(((-2,),), [5]), EqsingError,
+                            "roots must be a sequence of integer vectors, got [5]", None),
 }
 
 
