@@ -22,13 +22,6 @@ def transpose(M):
     return tuple(zip(*M)) if M else ()
 
 
-def mat_mul(A, B):
-    Bt = tuple(zip(*B))
-    return tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A
-    )
-
-
 def mat_vec(M, v):
     return tuple(sum(a * b for a, b in zip(row, v)) for row in M)
 

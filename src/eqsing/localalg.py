@@ -62,12 +62,7 @@ class PolyGerm(Record):
                 raise EqsingError(f"exponents must be a tuple, got {exps!r}")
             if not all(isinstance(e, int) and e >= 0 for e in exps):
                 raise EqsingError(f"exponents must be integers >= 0, got {exps!r}")
-            if isinstance(c, str):
-                raise EqsingError(f"bad coefficient {c!r}")
-            try:
-                c = Fraction(c)
-            except (TypeError, ValueError, OverflowError):
-                raise EqsingError(f"bad coefficient {c!r}") from None
+            c = _rational(c, "coefficient")
             if c == 0:
                 continue
             if len(exps) != self.nvars:
@@ -345,15 +340,27 @@ def milnor_number(f, max_degree=24):
         f"finiteness of the Jacobian quotient not certified at degree {max_degree}")
 
 
+def _rational(value, what):
+    """`value` as a Fraction: a finite number, never a string, which a file
+    spells for `parse_rational`; EqsingError names the `what` at fault."""
+    if isinstance(value, str):
+        raise EqsingError(f"bad {what} {value!r}")
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise EqsingError(f"bad {what} {value!r}") from None
+
+
 def quasihomogeneous_mu(weights):
     """Product formula prod(1/w_i - 1) for quasihomogeneous weights.
 
-    Weights are rationals in (0, 1/2], normalized to degree 1; raises
-    EqsingError when the product is not a positive integer.
+    Weights are finite numbers, as for `PolyGerm`'s coefficients, and
+    rationals in (0, 1/2], normalized to degree 1; raises EqsingError
+    when one is not, or when the product is not a positive integer.
     """
     total = Fraction(1)
     for w in weights:
-        w = Fraction(w)
+        w = _rational(w, "weight")
         if not 0 < w <= Fraction(1, 2):
             raise EqsingError(f"weight {w} outside (0, 1/2]")
         total *= 1 / w - 1

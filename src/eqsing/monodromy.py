@@ -31,8 +31,10 @@ Every root r travels with its image G r, computed once per generator
 root and then moved along with r, so every reflection is applied by its
 formula (`_reflect`) with (r, delta) read off the image over the support
 of delta: one entry for a unit generator root, and no vector update
-when the reflection fixes r.  The one matrix is the certificate of an
-infinite group, a MonodromyElement.
+when the reflection fixes r.  The one matrix is that of the certificate
+of an infinite group, a MonodromyElement g = s_rho s_rho' built from its
+root pair.  g - I has rank two, so the certificate is built and checked
+in O(n^2) entry operations, with no matrix product.
 
 Everything runs on tuples of Python ints, so no entry can overflow.
 
@@ -59,21 +61,39 @@ MAX_ROOT_ENTRIES = 2_000_000
 
 
 class MonodromyElement(Record):
-    """Integer matrix preserving a fixed symmetric form, with its word
-    label: the certificate of an Infinite verdict."""
+    """g = s_rho s_rho', the product of the reflections in two roots on the
+    form `gram`, with its word label: the certificate of an Infinite verdict.
 
-    __slots__ = ("matrix", "gram", "word")
-    _defaults = {"word": ()}
+    Each root is refused when its norm is 0 or its reflection is not
+    integral (`_check_integral`), and is kept divided by the gcd of its
+    entries, which leaves its reflection as it is.  `matrix` is g, computed
+    from the pair, never given: column j is s_rho(s_rho'(e_j)) by
+    `_reflect`.  A product of two integral reflections is an integral
+    isometry, so nothing else is checked (notes/decisions.md, "An Infinite
+    certificate is its root pair").
+    """
 
-    def __post_init__(self):
-        M = linalg.freeze(self.matrix)
-        G = linalg.freeze(self.gram)
-        object.__setattr__(self, "matrix", M)
-        object.__setattr__(self, "gram", G)
-        object.__setattr__(self, "word", tuple(self.word))
-        MGM = linalg.mat_mul(linalg.mat_mul(linalg.transpose(M), G), M)
-        if MGM != G:
-            raise EqsingError("matrix does not preserve the bilinear form")
+    __slots__ = ("gram", "rho", "rho_p", "word", "matrix")
+
+    def __init__(self, gram, rho, rho_p, word=()):
+        gram = IntLattice(gram).gram
+        n = len(gram)
+        mirrors = []
+        for name, root in (("rho", rho), ("rho_p", rho_p)):
+            root = tuple(root)
+            if len(root) != n or not all(isinstance(x, int) for x in root):
+                raise EqsingError(f"{name} is no integer vector of length {n}: {root!r}")
+            g_root = linalg.mat_vec(gram, root)
+            _check_integral(root, g_root, _dot(root, g_root))
+            k = gcd(*root)
+            mirrors.append(_mirror((tuple(x // k for x in root),
+                                    tuple(x // k for x in g_root))))
+        mirror, mirror_p = mirrors
+        columns = [_reflect(_reflect(e_j, mirror_p), mirror)[0]
+                   for e_j in zip(linalg.identity(n), gram)]
+        for name, value in (("gram", gram), ("rho", mirror[0]), ("rho_p", mirror_p[0]),
+                            ("word", tuple(word)), ("matrix", tuple(zip(*columns)))):
+            object.__setattr__(self, name, value)
 
     @property
     def rank(self):
@@ -82,6 +102,36 @@ class MonodromyElement(Record):
     @property
     def is_identity(self):
         return self.matrix == linalg.identity(self.rank)
+
+    def _factors(self):
+        """(alpha, beta) with g - I = rho alpha^T + rho' beta^T.
+
+        With a = (rho, rho), b = (rho, rho') and c = (rho', rho'),
+        beta = -2 G rho'/c and alpha = (-2c G rho + 4b G rho')/(ac), from
+        the reflection formula.  Both are integer vectors: s_rho' - I =
+        rho' beta^T and g - I - rho' beta^T = rho alpha^T are integer
+        matrices, and rho and rho' are primitive.  `Infinite.validate`
+        checks the matrix against them entry by entry.
+        """
+        g_rho = linalg.mat_vec(self.gram, self.rho)
+        g_rho_p = linalg.mat_vec(self.gram, self.rho_p)
+        a, b, c = _dot(self.rho, g_rho), _dot(self.rho, g_rho_p), _dot(self.rho_p, g_rho_p)
+        alpha = tuple((-2 * c * x + 4 * b * y) // (a * c) for x, y in zip(g_rho, g_rho_p))
+        return alpha, tuple(-2 * y // c for y in g_rho_p)
+
+    def _minus_identity(self, factors, x):
+        """(g - I) x = rho (alpha . x) + rho' (beta . x), in O(n), for
+        `factors` = (alpha, beta) of `_factors`."""
+        s, t = _dot(factors[0], x), _dot(factors[1], x)
+        return tuple(s * r + t * q for r, q in zip(self.rho, self.rho_p))
+
+    def _minus_identity_squared(self, factors):
+        """(g - I)^2 = u alpha^T + u' beta^T, with u = (g - I) rho and
+        u' = (g - I) rho', in O(n^2)."""
+        alpha, beta = factors
+        u, u_p = self._minus_identity(factors, self.rho), self._minus_identity(factors, self.rho_p)
+        return tuple(tuple(x * a + y * b for a, b in zip(alpha, beta))
+                     for x, y in zip(u, u_p))
 
 
 def _check_integral(delta, Gd, dd):
@@ -168,7 +218,7 @@ class Finite(Record):
 class Infinite(Record):
     """Self-validating witness of infinite order.
 
-    certificate: a group element g != I of infinite order, a
+    certificate: a group element g = s_rho s_rho' != I of infinite order, a
     MonodromyElement; the other fields are None unless given.  Either a
     witness v and increment w satisfy w = (g - I)v != 0 and (g - I)w = 0,
     which forces g^s v = v + s w for every s >= 1 (a pair s_rho s_rho'
@@ -186,46 +236,55 @@ class Infinite(Record):
     def validate(self):
         """Re-verify the certificate independently of the search that found it.
 
+        g - I has rank two: g - I = rho alpha^T + rho' beta^T, checked
+        against the matrix entry by entry, so each check on g below takes
+        O(n^2) or less (notes/decisions.md, "An Infinite certificate is its
+        root pair").  The inertia of the whole form, which selects the
+        negative semidefinite checks, is computed afresh.
+
         The witness law alone (w = (g-I)v != 0, (g-I)w = 0) proves infinite
         order: by induction g^s v = v + s w != v.  On a negative
         semidefinite form the stronger unipotent shape (g-I)^2 = 0 and the
         kernel membership of w are also required; that is what the
         semidefinite search path always produces.
 
-        A residual (1, -t, 1) with |t| > 2 holds when g^2 - t g + I has a
-        nonzero kernel: then a root of x^2 - t x + 1, real and off the unit
-        circle, is an eigenvalue of g.
+        A residual (1, -t, 1) with |t| > 2 holds when (g^2 - t g + I) rho
+        = 0: then a root of x^2 - t x + 1, real and off the unit circle, is
+        an eigenvalue of g.  It holds for every pair with trace t on its
+        plane P: g keeps P with determinant 1 there (Cayley-Hamilton).
         """
         g = self.certificate
+        factors = g._factors()
+        for i, row in enumerate(g.matrix):
+            r, q = g.rho[i], g.rho_p[i]
+            if any(x != int(i == j) + r * a + q * b
+                   for j, (x, a, b) in enumerate(zip(row, *factors))):
+                raise InternalError("certificate matrix is not I + rho alpha^T + rho' beta^T")
         if g.is_identity:
             raise InternalError("certificate element is the identity")
         if self.residual_charpoly is not None:
             r = tuple(self.residual_charpoly)
             if len(r) != 3 or r[0] != 1 or r[2] != 1 or abs(r[1]) <= 2:
                 raise InternalError("residual charpoly is not x^2 - t x + 1 with |t| > 2")
-            M, t, n = g.matrix, -r[1], g.rank
-            M2 = linalg.mat_mul(M, M)
-            Q = tuple(tuple(M2[i][j] - t * M[i][j] + int(i == j) for j in range(n))
-                      for i in range(n))
-            if not linalg.int_kernel(Q):
+            t = -r[1]
+            g_rho = tuple(x + y for x, y in zip(g.rho, g._minus_identity(factors, g.rho)))
+            g2_rho = tuple(x + y for x, y in zip(g_rho, g._minus_identity(factors, g_rho)))
+            if any(x - t * y + z for x, y, z in zip(g2_rho, g_rho, g.rho)):
                 raise InternalError("no root of the residual charpoly is an eigenvalue")
             return True
-        U = tuple(tuple(x - int(i == j) for j, x in enumerate(row))
-                  for i, row in enumerate(g.matrix))
         v, w = self.witness, self.increment
         if v is None or w is None:
             raise InternalError("unipotent certificate lacks witness data")
-        if linalg.mat_vec(U, v) != tuple(w):
+        if g._minus_identity(factors, v) != tuple(w):
             raise InternalError("increment is not (g - I) v")
         if linalg.is_zero_vec(w):
             raise InternalError("increment vector is zero")
-        if not linalg.is_zero_vec(linalg.mat_vec(U, w)):
+        if not linalg.is_zero_vec(g._minus_identity(factors, w)):
             raise InternalError("increment is not fixed by g")
         if power_law_check(self.certificate, v, w, 5) is not None:
             raise InternalError("power law fails on the certificate")
         if inertia(IntLattice(g.gram)).negative_semidefinite:
-            UU = linalg.mat_mul(U, U)
-            if any(any(x != 0 for x in row) for row in UU):
+            if any(any(row) for row in g._minus_identity_squared(factors)):
                 raise InternalError("(g - I)^2 != 0: certificate is not unipotent")
             if not linalg.is_zero_vec(linalg.mat_vec(g.gram, w)):
                 raise InternalError("increment does not lie in the form kernel")
@@ -565,25 +624,18 @@ def _dot(u, v):
 def _pair_certificate(gram, rho, word, rho_p, word_p):
     """Validated Infinite with certificate g = s_rho s_rho'.
 
-    rho and rho' come with their images.  Column j of g is
-    s_rho(s_rho'(e_j)) by `_reflect`, with G e_j row j of the symmetric G:
-    like every root of the search, rho and rho' are primitive with integral
-    reflections.  On the plane of the pair, g has trace 4b^2/(ac) - 2 with
-    a = (rho, rho), b = (rho, rho') and c = (rho', rho').  b^2 = ac makes g
-    a nontrivial unipotent, certified by a power-law witness; otherwise
-    |t| > 2 for the trace t, and g has a real eigenvalue off the unit
-    circle, a root of the factor x^2 - t x + 1 of its characteristic
-    polynomial.
+    rho and rho' come with their images.  On the plane of the pair, g has
+    trace t = 4b^2/(ac) - 2 with a = (rho, rho), b = (rho, rho') and
+    c = (rho', rho').  b^2 = ac makes g a nontrivial unipotent, certified
+    by a power-law witness (`_index2_witness`); otherwise |t| > 2, and g
+    has a real eigenvalue off the unit circle, a root of the factor
+    x^2 - t x + 1 of its characteristic polynomial.
     """
-    mirror, mirror_p = _mirror(rho), _mirror(rho_p)
-    columns = [_reflect(_reflect(e_j, mirror_p), mirror)[0]
-               for e_j in zip(linalg.identity(len(gram)), gram)]
-    matrix = tuple(zip(*columns))
-    element = MonodromyElement(matrix=matrix, gram=gram,
+    element = MonodromyElement(gram, rho[0], rho_p[0],
                                word=tuple(f"h{i + 1}" for i in word + word_p))
-    a, b, c = mirror[2], _dot(rho_p[0], rho[1]), mirror_p[2]
+    a, b, c = _dot(rho[0], rho[1]), _dot(rho_p[0], rho[1]), _dot(rho_p[0], rho_p[1])
     if b * b == a * c:
-        v, w = _index2_witness(matrix)
+        v, w = _index2_witness(element)
         verdict = Infinite(certificate=element, witness=v, increment=w)
     else:
         # g has integer trace (n - 2) + t, so the division is exact
@@ -596,16 +648,23 @@ def _pair_certificate(gram, rho, word, rho_p, word_p):
     return verdict
 
 
-def _index2_witness(matrix):
-    """Vector v with (g-I)v != 0 and (g-I)^2 v = 0, for unipotent g."""
-    n = len(matrix)
-    U = linalg.freeze(
-        tuple(matrix[i][j] - (1 if i == j else 0) for j in range(n))
-        for i in range(n)
-    )
-    U2 = linalg.mat_mul(U, U)
-    for cand in linalg.int_kernel(U2):
-        img = linalg.mat_vec(U, cand)
+def _index2_witness(g):
+    """(v, w) with w = (g - I)v != 0 and (g - I)^2 v = 0, for a unipotent
+    MonodromyElement g: v the first vector of the Hermite normal form
+    basis of the integer kernel of (g - I)^2 that g moves.
+
+    When (g - I)^2 = 0 that basis is the identity, so v is the first e_j
+    that g moves and w is column j of g - I, found in O(n^2); otherwise
+    `int_kernel` runs on the rank-two (g - I)^2.
+    """
+    factors = g._factors()
+    square = g._minus_identity_squared(factors)
+    if any(any(row) for row in square):
+        candidates = linalg.int_kernel(square)
+    else:
+        candidates = linalg.identity(g.rank)
+    for cand in candidates:
+        img = g._minus_identity(factors, cand)
         if not linalg.is_zero_vec(img):
             return tuple(cand), img
     raise InternalError("no index-2 witness: element is not a nontrivial unipotent")

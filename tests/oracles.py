@@ -10,9 +10,35 @@ import pytest
 from eqsing import linalg
 from eqsing.diagram import DiagramFile, DynkinDiagram, to_lattice
 from eqsing.errors import EqsingError, InternalError
-from eqsing.lattice import Inertia, Sublattice
+from eqsing.lattice import Inertia, IntLattice, Sublattice, inertia
 from eqsing.localalg import LocalAlgebraReport, _check_table, _partial
-from eqsing.monodromy import MonodromyElement, _dot, _mirror, _reflect, action_from_file
+from eqsing.monodromy import _dot, _mirror, _reflect, action_from_file, power_law_check
+
+
+def mat_mul(A, B):
+    """The matrix product A B.  The package multiplies no two matrices: its
+    one matrix, an Infinite certificate g, has g - I of rank two."""
+    Bt = tuple(zip(*B))
+    return tuple(
+        tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A
+    )
+
+
+class DenseElement:
+    """An integer matrix that keeps the form `gram`, M^T G M = G, with its
+    word label: a group element as the tests multiply it out, where the
+    package holds its one element, a certificate, as a root pair."""
+
+    __slots__ = ("matrix", "gram", "word")
+
+    def __init__(self, matrix, gram, word=()):
+        self.matrix, self.gram, self.word = linalg.freeze(matrix), linalg.freeze(gram), tuple(word)
+        if mat_mul(mat_mul(linalg.transpose(self.matrix), self.gram), self.matrix) != self.gram:
+            raise EqsingError("matrix does not preserve the bilinear form")
+
+    @property
+    def rank(self):
+        return len(self.matrix)
 
 
 def product(gram, u, v):
@@ -24,7 +50,7 @@ def product(gram, u, v):
 
 def pl_reflection(gram, delta, name=None):
     """The Picard-Lefschetz reflection in the cycle `delta` on the form
-    with Gram matrix `gram`, as a MonodromyElement named `name`: the matrix
+    with Gram matrix `gram`, as a DenseElement named `name`: the matrix
     the tests multiply, where the package applies the reflection formula.
 
     a |-> a - 2 (a, delta)/(delta, delta) * delta, entry by entry in
@@ -48,8 +74,8 @@ def pl_reflection(gram, delta, name=None):
                 f"2(e_{j + 1}, delta) delta is not divisible by ({dd})"
             )
     word = (name,) if name is not None else ()
-    return MonodromyElement(matrix=[[int(x) for x in row] for row in rows],
-                            gram=gram, word=word)
+    return DenseElement(matrix=[[int(x) for x in row] for row in rows],
+                        gram=gram, word=word)
 
 
 def reflections(gram, roots):
@@ -70,7 +96,7 @@ def closure_naive(gram, roots, limit=100000):
     mats = {linalg.identity(len(gram))}
     new = mats
     while new:
-        new = {p for a in new for g in gens if (p := linalg.mat_mul(a, g)) not in mats}
+        new = {p for a in new for g in gens if (p := mat_mul(a, g)) not in mats}
         mats |= new
         if len(mats) > limit:
             raise RuntimeError("naive closure limit exceeded")
@@ -139,15 +165,69 @@ def evaluate_word(generators, word):
     by_name = {g.word[0]: g for g in generators if len(g.word) == 1}
     product = linalg.identity(generators[0].rank)
     for letter in word:
-        product = linalg.mat_mul(product, by_name[letter].matrix)
+        product = mat_mul(product, by_name[letter].matrix)
     return product
 
 
 def word_element(generators, word):
     """The product of `word` in the reflections `generators`, as a
-    MonodromyElement, which checks that it keeps the form."""
-    return MonodromyElement(matrix=evaluate_word(generators, word),
-                            gram=generators[0].gram, word=word)
+    DenseElement, which checks that it keeps the form."""
+    return DenseElement(matrix=evaluate_word(generators, word),
+                        gram=generators[0].gram, word=word)
+
+
+def minus_identity(matrix):
+    """g - I for the square matrix g."""
+    return tuple(tuple(x - int(i == j) for j, x in enumerate(row))
+                 for i, row in enumerate(matrix))
+
+
+def index2_witness_dense(matrix):
+    """(v, w) with w = (g - I)v != 0 and (g - I)^2 v = 0 for a unipotent g:
+    v the first vector of the Hermite normal form basis of the integer
+    kernel of the dense (g - I)^2 that g moves.  The reference for the
+    package's `_index2_witness`, which forms (g - I)^2 from the root pair."""
+    U = minus_identity(matrix)
+    for cand in linalg.int_kernel(mat_mul(U, U)):
+        img = linalg.mat_vec(U, cand)
+        if not linalg.is_zero_vec(img):
+            return tuple(cand), img
+    raise InternalError("no index-2 witness: element is not a nontrivial unipotent")
+
+
+def certificate_holds_dense(matrix, gram, witness=None, increment=None,
+                            residual_charpoly=None):
+    """True when the integer matrix g, with the other fields of an Infinite
+    verdict, proves infinite order by n x n products alone (a g that does
+    not keep the form is refused as a DenseElement): g is not I, and
+    either g^2 - t g + I has a nonzero integer kernel for the residual
+    (1, -t, 1) with |t| > 2, or w = (g - I)v != 0,
+    (g - I)w = 0 and g^s v = v + s w for s <= 5, and on a negative
+    semidefinite form also (g - I)^2 = 0 and G w = 0.  The reference for
+    `Infinite.validate`, which checks the same facts on the plane of the
+    certificate's root pair."""
+    g = DenseElement(matrix, gram)
+    n = g.rank
+    U = minus_identity(g.matrix)
+    if not any(any(row) for row in U):
+        return False
+    if residual_charpoly is not None:
+        one, minus_t, last = residual_charpoly
+        if (one, last) != (1, 1) or abs(minus_t) <= 2:
+            return False
+        M2 = mat_mul(g.matrix, g.matrix)
+        Q = tuple(tuple(M2[i][j] + minus_t * g.matrix[i][j] + int(i == j) for j in range(n))
+                  for i in range(n))
+        return bool(linalg.int_kernel(Q))
+    v, w = tuple(witness), tuple(increment)
+    if (linalg.mat_vec(U, v) != w or linalg.is_zero_vec(w)
+            or not linalg.is_zero_vec(linalg.mat_vec(U, w))
+            or power_law_check(g, v, w, 5) is not None):
+        return False
+    if inertia(IntLattice(g.gram)).negative_semidefinite:
+        return (not any(any(row) for row in mat_mul(U, U))
+                and linalg.is_zero_vec(linalg.mat_vec(g.gram, w)))
+    return True
 
 
 def isotypic_rank_rational(action, chi):
@@ -195,7 +275,7 @@ def validate_action_by_matrices(generators, lattice):
     I = linalg.identity(n)
     mats = [(name, permutation_matrix(g)) for name, g in generators]
     for name, M in mats:
-        MGM = linalg.mat_mul(linalg.mat_mul(linalg.transpose(M), G), M)
+        MGM = mat_mul(mat_mul(linalg.transpose(M), G), M)
         if MGM != G:
             bad = next(
                 (i, j) for i in range(n) for j in range(n) if MGM[i][j] != G[i][j]
@@ -204,7 +284,7 @@ def validate_action_by_matrices(generators, lattice):
                 f"generator {name} does not preserve the form (entry {bad})"
             )
     for name, M in mats:
-        sq = linalg.mat_mul(M, M)
+        sq = mat_mul(M, M)
         if sq != I:
             bad = next(
                 (i, j) for i in range(n) for j in range(n) if sq[i][j] != I[i][j]
@@ -213,8 +293,8 @@ def validate_action_by_matrices(generators, lattice):
                 f"generator {name} is not an involution (entry {bad} of sigma^2)"
             )
     for (na, A), (nb, B) in itertools.combinations(mats, 2):
-        AB = linalg.mat_mul(A, B)
-        BA = linalg.mat_mul(B, A)
+        AB = mat_mul(A, B)
+        BA = mat_mul(B, A)
         if AB != BA:
             bad = next(
                 (i, j) for i in range(n) for j in range(n) if AB[i][j] != BA[i][j]
@@ -236,7 +316,7 @@ def group_elements(action):
         for combo in itertools.combinations(mats, r):
             M = linalg.identity(n)
             for _, gm in combo:
-                M = linalg.mat_mul(gm, M)
+                M = mat_mul(gm, M)
             yield tuple(k for k, _ in combo), M
 
 
@@ -326,12 +406,12 @@ def orbit_generator_by_projector(action, chi, orbit, sub):
     amb = linalg.identity(n)
     for i in orbit:
         H = pl_reflection(action.lattice.gram, action.lattice.basis_vector(i)).matrix
-        amb = linalg.mat_mul(H, amb)
+        amb = mat_mul(H, amb)
     cols = linalg.transpose(sub.basis)
     rep = tuple(1 if i == min(orbit) else 0 for i in range(n))
     proj = character_projection(action, chi, rep)
     if all(x == 0 for x in proj):
-        if linalg.mat_mul(amb, cols) != cols:
+        if mat_mul(amb, cols) != cols:
             raise InternalError("the product over an orbit that projects to zero "
                                 "moves the isotypic sublattice")
         return None
@@ -342,7 +422,7 @@ def orbit_generator_by_projector(action, chi, orbit, sub):
     if delta_sub is None:
         raise InternalError("orbit cycle projection does not lie in the isotypic sublattice")
     refl = pl_reflection(sub.restricted_gram, delta_sub)
-    if linalg.mat_mul(amb, cols) != linalg.mat_mul(cols, refl.matrix):
+    if mat_mul(amb, cols) != mat_mul(cols, refl.matrix):
         raise InternalError(
             "restricted orbit product disagrees with the reflection in the "
             "projected cycle; action data is inconsistent"

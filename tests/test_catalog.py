@@ -3,6 +3,7 @@ import contextlib
 import io
 import itertools
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,7 @@ from eqsing.catalog import (
     quasihomogeneous_weights,
     weyl_order,
 )
-from eqsing.diagram import DiagramFile
+from eqsing.diagram import DiagramFile, parse_file
 from eqsing.errors import DiagramError, EqsingError, InternalError
 from eqsing.lattice import IntLattice, inertia
 from eqsing.localalg import milnor_number, quasihomogeneous_mu
@@ -356,19 +357,27 @@ def test_character_with_an_orbit_left_out_decides(symbol, k, values, order):
     assert closure_naive(sub.restricted_gram, linalg.identity(sub.rank)) == order
 
 
-def test_run_analysis_on_definite_fixtures_calls_no_mat_mul(monkeypatch):
-    # the generators are roots and a finite group's order comes from its
-    # roots: on a negative definite form no matrix is multiplied
-    def refuse(*args, **kwargs):
-        raise AssertionError("run_analysis called linalg.mat_mul")
+def test_run_analysis_calls_no_mat_mul():
+    # a finite group's order comes from its roots, and an infinite group's
+    # certificate g = s_rho s_rho' has g - I of rank two: no analysis of a
+    # fixture or of the benchmark's certify diagrams multiplies two matrices
+    golden = Path(__file__).resolve().parent / "golden"
+    dfiles = [fixture_file(symbol, k) for symbol, k in GOLDEN_FIXTURES]
+    dfiles += [parse_file((golden / f"{name}.diagram").read_text())
+               for name in ("affine_e6", "affine_e8_a1", "t237", "triangle_w2")]
+    called = set()
 
-    dfiles = [fixture_file(p.values[0], p.values[1]) for p in _every_fixture()
-              if catalog.FAMILIES[p.values[0]].kind == "simple"]
-    monkeypatch.setattr(linalg, "mat_mul", refuse)
-    for dfile in dfiles:
-        out = run_analysis(dfile)
-        assert out.inertia.negative_definite and out.verdict.kind == "finite"
-    assert len(dfiles) == 21
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("eqsing."):
+            called.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        verdicts = [run_analysis(dfile).verdict for dfile in dfiles]
+    finally:
+        sys.setprofile(None)
+    assert [v.kind for v in verdicts] == ["finite"] * 21 + ["infinite"] * 7
+    assert "_pair_certificate" in called and "mat_mul" not in called
 
 
 def test_quasihomogeneous_oracle_whole_catalog():

@@ -204,8 +204,8 @@ def test_analyze_internal_error_exit_two(monkeypatch):
     # error line, never a verdict's exit code
     from eqsing import monodromy
 
-    def wrong_witness(matrix):
-        v = (1,) + (0,) * (len(matrix) - 1)
+    def wrong_witness(g):
+        v = (1,) + (0,) * (g.rank - 1)
         return v, v
 
     monkeypatch.setattr(monodromy, "_index2_witness", wrong_witness)
@@ -524,9 +524,8 @@ def test_mu_oracle_disagreement_exits_two(monkeypatch, tmp_path):
     monkeypatch.setattr(localalg, "quasihomogeneous_mu", lambda weights: 3)
     f = tmp_path / "a2.poly"
     f.write_text(_A2_POLY)
-    assert run_cli("mu", str(f), "--oracle", "1/3") == (2, (
-        "mu=2\ntruncation_degree=2\nisotypic.trivial=2\n"
-        "oracle.mu=3\noracle.agrees=false\n"), "")
+    assert run_cli("mu", str(f), "--oracle", "1/3") == (2, "", (
+        "error: milnor_number gives mu=2 but the --oracle weights give 3\n"))
 
 
 def _chain(n):

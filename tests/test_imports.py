@@ -14,7 +14,9 @@ each class of `errors.py` is raised by the package, or is a base of one
 that is.  And since a refusal is told apart by its message alone, each
 raise of such a class passes a message first.  And a record checks its
 entries and never converts them: no `__post_init__` of the package calls
-`int(`.
+`int(`.  Last, every package name that the benchmark's worker and tracer
+use exists, read from their source, so that a rename fails here and not
+in a benchmark run.
 """
 import ast
 from pathlib import Path
@@ -189,6 +191,108 @@ def test_every_public_name_is_read_by_the_package_or_the_benchmark():
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in PACKAGE}
     readers = [p.read_text(encoding="utf-8") for p in PERFBENCH]
     assert unread_public_names(sources, readers) == []
+
+
+# the record classes, as "layer.Class", that the benchmark's variables and
+# fields of these names hold
+BENCHMARK_RECEIVERS = {
+    "result": ("monodromy.AnalysisOutcome",),
+    "verdict": ("monodromy.Finite", "monodromy.Infinite", "monodromy.Unknown"),
+    "certificate": ("monodromy.MonodromyElement",),
+    "report": ("localalg.LocalAlgebraReport",),
+}
+
+
+def benchmark_names(sources, package, receivers=BENCHMARK_RECEIVERS):
+    """(used, missing): the package names that `sources` use, each as
+    "layer.name" or "Class.attribute", and those of them that `package`
+    (a function from layer name to module) lacks.
+
+    A layer is reached as `self.<layer>` once `from eqsing import <layer>`
+    names it, as an entry of a module-level LAYERS, or in a "layer.name"
+    string of CLOSURE or of RESULT_COUNTERS' keys.  A record's field or
+    method is an attribute of a variable or field named in `receivers`,
+    or a `getattr` of one with a constant name, and exists when one of its
+    classes has it."""
+    used, missing = set(), set()
+
+    def find(name, owners, attr):
+        classes = [getattr(package(layer), cls, None)
+                   for layer, cls in (owner.split(".") for owner in owners)]
+        have = [cls.__name__ for cls in classes if hasattr(cls, attr)]
+        used.update(f"{cls}.{attr}" for cls in have)
+        if not have:
+            missing.add(f"{name}.{attr}")
+
+    def resolve(dotted):
+        layer, _, name = dotted.partition(".")
+        used.add(dotted)
+        if package(layer) is None or (name and not hasattr(package(layer), name)):
+            missing.add(dotted)
+
+    for tree in map(ast.parse, sources):
+        layers = {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "eqsing"
+                  for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                target = node.targets[0].id
+                if target == "LAYERS":
+                    for layer in ast.literal_eval(node.value):
+                        resolve(layer)
+                elif target == "CLOSURE":
+                    resolve(ast.literal_eval(node.value))
+                elif target == "RESULT_COUNTERS":
+                    for key in node.value.keys:
+                        resolve(ast.literal_eval(key))
+            elif isinstance(node, ast.Attribute):
+                base = node.value
+                if (isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name)
+                        and base.value.id == "self" and base.attr in layers):
+                    resolve(f"{base.attr}.{node.attr}")
+                key = base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+                if key in receivers:
+                    find(key, receivers[key], node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and isinstance(node.args[0], ast.Name)
+                  and node.args[0].id in receivers and isinstance(node.args[1], ast.Constant)):
+                find(node.args[0].id, receivers[node.args[0].id], node.args[1].value)
+    return used, sorted(missing)
+
+
+def test_detector_finds_a_missing_benchmark_name():
+    class Verdict:
+        kind = "finite"
+
+    layers = {"mono": type("mono", (), {"solve": len, "Verdict": Verdict})}
+    sources = ['LAYERS = ("mono", "gone")\nCLOSURE = "mono.solve"\n'
+               'RESULT_COUNTERS = {"mono.lost": 1}\n',
+               "from eqsing import mono\nclass W:\n    def f(self, verdict):\n"
+               "        self.mono.solve(verdict.kind, verdict.order)\n"
+               "        return self.mono.vanished, getattr(verdict, 'cap', None)\n"]
+    used, missing = benchmark_names(sources, layers.get, {"verdict": ("mono.Verdict",)})
+    assert missing == ["gone", "mono.lost", "mono.vanished", "verdict.cap", "verdict.order"]
+    assert {"mono", "mono.solve", "Verdict.kind"} <= used
+
+
+def test_every_package_name_the_benchmark_uses_exists():
+    # the benchmark's worker and tracer are read, not run, so that a name
+    # they need and the package loses fails here and not in a benchmark run
+    import importlib
+
+    def package(layer):
+        try:
+            return importlib.import_module(f"eqsing.{layer}")
+        except ModuleNotFoundError:
+            return None
+
+    sources = [(ROOT / "perfbench" / name).read_text(encoding="utf-8")
+               for name in ("worker.py", "tracing.py")]
+    used, missing = benchmark_names(sources, package)
+    assert missing == []
+    assert {"catalog.run_analysis", "catalog.weyl_order", "monodromy.power_law_check",
+            "localalg.germ", "monodromy.generate_group", "Infinite.validate",
+            "MonodromyElement.word", "LocalAlgebraReport.truncation_degree"} <= used
 
 
 def unraised_error_classes(errors_source, sources):

@@ -160,6 +160,12 @@ def test_quasihomogeneous_mu_rejects():
         quasihomogeneous_mu((Fraction(2, 3),))  # weight > 1/2
     with pytest.raises(EqsingError, match="product formula gives non-integer 5/2"):
         quasihomogeneous_mu((Fraction(1, 2), Fraction(2, 7)))  # non-integer product
+    # a weight is a finite number, as a coefficient of PolyGerm is: a string
+    # is not read with Python's grammar, and NaN is no weight
+    for weight in ("1_0/3_0", float("nan"), object()):
+        with pytest.raises(EqsingError, match=f"^bad weight {re.escape(repr(weight))}$") as info:
+            quasihomogeneous_mu((Fraction(1, 3), weight))
+        assert type(info.value) is EqsingError
 
 
 def test_parse_germ_format():

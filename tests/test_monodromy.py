@@ -1,13 +1,14 @@
 """Monodromy engine: reflections, equivariant generators, finiteness."""
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from eqsing import lattice, linalg, monodromy
 from eqsing.action import GroupAction, signed_orbits
 from eqsing.catalog import fixture_file
-from eqsing.diagram import DiagramFile, DynkinDiagram
+from eqsing.diagram import DiagramFile, DynkinDiagram, parse_file
 from eqsing.errors import EqsingError, InternalError
 from eqsing.lattice import IntLattice, Sublattice, kernel_basis
 from eqsing.monodromy import (
@@ -22,11 +23,15 @@ from eqsing.monodromy import (
     equivariant_generators,
     generate_group,
     power_law_check,
+    run_analysis,
 )
 from oracles import (
     closure_naive,
     equivariant_generators_by_projector,
     generator_outcome,
+    index2_witness_dense,
+    mat_mul,
+    minus_identity,
     pl_reflection,
     product,
     random_action_file,
@@ -35,6 +40,7 @@ from oracles import (
 )
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 A2 = IntLattice(((-2, 1), (1, -2)))
 
 M5_NABLA = (2, 1, 1, 0, 0)
@@ -116,7 +122,7 @@ def test_reflections_are_involutive_isometries():
             assert "is not integral" in str(exc)
             continue
         # involution; form preservation is enforced by the constructor
-        assert linalg.mat_mul(h.matrix, h.matrix) == linalg.identity(n)
+        assert mat_mul(h.matrix, h.matrix) == linalg.identity(n)
         assert linalg.mat_vec(h.matrix, delta) == tuple(-x for x in delta)
 
 
@@ -150,7 +156,7 @@ def test_orbit_generator_pair_equals_ambient_product():
     lat = action.lattice
     H2 = pl_reflection(lat.gram, lat.basis_vector(1)).matrix
     H4 = pl_reflection(lat.gram, lat.basis_vector(3)).matrix
-    prod = linalg.mat_mul(H4, H2)
+    prod = mat_mul(H4, H2)
     h2 = gens[1]
     for b, col in zip(sub.basis, linalg.transpose(h2.matrix)):
         assert linalg.mat_vec(prod, b) == sub.embed(col)
@@ -282,11 +288,11 @@ def test_orbit_generator_anti_swap_orbit():
     assert roots[0] == (1, 0, 0, 0)
     h = reflections(sub.restricted_gram, roots)[0]
     assert h.matrix == pl_reflection(sub.restricted_gram, (1, 0, 0, 0)).matrix
-    assert linalg.mat_mul(h.matrix, h.matrix) == linalg.identity(4)
+    assert mat_mul(h.matrix, h.matrix) == linalg.identity(4)
     lat = action.lattice
     H2 = pl_reflection(lat.gram, lat.basis_vector(1)).matrix
     H4 = pl_reflection(lat.gram, lat.basis_vector(3)).matrix
-    prod = linalg.mat_mul(H4, H2)
+    prod = mat_mul(H4, H2)
     for b, col in zip(sub.basis, linalg.transpose(h.matrix)):
         assert linalg.mat_vec(prod, b) == sub.embed(col)
 
@@ -383,9 +389,45 @@ def test_infinite_certificate_is_self_validating():
         tuple(a - b for a, b in zip(row, irow)) for row, irow in zip(g.matrix, I)
     )
     assert any(any(row) for row in U)  # g != I
-    assert not any(any(row) for row in linalg.mat_mul(U, U))  # (g-I)^2 = 0
+    assert not any(any(row) for row in mat_mul(U, U))  # (g-I)^2 = 0
     assert linalg.mat_vec(U, verdict.witness) == verdict.increment
     assert linalg.is_zero_vec(linalg.mat_vec(g.gram, verdict.increment))
+
+
+def test_certificates_match_the_dense_reference():
+    # on every certificate of 10,000 random actions, the not-simple fixtures
+    # and the golden diagrams: (g - I)^2 formed from the root pair is the
+    # product (g - I)(g - I), the witness and increment are the dense
+    # reference's, and g^2 - t g + I kills rho on a residual certificate
+    rng = random.Random(7)
+    dfiles = [random_action_file(rng) for _ in range(10_000)]
+    dfiles += [fixture_file(symbol) for symbol in ("M5", "M4", "X9")]
+    dfiles += [parse_file((GOLDEN / f"{name}.diagram").read_text())
+               for name in ("affine_e6", "affine_e8_a1", "t237", "triangle_w2")]
+    counts = {"unipotent": 0, "(g - I)^2 = 0": 0, "residual": 0}
+    for dfile in dfiles:
+        try:
+            verdict = run_analysis(dfile).verdict
+        except EqsingError:
+            continue
+        if verdict.kind != "infinite":
+            continue
+        g = verdict.certificate
+        U = minus_identity(g.matrix)
+        square = g._minus_identity_squared(g._factors())
+        assert square == mat_mul(U, U)
+        if verdict.residual_charpoly is None:
+            assert (verdict.witness, verdict.increment) == index2_witness_dense(g.matrix)
+            counts["unipotent"] += 1
+            counts["(g - I)^2 = 0"] += not any(any(row) for row in square)
+        else:
+            t, n = -verdict.residual_charpoly[1], g.rank
+            g2 = mat_mul(g.matrix, g.matrix)
+            Q = [[g2[i][j] - t * g.matrix[i][j] + int(i == j) for j in range(n)]
+                 for i in range(n)]
+            assert linalg.is_zero_vec(linalg.mat_vec(Q, g.rho))
+            counts["residual"] += 1
+    assert counts == {"unipotent": 136, "(g - I)^2 = 0": 77, "residual": 37}
 
 
 def test_semidefinite_finite_group():
@@ -402,28 +444,30 @@ def test_general_case_positive_definite_closes():
 
 
 def test_general_case_unipotent_infinite():
-    # positive semidefinite form with a unipotent isometry that is no
-    # product of reflections the search would try: the power-law
-    # certificate holds on its own
+    # a pair with b^2 = ac on a positive semidefinite form: the power-law
+    # certificate holds on its own, with no negative semidefinite checks
     gram = ((0, 0), (0, 2))
-    g = MonodromyElement(matrix=((1, 1), (0, 1)), gram=gram, word=("u",))
-    assert Infinite(certificate=g, witness=(0, 1), increment=(1, 0)).validate()
+    g = MonodromyElement(gram, (0, 1), (1, 1), word=("u",))
+    assert g.matrix == ((1, -2), (0, 1))
+    assert Infinite(certificate=g, witness=(0, 1), increment=(-2, 0)).validate()
 
 
 def test_general_case_spectral_infinite():
     # Pell isometry of diag(1, -2): eigenvalues 3 +- 2 sqrt 2, the roots of
     # x^2 - 6x + 1, off the unit circle
     gram = ((1, 0), (0, -2))
-    g = MonodromyElement(matrix=((3, 4), (2, 3)), gram=gram, word=("p",))
+    g = MonodromyElement(gram, (1, 0), (2, 1), word=("p",))
+    assert g.matrix == ((3, -4), (-2, 3))
     assert Infinite(certificate=g, residual_charpoly=(1, -6, 1)).validate()
     # a factor with no root among the eigenvalues, a trace of absolute
     # value 2 or less, or a leading coefficient other than 1 is refused
     for residual in ((1, -7, 1), (1, 6, 1), (1, -2, 1), (2, -6, 1)):
         with pytest.raises(AssertionError):
             Infinite(certificate=g, residual_charpoly=residual).validate()
-    # a reflection has order 2, yet g^2 -+ 2g + I = (g -+ I)^2 is singular:
-    # only |t| > 2 keeps it out
-    h = pl_reflection(gram, (1, 0), name="h")
+    # -I, the product of two orthogonal reflections, has order 2, yet
+    # g^2 + 2g + I = (g + I)^2 is zero: only |t| > 2 keeps it out
+    h = MonodromyElement(gram, (1, 0), (0, 1), word=("h",))
+    assert h.matrix == ((-1, 0), (0, -1))
     for residual in ((1, -2, 1), (1, 2, 1)):
         with pytest.raises(AssertionError, match=r"\|t\| > 2"):
             Infinite(certificate=h, residual_charpoly=residual).validate()
@@ -467,15 +511,25 @@ def test_scaled_and_negated_roots_decide_alike(gram, roots):
             assert generate_group(gram, moved) == expect, (k, c)
 
 
-def test_element_not_preserving_the_form_is_refused():
-    with pytest.raises(EqsingError, match="matrix does not preserve the bilinear form"):
-        MonodromyElement(matrix=((1, 1), (0, 1)), gram=A2.gram)
+def test_element_refuses_an_isotropic_or_non_integral_root():
+    # the element is the product of two integral reflections, an isometry
+    # by construction; what it checks is each root of the pair
+    with pytest.raises(EqsingError, match=r"cycle \(1, 0\) has self-intersection zero"):
+        MonodromyElement(((0, 1), (1, -2)), (0, 1), (1, 0))
+    with pytest.raises(EqsingError, match=r"cycle \(0, 0\) has self-intersection zero"):
+        MonodromyElement(A2.gram, (0, 0), (1, 0))
+    with pytest.raises(EqsingError, match=r"reflection in \(1, 0\) is not integral"):
+        MonodromyElement(((-4, 1), (1, -2)), (0, 1), (1, 0))
+    # a root stands for its reflection: a multiple is kept as the primitive root
+    g = MonodromyElement(A2.gram, (2, 0), (0, -3))
+    assert (g.rho, g.rho_p) == ((1, 0), (0, -1))
+    assert g == MonodromyElement(A2.gram, (1, 0), (0, -1))
 
 
 def test_invariant_failures_are_typed():
     # a certificate that fails its own check raises InternalError, which
     # is an EqsingError and still an AssertionError
-    hh = word_element([pl_reflection(A2.gram, (1, 0), name="h")], ("h", "h"))
+    hh = MonodromyElement(A2.gram, (1, 0), (-1, 0), word=("h", "h"))
     with pytest.raises(InternalError, match="identity") as info:
         Infinite(certificate=hh, witness=(1, 0), increment=(0, 0)).validate()
     assert isinstance(info.value, AssertionError)
@@ -506,9 +560,9 @@ def test_group_elements_preserve_form():
     sub, gens = m5_gens()
     G = sub.restricted_gram
     # spot-check a few products (preservation is also enforced on
-    # construction of every MonodromyElement)
+    # construction of every DenseElement)
     p = word_element(gens, ("h1", "h2", "h5"))
-    Gt = linalg.mat_mul(linalg.mat_mul(linalg.transpose(p.matrix), G), p.matrix)
+    Gt = mat_mul(mat_mul(linalg.transpose(p.matrix), G), p.matrix)
     assert Gt == G
 
 
@@ -518,7 +572,8 @@ def test_group_elements_preserve_form():
 
 def test_power_law_identity():
     sub, gens = m5_gens()
-    I = MonodromyElement(matrix=linalg.identity(5), gram=sub.restricted_gram)
+    I = MonodromyElement(sub.restricted_gram, (1, 0, 0, 0, 0), (1, 0, 0, 0, 0))
+    assert I.is_identity
     assert power_law_check(I, (1, 2, 3, 4, 5), (0,) * 5, 5) is None
 
 

@@ -44,7 +44,7 @@ FIELDS = {
     "FamilyEntry": ("symbol", "kind", "setting", "template", "terms", "weights", "k_min",
                     "modulus_rule", "excluded", "fixture"),
     "AnalysisOutcome": ("sublattice", "inertia", "kernel", "verdict"),
-    "MonodromyElement": ("matrix", "gram", "word"),
+    "MonodromyElement": ("gram", "rho", "rho_p", "word", "matrix"),
     "Finite": ("order",),
     "Infinite": ("certificate", "witness", "increment", "residual_charpoly"),
     "Unknown": ("cap",),
@@ -65,9 +65,9 @@ BUILD = {
     "FamilyEntry": lambda: FamilyEntry("A", "simple", "both", "y1^3", _terms, _weights,
                                        k_min=1),
     "AnalysisOutcome": lambda: run_analysis(fixture_file("B", 2)),
-    "MonodromyElement": lambda: MonodromyElement(((1, 0), (0, 1)), A2_GRAM, ("h1", "h1")),
+    "MonodromyElement": lambda: MonodromyElement(A2_GRAM, (1, 0), (1, 0), ("h1", "h1")),
     "Finite": lambda: Finite(order=6),
-    "Infinite": lambda: Infinite(MonodromyElement(((1, 0), (0, 1)), A2_GRAM),
+    "Infinite": lambda: Infinite(MonodromyElement(A2_GRAM, (1, 0), (1, 0)),
                                  witness=(1, 0), increment=(0, 1)),
     "Unknown": lambda: Unknown(cap=10),
     "PolyGerm": lambda: PolyGerm(terms=(((2, 0), 1), ((0, 3), 1)), m=1, n=1, corner=True),
@@ -108,6 +108,8 @@ NOT_INTEGERS = {
     "file-float-character": (
         lambda: DiagramFile(A2_DIAGRAM, (("s", ((1, 1, 1), (2, 2, 1))),), (("s", 1.0),)),
         DiagramError, "character value of generator s is not an integer: 1.0"),
+    "element-float-root": (lambda: MonodromyElement(A2_GRAM, (1.0, 0), (0, 1)),
+                           EqsingError, "rho is no integer vector of length 2: (1.0, 0)"),
 }
 
 # an entry of the wrong shape is refused with the package's error naming it,
@@ -141,6 +143,8 @@ MALFORMED = {
                              "roots must be a sequence of integer vectors, got 5", None),
     "root-not-a-sequence": (lambda: generate_group(((-2,),), [5]), EqsingError,
                             "roots must be a sequence of integer vectors, got [5]", None),
+    "element-root-short": (lambda: MonodromyElement(A2_GRAM, (1, 0), (1,)), EqsingError,
+                           "rho_p is no integer vector of length 2: (1,)", None),
 }
 
 
@@ -229,7 +233,8 @@ def test_constructor_normalises_and_fills_defaults():
 def test_missing_or_unknown_argument_is_a_type_error(name):
     record = BUILD[name]()
     cls = type(record)
-    fields = FIELDS[name][:2] if cls is Sublattice else FIELDS[name]
+    # the last field of these two is computed, never given
+    fields = FIELDS[name][:-1] if cls in (Sublattice, MonodromyElement) else FIELDS[name]
     kwargs = {f: getattr(record, f) for f in fields}
     assert cls(**kwargs) == record
     with pytest.raises(TypeError):
@@ -256,6 +261,15 @@ def test_sublattice_takes_no_restricted_gram():
         Sublattice(amb, ((1, 1),), restricted_gram=((-2,),))
     with pytest.raises(TypeError):
         Sublattice(amb, ((1, 1),), ((-2,),))
+
+
+def test_monodromy_element_takes_no_matrix():
+    g = MonodromyElement(A2_GRAM, (1, 0), (0, 1))
+    assert g.matrix == ((0, -1), (1, -1))  # s_1 s_2 on A2, of order 3
+    with pytest.raises(TypeError):
+        MonodromyElement(A2_GRAM, (1, 0), (0, 1), matrix=g.matrix)
+    with pytest.raises(TypeError):
+        MonodromyElement(A2_GRAM, (1, 0), (0, 1), (), g.matrix)
 
 
 def test_every_record_class_is_pinned():
