@@ -31,10 +31,12 @@ Every root r travels with its image G r, computed once per generator
 root and then moved along with r, so every reflection is applied by its
 formula (`_reflect`) with (r, delta) read off the image over the support
 of delta: one entry for a unit generator root, and no vector update
-when the reflection fixes r.  The one matrix is that of the certificate
-of an infinite group, a MonodromyElement g = s_rho s_rho' built from its
-root pair.  g - I has rank two, so the certificate is built and checked
-in O(n^2) entry operations, with no matrix product.
+when the reflection fixes r.  No decision builds a matrix.  The
+certificate of an infinite group is a MonodromyElement g = s_rho s_rho',
+held as its root pair with the word of each root: g - I has rank two, so
+it is checked in O(n^2) entry operations, and its word is replayed on the
+generator roots to +-rho and +-rho' in O(|word| n).  Its matrix is
+rendered from the pair only when it is printed.
 
 Everything runs on tuples of Python ints, so no entry can overflow.
 
@@ -62,76 +64,129 @@ MAX_ROOT_ENTRIES = 2_000_000
 
 class MonodromyElement(Record):
     """g = s_rho s_rho', the product of the reflections in two roots on the
-    form `gram`, with its word label: the certificate of an Infinite verdict.
+    form `gram`, with the word that puts it in the group generated by the
+    reflections in the roots `generators`: the certificate of an Infinite
+    verdict.  Letter h{i+1} of the word names generators[i].
 
-    Each root is refused when its norm is 0 or its reflection is not
-    integral (`_check_integral`), and is kept divided by the gcd of its
-    entries, which leaves its reflection as it is.  `matrix` is g, computed
-    from the pair, never given: column j is s_rho(s_rho'(e_j)) by
-    `_reflect`.  A product of two integral reflections is an integral
-    isometry, so nothing else is checked (notes/decisions.md, "An Infinite
+    rho and rho' are each refused when their norm is 0 or their reflection
+    is not integral (`_check_integral`); they and the generator roots are
+    kept divided by the gcd of their entries, which leaves each reflection
+    as it is.  `factors` is (alpha, beta) with g - I = rho alpha^T +
+    rho' beta^T, computed once, never given, and `matrix` is rendered from
+    it when it is read.  A product of two integral reflections is an
+    integral isometry, so nothing else is checked here;
+    `Infinite.validate` replays the word (notes/decisions.md, "An Infinite
     certificate is its root pair").
     """
 
-    __slots__ = ("gram", "rho", "rho_p", "word", "matrix")
+    __slots__ = ("gram", "rho", "rho_p", "word", "generators", "factors")
 
-    def __init__(self, gram, rho, rho_p, word=()):
+    def __init__(self, gram, rho, rho_p, word=(), generators=()):
         gram = IntLattice(gram).gram
         n = len(gram)
-        mirrors = []
+        pair = []
         for name, root in (("rho", rho), ("rho_p", rho_p)):
-            root = tuple(root)
-            if len(root) != n or not all(isinstance(x, int) for x in root):
-                raise EqsingError(f"{name} is no integer vector of length {n}: {root!r}")
+            root = _vector(name, root, n)
             g_root = linalg.mat_vec(gram, root)
             _check_integral(root, g_root, _dot(root, g_root))
             k = gcd(*root)
-            mirrors.append(_mirror((tuple(x // k for x in root),
-                                    tuple(x // k for x in g_root))))
-        mirror, mirror_p = mirrors
-        columns = [_reflect(_reflect(e_j, mirror_p), mirror)[0]
-                   for e_j in zip(linalg.identity(n), gram)]
-        for name, value in (("gram", gram), ("rho", mirror[0]), ("rho_p", mirror_p[0]),
-                            ("word", tuple(word)), ("matrix", tuple(zip(*columns)))):
+            pair.append((tuple(x // k for x in root), tuple(x // k for x in g_root)))
+        (rho, g_rho), (rho_p, g_rho_p) = pair
+        # g x = x - (2(x, rho')/c) rho' - (2(x, rho)/a) rho + (4b(x, rho')/(ac)) rho,
+        # so beta = -2 G rho'/c and alpha = (-2c G rho + 4b G rho')/(ac): integer
+        # vectors, since rho' beta^T = s_rho' - I and rho alpha^T = g - I - rho' beta^T
+        # are integer matrices and rho, rho' are primitive
+        a, b, c = _dot(rho, g_rho), _dot(rho, g_rho_p), _dot(rho_p, g_rho_p)
+        factors = (tuple((-2 * c * x + 4 * b * y) // (a * c) for x, y in zip(g_rho, g_rho_p)),
+                   tuple(-2 * y // c for y in g_rho_p))
+        generators = tuple(linalg.primitive(_vector(f"generator h{i + 1}", root, n))
+                           for i, root in enumerate(generators))
+        for name, value in (("gram", gram), ("rho", rho), ("rho_p", rho_p), ("word", tuple(word)),
+                            ("generators", generators), ("factors", factors)):
             object.__setattr__(self, name, value)
 
     @property
     def rank(self):
-        return len(self.matrix)
+        return len(self.rho)
 
     @property
     def is_identity(self):
-        return self.matrix == linalg.identity(self.rank)
+        """g = I exactly when s_rho = s_rho', that is when rho' = +-rho, as
+        both are primitive: O(n)."""
+        return self.rho_p in (self.rho, tuple(-x for x in self.rho))
 
-    def _factors(self):
-        """(alpha, beta) with g - I = rho alpha^T + rho' beta^T.
+    @property
+    def matrix(self):
+        """g = I + rho alpha^T + rho' beta^T, rendered in O(n^2) each time
+        it is read: only output and `power_law_check` read it."""
+        alpha, beta = self.factors
+        return tuple(tuple(int(i == j) + r * a + q * b
+                           for j, (a, b) in enumerate(zip(alpha, beta)))
+                     for i, (r, q) in enumerate(zip(self.rho, self.rho_p)))
 
-        With a = (rho, rho), b = (rho, rho') and c = (rho', rho'),
-        beta = -2 G rho'/c and alpha = (-2c G rho + 4b G rho')/(ac), from
-        the reflection formula.  Both are integer vectors: s_rho' - I =
-        rho' beta^T and g - I - rho' beta^T = rho alpha^T are integer
-        matrices, and rho and rho' are primitive.  `Infinite.validate`
-        checks the matrix against them entry by entry.
-        """
-        g_rho = linalg.mat_vec(self.gram, self.rho)
-        g_rho_p = linalg.mat_vec(self.gram, self.rho_p)
-        a, b, c = _dot(self.rho, g_rho), _dot(self.rho, g_rho_p), _dot(self.rho_p, g_rho_p)
-        alpha = tuple((-2 * c * x + 4 * b * y) // (a * c) for x, y in zip(g_rho, g_rho_p))
-        return alpha, tuple(-2 * y // c for y in g_rho_p)
-
-    def _minus_identity(self, factors, x):
-        """(g - I) x = rho (alpha . x) + rho' (beta . x), in O(n), for
-        `factors` = (alpha, beta) of `_factors`."""
-        s, t = _dot(factors[0], x), _dot(factors[1], x)
+    def _minus_identity(self, x):
+        """(g - I) x = rho (alpha . x) + rho' (beta . x), in O(n)."""
+        s, t = _dot(self.factors[0], x), _dot(self.factors[1], x)
         return tuple(s * r + t * q for r, q in zip(self.rho, self.rho_p))
 
-    def _minus_identity_squared(self, factors):
+    def _minus_identity_squared(self):
         """(g - I)^2 = u alpha^T + u' beta^T, with u = (g - I) rho and
         u' = (g - I) rho', in O(n^2)."""
-        alpha, beta = factors
-        u, u_p = self._minus_identity(factors, self.rho), self._minus_identity(factors, self.rho_p)
+        alpha, beta = self.factors
+        u, u_p = self._minus_identity(self.rho), self._minus_identity(self.rho_p)
         return tuple(tuple(x * a + y * b for a, b in zip(alpha, beta))
                      for x, y in zip(u, u_p))
+
+    def _check_word(self):
+        """Raise InternalError unless the word is word(rho) + word(rho'),
+        each an odd palindrome w h_i w^-1 whose replay w delta_i is +-rho,
+        and +-rho' for the second.
+
+        w h_i w^-1 is the reflection in w delta_i, and s_{-rho} = s_rho, so
+        the word then denotes s_rho s_rho'.  The replay moves delta_i by one
+        `_reflect` per letter of w, with the image G delta of each letter's
+        root read off the rows of the form over its support: O(n) per
+        letter for the pipeline's unit roots.  Every cut into two odd
+        palindromes is tried, and one that replays proves membership
+        relative to `generators` (notes/decisions.md, "An Infinite
+        certificate is its root pair").  A half must have odd length: an
+        even palindrome x1..xk xk..x1 denotes I whatever its replay gives.
+        """
+        names = {f"h{i + 1}": i for i in range(len(self.generators))}
+        if not all(letter in names for letter in self.word):
+            raise InternalError(f"a letter of the certificate word {self.word} names "
+                                f"none of its {len(names)} generators")
+        letters = [names[letter] for letter in self.word]
+        mirrors = {}
+        for i in set(letters):
+            delta = self.generators[i]
+            support = [(j, d) for j, d in enumerate(delta) if d]
+            mirrors[i] = _mirror((delta, tuple(sum(d * self.gram[j][k] for j, d in support)
+                                               for k in range(self.rank))))
+            if not mirrors[i][2]:
+                raise InternalError(f"generator h{i + 1} has norm 0")
+
+        def replay(half):
+            root = mirrors[half[len(half) // 2]][:2]
+            for i in reversed(half[:len(half) // 2]):
+                root = _reflect(root, mirrors[i])
+            return root[0]
+
+        for cut in range(1, len(letters), 2):
+            halves = (letters[:cut], letters[cut:])
+            if all(len(h) % 2 and h == h[::-1] and replay(h) in (r, tuple(-x for x in r))
+                   for h, r in zip(halves, (self.rho, self.rho_p))):
+                return
+        raise InternalError("certificate word does not replay to +-rho and +-rho'")
+
+
+def _vector(name, root, n):
+    """`root` as a tuple; EqsingError unless it is an integer vector of
+    length n."""
+    root = tuple(root)
+    if len(root) != n or not all(isinstance(x, int) for x in root):
+        raise EqsingError(f"{name} is no integer vector of length {n}: {root!r}")
+    return root
 
 
 def _check_integral(delta, Gd, dd):
@@ -233,20 +288,26 @@ class Infinite(Record):
 
     kind = "infinite"
 
-    def validate(self):
+    def validate(self, sig=None):
         """Re-verify the certificate independently of the search that found it.
 
-        g - I has rank two: g - I = rho alpha^T + rho' beta^T, checked
-        against the matrix entry by entry, so each check on g below takes
-        O(n^2) or less (notes/decisions.md, "An Infinite certificate is its
-        root pair").  The inertia of the whole form, which selects the
-        negative semidefinite checks, is computed afresh.
+        First membership: the word must replay to +-rho and +-rho'
+        (`MonodromyElement._check_word`), so g is in the group that the
+        certificate's own `generators` generate.  That they are the
+        analysis' generator roots is checked by `run_analysis`, which has
+        them; `validate` cannot tell.  g - I has rank two, g - I = rho alpha^T
+        + rho' beta^T, so each check on g below takes O(n^2) or less and
+        none reads the matrix (notes/decisions.md, "An Infinite certificate
+        is its root pair").  `sig` is the Inertia of the form, which selects
+        the negative semidefinite checks, when the caller has it already,
+        as `run_analysis` has; it is computed otherwise.
 
         The witness law alone (w = (g-I)v != 0, (g-I)w = 0) proves infinite
-        order: by induction g^s v = v + s w != v.  On a negative
-        semidefinite form the stronger unipotent shape (g-I)^2 = 0 and the
-        kernel membership of w are also required; that is what the
-        semidefinite search path always produces.
+        order: by induction g^s v = v + s w != v, so `power_law_check`
+        would find nothing more.  On a negative semidefinite form the
+        stronger unipotent shape (g-I)^2 = 0 and the kernel membership of w
+        are also required; that is what the semidefinite search path
+        always produces.
 
         A residual (1, -t, 1) with |t| > 2 holds when (g^2 - t g + I) rho
         = 0: then a root of x^2 - t x + 1, real and off the unit circle, is
@@ -254,37 +315,32 @@ class Infinite(Record):
         plane P: g keeps P with determinant 1 there (Cayley-Hamilton).
         """
         g = self.certificate
-        factors = g._factors()
-        for i, row in enumerate(g.matrix):
-            r, q = g.rho[i], g.rho_p[i]
-            if any(x != int(i == j) + r * a + q * b
-                   for j, (x, a, b) in enumerate(zip(row, *factors))):
-                raise InternalError("certificate matrix is not I + rho alpha^T + rho' beta^T")
         if g.is_identity:
             raise InternalError("certificate element is the identity")
+        g._check_word()
         if self.residual_charpoly is not None:
             r = tuple(self.residual_charpoly)
             if len(r) != 3 or r[0] != 1 or r[2] != 1 or abs(r[1]) <= 2:
                 raise InternalError("residual charpoly is not x^2 - t x + 1 with |t| > 2")
             t = -r[1]
-            g_rho = tuple(x + y for x, y in zip(g.rho, g._minus_identity(factors, g.rho)))
-            g2_rho = tuple(x + y for x, y in zip(g_rho, g._minus_identity(factors, g_rho)))
+            g_rho = tuple(x + y for x, y in zip(g.rho, g._minus_identity(g.rho)))
+            g2_rho = tuple(x + y for x, y in zip(g_rho, g._minus_identity(g_rho)))
             if any(x - t * y + z for x, y, z in zip(g2_rho, g_rho, g.rho)):
                 raise InternalError("no root of the residual charpoly is an eigenvalue")
             return True
         v, w = self.witness, self.increment
         if v is None or w is None:
             raise InternalError("unipotent certificate lacks witness data")
-        if g._minus_identity(factors, v) != tuple(w):
+        if g._minus_identity(v) != tuple(w):
             raise InternalError("increment is not (g - I) v")
         if linalg.is_zero_vec(w):
             raise InternalError("increment vector is zero")
-        if not linalg.is_zero_vec(g._minus_identity(factors, w)):
+        if not linalg.is_zero_vec(g._minus_identity(w)):
             raise InternalError("increment is not fixed by g")
-        if power_law_check(self.certificate, v, w, 5) is not None:
-            raise InternalError("power law fails on the certificate")
-        if inertia(IntLattice(g.gram)).negative_semidefinite:
-            if any(any(row) for row in g._minus_identity_squared(factors)):
+        if sig is None:
+            sig = inertia(IntLattice(g.gram))
+        if sig.negative_semidefinite:
+            if any(any(row) for row in g._minus_identity_squared()):
                 raise InternalError("(g - I)^2 != 0: certificate is not unipotent")
             if not linalg.is_zero_vec(linalg.mat_vec(g.gram, w)):
                 raise InternalError("increment does not lie in the form kernel")
@@ -309,9 +365,9 @@ def power_law_check(g, v, w, s_max):
 
     Returns None when the law holds, else the first failing s.
     """
-    cur = tuple(v)
+    matrix, cur = g.matrix, tuple(v)
     for s in range(1, s_max + 1):
-        cur = linalg.mat_vec(g.matrix, cur)
+        cur = linalg.mat_vec(matrix, cur)
         expect = tuple(a + s * b for a, b in zip(v, w))
         if cur != expect:
             return s
@@ -346,10 +402,7 @@ def generate_group(gram, roots, cap=10**6, sig=None):
         raise EqsingError("at least one root is required")
     mirrors = []
     for i, root in enumerate(roots):
-        if len(root) != lattice.rank or not all(isinstance(x, int) for x in root):
-            raise EqsingError(
-                f"root h{i + 1} is no integer vector of length {lattice.rank}: {root!r}")
-        delta = linalg.primitive(root)
+        delta = linalg.primitive(_vector(f"root h{i + 1}", root, lattice.rank))
         mirror = _mirror((delta, linalg.mat_vec(gram, delta)))
         _check_integral(*mirror[:3])
         mirrors.append(mirror)
@@ -415,7 +468,7 @@ def _generate_reflections(gram, mirrors, cap, sig):
             return Unknown(cap=cap)
         old = partner(root)
         if old is not None:
-            return _pair_certificate(gram, root, word, points[old], words[old])
+            return _pair_certificate(gram, mirrors, sig, (root, word), (points[old], words[old]))
         seen.add(root[0])
         points.append(root)
         words.append(word)
@@ -621,18 +674,23 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _pair_certificate(gram, rho, word, rho_p, word_p):
+def _pair_certificate(gram, mirrors, sig, pair, pair_p):
     """Validated Infinite with certificate g = s_rho s_rho'.
 
-    rho and rho' come with their images.  On the plane of the pair, g has
-    trace t = 4b^2/(ac) - 2 with a = (rho, rho), b = (rho, rho') and
-    c = (rho', rho').  b^2 = ac makes g a nontrivial unipotent, certified
-    by a power-law witness (`_index2_witness`); otherwise |t| > 2, and g
-    has a real eigenvalue off the unit circle, a root of the factor
-    x^2 - t x + 1 of its characteristic polynomial.
+    `pair` and `pair_p` are (rho with its image, its word) for the two
+    roots; the word of g is the word of rho, then that of rho', over the
+    generator roots of `mirrors`, and `sig` is the Inertia of the form.  On
+    the plane of the pair, g has trace t = 4b^2/(ac) - 2 with
+    a = (rho, rho), b = (rho, rho') and c = (rho', rho').  b^2 = ac makes g
+    a nontrivial unipotent, certified by a power-law witness
+    (`_index2_witness`); otherwise |t| > 2, and g has a real eigenvalue off
+    the unit circle, a root of the factor x^2 - t x + 1 of its
+    characteristic polynomial.
     """
+    (rho, word), (rho_p, word_p) = pair, pair_p
     element = MonodromyElement(gram, rho[0], rho_p[0],
-                               word=tuple(f"h{i + 1}" for i in word + word_p))
+                               word=tuple(f"h{i + 1}" for i in word + word_p),
+                               generators=[mirror[0] for mirror in mirrors])
     a, b, c = _dot(rho[0], rho[1]), _dot(rho_p[0], rho[1]), _dot(rho_p[0], rho_p[1])
     if b * b == a * c:
         v, w = _index2_witness(element)
@@ -644,7 +702,7 @@ def _pair_certificate(gram, rho, word, rho_p, word_p):
             raise InternalError("trace 4b^2/(ac) - 2 of a root pair is not an integer")
         t = q - 2
         verdict = Infinite(certificate=element, residual_charpoly=(1, -t, 1))
-    verdict.validate()
+    verdict.validate(sig)
     return verdict
 
 
@@ -657,14 +715,13 @@ def _index2_witness(g):
     that g moves and w is column j of g - I, found in O(n^2); otherwise
     `int_kernel` runs on the rank-two (g - I)^2.
     """
-    factors = g._factors()
-    square = g._minus_identity_squared(factors)
+    square = g._minus_identity_squared()
     if any(any(row) for row in square):
         candidates = linalg.int_kernel(square)
     else:
         candidates = linalg.identity(g.rank)
     for cand in candidates:
-        img = g._minus_identity(factors, cand)
+        img = g._minus_identity(cand)
         if not linalg.is_zero_vec(img):
             return tuple(cand), img
     raise InternalError("no index-2 witness: element is not a nontrivial unipotent")
@@ -728,7 +785,9 @@ def run_analysis(dfile, cap=10**6):
     exactly when the form is negative definite (notes/decisions.md), and
     InternalError reports a disagreement as a defect, as it does one
     between the inertia's n_zero and the kernel rank.
-    The inertia is computed once and handed to `generate_group`.
+    The inertia is computed once and handed to `generate_group`.  An
+    Infinite certificate's generator roots, on which `Infinite.validate`
+    replays its word, must be the analysis' own, or InternalError.
     """
     bad = next((v for v in dfile.diagram.vertices if v[1] != -2), None)
     if bad is not None:
@@ -743,6 +802,9 @@ def run_analysis(dfile, cap=10**6):
         raise InternalError(f"inertia has {sig.n_zero} zero squares but the kernel "
                             f"has rank {len(ker)}")
     verdict = generate_group(sub.restricted_gram, roots, cap=cap, sig=sig)
+    if (verdict.kind == "infinite"
+            and verdict.certificate.generators != tuple(map(linalg.primitive, roots))):
+        raise InternalError("the certificate's generators are not the analysis' generator roots")
     if verdict.kind != "unknown" and sig.negative_definite != (verdict.kind == "finite"):
         raise InternalError(
             f"negative definiteness and finiteness disagree "

@@ -509,9 +509,9 @@ def test_certificate_validated_once_per_run(monkeypatch, symbol):
     calls = []
     original = Infinite.validate
 
-    def counted(verdict):
+    def counted(verdict, sig=None):
         calls.append(verdict)
-        return original(verdict)
+        return original(verdict, sig)
 
     monkeypatch.setattr(Infinite, "validate", counted)
     out = run_analysis(fixture_file(symbol))

@@ -175,11 +175,12 @@ def test_kernel_properties_random():
 
 def test_analysis_computes_the_inertia_once(monkeypatch):
     # run_analysis hands its inertia to generate_group, which would
-    # otherwise compute it again; the only other calls are the finite
-    # verdict's check, one per component of the simple roots' Gram matrix
+    # otherwise compute it again, and generate_group hands it to the
+    # Infinite verdict's validate (M5, X9); the only other calls are the
+    # finite verdict's check, one per component of the simple roots' Gram
+    # matrix (E6)
     from eqsing import catalog, monodromy
 
-    calls = {"outside": [], "check": []}
     inside = ["outside"]
 
     def counted(lat, _original=inertia):
@@ -195,10 +196,13 @@ def test_analysis_computes_the_inertia_once(monkeypatch):
 
     monkeypatch.setattr(monodromy, "inertia", counted)
     monkeypatch.setattr(monodromy, "_check_simple_system", check)
-    out = monodromy.run_analysis(catalog.fixture_file("E6"))
-    assert out.verdict.kind == "finite"
-    assert calls["outside"] == [out.sublattice.restricted_gram]
-    assert len(calls["check"]) == 1 and len(calls["check"][0]) == 6  # E6 is connected
+    for symbol, kind, checks in (("E6", "finite", [6]), ("M5", "infinite", []),
+                                 ("X9", "infinite", [])):
+        calls = {"outside": [], "check": []}
+        out = monodromy.run_analysis(catalog.fixture_file(symbol))
+        assert out.verdict.kind == kind
+        assert calls["outside"] == [out.sublattice.restricted_gram], symbol
+        assert [len(gram) for gram in calls["check"]] == checks  # E6 is connected
 
 
 def test_restrict_m5_and_m4_self_intersections():

@@ -28,6 +28,7 @@ from eqsing.monodromy import (
 from oracles import (
     closure_naive,
     equivariant_generators_by_projector,
+    evaluate_word,
     generator_outcome,
     index2_witness_dense,
     mat_mul,
@@ -414,7 +415,7 @@ def test_certificates_match_the_dense_reference():
             continue
         g = verdict.certificate
         U = minus_identity(g.matrix)
-        square = g._minus_identity_squared(g._factors())
+        square = g._minus_identity_squared()
         assert square == mat_mul(U, U)
         if verdict.residual_charpoly is None:
             assert (verdict.witness, verdict.increment) == index2_witness_dense(g.matrix)
@@ -445,9 +446,10 @@ def test_general_case_positive_definite_closes():
 
 def test_general_case_unipotent_infinite():
     # a pair with b^2 = ac on a positive semidefinite form: the power-law
-    # certificate holds on its own, with no negative semidefinite checks
+    # certificate holds on its own, with no negative semidefinite checks;
+    # the word names the two roots as the generators h1 and h2
     gram = ((0, 0), (0, 2))
-    g = MonodromyElement(gram, (0, 1), (1, 1), word=("u",))
+    g = MonodromyElement(gram, (0, 1), (1, 1), ("h1", "h2"), ((0, 1), (1, 1)))
     assert g.matrix == ((1, -2), (0, 1))
     assert Infinite(certificate=g, witness=(0, 1), increment=(-2, 0)).validate()
 
@@ -456,7 +458,7 @@ def test_general_case_spectral_infinite():
     # Pell isometry of diag(1, -2): eigenvalues 3 +- 2 sqrt 2, the roots of
     # x^2 - 6x + 1, off the unit circle
     gram = ((1, 0), (0, -2))
-    g = MonodromyElement(gram, (1, 0), (2, 1), word=("p",))
+    g = MonodromyElement(gram, (1, 0), (2, 1), ("h1", "h2"), ((1, 0), (2, 1)))
     assert g.matrix == ((3, -4), (-2, 3))
     assert Infinite(certificate=g, residual_charpoly=(1, -6, 1)).validate()
     # a factor with no root among the eigenvalues, a trace of absolute
@@ -466,7 +468,7 @@ def test_general_case_spectral_infinite():
             Infinite(certificate=g, residual_charpoly=residual).validate()
     # -I, the product of two orthogonal reflections, has order 2, yet
     # g^2 + 2g + I = (g + I)^2 is zero: only |t| > 2 keeps it out
-    h = MonodromyElement(gram, (1, 0), (0, 1), word=("h",))
+    h = MonodromyElement(gram, (1, 0), (0, 1), ("h1", "h2"), ((1, 0), (0, 1)))
     assert h.matrix == ((-1, 0), (0, -1))
     for residual in ((1, -2, 1), (1, 2, 1)):
         with pytest.raises(AssertionError, match=r"\|t\| > 2"):
@@ -533,6 +535,147 @@ def test_invariant_failures_are_typed():
     with pytest.raises(InternalError, match="identity") as info:
         Infinite(certificate=hh, witness=(1, 0), increment=(0, 0)).validate()
     assert isinstance(info.value, AssertionError)
+
+
+# the not-simple diagrams of tests/golden/ (M5 through its shipped fixture)
+# at the caps of their machine goldens, and X9
+CERTIFIED = {"M5": None, "X9": None, "affine_e6": 10**6, "affine_e8_a1": 1000, "t237": 100,
+             "triangle_w2": 10**6}
+
+
+def _certified(name):
+    """The AnalysisOutcome behind one certificate of CERTIFIED."""
+    if CERTIFIED[name] is None:
+        return run_analysis(fixture_file(name))
+    dfile = parse_file((GOLDEN / f"{name}.diagram").read_text())
+    return run_analysis(dfile, cap=CERTIFIED[name])
+
+
+def _generators(out):
+    """The reflections h1, ..., hr of an outcome, as dense elements."""
+    return reflections(out.sublattice.restricted_gram, linalg.identity(out.sublattice.rank))
+
+
+def _with_word(verdict, word):
+    """`verdict` with the word of its certificate replaced by `word`."""
+    g = verdict.certificate
+    return Infinite(MonodromyElement(g.gram, g.rho, g.rho_p, word, g.generators),
+                    verdict.witness, verdict.increment, verdict.residual_charpoly)
+
+
+def _halves(word):
+    """The first cut of `word` into two odd palindromes."""
+    return next((word[:k], word[k:]) for k in range(1, len(word), 2)
+                if word[:k] == word[:k][::-1] and word[k:] == word[k:][::-1])
+
+
+def _mutants(word, letters):
+    """(kind, mutated word): one letter swapped for another of `letters`,
+    one pair of mirror letters of a palindrome half dropped, and the centre
+    letter of a half doubled, which leaves an even palindrome that denotes
+    I.  A long word is mutated at about a dozen positions, its ends
+    included."""
+    step = max(1, len(word) // 12)
+    for i in sorted(set(range(0, len(word), step)) | {len(word) - 1}):
+        for letter in letters:
+            if letter != word[i]:
+                yield "swapped letter", word[:i] + (letter,) + word[i + 1:]
+    first, second = _halves(word)
+    for half, build in ((first, lambda h: h + second), (second, lambda h: first + h)):
+        for p in range(0, len(half) // 2, step):
+            yield "dropped pair", build(half[:p] + half[p + 1:len(half) - 1 - p]
+                                        + half[len(half) - p:])
+        centre = len(half) // 2
+        yield "doubled centre", build(half[:centre + 1] + half[centre:])
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_a_word_that_does_not_replay_is_refused(name):
+    # a swapped letter, a dropped palindrome pair, a doubled centre letter
+    # or a word of another root: every mutant that multiplies out to
+    # another element is refused
+    # with or without the analysis' inertia, since the generator roots
+    # travel with the certificate
+    out = _certified(name)
+    verdict, gens = out.verdict, _generators(out)
+    g = verdict.certificate
+    assert verdict.validate() and verdict.validate(out.inertia)
+    first, second = _halves(g.word)
+    other = next(f"h{i + 1}" for i, e in enumerate(linalg.identity(g.rank))
+                 if e not in (g.rho, tuple(-x for x in g.rho)))
+    mutants = [("another root", second + first), ("another root", (other,) + second)]
+    mutants += _mutants(g.word, [h.word[0] for h in gens])
+    refused = {}
+    for kind, word in mutants:
+        if evaluate_word(gens, word) == g.matrix:
+            continue  # the mutant is a word for g too
+        for args in ((), (out.inertia,)):
+            with pytest.raises(InternalError, match="does not replay"):
+                _with_word(verdict, word).validate(*args)
+        refused[kind] = refused.get(kind, 0) + 1
+    assert refused["another root"] == refused["doubled centre"] == 2
+    assert refused["swapped letter"] >= len(g.word) // 12
+    assert ("dropped pair" in refused) == (len(g.word) > 2)
+
+
+def test_a_word_naming_no_generator_is_refused():
+    out = _certified("M5")
+    for word in (("h2", "h1", "h3", "h6"), ("h2", "h1", "h3", "x1")):
+        with pytest.raises(InternalError, match="names none of its 5 generators"):
+            _with_word(out.verdict, word).validate()
+    with pytest.raises(InternalError, match="does not replay"):
+        _with_word(out.verdict, ()).validate()
+    # a generator root of norm 0 has no reflection to replay
+    g = MonodromyElement(((0, 0), (0, 2)), (0, 1), (1, 1), ("h1", "h2"), ((1, 0), (1, 1)))
+    with pytest.raises(InternalError, match="generator h1 has norm 0"):
+        Infinite(certificate=g, witness=(0, 1), increment=(-2, 0)).validate()
+
+
+def test_analysis_refuses_a_certificate_over_other_generators(monkeypatch):
+    # validate() proves membership in the group of the certificate's own
+    # generators; run_analysis ties them to the analysis' generator roots.
+    # A certificate whose generators are its own pair with the word h1 h2
+    # validates, yet is refused there, as are the true roots with one more
+    def rebuilt(generators_of):
+        def fake(gram, roots, cap=10**6, sig=None):
+            verdict = generate_group(gram, roots, cap=cap, sig=sig)
+            g = verdict.certificate
+            word, generators = generators_of(g)
+            verdict = Infinite(MonodromyElement(g.gram, g.rho, g.rho_p, word, generators),
+                               verdict.witness, verdict.increment, verdict.residual_charpoly)
+            verdict.validate()
+            return verdict
+        return fake
+
+    for generators_of in (lambda g: (("h1", "h2"), (g.rho, g.rho_p)),
+                          lambda g: (g.word, g.generators + (g.rho,))):
+        monkeypatch.setattr(monodromy, "generate_group", rebuilt(generators_of))
+        with pytest.raises(InternalError, match="generators are not the analysis'"):
+            run_analysis(fixture_file("M5"))
+
+
+def test_every_random_certificate_replays():
+    # every Infinite verdict of 3,000 random actions replays its word to its
+    # root pair with no argument, multiplies out to its matrix, and its word
+    # with the halves exchanged, a word for g^-1, is refused
+    rng = random.Random(37)
+    count = 0
+    for _ in range(3000):
+        try:
+            out = run_analysis(random_action_file(rng), cap=2000)
+        except EqsingError:
+            continue
+        verdict = out.verdict
+        if verdict.kind != "infinite":
+            continue
+        g = verdict.certificate
+        assert verdict.validate()
+        assert evaluate_word(_generators(out), g.word) == g.matrix
+        first, second = _halves(g.word)
+        with pytest.raises(InternalError, match="does not replay"):
+            _with_word(verdict, second + first).validate()
+        count += 1
+    assert count == 55
 
 
 def test_reflect_refuses_a_non_integral_move():

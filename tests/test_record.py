@@ -44,7 +44,7 @@ FIELDS = {
     "FamilyEntry": ("symbol", "kind", "setting", "template", "terms", "weights", "k_min",
                     "modulus_rule", "excluded", "fixture"),
     "AnalysisOutcome": ("sublattice", "inertia", "kernel", "verdict"),
-    "MonodromyElement": ("gram", "rho", "rho_p", "word", "matrix"),
+    "MonodromyElement": ("gram", "rho", "rho_p", "word", "generators", "factors"),
     "Finite": ("order",),
     "Infinite": ("certificate", "witness", "increment", "residual_charpoly"),
     "Unknown": ("cap",),
@@ -65,7 +65,7 @@ BUILD = {
     "FamilyEntry": lambda: FamilyEntry("A", "simple", "both", "y1^3", _terms, _weights,
                                        k_min=1),
     "AnalysisOutcome": lambda: run_analysis(fixture_file("B", 2)),
-    "MonodromyElement": lambda: MonodromyElement(A2_GRAM, (1, 0), (1, 0), ("h1", "h1")),
+    "MonodromyElement": lambda: MonodromyElement(A2_GRAM, (1, 0), (1, 0), ("h1", "h1"), ((1, 0),)),
     "Finite": lambda: Finite(order=6),
     "Infinite": lambda: Infinite(MonodromyElement(A2_GRAM, (1, 0), (1, 0)),
                                  witness=(1, 0), increment=(0, 1)),
@@ -110,6 +110,9 @@ NOT_INTEGERS = {
         DiagramError, "character value of generator s is not an integer: 1.0"),
     "element-float-root": (lambda: MonodromyElement(A2_GRAM, (1.0, 0), (0, 1)),
                            EqsingError, "rho is no integer vector of length 2: (1.0, 0)"),
+    "element-float-generator": (
+        lambda: MonodromyElement(A2_GRAM, (1, 0), (0, 1), ("h1", "h2"), ((1, 0), (0, 1.0))),
+        EqsingError, "generator h2 is no integer vector of length 2: (0, 1.0)"),
 }
 
 # an entry of the wrong shape is refused with the package's error naming it,
@@ -145,6 +148,12 @@ MALFORMED = {
                             "roots must be a sequence of integer vectors, got [5]", None),
     "element-root-short": (lambda: MonodromyElement(A2_GRAM, (1, 0), (1,)), EqsingError,
                            "rho_p is no integer vector of length 2: (1,)", None),
+    "element-generator-short": (
+        lambda: MonodromyElement(A2_GRAM, (1, 0), (0, 1), (), ((1,),)), EqsingError,
+        "generator h1 is no integer vector of length 2: (1,)", None),
+    "element-generator-zero": (
+        lambda: MonodromyElement(A2_GRAM, (1, 0), (0, 1), (), ((1, 0), (0, 0))), EqsingError,
+        "zero vector has no primitive representative", None),
 }
 
 
@@ -264,12 +273,15 @@ def test_sublattice_takes_no_restricted_gram():
 
 
 def test_monodromy_element_takes_no_matrix():
+    # the matrix is rendered from the pair, and the factors are computed
     g = MonodromyElement(A2_GRAM, (1, 0), (0, 1))
     assert g.matrix == ((0, -1), (1, -1))  # s_1 s_2 on A2, of order 3
+    assert g.factors == ((-1, -1), (1, -2))  # g - I = rho alpha^T + rho' beta^T
+    for name, value in (("matrix", g.matrix), ("factors", g.factors)):
+        with pytest.raises(TypeError):
+            MonodromyElement(A2_GRAM, (1, 0), (0, 1), **{name: value})
     with pytest.raises(TypeError):
-        MonodromyElement(A2_GRAM, (1, 0), (0, 1), matrix=g.matrix)
-    with pytest.raises(TypeError):
-        MonodromyElement(A2_GRAM, (1, 0), (0, 1), (), g.matrix)
+        MonodromyElement(A2_GRAM, (1, 0), (0, 1), (), (), g.factors)
 
 
 def test_every_record_class_is_pinned():

@@ -19,7 +19,8 @@ from eqsing.monodromy import (
     generate_group,
     run_analysis,
 )
-from oracles import closure_naive, evaluate_word, mat_mul, pl_reflection, reflections
+from oracles import (certificate_holds_dense, closure_naive, evaluate_word, mat_mul,
+                     pl_reflection, reflections)
 
 
 def _star(*arms, isolated=0):
@@ -55,14 +56,22 @@ def _basis(gram, count=None):
     pytest.param(AFFINE_E6, id="affine E6"),
     pytest.param(AFFINE_E8_A1, id="affine E8 + A1"),
     pytest.param(TRIANGLE_W2, id="triangle with weight 2"),
+    pytest.param(_star(1, 2, 6), id="T(2,3,7)"),
 ])
 def test_certificate_word_multiplies_out_to_its_matrix(dfile):
+    # every certificate of tests/golden/ and X9's: validate compares no two
+    # constructions of the matrix, so the matrix that --format machine
+    # prints, rendered from the root pair, is checked here against the word
+    # multiplied out and by n x n products alone
     out = run_analysis(dfile, cap=1000)
-    assert isinstance(out.verdict, Infinite)
-    out.verdict.validate()
-    cert = out.verdict.certificate
+    verdict = out.verdict
+    assert isinstance(verdict, Infinite)
+    verdict.validate()
+    cert = verdict.certificate
     gens = reflections(out.sublattice.restricted_gram, linalg.identity(out.sublattice.rank))
     assert evaluate_word(gens, cert.word) == cert.matrix
+    assert certificate_holds_dense(cert.matrix, cert.gram, verdict.witness, verdict.increment,
+                                   verdict.residual_charpoly)
 
 
 def test_affine_e8_plus_a1_decided_within_the_cap():
