@@ -21,7 +21,6 @@ inside E6 by a sign-lifted diagram automorphism; the chosen lifts are the
 ones validated by the build-time oracle (isotypic rank, negative
 definiteness, and Weyl group order) in the test suite.
 """
-from importlib import resources
 from math import factorial
 
 from . import monodromy
@@ -84,7 +83,10 @@ def _f4_fixture(k):
 
 
 def _shipped(name):
-    """The fixture shipped as `fixtures/<name>.diagram`."""
+    """The fixture shipped as `fixtures/<name>.diagram`.  `importlib.resources`
+    is loaded here, for M5, M4 and X9 only: without `site` it is 63 modules."""
+    from importlib import resources
+
     return parse_file((resources.files("eqsing") / "fixtures" / f"{name}.diagram").read_text())
 
 

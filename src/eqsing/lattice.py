@@ -157,6 +157,10 @@ class Sublattice(Record):
 
 
 def _gram_on(lattice, basis):
-    """(a, b) for every pair of rows: G b once per row, then dot products."""
-    images = [linalg.mat_vec(lattice.gram, b) for b in basis]
-    return tuple(tuple(sum(x * y for x, y in zip(a, g)) for g in images) for a in basis)
+    """(b_j, b_k) for every pair of rows: G b_k once per row, read off the
+    rows of G on the support of b_k (`linalg.form_vec`), then each entry
+    summed over the support of b_j.  The orbit sums of
+    `action.isotypic_sublattice` have disjoint supports, so this is O(n^2)
+    in all, not O(r n^2)."""
+    images = [linalg.form_vec(lattice.gram, b) for b in basis]
+    return tuple(tuple(linalg.dot_on(g, s) for g in images) for s in map(linalg.support, basis))

@@ -22,8 +22,37 @@ def transpose(M):
     return tuple(zip(*M)) if M else ()
 
 
-def mat_vec(M, v):
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in M)
+def form_vec(G, v):
+    """G v for a symmetric G: the sum of v_i G[i] over the support of v.
+
+    Column i of G is its row i, so the product reads |supp v| rows, in
+    O(|supp v| n) instead of O(n^2); a unit vector's image is its row
+    itself (notes/decisions.md, "A product with the form reads the rows
+    on the vector's support").
+    """
+    out = None
+    for i, x in enumerate(v):
+        if x:
+            row = G[i]
+            if out is None:
+                out = row if x == 1 else tuple(x * a for a in row)
+            else:
+                out = tuple(a + x * b for a, b in zip(out, row))
+    return (0,) * len(v) if out is None else out
+
+
+def support(v):
+    """The nonzero entries of v as pairs (i, v_i)."""
+    return tuple((i, x) for i, x in enumerate(v) if x)
+
+
+def dot_on(u, support):
+    """The dot product of u with the vector whose nonzero entries are
+    `support`, pairs (i, v_i): O(|support|)."""
+    total = 0
+    for i, x in support:
+        total += x * u[i]
+    return total
 
 
 def is_zero_vec(v):

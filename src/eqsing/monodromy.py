@@ -33,10 +33,12 @@ formula (`_reflect`) with (r, delta) read off the image over the support
 of delta: one entry for a unit generator root, and no vector update
 when the reflection fixes r.  No decision builds a matrix.  The
 certificate of an infinite group is a MonodromyElement g = s_rho s_rho',
-held as its root pair with the word of each root: g - I has rank two, so
-it is checked in O(n^2) entry operations, and its word is replayed on the
-generator roots to +-rho and +-rho' in O(|word| n).  Its matrix is
-rendered from the pair only when it is printed.
+held as its root pair with the word of each root: g - I has rank at most
+two, and one when G rho' is parallel to G rho, as at every class
+collision of a semidefinite form.  So it is checked in O(n^2) entry
+operations, and its word is replayed on the generator roots to +-rho and
++-rho' in O(|word| n).  Its matrix is rendered from the pair only when
+it is printed.
 
 Everything runs on tuples of Python ints, so no entry can overflow.
 
@@ -87,7 +89,7 @@ class MonodromyElement(Record):
         pair = []
         for name, root in (("rho", rho), ("rho_p", rho_p)):
             root = _vector(name, root, n)
-            g_root = linalg.mat_vec(gram, root)
+            g_root = linalg.form_vec(gram, root)
             _check_integral(root, g_root, _dot(root, g_root))
             k = gcd(*root)
             pair.append((tuple(x // k for x in root), tuple(x // k for x in g_root)))
@@ -118,7 +120,7 @@ class MonodromyElement(Record):
     @property
     def matrix(self):
         """g = I + rho alpha^T + rho' beta^T, rendered in O(n^2) each time
-        it is read: only output and `power_law_check` read it."""
+        it is read: only output reads it."""
         alpha, beta = self.factors
         return tuple(tuple(int(i == j) + r * a + q * b
                            for j, (a, b) in enumerate(zip(alpha, beta)))
@@ -160,9 +162,7 @@ class MonodromyElement(Record):
         mirrors = {}
         for i in set(letters):
             delta = self.generators[i]
-            support = [(j, d) for j, d in enumerate(delta) if d]
-            mirrors[i] = _mirror((delta, tuple(sum(d * self.gram[j][k] for j, d in support)
-                                               for k in range(self.rank))))
+            mirrors[i] = _mirror((delta, linalg.form_vec(self.gram, delta)))
             if not mirrors[i][2]:
                 raise InternalError(f"generator h{i + 1} has norm 0")
 
@@ -221,6 +221,7 @@ def equivariant_generators(action, chi):
     orbits = signed_orbits(action, chi)
     sub = isotypic_sublattice(action, chi, orbits)
     G = action.lattice.gram
+    supports = tuple(map(linalg.support, sub.basis))
     k = 0
     for orbit, cycle in orbits:
         for i, j in itertools.combinations(orbit, 2):
@@ -231,15 +232,15 @@ def equivariant_generators(action, chi):
         for i in orbit:
             _check_integral(action.lattice.basis_vector(i), G[i], G[i][i])
         if cycle is not None:
-            _check_orbit_product(G, orbit, cycle, sub, k)
+            _check_orbit_product(G, orbit, cycle, sub, k, supports)
             k += 1
-        elif any(_dot(b, G[i]) for b in sub.basis for i in orbit):
+        elif any(linalg.dot_on(row, s) for row in [G[i] for i in orbit] for s in supports):
             raise InternalError("an orbit with no chi-vector meets the isotypic "
                                 "sublattice; action data is inconsistent")
     return sub, linalg.identity(sub.rank)
 
 
-def _check_orbit_product(gram, orbit, cycle, sub, k):
+def _check_orbit_product(gram, orbit, cycle, sub, k, supports):
     """Raise InternalError unless basis vector k of `sub` is the orbit's
     cycle c and the product of the ambient reflections in the orbit's
     cycles e_i restricts to the reflection in it on B = `restricted_gram`.
@@ -247,12 +248,15 @@ def _check_orbit_product(gram, orbit, cycle, sub, k):
     The e_i are pairwise orthogonal, so on a basis vector b_j of `sub` the
     product subtracts 2(b_j, e_i)/(e_i, e_i) e_i for each i, and the
     reflection in b_k = c subtracts 2 B_jk/B_kk c(i) e_i: they agree when
-    (b_j, e_i) B_kk = B_jk c(i) (e_i, e_i), checked in integers.
+    (b_j, e_i) B_kk = B_jk c(i) (e_i, e_i), checked in integers.  The image
+    of e_i is row i of the form, and (b_j, e_i) is read off it over the
+    support of b_j, given as `supports[j]` (`linalg.dot_on`).
     """
-    B = sub.restricted_gram
+    column = sub.restricted_gram[k]  # B is symmetric: column k is row k
+    images = [(i, gram[i]) for i in orbit]
     if sub.basis[k] != cycle or any(
-            _dot(b, gram[i]) * B[k][k] != B[j][k] * cycle[i] * gram[i][i]
-            for j, b in enumerate(sub.basis) for i in orbit):
+            linalg.dot_on(row, s) * column[k] != b * cycle[i] * row[i]
+            for i, row in images for s, b in zip(supports, column)):
         raise InternalError("restricted orbit product disagrees with the reflection in the "
                             "projected cycle; action data is inconsistent")
 
@@ -295,10 +299,10 @@ class Infinite(Record):
         (`MonodromyElement._check_word`), so g is in the group that the
         certificate's own `generators` generate.  That they are the
         analysis' generator roots is checked by `run_analysis`, which has
-        them; `validate` cannot tell.  g - I has rank two, g - I = rho alpha^T
-        + rho' beta^T, so each check on g below takes O(n^2) or less and
-        none reads the matrix (notes/decisions.md, "An Infinite certificate
-        is its root pair").  `sig` is the Inertia of the form, which selects
+        them; `validate` cannot tell.  g - I = rho alpha^T + rho' beta^T
+        has rank at most two, so each check on g below takes O(n^2) or
+        less and none reads the matrix (notes/decisions.md, "An Infinite
+        certificate is its root pair").  `sig` is the Inertia of the form, which selects
         the negative semidefinite checks, when the caller has it already,
         as `run_analysis` has; it is computed otherwise.
 
@@ -342,7 +346,7 @@ class Infinite(Record):
         if sig.negative_semidefinite:
             if any(any(row) for row in g._minus_identity_squared()):
                 raise InternalError("(g - I)^2 != 0: certificate is not unipotent")
-            if not linalg.is_zero_vec(linalg.mat_vec(g.gram, w)):
+            if not linalg.is_zero_vec(linalg.form_vec(g.gram, w)):
                 raise InternalError("increment does not lie in the form kernel")
         return True
 
@@ -361,13 +365,14 @@ class Unknown(Record):
 
 def power_law_check(g, v, w, s_max):
     """Verify g^s v == v + s*w exactly for s = 1..s_max, for the
-    MonodromyElement g.
+    MonodromyElement g, stepped by its factors: g x = x + (g - I) x, in
+    O(n) per step.
 
     Returns None when the law holds, else the first failing s.
     """
-    matrix, cur = g.matrix, tuple(v)
+    cur = tuple(v)
     for s in range(1, s_max + 1):
-        cur = linalg.mat_vec(matrix, cur)
+        cur = tuple(x + y for x, y in zip(cur, g._minus_identity(cur)))
         expect = tuple(a + s * b for a, b in zip(v, w))
         if cur != expect:
             return s
@@ -403,7 +408,7 @@ def generate_group(gram, roots, cap=10**6, sig=None):
     mirrors = []
     for i, root in enumerate(roots):
         delta = linalg.primitive(_vector(f"root h{i + 1}", root, lattice.rank))
-        mirror = _mirror((delta, linalg.mat_vec(gram, delta)))
+        mirror = _mirror((delta, linalg.form_vec(gram, delta)))
         _check_integral(*mirror[:3])
         mirrors.append(mirror)
     if sig is None:
@@ -581,8 +586,8 @@ def _mirror(root):
     """(delta, G delta, (delta, delta), the support of delta as pairs
     (i, delta_i)) for the root (delta, G delta): what `_reflect` needs."""
     delta, g_delta = root
-    support = tuple((i, d) for i, d in enumerate(delta) if d)
-    return delta, g_delta, sum(d * g_delta[i] for i, d in support), support
+    support = linalg.support(delta)
+    return delta, g_delta, linalg.dot_on(g_delta, support), support
 
 
 def _reflect(root, mirror):
@@ -713,7 +718,7 @@ def _index2_witness(g):
 
     When (g - I)^2 = 0 that basis is the identity, so v is the first e_j
     that g moves and w is column j of g - I, found in O(n^2); otherwise
-    `int_kernel` runs on the rank-two (g - I)^2.
+    `int_kernel` runs on (g - I)^2, of rank at most two.
     """
     square = g._minus_identity_squared()
     if any(any(row) for row in square):

@@ -15,9 +15,17 @@ from eqsing.localalg import LocalAlgebraReport, _check_table, _partial
 from eqsing.monodromy import _dot, _mirror, _reflect, action_from_file, power_law_check
 
 
+def mat_vec(M, v):
+    """The matrix product M v, row by row in O(n^2).  The package's one
+    product, `linalg.form_vec`, reads only the rows of a symmetric form on
+    the support of v; this is its dense reference, and the product for the
+    tests' matrices that are no form."""
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in M)
+
+
 def mat_mul(A, B):
     """The matrix product A B.  The package multiplies no two matrices: its
-    one matrix, an Infinite certificate g, has g - I of rank two."""
+    one matrix, an Infinite certificate g, has g - I of rank at most two."""
     Bt = tuple(zip(*B))
     return tuple(
         tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A
@@ -40,6 +48,11 @@ class DenseElement:
     def rank(self):
         return len(self.matrix)
 
+    def _minus_identity(self, x):
+        """(g - I) x by the dense product: the step `power_law_check` takes
+        on a MonodromyElement from its root pair."""
+        return tuple(a - b for a, b in zip(mat_vec(self.matrix, x), x))
+
 
 def product(gram, u, v):
     """The product (u, v) on the form with Gram matrix `gram`, as the
@@ -61,7 +74,7 @@ def pl_reflection(gram, delta, name=None):
     """
     n = len(gram)
     delta = tuple(delta)
-    Gd = linalg.mat_vec(gram, delta)
+    Gd = mat_vec(gram, delta)
     dd = sum(a * b for a, b in zip(delta, Gd))
     if dd == 0:
         raise EqsingError(f"cycle {delta} has self-intersection zero")
@@ -113,12 +126,12 @@ def root_orbit(gram, roots):
     seen = set(orbit)
     for r in orbit:
         for m in mats:
-            q = linalg.mat_vec(m, r)
+            q = mat_vec(m, r)
             if q not in seen:
                 seen.add(q)
                 orbit.append(q)
-    points = [(r, linalg.mat_vec(gram, r)) for r in orbit]
-    mirrors = [_mirror((d, linalg.mat_vec(gram, d))) for d in map(linalg.primitive, roots)]
+    points = [(r, mat_vec(gram, r)) for r in orbit]
+    mirrors = [_mirror((d, mat_vec(gram, d))) for d in map(linalg.primitive, roots)]
     return points, mirrors
 
 
@@ -189,7 +202,7 @@ def index2_witness_dense(matrix):
     package's `_index2_witness`, which forms (g - I)^2 from the root pair."""
     U = minus_identity(matrix)
     for cand in linalg.int_kernel(mat_mul(U, U)):
-        img = linalg.mat_vec(U, cand)
+        img = mat_vec(U, cand)
         if not linalg.is_zero_vec(img):
             return tuple(cand), img
     raise InternalError("no index-2 witness: element is not a nontrivial unipotent")
@@ -220,13 +233,13 @@ def certificate_holds_dense(matrix, gram, witness=None, increment=None,
                   for i in range(n))
         return bool(linalg.int_kernel(Q))
     v, w = tuple(witness), tuple(increment)
-    if (linalg.mat_vec(U, v) != w or linalg.is_zero_vec(w)
-            or not linalg.is_zero_vec(linalg.mat_vec(U, w))
+    if (mat_vec(U, v) != w or linalg.is_zero_vec(w)
+            or not linalg.is_zero_vec(mat_vec(U, w))
             or power_law_check(g, v, w, 5) is not None):
         return False
     if inertia(IntLattice(g.gram)).negative_semidefinite:
         return (not any(any(row) for row in mat_mul(U, U))
-                and linalg.is_zero_vec(linalg.mat_vec(g.gram, w)))
+                and linalg.is_zero_vec(mat_vec(g.gram, w)))
     return True
 
 
@@ -244,7 +257,7 @@ def isotypic_rank_rational(action, chi):
         acc = (0,) * n
         for subset, M in group_elements(action):
             c = prod(chi[k] for k in subset)
-            acc = tuple(a + c * b for a, b in zip(acc, linalg.mat_vec(M, e)))
+            acc = tuple(a + c * b for a, b in zip(acc, mat_vec(M, e)))
         proj_cols.append(acc)
     return len(linalg.hnf(proj_cols))
 
@@ -327,7 +340,7 @@ def character_projection(action, chi, v):
     count = 0
     for subset, M in group_elements(action):
         c = prod(chi[k] for k in subset)
-        img = linalg.mat_vec(M, v)
+        img = mat_vec(M, v)
         for i in range(n):
             acc[i] += c * img[i]
         count += 1

@@ -29,7 +29,8 @@ from eqsing.monodromy import (
     power_law_check,
     run_analysis,
 )
-from oracles import box_signs, mat_mul, pl_reflection, product, reflections, word_element
+from oracles import (box_signs, mat_mul, mat_vec, pl_reflection, product, reflections,
+                     word_element)
 
 
 M5_NABLA = (2, 1, 1, 0, 0)  # 2 d1 + d2 + d3
@@ -86,12 +87,12 @@ def test_criterion_1_m5_pipeline():
     g = word_element(gens, ("h5", "h4", "h1"))
     v = (0, 1, 1, 0, 0)
     w = tuple(2 * a - 2 * b for a, b in zip(M5_NABLA, M5_NABLA_P))
-    gv_minus_v = tuple(a - b for a, b in zip(linalg.mat_vec(g.matrix, v), v))
+    gv_minus_v = tuple(a - b for a, b in zip(mat_vec(g.matrix, v), v))
     law_checks = (
         ("(g-I)v == w", gv_minus_v == w),
         ("w != 0", not linalg.is_zero_vec(w)),
         ("w in kernel of the restricted Gram matrix",
-         linalg.is_zero_vec(linalg.mat_vec(sub.restricted_gram, w))),
+         linalg.is_zero_vec(mat_vec(sub.restricted_gram, w))),
         ("g^s v == v + s*w for s = 1..5", power_law_check(g, v, w, 5) is None),
     )
     for name, ok in law_checks:
@@ -127,10 +128,10 @@ def test_criterion_2_m4_pipeline():
     gens = reflections(sub.restricted_gram, linalg.identity(sub.rank))
     g = word_element(gens, ("h4", "h1"))
     v = (0, 1, 1, 0)
-    w = tuple(a - b for a, b in zip(linalg.mat_vec(g.matrix, v), v))
+    w = tuple(a - b for a, b in zip(mat_vec(g.matrix, v), v))
     if linalg.is_zero_vec(w):
         failures.append("(h4 h1) does not move delta2+delta3")
-    if not linalg.is_zero_vec(linalg.mat_vec(sub.restricted_gram, w)):
+    if not linalg.is_zero_vec(mat_vec(sub.restricted_gram, w)):
         failures.append("increment of (h4 h1) is not a kernel vector")
     if power_law_check(g, v, w, 5) is not None:
         failures.append("(h4 h1)^s law fails for s in 1..5")
@@ -316,7 +317,7 @@ def test_criterion_7_property_suites():
         ker = kernel_basis(sub.lattice())
         for g in reflections(sub.restricted_gram, roots):
             for v in ker:
-                if linalg.mat_vec(g.matrix, v) != v:
+                if mat_vec(g.matrix, v) != v:
                     failures.append(f"{name}: kernel vector {v} moved by {g.word}")
 
     # inertia vs brute force on >= 500 random small lattices

@@ -20,6 +20,7 @@ from oracles import (
     character_projection,
     group_elements,
     isotypic_rank_rational,
+    mat_vec,
     permutation_matrix,
     product,
     random_action_file,
@@ -56,7 +57,7 @@ def test_signed_permutation_validation():
     # no involution, tells the matrix from its transpose
     table = ((1, 1), (0, -1))
     assert permutation_matrix(table) == ((0, -1), (1, 0))
-    assert linalg.mat_vec(permutation_matrix(table), (1, 0)) == (0, 1)
+    assert mat_vec(permutation_matrix(table), (1, 0)) == (0, 1)
 
 
 def test_built_diagram_file_checks_the_generators_like_a_parsed_one():
@@ -267,7 +268,7 @@ def test_isotypic_vectors_satisfy_eigenvalue_equation():
         sub = isotypic_sublattice(action, chi)
         for c, (_, g) in zip(chi, action.generators):
             for b in sub.basis:
-                assert linalg.mat_vec(permutation_matrix(g), b) == tuple(c * x for x in b)
+                assert mat_vec(permutation_matrix(g), b) == tuple(c * x for x in b)
 
 
 def test_rank_additivity_over_characters():
@@ -285,7 +286,7 @@ def test_restricted_gram_preserved_by_commuting_operators():
     action, chi = m5_setup()
     sub = isotypic_sublattice(action, chi)
     for _, M in group_elements(action):
-        img = [linalg.mat_vec(M, b) for b in sub.basis]
+        img = [mat_vec(M, b) for b in sub.basis]
         gram = [
             [product(action.lattice.gram, a, b) for b in img] for a in img
         ]

@@ -359,7 +359,7 @@ def test_character_with_an_orbit_left_out_decides(symbol, k, values, order):
 
 def test_run_analysis_calls_no_mat_mul():
     # a finite group's order comes from its roots, and an infinite group's
-    # certificate g = s_rho s_rho' has g - I of rank two: no analysis of a
+    # certificate g = s_rho s_rho' has g - I of rank at most two: no analysis of a
     # fixture or of the benchmark's certify diagrams multiplies two matrices
     golden = Path(__file__).resolve().parent / "golden"
     dfiles = [fixture_file(symbol, k) for symbol, k in GOLDEN_FIXTURES]

@@ -649,6 +649,24 @@ def test_mu_refuses_a_huge_vars_header_at_once(tmp_path, count):
     assert len([l for l in err.splitlines() if "error:" in l]) == 1
 
 
+def test_catalog_verdict_loads_resources_only_for_a_shipped_fixture():
+    # without `site`, which may import it on its own, `catalog verdict E6`
+    # builds its diagram and loads no `importlib.resources`; M5 is read
+    # from the package's fixture files and does
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = ("import sys, eqsing.cli\n"
+              "code = eqsing.cli.main(sys.argv[1:])\n"
+              "print('importlib.resources' in sys.modules)\n")
+
+    def loads_resources(*argv):
+        run = subprocess.run([sys.executable, "-S", "-c", script, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        return run.stdout.splitlines()[-1]
+
+    assert loads_resources("catalog", "verdict", "E6") == "False"
+    assert loads_resources("catalog", "verdict", "M5") == "True"
+
+
 def test_package_exports_resolve():
     # `from eqsing import *` raises on a name in __all__ that is gone
     import eqsing

@@ -6,7 +6,7 @@ import pytest
 from eqsing import linalg
 from eqsing.errors import EqsingError
 from eqsing.lattice import IntLattice, Sublattice, inertia, kernel_basis
-from oracles import box_signs, coordinates, inertia_by_descartes
+from oracles import box_signs, coordinates, inertia_by_descartes, mat_vec
 from test_closure import _dynkin_gram
 
 
@@ -168,7 +168,7 @@ def test_kernel_properties_random():
         ker = kernel_basis(lat)
         assert len(ker) == inertia(lat).n_zero
         for v in ker:
-            assert linalg.is_zero_vec(linalg.mat_vec(lat.gram, v))
+            assert linalg.is_zero_vec(mat_vec(lat.gram, v))
         # canonical: recomputation and HNF idempotence
         assert linalg.hnf(ker) == ker if ker else ker == ()
 
@@ -260,3 +260,30 @@ def test_coordinates_round_trip_on_fixture_sublattices():
                 assert coordinates(sub, v) is None, (sym, k, v)
                 off_span += 1
     assert off_span
+
+
+def test_restricted_form_on_overlapping_supports_is_the_dense_product():
+    # _gram_on reads each B_jk over the support of b_j; on Hermite normal
+    # form bases of integer kernels, whose rows overlap, it must still be
+    # the dense B G B^T
+    from eqsing import lattice
+    from oracles import mat_mul
+
+    rng = random.Random(38)
+    overlapping = 0
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        G = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                G[i][j] = G[j][i] = rng.randint(-4, 4)
+        A = tuple(tuple(rng.randint(-3, 3) for _ in range(n))
+                  for _ in range(rng.randint(1, n - 1)))
+        basis = linalg.int_kernel(A)
+        if not basis:
+            continue
+        dense = mat_mul(mat_mul(basis, G), linalg.transpose(basis))
+        assert lattice._gram_on(IntLattice(G), basis) == dense
+        supports = [{i for i, _ in linalg.support(b)} for b in basis]
+        overlapping += any(s & t for j, s in enumerate(supports) for t in supports[j + 1:])
+    assert overlapping >= 100

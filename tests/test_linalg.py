@@ -4,7 +4,7 @@ import random
 import pytest
 
 from eqsing import linalg
-from oracles import inverse_unimodular, mat_mul, saturation
+from oracles import inverse_unimodular, mat_mul, mat_vec, saturation
 
 
 def rand_matrix(rng, rows, cols, bound=4):
@@ -50,7 +50,7 @@ def test_int_kernel_exact_and_saturated():
         A = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
         K = linalg.int_kernel(A)
         for v in K:
-            assert linalg.is_zero_vec(linalg.mat_vec(A, v))
+            assert linalg.is_zero_vec(mat_vec(A, v))
         # rank-nullity over Q
         assert len(K) == len(A[0]) - len(linalg.hnf(A))
         # saturation: kernel is its own saturation
@@ -95,3 +95,33 @@ def test_inverse_unimodular():
     assert mat_mul(U, Ui) == linalg.identity(2)
     with pytest.raises(ValueError):
         inverse_unimodular(((2, 0), (0, 1)))
+
+
+def test_form_vec_reads_the_support_and_matches_the_dense_product():
+    # G v over the rows on supp v equals the row-by-row product, for
+    # vectors of zero, unit, negative and full support on random
+    # symmetric integer forms
+    rng = random.Random(38)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        G = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                G[i][j] = G[j][i] = rng.randint(-5, 5)
+        G = linalg.freeze(G)
+        i = rng.randrange(n)
+        unit = linalg.identity(n)[i]
+        vectors = [(0,) * n, unit, tuple(-x for x in unit),
+                   tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)),
+                   tuple(rng.randint(-3, 3) for _ in range(n))]
+        for v in vectors:
+            assert linalg.form_vec(G, v) == mat_vec(G, v)
+        assert linalg.form_vec(G, unit) is G[i]  # a unit vector's image is its row
+
+
+def test_support_and_dot_on():
+    v = (0, 3, 0, -2, 0)
+    assert linalg.support(v) == ((1, 3), (3, -2))
+    assert linalg.support((0, 0)) == ()
+    u = (7, 1, 5, 4, 9)
+    assert linalg.dot_on(u, linalg.support(v)) == sum(a * b for a, b in zip(u, v)) == -5

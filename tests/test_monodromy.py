@@ -26,12 +26,14 @@ from eqsing.monodromy import (
     run_analysis,
 )
 from oracles import (
+    DenseElement,
     closure_naive,
     equivariant_generators_by_projector,
     evaluate_word,
     generator_outcome,
     index2_witness_dense,
     mat_mul,
+    mat_vec,
     minus_identity,
     pl_reflection,
     product,
@@ -89,20 +91,20 @@ def test_reflection_m5_h2():
     h2 = gens[1]
     d2 = (0, 1, 0, 0, 0)
     # h2 negates delta2 and acts by a + ((a, delta2)/2) delta2
-    assert linalg.mat_vec(h2.matrix, d2) == (0, -1, 0, 0, 0)
+    assert mat_vec(h2.matrix, d2) == (0, -1, 0, 0, 0)
     G = sub.restricted_gram
     for j in range(5):
         e = tuple(1 if t == j else 0 for t in range(5))
         pairing = sum(G[1][t] * e[t] for t in range(5))
         expect = tuple(a + (pairing // 2) * b for a, b in zip(e, d2))
-        assert linalg.mat_vec(h2.matrix, e) == expect
+        assert mat_vec(h2.matrix, e) == expect
 
 
 def test_reflection_m4_h4_on_delta1():
     sub, gens = m4_gens()
     h4 = gens[3]
     # (delta1, delta4) = -4, (delta4, delta4) = -8: h4(delta1) = delta1 - delta4
-    assert linalg.mat_vec(h4.matrix, (1, 0, 0, 0)) == (1, 0, 0, -1)
+    assert mat_vec(h4.matrix, (1, 0, 0, 0)) == (1, 0, 0, -1)
 
 
 def test_reflections_are_involutive_isometries():
@@ -124,7 +126,7 @@ def test_reflections_are_involutive_isometries():
             continue
         # involution; form preservation is enforced by the constructor
         assert mat_mul(h.matrix, h.matrix) == linalg.identity(n)
-        assert linalg.mat_vec(h.matrix, delta) == tuple(-x for x in delta)
+        assert mat_vec(h.matrix, delta) == tuple(-x for x in delta)
 
 
 def test_kernel_fixed_pointwise():
@@ -133,7 +135,7 @@ def test_kernel_fixed_pointwise():
         ker = kernel_basis(sub.lattice())
         for g in gens:
             for v in ker:
-                assert linalg.mat_vec(g.matrix, v) == v
+                assert mat_vec(g.matrix, v) == v
 
 
 # --------------------------------------------------------------------------
@@ -160,7 +162,7 @@ def test_orbit_generator_pair_equals_ambient_product():
     prod = mat_mul(H4, H2)
     h2 = gens[1]
     for b, col in zip(sub.basis, linalg.transpose(h2.matrix)):
-        assert linalg.mat_vec(prod, b) == sub.embed(col)
+        assert mat_vec(prod, b) == sub.embed(col)
     assert h2.matrix == pl_reflection(sub.restricted_gram, (0, 1, 0, 0, 0)).matrix
 
 
@@ -172,7 +174,8 @@ def test_orbit_generator_checks_the_ambient_product():
     pair = Sublattice(lat, (lat.basis_vector(1), lat.basis_vector(3)))
     cycle = pair.embed((1, 1))
     with pytest.raises(AssertionError, match="disagrees"):
-        _check_orbit_product(lat.gram, (1, 3), cycle, pair, 0)
+        _check_orbit_product(lat.gram, (1, 3), cycle, pair, 0,
+                             tuple(map(linalg.support, pair.basis)))
 
 
 def test_orbit_generator_checks_the_cycle_is_basis_vector_k():
@@ -181,7 +184,7 @@ def test_orbit_generator_checks_the_cycle_is_basis_vector_k():
     lat = IntLattice(((-2, 0), (0, -2)))
     sub = Sublattice(lat, ((1, 1),))
     with pytest.raises(InternalError, match="disagrees"):
-        _check_orbit_product(lat.gram, (0,), (1, 0), sub, 0)
+        _check_orbit_product(lat.gram, (0,), (1, 0), sub, 0, (linalg.support((1, 1)),))
 
 
 def test_orbit_generator_check_reads_the_restricted_form(monkeypatch):
@@ -278,6 +281,42 @@ def test_analysis_walks_the_signed_orbits_once(monkeypatch):
     assert calls == [(1,)]
 
 
+def test_ambient_stages_read_rows_linear_in_n(monkeypatch):
+    # every row read from the ambient form while equivariant_generators
+    # runs, and from the restricted form while generate_group sets up its
+    # roots, is counted on D_k with the trivial action: a constant number
+    # per vertex, where a dense product, or a row read once per basis
+    # vector, reads about n per vertex
+    reads = [0]
+
+    class Rows(tuple):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+        def __iter__(self):
+            for row in tuple.__iter__(self):
+                reads[0] += 1
+                yield row
+
+    def counted(G, v, _original=linalg.form_vec):
+        return _original(G if isinstance(G, Rows) else Rows(G), v)
+
+    monkeypatch.setattr(linalg, "form_vec", counted)
+    monkeypatch.setattr(monodromy, "_generate_reflections", lambda gram, mirrors, cap, sig: None)
+    counts = {}
+    for k in (50, 100):
+        action, chi = action_from_file(fixture_file("D", k))
+        object.__setattr__(action.lattice, "gram", Rows(action.lattice.gram))
+        reads[0] = 0
+        sub, roots = equivariant_generators(action, chi)
+        sig = lattice.inertia(sub.lattice())
+        generate_group(sub.restricted_gram, roots, sig=sig)
+        counts[k] = reads[0]
+    assert all(k <= counts[k] <= 8 * k for k in counts), counts
+    assert counts[100] == 2 * counts[50], counts
+
+
 def test_orbit_generator_anti_swap_orbit():
     # chi = -1 on the M5 swap: the orbit cycle of (Delta2, Delta4) is
     # Delta2 - Delta4, and the restricted product is the reflection in it
@@ -295,7 +334,7 @@ def test_orbit_generator_anti_swap_orbit():
     H4 = pl_reflection(lat.gram, lat.basis_vector(3)).matrix
     prod = mat_mul(H4, H2)
     for b, col in zip(sub.basis, linalg.transpose(h.matrix)):
-        assert linalg.mat_vec(prod, b) == sub.embed(col)
+        assert mat_vec(prod, b) == sub.embed(col)
 
 
 def test_equivariant_generators_match_the_projector_on_random_actions():
@@ -360,7 +399,7 @@ def test_generate_m5_infinite_with_nabla_certificate():
     w = verdict.increment
     assert len(linalg.hnf((w, M5_NABLA))) == 1
     # increment lies in the kernel
-    assert linalg.is_zero_vec(linalg.mat_vec(sub.restricted_gram, w))
+    assert linalg.is_zero_vec(mat_vec(sub.restricted_gram, w))
 
 
 def test_generate_m4_infinite():
@@ -391,8 +430,8 @@ def test_infinite_certificate_is_self_validating():
     )
     assert any(any(row) for row in U)  # g != I
     assert not any(any(row) for row in mat_mul(U, U))  # (g-I)^2 = 0
-    assert linalg.mat_vec(U, verdict.witness) == verdict.increment
-    assert linalg.is_zero_vec(linalg.mat_vec(g.gram, verdict.increment))
+    assert mat_vec(U, verdict.witness) == verdict.increment
+    assert linalg.is_zero_vec(mat_vec(g.gram, verdict.increment))
 
 
 def test_certificates_match_the_dense_reference():
@@ -426,7 +465,7 @@ def test_certificates_match_the_dense_reference():
             g2 = mat_mul(g.matrix, g.matrix)
             Q = [[g2[i][j] - t * g.matrix[i][j] + int(i == j) for j in range(n)]
                  for i in range(n)]
-            assert linalg.is_zero_vec(linalg.mat_vec(Q, g.rho))
+            assert linalg.is_zero_vec(mat_vec(Q, g.rho))
             counts["residual"] += 1
     assert counts == {"unipotent": 136, "(g - I)^2 = 0": 77, "residual": 37}
 
@@ -549,6 +588,21 @@ def _certified(name):
         return run_analysis(fixture_file(name))
     dfile = parse_file((GOLDEN / f"{name}.diagram").read_text())
     return run_analysis(dfile, cap=CERTIFIED[name])
+
+
+def test_certificate_g_minus_identity_has_rank_at_most_two():
+    # g - I = rho alpha^T + rho' beta^T.  Every class collision of a
+    # semidefinite form has G rho' parallel to G rho, so alpha is parallel
+    # to beta and the dense g - I has rank one; only the indefinite pairs
+    # reach two
+    outcomes = {name: _certified(name) for name in CERTIFIED}
+    outcomes["M4"] = run_analysis(fixture_file("M4"))
+    ranks = {name: len(linalg.hnf(minus_identity(out.verdict.certificate.matrix)))
+             for name, out in outcomes.items()}
+    assert ranks == {"M5": 1, "M4": 1, "X9": 1, "affine_e6": 1, "affine_e8_a1": 1,
+                     "t237": 2, "triangle_w2": 2}
+    assert all(out.inertia.negative_semidefinite == (ranks[name] == 1)
+               for name, out in outcomes.items())
 
 
 def _generators(out):
@@ -729,7 +783,7 @@ def test_power_law_m5_element():
     w = tuple(2 * a - 2 * b for a, b in zip(M5_NABLA, M5_NABLA_P))
     assert w == (4, 0, 0, -2, -2)
     assert power_law_check(g, v, w, 5) is None
-    assert linalg.is_zero_vec(linalg.mat_vec(sub.restricted_gram, w))
+    assert linalg.is_zero_vec(mat_vec(sub.restricted_gram, w))
     # the paper's printed increment (nabla itself) does not satisfy the law:
     # reflections in delta1, delta4, delta5 cannot move delta2's coordinate
     assert power_law_check(g, v, M5_NABLA, 5) == 1
@@ -749,5 +803,23 @@ def test_power_law_reports_first_failing_s():
     h = pl_reflection(A2.gram, (1, 0), name="h")
     # h^2 = I, so v + 2w fails at s = 2 for any nonzero w
     v = (1, 0)
-    w = tuple(a - b for a, b in zip(linalg.mat_vec(h.matrix, v), v))
+    w = tuple(a - b for a, b in zip(mat_vec(h.matrix, v), v))
     assert power_law_check(h, v, w, 5) == 2
+
+
+def test_power_law_steps_a_certificate_by_its_factors():
+    # power_law_check steps a MonodromyElement as x + (g - I) x from its
+    # root pair; on every unipotent certificate of the goldens and X9 it
+    # agrees with the same law stepped by the rendered matrix
+    checked = 0
+    for name in CERTIFIED:
+        verdict = _certified(name).verdict
+        if verdict.witness is None:
+            continue
+        g, v, w = verdict.certificate, verdict.witness, verdict.increment
+        dense = DenseElement(g.matrix, g.gram)
+        assert power_law_check(g, v, w, 5) is None is power_law_check(dense, v, w, 5)
+        doubled = tuple(2 * x for x in w)
+        assert power_law_check(g, v, doubled, 5) == 1 == power_law_check(dense, v, doubled, 5)
+        checked += 1
+    assert checked == 6
