@@ -16,7 +16,8 @@ rational [+-]?[0-9]+(/[0-9]+)?.  Python's int() and Fraction() also take
 imports this module, so both readers cost no extra load; `fractions` is
 imported inside `parse_rational`, which only the germ side calls.  A
 library caller passes numbers, and a record refuses an integer entry
-that is not an `int` instead of converting it.
+that is not an `int` instead of converting it, and `check_count` refuses
+a `cap` or `max_degree` as the CLI refuses `--cap` and `--max-degree`.
 """
 
 
@@ -72,3 +73,9 @@ class DiagramError(EqsingError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def check_count(name, value):
+    """EqsingError naming `name` unless `value` is an int >= 0, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise EqsingError(f"{name} must be an integer >= 0, got {value!r}")

@@ -44,18 +44,11 @@ class IntLattice(Record):
     def rank(self):
         return len(self.gram)
 
-    def basis_vector(self, i):
-        return tuple(1 if j == i else 0 for j in range(self.rank))
-
 
 class Inertia(Record):
     """Counts of positive, zero and negative squares of a symmetric form."""
 
     __slots__ = ("n_plus", "n_zero", "n_minus")
-
-    @property
-    def rank(self):
-        return self.n_plus + self.n_zero + self.n_minus
 
     @property
     def negative_definite(self):

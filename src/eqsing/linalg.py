@@ -6,7 +6,7 @@ Hermite normal form with transform.
 """
 from math import gcd
 
-from .errors import EqsingError, InternalError
+from .errors import EqsingError
 
 
 def freeze(rows):
@@ -62,16 +62,12 @@ def is_zero_vec(v):
 def primitive(v):
     """Divide an integer vector by the gcd of its entries; sign-normalize
     so the first nonzero entry is positive.  Zero vector raises."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    g = gcd(*v)
     if g == 0:
         raise EqsingError("zero vector has no primitive representative")
-    w = tuple(x // g for x in v)
-    for x in w:
-        if x != 0:
-            return w if x > 0 else tuple(-y for y in w)
-    raise InternalError("unreachable: a nonzero vector has a nonzero entry")
+    if next(filter(None, v)) < 0:
+        g = -g
+    return tuple(x // g for x in v)
 
 
 def hnf(rows):

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .errors import DiagramError, EqsingError, parse_int, parse_rational
+from .errors import DiagramError, EqsingError, check_count, parse_int, parse_rational
 from .record import Record
 
 # The bound on the monomials listed up to degree D, counted as C(n + D, D)
@@ -281,7 +281,9 @@ def milnor_number(f, max_degree=24):
     would count more than MAX_TABLE_ENTRIES entries (`_check_table`), and
     before building the rows of a degree that would take the rows built
     over MAX_ROWS, with the same "not certified" error at the degree below.
+    A `max_degree` that is no int >= 0 is refused.
     """
+    check_count("max_degree", max_degree)
     n = f.nvars
     base = max_degree + 1
 

@@ -53,7 +53,7 @@ from math import gcd, prod
 from . import linalg
 from .action import GroupAction, isotypic_sublattice, signed_orbits
 from .diagram import to_lattice
-from .errors import DiagramError, EqsingError, InternalError
+from .errors import DiagramError, EqsingError, InternalError, check_count
 from .lattice import IntLattice, inertia, kernel_basis
 from .record import Record
 
@@ -70,38 +70,31 @@ class MonodromyElement(Record):
     reflections in the roots `generators`: the certificate of an Infinite
     verdict.  Letter h{i+1} of the word names generators[i].
 
-    rho and rho' are each refused when their norm is 0 or their reflection
-    is not integral (`_check_integral`); they and the generator roots are
-    kept divided by the gcd of their entries, which leaves each reflection
-    as it is.  `factors` is (alpha, beta) with g - I = rho alpha^T +
-    rho' beta^T, computed once, never given, and `matrix` is rendered from
-    it when it is read.  A product of two integral reflections is an
-    integral isometry, so nothing else is checked here;
-    `Infinite.validate` replays the word (notes/decisions.md, "An Infinite
-    certificate is its root pair").
+    rho, rho' and the generator roots each enter through `_mirror`, which
+    refuses a bad root and keeps its primitive multiple with first nonzero
+    entry positive: g stays as it is (notes/decisions.md, "A root is
+    checked where it enters").  `factors` is (alpha, beta) with
+    g - I = rho alpha^T + rho' beta^T, computed once, never given, and
+    `matrix` is rendered from it when it is read.  A product of two
+    integral reflections is an integral isometry, so nothing else is
+    checked here; `Infinite.validate` replays the word (notes/decisions.md,
+    "An Infinite certificate is its root pair").
     """
 
     __slots__ = ("gram", "rho", "rho_p", "word", "generators", "factors")
 
     def __init__(self, gram, rho, rho_p, word=(), generators=()):
         gram = IntLattice(gram).gram
-        n = len(gram)
-        pair = []
-        for name, root in (("rho", rho), ("rho_p", rho_p)):
-            root = _vector(name, root, n)
-            g_root = linalg.form_vec(gram, root)
-            _check_integral(root, g_root, _dot(root, g_root))
-            k = gcd(*root)
-            pair.append((tuple(x // k for x in root), tuple(x // k for x in g_root)))
-        (rho, g_rho), (rho_p, g_rho_p) = pair
+        rho, g_rho, a, _ = _mirror("rho", rho, gram)
+        rho_p, g_rho_p, c, _ = _mirror("rho_p", rho_p, gram)
         # g x = x - (2(x, rho')/c) rho' - (2(x, rho)/a) rho + (4b(x, rho')/(ac)) rho,
         # so beta = -2 G rho'/c and alpha = (-2c G rho + 4b G rho')/(ac): integer
         # vectors, since rho' beta^T = s_rho' - I and rho alpha^T = g - I - rho' beta^T
         # are integer matrices and rho, rho' are primitive
-        a, b, c = _dot(rho, g_rho), _dot(rho, g_rho_p), _dot(rho_p, g_rho_p)
+        b = _dot(rho, g_rho_p)
         factors = (tuple((-2 * c * x + 4 * b * y) // (a * c) for x, y in zip(g_rho, g_rho_p)),
                    tuple(-2 * y // c for y in g_rho_p))
-        generators = tuple(linalg.primitive(_vector(f"generator h{i + 1}", root, n))
+        generators = tuple(_mirror(f"generator h{i + 1}", root, gram)[0]
                            for i, root in enumerate(generators))
         for name, value in (("gram", gram), ("rho", rho), ("rho_p", rho_p), ("word", tuple(word)),
                             ("generators", generators), ("factors", factors)):
@@ -146,25 +139,21 @@ class MonodromyElement(Record):
 
         w h_i w^-1 is the reflection in w delta_i, and s_{-rho} = s_rho, so
         the word then denotes s_rho s_rho'.  The replay moves delta_i by one
-        `_reflect` per letter of w, with the image G delta of each letter's
-        root read off the rows of the form over its support: O(n) per
-        letter for the pipeline's unit roots.  Every cut into two odd
-        palindromes is tried, and one that replays proves membership
-        relative to `generators` (notes/decisions.md, "An Infinite
-        certificate is its root pair").  A half must have odd length: an
-        even palindrome x1..xk xk..x1 denotes I whatever its replay gives.
+        `_reflect` per letter of w, each letter's root entering through
+        `_mirror`: O(n) per letter for the pipeline's unit roots.  Every
+        cut into two odd palindromes is tried, and one that replays proves
+        membership relative to `generators` (notes/decisions.md, "An
+        Infinite certificate is its root pair").  A half must have odd
+        length: an even palindrome x1..xk xk..x1 denotes I whatever its
+        replay gives.
         """
         names = {f"h{i + 1}": i for i in range(len(self.generators))}
         if not all(letter in names for letter in self.word):
             raise InternalError(f"a letter of the certificate word {self.word} names "
                                 f"none of its {len(names)} generators")
         letters = [names[letter] for letter in self.word]
-        mirrors = {}
-        for i in set(letters):
-            delta = self.generators[i]
-            mirrors[i] = _mirror((delta, linalg.form_vec(self.gram, delta)))
-            if not mirrors[i][2]:
-                raise InternalError(f"generator h{i + 1} has norm 0")
+        mirrors = {i: _mirror(f"generator h{i + 1}", self.generators[i], self.gram)
+                   for i in set(letters)}
 
         def replay(half):
             root = mirrors[half[len(half) // 2]][:2]
@@ -189,26 +178,44 @@ def _vector(name, root, n):
     return root
 
 
-def _check_integral(delta, Gd, dd):
-    """Raise unless the reflection in delta, with Gd = G delta and
-    dd = (delta, delta), is an integer matrix: dd != 0 and dd divides
-    every 2 (e_j, delta) delta_i."""
-    if dd == 0:
+def _mirror(name, root, gram):
+    """(delta, G delta, (delta, delta), the support of delta as pairs
+    (i, delta_i)), what `_reflect` needs, for `root` on the form `gram`:
+    the one way a root enters the decision path.  EqsingError naming
+    `name` unless `root` is an integer vector of length n; delta is its
+    primitive multiple with first nonzero entry positive, which has the
+    same reflection (`linalg.primitive` refuses zero), and
+    `_check_reflection` refuses it next."""
+    delta = linalg.primitive(_vector(name, root, len(gram)))
+    g_delta = linalg.form_vec(gram, delta)
+    support = linalg.support(delta)
+    dd = linalg.dot_on(g_delta, support)
+    _check_reflection(support, g_delta, dd)
+    return delta, g_delta, dd, support
+
+
+def _check_reflection(support, g_delta, dd):
+    """Raise unless the reflection in the primitive root delta with nonzero
+    entries `support`, image `g_delta` and norm `dd` is an integer matrix:
+    dd != 0 and dd divides every 2 (e_j, delta) delta_i, that is, as the
+    delta_i have gcd 1, every 2 (e_j, delta).  delta is built only to be
+    named in a refusal, so a unit cycle e_i is checked from row i alone."""
+    if dd and 2 * gcd(*g_delta) % dd == 0:
+        return
+    delta = tuple(dict(support).get(i, 0) for i in range(len(g_delta)))
+    if not dd:
         raise EqsingError(f"cycle {delta} has self-intersection zero")
-    for d in filter(None, delta):
-        for j, x in enumerate(Gd):
-            if 2 * x * d % dd:
-                raise EqsingError(
-                    f"reflection in {delta} is not integral: "
-                    f"2(e_{j + 1}, delta) delta is not divisible by ({dd})"
-                )
+    j = next(j for _, d in support for j, x in enumerate(g_delta) if 2 * x * d % dd)
+    raise EqsingError(f"reflection in {delta} is not integral: "
+                      f"2(e_{j + 1}, delta) delta is not divisible by ({dd})")
 
 
 def equivariant_generators(action, chi):
     """(sublattice, (e_1, ..., e_r)) for the pipeline: one root per orbit.
 
     Each orbit is checked in turn: its cycles are pairwise orthogonal, and
-    the ambient reflection in each is integral.  The k-th orbit with a
+    the ambient reflection in each cycle e_i is integral, read off row i of
+    the form (`_check_reflection`).  The k-th orbit with a
     chi-vector has basis vector k of the isotypic sublattice as its cycle,
     so its reflection h_k is the one in the unit vector e_k, the root
     `generate_group` takes for it.  The product of the ambient reflections
@@ -230,7 +237,8 @@ def equivariant_generators(action, chi):
                     f"cycles {i + 1} and {j + 1} in one orbit have product {G[i][j]} != 0"
                 )
         for i in orbit:
-            _check_integral(action.lattice.basis_vector(i), G[i], G[i][i])
+            row = G[i]
+            _check_reflection(((i, 1),), row, row[i])
         if cycle is not None:
             _check_orbit_product(G, orbit, cycle, sub, k, supports)
             k += 1
@@ -335,7 +343,8 @@ class Infinite(Record):
         v, w = self.witness, self.increment
         if v is None or w is None:
             raise InternalError("unipotent certificate lacks witness data")
-        if g._minus_identity(v) != tuple(w):
+        v, w = _vector("witness", v, g.rank), _vector("increment", w, g.rank)
+        if g._minus_identity(v) != w:
             raise InternalError("increment is not (g - I) v")
         if linalg.is_zero_vec(w):
             raise InternalError("increment vector is zero")
@@ -370,7 +379,8 @@ def power_law_check(g, v, w, s_max):
 
     Returns None when the law holds, else the first failing s.
     """
-    cur = tuple(v)
+    v, w = _vector("witness", v, g.rank), _vector("increment", w, g.rank)
+    cur = v
     for s in range(1, s_max + 1):
         cur = tuple(x + y for x, y in zip(cur, g._minus_identity(cur)))
         expect = tuple(a + s * b for a, b in zip(v, w))
@@ -393,9 +403,10 @@ def generate_group(gram, roots, cap=10**6, sig=None):
     reflection, so it counts only up to sign and scale.  The cap bounds
     the roots the search records, on every form, and so does
     MAX_ROOT_ENTRIES // rank.  `sig` is the Inertia of the form when the
-    caller has it already, and is computed otherwise.  A bad form or root
-    is an EqsingError that names what is wrong with it (notes/decisions.md).
+    caller has it already, and is computed otherwise.  A bad form, root or
+    cap is an EqsingError that names what is wrong (notes/decisions.md).
     """
+    check_count("cap", cap)
     lattice = IntLattice(gram)
     gram = lattice.gram
     try:
@@ -405,12 +416,7 @@ def generate_group(gram, roots, cap=10**6, sig=None):
                           f"got {roots!r}") from None
     if not roots:
         raise EqsingError("at least one root is required")
-    mirrors = []
-    for i, root in enumerate(roots):
-        delta = linalg.primitive(_vector(f"root h{i + 1}", root, lattice.rank))
-        mirror = _mirror((delta, linalg.form_vec(gram, delta)))
-        _check_integral(*mirror[:3])
-        mirrors.append(mirror)
+    mirrors = [_mirror(f"root h{i + 1}", root, gram) for i, root in enumerate(roots)]
     if sig is None:
         sig = inertia(lattice)
     return _generate_reflections(gram, mirrors, cap, sig)
@@ -580,14 +586,6 @@ def _check_simple_system(simple, positive):
         if sig.n_zero or (sig.n_plus and sig.n_minus):
             raise InternalError("the simple roots' Gram matrix is not definite")
     return counts
-
-
-def _mirror(root):
-    """(delta, G delta, (delta, delta), the support of delta as pairs
-    (i, delta_i)) for the root (delta, G delta): what `_reflect` needs."""
-    delta, g_delta = root
-    support = linalg.support(delta)
-    return delta, g_delta, linalg.dot_on(g_delta, support), support
 
 
 def _reflect(root, mirror):

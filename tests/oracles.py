@@ -12,7 +12,7 @@ from eqsing.diagram import DiagramFile, DynkinDiagram, to_lattice
 from eqsing.errors import EqsingError, InternalError
 from eqsing.lattice import Inertia, IntLattice, Sublattice, inertia
 from eqsing.localalg import LocalAlgebraReport, _check_table, _partial
-from eqsing.monodromy import _dot, _mirror, _reflect, action_from_file, power_law_check
+from eqsing.monodromy import _dot, _reflect, action_from_file, power_law_check
 
 
 def mat_vec(M, v):
@@ -119,8 +119,8 @@ def closure_naive(gram, roots, limit=100000):
 def root_orbit(gram, roots):
     """(points, mirrors) for the reflections in `roots`: the signed roots
     of the group they generate, each with its image G r, found by applying
-    the reflection matrices until nothing new appears, and the `_mirror`
-    of each generator root."""
+    the reflection matrices until nothing new appears, and the mirror of
+    each generator root (`mirror_of`)."""
     mats = [g.matrix for g in reflections(gram, roots)]
     orbit = list(dict.fromkeys(linalg.primitive(r) for r in roots))
     seen = set(orbit)
@@ -131,8 +131,16 @@ def root_orbit(gram, roots):
                 seen.add(q)
                 orbit.append(q)
     points = [(r, mat_vec(gram, r)) for r in orbit]
-    mirrors = [_mirror((d, mat_vec(gram, d))) for d in map(linalg.primitive, roots)]
+    mirrors = [mirror_of(d, mat_vec(gram, d)) for d in map(linalg.primitive, roots)]
     return points, mirrors
+
+
+def mirror_of(delta, g_delta):
+    """(delta, G delta, (delta, delta), the support of delta), the mirror
+    `_reflect` takes, from a root and its image given by the caller, with
+    no check: `monodromy._mirror` computes the image itself and refuses a
+    root whose reflection is not integral."""
+    return delta, g_delta, _dot(delta, g_delta), linalg.support(delta)
 
 
 def orbit_stabiliser_order(points, mirrors):
@@ -148,7 +156,7 @@ def orbit_stabiliser_order(points, mirrors):
     every root of the norm of rho.  A different method from the package's
     order by root heights, so the two can be cross-checked.
     """
-    roots = [_mirror(root) for root in points]
+    roots = [mirror_of(*root) for root in points]
     order = 1
     while roots:
         rho, g_rho, norm, _ = roots[0]
@@ -418,7 +426,7 @@ def orbit_generator_by_projector(action, chi, orbit, sub):
     n = action.lattice.rank
     amb = linalg.identity(n)
     for i in orbit:
-        H = pl_reflection(action.lattice.gram, action.lattice.basis_vector(i)).matrix
+        H = pl_reflection(action.lattice.gram, tuple(int(j == i) for j in range(n))).matrix
         amb = mat_mul(H, amb)
     cols = linalg.transpose(sub.basis)
     rep = tuple(1 if i == min(orbit) else 0 for i in range(n))

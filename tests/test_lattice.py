@@ -93,7 +93,7 @@ def test_inertia_hyperbolic_pair():
     G = IntLattice(((0, 3, 1), (3, 0, 0), (1, 0, -2)))
     sig = inertia(G)
     assert sig.as_tuple()[0] >= 1 and sig.as_tuple()[2] >= 1
-    assert sig.rank == 3
+    assert sum(sig.as_tuple()) == 3
 
 
 def test_inertia_zero_lattice():
@@ -106,7 +106,7 @@ def test_inertia_brute_force_oracle():
     for _ in range(500):
         lat = rand_lattice(rng)
         sig = inertia(lat)
-        assert sig.rank == lat.rank
+        assert sum(sig.as_tuple()) == lat.rank
         brute_force_check(lat, sig)
 
 

@@ -330,6 +330,15 @@ def test_random_germs_match_the_truncation_oracle(case):
             == _outcome(milnor_number_by_truncation, f, max_degree))
 
 
+@pytest.mark.parametrize("max_degree", [-1, 2.5, "3", None, True])
+def test_a_max_degree_that_is_no_count_is_refused(max_degree):
+    # a library max_degree is refused as --max-degree is, not left to a
+    # TypeError or read as a degree below zero
+    with pytest.raises(EqsingError, match=re.escape(
+            f"max_degree must be an integer >= 0, got {max_degree!r}")):
+        milnor_number(x9_member(), max_degree=max_degree)
+
+
 def test_terms_above_max_degree_are_cut():
     # y1 y2^26 is above the default max_degree of 24, and so are the terms
     # of degree 26 of its partials; D4 is 3-determined, so they change nothing

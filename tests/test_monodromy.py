@@ -1,5 +1,6 @@
 """Monodromy engine: reflections, equivariant generators, finiteness."""
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from oracles import (
     mat_mul,
     mat_vec,
     minus_identity,
+    mirror_of,
     pl_reflection,
     product,
     random_action_file,
@@ -157,8 +159,8 @@ def test_orbit_generator_pair_equals_ambient_product():
     action, _ = action_from_file(fixture_file("M5"))
     sub, gens = m5_gens()
     lat = action.lattice
-    H2 = pl_reflection(lat.gram, lat.basis_vector(1)).matrix
-    H4 = pl_reflection(lat.gram, lat.basis_vector(3)).matrix
+    H2 = pl_reflection(lat.gram, linalg.identity(lat.rank)[1]).matrix
+    H4 = pl_reflection(lat.gram, linalg.identity(lat.rank)[3]).matrix
     prod = mat_mul(H4, H2)
     h2 = gens[1]
     for b, col in zip(sub.basis, linalg.transpose(h2.matrix)):
@@ -171,7 +173,8 @@ def test_orbit_generator_checks_the_ambient_product():
     # Delta2 + Delta4 swaps Delta2 and -Delta4: the identity check refuses
     action, _ = action_from_file(fixture_file("M5"))
     lat = action.lattice
-    pair = Sublattice(lat, (lat.basis_vector(1), lat.basis_vector(3)))
+    e = linalg.identity(lat.rank)
+    pair = Sublattice(lat, (e[1], e[3]))
     cycle = pair.embed((1, 1))
     with pytest.raises(AssertionError, match="disagrees"):
         _check_orbit_product(lat.gram, (1, 3), cycle, pair, 0,
@@ -330,8 +333,8 @@ def test_orbit_generator_anti_swap_orbit():
     assert h.matrix == pl_reflection(sub.restricted_gram, (1, 0, 0, 0)).matrix
     assert mat_mul(h.matrix, h.matrix) == linalg.identity(4)
     lat = action.lattice
-    H2 = pl_reflection(lat.gram, lat.basis_vector(1)).matrix
-    H4 = pl_reflection(lat.gram, lat.basis_vector(3)).matrix
+    H2 = pl_reflection(lat.gram, linalg.identity(lat.rank)[1]).matrix
+    H4 = pl_reflection(lat.gram, linalg.identity(lat.rank)[3]).matrix
     prod = mat_mul(H4, H2)
     for b, col in zip(sub.basis, linalg.transpose(h.matrix)):
         assert mat_vec(prod, b) == sub.embed(col)
@@ -557,14 +560,53 @@ def test_element_refuses_an_isotropic_or_non_integral_root():
     # by construction; what it checks is each root of the pair
     with pytest.raises(EqsingError, match=r"cycle \(1, 0\) has self-intersection zero"):
         MonodromyElement(((0, 1), (1, -2)), (0, 1), (1, 0))
-    with pytest.raises(EqsingError, match=r"cycle \(0, 0\) has self-intersection zero"):
+    with pytest.raises(EqsingError, match="zero vector has no primitive representative"):
         MonodromyElement(A2.gram, (0, 0), (1, 0))
     with pytest.raises(EqsingError, match=r"reflection in \(1, 0\) is not integral"):
         MonodromyElement(((-4, 1), (1, -2)), (0, 1), (1, 0))
-    # a root stands for its reflection: a multiple is kept as the primitive root
+    # a root stands for its reflection: a multiple is kept as the primitive
+    # root with its first nonzero entry positive
     g = MonodromyElement(A2.gram, (2, 0), (0, -3))
-    assert (g.rho, g.rho_p) == ((1, 0), (0, -1))
-    assert g == MonodromyElement(A2.gram, (1, 0), (0, -1))
+    assert (g.rho, g.rho_p) == ((1, 0), (0, 1))
+    assert g == MonodromyElement(A2.gram, (1, 0), (0, 1))
+
+
+# a bad root, on the form it is given on, and the refusal with {name} for
+# the name each entry point gives it; None: the generator stage takes no
+# root, as its cycles are the unit vectors e_i, so only a form can be bad
+ISOTROPIC = ((0, 1), (1, -2))  # e_1 has norm 0
+NOT_INTEGRAL = ((-4, 1), (1, -2))  # 2(e_2, e_1)/(e_1, e_1) = -1/2
+BAD_ROOTS = {
+    "short": (A2.gram, (1,), "{name} is no integer vector of length 2: (1,)"),
+    "float": (A2.gram, (1.0, 0), "{name} is no integer vector of length 2: (1.0, 0)"),
+    "zero": (A2.gram, (0, 0), "zero vector has no primitive representative"),
+    "isotropic": (ISOTROPIC, (1, 0), "cycle (1, 0) has self-intersection zero"),
+    "not integral": (NOT_INTEGRAL, (1, 0), "reflection in (1, 0) is not integral: "
+                     "2(e_2, delta) delta is not divisible by (-4)"),
+}
+# entry point -> (the name it gives the root, a call with the bad root on
+# the form); (0, 1) is a good root on all three forms
+ROOT_ENTRIES = {
+    "generate_group": ("root h1", lambda gram, root: generate_group(gram, [root])),
+    "element rho": ("rho", lambda gram, root: MonodromyElement(gram, root, (0, 1))),
+    "element rho_p": ("rho_p", lambda gram, root: MonodromyElement(gram, (0, 1), root)),
+    "element generator": ("generator h1", lambda gram, root: MonodromyElement(
+        gram, (0, 1), (0, 1), ("h1",), (root,))),
+    "generator stage": (None, lambda gram, root: equivariant_generators(
+        GroupAction((), IntLattice(gram)), ())),
+}
+
+
+@pytest.mark.parametrize("bad, entry", [
+    (bad, entry) for bad in BAD_ROOTS for entry in ROOT_ENTRIES
+    if ROOT_ENTRIES[entry][0] is not None or bad in ("isotropic", "not integral")])
+def test_a_bad_root_is_refused_alike_at_every_entry(bad, entry):
+    # every root enters through _mirror, so each entry point refuses a bad
+    # root with the one message, before any search, product or replay
+    gram, root, message = BAD_ROOTS[bad]
+    name, call = ROOT_ENTRIES[entry]
+    with pytest.raises(EqsingError, match=re.escape(message.format(name=name))):
+        call(gram, root)
 
 
 def test_invariant_failures_are_typed():
@@ -615,6 +657,23 @@ def _with_word(verdict, word):
     g = verdict.certificate
     return Infinite(MonodromyElement(g.gram, g.rho, g.rho_p, word, g.generators),
                     verdict.witness, verdict.increment, verdict.residual_charpoly)
+
+
+def test_a_certificate_from_minus_rho_is_the_same():
+    # rho -> -rho turns G rho and b to their negatives, so alpha -> -alpha
+    # and rho alpha^T stays: the same g, the matrix of the dense reflections
+    # in the signed roots, and the same witness and word; the element keeps
+    # rho and rho' with their first nonzero entry positive
+    for name in CERTIFIED:
+        verdict = _certified(name).verdict
+        g = verdict.certificate
+        for sign, sign_p in ((-1, 1), (1, -1), (-1, -1)):
+            rho, rho_p = tuple(sign * x for x in g.rho), tuple(sign_p * x for x in g.rho_p)
+            h = MonodromyElement(g.gram, rho, rho_p, g.word, g.generators)
+            dense = mat_mul(pl_reflection(g.gram, rho).matrix, pl_reflection(g.gram, rho_p).matrix)
+            assert h == g and h.matrix == g.matrix == dense, (name, sign, sign_p)
+            assert Infinite(h, verdict.witness, verdict.increment,
+                            verdict.residual_charpoly).validate()
 
 
 def _halves(word):
@@ -679,10 +738,10 @@ def test_a_word_naming_no_generator_is_refused():
             _with_word(out.verdict, word).validate()
     with pytest.raises(InternalError, match="does not replay"):
         _with_word(out.verdict, ()).validate()
-    # a generator root of norm 0 has no reflection to replay
-    g = MonodromyElement(((0, 0), (0, 2)), (0, 1), (1, 1), ("h1", "h2"), ((1, 0), (1, 1)))
-    with pytest.raises(InternalError, match="generator h1 has norm 0"):
-        Infinite(certificate=g, witness=(0, 1), increment=(-2, 0)).validate()
+    # a generator root of norm 0 has no reflection to replay, and is refused
+    # as the certificate is built
+    with pytest.raises(EqsingError, match=r"cycle \(1, 0\) has self-intersection zero"):
+        MonodromyElement(((0, 0), (0, 2)), (0, 1), (1, 1), ("h1", "h2"), ((1, 0), (1, 1)))
 
 
 def test_analysis_refuses_a_certificate_over_other_generators(monkeypatch):
@@ -736,16 +795,17 @@ def test_reflect_refuses_a_non_integral_move():
     # a root moves with its image G r, and k = 2(r, delta)/(delta, delta)
     # is read off the image; the reflection in e_1 on this form is not
     # integral, and moving e_2 by it would take k = 2/(-4)
+    # (_mirror refuses that root, so its mirror is built by hand)
     gram = ((-4, 1), (1, -2))
     e1, e2 = ((1, 0), gram[0]), ((0, 1), gram[1])
-    mirror = _mirror(e1)
+    mirror = mirror_of(*e1)
     assert _reflect(e1, mirror) == ((-1, 0), (4, -1))
     with pytest.raises(InternalError, match="non-integral multiple") as info:
         _reflect(e2, mirror)
     assert isinstance(info.value, AssertionError)
     # a reflection that fixes a root gives back the root object itself
     fixed = ((0, 1), (0, -2))
-    assert _reflect(fixed, _mirror(((1, 0), (-2, 0)))) is fixed
+    assert _reflect(fixed, _mirror("root", (1, 0), ((-2, 0), (0, -2)))) is fixed
 
 
 def test_general_case_unknown_at_cap():
@@ -805,6 +865,38 @@ def test_power_law_reports_first_failing_s():
     v = (1, 0)
     w = tuple(a - b for a, b in zip(mat_vec(h.matrix, v), v))
     assert power_law_check(h, v, w, 5) == 2
+
+
+MALFORMED_VECTORS = {"short": lambda v: v[:-1], "long": lambda v: v + (0,),
+                     "float": lambda v: tuple(map(float, v))}
+
+
+@pytest.mark.parametrize("field", ["witness", "increment"])
+@pytest.mark.parametrize("malformed", MALFORMED_VECTORS)
+def test_a_malformed_witness_is_refused(malformed, field):
+    # a witness or increment that is no integer vector of length n is
+    # refused before any product, by validate and power_law_check alike,
+    # where zipping it against g would cut it short or take its floats
+    verdict = _certified("M5").verdict
+    g = verdict.certificate
+    vectors = {"witness": verdict.witness, "increment": verdict.increment}
+    vectors[field] = MALFORMED_VECTORS[malformed](vectors[field])
+    message = re.escape(f"{field} is no integer vector of length {g.rank}: ")
+    with pytest.raises(EqsingError, match=message):
+        Infinite(certificate=g, **vectors).validate()
+    with pytest.raises(EqsingError, match=message):
+        power_law_check(g, vectors["witness"], vectors["increment"], 5)
+
+
+@pytest.mark.parametrize("cap", [-5, 1.5, "5", None, True])
+def test_a_cap_that_is_no_count_is_refused(cap):
+    # a library cap is refused as --cap is, not answered with Unknown(cap)
+    # nor left to a TypeError
+    message = re.escape(f"cap must be an integer >= 0, got {cap!r}")
+    with pytest.raises(EqsingError, match=message):
+        run_analysis(fixture_file("M5"), cap=cap)
+    with pytest.raises(EqsingError, match=message):
+        generate_group(A2.gram, linalg.identity(2), cap=cap)
 
 
 def test_power_law_steps_a_certificate_by_its_factors():
