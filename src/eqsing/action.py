@@ -19,7 +19,7 @@ give c(j) opposite signs, and then the orbit carries none
 """
 import itertools
 
-from .errors import EqsingError
+from .errors import EqsingError, is_int
 from .lattice import Sublattice
 from .record import Record
 
@@ -52,7 +52,7 @@ class GroupAction(Record):
             raise EqsingError("generator names must be unique")
         cycles = list(range(self.lattice.rank))
         for name, images in gens:
-            if not all(isinstance(j, int) and isinstance(s, int) for j, s in images):
+            if not all(is_int(j) and is_int(s) for j, s in images):
                 raise EqsingError(f"generator {name} has an image index or sign "
                                   "that is not an integer")
             if sorted(j for j, _ in images) != cycles:

@@ -25,7 +25,7 @@ from math import factorial
 
 from . import monodromy
 from .diagram import DiagramFile, DynkinDiagram, parse_file
-from .errors import EqsingError
+from .errors import EqsingError, is_int
 from .monodromy import run_analysis
 from .record import Record
 
@@ -217,7 +217,7 @@ def _entry(symbol, k):
     if entry.k_min is not None:
         if k is None:
             raise EqsingError(f"{symbol} requires the index k")
-        if not isinstance(k, int):
+        if not is_int(k):
             raise EqsingError(f"{symbol}: k must be an integer, got {k!r}")
         if k < entry.k_min:
             raise EqsingError(f"{symbol}: k must be >= {entry.k_min}, got {k}")

@@ -18,7 +18,7 @@ Every integer is ASCII [+-]?[0-9]+ (`errors.parse_int`).  Vertex ids are
 Serialization is byte-stable: vertices in ascending id order, edges in
 lexicographic order, generators in declaration order.
 """
-from .errors import DiagramError, parse_int
+from .errors import DiagramError, is_int, parse_int
 from .lattice import IntLattice
 from .record import Record
 
@@ -60,7 +60,7 @@ class DynkinDiagram(Record):
         edges = _rows(self.edges, "edge", ("i", "j", "weight"), "edges")
         ids = set()
         for k, (i, s) in enumerate(vertices):
-            if not (isinstance(i, int) and isinstance(s, int)):
+            if not (is_int(i) and is_int(s)):
                 raise DiagramError(f"vertex {i!r} self={s!r}: entries must be integers",
                                    entry=("vertices", k))
             if i < 0:
@@ -74,7 +74,7 @@ class DynkinDiagram(Record):
         norm = {}
         for k, (i, j, w) in enumerate(edges):
             at = ("edges", k)
-            if not (isinstance(i, int) and isinstance(j, int) and isinstance(w, int)):
+            if not (is_int(i) and is_int(j) and is_int(w)):
                 raise DiagramError(f"edge {i!r} {j!r} w={w!r}: entries must be integers",
                                    entry=at)
             if i == j:
@@ -119,7 +119,7 @@ class DiagramFile(Record):
             ids = list(self.diagram.vertex_ids())
             for name, images in _rows(self.generators, "generator", ("name", "images")):
                 images = _rows(images, f"generator {name} image", ("source", "target", "sign"))
-                if not all(isinstance(x, int) for image in images for x in image):
+                if not all(is_int(x) for image in images for x in image):
                     raise DiagramError(f"generator {name} has a source, target or sign "
                                        "that is not an integer")
                 if any(s not in (1, -1) for _, _, s in images):
@@ -137,7 +137,7 @@ class DiagramFile(Record):
                 "character must list every generator, in declaration order"
             )
         for name, value in character:
-            if not isinstance(value, int):
+            if not is_int(value):
                 raise DiagramError(f"character value of generator {name} is not an "
                                    f"integer: {value!r}")
             if value not in (1, -1):

@@ -16,12 +16,13 @@ rational [+-]?[0-9]+(/[0-9]+)?.  Python's int() and Fraction() also take
 imports this module, so both readers cost no extra load; `fractions` is
 imported inside `parse_rational`, which only the germ side calls.  A
 library caller passes numbers, and a record refuses an integer entry
-that is not an `int` instead of converting it, and `check_count` refuses
-a `cap` or `max_degree` as the CLI refuses `--cap` and `--max-degree`.
+that is not an `int`, or is a `bool` (`is_int`), instead of converting
+it, and `check_count` refuses a `cap` or `max_degree` as the CLI refuses
+`--cap` and `--max-degree`.
 """
 
 
-def _is_int(text):
+def _spells_int(text):
     """True when `text` is [+-]?[0-9]+."""
     digits = text[1:] if text[:1] in ("+", "-") else text
     return digits.isascii() and digits.isdigit()
@@ -29,7 +30,7 @@ def _is_int(text):
 
 def parse_int(text):
     """The integer `text` spells as [+-]?[0-9]+; ValueError otherwise."""
-    if not _is_int(text):
+    if not _spells_int(text):
         raise ValueError(f"expected an integer, got {text!r}")
     return int(text)
 
@@ -40,7 +41,7 @@ def parse_rational(text):
     from fractions import Fraction
 
     num, slash, den = text.partition("/")
-    if not (_is_int(num) and (not slash or den.isascii() and den.isdigit() and int(den))):
+    if not (_spells_int(num) and (not slash or den.isascii() and den.isdigit() and int(den))):
         raise ValueError(f"expected a rational p or p/q, got {text!r}")
     return Fraction(int(num), int(den) if slash else 1)
 
@@ -75,7 +76,13 @@ class DiagramError(EqsingError):
         super().__init__(message)
 
 
+def is_int(value):
+    """True when `value` is an int and not a bool, which Python counts as
+    one: True is refused where 1 is taken."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_count(name, value):
-    """EqsingError naming `name` unless `value` is an int >= 0, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    """EqsingError naming `name` unless `value` is an int >= 0 (`is_int`)."""
+    if not is_int(value) or value < 0:
         raise EqsingError(f"{name} must be an integer >= 0, got {value!r}")

@@ -12,7 +12,7 @@ and the kernel rank check each other.
 from math import gcd
 
 from . import linalg
-from .errors import EqsingError
+from .errors import EqsingError, is_int
 from .record import Record
 
 
@@ -35,7 +35,7 @@ class IntLattice(Record):
             raise EqsingError("gram matrix must be square")
         for i, row in enumerate(gram):
             for j, x in enumerate(row):
-                if not isinstance(x, int):
+                if not is_int(x):
                     raise EqsingError(f"gram matrix entry ({i},{j}) is not an integer: {x!r}")
                 if x != gram[j][i]:
                     raise EqsingError(f"gram matrix not symmetric at ({i},{j})")

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .errors import DiagramError, EqsingError, check_count, parse_int, parse_rational
+from .errors import DiagramError, EqsingError, check_count, is_int, parse_int, parse_rational
 from .record import Record
 
 # The bound on the monomials listed up to degree D, counted as C(n + D, D)
@@ -49,7 +49,7 @@ class PolyGerm(Record):
     _defaults = {"corner": False}
 
     def __post_init__(self):
-        if not all(isinstance(k, int) and k >= 0 for k in (self.m, self.n)):
+        if not all(is_int(k) and k >= 0 for k in (self.m, self.n)):
             raise EqsingError(f"variable counts must be integers >= 0, got {self.m!r}, {self.n!r}")
         try:
             items = dict(self.terms).items()
@@ -60,7 +60,7 @@ class PolyGerm(Record):
         for exps, c in items:
             if not isinstance(exps, tuple):
                 raise EqsingError(f"exponents must be a tuple, got {exps!r}")
-            if not all(isinstance(e, int) and e >= 0 for e in exps):
+            if not all(is_int(e) and e >= 0 for e in exps):
                 raise EqsingError(f"exponents must be integers >= 0, got {exps!r}")
             c = _rational(c, "coefficient")
             if c == 0:

@@ -53,7 +53,7 @@ from math import gcd, prod
 from . import linalg
 from .action import GroupAction, isotypic_sublattice, signed_orbits
 from .diagram import to_lattice
-from .errors import DiagramError, EqsingError, InternalError, check_count
+from .errors import DiagramError, EqsingError, InternalError, check_count, is_int
 from .lattice import IntLattice, inertia, kernel_basis
 from .record import Record
 
@@ -119,18 +119,19 @@ class MonodromyElement(Record):
                            for j, (a, b) in enumerate(zip(alpha, beta)))
                      for i, (r, q) in enumerate(zip(self.rho, self.rho_p)))
 
+    @property
+    def trace(self):
+        """t = tr(g|P) = 2 + alpha . rho + beta . rho' on the plane
+        P = span(rho, rho'), in O(n): an integer, as alpha and beta are,
+        and 4b^2/(ac) - 2 (notes/decisions.md, "The witness law is the
+        whole certificate")."""
+        alpha, beta = self.factors
+        return 2 + _dot(alpha, self.rho) + _dot(beta, self.rho_p)
+
     def _minus_identity(self, x):
         """(g - I) x = rho (alpha . x) + rho' (beta . x), in O(n)."""
         s, t = _dot(self.factors[0], x), _dot(self.factors[1], x)
         return tuple(s * r + t * q for r, q in zip(self.rho, self.rho_p))
-
-    def _minus_identity_squared(self):
-        """(g - I)^2 = u alpha^T + u' beta^T, with u = (g - I) rho and
-        u' = (g - I) rho', in O(n^2)."""
-        alpha, beta = self.factors
-        u, u_p = self._minus_identity(self.rho), self._minus_identity(self.rho_p)
-        return tuple(tuple(x * a + y * b for a, b in zip(alpha, beta))
-                     for x, y in zip(u, u_p))
 
     def _check_word(self):
         """Raise InternalError unless the word is word(rho) + word(rho'),
@@ -173,7 +174,7 @@ def _vector(name, root, n):
     """`root` as a tuple; EqsingError unless it is an integer vector of
     length n."""
     root = tuple(root)
-    if len(root) != n or not all(isinstance(x, int) for x in root):
+    if len(root) != n or not all(map(is_int, root)):
         raise EqsingError(f"{name} is no integer vector of length {n}: {root!r}")
     return root
 
@@ -289,10 +290,11 @@ class Infinite(Record):
     MonodromyElement; the other fields are None unless given.  Either a
     witness v and increment w satisfy w = (g - I)v != 0 and (g - I)w = 0,
     which forces g^s v = v + s w for every s >= 1 (a pair s_rho s_rho'
-    with b^2 = ac, always the case on a negative semidefinite form, where
-    also (g - I)^2 = 0).  Or `residual_charpoly` is (1, -t, 1) with
-    |t| > 2, the factor x^2 - t x + 1 of the characteristic polynomial of
-    a pair with b^2 > ac, whose roots are real and off the unit circle.
+    with b^2 = ac, trace 2 on its plane; on a negative semidefinite form
+    this law alone gives (g - I)^2 = 0 and G w = 0).  Or
+    `residual_charpoly` is (1, -t, 1) with |t| > 2 the trace of g on its
+    plane, the factor x^2 - t x + 1 of the characteristic polynomial of a
+    pair with b^2 > ac, whose roots are real and off the unit circle.
     """
 
     __slots__ = ("certificate", "witness", "increment", "residual_charpoly")
@@ -300,31 +302,25 @@ class Infinite(Record):
 
     kind = "infinite"
 
-    def validate(self, sig=None):
+    def validate(self):
         """Re-verify the certificate independently of the search that found it.
 
         First membership: the word must replay to +-rho and +-rho'
         (`MonodromyElement._check_word`), so g is in the group that the
         certificate's own `generators` generate.  That they are the
         analysis' generator roots is checked by `run_analysis`, which has
-        them; `validate` cannot tell.  g - I = rho alpha^T + rho' beta^T
-        has rank at most two, so each check on g below takes O(n^2) or
-        less and none reads the matrix (notes/decisions.md, "An Infinite
-        certificate is its root pair").  `sig` is the Inertia of the form, which selects
-        the negative semidefinite checks, when the caller has it already,
-        as `run_analysis` has; it is computed otherwise.
+        them; `validate` cannot tell.  Each check on g below takes O(n),
+        from the factors of g - I, and none reads the matrix
+        (notes/decisions.md, "An Infinite certificate is its root pair").
 
-        The witness law alone (w = (g-I)v != 0, (g-I)w = 0) proves infinite
-        order: by induction g^s v = v + s w != v, so `power_law_check`
-        would find nothing more.  On a negative semidefinite form the
-        stronger unipotent shape (g-I)^2 = 0 and the kernel membership of w
-        are also required; that is what the semidefinite search path
-        always produces.
-
-        A residual (1, -t, 1) with |t| > 2 holds when (g^2 - t g + I) rho
-        = 0: then a root of x^2 - t x + 1, real and off the unit circle, is
-        an eigenvalue of g.  It holds for every pair with trace t on its
-        plane P: g keeps P with determinant 1 there (Cayley-Hamilton).
+        The witness law (w = (g-I)v != 0, (g-I)w = 0) proves infinite
+        order, as g^s v = v + s w != v by induction; on a negative
+        semidefinite form it also forces (g - I)^2 = 0 and G w = 0, so no
+        inertia is read (notes/decisions.md, "The witness law is the whole
+        certificate").  A residual (1, -t, 1) with |t| > 2 holds when t is
+        the trace of g on its plane P: g keeps P with determinant 1, so
+        g^2 - t g + I kills P (Cayley-Hamilton), and a root of
+        x^2 - t x + 1, real and off the unit circle, is an eigenvalue of g.
         """
         g = self.certificate
         if g.is_identity:
@@ -334,11 +330,8 @@ class Infinite(Record):
             r = tuple(self.residual_charpoly)
             if len(r) != 3 or r[0] != 1 or r[2] != 1 or abs(r[1]) <= 2:
                 raise InternalError("residual charpoly is not x^2 - t x + 1 with |t| > 2")
-            t = -r[1]
-            g_rho = tuple(x + y for x, y in zip(g.rho, g._minus_identity(g.rho)))
-            g2_rho = tuple(x + y for x, y in zip(g_rho, g._minus_identity(g_rho)))
-            if any(x - t * y + z for x, y, z in zip(g2_rho, g_rho, g.rho)):
-                raise InternalError("no root of the residual charpoly is an eigenvalue")
+            if -r[1] != g.trace:
+                raise InternalError(f"residual t = {-r[1]} is not the trace of g on its plane")
             return True
         v, w = self.witness, self.increment
         if v is None or w is None:
@@ -350,13 +343,6 @@ class Infinite(Record):
             raise InternalError("increment vector is zero")
         if not linalg.is_zero_vec(g._minus_identity(w)):
             raise InternalError("increment is not fixed by g")
-        if sig is None:
-            sig = inertia(IntLattice(g.gram))
-        if sig.negative_semidefinite:
-            if any(any(row) for row in g._minus_identity_squared()):
-                raise InternalError("(g - I)^2 != 0: certificate is not unipotent")
-            if not linalg.is_zero_vec(linalg.form_vec(g.gram, w)):
-                raise InternalError("increment does not lie in the form kernel")
         return True
 
     def __str__(self):
@@ -430,9 +416,7 @@ def _root_class(g_root):
     quotient (the lattice modulo the form kernel) are positive multiples
     of each other.
     """
-    g = 0
-    for x in g_root:
-        g = gcd(g, x)
+    g = gcd(*g_root)
     return tuple(x // g for x in g_root)
 
 
@@ -479,7 +463,7 @@ def _generate_reflections(gram, mirrors, cap, sig):
             return Unknown(cap=cap)
         old = partner(root)
         if old is not None:
-            return _pair_certificate(gram, mirrors, sig, (root, word), (points[old], words[old]))
+            return _pair_certificate(gram, mirrors, (root, word), (points[old], words[old]))
         seen.add(root[0])
         points.append(root)
         words.append(word)
@@ -677,53 +661,48 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _pair_certificate(gram, mirrors, sig, pair, pair_p):
+def _pair_certificate(gram, mirrors, pair, pair_p):
     """Validated Infinite with certificate g = s_rho s_rho'.
 
     `pair` and `pair_p` are (rho with its image, its word) for the two
     roots; the word of g is the word of rho, then that of rho', over the
-    generator roots of `mirrors`, and `sig` is the Inertia of the form.  On
-    the plane of the pair, g has trace t = 4b^2/(ac) - 2 with
-    a = (rho, rho), b = (rho, rho') and c = (rho', rho').  b^2 = ac makes g
-    a nontrivial unipotent, certified by a power-law witness
-    (`_index2_witness`); otherwise |t| > 2, and g has a real eigenvalue off
-    the unit circle, a root of the factor x^2 - t x + 1 of its
-    characteristic polynomial.
+    generator roots of `mirrors`.  On the plane of the pair, g has the
+    integer trace t = 4b^2/(ac) - 2 (`MonodromyElement.trace`).  t = 2,
+    that is b^2 = ac, makes g a nontrivial unipotent, certified by a
+    power-law witness (`_index2_witness`); otherwise |t| > 2, and g has a
+    real eigenvalue off the unit circle, a root of the factor
+    x^2 - t x + 1 of its characteristic polynomial.
     """
     (rho, word), (rho_p, word_p) = pair, pair_p
     element = MonodromyElement(gram, rho[0], rho_p[0],
                                word=tuple(f"h{i + 1}" for i in word + word_p),
                                generators=[mirror[0] for mirror in mirrors])
-    a, b, c = _dot(rho[0], rho[1]), _dot(rho_p[0], rho[1]), _dot(rho_p[0], rho_p[1])
-    if b * b == a * c:
+    t = element.trace
+    if t == 2:
         v, w = _index2_witness(element)
         verdict = Infinite(certificate=element, witness=v, increment=w)
     else:
-        # g has integer trace (n - 2) + t, so the division is exact
-        q, rem = divmod(4 * b * b, a * c)
-        if rem:
-            raise InternalError("trace 4b^2/(ac) - 2 of a root pair is not an integer")
-        t = q - 2
         verdict = Infinite(certificate=element, residual_charpoly=(1, -t, 1))
-    verdict.validate(sig)
+    verdict.validate()
     return verdict
 
 
 def _index2_witness(g):
-    """(v, w) with w = (g - I)v != 0 and (g - I)^2 v = 0, for a unipotent
-    MonodromyElement g: v the first vector of the Hermite normal form
-    basis of the integer kernel of (g - I)^2 that g moves.
+    """(v, w) with w = (g - I)v != 0 and (g - I)^2 v = 0, for a
+    MonodromyElement g of trace 2 on its plane: v the first vector of the
+    Hermite normal form basis of the integer kernel of (g - I)^2 that g
+    moves.
 
-    When (g - I)^2 = 0 that basis is the identity, so v is the first e_j
-    that g moves and w is column j of g - I, found in O(n^2); otherwise
-    `int_kernel` runs on (g - I)^2, of rank at most two.
+    At trace 2, (g - I)^2 = (rho - (b/c) rho') kappa^T with the integer
+    vector kappa = 2 alpha + (alpha . rho') beta, so that kernel is the
+    integer kernel of the one row kappa: all of Z^n, the identity basis,
+    when kappa = 0, as on every negative semidefinite form
+    (notes/decisions.md, "The witness law is the whole certificate").
     """
-    square = g._minus_identity_squared()
-    if any(any(row) for row in square):
-        candidates = linalg.int_kernel(square)
-    else:
-        candidates = linalg.identity(g.rank)
-    for cand in candidates:
+    alpha, beta = g.factors
+    s = _dot(alpha, g.rho_p)
+    kappa = tuple(2 * a + s * b for a, b in zip(alpha, beta))
+    for cand in linalg.int_kernel((kappa,)):
         img = g._minus_identity(cand)
         if not linalg.is_zero_vec(img):
             return tuple(cand), img

@@ -207,7 +207,8 @@ def index2_witness_dense(matrix):
     """(v, w) with w = (g - I)v != 0 and (g - I)^2 v = 0 for a unipotent g:
     v the first vector of the Hermite normal form basis of the integer
     kernel of the dense (g - I)^2 that g moves.  The reference for the
-    package's `_index2_witness`, which forms (g - I)^2 from the root pair."""
+    package's `_index2_witness`, which takes that kernel as the integer
+    kernel of one row kappa, read off the root pair's factors."""
     U = minus_identity(matrix)
     for cand in linalg.int_kernel(mat_mul(U, U)):
         img = mat_vec(U, cand)
@@ -225,8 +226,10 @@ def certificate_holds_dense(matrix, gram, witness=None, increment=None,
     (1, -t, 1) with |t| > 2, or w = (g - I)v != 0,
     (g - I)w = 0 and g^s v = v + s w for s <= 5, and on a negative
     semidefinite form also (g - I)^2 = 0 and G w = 0.  The reference for
-    `Infinite.validate`, which checks the same facts on the plane of the
-    certificate's root pair."""
+    `Infinite.validate`, which checks the law and the trace on the plane of
+    the certificate's root pair, and no inertia: on a negative semidefinite
+    form the law implies the last two checks, which are kept here so that
+    a test can show it."""
     g = DenseElement(matrix, gram)
     n = g.rank
     U = minus_identity(g.matrix)

@@ -509,9 +509,9 @@ def test_certificate_validated_once_per_run(monkeypatch, symbol):
     calls = []
     original = Infinite.validate
 
-    def counted(verdict, sig=None):
+    def counted(verdict):
         calls.append(verdict)
-        return original(verdict, sig)
+        return original(verdict)
 
     monkeypatch.setattr(Infinite, "validate", counted)
     out = run_analysis(fixture_file(symbol))

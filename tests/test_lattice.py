@@ -175,10 +175,9 @@ def test_kernel_properties_random():
 
 def test_analysis_computes_the_inertia_once(monkeypatch):
     # run_analysis hands its inertia to generate_group, which would
-    # otherwise compute it again, and generate_group hands it to the
-    # Infinite verdict's validate (M5, X9); the only other calls are the
-    # finite verdict's check, one per component of the simple roots' Gram
-    # matrix (E6)
+    # otherwise compute it again, and the Infinite verdict's validate
+    # reads none (M5, X9); the only other calls are the finite verdict's
+    # check, one per component of the simple roots' Gram matrix (E6)
     from eqsing import catalog, monodromy
 
     inside = ["outside"]

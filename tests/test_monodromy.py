@@ -1,6 +1,7 @@
 """Monodromy engine: reflections, equivariant generators, finiteness."""
 import random
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from eqsing.monodromy import (
     MonodromyElement,
     Unknown,
     _check_orbit_product,
+    _dot,
     _mirror,
     _reflect,
     action_from_file,
@@ -439,15 +441,17 @@ def test_infinite_certificate_is_self_validating():
 
 def test_certificates_match_the_dense_reference():
     # on every certificate of 10,000 random actions, the not-simple fixtures
-    # and the golden diagrams: (g - I)^2 formed from the root pair is the
-    # product (g - I)(g - I), the witness and increment are the dense
-    # reference's, and g^2 - t g + I kills rho on a residual certificate
+    # and the golden diagrams: a unipotent one has
+    # c (g - I)^2 = (c rho - b rho') kappa^T, kappa = 2 alpha + (alpha . rho') beta
+    # read off the factors, against the product (g - I)(g - I), and the
+    # witness and increment of the dense reference; a residual one has the
+    # trace of g on its plane as t, and g^2 - t g + I kills rho
     rng = random.Random(7)
     dfiles = [random_action_file(rng) for _ in range(10_000)]
     dfiles += [fixture_file(symbol) for symbol in ("M5", "M4", "X9")]
     dfiles += [parse_file((GOLDEN / f"{name}.diagram").read_text())
                for name in ("affine_e6", "affine_e8_a1", "t237", "triangle_w2")]
-    counts = {"unipotent": 0, "(g - I)^2 = 0": 0, "residual": 0}
+    counts = {"unipotent": 0, "kappa = 0": 0, "residual": 0}
     for dfile in dfiles:
         try:
             verdict = run_analysis(dfile).verdict
@@ -457,20 +461,43 @@ def test_certificates_match_the_dense_reference():
             continue
         g = verdict.certificate
         U = minus_identity(g.matrix)
-        square = g._minus_identity_squared()
-        assert square == mat_mul(U, U)
         if verdict.residual_charpoly is None:
+            alpha, beta = g.factors
+            kappa = tuple(2 * a + _dot(alpha, g.rho_p) * b for a, b in zip(alpha, beta))
+            b, c = product(g.gram, g.rho, g.rho_p), product(g.gram, g.rho_p, g.rho_p)
+            u = tuple(c * x - b * y for x, y in zip(g.rho, g.rho_p))
+            assert (tuple(tuple(c * x for x in row) for row in mat_mul(U, U))
+                    == tuple(tuple(x * k for k in kappa) for x in u))
             assert (verdict.witness, verdict.increment) == index2_witness_dense(g.matrix)
             counts["unipotent"] += 1
-            counts["(g - I)^2 = 0"] += not any(any(row) for row in square)
+            counts["kappa = 0"] += linalg.is_zero_vec(kappa)
         else:
             t, n = -verdict.residual_charpoly[1], g.rank
+            assert t == g.trace
             g2 = mat_mul(g.matrix, g.matrix)
             Q = [[g2[i][j] - t * g.matrix[i][j] + int(i == j) for j in range(n)]
                  for i in range(n)]
             assert linalg.is_zero_vec(mat_vec(Q, g.rho))
             counts["residual"] += 1
-    assert counts == {"unipotent": 136, "(g - I)^2 = 0": 77, "residual": 37}
+    assert counts == {"unipotent": 136, "kappa = 0": 77, "residual": 37}
+
+
+def test_validate_computes_no_inertia():
+    # the witness law is the whole unipotent certificate, on a negative
+    # semidefinite form too, so validate() reads no inertia of the form
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("eqsing."):
+            called.add(frame.f_code.co_name)
+
+    verdicts = [_certified(name).verdict for name in CERTIFIED]
+    sys.setprofile(profile)
+    try:
+        assert all(verdict.validate() for verdict in verdicts)
+    finally:
+        sys.setprofile(None)
+    assert "_check_word" in called and "inertia" not in called
 
 
 def test_semidefinite_finite_group():
@@ -488,8 +515,8 @@ def test_general_case_positive_definite_closes():
 
 def test_general_case_unipotent_infinite():
     # a pair with b^2 = ac on a positive semidefinite form: the power-law
-    # certificate holds on its own, with no negative semidefinite checks;
-    # the word names the two roots as the generators h1 and h2
+    # certificate holds on its own; the word names the two roots as the
+    # generators h1 and h2
     gram = ((0, 0), (0, 2))
     g = MonodromyElement(gram, (0, 1), (1, 1), ("h1", "h2"), ((0, 1), (1, 1)))
     assert g.matrix == ((1, -2), (0, 1))
@@ -706,13 +733,12 @@ def _mutants(word, letters):
 def test_a_word_that_does_not_replay_is_refused(name):
     # a swapped letter, a dropped palindrome pair, a doubled centre letter
     # or a word of another root: every mutant that multiplies out to
-    # another element is refused
-    # with or without the analysis' inertia, since the generator roots
-    # travel with the certificate
+    # another element is refused, by the generator roots that travel with
+    # the certificate
     out = _certified(name)
     verdict, gens = out.verdict, _generators(out)
     g = verdict.certificate
-    assert verdict.validate() and verdict.validate(out.inertia)
+    assert verdict.validate()
     first, second = _halves(g.word)
     other = next(f"h{i + 1}" for i, e in enumerate(linalg.identity(g.rank))
                  if e not in (g.rho, tuple(-x for x in g.rho)))
@@ -722,9 +748,8 @@ def test_a_word_that_does_not_replay_is_refused(name):
     for kind, word in mutants:
         if evaluate_word(gens, word) == g.matrix:
             continue  # the mutant is a word for g too
-        for args in ((), (out.inertia,)):
-            with pytest.raises(InternalError, match="does not replay"):
-                _with_word(verdict, word).validate(*args)
+        with pytest.raises(InternalError, match="does not replay"):
+            _with_word(verdict, word).validate()
         refused[kind] = refused.get(kind, 0) + 1
     assert refused["another root"] == refused["doubled centre"] == 2
     assert refused["swapped letter"] >= len(g.word) // 12

@@ -113,6 +113,35 @@ NOT_INTEGERS = {
     "element-float-generator": (
         lambda: MonodromyElement(A2_GRAM, (1, 0), (0, 1), ("h1", "h2"), ((1, 0), (0, 1.0))),
         EqsingError, "generator h2 is no integer vector of length 2: (0, 1.0)"),
+    # Python counts a bool as an int, and every integer entry, count and
+    # index refuses one as it refuses 1.0 (`errors.is_int`): True is no 1
+    "bool-gram-entry": (lambda: IntLattice(((-2, True), (True, -2))),
+                        EqsingError, "gram matrix entry (0,1) is not an integer: True"),
+    "bool-diagram-id": (lambda: DynkinDiagram(((True, -2),), ()),
+                        DiagramError, "vertex True self=-2: entries must be integers"),
+    "bool-diagram-weight": (lambda: DynkinDiagram(((1, -2), (2, -2)), ((1, 2, True),)),
+                            DiagramError, "edge 1 2 w=True: entries must be integers"),
+    "bool-action-sign": (
+        lambda: GroupAction((("s", ((0, True), (1, 1))),), IntLattice(A2_GRAM)),
+        EqsingError, "generator s has an image index or sign that is not an integer"),
+    "bool-file-source": (
+        lambda: DiagramFile(DynkinDiagram(((1, -2),), ()), (("s", ((True, 1, 1),)),)),
+        DiagramError, "generator s has a source, target or sign that is not an integer"),
+    "bool-file-character": (
+        lambda: DiagramFile(A2_DIAGRAM, (("s", ((1, 1, 1), (2, 2, 1))),), (("s", True),)),
+        DiagramError, "character value of generator s is not an integer: True"),
+    "bool-germ-count": (lambda: PolyGerm({(2, 0): 1, (0, 2): 1}, True, 1),
+                        EqsingError, "variable counts must be integers >= 0, got True, 1"),
+    "bool-germ-exponent": (lambda: PolyGerm({(2, 0): 1, (0, True): 1}, 1, 1),
+                           EqsingError, "exponents must be integers >= 0, got (0, True)"),
+    "bool-element-root": (lambda: MonodromyElement(A2_GRAM, (True, 0), (0, 1)),
+                          EqsingError, "rho is no integer vector of length 2: (True, 0)"),
+    "bool-group-root": (lambda: generate_group(A2_GRAM, [(True, False), (0, 1)]),
+                        EqsingError, "root h1 is no integer vector of length 2: (True, False)"),
+    "bool-group-cap": (lambda: generate_group(A2_GRAM, [(1, 0)], cap=True),
+                       EqsingError, "cap must be an integer >= 0, got True"),
+    "bool-family-k": (lambda: fixture_file("B", True),
+                      EqsingError, "B: k must be an integer, got True"),
 }
 
 # an entry of the wrong shape is refused with the package's error naming it,

@@ -1,5 +1,7 @@
 """Semidefinite forms: root-class collisions, the cap, and oracles for
 every certificate word."""
+import contextlib
+import itertools
 import random
 import time
 
@@ -8,19 +10,20 @@ import pytest
 from eqsing import linalg
 from eqsing.catalog import fixture_file
 from eqsing.diagram import DiagramFile, DynkinDiagram
-from eqsing.errors import EqsingError
+from eqsing.errors import EqsingError, InternalError
 from eqsing.lattice import IntLattice, inertia
 from eqsing.monodromy import (
     Finite,
     Infinite,
+    MonodromyElement,
     Unknown,
     action_from_file,
     equivariant_generators,
     generate_group,
     run_analysis,
 )
-from oracles import (certificate_holds_dense, closure_naive, evaluate_word, mat_mul,
-                     pl_reflection, reflections)
+from oracles import (certificate_holds_dense, closure_naive, evaluate_word, mat_mul, mat_vec,
+                     minus_identity, pl_reflection, reflections)
 
 
 def _star(*arms, isolated=0):
@@ -160,3 +163,56 @@ def test_random_semidefinite_reflection_groups():
             verdict.validate()
             cert = verdict.certificate
             assert evaluate_word(reflections(gram, roots), cert.word) == cert.matrix
+
+
+def _forged_verdicts(rng, gram):
+    """Forged Infinite verdicts on `gram`: elements s_rho s_rho' for random
+    pairs of integral roots, with the word h1 h2 over the pair itself, each
+    with witnesses v and increments w = (g - I)v, a multiple of it, or it
+    moved by a unit vector."""
+    n = len(gram)
+    roots = []
+    while len(roots) < 4:
+        root = tuple(rng.randint(-2, 2) for _ in range(n))
+        with contextlib.suppress(EqsingError):
+            MonodromyElement(gram, root, root)
+            roots.append(root)
+    for rho, rho_p in itertools.product(roots, repeat=2):
+        g = MonodromyElement(gram, rho, rho_p, ("h1", "h2"), (rho, rho_p))
+        U = minus_identity(g.matrix)
+        for v in linalg.identity(n)[:2] + (tuple(rng.randint(-2, 2) for _ in range(n)),):
+            w = mat_vec(U, v)
+            e = linalg.identity(n)[rng.randrange(n)]
+            for increment in (w, tuple(2 * x for x in w), tuple(x + y for x, y in zip(w, e))):
+                yield Infinite(certificate=g, witness=v, increment=increment)
+
+
+def test_forged_certificates_are_judged_as_the_dense_reference_judges():
+    # on negative semidefinite forms the witness law alone makes
+    # (g - I)^2 = 0 and G w = 0 (notes/decisions.md, "The witness law is
+    # the whole certificate"): validate, which checks the law only, accepts
+    # exactly the forged certificates that the dense reference, which keeps
+    # both checks, accepts
+    rng = random.Random(40)
+    forms = [run_analysis(fixture_file(symbol)).sublattice.restricted_gram
+             for symbol in ("M4", "M5")]
+    while len(forms) < 30:
+        n = rng.randint(2, 5)
+        A = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
+        gram = linalg.freeze([[-2 * sum(row[i] * row[j] for row in A) for j in range(n)]
+                              for i in range(n)])
+        if any(gram[i][i] for i in range(n)):
+            forms.append(gram)
+    counts = {"accepted": 0, "refused": 0}
+    for gram in forms:
+        assert inertia(IntLattice(gram)).negative_semidefinite
+        for verdict in _forged_verdicts(rng, gram):
+            g = verdict.certificate
+            try:
+                accepted = verdict.validate()
+            except InternalError:
+                accepted = False
+            assert accepted == certificate_holds_dense(g.matrix, gram, verdict.witness,
+                                                       verdict.increment), verdict
+            counts["accepted" if accepted else "refused"] += 1
+    assert counts == {"accepted": 514, "refused": 3806}
